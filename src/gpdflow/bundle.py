@@ -86,6 +86,10 @@ class BaseGraph:
         return [d for d in range(self.n_darts) if self.dsrc(d) == v]
 
     def is_connected(self) -> bool:
+        return self.first_unreachable() is None
+
+    def first_unreachable(self) -> Optional[int]:
+        """The lowest vertex with no path from vertex 0, or None."""
         seen = [False] * self.n_vertices
         seen[0] = True
         stack = [0]
@@ -96,7 +100,7 @@ class BaseGraph:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        return all(seen)
+        return None if all(seen) else seen.index(False)
 
     # --- stock shapes ----------------------------------------------------
 
@@ -374,6 +378,7 @@ class TrivialityReport:
     by_section: bool
     section: Optional[list[int]]
     holonomy: list[int]
+    cycles: list[CycleHolonomy]
 
 
 def is_trivial(b: CocycleBundle, v0: int = 0) -> TrivialityReport:
@@ -403,7 +408,7 @@ def is_trivial(b: CocycleBundle, v0: int = 0) -> TrivialityReport:
         raise AssertionError("triviality criteria disagree")
     return TrivialityReport(trivial=by_labels, by_labels=by_labels,
                             by_section=by_section, section=section,
-                            holonomy=hol.subgroup)
+                            holonomy=hol.subgroup, cycles=hol.cycles)
 
 
 # --- isomorphism ----------------------------------------------------------------

@@ -6,9 +6,6 @@ information; identical inputs always produce identical bytes.  Exit codes:
 0 when every checked property holds (questions like ``trivial`` and ``ea``
 count as answered either way), 1 when a checked property fails (the report
 carries a witness), 2 for usage or input errors.
-
-The environment variable ``GPDFLOW_SEED`` is reserved for future use; every
-algorithm here is deterministic and it is currently ignored.
 """
 from __future__ import annotations
 
@@ -27,7 +24,8 @@ from .dynamics import base_action, build_ambit, enumerate_equivariant_maps, \
 from .ehresmann import bundle_of_groupoid, groupoid_of_bundle, \
     roundtrip_bundle, verify_connection
 from .fixtures import named_bundles
-from .groupoid import check_local_triviality, is_transitive, verify_groupoid
+from .groupoid import Groupoid, check_local_triviality, is_transitive, \
+    verify_groupoid
 from .serialize import Model, ModelError, action_to_json, ambit_to_json, \
     build_action, build_graph, build_group, build_groupoid, bundle_to_json, \
     canonical_dumps, load_model, model_digest, parse_model, transport_to_json
@@ -99,15 +97,41 @@ def _ambit_source(command: str, model: Model, basepoint: int):
         verdicts.append(_verdict("groupoid axioms", verify_groupoid(gpd)))
         if not verdicts[-1]["ok"]:
             return verdicts, None
+    return verdicts, _transitive(verdicts, gpd, basepoint,
+                                 "no arrow between a pair of objects")
+
+
+def _transitive(verdicts: list[dict], gpd: Groupoid, basepoint: int,
+                failure: Optional[str] = None) -> Optional[Groupoid]:
+    """Append the transitivity verdict; the groupoid when it holds, else
+    None.  A basepoint out of range is a usage error."""
     ok, witness = is_transitive(gpd)
     verdicts.append(_plain("transitive", ok, witness=list(witness) if witness else None,
-                           failure="no arrow between a pair of objects"))
+                           failure=failure))
     if not ok:
-        return verdicts, None
+        return None
     if not (0 <= basepoint < gpd.n_objects):
         raise UsageError(f"basepoint {basepoint} out of range for "
                          f"{gpd.n_objects} objects")
-    return verdicts, gpd
+    return gpd
+
+
+def _action_source(command: str, model: Model, basepoint: int):
+    """Action, bundle or groupoid input -> (verdicts, groupoid, action).
+
+    An action has its axioms verified and its groupoid checked for
+    transitivity; other inputs go through :func:`_ambit_source` and leave
+    the action None, for the caller to use the ambit.  The groupoid is None
+    when a verdict fails.
+    """
+    if model.kind != "action":
+        verdicts, gpd = _ambit_source(command, model, basepoint)
+        return verdicts, gpd, None
+    action, _ = build_action(model.data)
+    verdicts = [_verdict("groupoid action axioms", verify_action(action))]
+    if not verdicts[-1]["ok"]:
+        return verdicts, None, None
+    return verdicts, _transitive(verdicts, action.gpd, basepoint), action
 
 
 # --- command runners ------------------------------------------------------------
@@ -248,7 +272,6 @@ def _run_trivial(name: str, model: Model, basepoint: int) -> dict:
         raise UsageError(f"basepoint {basepoint} out of range for "
                          f"{bundle.base.n_vertices} vertices")
     rep = is_trivial(bundle, basepoint)
-    hol = holonomy_group(bundle, basepoint)
     facts = {"trivial": rep.trivial,
              "by_labels": rep.by_labels,
              "by_section": rep.by_section,
@@ -256,7 +279,7 @@ def _run_trivial(name: str, model: Model, basepoint: int) -> dict:
              "holonomy": rep.holonomy,
              "witness_cycles": [
                  {"edge": c.edge, "element": c.element, "darts": c.darts}
-                 for c in hol.cycles
+                 for c in rep.cycles
                  if c.element != bundle.group.identity]}
     return {"input": name, "verdicts": verdicts, "facts": facts}
 
@@ -290,28 +313,11 @@ def _run_ambit(name: str, model: Model, basepoint: int) -> dict:
 def _run_universal(name: str, model: Model, basepoint: int) -> dict:
     """Enumerate the equivariant maps out of the ambit: into the given
     action when the input is one, into the ambit itself otherwise."""
-    if model.kind == "action":
-        action, _ = build_action(model.data)
-        verdicts = [_verdict("groupoid action axioms", verify_action(action))]
-        if not verdicts[-1]["ok"]:
-            return {"input": name, "verdicts": verdicts, "facts": {}}
-        gpd = action.gpd
-        ok, witness = is_transitive(gpd)
-        verdicts.append(_plain("transitive", ok,
-                               witness=list(witness) if witness else None))
-        if not ok:
-            return {"input": name, "verdicts": verdicts, "facts": {}}
-        if not (0 <= basepoint < gpd.n_objects):
-            raise UsageError(f"basepoint {basepoint} out of range for "
-                             f"{gpd.n_objects} objects")
-        ambit = build_ambit(gpd, basepoint)
-        target = action
-    else:
-        verdicts, gpd = _ambit_source("universal", model, basepoint)
-        if gpd is None:
-            return {"input": name, "verdicts": verdicts, "facts": {}}
-        ambit = build_ambit(gpd, basepoint)
-        target = ambit.action
+    verdicts, gpd, action = _action_source("universal", model, basepoint)
+    if gpd is None:
+        return {"input": name, "verdicts": verdicts, "facts": {}}
+    ambit = build_ambit(gpd, basepoint)
+    target = ambit.action if action is None else action
     maps = enumerate_equivariant_maps(ambit, target)
     fiber = target.fiber(ambit.basepoint)
     verdicts.append(_plain("one equivariant map per fiber point",
@@ -325,24 +331,10 @@ def _run_universal(name: str, model: Model, basepoint: int) -> dict:
 
 
 def _run_sections(name: str, model: Model, basepoint: int) -> dict:
-    if model.kind == "action":
-        action, _ = build_action(model.data)
-        verdicts = [_verdict("groupoid action axioms", verify_action(action))]
-        if not verdicts[-1]["ok"]:
-            return {"input": name, "verdicts": verdicts, "facts": {}}
-        gpd = action.gpd
-        ok, witness = is_transitive(gpd)
-        verdicts.append(_plain("transitive", ok,
-                               witness=list(witness) if witness else None))
-        if not ok:
-            return {"input": name, "verdicts": verdicts, "facts": {}}
-        if not (0 <= basepoint < gpd.n_objects):
-            raise UsageError(f"basepoint {basepoint} out of range for "
-                             f"{gpd.n_objects} objects")
-    else:
-        verdicts, gpd = _ambit_source("sections", model, basepoint)
-        if gpd is None:
-            return {"input": name, "verdicts": verdicts, "facts": {}}
+    verdicts, gpd, action = _action_source("sections", model, basepoint)
+    if gpd is None:
+        return {"input": name, "verdicts": verdicts, "facts": {}}
+    if action is None:
         action = build_ambit(gpd, basepoint).action
     secs = invariant_sections(action, basepoint)
     table, fiber, grp = fiber_action(action, basepoint)

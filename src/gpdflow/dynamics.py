@@ -18,11 +18,14 @@ rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .algebra import FiniteGroup, find_group_isomorphism, verify_group
 from .diagnostics import Diagnostics
-from .groupoid import Groupoid, is_transitive, vertex_group
+from .groupoid import Groupoid, RowTable, _require_whole, _structural_scan, \
+    is_transitive, verify_groupoid, vertex_group
 
 __all__ = [
     "GroupoidAction",
@@ -32,7 +35,6 @@ __all__ = [
     "FiberSemigroup",
     "MinimalFlowReport",
     "verify_action",
-    "anchor_is_proper",
     "base_action",
     "disjoint_union_actions",
     "restrict_action",
@@ -51,126 +53,150 @@ __all__ = [
 ]
 
 
-@dataclass
-class GroupoidAction:
+@dataclass(eq=False)
+class GroupoidAction(RowTable):
     """A right action of a groupoid on points ``0..n_points-1``.
 
-    ``act`` is a partial table keyed by ``(point, arrow)``; it must be
-    defined exactly when ``src(arrow) == anchor[point]``.
+    Stored like the groupoid's own composition: row ``y`` of ``val`` starts
+    at ``row_off[y]`` and holds ``y . h`` for each ``h`` in
+    ``gpd.arrows_from(anchor[y])`` in ascending order.  Use
+    :func:`GroupoidAction.from_triples` to build from ``[y, g, y . g]``
+    triples.
     """
 
     gpd: Groupoid
     n_points: int
-    anchor: list[int]
-    act: dict[tuple[int, int], int]
+    anchor: np.ndarray
+    row_off: np.ndarray
+    val: np.ndarray
+    flaw: Optional[Diagnostics] = None
 
-    def move(self, y: int, g: int) -> int:
-        try:
-            return self.act[(y, g)]
-        except KeyError:
-            raise ValueError(f"move ({y}, {g}) is not defined") from None
-
-    def defined(self, y: int, g: int) -> bool:
-        return (y, g) in self.act
+    @staticmethod
+    def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
+                     triples) -> "GroupoidAction":
+        a = GroupoidAction(gpd, n_points, np.asarray(anchor, dtype=np.int64),
+                           np.zeros(1, np.int64), np.empty(0, np.int64))
+        if _structural_scan(gpd) is None and _anchor_scan(a) is None:
+            a.flaw = _act_flaw(a, *a._fill(triples))
+        return a
 
     def fiber(self, x: int) -> list[int]:
-        return [y for y in range(self.n_points) if self.anchor[y] == x]
+        return np.flatnonzero(self.anchor == x).tolist()
+
+
+def _anchor_scan(a: GroupoidAction) -> Optional[Diagnostics]:
+    if a.anchor.shape[0] != a.n_points:
+        return Diagnostics.failed("anchor length mismatch",
+                                  (a.anchor.shape[0], a.n_points),
+                                  structural=True)
+    bad = (a.anchor < 0) | (a.anchor >= a.gpd.n_objects)
+    if bool(bad.any()):
+        y = int(np.argmax(bad))
+        return Diagnostics.failed("anchor out of range", (y, int(a.anchor[y])),
+                                  structural=True)
+    return None
+
+
+def _act_flaw(a: GroupoidAction, ys, hs, zs, index, off, dup, missing
+              ) -> Optional[Diagnostics]:
+    """The first flaw of an action table: in the order of the triples, a
+    point or arrow out of range or an entry off the domain, then a repeated
+    pair; then, in row order, a composable pair without an entry; then, in
+    the order of the triples, a value out of range."""
+    if bool((index | off).any()):
+        i = int(np.argmax(index | off))
+        label = "action table index out of range" if index[i] \
+            else "composability domain violated"
+        return Diagnostics.failed(label, (int(ys[i]), int(hs[i])),
+                                  structural=True)
+    if bool(dup.any()):
+        i = int(np.argmax(dup))
+        return Diagnostics.failed("duplicate act pair", (int(ys[i]), int(hs[i])),
+                                  structural=True)
+    if missing.size:
+        y, g = (int(c[missing[0]]) for c in a.row_pairs())
+        return Diagnostics.failed("composability domain violated", (y, g),
+                                  detail="missing entry on a composable pair")
+    bad = (zs < 0) | (zs >= a.n_points)
+    if bool(bad.any()):
+        i = int(np.argmax(bad))
+        return Diagnostics.failed("action value out of range",
+                                  (int(ys[i]), int(hs[i]), int(zs[i])),
+                                  structural=True)
+    return None
 
 
 def verify_action(a: GroupoidAction) -> Diagnostics:
     """Scan the action laws in a fixed order.
 
-    Structure first: anchor shape and range, table keys in range, then the
-    requirement that the table is defined on exactly the pairs with
-    ``src(arrow) == anchor[point]``.  Then the pointwise laws: the anchor
+    The groupoid first: a failed :func:`verify_groupoid` verdict is
+    returned as it is.  Structure next: anchor shape and range, then the
+    flaw the table was built with.  Then the pointwise laws: the anchor
     moves with the arrow, units act trivially, and acting along a
-    composition equals acting twice.
+    composition equals acting twice, by Light's test
+    (:meth:`RowTable.light_test`), which rests on the groupoid's
+    associativity.
     """
     gpd, n = a.gpd, a.n_points
-    if len(a.anchor) != n:
-        return Diagnostics.failed("anchor length mismatch",
-                                  (len(a.anchor), n), structural=True)
-    for y, x in enumerate(a.anchor):
-        if not (0 <= x < gpd.n_objects):
-            return Diagnostics.failed("anchor out of range", (y, x),
-                                      structural=True)
-    for (y, g) in a.act:
-        if not (0 <= y < n) or not (0 <= g < gpd.n_arrows):
-            return Diagnostics.failed("action table index out of range",
-                                      (y, g), structural=True)
-        if int(gpd.src[g]) != a.anchor[y]:
-            return Diagnostics.failed("composability domain violated",
-                                      (y, g), structural=True)
-    entries = 0
-    for y in range(n):
-        for g in gpd.arrows_from(a.anchor[y]):
-            if (y, int(g)) not in a.act:
-                return Diagnostics.failed(
-                    "composability domain violated", (y, int(g)),
-                    detail="missing entry on a composable pair")
-            entries += 1
-    for (y, g), z in a.act.items():
-        if not (0 <= z < n):
-            return Diagnostics.failed("action value out of range",
-                                      (y, g, z), structural=True)
-        if a.anchor[z] != int(gpd.tgt[g]):
-            return Diagnostics.failed("anchor compatibility", (y, g))
-    for y in range(n):
-        u = int(gpd.unit[a.anchor[y]])
-        if a.act[(y, u)] != y:
-            return Diagnostics.failed("action unit law", (y,))
-    triples = 0
-    by_src: dict[int, list[tuple[int, int, int]]] = {}
-    for g, h, gh in a.gpd.comp_triples():
-        by_src.setdefault(int(gpd.src[g]), []).append((g, h, gh))
-    for y in range(n):
-        for g, h, gh in by_src.get(a.anchor[y], ()):
-            if a.act[(a.act[(y, g)], h)] != a.act[(y, gh)]:
-                return Diagnostics.failed("action associativity", (y, g, h))
-            triples += 1
-    return Diagnostics.passed(points=n, entries=entries, triples=triples)
-
-
-def anchor_is_proper(a: GroupoidAction) -> Diagnostics:
-    """Always passes: preimages of finite sets are finite.  Exists so the
-    hypothesis is an explicit, reportable check rather than folklore."""
-    return Diagnostics.passed(
-        note="all maps between finite discrete spaces are proper",
-        points=a.n_points)
+    diag = verify_groupoid(gpd)
+    if not diag.ok:
+        return diag
+    for diag in (_anchor_scan(a), a.flaw):
+        if diag is not None:
+            return diag
+    ys, gs = a.row_pairs()
+    bad = a.anchor[a.val] != gpd.tgt[gs]
+    if bool(bad.any()):
+        i = int(np.argmax(bad))
+        return Diagnostics.failed("anchor compatibility", (int(ys[i]), int(gs[i])))
+    points = np.arange(n)
+    moved, _ = a.move_many(points, gpd.unit[a.anchor])
+    if bool((moved != points).any()):
+        return Diagnostics.failed("action unit law",
+                                  (int(np.argmax(moved != points)),))
+    witness, _ = a.light_test()
+    if witness is not None:
+        return Diagnostics.failed("action associativity", witness)
+    return Diagnostics.passed(points=n, entries=int(a.row_off[-1]),
+                              triples=a.composable_triples())
 
 
 def base_action(gpd: Groupoid) -> GroupoidAction:
     """The groupoid acting on its own objects: ``x . g = tgt(g)``."""
-    act = {}
-    for g in range(gpd.n_arrows):
-        act[(int(gpd.src[g]), g)] = int(gpd.tgt[g])
-    return GroupoidAction(gpd=gpd, n_points=gpd.n_objects,
-                          anchor=list(range(gpd.n_objects)), act=act)
+    order, start, _ = gpd.out_index
+    return GroupoidAction(gpd, gpd.n_objects, np.arange(gpd.n_objects), start,
+                          gpd.tgt[order])
 
 
 def disjoint_union_actions(a1: GroupoidAction,
                            a2: GroupoidAction) -> GroupoidAction:
     if a1.gpd is not a2.gpd:
         raise ValueError("disjoint union needs actions of the same groupoid")
+    _require_whole(a1, a2)
     shift = a1.n_points
-    act = dict(a1.act)
-    for (y, g), z in a2.act.items():
-        act[(y + shift, g)] = z + shift
-    return GroupoidAction(gpd=a1.gpd, n_points=shift + a2.n_points,
-                          anchor=a1.anchor + a2.anchor, act=act)
+    return GroupoidAction(
+        a1.gpd, shift + a2.n_points, np.concatenate([a1.anchor, a2.anchor]),
+        np.concatenate([a1.row_off[:-1], a2.row_off + a1.row_off[-1]]),
+        np.concatenate([a1.val, a2.val + shift]))
 
 
-def restrict_action(a: GroupoidAction, points: list[int]) -> GroupoidAction:
-    """Restrict to an invariant subset; points keep their relative order."""
-    index = {y: i for i, y in enumerate(points)}
-    act = {}
-    for (y, g), z in a.act.items():
-        if y in index:
-            if z not in index:
-                raise ValueError(f"subset is not invariant: {y} moves to {z}")
-            act[(index[y], g)] = index[z]
-    return GroupoidAction(gpd=a.gpd, n_points=len(points),
-                          anchor=[a.anchor[y] for y in points], act=act)
+def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
+    """Restrict an action, or a groupoid's regular action, to an invariant
+    subset: each kept row is read and renamed, and points keep their
+    relative order."""
+    _require_whole(a)
+    pts = np.asarray(points, dtype=np.int64)
+    index = np.full(a.anchor.shape[0], -1, dtype=np.int64)
+    index[pts] = np.arange(pts.shape[0])
+    lens = np.diff(a.row_off)[pts]
+    row_off = np.concatenate(([0], np.cumsum(lens)))
+    at = np.repeat(a.row_off[pts] - row_off[:-1], lens) + np.arange(row_off[-1])
+    val = index[a.val[at]]
+    if bool((val < 0).any()):
+        i = int(np.argmax(val < 0))
+        raise ValueError(f"subset is not invariant: {np.repeat(pts, lens)[i]} "
+                         f"moves to {a.val[at[i]]}")
+    return GroupoidAction(a.gpd, pts.shape[0], a.anchor[pts], row_off, val)
 
 
 # --- orbits and minimal subflows ---------------------------------------------
@@ -190,8 +216,7 @@ def orbits(a: GroupoidAction) -> list[list[int]]:
         orbit, work = [start], [start]
         while work:
             y = work.pop()
-            for g in a.gpd.arrows_from(a.anchor[y]):
-                z = a.act[(y, int(g))]
+            for z in a.row(y).tolist():
                 if not seen[z]:
                     seen[z] = True
                     orbit.append(z)
@@ -205,8 +230,7 @@ def invariant_subsets(a: GroupoidAction, limit: int = 20) -> list[list[int]]:
     n = a.n_points
     if n > limit:
         raise ValueError(f"{n} points exceed the exhaustive-search cap {limit}")
-    moves = [[a.act[(y, int(g))] for g in a.gpd.arrows_from(a.anchor[y])]
-             for y in range(n)]
+    moves = [a.row(y).tolist() for y in range(n)]
     found = []
     for mask in range(1, 1 << n):
         closed = True
@@ -263,7 +287,8 @@ class Ambit:
 
 
 def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
-    """Assemble the ambit at ``x0`` and check its defining properties:
+    """Assemble the ambit at ``x0``, the groupoid's regular action
+    restricted to the arrows out of ``x0``, and check its defining properties:
     the unit acts as a retrieval map (``u0 . w == w`` for every point),
     the action is free, and the anchor is onto (needs transitivity)."""
     if not (0 <= x0 < gpd.n_objects):
@@ -273,23 +298,19 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
         raise ValueError(
             f"groupoid is not transitive (no arrow {witness[0]} -> {witness[1]}); "
             "the ambit anchor would not be surjective")
-    points = sorted(int(w) for w in gpd.arrows_from(x0))
-    index = {w: i for i, w in enumerate(points)}
-    anchor = [int(gpd.tgt[w]) for w in points]
-    act = {}
-    for i, w in enumerate(points):
-        for g in gpd.arrows_from(anchor[i]):
-            act[(i, int(g))] = index[gpd.compose(w, int(g))]
-    ambit = Ambit(action=GroupoidAction(gpd=gpd, n_points=len(points),
-                                        anchor=anchor, act=act),
-                  basepoint=x0, points=points,
-                  u0=index[int(gpd.unit[x0])])
-    for i, w in enumerate(points):
-        if ambit.action.act[(ambit.u0, w)] != i:
-            raise AssertionError("the unit does not retrieve every point")
-    for (i, g), z in ambit.action.act.items():
-        if z == i and g != int(gpd.unit[anchor[i]]):
-            raise AssertionError(f"action is not free at point {i}, arrow {g}")
+    points = gpd.arrows_from(x0)
+    # arrows out of x0 are closed under composition on the right
+    action = restrict_action(gpd, points)
+    ambit = Ambit(action=action, basepoint=x0, points=points.tolist(),
+                  u0=int(np.flatnonzero(points == gpd.unit[x0])[0]))
+    # row u0 holds u0 . w for every point w, in point order
+    if not np.array_equal(action.row(ambit.u0), np.arange(points.shape[0])):
+        raise AssertionError("the unit does not retrieve every point")
+    ys, gs = action.row_pairs()
+    fixed = np.flatnonzero((action.val == ys) & (gs != gpd.unit[action.anchor[ys]]))
+    if fixed.size:
+        raise AssertionError(f"action is not free at point {ys[fixed[0]]}, "
+                             f"arrow {gs[fixed[0]]}")
     return ambit
 
 
@@ -319,12 +340,14 @@ def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
                                       structural=True)
         if m.target.anchor[z] != m.source.anchor[y]:
             return Diagnostics.failed("anchor not preserved", (y,))
-    pairs = 0
-    for (y, g), z in m.source.act.items():
-        if m.target.act[(m.values[y], g)] != m.values[z]:
-            return Diagnostics.failed("equivariance", (y, g))
-        pairs += 1
-    return Diagnostics.passed(pairs=pairs)
+    values = np.asarray(m.values, dtype=np.int64)
+    ys, gs = m.source.row_pairs()
+    moved, _ = m.target.move_many(values[ys], gs)
+    bad = moved != values[m.source.val]
+    if bool(bad.any()):
+        i = int(np.argmax(bad))
+        return Diagnostics.failed("equivariance", (int(ys[i]), int(gs[i])))
+    return Diagnostics.passed(pairs=int(ys.shape[0]))
 
 
 def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:
@@ -338,12 +361,12 @@ def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:
         raise ValueError(
             f"point {y} is anchored at {a.anchor[y]}, not at the "
             f"basepoint {ambit.basepoint}")
-    values = [a.act[(y, w)] for w in ambit.points]
-    m = EquivariantMap(source=ambit.action, target=a, values=values)
+    values, _ = a.move_many(np.full(len(ambit.points), y), ambit.points)
+    m = EquivariantMap(source=ambit.action, target=a, values=values.tolist())
     diag = verify_equivariant_map(m)
     if not diag.ok:  # pragma: no cover - the action laws force this
         raise AssertionError(f"universal map is not equivariant: {diag.failure}")
-    if values[ambit.u0] != y:  # pragma: no cover - unit law forces this
+    if m.values[ambit.u0] != y:  # pragma: no cover - unit law forces this
         raise AssertionError("universal map misses its defining value")
     return m
 
@@ -362,8 +385,8 @@ def enumerate_equivariant_maps(ambit: Ambit,
     """
     found = []
     for y in a.fiber(ambit.basepoint):
-        values = [a.act[(y, w)] for w in ambit.points]
-        m = EquivariantMap(source=ambit.action, target=a, values=values)
+        values, _ = a.move_many(np.full(len(ambit.points), y), ambit.points)
+        m = EquivariantMap(source=ambit.action, target=a, values=values.tolist())
         if verify_equivariant_map(m).ok:
             found.append(m)
     for m in found:

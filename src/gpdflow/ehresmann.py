@@ -139,24 +139,16 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
     ginv = np.asarray(grp.inv, dtype=np.int64)
     inv_arr = index[w_of, v_of, ginv[a_of]]
 
-    key_parts, val_parts = [], []
+    # row g holds g . h for the m * n arrows h out of tgt(g)
+    row_off = np.arange(k + 1, dtype=np.int64) * (m * n)
+    val = np.empty(k * m * n, dtype=np.int64)
     for w in range(m):
-        ids_in = index[:, w, :].reshape(-1)
-        ids_out = index[w, :, :].reshape(-1)
-        g_rep = np.repeat(ids_in, ids_out.shape[0])
-        h_til = np.tile(ids_out, ids_in.shape[0])
-        key_parts.append(g_rep * k + h_til)
-        val_parts.append(index[v_of[g_rep], w_of[h_til],
-                               mult[a_of[g_rep], a_of[h_til]]])
-
-    gpd = Groupoid(
-        n_objects=m,
-        src=v_of, tgt=w_of,
-        unit=np.arange(m, dtype=np.int64),
-        inv=inv_arr,
-        comp_key=np.concatenate(key_parts) if key_parts else np.empty(0, np.int64),
-        comp_val=np.concatenate(val_parts) if val_parts else np.empty(0, np.int64),
-    )
+        ins = np.flatnonzero(w_of == w)
+        outs = np.flatnonzero(v_of == w)  # ascending, as rows are laid out
+        val[row_off[ins][:, None] + np.arange(outs.size)] = index[
+            v_of[ins][:, None], w_of[outs], mult[a_of[ins][:, None], a_of[outs]]]
+    gpd = Groupoid(m, v_of, w_of, np.arange(m, dtype=np.int64), inv_arr,
+                   row_off, val)
     conn = Connection(base=base, arrows=[
         int(index[base.dsrc(d), base.dtgt(d), grp.inv[b.labels[d]]])
         for d in range(base.n_darts)
@@ -168,6 +160,13 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
 
 
 # --- the literal orbit oracle ----------------------------------------------
+
+def _orbit_rep(grp: FiniteGroup, p: tuple[int, int], q: tuple[int, int]
+               ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The least member of the diagonal orbit of the point pair ``(p, q)``."""
+    return min((((p[0], grp.mul(p[1], g)), (q[0], grp.mul(q[1], g)))
+                for g in grp.elements))
+
 
 def orbit_quotient_groupoid(b: CocycleBundle, max_pairs: int = 10_000
                             ) -> tuple[Groupoid, list, dict]:
@@ -183,26 +182,21 @@ def orbit_quotient_groupoid(b: CocycleBundle, max_pairs: int = 10_000
     if ts.n_points ** 2 > max_pairs:
         raise ValueError(f"{ts.n_points ** 2} point pairs exceed cap {max_pairs}")
     points = [ts.point(p) for p in range(ts.n_points)]
-
-    def orbit_rep(p, q):
-        return min((((p[0], grp.mul(p[1], g)), (q[0], grp.mul(q[1], g)))
-                    for g in grp.elements))
-
-    reps = sorted({orbit_rep(p, q) for p in points for q in points})
+    reps = sorted({_orbit_rep(grp, p, q) for p in points for q in points})
     rep_index = {r: i for i, r in enumerate(reps)}
 
     src = [r[0][0] for r in reps]
     tgt = [r[1][0] for r in reps]
-    unit = [rep_index[orbit_rep((x, grp.identity), (x, grp.identity))]
+    unit = [rep_index[_orbit_rep(grp, (x, grp.identity), (x, grp.identity))]
             for x in range(b.base.n_vertices)]
-    inv = [rep_index[orbit_rep(r[1], r[0])] for r in reps]
+    inv = [rep_index[_orbit_rep(grp, r[1], r[0])] for r in reps]
     comp = {}
     for i, (u, v) in enumerate(reps):
         for j, (p2, q2) in enumerate(reps):
             if v[0] != p2[0]:
                 continue
             g = grp.mul(grp.inv[v[1]], p2[1])  # translate: p2 = v . g
-            comp[(i, j)] = rep_index[orbit_rep((u[0], grp.mul(u[1], g)), q2)]
+            comp[(i, j)] = rep_index[_orbit_rep(grp, (u[0], grp.mul(u[1], g)), q2)]
     gpd = Groupoid.from_tables(b.base.n_vertices, src, tgt, unit, inv, comp)
     return gpd, reps, rep_index
 
@@ -217,13 +211,8 @@ def closed_form_matches_oracle(tg: TransportGroupoid,
     if oracle.n_arrows != tg.groupoid.n_arrows:
         return Diagnostics.failed(
             "orbit count mismatch", (oracle.n_arrows, tg.groupoid.n_arrows))
-
-    def orbit_rep(p, q):
-        return min((((p[0], grp.mul(p[1], g)), (q[0], grp.mul(q[1], g)))
-                    for g in grp.elements))
-
-    arr_map = [rep_index[orbit_rep((c.src_vertex, c.twist),
-                                   (c.tgt_vertex, grp.identity))]
+    arr_map = [rep_index[_orbit_rep(grp, (c.src_vertex, c.twist),
+                                    (c.tgt_vertex, grp.identity))]
                for c in tg.coords]
     if len(set(arr_map)) != len(arr_map):
         return Diagnostics.failed("coordinate map not injective", ())
@@ -234,7 +223,10 @@ def closed_form_matches_oracle(tg: TransportGroupoid,
 # --- connection checking -----------------------------------------------------
 
 def verify_connection(gpd: Groupoid, conn: Connection) -> Diagnostics:
-    """A connection must join each dart's endpoints and respect reversal."""
+    """A connection must join each dart's endpoints and respect reversal,
+    and its base graph must be connected (which makes the groupoid
+    transitive); the witness of a disconnected base is its lowest vertex
+    out of reach of vertex 0."""
     base = conn.base
     if len(conn.arrows) != base.n_darts:
         return Diagnostics.failed(
@@ -253,6 +245,9 @@ def verify_connection(gpd: Groupoid, conn: Connection) -> Diagnostics:
     for d, a in enumerate(conn.arrows):
         if conn.arrows[base.rev(d)] != gpd.inverse(a):
             return Diagnostics.failed("connection reversal", (d,))
+    missing = base.first_unreachable()
+    if missing is not None:
+        return Diagnostics.failed("connection base connectivity", (missing,))
     return Diagnostics.passed(darts=base.n_darts)
 
 

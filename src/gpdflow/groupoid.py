@@ -7,10 +7,15 @@ sides (``comp(unit(src(g)), g) == g == comp(g, unit(tgt(g)))``) and inverses
 satisfy ``comp(g, inv(g)) == unit(src(g))`` and ``comp(inv(g), g) ==
 unit(tgt(g))``.
 
-The composition table is stored explicitly as a sorted array of defined
-pairs, never recomputed on demand, so that verification can detect entries
-on the wrong domain.  A groupoid is *normalized* when ``unit(x) == x`` for
-every object; constructors in this package produce normalized groupoids and
+The composition table is stored explicitly, never recomputed on demand, as
+the groupoid's right action on its own arrows (the regular action: an arrow
+is anchored at its target).  Every action in this package is a table of
+rows: row ``y`` holds ``y . h`` for each ``h`` in ``arrows_from(anchor[y])``
+in ascending order, so ``y . h`` is ``val[row_off[y] + out_pos[h]]``.  A
+table built from triples carries its first flaw (an entry out of range, off
+the composable domain, duplicated, or missing) for verification to report.
+A groupoid is *normalized* when ``unit(x) == x`` for every object;
+constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
 """
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .diagnostics import Diagnostics
 
 __all__ = [
     "Groupoid",
+    "RowTable",
     "HomSet",
     "VertexGroupIso",
     "LocalTriviality",
@@ -42,19 +48,142 @@ __all__ = [
     "disjoint_union",
 ]
 
-# full associativity scan is used up to this many composable triples; above
-# it the complete generator-based test takes over
-FULL_ASSOC_LIMIT = 3_000_000
-
 CompTable = Union[Mapping[tuple[int, int], int], Iterable[Sequence[int]]]
 
 
-@dataclass(eq=False)
-class Groupoid:
-    """A finite groupoid given by index arrays and a partial product table.
+class RowTable:
+    """A right action of a groupoid on points, stored as rows: row ``y``
+    starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
+    in ``gpd.arrows_from(anchor[y])`` in ascending order (-1 where a table
+    built from triples had no entry).  Subclasses provide ``gpd``,
+    ``anchor``, ``row_off``, ``val`` and ``flaw``: :class:`Groupoid` is its
+    own regular action, ``GroupoidAction`` the general case.
+    """
 
-    ``comp_key`` holds the defined pairs encoded as ``g * n_arrows + h`` in
-    ascending order, ``comp_val`` the corresponding products.  Use
+    def move_many(self, ys, hs) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized ``y . h``; returns ``(values, defined_mask)`` with -1
+        where a pair is not defined."""
+        gpd = self.gpd
+        ys = np.asarray(ys, dtype=np.int64)
+        hs = np.asarray(hs, dtype=np.int64)
+        ok = self.anchor[ys] == gpd.src[hs]
+        at = np.where(ok, self.row_off[ys] + gpd.out_pos[hs], 0)
+        out = np.where(ok, self.val[at], -1) if self.val.size \
+            else np.full(at.shape, -1, dtype=np.int64)
+        return out, out >= 0
+
+    def _lookup(self, y: int, h: int) -> int:
+        gpd = self.gpd
+        if not (0 <= y < self.anchor.shape[0] and 0 <= h < gpd.n_arrows) \
+                or self.anchor[y] != gpd.src[h]:
+            return -1
+        return int(self.val[self.row_off[y] + gpd.out_pos[h]])
+
+    def move(self, y: int, h: int) -> int:
+        z = self._lookup(y, h)
+        if z < 0:
+            raise ValueError(f"move ({y}, {h}) is not defined")
+        return z
+
+    def defined(self, y: int, h: int) -> bool:
+        return self._lookup(y, h) >= 0
+
+    def row(self, y: int) -> np.ndarray:
+        """``y . h`` for each ``h`` out of ``anchor[y]``, ascending in ``h``."""
+        return self.val[self.row_off[y]:self.row_off[y + 1]]
+
+    def triples(self) -> list[list[int]]:
+        """Every defined entry as ``[y, h, y . h]``, in row order (for a
+        groupoid: every composition ``[g, h, gh]``, lexicographically)."""
+        ys, hs = self.row_pairs()
+        keep = self.val >= 0
+        return np.column_stack((ys[keep], hs[keep], self.val[keep])).tolist()
+
+    def row_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair ``(y, h)`` behind every entry of ``val``, in row order."""
+        order, start, _ = self.gpd.out_index
+        ys = np.repeat(np.arange(self.anchor.shape[0]), np.diff(self.row_off))
+        hs = order[start[self.anchor[ys]] + np.arange(ys.shape[0])
+                   - self.row_off[ys]]
+        return ys, hs
+
+    def composable_triples(self) -> int:
+        """The number of ``(y, g, h)`` with ``g`` out of ``anchor[y]`` and
+        ``h`` out of ``tgt(g)``."""
+        gpd = self.gpd
+        out_deg = np.diff(gpd.out_index[1])
+        per_object = np.bincount(gpd.src, weights=out_deg[gpd.tgt],
+                                 minlength=gpd.n_objects).astype(np.int64)
+        return int(per_object[self.anchor].sum())
+
+    def _fill(self, triples) -> tuple[np.ndarray, ...]:
+        """Lay out the rows for the anchor and place ``(y, h, y . h)``
+        triples in them.  Returns the columns ``ys, hs, zs`` of the triples,
+        masks of the entries whose point or arrow is out of range, that lie
+        off the domain (``src(h) != anchor[y]``) and that repeat a pair, and
+        the table positions left without an entry."""
+        gpd, anchor = self.gpd, self.anchor
+        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        ys, hs, zs = t[:, 0], t[:, 1], t[:, 2]
+        # row y has one entry per arrow out of anchor[y]
+        self.row_off = np.concatenate(
+            ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
+        index = (ys < 0) | (ys >= anchor.shape[0]) | (hs < 0) \
+            | (hs >= gpd.n_arrows)
+        on = ~index
+        on[on] = anchor[ys[on]] == gpd.src[hs[on]]
+        pos = self.row_off[ys[on]] + gpd.out_pos[hs[on]]
+        counts = np.bincount(pos, minlength=int(self.row_off[-1]))
+        dup = np.zeros_like(on)
+        dup[on] = counts[pos] > 1
+        self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int64)
+        self.val[pos] = zs[on]
+        return ys, hs, zs, index, ~index & ~on, dup, np.flatnonzero(counts == 0)
+
+    def light_test(self) -> tuple[Optional[tuple[int, int, int]], int]:
+        """Light's associativity test (Clifford & Preston, *The Algebraic
+        Theory of Semigroups* I, 1961, §1.2): ``(y . b) . h == y . (b . h)``
+        for every generator ``b``, point ``y`` over ``src(b)`` and arrow
+        ``h`` out of ``tgt(b)``.  Returns the first failing ``(y, b, h)`` or
+        None, and the number of generators.
+
+        Passing proves the law for every middle arrow: the arrows that pass
+        include the units (unit laws of the table and of the groupoid) and
+        the generators, and are closed under composition, since for passing
+        ``g1, g2``: ``(y . g1g2) . h == ((y . g1) . g2) . h
+        == (y . g1) . (g2 . h) == y . (g1 . (g2 . h)) == y . (g1g2 . h)``,
+        the last step being groupoid associativity with middle ``g2``; and
+        every arrow is a product of generators.  On the regular action that
+        step is the law itself for ``g2``; any other action needs the
+        groupoid verified first.  Unit, domain, endpoint and anchor laws
+        must hold already.
+        """
+        gpd = self.gpd
+        gens = gpd.generators
+        for b in gens:
+            ys = np.flatnonzero(self.anchor == gpd.src[b])
+            hs = gpd.arrows_from(int(gpd.tgt[b]))
+            yb, _ = self.move_many(ys, np.full(ys.shape, b))
+            bh, _ = gpd.try_compose_many(np.full(hs.shape, b), hs)
+            left, _ = self.move_many(np.repeat(yb, hs.size),
+                                     np.tile(hs, ys.size))
+            right, _ = self.move_many(np.repeat(ys, hs.size),
+                                      np.tile(bh, ys.size))
+            miss = left != right
+            if bool(miss.any()):
+                i = int(np.argmax(miss))
+                return (int(ys[i // hs.size]), b, int(hs[i % hs.size])), \
+                    len(gens)
+        return None, len(gens)
+
+
+@dataclass(eq=False)
+class Groupoid(RowTable):
+    """A finite groupoid given by index arrays and its composition rows.
+
+    The composition is the regular action: row ``g`` of ``val`` starts at
+    ``row_off[g]`` and holds ``g . h`` for each ``h`` in
+    ``arrows_from(tgt[g])`` in ascending order.  Use
     :func:`Groupoid.from_tables` to build from python dicts or triple lists.
     """
 
@@ -63,33 +192,33 @@ class Groupoid:
     tgt: np.ndarray
     unit: np.ndarray
     inv: np.ndarray
-    comp_key: np.ndarray
-    comp_val: np.ndarray
+    row_off: np.ndarray
+    val: np.ndarray
+    flaw: Optional[Diagnostics] = None
 
     def __post_init__(self) -> None:
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.tgt = np.asarray(self.tgt, dtype=np.int64)
-        self.unit = np.asarray(self.unit, dtype=np.int64)
-        self.inv = np.asarray(self.inv, dtype=np.int64)
-        self.comp_key = np.asarray(self.comp_key, dtype=np.int64)
-        self.comp_val = np.asarray(self.comp_val, dtype=np.int64)
-        order = np.argsort(self.comp_key, kind="stable")
-        self.comp_key = self.comp_key[order]
-        self.comp_val = self.comp_val[order]
+        for name in ("src", "tgt", "unit", "inv", "row_off", "val"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
     @staticmethod
     def from_tables(n_objects: int, src: Sequence[int], tgt: Sequence[int],
                     unit: Sequence[int], inv: Sequence[int],
                     comp: CompTable) -> "Groupoid":
-        k = len(src)
         if isinstance(comp, Mapping):
-            triples = [(g, h, gh) for (g, h), gh in comp.items()]
-        else:
-            triples = [tuple(t) for t in comp]
-        keys = np.array([g * k + h for g, h, _ in triples], dtype=np.int64)
-        vals = np.array([gh for _, _, gh in triples], dtype=np.int64)
-        return Groupoid(n_objects, np.array(src), np.array(tgt),
-                        np.array(unit), np.array(inv), keys, vals)
+            comp = [(g, h, gh) for (g, h), gh in comp.items()]
+        g = Groupoid(n_objects, src, tgt, unit, inv, [0], [])
+        if _structural_scan(g) is None:  # the arrays can index rows
+            g.flaw = _comp_flaw(g, *g._fill(comp))
+        return g
+
+    # the regular action: arrows anchored at their targets
+    @property
+    def gpd(self) -> "Groupoid":
+        return self
+
+    @property
+    def anchor(self) -> np.ndarray:
+        return self.tgt
 
     @property
     def n_arrows(self) -> int:
@@ -97,67 +226,75 @@ class Groupoid:
 
     @property
     def n_comp_pairs(self) -> int:
-        return int(self.comp_key.shape[0])
+        return int(self.row_off[-1])
 
     # --- composition lookups ---------------------------------------------
 
-    def try_compose_many(self, gs: np.ndarray, hs: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized lookup; returns ``(products, defined_mask)``."""
-        gs = np.asarray(gs, dtype=np.int64)
-        hs = np.asarray(hs, dtype=np.int64)
-        keys = gs * self.n_arrows + hs
-        if self.comp_key.shape[0] == 0:
-            return np.full(keys.shape, -1, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
-        pos = np.searchsorted(self.comp_key, keys)
-        clipped = np.minimum(pos, self.comp_key.shape[0] - 1)
-        ok = (pos < self.comp_key.shape[0]) & (self.comp_key[clipped] == keys)
-        out = np.where(ok, self.comp_val[clipped], -1)
-        return out, ok
-
-    def compose_many(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        out, ok = self.try_compose_many(gs, hs)
-        if not bool(ok.all()):
-            bad = int(np.argmax(~ok))
-            g = int(np.asarray(gs).ravel()[bad] if np.ndim(gs) else gs)
-            h = int(np.asarray(hs).ravel()[bad] if np.ndim(hs) else hs)
-            raise ValueError(f"arrows not composable: {g} then {h}")
-        return out
+    try_compose_many = RowTable.move_many
 
     def compose(self, g: int, h: int) -> int:
-        out, ok = self.try_compose_many(np.array([g]), np.array([h]))
-        if not ok[0]:
+        gh = self._lookup(g, h)
+        if gh < 0:
             raise ValueError(f"arrows not composable: {g} then {h}")
-        return int(out[0])
-
-    def defined(self, g: int, h: int) -> bool:
-        _, ok = self.try_compose_many(np.array([g]), np.array([h]))
-        return bool(ok[0])
+        return gh
 
     def inverse(self, g: int) -> int:
         return int(self.inv[g])
 
-    def comp_triples(self) -> list[tuple[int, int, int]]:
-        """All defined compositions as ``(g, h, gh)``, lexicographically."""
+    comp_triples = RowTable.triples
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """Greedy generating set: lowest missing arrow is adjoined until the
+        right-multiplication closure of the units covers every arrow.  Read
+        it only once the table is whole."""
         k = self.n_arrows
-        gs, hs = np.divmod(self.comp_key, k) if k else (self.comp_key, self.comp_key)
-        return list(zip(gs.tolist(), hs.tolist(), self.comp_val.tolist()))
+        in_span = np.zeros(k, dtype=bool)
+        in_span[self.unit] = True
+        gens: list[int] = []
+        frontier = np.where(in_span)[0]
+        while True:
+            while frontier.size and gens:
+                new_mask = np.zeros(k, dtype=bool)
+                for s in gens:
+                    vals, ok = self.try_compose_many(frontier,
+                                                     np.full(frontier.shape, s))
+                    new_mask[vals[ok]] = True
+                new_mask &= ~in_span
+                in_span |= new_mask
+                frontier = np.where(new_mask)[0]
+            rest = np.where(~in_span)[0]
+            if not rest.size:
+                return gens
+            gens.append(int(rest[0]))
+            in_span[rest[0]] = True
+            frontier = np.where(in_span)[0]
 
     # --- index helpers -----------------------------------------------------
 
     @cached_property
-    def _arrows_by_src(self) -> list[np.ndarray]:
-        return [np.where(self.src == x)[0] for x in range(self.n_objects)]
+    def out_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrows grouped by source, ``(order, start, pos)``:
+        ``order[start[x]:start[x + 1]]`` is ``arrows_from(x)`` in ascending
+        order, and ``pos`` is :attr:`out_pos`."""
+        order = np.argsort(self.src, kind="stable")
+        start = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.src, minlength=self.n_objects))))
+        pos = np.empty(self.n_arrows, dtype=np.int64)
+        pos[order] = np.arange(self.n_arrows) - start[self.src[order]]
+        return order, start, pos
 
-    @cached_property
-    def _arrows_by_tgt(self) -> list[np.ndarray]:
-        return [np.where(self.tgt == x)[0] for x in range(self.n_objects)]
+    @property
+    def out_pos(self) -> np.ndarray:
+        """``out_pos[h]`` is the place of ``h`` in ``arrows_from(src[h])``."""
+        return self.out_index[2]
 
     def arrows_from(self, x: int) -> np.ndarray:
-        return self._arrows_by_src[x]
+        order, start, _ = self.out_index
+        return order[start[x]:start[x + 1]]
 
     def arrows_into(self, x: int) -> np.ndarray:
-        return self._arrows_by_tgt[x]
+        return np.flatnonzero(self.tgt == x)
 
     def hom(self, x: int, y: int) -> list[int]:
         """Arrows from ``x`` to ``y`` in ascending index order."""
@@ -171,9 +308,46 @@ class Groupoid:
         return bool(np.array_equal(self.unit, np.arange(m)))
 
 
+def _comp_flaw(g: Groupoid, ys, hs, zs, index, off, dup, missing
+               ) -> Optional[Diagnostics]:
+    """The first flaw of a composition table, in ``(g, h)`` order: a pair
+    out of range, a value out of range, a duplicate pair, a pair off the
+    composable domain; then the first composable pair without an entry,
+    by middle object, then ``g``, then ``h``."""
+    k = g.n_arrows
+    key = ys * k + hs
+    if bool(index.any()):
+        return Diagnostics.failed("comp pair out of range",
+                                  (int(key[index].min()),), structural=True)
+    for mask, label, width in (((zs < 0) | (zs >= k), "comp value out of range", 3),
+                               (dup, "duplicate comp pair", 2),
+                               (off, "composability domain violated", 2)):
+        if bool(mask.any()):
+            i = int(np.argmin(np.where(mask, key, np.iinfo(np.int64).max)))
+            return Diagnostics.failed(
+                label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
+                structural=True)
+    if missing.size:
+        gs, hs = (c[missing] for c in g.row_pairs())
+        i = int(np.argmin(g.tgt[gs] * k + gs))
+        return Diagnostics.failed(
+            "composability domain violated", (int(gs[i]), int(hs[i])),
+            structural=True, detail="missing entry on a composable pair")
+    return None
+
+
 # --- verification ---------------------------------------------------------
 
+def _require_whole(*tables: RowTable) -> None:
+    """Constructions read every row, so a table with a flaw is refused."""
+    for t in tables:
+        if t.flaw is not None:
+            raise ValueError(f"table has a flaw: {t.flaw.failure} {t.flaw.witness}")
+
+
 def _structural_scan(g: Groupoid) -> Optional[Diagnostics]:
+    """Array shapes and index ranges, then the flaw the composition table
+    was built with."""
     m, k = g.n_objects, g.n_arrows
     if m < 0 or k < 0:
         return Diagnostics.failed("negative size", (m, k), structural=True)
@@ -190,67 +364,16 @@ def _structural_scan(g: Groupoid) -> Optional[Diagnostics]:
             bad = int(np.argmax((arr < 0) | (arr >= bound)))
             return Diagnostics.failed(
                 f"{name} index out of range", (bad, int(arr[bad])), structural=True)
-    if g.comp_key.size:
-        if int(g.comp_key.min()) < 0 or int(g.comp_key.max()) >= k * k:
-            bad = int(np.argmax((g.comp_key < 0) | (g.comp_key >= k * k)))
-            return Diagnostics.failed(
-                "comp pair out of range", (int(g.comp_key[bad]),), structural=True)
-        if int(g.comp_val.min()) < 0 or int(g.comp_val.max()) >= k:
-            bad = int(np.argmax((g.comp_val < 0) | (g.comp_val >= k)))
-            gg, hh = divmod(int(g.comp_key[bad]), k)
-            return Diagnostics.failed(
-                "comp value out of range", (gg, hh, int(g.comp_val[bad])),
-                structural=True)
-        dup = np.where(np.diff(g.comp_key) == 0)[0]
-        if dup.size:
-            gg, hh = divmod(int(g.comp_key[dup[0]]), k)
-            return Diagnostics.failed("duplicate comp pair", (gg, hh), structural=True)
-    return None
-
-
-def _domain_scan(g: Groupoid) -> Optional[Diagnostics]:
-    k = g.n_arrows
-    gs, hs = np.divmod(g.comp_key, k) if g.comp_key.size else \
-        (np.empty(0, np.int64), np.empty(0, np.int64))
-    off = g.tgt[gs] != g.src[hs]
-    if bool(off.any()):
-        bad = int(np.argmax(off))
-        return Diagnostics.failed(
-            "composability domain violated", (int(gs[bad]), int(hs[bad])),
-            structural=True)
-    counts_in = np.bincount(g.tgt, minlength=g.n_objects) if k else np.zeros(g.n_objects, np.int64)
-    counts_out = np.bincount(g.src, minlength=g.n_objects) if k else np.zeros(g.n_objects, np.int64)
-    expected = int(np.dot(counts_in, counts_out))
-    if g.comp_key.shape[0] != expected:
-        # find the first composable pair without an entry
-        for x in range(g.n_objects):
-            into, out = g.arrows_into(x), g.arrows_from(x)
-            if not into.size or not out.size:
-                continue
-            grid_g = np.repeat(into, out.shape[0])
-            grid_h = np.tile(out, into.shape[0])
-            _, ok = g.try_compose_many(grid_g, grid_h)
-            if not bool(ok.all()):
-                bad = int(np.argmax(~ok))
-                return Diagnostics.failed(
-                    "composability domain violated",
-                    (int(grid_g[bad]), int(grid_h[bad])), structural=True,
-                    detail="missing entry on a composable pair")
-    return None
+    return g.flaw
 
 
 def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:
-    k = g.n_arrows
-    if not g.comp_key.size:
-        return None
-    gs, hs = np.divmod(g.comp_key, k)
-    bad_src = g.src[g.comp_val] != g.src[gs]
-    bad_tgt = g.tgt[g.comp_val] != g.tgt[hs]
-    bad = bad_src | bad_tgt
+    gs, hs = g.row_pairs()
+    bad = (g.src[g.val] != g.src[gs]) | (g.tgt[g.val] != g.tgt[hs])
     if bool(bad.any()):
         i = int(np.argmax(bad))
         return Diagnostics.failed(
-            "composition endpoints", (int(gs[i]), int(hs[i]), int(g.comp_val[i])))
+            "composition endpoints", (int(gs[i]), int(hs[i]), int(g.val[i])))
     return None
 
 
@@ -266,15 +389,14 @@ def _unit_scan(g: Groupoid) -> Optional[Diagnostics]:
     if np.unique(u).shape[0] != m:
         return Diagnostics.failed("unit law", tuple(np.sort(u).tolist()),
                                   detail="unit arrows not distinct")
+    # every pair looked up from here on is composable, and the table is whole
     arrows = np.arange(g.n_arrows)
-    left, ok = g.try_compose_many(u[g.src], arrows)
-    if not bool(ok.all()) or bool((left != arrows).any()):
-        bad = int(np.argmax(~ok)) if not bool(ok.all()) else int(np.argmax(left != arrows))
-        return Diagnostics.failed("unit law", (bad,), detail="left unit absorption")
-    right, ok = g.try_compose_many(arrows, u[g.tgt])
-    if not bool(ok.all()) or bool((right != arrows).any()):
-        bad = int(np.argmax(~ok)) if not bool(ok.all()) else int(np.argmax(right != arrows))
-        return Diagnostics.failed("unit law", (bad,), detail="right unit absorption")
+    for side, (gs, hs) in (("left", (u[g.src], arrows)),
+                           ("right", (arrows, u[g.tgt]))):
+        bad = g.try_compose_many(gs, hs)[0] != arrows
+        if bool(bad.any()):
+            return Diagnostics.failed("unit law", (int(np.argmax(bad)),),
+                                      detail=f"{side} unit absorption")
     return None
 
 
@@ -288,153 +410,36 @@ def _inverse_scan(g: Groupoid) -> Optional[Diagnostics]:
         return Diagnostics.failed(
             "inverse law", (int(np.argmax(g.inv[g.inv] != arrows)),),
             detail="inverse not involutive")
-    left, ok = g.try_compose_many(arrows, g.inv)
-    if not bool(ok.all()) or bool((left != g.unit[g.src]).any()):
-        bad = int(np.argmax(~ok)) if not bool(ok.all()) else \
-            int(np.argmax(left != g.unit[g.src]))
-        return Diagnostics.failed("inverse law", (bad,),
-                                  detail="g . inv(g) != unit(src(g))")
-    right, ok = g.try_compose_many(g.inv, arrows)
-    if not bool(ok.all()) or bool((right != g.unit[g.tgt]).any()):
-        bad = int(np.argmax(~ok)) if not bool(ok.all()) else \
-            int(np.argmax(right != g.unit[g.tgt]))
-        return Diagnostics.failed("inverse law", (bad,),
-                                  detail="inv(g) . g != unit(tgt(g))")
+    for gs, hs, want, detail in (
+            (arrows, g.inv, g.unit[g.src], "g . inv(g) != unit(src(g))"),
+            (g.inv, arrows, g.unit[g.tgt], "inv(g) . g != unit(tgt(g))")):
+        bad = g.try_compose_many(gs, hs)[0] != want
+        if bool(bad.any()):
+            return Diagnostics.failed("inverse law", (int(np.argmax(bad)),),
+                                      detail=detail)
     return None
 
 
-def _count_triples(g: Groupoid) -> int:
-    if not g.comp_key.size:
-        return 0
-    k = g.n_arrows
-    _, hs = np.divmod(g.comp_key, k)
-    out_deg = np.bincount(g.src, minlength=g.n_objects)
-    return int(out_deg[g.tgt[hs]].sum())
-
-
-def _assoc_full(g: Groupoid, chunk: int = 1 << 20) -> Optional[tuple[int, int, int]]:
-    """Scan every composable triple; return the lexicographically first
-    violation or None."""
-    k = g.n_arrows
-    if not g.comp_key.size:
-        return None
-    gs, hs = np.divmod(g.comp_key, k)
-    best: Optional[tuple[int, int, int]] = None
-    for x in range(g.n_objects):
-        cs = g.arrows_from(x)
-        if not cs.size:
-            continue
-        sel = np.where(g.tgt[hs] == x)[0]
-        if not sel.size:
-            continue
-        step = max(1, chunk // cs.shape[0])
-        for lo in range(0, sel.shape[0], step):
-            part = sel[lo:lo + step]
-            g_rep = np.repeat(gs[part], cs.shape[0])
-            h_rep = np.repeat(hs[part], cs.shape[0])
-            gh_rep = np.repeat(g.comp_val[part], cs.shape[0])
-            c_til = np.tile(cs, part.shape[0])
-            left = g.compose_many(gh_rep, c_til)
-            right = g.compose_many(g_rep, g.compose_many(h_rep, c_til))
-            miss = left != right
-            if bool(miss.any()):
-                i = int(np.argmax(miss))
-                cand = (int(g_rep[i]), int(h_rep[i]), int(c_til[i]))
-                if best is None or cand < best:
-                    best = cand
-                break  # within this object the first hit is lex-first
-    return best
-
-
-def _generating_arrows(g: Groupoid) -> Optional[list[int]]:
-    """Greedy generating set: lowest missing arrow is adjoined until the
-    right-multiplication closure of the units covers every arrow."""
-    k = g.n_arrows
-    in_span = np.zeros(k, dtype=bool)
-    if g.unit.size:
-        in_span[g.unit] = True
-    gens: list[int] = []
-    frontier = np.where(in_span)[0]
-    while True:
-        while frontier.size and gens:
-            new_mask = np.zeros(k, dtype=bool)
-            for s in gens:
-                vals, ok = g.try_compose_many(frontier, np.full(frontier.shape, s))
-                new_mask[vals[ok]] = True
-            new_mask &= ~in_span
-            in_span |= new_mask
-            frontier = np.where(new_mask)[0]
-        rest = np.where(~in_span)[0]
-        if not rest.size:
-            return gens
-        if len(gens) > k:  # cannot happen; guards a malformed table
-            return None
-        gens.append(int(rest[0]))
-        in_span[rest[0]] = True
-        frontier = np.where(in_span)[0]
-
-
-def _assoc_generated(g: Groupoid) -> tuple[Optional[tuple[int, int, int]], int]:
-    """Complete associativity test through a generating set.
-
-    If ``(x b) y == x (b y)`` holds for every generator ``b`` and all
-    composable ``x, y``, the law extends to arbitrary middle elements: the
-    set of middle elements satisfying it contains the units and is closed
-    under composition, hence contains every product of generators, which by
-    the closure computation is every arrow.  Requires the domain and
-    endpoint laws to have been checked already.
-    """
-    gens = _generating_arrows(g)
-    if gens is None:
-        return (0, 0, 0), 0
-    for b in gens:
-        xs = g.arrows_into(int(g.src[b]))
-        ys = g.arrows_from(int(g.tgt[b]))
-        if not xs.size or not ys.size:
-            continue
-        xb = g.compose_many(xs, np.full(xs.shape, b))
-        by = g.compose_many(np.full(ys.shape, b), ys)
-        x_rep = np.repeat(xs, ys.shape[0])
-        xb_rep = np.repeat(xb, ys.shape[0])
-        y_til = np.tile(ys, xs.shape[0])
-        by_til = np.tile(by, xs.shape[0])
-        left = g.compose_many(xb_rep, y_til)
-        right = g.compose_many(x_rep, by_til)
-        miss = left != right
-        if bool(miss.any()):
-            i = int(np.argmax(miss))
-            return (int(x_rep[i]), b, int(y_til[i])), len(gens)
-    return None, len(gens)
-
-
-def verify_groupoid(g: Groupoid, assoc_mode: str = "auto") -> Diagnostics:
+def verify_groupoid(g: Groupoid) -> Diagnostics:
     """Check every groupoid axiom, reporting the first violation in a fixed
-    scan order: structure, composition domain, endpoints of products, unit
-    laws, inverse laws, associativity.
+    scan order: structure (array shapes and index ranges, then the flaw the
+    composition table was built with), endpoints of products, unit laws,
+    inverse laws, associativity.
 
-    Associativity runs as a full scan over composable triples when their
-    number is at most ``FULL_ASSOC_LIMIT``, and otherwise as the complete
-    generator-based middle-element test (``assoc_mode`` forces ``"full"`` or
-    ``"generated"``).
+    Associativity is Light's test on the regular action
+    (:meth:`RowTable.light_test`): every arrow is checked as the middle of a
+    triple through a generating set.
     """
-    if assoc_mode not in ("auto", "full", "generated"):
-        raise ValueError(f"unknown assoc_mode {assoc_mode!r}")
-    for scan in (_structural_scan, _domain_scan, _endpoint_scan, _unit_scan,
-                 _inverse_scan):
+    for scan in (_structural_scan, _endpoint_scan, _unit_scan, _inverse_scan):
         diag = scan(g)
         if diag is not None:
             return diag
-    triples = _count_triples(g)
-    if assoc_mode == "full" or (assoc_mode == "auto" and triples <= FULL_ASSOC_LIMIT):
-        witness = _assoc_full(g)
-        strategy: dict = {"assoc_strategy": "full", "triples": triples}
-    else:
-        witness, n_gens = _assoc_generated(g)
-        strategy = {"assoc_strategy": "generated", "triples": triples,
-                    "generators": n_gens}
+    witness, n_gens = g.light_test()
+    notes = {"assoc_strategy": "generated", "triples": g.composable_triples(),
+             "generators": n_gens}
     if witness is not None:
-        return Diagnostics.failed("associativity", witness, **strategy)
-    return Diagnostics.passed(objects=g.n_objects, arrows=g.n_arrows, **strategy)
+        return Diagnostics.failed("associativity", witness, **notes)
+    return Diagnostics.passed(objects=g.n_objects, arrows=g.n_arrows, **notes)
 
 
 # --- transitivity and local structure --------------------------------------
@@ -585,20 +590,14 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
     if bool((am[g1.inv] != g2.inv[am]).any()):
         bad = int(np.argmax(am[g1.inv] != g2.inv[am]))
         return Diagnostics.failed("inverse not preserved", (bad,))
-    if g1.n_comp_pairs != g2.n_comp_pairs:
-        return Diagnostics.failed(
-            "comp table size mismatch", (g1.n_comp_pairs, g2.n_comp_pairs))
-    if g1.comp_key.size:
-        gs, hs = np.divmod(g1.comp_key, k)
-        vals, ok = g2.try_compose_many(am[gs], am[hs])
-        if not bool(ok.all()):
-            bad = int(np.argmax(~ok))
-            return Diagnostics.failed("composition not preserved",
-                                      (int(gs[bad]), int(hs[bad])))
-        if bool((vals != am[g1.comp_val]).any()):
-            bad = int(np.argmax(vals != am[g1.comp_val]))
-            return Diagnostics.failed("composition not preserved",
-                                      (int(gs[bad]), int(hs[bad])))
+    # with src and tgt preserved, both tables have the same rows; an
+    # undefined product reads -1 and so differs too
+    gs, hs = g1.row_pairs()
+    bad = g2.try_compose_many(am[gs], am[hs])[0] != am[g1.val]
+    if bool(bad.any()):
+        i = int(np.argmax(bad))
+        return Diagnostics.failed("composition not preserved",
+                                  (int(gs[i]), int(hs[i])))
     return Diagnostics.passed()
 
 
@@ -607,34 +606,22 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
 def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     """Reindex arrows so that ``unit(x) == x``; non-unit arrows keep their
     relative order.  Returns the normalized groupoid and the map from old to
-    new arrow indices."""
+    new arrow indices.  The table must have no flaw."""
+    _require_whole(g)
     m, k = g.n_objects, g.n_arrows
-    unit_set = set(g.unit.tolist())
-    if len(unit_set) != m:
+    if np.unique(g.unit).shape[0] != m:
         raise ValueError("unit arrows are not distinct; cannot normalize")
-    perm = [0] * k
-    for x, u in enumerate(g.unit.tolist()):
-        perm[u] = x
-    nxt = m
-    for a in range(k):
-        if a not in unit_set:
-            perm[a] = nxt
-            nxt += 1
-    pm = np.asarray(perm, dtype=np.int64)
-    inv_pm = np.empty(k, dtype=np.int64)
-    inv_pm[pm] = np.arange(k)
-    gs, hs = np.divmod(g.comp_key, k) if g.comp_key.size else \
-        (np.empty(0, np.int64), np.empty(0, np.int64))
-    out = Groupoid(
-        n_objects=m,
-        src=g.src[inv_pm],
-        tgt=g.tgt[inv_pm],
-        unit=np.arange(m, dtype=np.int64),
-        inv=pm[g.inv[inv_pm]],
-        comp_key=pm[gs] * k + pm[hs],
-        comp_val=pm[g.comp_val] if g.comp_val.size else g.comp_val,
-    )
-    return out, perm
+    is_unit = np.zeros(k, dtype=bool)
+    is_unit[g.unit] = True
+    pm = np.empty(k, dtype=np.int64)
+    pm[g.unit] = np.arange(m)
+    pm[~is_unit] = np.arange(m, k)
+    inv_pm = np.argsort(pm)
+    gs, hs = g.row_pairs()
+    out = Groupoid.from_tables(
+        m, g.src[inv_pm], g.tgt[inv_pm], np.arange(m), pm[g.inv[inv_pm]],
+        np.column_stack((pm[gs], pm[hs], pm[g.val])))
+    return out, pm.tolist()
 
 
 def one_object_groupoid(group: FiniteGroup) -> Groupoid:
@@ -674,20 +661,15 @@ def pair_groupoid(n: int) -> Groupoid:
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Place two groupoids side by side (object and arrow indices of the
-    second are shifted).  The result is not transitive when both parts are
-    nonempty, and not normalized in general."""
+    second are shifted), row tables and all.  The result is not transitive
+    when both parts are nonempty, and not normalized in general."""
+    _require_whole(g1, g2)
     m1, k1 = g1.n_objects, g1.n_arrows
-    k = k1 + g2.n_arrows
-    gs1, hs1 = np.divmod(g1.comp_key, k1) if g1.comp_key.size else \
-        (np.empty(0, np.int64), np.empty(0, np.int64))
-    gs2, hs2 = np.divmod(g2.comp_key, g2.n_arrows) if g2.comp_key.size else \
-        (np.empty(0, np.int64), np.empty(0, np.int64))
-    keys = np.concatenate([gs1 * k + hs1, (gs2 + k1) * k + (hs2 + k1)])
-    vals = np.concatenate([g1.comp_val, g2.comp_val + k1])
     return Groupoid(
         n_objects=m1 + g2.n_objects,
         src=np.concatenate([g1.src, g2.src + m1]),
         tgt=np.concatenate([g1.tgt, g2.tgt + m1]),
         unit=np.concatenate([g1.unit, g2.unit + k1]),
         inv=np.concatenate([g1.inv, g2.inv + k1]),
-        comp_key=keys, comp_val=vals)
+        row_off=np.concatenate([g1.row_off[:-1], g2.row_off + g1.row_off[-1]]),
+        val=np.concatenate([g1.val, g2.val + k1]))

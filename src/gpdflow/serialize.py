@@ -308,7 +308,7 @@ def groupoid_to_json(gpd: Groupoid) -> dict:
             "tgt": [int(x) for x in gpd.tgt],
             "unit": [int(x) for x in gpd.unit],
             "inv": [int(x) for x in gpd.inv],
-            "comp": [list(t) for t in gpd.comp_triples()]}
+            "comp": gpd.comp_triples()}
 
 
 def transport_to_json(tg: TransportGroupoid) -> dict:
@@ -323,8 +323,8 @@ def action_to_json(a: GroupoidAction) -> dict:
     return {"kind": "action",
             "groupoid": groupoid_to_json(a.gpd),
             "space": a.n_points,
-            "anchor": list(a.anchor),
-            "act": sorted([y, g, z] for (y, g), z in a.act.items())}
+            "anchor": a.anchor.tolist(),
+            "act": a.triples()}
 
 
 def ambit_to_json(ambit: Ambit) -> dict:
@@ -369,8 +369,7 @@ def build_groupoid(model_data: dict
     graph from it (edge i spans the sources of darts 2i and 2i+1)."""
     gpd = Groupoid.from_tables(
         model_data["objects"], model_data["src"], model_data["tgt"],
-        model_data["unit"], model_data["inv"],
-        [tuple(t) for t in model_data["comp"]])
+        model_data["unit"], model_data["inv"], model_data["comp"])
     conn = None
     if "connection" in model_data:
         arrows = [0] * len(model_data["connection"])
@@ -385,9 +384,8 @@ def build_groupoid(model_data: dict
 def build_action(model_data: dict) -> tuple[GroupoidAction, dict]:
     """Assemble the action plus any ambit extras (basepoint, u0)."""
     gpd, _ = build_groupoid(model_data["groupoid"])
-    act = {(y, g): z for y, g, z in model_data["act"]}
-    action = GroupoidAction(gpd=gpd, n_points=model_data["space"],
-                            anchor=list(model_data["anchor"]), act=act)
+    action = GroupoidAction.from_triples(gpd, model_data["space"],
+                                         model_data["anchor"], model_data["act"])
     extras = {key: model_data[key] for key in ("basepoint", "u0")
               if key in model_data}
     return action, extras

@@ -305,3 +305,49 @@ def test_whole_report_pipes_into_next_command(tmp_path, capsys, monkeypatch):
     rebuilt = json.loads(out)["runs"][0]["model"]
     assert rebuilt["kind"] == "bundle"
     assert rebuilt["labels"] == [1, 0]
+
+
+# --- known-defect regressions ---------------------------------------------------------
+
+
+def test_bundleize_disconnected_connection_fails_with_witness(tmp_path, capsys):
+    """Every dart's connection arrow set to the unit of object 0: the
+    recovered base graph has loops at 0 only, so bundleize must fail the
+    connection verdict with the first unreachable vertex, not crash."""
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import transport_to_json
+    model = transport_to_json(
+        groupoid_of_bundle(named_bundles()["triangle-z2-twisted"]))
+    model["connection"] = [[d, 0] for d, _ in model["connection"]]
+    path = tmp_path / "groupoid.json"
+    path.write_text(canonical_dumps(model))
+    code = main(["bundleize", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    verdict = json.loads(captured.out)["runs"][0]["verdicts"][-1]
+    assert verdict["property"] == "connection transport"
+    assert verdict["failure"] == "connection base connectivity"
+    assert verdict["witness"] == [1]
+
+
+def test_verify_rejects_conflicting_duplicate_act_entry(tmp_path, capsys):
+    from gpdflow.dynamics import build_ambit, verify_action
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import ambit_to_json, build_action
+    ambit = build_ambit(
+        groupoid_of_bundle(named_bundles()["point-s3"]).groupoid, 0)
+    model = ambit_to_json(ambit)
+    y, g, z = model["act"][8]
+    model["act"].insert(0, [y, g, (z + 1) % model["space"]])
+    path = tmp_path / "ambit.json"
+    path.write_text(canonical_dumps(model))
+    code, out = run_cli(capsys, ["verify", str(path)])
+    verdict = json.loads(out)["runs"][0]["verdicts"][0]
+    assert code == 1
+    assert verdict["failure"] == "duplicate act pair"
+    assert verdict["witness"] == [y, g]
+    assert verdict["ok"] is False
+    # the report has no structural flag; the verdict behind it does
+    action, _ = build_action(model)
+    assert verify_action(action).structural

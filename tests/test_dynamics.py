@@ -12,7 +12,7 @@ from gpdflow.algebra import preset_group
 from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.dynamics import (
     EquivariantMap,
-    anchor_is_proper,
+    GroupoidAction,
     base_action,
     build_ambit,
     disjoint_union_actions,
@@ -30,7 +30,8 @@ from gpdflow.dynamics import (
     verify_equivariant_map,
 )
 from gpdflow.ehresmann import fiber_chart_sigma, groupoid_of_bundle
-from gpdflow.groupoid import disjoint_union, normalize_groupoid, pair_groupoid
+from gpdflow.groupoid import Groupoid, disjoint_union, normalize_groupoid, \
+    pair_groupoid, verify_groupoid
 
 
 def transport(preset, graph, edge_labels):
@@ -53,6 +54,11 @@ def union_groupoid():
     return normalized
 
 
+def rebuilt(a, triples):
+    """The action ``a`` rebuilt from an edited list of its triples."""
+    return GroupoidAction.from_triples(a.gpd, a.n_points, a.anchor, triples)
+
+
 # --- verify_action -----------------------------------------------------------
 
 
@@ -70,25 +76,20 @@ def test_ambit_action_verifies():
     assert verify_action(ambit.action).ok
 
 
-def test_anchor_is_proper_note():
-    a = base_action(z2_triangle_groupoid().groupoid)
-    diag = anchor_is_proper(a)
-    assert diag.ok
-    assert "proper" in diag.notes["note"]
-
-
 def test_verify_action_catches_wrong_anchor_value():
     ambit = build_ambit(z2_triangle_groupoid().groupoid, x0=0)
     a = ambit.action
     # repoint one entry at a point over the wrong object
-    (y, g) = next((y, g) for (y, g), z in a.act.items()
-                  if a.anchor[y] != a.anchor[a.act[(y, g)]])
-    wrong = next(z for z in range(a.n_points)
-                 if a.anchor[z] == a.anchor[y])
-    a.act[(y, g)] = wrong
-    diag = verify_action(a)
+    triples = a.triples()
+    i = next(i for i, (y, g, z) in enumerate(triples)
+             if a.anchor[y] != a.anchor[z])
+    y, g, _ = triples[i]
+    triples[i][2] = next(z for z in range(a.n_points)
+                         if a.anchor[z] == a.anchor[y])
+    diag = verify_action(rebuilt(a, triples))
     assert not diag.ok
     assert diag.failure == "anchor compatibility"
+    assert diag.witness == (y, g)
 
 
 def test_verify_action_catches_unit_violation():
@@ -97,8 +98,9 @@ def test_verify_action_catches_unit_violation():
     u = int(a.gpd.unit[a.anchor[0]])
     other = next(z for z in range(a.n_points)
                  if z != 0 and a.anchor[z] == a.anchor[0])
-    a.act[(0, u)] = other
-    diag = verify_action(a)
+    triples = a.triples()
+    triples[triples.index([0, u, 0])][2] = other
+    diag = verify_action(rebuilt(a, triples))
     assert not diag.ok
     assert diag.failure == "action unit law"
     assert diag.witness == (0,)
@@ -111,8 +113,11 @@ def test_verify_action_catches_broken_associativity():
     y1, y2 = [y for y in range(a.n_points) if a.anchor[y] == 1][:2]
     g = next(int(g) for g in a.gpd.arrows_from(1)
              if int(g) != int(a.gpd.unit[1]))
-    a.act[(y1, g)], a.act[(y2, g)] = a.act[(y2, g)], a.act[(y1, g)]
-    diag = verify_action(a)
+    triples = a.triples()
+    i1 = triples.index([y1, g, a.move(y1, g)])
+    i2 = triples.index([y2, g, a.move(y2, g)])
+    triples[i1][2], triples[i2][2] = triples[i2][2], triples[i1][2]
+    diag = verify_action(rebuilt(a, triples))
     assert not diag.ok
     assert diag.failure == "action associativity"
 
@@ -120,23 +125,47 @@ def test_verify_action_catches_broken_associativity():
 def test_verify_action_domain_errors():
     ambit = build_ambit(z2_triangle_groupoid().groupoid, x0=0)
     a = ambit.action
-    missing_key = next(iter(a.act))
-    removed = dict(a.act)
-    del removed[missing_key]
-    diag = verify_action(
-        type(a)(gpd=a.gpd, n_points=a.n_points, anchor=a.anchor, act=removed))
+    diag = verify_action(rebuilt(a, a.triples()[1:]))
     assert diag.failure == "composability domain violated"
     assert not diag.structural
     assert diag.notes["detail"] == "missing entry on a composable pair"
+    assert diag.witness == tuple(a.triples()[0][:2])
 
     off = next(g for g in range(a.gpd.n_arrows)
                if int(a.gpd.src[g]) != a.anchor[0])
-    extra = dict(a.act)
-    extra[(0, off)] = 0
-    diag = verify_action(
-        type(a)(gpd=a.gpd, n_points=a.n_points, anchor=a.anchor, act=extra))
+    diag = verify_action(rebuilt(a, a.triples() + [[0, off, 0]]))
     assert diag.failure == "composability domain violated"
     assert diag.structural
+    assert diag.witness == (0, off)
+
+
+def test_verify_action_duplicate_pair_is_structural():
+    a = build_ambit(z2_triangle_groupoid().groupoid, x0=0).action
+    y, g, z = a.triples()[3]
+    # a conflicting duplicate placed first would win a dict fold
+    triples = [[y, g, (z + 1) % a.n_points]] + a.triples()
+    diag = verify_action(rebuilt(a, triples))
+    assert not diag.ok and diag.structural
+    assert diag.failure == "duplicate act pair"
+    assert diag.witness == (y, g)
+
+
+def test_verify_action_reports_a_broken_groupoid():
+    gpd = z2_triangle_groupoid().groupoid
+    comp = gpd.comp_triples()
+    i = next(i for i, (g, h, gh) in enumerate(comp)
+             if min(g, h) >= gpd.n_objects and h != gpd.inverse(g))
+    g, h, gh = comp[i]
+    comp[i][2] = next(c for c in gpd.hom(int(gpd.src[g]), int(gpd.tgt[h]))
+                      if c != gh)
+    broken = Groupoid.from_tables(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit,
+                                  gpd.inv, comp)
+    expected = verify_groupoid(broken)
+    assert not expected.ok
+    for a in (base_action(broken),
+              GroupoidAction.from_triples(broken, 3, [0, 1, 2],
+                                          base_action(gpd).triples())):
+        assert verify_action(a) == expected
 
 
 def test_verify_action_structural_shapes():
@@ -205,7 +234,7 @@ def test_ambit_frozen_layout():
     ambit = build_ambit(z2_triangle_groupoid().groupoid, x0=0)
     assert ambit.points == [0, 3, 4, 5, 6, 7]
     assert ambit.u0 == 0
-    assert ambit.action.anchor == [0, 0, 1, 1, 2, 2]
+    assert ambit.action.anchor.tolist() == [0, 0, 1, 1, 2, 2]
     assert ambit.fiber_points() == [0, 1]
 
 
@@ -230,8 +259,8 @@ def test_ambit_unit_retrieves_and_free():
     ambit = build_ambit(s3_edge_groupoid().groupoid, x0=1)
     a = ambit.action
     for i, w in enumerate(ambit.points):
-        assert a.act[(ambit.u0, w)] == i
-    for (i, g), z in a.act.items():
+        assert a.move(ambit.u0, w) == i
+    for i, g, z in a.triples():
         if z == i:
             assert g == int(a.gpd.unit[a.anchor[i]])
 
@@ -304,8 +333,8 @@ def brute_force_equivariant_maps(ambit, a):
     found = []
     for values in product(*candidates):
         ok = True
-        for (y, g), z in ambit.action.act.items():
-            if a.act[(values[y], g)] != values[z]:
+        for y, g, z in ambit.action.triples():
+            if a.move(values[y], g) != values[z]:
                 ok = False
                 break
         if ok:

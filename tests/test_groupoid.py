@@ -17,6 +17,9 @@ from gpdflow.groupoid import (
     vertex_group,
     vertex_groups_isomorphic,
 )
+from gpdflow.serialize import groupoid_to_json
+
+from law_oracle import brute_groupoid_violation, groupoid_law_broken
 
 
 def product_groupoid(n_objects, group):
@@ -79,7 +82,7 @@ def test_remapped_unit_fails_unit_law():
     broken = Groupoid(
         n_objects=2, src=g.src, tgt=g.tgt,
         unit=np.array([2, 1]), inv=g.inv,
-        comp_key=g.comp_key, comp_val=g.comp_val)
+        row_off=g.row_off, val=g.val)
     diag = verify_groupoid(broken)
     assert not diag.ok
     assert diag.failure == "unit law"
@@ -118,30 +121,36 @@ def test_duplicate_comp_pair_is_structural():
 
 
 def test_broken_associativity_detected_by_both_strategies():
+    """Light's test in the engine and the brute-force triple scan of the
+    test oracle both reject the table, and the engine's witness breaks the
+    law."""
     g = one_object_groupoid(preset_group("Z4"))
     comp = {(a, b): v for a, b, v in g.comp_triples()}
     comp[(1, 1)] = 3  # leaves unit and inverse laws intact
     broken = Groupoid.from_tables(1, g.src, g.tgt, g.unit, g.inv, comp)
-    for mode in ("full", "generated"):
-        diag = verify_groupoid(broken, assoc_mode=mode)
-        assert not diag.ok
-        assert diag.failure == "associativity"
-        assert not diag.structural
+    diag = verify_groupoid(broken)
+    assert not diag.ok
+    assert diag.failure == "associativity"
+    assert not diag.structural
+    model = groupoid_to_json(broken)
+    assert brute_groupoid_violation(model)[0] == "associativity"
+    assert groupoid_law_broken(model, diag.failure, diag.witness)
 
 
 def test_assoc_strategies_agree_on_valid_fixture():
     g, _, _ = product_groupoid(3, preset_group("S3"))
-    full = verify_groupoid(g, assoc_mode="full")
-    gen = verify_groupoid(g, assoc_mode="generated")
-    assert full.ok and gen.ok
-    assert full.notes["assoc_strategy"] == "full"
-    assert gen.notes["assoc_strategy"] == "generated"
+    diag = verify_groupoid(g)
+    assert diag.ok
+    assert brute_groupoid_violation(groupoid_to_json(g)) is None
+    assert diag.notes["assoc_strategy"] == "generated"
+    assert diag.notes["triples"] == g.n_arrows * 18 * 18
+    assert 1 <= diag.notes["generators"] < g.n_arrows
 
 
 def test_broken_inverse_detected():
     g = one_object_groupoid(preset_group("Z3"))
     broken = Groupoid(1, g.src, g.tgt, g.unit, np.array([0, 1, 2]),
-                      g.comp_key, g.comp_val)
+                      g.row_off, g.val)
     diag = verify_groupoid(broken)
     assert not diag.ok
     assert diag.failure == "inverse law"
