@@ -8,14 +8,25 @@ no whitespace, so equal models produce equal bytes.
 
 Load failures carry one of three codes: 10 for unreadable JSON, 11 for a
 missing or unknown kind, 12 for a shape or index-range problem.
+
+Every integer table (``comp``, ``act``, ``src``, ``tgt``, ``unit``,
+``inv``, ``anchor``, ``labels``, ``edges``, the rows of ``mult`` and
+``connection``) is checked by one helper in a few whole-table passes: the
+rows' types and lengths, their entries' types (exactly ``int``, so
+``true`` is refused), one conversion to an int64 array and a min/max
+range check.  Only when that fails does the per-element scanner run, to
+name the first bad entry with the same code, path and message.  The
+``comp`` and ``act`` arrays are handed to the first build
+(:attr:`Model.tables`), which takes them, so each table is converted once.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -69,10 +80,13 @@ class ModelError(Exception):
 
 @dataclass
 class Model:
-    """A validated model file: the kind tag plus the raw payload."""
+    """A validated model file: the kind tag, the raw payload, and the
+    validated ``comp`` / ``act`` tables as arrays, which the first build
+    takes (see :func:`build_groupoid`)."""
 
     kind: str
     data: dict
+    tables: dict = field(default_factory=dict)
 
 
 def _coerce(value: Any) -> Any:
@@ -112,11 +126,50 @@ def _int_in(value: Any, low: int, high: int, where: str) -> int:
     return value
 
 
-def _int_list(value: Any, length: int, high: int, where: str) -> list[int]:
+def _scan(value: Any, length: int, high: int, where: str) -> None:
+    """The per-element check of a list of ``length`` integers in
+    ``[0, high)``: raises for the first bad entry."""
     if not isinstance(value, list) or len(value) != length:
         raise ModelError(
             BAD_INDEX, f"{where}: expected a list of {length} integers")
-    return [_int_in(v, 0, high, f"{where}[{i}]") for i, v in enumerate(value)]
+    for i, v in enumerate(value):
+        _int_in(v, 0, high, f"{where}[{i}]")
+
+
+def _int_table(rows: list, width: int, high: Any,
+               scan: Callable[[], Any]) -> np.ndarray:
+    """The rows, each a list of ``width`` integers in ``[0, high)``
+    (``high`` may give one bound per column), as one int64 array.
+
+    The fast check reads the types and lengths of the rows and the types
+    of their entries (exactly ``int``: numpy would read ``True`` as 1),
+    converts once and compares min and max with the bounds.  Only when it
+    fails does ``scan``, the per-element check, run to raise the error of
+    the first bad entry.
+    """
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        scan()  # raises, unless the entries are int subclasses
+    try:
+        arr = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                          len(rows) * width).reshape(len(rows), width)
+    except OverflowError:  # beyond int64, so out of range
+        arr = None
+    if arr is None or (arr.size and not (
+            arr.min() >= 0 and bool((arr.max(axis=0) < high).all()))):
+        scan()
+    return arr
+
+
+def _int_list(value: Any, length: int, high: int, where: str) -> None:
+    """Check a list of ``length`` integers in ``[0, high)``."""
+    _int_table([value], length, high, lambda: _scan(value, length, high, where))
+
+
+def _int_rows(rows: list, width: int, high: int, where: str) -> np.ndarray:
+    """A list of rows of ``width`` integers in ``[0, high)``, as an array."""
+    return _int_table(rows, width, high, lambda: [
+        _scan(row, width, high, f"{where}[{i}]") for i, row in enumerate(rows)])
 
 
 def _validate_group(data: dict, where: str = "group") -> None:
@@ -130,8 +183,7 @@ def _validate_group(data: dict, where: str = "group") -> None:
     mult = _need(data, "mult", where)
     if not isinstance(mult, list) or len(mult) != order:
         raise ModelError(BAD_INDEX, f"{where}.mult: expected {order} rows")
-    for i, row in enumerate(mult):
-        _int_list(row, order, order, f"{where}.mult[{i}]")
+    _int_rows(mult, order, order, f"{where}.mult")
 
 
 def _validate_graph(data: dict, where: str = "graph") -> None:
@@ -140,8 +192,7 @@ def _validate_graph(data: dict, where: str = "graph") -> None:
     edges = _need(data, "edges", where)
     if not isinstance(edges, list):
         raise ModelError(BAD_INDEX, f"{where}.edges: expected a list")
-    for i, edge in enumerate(edges):
-        _int_list(edge, 2, vertices, f"{where}.edges[{i}]")
+    _int_rows(edges, 2, vertices, f"{where}.edges")
 
 
 def _group_order(data: dict) -> int:
@@ -158,17 +209,23 @@ def _validate_bundle(data: dict) -> None:
     labels = _need(data, "labels", "bundle")
     n_edges = len(graph["edges"])
     if not isinstance(labels, list) or len(labels) != n_edges:
-        raise ModelError(BAD_INDEX,
-                         f"bundle.labels: expected one label per edge "
-                         f"({n_edges}), got {len(labels)}")
-    for e, g in enumerate(labels):
-        if not isinstance(g, int) or isinstance(g, bool) or not (0 <= g < order):
-            raise ModelError(BAD_INDEX,
-                             f"bundle.labels[{e}]: label {g!r} out of range "
-                             f"for group order {order} (edge {e})")
+        got = len(labels) if isinstance(labels, (list, dict, str)) \
+            else repr(labels)
+        raise ModelError(BAD_INDEX, f"bundle.labels: expected one label per "
+                         f"edge ({n_edges}), got {got}")
+
+    def scan() -> None:
+        for e, g in enumerate(labels):
+            if not isinstance(g, int) or isinstance(g, bool) \
+                    or not (0 <= g < order):
+                raise ModelError(BAD_INDEX,
+                                 f"bundle.labels[{e}]: label {g!r} out of "
+                                 f"range for group order {order} (edge {e})")
+    _int_table([labels], n_edges, order, scan)
 
 
-def _validate_groupoid(data: dict, where: str = "groupoid") -> None:
+def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
+    """Check a groupoid's fields; returns ``{"comp": array}``."""
     objects = _int_in(_need(data, "objects", where), 0, 1 << 30,
                       f"{where}.objects")
     arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
@@ -180,31 +237,38 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> None:
     comp = _need(data, "comp", where)
     if not isinstance(comp, list):
         raise ModelError(BAD_INDEX, f"{where}.comp: expected a list")
-    for i, triple in enumerate(comp):
-        _int_list(triple, 3, arrows, f"{where}.comp[{i}]")
+    tables = {"comp": _int_rows(comp, 3, arrows, f"{where}.comp")}
     if "connection" in data:
         pairs = data["connection"]
         if not isinstance(pairs, list) or len(pairs) % 2 != 0:
             raise ModelError(
                 BAD_INDEX, f"{where}.connection: expected an even-length list")
-        darts = []
-        for i, pair in enumerate(pairs):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ModelError(
-                    BAD_INDEX,
-                    f"{where}.connection[{i}]: expected [dart, arrow]")
-            d = _int_in(pair[0], 0, len(pairs), f"{where}.connection[{i}]")
-            _int_in(pair[1], 0, arrows, f"{where}.connection[{i}]")
-            darts.append(d)
-        if sorted(darts) != list(range(len(pairs))):
+
+        def scan() -> None:
+            for i, pair in enumerate(pairs):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ModelError(
+                        BAD_INDEX,
+                        f"{where}.connection[{i}]: expected [dart, arrow]")
+                _int_in(pair[0], 0, len(pairs), f"{where}.connection[{i}]")
+                _int_in(pair[1], 0, arrows, f"{where}.connection[{i}]")
+        darts = _int_table(pairs, 2, (len(pairs), arrows), scan)[:, 0]
+        if bool((np.bincount(darts, minlength=len(pairs)) != 1).any()):
             raise ModelError(
                 BAD_INDEX, f"{where}.connection: darts must cover "
                 f"0..{len(pairs) - 1} exactly once")
+        if objects == 0:
+            raise ModelError(
+                BAD_INDEX, f"{where}.connection: a connection needs at least "
+                "one object")
+    return tables
 
 
-def _validate_action(data: dict) -> None:
+def _validate_action(data: dict) -> dict:
+    """Check an action's fields; returns its ``comp`` and ``act`` arrays
+    by name."""
     groupoid = _need(data, "groupoid", "action")
-    _validate_groupoid(groupoid, "action.groupoid")
+    tables = _validate_groupoid(groupoid, "action.groupoid")
     arrows = groupoid["arrows"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
     _int_list(_need(data, "anchor", "action"), space, groupoid["objects"],
@@ -212,17 +276,21 @@ def _validate_action(data: dict) -> None:
     act = _need(data, "act", "action")
     if not isinstance(act, list):
         raise ModelError(BAD_INDEX, "action.act: expected a list")
-    for i, triple in enumerate(act):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ModelError(BAD_INDEX,
-                             f"action.act[{i}]: expected [y, g, yg]")
-        _int_in(triple[0], 0, space, f"action.act[{i}][0]")
-        _int_in(triple[1], 0, arrows, f"action.act[{i}][1]")
-        _int_in(triple[2], 0, space, f"action.act[{i}][2]")
+
+    def scan() -> None:
+        for i, triple in enumerate(act):
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise ModelError(BAD_INDEX,
+                                 f"action.act[{i}]: expected [y, g, yg]")
+            _int_in(triple[0], 0, space, f"action.act[{i}][0]")
+            _int_in(triple[1], 0, arrows, f"action.act[{i}][1]")
+            _int_in(triple[2], 0, space, f"action.act[{i}][2]")
+    tables["act"] = _int_table(act, 3, (space, arrows, space), scan)
     if "basepoint" in data:
         _int_in(data["basepoint"], 0, groupoid["objects"], "action.basepoint")
     if "u0" in data:
         _int_in(data["u0"], 0, arrows, "action.u0")
+    return tables
 
 
 _VALIDATORS = {
@@ -254,8 +322,7 @@ def parse_model(data: Any) -> Model:
     kind = data.get("kind")
     if kind not in KNOWN_KINDS:
         raise ModelError(UNKNOWN_KIND, f"unknown kind {kind!r}")
-    _VALIDATORS[kind](data)
-    return Model(kind=kind, data=data)
+    return Model(kind=kind, data=data, tables=_VALIDATORS[kind](data) or {})
 
 
 def load_model(path: str) -> Model:
@@ -272,6 +339,7 @@ def load_model(path: str) -> Model:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(PARSE_ERROR, f"{path}: invalid JSON: {exc}") from exc
+    del text  # not held while the tables are validated
     return parse_model(data)
 
 
@@ -363,13 +431,23 @@ def build_bundle(model_data: dict
     return verify_cocycle(bundle), bundle
 
 
-def build_groupoid(model_data: dict
+def _take(tables: Optional[dict], model_data: dict, key: str) -> Any:
+    """The validated array of a table, removed from ``tables`` so that it is
+    not held past the build, or else the list in the payload."""
+    arr = tables.pop(key, None) if tables else None
+    return model_data[key] if arr is None else arr
+
+
+def build_groupoid(model_data: dict, tables: Optional[dict] = None
                    ) -> tuple[Groupoid, Optional[Connection]]:
-    """Assemble the groupoid; when a connection is present, recover the base
-    graph from it (edge i spans the sources of darts 2i and 2i+1)."""
+    """Assemble the groupoid, from the ``comp`` array in ``tables``
+    (:attr:`Model.tables`) when it is there; when a connection is present,
+    recover the base graph from it (edge i spans the sources of darts 2i
+    and 2i+1)."""
     gpd = Groupoid.from_tables(
         model_data["objects"], model_data["src"], model_data["tgt"],
-        model_data["unit"], model_data["inv"], model_data["comp"])
+        model_data["unit"], model_data["inv"],
+        _take(tables, model_data, "comp"))
     conn = None
     if "connection" in model_data:
         arrows = [0] * len(model_data["connection"])
@@ -381,11 +459,14 @@ def build_groupoid(model_data: dict
     return gpd, conn
 
 
-def build_action(model_data: dict) -> tuple[GroupoidAction, dict]:
-    """Assemble the action plus any ambit extras (basepoint, u0)."""
-    gpd, _ = build_groupoid(model_data["groupoid"])
+def build_action(model_data: dict, tables: Optional[dict] = None
+                 ) -> tuple[GroupoidAction, dict]:
+    """Assemble the action plus any ambit extras (basepoint, u0), from the
+    ``comp`` and ``act`` arrays in ``tables`` when they are there."""
+    gpd, _ = build_groupoid(model_data["groupoid"], tables)
     action = GroupoidAction.from_triples(gpd, model_data["space"],
-                                         model_data["anchor"], model_data["act"])
+                                         model_data["anchor"],
+                                         _take(tables, model_data, "act"))
     extras = {key: model_data[key] for key in ("basepoint", "u0")
               if key in model_data}
     return action, extras

@@ -68,6 +68,8 @@ def test_verify_failing_group_exits_1(tmp_path, capsys):
     ('{"kind":"nope"}', 11),
     ('{"kind":"bundle","graph":{"vertices":2,"edges":[[0,1]]},'
      '"group":{"preset":"Z2"},"labels":[7]}', 12),
+    ('{"kind":"bundle","graph":{"vertices":2,"edges":[[0,1]]},'
+     '"group":{"preset":"Z2"},"labels":null}', 12),
 ])
 def test_load_errors_exit_2_with_payload_code(tmp_path, capsys, text, code):
     path = tmp_path / "model.json"
@@ -351,3 +353,97 @@ def test_verify_rejects_conflicting_duplicate_act_entry(tmp_path, capsys):
     # the report has no structural flag; the verdict behind it does
     action, _ = build_action(model)
     assert verify_action(action).structural
+
+
+ZERO_OBJECTS = {"kind": "groupoid", "objects": 0, "arrows": 0, "src": [],
+                "tgt": [], "unit": [], "inv": [], "comp": [], "connection": []}
+
+
+@pytest.mark.parametrize("command", ["verify", "bundleize", "ambit"])
+def test_zero_object_connection_is_a_load_error(tmp_path, capsys, command):
+    path = tmp_path / "zero.json"
+    path.write_text(canonical_dumps(ZERO_OBJECTS))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == 12
+    assert error["message"].startswith("groupoid.connection: ")
+
+
+def test_zero_object_connection_in_an_action_is_a_load_error(tmp_path,
+                                                              capsys):
+    path = tmp_path / "zero-action.json"
+    path.write_text(canonical_dumps({"kind": "action", "groupoid": ZERO_OBJECTS,
+                                     "space": 0, "anchor": [], "act": []}))
+    code, out = run_cli(capsys, ["verify", str(path)])
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["code"] == 12
+    assert error["message"].startswith("action.groupoid.connection: ")
+
+
+# --- work done per run ---------------------------------------------------------------
+
+
+def test_ambit_verifies_the_groupoid_once(tmp_path, capsys, monkeypatch):
+    import gpdflow.cli
+    import gpdflow.dynamics
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.groupoid import verify_groupoid
+    from gpdflow.serialize import transport_to_json
+    calls = []
+
+    def counting(gpd):
+        calls.append(gpd)
+        return verify_groupoid(gpd)
+    for module in (gpdflow.cli, gpdflow.dynamics):
+        monkeypatch.setattr(module, "verify_groupoid", counting)
+    gpd_path = tmp_path / "groupoid.json"
+    gpd_path.write_text(canonical_dumps(transport_to_json(
+        groupoid_of_bundle(named_bundles()["edge-s3"]))))
+    verdicts = {}
+    for path in (str(gpd_path), write_bundle(tmp_path, "edge-s3")):
+        calls.clear()
+        code, out = run_cli(capsys, ["ambit", path])
+        assert code == 0
+        assert len(calls) == 1, path
+        verdicts[path] = json.loads(out)["runs"][0]["verdicts"][-1]
+    # the action verdict does not depend on who verified the groupoid
+    first, second = verdicts.values()
+    assert first == second
+    assert first["property"] == "groupoid action axioms"
+
+
+# --- the collector around main -------------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit_code", [0, 1, 2])
+def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch,
+                                             enabled, exit_code):
+    import gc
+    import gpdflow.cli
+    path = tmp_path / "badgroup.json"
+    path.write_text(json.dumps({"kind": "group", "order": 2, "identity": 0,
+                                "mult": [[0, 1], [1, 1]]}))
+    argv = {0: ["ea", "--fixtures"], 1: ["verify", str(path)],
+            2: ["verify"]}[exit_code]
+    during = []
+
+    def recording(*args, **kwargs):
+        during.append(gc.isenabled())
+        return run_command(*args, **kwargs)
+    monkeypatch.setattr(gpdflow.cli, "run_command", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == exit_code
+        assert gc.isenabled() == enabled
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert during == ([] if exit_code == 2 else [False])
