@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import Optional
 
@@ -94,7 +95,7 @@ def _ambit_source(command: str, model: Model, basepoint: int):
         gpd = groupoid_of_bundle(bundle).groupoid
     else:
         verdicts = []
-        gpd, _ = build_groupoid(model.data, model.tables)
+        gpd, _ = build_groupoid(model.data)
         verdicts.append(_verdict("groupoid axioms", verify_groupoid(gpd)))
         if not verdicts[-1]["ok"]:
             return verdicts, None
@@ -128,7 +129,7 @@ def _action_source(command: str, model: Model, basepoint: int):
     if model.kind != "action":
         verdicts, gpd = _ambit_source(command, model, basepoint)
         return verdicts, gpd, None
-    action, _ = build_action(model.data, model.tables)
+    action, _ = build_action(model.data)
     verdicts = [_verdict("groupoid action axioms", verify_action(action))]
     if not verdicts[-1]["ok"]:
         return verdicts, None, None
@@ -158,7 +159,7 @@ def _run_verify(name: str, model: Model, basepoint: int) -> dict:
                      "edges": bundle.base.n_edges,
                      "group_order": bundle.group.order}
     elif model.kind == "groupoid":
-        gpd, conn = build_groupoid(model.data, model.tables)
+        gpd, conn = build_groupoid(model.data)
         verdicts.append(_verdict("groupoid axioms", verify_groupoid(gpd)))
         facts = {"objects": gpd.n_objects, "arrows": gpd.n_arrows}
         if verdicts[-1]["ok"]:
@@ -169,7 +170,7 @@ def _run_verify(name: str, model: Model, basepoint: int) -> dict:
                 verdicts.append(_verdict("connection transport",
                                          verify_connection(gpd, conn)))
     else:
-        action, _ = build_action(model.data, model.tables)
+        action, _ = build_action(model.data)
         verdicts.append(_verdict("groupoid action axioms",
                                  verify_action(action)))
         facts = {"space": action.n_points}
@@ -200,7 +201,7 @@ def _run_groupoidify(name: str, model: Model, basepoint: int) -> dict:
 
 def _run_bundleize(name: str, model: Model, basepoint: int) -> dict:
     _need_kind("bundleize", model, ("groupoid",))
-    gpd, conn = build_groupoid(model.data, model.tables)
+    gpd, conn = build_groupoid(model.data)
     if conn is None:
         raise UsageError("bundleize needs a groupoid model with a connection")
     verdicts = [_verdict("groupoid axioms", verify_groupoid(gpd))]
@@ -287,7 +288,7 @@ def _run_trivial(name: str, model: Model, basepoint: int) -> dict:
 
 def _run_orbits(name: str, model: Model, basepoint: int) -> dict:
     _need_kind("orbits", model, ("action",))
-    action, _ = build_action(model.data, model.tables)
+    action, _ = build_action(model.data)
     verdicts = [_verdict("groupoid action axioms", verify_action(action))]
     facts: dict = {}
     if verdicts[-1]["ok"]:
@@ -569,15 +570,27 @@ def _main(argv) -> int:
     except ModelError as exc:
         report = {"command": ns.command, "ok": False,
                   "error": {"code": exc.code, "message": exc.message}}
-        print(emit_report(report, ns.format))
-        return 2
+        return _write(emit_report(report, ns.format), 2)
     except UsageError as exc:
         report = {"command": ns.command, "ok": False,
                   "error": {"code": USAGE_ERROR, "message": str(exc)}}
-        print(emit_report(report, ns.format))
-        return 2
-    print(emit_report(report, ns.format))
-    return 0 if report["ok"] else 1
+        return _write(emit_report(report, ns.format), 2)
+    return _write(emit_report(report, ns.format), 0 if report["ok"] else 1)
+
+
+def _write(text: str, code: int) -> int:
+    """Print the report and return the run's exit code.  A reader that
+    closed the pipe early (``gpdflow ... | head``) gets no traceback:
+    stdout is pointed at devnull, so the interpreter's final flush cannot
+    raise again, and the code is the one the run had."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

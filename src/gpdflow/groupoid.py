@@ -92,12 +92,17 @@ class RowTable:
         """``y . h`` for each ``h`` out of ``anchor[y]``, ascending in ``h``."""
         return self.val[self.row_off[y]:self.row_off[y + 1]]
 
-    def triples(self) -> list[list[int]]:
-        """Every defined entry as ``[y, h, y . h]``, in row order (for a
-        groupoid: every composition ``[g, h, gh]``, lexicographically)."""
+    def triple_array(self) -> np.ndarray:
+        """Every defined entry as a row ``[y, h, y . h]`` of an ``(n, 3)``
+        int64 array, in row order (for a groupoid: every composition
+        ``[g, h, gh]``, lexicographically)."""
         ys, hs = self.row_pairs()
         keep = self.val >= 0
-        return np.column_stack((ys[keep], hs[keep], self.val[keep])).tolist()
+        return np.column_stack((ys[keep], hs[keep], self.val[keep]))
+
+    def triples(self) -> list[list[int]]:
+        """:meth:`triple_array` as python lists."""
+        return self.triple_array().tolist()
 
     def row_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair ``(y, h)`` behind every entry of ``val``, in row order."""
@@ -377,6 +382,13 @@ def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:
     return None
 
 
+def _all_distinct(arr: np.ndarray) -> bool:
+    """No value repeats; a sort and one comparison of neighbours, since
+    ``np.unique`` imports ``numpy.ma`` on first use."""
+    s = np.sort(arr)
+    return not bool((s[1:] == s[:-1]).any())
+
+
 def _unit_scan(g: Groupoid) -> Optional[Diagnostics]:
     m = g.n_objects
     xs = np.arange(m)
@@ -386,7 +398,7 @@ def _unit_scan(g: Groupoid) -> Optional[Diagnostics]:
         x = int(np.argmax(misplaced))
         return Diagnostics.failed("unit law", (int(u[x]),),
                                   detail=f"unit of object {x} has wrong endpoints")
-    if np.unique(u).shape[0] != m:
+    if not _all_distinct(u):
         return Diagnostics.failed("unit law", tuple(np.sort(u).tolist()),
                                   detail="unit arrows not distinct")
     # every pair looked up from here on is composable, and the table is whole
@@ -575,7 +587,7 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
             return Diagnostics.failed(f"{name} map out of range",
                                       (int(arr.min()), int(arr.max())),
                                       structural=True)
-        if np.unique(arr).shape[0] != arr.shape[0]:
+        if not _all_distinct(arr):
             return Diagnostics.failed(f"{name} map not a bijection", (),
                                       structural=True)
     if bool((om[g1.src] != g2.src[am]).any()):
@@ -609,7 +621,7 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     new arrow indices.  The table must have no flaw."""
     _require_whole(g)
     m, k = g.n_objects, g.n_arrows
-    if np.unique(g.unit).shape[0] != m:
+    if not _all_distinct(g.unit):
         raise ValueError("unit arrows are not distinct; cannot normalize")
     is_unit = np.zeros(k, dtype=bool)
     is_unit[g.unit] = True

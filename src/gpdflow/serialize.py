@@ -4,7 +4,12 @@ Every model is a JSON object with a ``"kind"`` tag.  Loading validates
 shapes and index ranges only; whether the data satisfies its axioms is the
 verify operations' business, so a malformed table loads fine and then
 fails verification with a witness.  Emission is canonical: sorted keys and
-no whitespace, so equal models produce equal bytes.
+no whitespace, so equal models produce equal bytes.  A groupoid's ``comp``
+and an action's ``act`` are emitted as ``(n, 3)`` int64 arrays, and
+:func:`canonical_dumps` writes every integer array with one vectorized
+kernel (:func:`_table_text`) in a few whole-array passes, byte-identical to
+the ``json`` encoding of the same lists; the rest of a value goes through
+``json`` in as few calls as there are containers on the way to an array.
 
 Load failures carry one of three codes: 10 for unreadable JSON, 11 for a
 missing or unknown kind, 12 for a shape or index-range problem.
@@ -15,17 +20,20 @@ Every integer table (``comp``, ``act``, ``src``, ``tgt``, ``unit``,
 rows' types and lengths, their entries' types (exactly ``int``, so
 ``true`` is refused), one conversion to an int64 array and a min/max
 range check.  Only when that fails does the per-element scanner run, to
-name the first bad entry with the same code, path and message.  The
-``comp`` and ``act`` arrays are handed to the first build
-(:attr:`Model.tables`), which takes them, so each table is converted once.
+name the first bad entry with the same code, path and message.  ``comp``
+and ``act`` may also be integer arrays, as the ``*_to_json`` functions emit
+them, under the same checks.  Their validated arrays replace them in
+:attr:`Model.data`, so a table is converted once and stays an array
+through the build, the input digest and the report.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -80,13 +88,17 @@ class ModelError(Exception):
 
 @dataclass
 class Model:
-    """A validated model file: the kind tag, the raw payload, and the
-    validated ``comp`` / ``act`` tables as arrays, which the first build
-    takes (see :func:`build_groupoid`)."""
+    """A validated model file: the kind tag and the payload.
+
+    The payload is the decoded object, except that a groupoid's ``comp``
+    and an action's ``act`` (and its groupoid's ``comp``) are the validated
+    ``(n, 3)`` int64 arrays.  They are put in a shallow copy, so the
+    caller's object is never changed and the decoded lists can be freed
+    once validated; the builds and :func:`model_digest` read the arrays.
+    """
 
     kind: str
     data: dict
-    tables: dict = field(default_factory=dict)
 
 
 def _coerce(value: Any) -> Any:
@@ -97,10 +109,113 @@ def _coerce(value: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, no stray whitespace."""
+def _json(obj: Any, default: Callable[[Any], Any] = _coerce) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_coerce)
+                      default=default)
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """Four ASCII bytes per number ``n`` below 10**4, read as one uint32:
+    at ``[n]`` its digits without leading zeros (NUL-padded on the left),
+    at ``[10**4 + n]`` all four digits, at ``[2 * 10**4]`` four NULs."""
+    n = np.arange(10 ** 4)
+    digits = n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    shown = n[:, None] >= np.array([1000, 100, 10, 0])
+    table = np.concatenate((np.where(shown, digits, 0), digits,
+                            np.zeros((1, 4), np.int64)))
+    table = table.astype(np.uint8).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _table_text(arr: np.ndarray) -> str:
+    """``json.dumps(arr.tolist(), separators=(",", ":"))`` for a 1-D or 2-D
+    array of integers in ``[0, 10**12)``, in whole-array passes.
+
+    Each value gets a fixed-width slot of uint32 words: one per group of
+    four decimal digits, gathered from :func:`_digit_groups` (the leading
+    group without its leading zeros, an all-zero group as NULs), then one
+    for the separator after it (``,``, ``],[`` at a row's end, ``]`` or
+    ``]]`` at the table's end).  Dropping the NUL padding from the buffer's
+    bytes leaves the text.  Any other array (another dtype or shape, a
+    negative or larger value, no entries) takes the ``json`` path.
+    """
+    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "iu"
+            or arr.min() < 0 or (top := int(arr.max())) >= 10 ** 12):
+        return _json(arr.tolist())
+    k = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)  # digit groups per slot
+    v = arr.astype(np.int64, copy=False)
+    groups = _digit_groups()
+    buf = np.empty(arr.shape + (k + 1,), np.uint32)
+    for j in range(k):  # most significant group first
+        # this group and those above
+        part = v // 10 ** (4 * (k - 1 - j)) if j < k - 1 else v
+        if j:  # with a group above shown, all four digits
+            part = np.where(part < 10 ** 4, part, part % 10 ** 4 + 10 ** 4)
+        if j < k - 1:  # nothing shown yet: NULs
+            part[part == 0] = 2 * 10 ** 4
+        np.take(groups, part, out=buf[..., j], mode="clip")
+    comma, next_row, end_1d, end_2d = np.frombuffer(
+        b",\0\0\0],[\0]\0\0\0]]\0\0", np.uint32)
+    buf[..., k] = comma
+    if arr.ndim == 2:
+        buf[:, -1, k] = next_row
+    buf[(-1,) * arr.ndim + (k,)] = end_2d if arr.ndim == 2 else end_1d
+    text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    return "[" * arr.ndim + text
+
+
+class _ArrayInside(Exception):
+    """The ``json`` encoder met an array."""
+
+
+def _stop_at_array(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        raise _ArrayInside
+    return _coerce(value)
+
+
+def _encode(obj: Any, out: list[str]) -> None:
+    """Append the canonical text of ``obj`` to ``out``: an array through
+    :func:`_table_text`, anything without one in one ``json`` call, and a
+    list, tuple or ``str``-keyed dict that holds an array piece by piece.
+    A dict with other keys keeps ``json``'s key rules, with its arrays as
+    lists.  (A container that gets here holds an array, so it has an
+    item.)"""
+    if isinstance(obj, np.ndarray):
+        out.append(_table_text(obj))
+        return
+    try:
+        out.append(_json(obj, _stop_at_array))
+        return
+    except _ArrayInside:
+        pass
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "{") + json.dumps(key) + ":")
+            _encode(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            out.append("," if i else "[")
+            _encode(item, out)
+        out.append("]")
+    else:
+        out.append(_json(obj))
+
+
+def canonical_dumps(obj: Any) -> str:
+    """Deterministic JSON: sorted keys, no stray whitespace; numpy integers
+    are written as numbers and arrays as nested lists.  The bytes are those
+    of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with every
+    array turned into a list, but integer arrays are written by the
+    vectorized kernel :func:`_table_text` (see the module docstring), and
+    the pieces are joined once.  The walk is private, so each encoding is
+    one call of this function."""
+    out: list[str] = []
+    _encode(obj, out)
+    return "".join(out)
 
 
 def model_digest(model: dict) -> str:
@@ -136,39 +251,53 @@ def _scan(value: Any, length: int, high: int, where: str) -> None:
         _int_in(v, 0, high, f"{where}[{i}]")
 
 
-def _int_table(rows: list, width: int, high: Any,
-               scan: Callable[[], Any]) -> np.ndarray:
+def _in_range(arr: np.ndarray, high: Any) -> bool:
+    return not arr.size or (
+        arr.min() >= 0 and bool((arr.max(axis=0) < high).all()))
+
+
+def _int_table(rows: Any, width: int, high: Any,
+               scan: Callable[[list], Any]) -> np.ndarray:
     """The rows, each a list of ``width`` integers in ``[0, high)``
-    (``high`` may give one bound per column), as one int64 array.
+    (``high`` may give one bound per column), as one int64 array; an
+    ``(n, width)`` integer array is taken as it is.
 
     The fast check reads the types and lengths of the rows and the types
     of their entries (exactly ``int``: numpy would read ``True`` as 1),
     converts once and compares min and max with the bounds.  Only when it
-    fails does ``scan``, the per-element check, run to raise the error of
-    the first bad entry.
+    fails does ``scan``, the per-element check, run on the rows to raise
+    the error of the first bad entry; an array that fails is read as its
+    lists, so a bool or float array gets the message of those lists.
     """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim == 2 and rows.shape[1] == width \
+                and rows.dtype.kind in "iu":
+            arr = rows.astype(np.int64, copy=False)
+            if _in_range(arr, high):
+                return arr
+        rows = rows.tolist()
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
-        scan()  # raises, unless the entries are int subclasses
+        scan(rows)  # raises, unless the entries are int subclasses
     try:
         arr = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
                           len(rows) * width).reshape(len(rows), width)
     except OverflowError:  # beyond int64, so out of range
         arr = None
-    if arr is None or (arr.size and not (
-            arr.min() >= 0 and bool((arr.max(axis=0) < high).all()))):
-        scan()
+    if arr is None or not _in_range(arr, high):
+        scan(rows)
     return arr
 
 
 def _int_list(value: Any, length: int, high: int, where: str) -> None:
     """Check a list of ``length`` integers in ``[0, high)``."""
-    _int_table([value], length, high, lambda: _scan(value, length, high, where))
+    _int_table([value], length, high,
+               lambda rows: _scan(rows[0], length, high, where))
 
 
-def _int_rows(rows: list, width: int, high: int, where: str) -> np.ndarray:
-    """A list of rows of ``width`` integers in ``[0, high)``, as an array."""
-    return _int_table(rows, width, high, lambda: [
+def _int_rows(rows: Any, width: int, high: int, where: str) -> np.ndarray:
+    """Rows of ``width`` integers in ``[0, high)``, as an array."""
+    return _int_table(rows, width, high, lambda rows: [
         _scan(row, width, high, f"{where}[{i}]") for i, row in enumerate(rows)])
 
 
@@ -214,8 +343,8 @@ def _validate_bundle(data: dict) -> None:
         raise ModelError(BAD_INDEX, f"bundle.labels: expected one label per "
                          f"edge ({n_edges}), got {got}")
 
-    def scan() -> None:
-        for e, g in enumerate(labels):
+    def scan(rows: list) -> None:
+        for e, g in enumerate(rows[0]):
             if not isinstance(g, int) or isinstance(g, bool) \
                     or not (0 <= g < order):
                 raise ModelError(BAD_INDEX,
@@ -225,7 +354,8 @@ def _validate_bundle(data: dict) -> None:
 
 
 def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
-    """Check a groupoid's fields; returns ``{"comp": array}``."""
+    """Check a groupoid's fields; returns a shallow copy of ``data`` with
+    ``comp`` as its validated array."""
     objects = _int_in(_need(data, "objects", where), 0, 1 << 30,
                       f"{where}.objects")
     arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
@@ -235,17 +365,17 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
     _int_list(_need(data, "unit", where), objects, arrows, f"{where}.unit")
     _int_list(_need(data, "inv", where), arrows, arrows, f"{where}.inv")
     comp = _need(data, "comp", where)
-    if not isinstance(comp, list):
+    if not isinstance(comp, (list, np.ndarray)):
         raise ModelError(BAD_INDEX, f"{where}.comp: expected a list")
-    tables = {"comp": _int_rows(comp, 3, arrows, f"{where}.comp")}
+    comp = _int_rows(comp, 3, arrows, f"{where}.comp")
     if "connection" in data:
         pairs = data["connection"]
         if not isinstance(pairs, list) or len(pairs) % 2 != 0:
             raise ModelError(
                 BAD_INDEX, f"{where}.connection: expected an even-length list")
 
-        def scan() -> None:
-            for i, pair in enumerate(pairs):
+        def scan(rows: list) -> None:
+            for i, pair in enumerate(rows):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ModelError(
                         BAD_INDEX,
@@ -261,36 +391,36 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
             raise ModelError(
                 BAD_INDEX, f"{where}.connection: a connection needs at least "
                 "one object")
-    return tables
+    return {**data, "comp": comp}
 
 
 def _validate_action(data: dict) -> dict:
-    """Check an action's fields; returns its ``comp`` and ``act`` arrays
-    by name."""
-    groupoid = _need(data, "groupoid", "action")
-    tables = _validate_groupoid(groupoid, "action.groupoid")
+    """Check an action's fields; returns a shallow copy of ``data`` with
+    ``act`` and the groupoid's ``comp`` as their validated arrays."""
+    groupoid = _validate_groupoid(_need(data, "groupoid", "action"),
+                                  "action.groupoid")
     arrows = groupoid["arrows"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
     _int_list(_need(data, "anchor", "action"), space, groupoid["objects"],
               "action.anchor")
     act = _need(data, "act", "action")
-    if not isinstance(act, list):
+    if not isinstance(act, (list, np.ndarray)):
         raise ModelError(BAD_INDEX, "action.act: expected a list")
 
-    def scan() -> None:
-        for i, triple in enumerate(act):
+    def scan(rows: list) -> None:
+        for i, triple in enumerate(rows):
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ModelError(BAD_INDEX,
                                  f"action.act[{i}]: expected [y, g, yg]")
             _int_in(triple[0], 0, space, f"action.act[{i}][0]")
             _int_in(triple[1], 0, arrows, f"action.act[{i}][1]")
             _int_in(triple[2], 0, space, f"action.act[{i}][2]")
-    tables["act"] = _int_table(act, 3, (space, arrows, space), scan)
+    act = _int_table(act, 3, (space, arrows, space), scan)
     if "basepoint" in data:
         _int_in(data["basepoint"], 0, groupoid["objects"], "action.basepoint")
     if "u0" in data:
         _int_in(data["u0"], 0, arrows, "action.u0")
-    return tables
+    return {**data, "groupoid": groupoid, "act": act}
 
 
 _VALIDATORS = {
@@ -307,7 +437,9 @@ def parse_model(data: Any) -> Model:
 
     Report envelopes are unwrapped so command output can be piped straight
     back in: a ``{"model": ...}`` wrapper, or a full report whose first
-    run carries a constructed model under ``runs[i].model``.
+    run carries a constructed model under ``runs[i].model``.  A groupoid
+    or action payload is returned as a shallow copy holding its validated
+    arrays (see :class:`Model`).
     """
     if isinstance(data, dict) and "kind" not in data:
         if "model" in data:
@@ -322,7 +454,8 @@ def parse_model(data: Any) -> Model:
     kind = data.get("kind")
     if kind not in KNOWN_KINDS:
         raise ModelError(UNKNOWN_KIND, f"unknown kind {kind!r}")
-    return Model(kind=kind, data=data, tables=_VALIDATORS[kind](data) or {})
+    # only the groupoid and action validators return a payload
+    return Model(kind=kind, data=_VALIDATORS[kind](data) or data)
 
 
 def load_model(path: str) -> Model:
@@ -376,7 +509,7 @@ def groupoid_to_json(gpd: Groupoid) -> dict:
             "tgt": [int(x) for x in gpd.tgt],
             "unit": [int(x) for x in gpd.unit],
             "inv": [int(x) for x in gpd.inv],
-            "comp": gpd.comp_triples()}
+            "comp": gpd.triple_array()}
 
 
 def transport_to_json(tg: TransportGroupoid) -> dict:
@@ -392,7 +525,7 @@ def action_to_json(a: GroupoidAction) -> dict:
             "groupoid": groupoid_to_json(a.gpd),
             "space": a.n_points,
             "anchor": a.anchor.tolist(),
-            "act": a.triples()}
+            "act": a.triple_array()}
 
 
 def ambit_to_json(ambit: Ambit) -> dict:
@@ -431,23 +564,13 @@ def build_bundle(model_data: dict
     return verify_cocycle(bundle), bundle
 
 
-def _take(tables: Optional[dict], model_data: dict, key: str) -> Any:
-    """The validated array of a table, removed from ``tables`` so that it is
-    not held past the build, or else the list in the payload."""
-    arr = tables.pop(key, None) if tables else None
-    return model_data[key] if arr is None else arr
-
-
-def build_groupoid(model_data: dict, tables: Optional[dict] = None
+def build_groupoid(model_data: dict
                    ) -> tuple[Groupoid, Optional[Connection]]:
-    """Assemble the groupoid, from the ``comp`` array in ``tables``
-    (:attr:`Model.tables`) when it is there; when a connection is present,
-    recover the base graph from it (edge i spans the sources of darts 2i
-    and 2i+1)."""
+    """Assemble the groupoid; when a connection is present, recover the
+    base graph from it (edge i spans the sources of darts 2i and 2i+1)."""
     gpd = Groupoid.from_tables(
         model_data["objects"], model_data["src"], model_data["tgt"],
-        model_data["unit"], model_data["inv"],
-        _take(tables, model_data, "comp"))
+        model_data["unit"], model_data["inv"], model_data["comp"])
     conn = None
     if "connection" in model_data:
         arrows = [0] * len(model_data["connection"])
@@ -459,14 +582,12 @@ def build_groupoid(model_data: dict, tables: Optional[dict] = None
     return gpd, conn
 
 
-def build_action(model_data: dict, tables: Optional[dict] = None
-                 ) -> tuple[GroupoidAction, dict]:
-    """Assemble the action plus any ambit extras (basepoint, u0), from the
-    ``comp`` and ``act`` arrays in ``tables`` when they are there."""
-    gpd, _ = build_groupoid(model_data["groupoid"], tables)
+def build_action(model_data: dict) -> tuple[GroupoidAction, dict]:
+    """Assemble the action plus any ambit extras (basepoint, u0)."""
+    gpd, _ = build_groupoid(model_data["groupoid"])
     action = GroupoidAction.from_triples(gpd, model_data["space"],
                                          model_data["anchor"],
-                                         _take(tables, model_data, "act"))
+                                         model_data["act"])
     extras = {key: model_data[key] for key in ("basepoint", "u0")
               if key in model_data}
     return action, extras

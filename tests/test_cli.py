@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, error payloads, piping, goldens."""
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -340,6 +342,7 @@ def test_verify_rejects_conflicting_duplicate_act_entry(tmp_path, capsys):
     ambit = build_ambit(
         groupoid_of_bundle(named_bundles()["point-s3"]).groupoid, 0)
     model = ambit_to_json(ambit)
+    model["act"] = model["act"].tolist()
     y, g, z = model["act"][8]
     model["act"].insert(0, [y, g, (z + 1) % model["space"]])
     path = tmp_path / "ambit.json"
@@ -447,3 +450,99 @@ def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch,
         gc.enable()
     capsys.readouterr()
     assert during == ([] if exit_code == 2 else [False])
+
+
+# --- the pipe at medium size, against the plain json encoding ---------------------
+
+
+def _plain_json(obj) -> str:
+    """The reference encoding: ``json`` with every array as a list."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=lambda value: value.tolist())
+
+
+def test_medium_pipe_matches_the_plain_json_encoding(tmp_path, capsys,
+                                                     monkeypatch):
+    """groupoidify | bundleize on a 5-vertex S4 bundle: both stdouts, input
+    digests included, are the plain encoding of the same reports."""
+    import hashlib
+    import io
+    from gpdflow.fixtures import large_random_bundle
+    from gpdflow.serialize import load_model
+
+    def digest(model):
+        return hashlib.sha256(_plain_json(model).encode()).hexdigest()
+    bundle = bundle_to_json(large_random_bundle(5, 3, "S4"))
+    path = tmp_path / "bundle.json"
+    path.write_text(_plain_json(bundle))
+    code, out = run_cli(capsys, ["groupoidify", str(path)])
+    assert code == 0
+    report = run_command("groupoidify", [(str(path), load_model(str(path)))])
+    assert out == _plain_json(report) + "\n"
+    assert report["inputs"][0]["digest"] == digest(bundle)
+    decoded = json.loads(out)
+    assert len(decoded["runs"][0]["model"]["comp"]) == 600 * 5 * 24
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out2 = run_cli(capsys, ["bundleize", "-"])
+    assert code == 0
+    report2 = run_command("bundleize", [("stdin", parse_model(decoded))])
+    assert out2 == _plain_json(report2) + "\n"
+    assert report2["inputs"][0]["digest"] == \
+        digest(decoded["runs"][0]["model"])
+
+
+# --- the command line as a process ---------------------------------------------------
+
+
+def _python(*args, unbuffered: bool = False, **kwargs) -> subprocess.Popen:
+    """``python ARGS`` with this checkout's ``src`` on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("text,code", [
+    (canonical_dumps(bundle_to_json(named_bundles()["edge-s3"])), 0),
+    ("{not json", 2)], ids=["valid", "unreadable"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly_with_the_runs_code(text, code,
+                                                        unbuffered):
+    """The reader closes the pipe before the command has read its input, so
+    every write fails (with stdout buffered, only when flushed): no
+    traceback, empty stderr, the run's own code."""
+    proc = _python("-m", "gpdflow.cli", "groupoidify", "-",
+                   unbuffered=unbuffered, stdin=subprocess.PIPE,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        proc.stdin.write(text.encode())
+        proc.stdin.close()
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        returncode = proc.wait(timeout=60)
+    assert err == b""
+    assert returncode == code
+
+
+def test_verify_does_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma``, which costs start-up time in
+    every process that verifies a groupoid."""
+    def loaded(code: str) -> str:
+        proc = _python("-c", code, stdout=subprocess.PIPE, text=True)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        return out.split()[-1]
+    if loaded("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert loaded("import contextlib, io, sys\n"
+                  "from gpdflow.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert main(['verify', '--fixtures']) == 0\n"
+                  "print('numpy.ma' in sys.modules)\n") == "False"

@@ -1,33 +1,43 @@
 """Model loading: the fast table check against the per-element scanner, and
-builds from the validated arrays against builds from the python lists.
+builds from the validated arrays against builds from the python lists;
+canonical emission: the integer-table kernel and the walk around it
+against the plain ``json`` encoding.
 
 The oracle for a load error is the scanner itself: ``_int_table`` swapped
 for a version that runs only the per-element check must give the same code
 and message as the fast path on every seeded single-element mutation.
 """
 import copy
+import json
 import random
 
 import numpy as np
 import pytest
 
 from gpdflow import serialize
+from gpdflow.cli import COMMANDS, fixture_models, run_command
 from gpdflow.dynamics import build_ambit
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import matrix_bundles, named_bundles
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
-    build_groupoid, bundle_to_json, parse_model, transport_to_json
+    build_groupoid, bundle_to_json, canonical_dumps, parse_model, \
+    transport_to_json
 
 MUTATIONS = (True, 1.0, "1", None, [1], "short row", "long row", -1,
              "upper bound")
+
+
+def _lists(model: dict) -> dict:
+    """The model as a file decodes, every array a list (to edit in place)."""
+    return json.loads(canonical_dumps(model))
 
 
 def _models() -> dict:
     bundle = named_bundles()["triangle-z2-twisted"]
     tg = groupoid_of_bundle(bundle)
     return {"bundle": bundle_to_json(bundle),
-            "groupoid": transport_to_json(tg),
-            "ambit": ambit_to_json(build_ambit(tg.groupoid, 0))}
+            "groupoid": _lists(transport_to_json(tg)),
+            "ambit": _lists(ambit_to_json(build_ambit(tg.groupoid, 0)))}
 
 
 # table -> (model, path to the table, rows of a fixed width?, upper bound of
@@ -78,7 +88,7 @@ def _mutate(model: dict, table: str, mutation, rng: random.Random) -> dict:
 
 
 def _scanner_only(rows, width, high, scan):
-    scan()
+    scan(rows)
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 
@@ -103,15 +113,61 @@ def test_fast_check_agrees_with_the_scanner(table, monkeypatch):
             assert fast[0] == serialize.BAD_INDEX
 
 
+def _arrays(payload: dict, path=()) -> dict:
+    """Every array in a payload, by its path."""
+    found = {}
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            found[path + (key,)] = value
+        elif isinstance(value, dict):
+            found.update(_arrays(value, path + (key,)))
+    return found
+
+
 @pytest.mark.parametrize("kind", ["bundle", "groupoid", "ambit"])
 def test_fast_check_accepts_what_the_scanner_accepts(kind, monkeypatch):
     data = _models()[kind]
-    fast = parse_model(data).tables
+    fast = _arrays(parse_model(data).data)
     monkeypatch.setattr(serialize, "_int_table", _scanner_only)
-    scanned = parse_model(data).tables
+    scanned = _arrays(parse_model(data).data)
     assert fast.keys() == scanned.keys()
     for key in fast:
         assert np.array_equal(fast[key], scanned[key])
+
+
+def _holder(model: dict, path: tuple) -> dict:
+    for key in path[:-1]:
+        model = model[key]
+    return model
+
+
+@pytest.mark.parametrize("table", ["comp", "act", "action.groupoid.comp"])
+def test_array_tables_load_like_their_lists(table):
+    """A table given as an array loads, or fails with code and message,
+    exactly as its ``tolist()`` does: int arrays of several widths (a
+    negative entry wraps in the unsigned one), bool and float arrays, in
+    range or not."""
+    kind, path = TABLES[table][:2]
+    for mutation in (None, -1, "upper bound"):
+        data = _models()[kind] if mutation is None else \
+            _mutate(_models()[kind], table, mutation, random.Random(table))
+        table_list = _holder(data, path)[path[-1]]
+        for dtype in (np.int64, np.int32, np.uint16, np.float64, bool):
+            arr = np.array(table_list, dtype=np.int64).astype(dtype)
+            outcomes = []
+            for value in (arr, arr.tolist()):
+                trial = copy.deepcopy(data)
+                _holder(trial, path)[path[-1]] = value
+                try:
+                    outcomes.append(_arrays(parse_model(trial).data))
+                except ModelError as exc:
+                    outcomes.append((exc.code, exc.message))
+            got, want = outcomes
+            if isinstance(want, tuple):
+                assert got == want, (table, mutation, dtype)
+            else:
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[k], want[k]) for k in got)
 
 
 def _same_tables(built, plain, where) -> None:
@@ -132,24 +188,93 @@ def test_builds_from_arrays_match_builds_from_lists():
     flawed = 0
     for name, bundle in sorted(matrix_bundles().items()):
         tg = groupoid_of_bundle(bundle)
-        transport = transport_to_json(tg)
-        ambit = ambit_to_json(build_ambit(tg.groupoid, 0))
+        transport = _lists(transport_to_json(tg))
+        ambit = _lists(ambit_to_json(build_ambit(tg.groupoid, 0)))
         broken = dict(transport, comp=_flawed(transport["comp"]))
         for data in (transport, broken):
             model = parse_model(data)
-            built, _ = build_groupoid(model.data, model.tables)
-            assert model.tables == {}, name  # the build took the array
-            plain, _ = build_groupoid(model.data)
+            assert isinstance(model.data["comp"], np.ndarray), name
+            assert isinstance(data["comp"], list), name  # a copy holds it
+            built, _ = build_groupoid(model.data)
+            plain, _ = build_groupoid(data)
             _same_tables(built, plain, name)
             flawed += built.flaw is not None
         if len(ambit["act"]) < 2:
             continue
         for data in (ambit, dict(ambit, act=_flawed(ambit["act"]))):
             model = parse_model(data)
-            built, _ = build_action(model.data, model.tables)
-            assert model.tables == {}, name
-            plain, _ = build_action(model.data)
+            assert isinstance(model.data["act"], np.ndarray), name
+            assert isinstance(model.data["groupoid"]["comp"], np.ndarray)
+            assert isinstance(data["act"], list), name
+            assert isinstance(data["groupoid"]["comp"], list), name
+            built, _ = build_action(model.data)
+            plain, _ = build_action(data)
             _same_tables(built, plain, name)
             _same_tables(built.gpd, plain.gpd, name)
             flawed += built.flaw is not None
     assert flawed >= 30
+
+
+# --- canonical emission ---------------------------------------------------------------
+
+
+def _plain_json(obj) -> str:
+    """The reference encoding: ``json`` with every array as a list."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=lambda value: value.tolist()
+                      if isinstance(value, np.ndarray) else int(value))
+
+
+EDGES = np.array([0, 9, 10, 99, 100, 9999, 10000, 2 ** 30 - 1])
+WIDE = np.array([[10 ** 8 - 1, 10 ** 8, 10 ** 12 - 1], [0, 10 ** 4, 1]])
+
+
+def _tables():
+    grid = np.arange(48).reshape(8, 6) * 2251
+    rng = np.random.default_rng(7)
+    yield from (EDGES, EDGES.reshape(2, 4), EDGES.reshape(8, 1),
+                EDGES[None, :3], np.zeros((0, 3), np.int64),
+                np.zeros(0, np.int64), np.array([[0]]), WIDE,
+                grid[::2, 1::2], grid.T, EDGES[::-3])
+    for dtype in (np.int32, np.int64, np.uint8, np.uint64):
+        yield EDGES[EDGES < np.iinfo(dtype).max].astype(dtype)
+        yield grid.astype(dtype) % 250
+    for digits in range(1, 13):
+        yield rng.integers(0, 10 ** digits, size=(50, 3))
+
+
+@pytest.mark.parametrize("arr", list(_tables()), ids=str)
+def test_table_text_matches_json(arr):
+    assert serialize._table_text(arr) == \
+        json.dumps(arr.tolist(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("arr", [np.array([[3, -1, 4]]), np.array([-10]),
+                                 np.array([10 ** 12]), np.array([[True]]),
+                                 np.array([0.5]), np.zeros((2, 0), int),
+                                 np.array(7)], ids=str)
+def test_table_text_falls_back_to_json(arr, monkeypatch):
+    def unused():
+        raise AssertionError("the kernel ran")
+    monkeypatch.setattr(serialize, "_digit_groups", unused)
+    assert serialize._table_text(arr) == _plain_json(arr.tolist())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_canonical_dumps_matches_json_on_fixture_reports(command):
+    report = run_command(command, fixture_models(command))
+    assert canonical_dumps(report) == _plain_json(report)
+
+
+def test_canonical_dumps_matches_json_on_nested_values():
+    values = [
+        {"b": [np.arange(3), {2: np.arange(2), 1: "\u0000"},
+               (np.zeros((0, 3), np.int64), "x")],
+         "\u0000": "\u0000é", "a": {"y": [[WIDE]], "x": np.int64(7)},
+         "c": {0.5: [np.arange(1)], -1.0: None}, "": ()},
+        [EDGES, [], {}, "\u0000", [np.array([[5, -5]])]],
+        (np.arange(4).reshape(2, 2), {"k": np.array([1.5, 2.0])}),
+        np.arange(3), np.int64(3), {"z": 1, "é": [np.arange(2)]},
+    ]
+    for value in values:
+        assert canonical_dumps(value) == _plain_json(value), value
