@@ -90,16 +90,7 @@ class BaseGraph:
 
     def first_unreachable(self) -> Optional[int]:
         """The lowest vertex with no path from vertex 0, or None."""
-        seen = [False] * self.n_vertices
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for d in self.out_darts(v):
-                w = self.dtgt(d)
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+        seen = _bfs(self, 0)[0]
         return None if all(seen) else seen.index(False)
 
     # --- stock shapes ----------------------------------------------------
@@ -149,11 +140,11 @@ class SpanningTree:
         return path
 
 
-def bfs_tree(graph: BaseGraph, root: int = 0) -> SpanningTree:
-    """Deterministic BFS spanning tree: lowest-index neighbour first, ties on
-    the lowest dart index."""
-    if not (0 <= root < graph.n_vertices):
-        raise ValueError(f"root {root} out of range")
+def _bfs(graph: BaseGraph, root: int
+         ) -> tuple[list[bool], list[int], list[int], set[int]]:
+    """Breadth-first search from ``root``, lowest-index neighbour first, ties
+    on the lowest dart index: (reached, parent dart, visit order, tree
+    darts)."""
     parent = [-1] * graph.n_vertices
     seen = [False] * graph.n_vertices
     seen[root] = True
@@ -169,6 +160,15 @@ def bfs_tree(graph: BaseGraph, root: int = 0) -> SpanningTree:
                 tree.add(d)
                 order.append(w)
                 queue.append(w)
+    return seen, parent, order, tree
+
+
+def bfs_tree(graph: BaseGraph, root: int = 0) -> SpanningTree:
+    """Deterministic BFS spanning tree: lowest-index neighbour first, ties on
+    the lowest dart index."""
+    if not (0 <= root < graph.n_vertices):
+        raise ValueError(f"root {root} out of range")
+    seen, parent, order, tree = _bfs(graph, root)
     if not all(seen):
         missing = seen.index(False)
         raise ValueError(f"graph is not connected: vertex {missing} unreachable")

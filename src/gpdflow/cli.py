@@ -6,6 +6,14 @@ information; identical inputs always produce identical bytes.  Exit codes:
 0 when every checked property holds (questions like ``trivial`` and ``ea``
 count as answered either way), 1 when a checked property fails (the report
 carries a witness), 2 for usage or input errors.
+
+One table, ``_COMMANDS``, maps each command to its runner and the input
+kinds it takes; a model of another kind is a usage error.  A runner appends
+its verdicts and returns its facts, plus the model it emits when it has
+one.  When a verdict the rest of a run needs fails, the run stops there
+with empty facts; every run is assembled in one place.  Runners call the
+layer functions through this module's globals, where a tracer can wrap
+them.
 """
 from __future__ import annotations
 
@@ -21,31 +29,36 @@ from .amenability import extreme_amenability_check, fiber_action, \
 from .bundle import CocycleBundle, holonomy_group, is_trivial, \
     verify_cocycle
 from .diagnostics import Diagnostics
-from .dynamics import base_action, build_ambit, enumerate_equivariant_maps, \
-    fiber_semigroup, orbits, verify_action
+from .dynamics import GroupoidAction, base_action, build_ambit, \
+    enumerate_equivariant_maps, fiber_semigroup, orbits, verify_action
 from .ehresmann import bundle_of_groupoid, groupoid_of_bundle, \
     roundtrip_bundle, verify_connection
 from .fixtures import named_bundles
 from .groupoid import Groupoid, check_local_triviality, is_transitive, \
     verify_groupoid
-from .serialize import Model, ModelError, action_to_json, ambit_to_json, \
-    build_action, build_graph, build_group, build_groupoid, bundle_to_json, \
-    canonical_dumps, load_model, model_digest, parse_model, transport_to_json
+from .serialize import KNOWN_KINDS, Model, ModelError, action_to_json, \
+    ambit_to_json, build_action, build_graph, build_group, build_groupoid, \
+    bundle_to_json, canonical_dumps, load_model, model_digest, parse_model, \
+    transport_to_json
 
 __all__ = ["COMMANDS", "USAGE_ERROR", "run_command", "emit_report", "main"]
-
-COMMANDS = ("verify", "groupoidify", "bundleize", "roundtrip", "holonomy",
-            "trivial", "orbits", "ambit", "universal", "sections",
-            "semigroup", "ea")
 
 USAGE_ERROR = 2
 
 
-class UsageError(Exception):
-    """A well-formed model that the requested command cannot act on."""
+class UsageError(ModelError):
+    """A well-formed model that the requested command cannot act on, or a
+    command line that names no input to run on."""
+
+    def __init__(self, message: str):
+        super().__init__(USAGE_ERROR, message)
 
 
-# --- report assembly ------------------------------------------------------------
+class _Stop(Exception):
+    """A verdict the rest of the run depends on has failed."""
+
+
+# --- verdicts and sources ---------------------------------------------------------
 
 
 def _verdict(prop: str, diag: Diagnostics) -> dict:
@@ -54,136 +67,105 @@ def _verdict(prop: str, diag: Diagnostics) -> dict:
             "notes": diag.notes}
 
 
-def _plain(prop: str, ok: bool, witness=None, failure: Optional[str] = None,
-           notes: Optional[dict] = None) -> dict:
+def _plain(prop: str, ok: bool, witness=None,
+           failure: Optional[str] = None) -> dict:
     return {"property": prop, "ok": bool(ok),
             "failure": None if ok else (failure or prop),
-            "witness": witness, "notes": notes or {}}
+            "witness": witness, "notes": {}}
 
 
-def _need_kind(command: str, model: Model, kinds: tuple[str, ...]) -> None:
-    if model.kind not in kinds:
-        raise UsageError(f"{command} needs a {' or '.join(kinds)} model, "
-                         f"got {model.kind}")
+def _gate(verdicts: list[dict], verdict: dict) -> None:
+    """Append a verdict the rest of the run needs; when it fails, the run
+    stops there with no facts."""
+    verdicts.append(verdict)
+    if not verdict["ok"]:
+        raise _Stop
 
 
-def _bundle_run(model: Model) -> tuple[list[dict], Optional[CocycleBundle]]:
-    """Shared preamble for bundle inputs: group axioms, then the cocycle."""
+def _check_basepoint(basepoint: int, n: int, what: str) -> None:
+    if not (0 <= basepoint < n):
+        raise UsageError(f"basepoint {basepoint} out of range for {n} {what}")
+
+
+def _bundle(model: Model, verdicts: list[dict]) -> CocycleBundle:
+    """A bundle input: group axioms, then the cocycle."""
     gdiag, grp = build_group(model.data["group"])
-    verdicts = [_verdict("group axioms", gdiag)]
-    if grp is None:
-        return verdicts, None
+    _gate(verdicts, _verdict("group axioms", gdiag))
     bundle = CocycleBundle.from_edge_labels(
         build_graph(model.data["graph"]), grp, model.data["labels"])
-    verdicts.append(_verdict("dart cocycle", verify_cocycle(bundle)))
-    if not verdicts[-1]["ok"]:
-        return verdicts, None
-    return verdicts, bundle
+    _gate(verdicts, _verdict("dart cocycle", verify_cocycle(bundle)))
+    return bundle
 
 
-def _ambit_source(command: str, model: Model, basepoint: int):
-    """Bundle or groupoid input -> (verdicts, groupoid or None).
+def _transitive(model: Model, verdicts: list[dict], basepoint: int
+                ) -> tuple[Groupoid, Optional[GroupoidAction]]:
+    """A bundle, groupoid or action input -> (groupoid, the action or None).
 
-    Bundles pass through groupoid_of_bundle; either way the groupoid is
-    checked for transitivity, which every ambit construction needs.
+    A bundle passes through groupoid_of_bundle; a groupoid or an action has
+    its axioms verified.  Either way the groupoid must be transitive, as
+    every ambit construction needs, and hold the basepoint.
     """
-    _need_kind(command, model, ("bundle", "groupoid"))
+    action, failure = None, "no arrow between a pair of objects"
     if model.kind == "bundle":
-        verdicts, bundle = _bundle_run(model)
-        if bundle is None:
-            return verdicts, None
-        gpd = groupoid_of_bundle(bundle).groupoid
-    else:
-        verdicts = []
+        gpd = groupoid_of_bundle(_bundle(model, verdicts)).groupoid
+    elif model.kind == "groupoid":
         gpd, _ = build_groupoid(model.data)
-        verdicts.append(_verdict("groupoid axioms", verify_groupoid(gpd)))
-        if not verdicts[-1]["ok"]:
-            return verdicts, None
-    return verdicts, _transitive(verdicts, gpd, basepoint,
-                                 "no arrow between a pair of objects")
-
-
-def _transitive(verdicts: list[dict], gpd: Groupoid, basepoint: int,
-                failure: Optional[str] = None) -> Optional[Groupoid]:
-    """Append the transitivity verdict; the groupoid when it holds, else
-    None.  A basepoint out of range is a usage error."""
+        _gate(verdicts, _verdict("groupoid axioms", verify_groupoid(gpd)))
+    else:
+        action, _ = build_action(model.data)
+        _gate(verdicts, _verdict("groupoid action axioms",
+                                 verify_action(action)))
+        gpd, failure = action.gpd, None
     ok, witness = is_transitive(gpd)
-    verdicts.append(_plain("transitive", ok, witness=list(witness) if witness else None,
+    _gate(verdicts, _plain("transitive", ok,
+                           witness=list(witness) if witness else None,
                            failure=failure))
-    if not ok:
-        return None
-    if not (0 <= basepoint < gpd.n_objects):
-        raise UsageError(f"basepoint {basepoint} out of range for "
-                         f"{gpd.n_objects} objects")
-    return gpd
+    _check_basepoint(basepoint, gpd.n_objects, "objects")
+    return gpd, action
 
 
-def _action_source(command: str, model: Model, basepoint: int):
-    """Action, bundle or groupoid input -> (verdicts, groupoid, action).
-
-    An action has its axioms verified and its groupoid checked for
-    transitivity; other inputs go through :func:`_ambit_source` and leave
-    the action None, for the caller to use the ambit.  The groupoid is None
-    when a verdict fails.
-    """
-    if model.kind != "action":
-        verdicts, gpd = _ambit_source(command, model, basepoint)
-        return verdicts, gpd, None
-    action, _ = build_action(model.data)
-    verdicts = [_verdict("groupoid action axioms", verify_action(action))]
-    if not verdicts[-1]["ok"]:
-        return verdicts, None, None
-    return verdicts, _transitive(verdicts, action.gpd, basepoint), action
+# --- command runners --------------------------------------------------------------
+#
+# A runner gets a model of a kind its command accepts, appends its verdicts
+# and returns (facts, the emitted model or None).
 
 
-# --- command runners ------------------------------------------------------------
-
-
-def _run_verify(name: str, model: Model, basepoint: int) -> dict:
-    verdicts: list[dict] = []
-    facts: dict = {}
+def _run_verify(model: Model, basepoint: int, verdicts: list[dict]):
     if model.kind == "group":
         diag, grp = build_group(model.data)
-        verdicts.append(_verdict("group axioms", diag))
-        if grp is not None:
-            facts["order"] = grp.order
-    elif model.kind == "graph":
+        _gate(verdicts, _verdict("group axioms", diag))
+        return {"order": grp.order}, None
+    if model.kind == "graph":
         graph = build_graph(model.data)
         verdicts.append(_plain("graph shape", True))
-        facts = {"vertices": graph.n_vertices, "edges": graph.n_edges,
-                 "connected": graph.is_connected()}
-    elif model.kind == "bundle":
-        verdicts, bundle = _bundle_run(model)
-        if bundle is not None:
-            facts = {"vertices": bundle.base.n_vertices,
-                     "edges": bundle.base.n_edges,
-                     "group_order": bundle.group.order}
-    elif model.kind == "groupoid":
+        return {"vertices": graph.n_vertices, "edges": graph.n_edges,
+                "connected": graph.is_connected()}, None
+    if model.kind == "bundle":
+        bundle = _bundle(model, verdicts)
+        return {"vertices": bundle.base.n_vertices,
+                "edges": bundle.base.n_edges,
+                "group_order": bundle.group.order}, None
+    if model.kind == "groupoid":
         gpd, conn = build_groupoid(model.data)
         verdicts.append(_verdict("groupoid axioms", verify_groupoid(gpd)))
         facts = {"objects": gpd.n_objects, "arrows": gpd.n_arrows}
         if verdicts[-1]["ok"]:
-            ok, _ = is_transitive(gpd)
-            facts["transitive"] = ok
+            facts["transitive"], _ = is_transitive(gpd)
             facts["locally_trivial"] = check_local_triviality(gpd).trivial
             if conn is not None:
                 verdicts.append(_verdict("connection transport",
                                          verify_connection(gpd, conn)))
-    else:
-        action, _ = build_action(model.data)
-        verdicts.append(_verdict("groupoid action axioms",
-                                 verify_action(action)))
-        facts = {"space": action.n_points}
-        if verdicts[-1]["ok"]:
-            facts["orbits"] = len(orbits(action))
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+        return facts, None
+    action, _ = build_action(model.data)
+    verdicts.append(_verdict("groupoid action axioms", verify_action(action)))
+    facts = {"space": action.n_points}
+    if verdicts[-1]["ok"]:
+        facts["orbits"] = len(orbits(action))
+    return facts, None
 
 
-def _run_groupoidify(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("groupoidify", model, ("bundle",))
-    verdicts, bundle = _bundle_run(model)
-    if bundle is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
+def _run_groupoidify(model: Model, basepoint: int, verdicts: list[dict]):
+    bundle = _bundle(model, verdicts)
     tg = groupoid_of_bundle(bundle)
     gpd = tg.groupoid
     verdicts.append(_verdict("groupoid axioms", verify_groupoid(gpd)))
@@ -194,40 +176,27 @@ def _run_groupoidify(name: str, model: Model, basepoint: int) -> dict:
     verdicts.append(_plain("arrow count law", gpd.n_arrows == expected,
                            witness=[gpd.n_arrows, expected],
                            failure="arrow count differs from |V|^2 |G|"))
-    facts = {"objects": gpd.n_objects, "arrows": gpd.n_arrows}
-    return {"input": name, "verdicts": verdicts, "facts": facts,
-            "model": transport_to_json(tg)}
+    return ({"objects": gpd.n_objects, "arrows": gpd.n_arrows},
+            transport_to_json(tg))
 
 
-def _run_bundleize(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("bundleize", model, ("groupoid",))
+def _run_bundleize(model: Model, basepoint: int, verdicts: list[dict]):
     gpd, conn = build_groupoid(model.data)
     if conn is None:
         raise UsageError("bundleize needs a groupoid model with a connection")
-    verdicts = [_verdict("groupoid axioms", verify_groupoid(gpd))]
-    if verdicts[-1]["ok"]:
-        verdicts.append(_verdict("connection transport",
-                                 verify_connection(gpd, conn)))
-    if not verdicts[-1]["ok"]:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
-    if not (0 <= basepoint < gpd.n_objects):
-        raise UsageError(f"basepoint {basepoint} out of range for "
-                         f"{gpd.n_objects} objects")
+    _gate(verdicts, _verdict("groupoid axioms", verify_groupoid(gpd)))
+    _gate(verdicts, _verdict("connection transport",
+                             verify_connection(gpd, conn)))
+    _check_basepoint(basepoint, gpd.n_objects, "objects")
     rec = bundle_of_groupoid(gpd, conn, basepoint)
     verdicts.append(_verdict("dart cocycle", verify_cocycle(rec.bundle)))
-    facts = {"basepoint": basepoint, "references": rec.references}
-    return {"input": name, "verdicts": verdicts, "facts": facts,
-            "model": bundle_to_json(rec.bundle)}
+    return ({"basepoint": basepoint, "references": rec.references},
+            bundle_to_json(rec.bundle))
 
 
-def _run_roundtrip(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("roundtrip", model, ("bundle",))
-    verdicts, bundle = _bundle_run(model)
-    if bundle is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
-    if not (0 <= basepoint < bundle.base.n_vertices):
-        raise UsageError(f"basepoint {basepoint} out of range for "
-                         f"{bundle.base.n_vertices} vertices")
+def _run_roundtrip(model: Model, basepoint: int, verdicts: list[dict]):
+    bundle = _bundle(model, verdicts)
+    _check_basepoint(basepoint, bundle.base.n_vertices, "vertices")
     try:
         rt = roundtrip_bundle(bundle, basepoint)
     except ValueError as exc:
@@ -239,86 +208,64 @@ def _run_roundtrip(name: str, model: Model, basepoint: int) -> dict:
     verdicts.append(_plain("triviality agreement",
                            before.trivial == after.trivial,
                            witness=[before.trivial, after.trivial]))
-    facts = {"basepoint": basepoint, "witness_gauge": rt.witness_gauge,
+    return ({"basepoint": basepoint, "witness_gauge": rt.witness_gauge,
              "conjugator": rt.conjugator,
              "holonomy_original": before.holonomy,
-             "holonomy_reconstructed": after.holonomy}
-    return {"input": name, "verdicts": verdicts, "facts": facts,
-            "model": bundle_to_json(rt.reconstructed.bundle)}
+             "holonomy_reconstructed": after.holonomy},
+            bundle_to_json(rt.reconstructed.bundle))
 
 
-def _run_holonomy(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("holonomy", model, ("bundle",))
-    verdicts, bundle = _bundle_run(model)
-    if bundle is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
-    if not (0 <= basepoint < bundle.base.n_vertices):
-        raise UsageError(f"basepoint {basepoint} out of range for "
-                         f"{bundle.base.n_vertices} vertices")
+def _run_holonomy(model: Model, basepoint: int, verdicts: list[dict]):
+    bundle = _bundle(model, verdicts)
+    _check_basepoint(basepoint, bundle.base.n_vertices, "vertices")
     hol = holonomy_group(bundle, basepoint)
-    facts = {"basepoint": basepoint,
-             "subgroup": hol.subgroup,
-             "order": len(hol.subgroup),
-             "cycles": [{"edge": c.edge, "dart": c.dart,
-                         "element": c.element, "darts": c.darts}
-                        for c in hol.cycles]}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    return {"basepoint": basepoint,
+            "subgroup": hol.subgroup,
+            "order": len(hol.subgroup),
+            "cycles": [{"edge": c.edge, "dart": c.dart,
+                        "element": c.element, "darts": c.darts}
+                       for c in hol.cycles]}, None
 
 
-def _run_trivial(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("trivial", model, ("bundle",))
-    verdicts, bundle = _bundle_run(model)
-    if bundle is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
-    if not (0 <= basepoint < bundle.base.n_vertices):
-        raise UsageError(f"basepoint {basepoint} out of range for "
-                         f"{bundle.base.n_vertices} vertices")
+def _run_trivial(model: Model, basepoint: int, verdicts: list[dict]):
+    bundle = _bundle(model, verdicts)
+    _check_basepoint(basepoint, bundle.base.n_vertices, "vertices")
     rep = is_trivial(bundle, basepoint)
-    facts = {"trivial": rep.trivial,
-             "by_labels": rep.by_labels,
-             "by_section": rep.by_section,
-             "section": rep.section,
-             "holonomy": rep.holonomy,
-             "witness_cycles": [
-                 {"edge": c.edge, "element": c.element, "darts": c.darts}
-                 for c in rep.cycles
-                 if c.element != bundle.group.identity]}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    return {"trivial": rep.trivial,
+            "by_labels": rep.by_labels,
+            "by_section": rep.by_section,
+            "section": rep.section,
+            "holonomy": rep.holonomy,
+            "witness_cycles": [
+                {"edge": c.edge, "element": c.element, "darts": c.darts}
+                for c in rep.cycles
+                if c.element != bundle.group.identity]}, None
 
 
-def _run_orbits(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("orbits", model, ("action",))
+def _run_orbits(model: Model, basepoint: int, verdicts: list[dict]):
     action, _ = build_action(model.data)
-    verdicts = [_verdict("groupoid action axioms", verify_action(action))]
-    facts: dict = {}
-    if verdicts[-1]["ok"]:
-        parts = orbits(action)
-        facts = {"orbits": parts, "count": len(parts)}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    _gate(verdicts, _verdict("groupoid action axioms", verify_action(action)))
+    parts = orbits(action)
+    return {"orbits": parts, "count": len(parts)}, None
 
 
-def _run_ambit(name: str, model: Model, basepoint: int) -> dict:
-    verdicts, gpd = _ambit_source("ambit", model, basepoint)
-    if gpd is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
+def _run_ambit(model: Model, basepoint: int, verdicts: list[dict]):
+    gpd, _ = _transitive(model, verdicts, basepoint)
     ambit = build_ambit(gpd, basepoint)
-    # a groupoid input had its axioms verified by _ambit_source already
+    # a groupoid input had its axioms verified by _transitive already
     verdicts.append(_verdict("groupoid action axioms", verify_action(
         ambit.action, groupoid_ok=model.kind == "groupoid")))
-    facts = {"basepoint": basepoint,
+    return ({"basepoint": basepoint,
              "space": ambit.action.n_points,
              "u0_arrow": ambit.points[ambit.u0],
-             "fiber": [ambit.points[y] for y in ambit.fiber_points()]}
-    return {"input": name, "verdicts": verdicts, "facts": facts,
-            "model": ambit_to_json(ambit)}
+             "fiber": [ambit.points[y] for y in ambit.fiber_points()]},
+            ambit_to_json(ambit))
 
 
-def _run_universal(name: str, model: Model, basepoint: int) -> dict:
+def _run_universal(model: Model, basepoint: int, verdicts: list[dict]):
     """Enumerate the equivariant maps out of the ambit: into the given
     action when the input is one, into the ambit itself otherwise."""
-    verdicts, gpd, action = _action_source("universal", model, basepoint)
-    if gpd is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
+    gpd, action = _transitive(model, verdicts, basepoint)
     ambit = build_ambit(gpd, basepoint)
     target = ambit.action if action is None else action
     maps = enumerate_equivariant_maps(ambit, target)
@@ -326,17 +273,14 @@ def _run_universal(name: str, model: Model, basepoint: int) -> dict:
     verdicts.append(_plain("one equivariant map per fiber point",
                            len(maps) == len(fiber),
                            witness=[len(maps), len(fiber)]))
-    facts = {"basepoint": basepoint,
-             "count": len(maps),
-             "maps": [{"fiber_point": m.values[ambit.u0],
-                       "values": m.values} for m in maps]}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    return {"basepoint": basepoint,
+            "count": len(maps),
+            "maps": [{"fiber_point": m.values[ambit.u0],
+                      "values": m.values} for m in maps]}, None
 
 
-def _run_sections(name: str, model: Model, basepoint: int) -> dict:
-    verdicts, gpd, action = _action_source("sections", model, basepoint)
-    if gpd is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
+def _run_sections(model: Model, basepoint: int, verdicts: list[dict]):
+    gpd, action = _transitive(model, verdicts, basepoint)
     if action is None:
         action = build_ambit(gpd, basepoint).action
     secs = invariant_sections(action, basepoint)
@@ -345,17 +289,14 @@ def _run_sections(name: str, model: Model, basepoint: int) -> dict:
     verdicts.append(_plain("section count matches fixed fiber points",
                            len(secs) == len(fixed),
                            witness=[len(secs), len(fixed)]))
-    facts = {"basepoint": basepoint,
-             "count": len(secs),
-             "sections": [s.values for s in secs],
-             "fixed_fiber_points": [fiber[i] for i in fixed]}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    return {"basepoint": basepoint,
+            "count": len(secs),
+            "sections": [s.values for s in secs],
+            "fixed_fiber_points": [fiber[i] for i in fixed]}, None
 
 
-def _run_semigroup(name: str, model: Model, basepoint: int) -> dict:
-    verdicts, gpd = _ambit_source("semigroup", model, basepoint)
-    if gpd is None:
-        return {"input": name, "verdicts": verdicts, "facts": {}}
+def _run_semigroup(model: Model, basepoint: int, verdicts: list[dict]):
+    gpd, _ = _transitive(model, verdicts, basepoint)
     ambit = build_ambit(gpd, basepoint)
     fs = fiber_semigroup(ambit)
     diag, _ = verify_group(fs.table, identity=0)
@@ -365,58 +306,75 @@ def _run_semigroup(name: str, model: Model, basepoint: int) -> dict:
     verdicts.append(_plain("unit is the only idempotent",
                            fs.idempotents == [ambit.u0],
                            witness=fs.idempotents))
-    facts = {"basepoint": basepoint,
-             "fiber": fs.fiber,
-             "table": fs.table,
-             "idempotents": fs.idempotents,
-             "left_ideals": fs.left_ideals,
-             "vertex_iso": fs.vertex_iso}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    return {"basepoint": basepoint,
+            "fiber": fs.fiber,
+            "table": fs.table,
+            "idempotents": fs.idempotents,
+            "left_ideals": fs.left_ideals,
+            "vertex_iso": fs.vertex_iso}, None
 
 
-def _run_ea(name: str, model: Model, basepoint: int) -> dict:
-    _need_kind("ea", model, ("group",))
+def _run_ea(model: Model, basepoint: int, verdicts: list[dict]):
     diag, grp = build_group(model.data)
-    verdicts = [_verdict("group axioms", diag)]
-    facts: dict = {}
-    if grp is not None:
-        rep = extreme_amenability_check(grp)
-        cert = rep.certificate
-        verdicts.append(_plain(
-            "translation certificate consistent",
-            cert.free and bool(cert.fixed) == (cert.order == 1),
-            witness=cert.fixed))
-        facts = {"extremely_amenable": rep.extremely_amenable,
-                 "order": cert.order,
-                 "fixed": cert.fixed,
-                 "free": cert.free,
-                 "table": cert.table}
-    return {"input": name, "verdicts": verdicts, "facts": facts}
+    _gate(verdicts, _verdict("group axioms", diag))
+    rep = extreme_amenability_check(grp)
+    cert = rep.certificate
+    verdicts.append(_plain(
+        "translation certificate consistent",
+        cert.free and bool(cert.fixed) == (cert.order == 1),
+        witness=cert.fixed))
+    return {"extremely_amenable": rep.extremely_amenable,
+            "order": cert.order,
+            "fixed": cert.fixed,
+            "free": cert.free,
+            "table": cert.table}, None
 
 
-_RUNNERS = {
-    "verify": _run_verify,
-    "groupoidify": _run_groupoidify,
-    "bundleize": _run_bundleize,
-    "roundtrip": _run_roundtrip,
-    "holonomy": _run_holonomy,
-    "trivial": _run_trivial,
-    "orbits": _run_orbits,
-    "ambit": _run_ambit,
-    "universal": _run_universal,
-    "sections": _run_sections,
-    "semigroup": _run_semigroup,
-    "ea": _run_ea,
+_AMBIT_KINDS = ("bundle", "groupoid")
+
+# command -> (runner, the input kinds its usage error names, other kinds it
+# takes).  universal and sections also take an action, as the target of the
+# maps or the action whose sections are counted; the ambit they build still
+# comes from a bundle or a groupoid.
+_COMMANDS = {
+    "verify": (_run_verify, KNOWN_KINDS, ()),
+    "groupoidify": (_run_groupoidify, ("bundle",), ()),
+    "bundleize": (_run_bundleize, ("groupoid",), ()),
+    "roundtrip": (_run_roundtrip, ("bundle",), ()),
+    "holonomy": (_run_holonomy, ("bundle",), ()),
+    "trivial": (_run_trivial, ("bundle",), ()),
+    "orbits": (_run_orbits, ("action",), ()),
+    "ambit": (_run_ambit, _AMBIT_KINDS, ()),
+    "universal": (_run_universal, _AMBIT_KINDS, ("action",)),
+    "sections": (_run_sections, _AMBIT_KINDS, ("action",)),
+    "semigroup": (_run_semigroup, _AMBIT_KINDS, ()),
+    "ea": (_run_ea, ("group",), ()),
 }
+COMMANDS = tuple(_COMMANDS)
+
+
+def _run(command: str, name: str, model: Model, basepoint: int) -> dict:
+    runner, kinds, others = _COMMANDS[command]
+    if model.kind not in kinds + others:
+        raise UsageError(f"{command} needs a {' or '.join(kinds)} model, "
+                         f"got {model.kind}")
+    verdicts: list[dict] = []
+    try:
+        facts, emitted = runner(model, basepoint, verdicts)
+    except _Stop:
+        facts, emitted = {}, None
+    run = {"input": name, "verdicts": verdicts, "facts": facts}
+    if emitted is not None:
+        run["model"] = emitted
+    return run
 
 
 def run_command(command: str, models: list[tuple[str, Model]],
                 basepoint: int = 0) -> dict:
     """Run one command over the named models and assemble the report."""
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}")
-    runs = [_RUNNERS[command](name, model, basepoint)
-            for name, model in models]
+    runs = [_run(command, name, model, basepoint) for name, model in models]
     ok = all(v["ok"] for run in runs for v in run["verdicts"])
     return {"command": command,
             "inputs": [{"name": name, "digest": model_digest(model.data)}
@@ -428,18 +386,21 @@ def run_command(command: str, models: list[tuple[str, Model]],
 # --- the built-in corpus ----------------------------------------------------------
 
 
-def _bundle_models(keys=None) -> list[tuple[str, Model]]:
+def _bundle_models(keys=None, suffix: str = "",
+                   to_json=bundle_to_json) -> list[tuple[str, Model]]:
+    """Named bundles (all, sorted, by default), each put through
+    ``to_json`` and named by its key and ``suffix``."""
     bundles = named_bundles()
-    names = sorted(bundles) if keys is None else list(keys)
-    return [(k, parse_model(bundle_to_json(bundles[k]))) for k in names]
+    return [(k + suffix, parse_model(to_json(bundles[k])))
+            for k in (sorted(bundles) if keys is None else keys)]
 
 
-def _transport_models(keys=None) -> list[tuple[str, Model]]:
-    bundles = named_bundles()
-    names = sorted(bundles) if keys is None else list(keys)
-    return [(f"{k}/groupoid",
-             parse_model(transport_to_json(groupoid_of_bundle(bundles[k]))))
-            for k in names]
+def _transport(bundle: CocycleBundle) -> dict:
+    return transport_to_json(groupoid_of_bundle(bundle))
+
+
+def _base_action(bundle: CocycleBundle) -> dict:
+    return action_to_json(base_action(groupoid_of_bundle(bundle).groupoid))
 
 
 def _group_models(names) -> list[tuple[str, Model]]:
@@ -454,26 +415,17 @@ _SMALL = ("edge-s3", "point-s3", "point-z2", "triangle-z1",
 def fixture_models(command: str) -> list[tuple[str, Model]]:
     """The built-in corpus for one command, in a fixed order."""
     if command == "verify":
-        bundles = named_bundles()
-        action = base_action(groupoid_of_bundle(
-            bundles["triangle-z2-twisted"]).groupoid)
         return (_bundle_models()
                 + _group_models(["Z1", "S3"])
-                + _transport_models(["wedge2-z3"])
-                + [("triangle-z2-twisted/base-action",
-                    parse_model(action_to_json(action)))])
+                + _bundle_models(["wedge2-z3"], "/groupoid", _transport)
+                + _bundle_models(["triangle-z2-twisted"], "/base-action",
+                                 _base_action))
     if command in ("groupoidify", "roundtrip", "holonomy", "trivial"):
         return _bundle_models()
     if command == "bundleize":
-        return _transport_models()
+        return _bundle_models(None, "/groupoid", _transport)
     if command == "orbits":
-        bundles = named_bundles()
-        out = []
-        for k in _SMALL:
-            action = base_action(groupoid_of_bundle(bundles[k]).groupoid)
-            out.append((f"{k}/base-action",
-                        parse_model(action_to_json(action))))
-        return out
+        return _bundle_models(_SMALL, "/base-action", _base_action)
     if command in ("ambit", "universal", "sections", "semigroup"):
         return _bundle_models(_SMALL)
     if command == "ea":
@@ -570,10 +522,6 @@ def _main(argv) -> int:
     except ModelError as exc:
         report = {"command": ns.command, "ok": False,
                   "error": {"code": exc.code, "message": exc.message}}
-        return _write(emit_report(report, ns.format), 2)
-    except UsageError as exc:
-        report = {"command": ns.command, "ok": False,
-                  "error": {"code": USAGE_ERROR, "message": str(exc)}}
         return _write(emit_report(report, ns.format), 2)
     return _write(emit_report(report, ns.format), 0 if report["ok"] else 1)
 

@@ -95,10 +95,6 @@ class TransportGroupoid:
     def coord_of(self, arrow: int) -> ArrowCoordinate:
         return self.coords[arrow]
 
-    @property
-    def basepoints(self) -> range:
-        return range(self.bundle.base.n_vertices)
-
 
 def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
     """Build the quotient groupoid in closed coordinate form.

@@ -57,7 +57,6 @@ __all__ = [
     "load_model",
     "parse_model",
     "group_to_json",
-    "graph_to_json",
     "bundle_to_json",
     "groupoid_to_json",
     "transport_to_json",
@@ -485,11 +484,6 @@ def group_to_json(grp: FiniteGroup) -> dict:
     if grp.name:
         out["name"] = grp.name
     return out
-
-
-def graph_to_json(graph: BaseGraph) -> dict:
-    return {"kind": "graph", "vertices": graph.n_vertices,
-            "edges": [list(e) for e in graph.edges]}
 
 
 def bundle_to_json(b: CocycleBundle) -> dict:

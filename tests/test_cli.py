@@ -49,6 +49,68 @@ def test_fixture_corpus_is_deterministic(command, capsys):
     assert first == second
 
 
+def _contract_models() -> dict[str, dict]:
+    """One valid model of each kind, plus five that fail a gating verdict:
+    a group table, a bundle on a disconnected graph, a groupoid with the
+    results of two ``comp`` entries swapped, and a groupoid of two objects
+    with no arrow between them and its base action."""
+    from gpdflow.dynamics import base_action, build_ambit
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import action_to_json, ambit_to_json, \
+        build_groupoid, transport_to_json
+    tg = groupoid_of_bundle(named_bundles()["triangle-z2-twisted"])
+    with_connection = transport_to_json(tg)
+    plain = {k: v for k, v in with_connection.items() if k != "connection"}
+    swapped = dict(with_connection, comp=with_connection["comp"].tolist())
+    swapped["comp"][0][2], swapped["comp"][1][2] = \
+        swapped["comp"][1][2], swapped["comp"][0][2]
+    two_objects = {"kind": "groupoid", "objects": 2, "arrows": 2,
+                   "src": [0, 1], "tgt": [0, 1], "unit": [0, 1],
+                   "inv": [0, 1], "comp": [[0, 0, 0], [1, 1, 1]]}
+    return {
+        "group.json": {"kind": "group", "preset": "S3"},
+        "graph.json": {"kind": "graph", "vertices": 3,
+                       "edges": [[0, 1], [1, 2], [2, 0]]},
+        "bundle.json": bundle_to_json(named_bundles()["triangle-z2-twisted"]),
+        "groupoid-connection.json": with_connection,
+        "groupoid.json": plain,
+        "action.json": action_to_json(base_action(tg.groupoid)),
+        "ambit.json": ambit_to_json(build_ambit(tg.groupoid, 0)),
+        "bad-group.json": {"kind": "group", "order": 2, "identity": 0,
+                           "mult": [[0, 1], [1, 1]]},
+        "disconnected-bundle.json": {
+            "kind": "bundle", "graph": {"vertices": 2, "edges": [[0, 0]]},
+            "group": {"preset": "Z2"}, "labels": [1]},
+        "swapped-comp.json": swapped,
+        "two-objects.json": two_objects,
+        "two-objects-action.json": action_to_json(base_action(
+            build_groupoid(parse_model(two_objects).data)[0])),
+    }
+
+
+def test_cli_contract_matches_golden(tmp_path, capsys, monkeypatch):
+    """Exit code and stdout of every command on every contract input, at an
+    in-range and an out-of-range basepoint: the wrong-kind and basepoint
+    usage errors and the runs that stop at a failed verdict included."""
+    monkeypatch.chdir(tmp_path)
+    models = _contract_models()
+    for name, model in models.items():
+        Path(name).write_text(canonical_dumps(model))
+    runs = {}
+    for command in COMMANDS:
+        for name in models:
+            for basepoint in ("0", "9"):
+                code, out = run_cli(capsys, [command, name,
+                                             "--basepoint", basepoint])
+                runs[f"{command} {name} --basepoint {basepoint}"] = \
+                    {"exit": code, "stdout": out}
+    text = json.dumps(runs, indent=1, sort_keys=True) + "\n"
+    path = GOLDEN / "contract.json"
+    if REGOLD:
+        path.write_text(text)
+    assert text == path.read_text()
+
+
 # --- exit codes and error payloads ------------------------------------------------
 
 
