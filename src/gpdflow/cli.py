@@ -105,7 +105,7 @@ def _transitive(model: Model, verdicts: list[dict], basepoint: int
     its axioms verified.  Either way the groupoid must be transitive, as
     every ambit construction needs, and hold the basepoint.
     """
-    action, failure = None, "no arrow between a pair of objects"
+    action = None
     if model.kind == "bundle":
         gpd = groupoid_of_bundle(_bundle(model, verdicts)).groupoid
     elif model.kind == "groupoid":
@@ -115,11 +115,11 @@ def _transitive(model: Model, verdicts: list[dict], basepoint: int
         action, _ = build_action(model.data)
         _gate(verdicts, _verdict("groupoid action axioms",
                                  verify_action(action)))
-        gpd, failure = action.gpd, None
+        gpd = action.gpd
     ok, witness = is_transitive(gpd)
     _gate(verdicts, _plain("transitive", ok,
                            witness=list(witness) if witness else None,
-                           failure=failure))
+                           failure="no arrow between a pair of objects"))
     _check_basepoint(basepoint, gpd.n_objects, "objects")
     return gpd, action
 

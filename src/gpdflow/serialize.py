@@ -11,8 +11,21 @@ kernel (:func:`_table_text`) in a few whole-array passes, byte-identical to
 the ``json`` encoding of the same lists; the rest of a value goes through
 ``json`` in as few calls as there are containers on the way to an array.
 
-Load failures carry one of three codes: 10 for unreadable JSON, 11 for a
-missing or unknown kind, 12 for a shape or index-range problem.
+Loading reads the input as bytes.  Each ``"comp":[[`` or ``"act":[[``
+table written canonically is decoded from them by numpy, a block of rows
+at a time (:func:`_span_table`): ``np.fromstring`` reads the numbers and
+the span is taken only when :func:`_table_bytes` of them gives back its
+bytes exactly.  Each decoded span is replaced by a number token found
+nowhere else in the input, ``json`` reads the small remainder, and every
+token must land as the value of a ``comp`` or ``act`` key, where its array
+goes in.  Anything else -- a table written another way, a token that lands
+elsewhere or is dropped by a duplicate key, bad JSON, bytes that are not
+UTF-8 -- falls back to ``json`` on the whole text, so a model, or an
+error's code and message, is the same either way.
+
+Load failures carry one of three codes: 10 for unreadable JSON (bytes that
+are not UTF-8 included), 11 for a missing or unknown kind, 12 for a shape
+or index-range problem.
 
 Every integer table (``comp``, ``act``, ``src``, ``tgt``, ``unit``,
 ``inv``, ``anchor``, ``labels``, ``edges``, the rows of ``mult`` and
@@ -22,9 +35,10 @@ rows' types and lengths, their entries' types (exactly ``int``, so
 range check.  Only when that fails does the per-element scanner run, to
 name the first bad entry with the same code, path and message.  ``comp``
 and ``act`` may also be integer arrays, as the ``*_to_json`` functions emit
-them, under the same checks.  Their validated arrays replace them in
-:attr:`Model.data`, so a table is converted once and stays an array
-through the build, the input digest and the report.
+them and the byte-level decode gives them, under the same checks.  Their
+validated arrays replace them in :attr:`Model.data`, so a table is
+converted once and stays an array through the build, the input digest and
+the report.
 """
 from __future__ import annotations
 
@@ -32,7 +46,9 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -129,20 +145,28 @@ def _digit_groups() -> np.ndarray:
 
 
 def _table_text(arr: np.ndarray) -> str:
-    """``json.dumps(arr.tolist(), separators=(",", ":"))`` for a 1-D or 2-D
-    array of integers in ``[0, 10**12)``, in whole-array passes.
+    """``json.dumps(arr.tolist(), separators=(",", ":"))``: through
+    :func:`_table_bytes` for a 1-D or 2-D array of integers in
+    ``[0, 10**12)``; any other array (another dtype or shape, a negative or
+    larger value, no entries) takes the ``json`` path."""
+    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "iu"
+            or arr.min() < 0 or arr.max() >= 10 ** 12):
+        return _json(arr.tolist())
+    return _table_bytes(arr).decode("ascii")
+
+
+def _table_bytes(arr: np.ndarray) -> bytes:
+    """The JSON text of a 1-D or 2-D integer array with entries, all in
+    ``[0, 10**12)``, as ASCII bytes, in whole-array passes.
 
     Each value gets a fixed-width slot of uint32 words: one per group of
     four decimal digits, gathered from :func:`_digit_groups` (the leading
     group without its leading zeros, an all-zero group as NULs), then one
     for the separator after it (``,``, ``],[`` at a row's end, ``]`` or
     ``]]`` at the table's end).  Dropping the NUL padding from the buffer's
-    bytes leaves the text.  Any other array (another dtype or shape, a
-    negative or larger value, no entries) takes the ``json`` path.
+    bytes leaves the text.
     """
-    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "iu"
-            or arr.min() < 0 or (top := int(arr.max())) >= 10 ** 12):
-        return _json(arr.tolist())
+    top = int(arr.max())
     k = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)  # digit groups per slot
     v = arr.astype(np.int64, copy=False)
     groups = _digit_groups()
@@ -161,8 +185,7 @@ def _table_text(arr: np.ndarray) -> str:
     if arr.ndim == 2:
         buf[:, -1, k] = next_row
     buf[(-1,) * arr.ndim + (k,)] = end_2d if arr.ndim == 2 else end_1d
-    text = buf.tobytes().translate(None, b"\0").decode("ascii")
-    return "[" * arr.ndim + text
+    return b"[" * arr.ndim + buf.tobytes().translate(None, b"\0")
 
 
 class _ArrayInside(Exception):
@@ -229,6 +252,18 @@ def _need(data: dict, key: str, where: str) -> Any:
     if key not in data:
         raise ModelError(BAD_INDEX, f"{where}: missing field {key!r}")
     return data[key]
+
+
+def _object(data: dict, key: str, where: str) -> dict:
+    """A nested object field.  A string or a list reads as an object with
+    no fields, so the field's validator names the first field it misses;
+    a scalar is refused."""
+    value = _need(data, key, where)
+    if isinstance(value, (str, list)):
+        return {}
+    if not isinstance(value, dict):
+        raise ModelError(BAD_INDEX, f"{where}.{key}: expected an object")
+    return value
 
 
 def _int_in(value: Any, low: int, high: int, where: str) -> int:
@@ -329,9 +364,9 @@ def _group_order(data: dict) -> int:
 
 
 def _validate_bundle(data: dict) -> None:
-    graph = _need(data, "graph", "bundle")
+    graph = _object(data, "graph", "bundle")
     _validate_graph(graph, "bundle.graph")
-    group = _need(data, "group", "bundle")
+    group = _object(data, "group", "bundle")
     _validate_group(group, "bundle.group")
     order = _group_order(group)
     labels = _need(data, "labels", "bundle")
@@ -396,7 +431,7 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
 def _validate_action(data: dict) -> dict:
     """Check an action's fields; returns a shallow copy of ``data`` with
     ``act`` and the groupoid's ``comp`` as their validated arrays."""
-    groupoid = _validate_groupoid(_need(data, "groupoid", "action"),
+    groupoid = _validate_groupoid(_object(data, "groupoid", "action"),
                                   "action.groupoid")
     arrows = groupoid["arrows"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
@@ -457,21 +492,148 @@ def parse_model(data: Any) -> Model:
     return Model(kind=kind, data=_VALIDATORS[kind](data) or data)
 
 
-def load_model(path: str) -> Model:
-    """Read a model from a file path, or from stdin when path is '-'."""
+_TABLE_KEY = re.compile(rb'"(?:comp|act)":\[\[')
+_BLOCK = 1 << 20  # bytes of table text read at a time
+# A decoded table's span becomes the number token ``<i>e-0000000``: numbers
+# cannot be written with escapes, so no other token has that text when
+# the input has no ``e-0000000`` in it.
+_SPAN_TOKEN, _SPAN_MARK = b"%de-0000000", b"e-0000000"
+
+
+def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
+    """The ``(k, 3)`` int64 rows whose canonical text, its outer brackets
+    dropped, is exactly ``buf[first:last]``, or None.
+
+    numpy reads the numbers with the brackets dropped, and
+    :func:`_table_bytes` of what it read must give back the text byte for
+    byte: only then are the separators the ``,`` ``,`` ``],[`` cycle of
+    rows of three, and every number is 1 to 12 digits without a leading
+    zero, read as ``json`` reads it.
+    """
+    with warnings.catch_warnings():
+        # numpy before 2.3 warns on text it cannot read; later ones raise
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(buf[first:last].translate(None, b"[]"),
+                                   np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if (not values.size or values.size % 3 or values.min() < 0
+            or values.max() >= 10 ** 12):
+        return None
+    rows = values.reshape(-1, 3)
+    text = _table_bytes(rows)
+    return rows if len(text) == last - first + 4 \
+        and buf.startswith(text[2:-2], first) else None
+
+
+def _span_table(buf: bytes, start: int, end: int) -> Optional[np.ndarray]:
+    """The ``(n, 3)`` int64 table whose canonical text is exactly
+    ``buf[start:end]``, or None.
+
+    The rows are read a block of about ``_BLOCK`` bytes at a time by
+    :func:`_rows`, each block ending at a row's end, into an array sized by
+    the count of ``],[`` in the span, so the temporaries stay small.
+    """
+    table = np.empty((buf.count(b"],[", start, end) + 1, 3), np.int64)
+    row, first = 0, start + 2
+    while first < end - 2:
+        last = buf.find(b"],[", first + _BLOCK, end)
+        last = end - 2 if last < 0 else last
+        rows = _rows(buf, first, last)
+        if rows is None:
+            return None
+        table[row:row + len(rows)] = rows
+        row, first = row + len(rows), last + 3
+    return table if row == len(table) else None  # not "[[]]"
+
+
+def _decode_tables(raw: bytes) -> Any:
+    """``json.loads`` of the input with every ``comp`` and ``act`` table
+    that is written canonically decoded by numpy, or None when the input
+    has no such table or cannot be read this way cleanly.
+
+    Each table's span becomes a number token that occurs nowhere else;
+    ``json`` reads the rest, and each token must land as the value of a
+    ``comp`` or ``act`` key, where its array replaces it.
+    """
+    starts = [match.end() - 2 for match in _TABLE_KEY.finditer(raw)]
+    if not starts or _SPAN_MARK in raw:
+        return None
+    tables, pieces, pos = {}, [], 0
+    for start in starts:
+        end = raw.find(b"]]", start) + 2  # 1 when there is none
+        table = _span_table(raw, start, end) if end > start else None
+        if table is None:
+            return None
+        token = _SPAN_TOKEN % len(tables)
+        tables[token.decode()] = table
+        pieces += (raw[pos:start], token)
+        pos = end
+    pieces.append(raw[pos:])
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = b"".join(pieces).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    placed = 0
+
+    def number(literal: str) -> Any:
+        table = tables.get(literal)
+        return float(literal) if table is None else table
+
+    def place(obj: dict) -> dict:
+        nonlocal placed
+        placed += sum(isinstance(obj.get(key), np.ndarray)
+                      for key in ("comp", "act"))
+        return obj
+    try:
+        data = json.loads(text, object_hook=place, parse_float=number)
+    except json.JSONDecodeError:
+        return None
+    return data if placed == len(tables) else None
+
+
+def _read(path: str) -> bytes:
+    """The bytes of a file, or of stdin when path is '-'."""
+    if path != "-":
+        with open(path, "rb") as fh:
+            return fh.read()
+    stream = getattr(sys.stdin, "buffer", None)
+    if stream is None:  # a text stream put in place of stdin
+        return sys.stdin.read().encode("utf-8", "surrogatepass")
+    return stream.read()
+
+
+def load_model(path: str) -> Model:
+    """Read a model from a file path, or from stdin when path is '-'.
+
+    The input is read as bytes.  Its canonical ``comp`` and ``act``
+    tables are decoded from them by numpy and ``json`` reads the rest
+    (:func:`_decode_tables`).  An input without such a table, or one that
+    cannot be read that way cleanly, is read by ``json`` whole, as text:
+    strict UTF-8 (code 10 when it is not), a file's line ends as a
+    text-mode read gives them.  The model, and any error's code and
+    message, are the same either way.
+    """
+    try:
+        raw = _read(path)
     except OSError as exc:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(PARSE_ERROR, f"{path}: invalid JSON: {exc}") from exc
-    del text  # not held while the tables are validated
+    data = _decode_tables(raw)
+    if data is None:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError(PARSE_ERROR, f"{path}: not UTF-8: {exc}") from exc
+        del raw  # not held while json decodes the text
+        if path != "-" and "\r" in text:  # universal newlines, as for text
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ModelError(PARSE_ERROR,
+                             f"{path}: invalid JSON: {exc}") from exc
+        del text  # not held while the tables are validated
     return parse_model(data)
 
 

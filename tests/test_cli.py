@@ -449,6 +449,94 @@ def test_zero_object_connection_in_an_action_is_a_load_error(tmp_path,
     assert error["message"].startswith("action.groupoid.connection: ")
 
 
+
+def _models_with_nested_fields() -> dict:
+    from gpdflow.dynamics import base_action
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import action_to_json
+    bundle = named_bundles()["triangle-z2-twisted"]
+    return {"bundle": bundle_to_json(bundle),
+            "action": action_to_json(base_action(
+                groupoid_of_bundle(bundle).groupoid))}
+
+
+def _load_error(tmp_path, capsys, field: str, value) -> tuple[int, dict]:
+    kind, key = field.split(".")
+    model = dict(_models_with_nested_fields()[kind], **{key: value})
+    path = tmp_path / "model.json"
+    path.write_text(canonical_dumps(model))
+    code, out = run_cli(capsys, ["verify", str(path)])
+    return code, json.loads(out).get("error")
+
+
+NESTED_FIELDS = ("bundle.graph", "bundle.group", "action.groupoid")
+
+
+@pytest.mark.parametrize("value", [None, True, False, 7], ids=str)
+@pytest.mark.parametrize("field", NESTED_FIELDS)
+def test_nested_scalar_field_is_a_load_error(tmp_path, capsys, field, value):
+    assert _load_error(tmp_path, capsys, field, value) == \
+        (2, {"code": 12, "message": f"{field}: expected an object"})
+
+
+@pytest.mark.parametrize("value", [
+    "", "preset vertices order objects", [],
+    ["preset", "vertices", "order", "objects"]], ids=repr)
+@pytest.mark.parametrize("field,first", zip(NESTED_FIELDS, (
+    "vertices", "order", "objects")))
+def test_nested_string_or_list_field_misses_its_first_field(
+        tmp_path, capsys, field, first, value):
+    """Also when the string or list holds the names of the fields."""
+    assert _load_error(tmp_path, capsys, field, value) == \
+        (2, {"code": 12, "message": f"{field}: missing field {first!r}"})
+
+
+def _not_utf8(table: bool) -> bytes:
+    """A model with a byte that is not UTF-8 in a string field; with a
+    canonical table the load decodes from the bytes, or without one."""
+    model = _models_with_nested_fields()["action"] if table \
+        else {"kind": "group", "preset": "S3"}
+    return canonical_dumps(model)[:-1].encode() + b',"name":"\xff"}'
+
+
+def _utf8_error(name: str, raw: bytes) -> dict:
+    return {"code": 10, "message": (
+        f"{name}: not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+        f"position {raw.index(bytes([0xff]))}: invalid start byte")}
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["group", "action"])
+def test_model_file_not_utf8_is_unreadable_json(tmp_path, capsys, table):
+    raw = _not_utf8(table)
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    code, out = run_cli(capsys, ["verify", str(path)])
+    assert (code, json.loads(out)["error"]) == (2, _utf8_error(str(path), raw))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["group", "action"])
+def test_stdin_not_utf8_is_unreadable_json(table):
+    """The same bytes on the process's stdin, however it decodes text."""
+    raw = _not_utf8(table)
+    proc = _python("-m", "gpdflow.cli", "verify", "-", stdin=subprocess.PIPE,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(raw, timeout=120)
+    assert err == b""
+    assert proc.returncode == 2
+    assert json.loads(out)["error"] == _utf8_error("-", raw)
+
+
+def test_text_stdin_with_a_lone_surrogate_is_unreadable_json(capsys,
+                                                             monkeypatch):
+    """A text stream put in place of stdin holds a character UTF-8 cannot
+    encode."""
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"kind":"group","preset":"S3","name":"\udcff"}'))
+    code, out = run_cli(capsys, ["verify", "-"])
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == 10
+
 # --- work done per run ---------------------------------------------------------------
 
 

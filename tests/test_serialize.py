@@ -8,8 +8,11 @@ for a version that runs only the per-element check must give the same code
 and message as the fast path on every seeded single-element mutation.
 """
 import copy
+import io
 import json
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -278,3 +281,189 @@ def test_canonical_dumps_matches_json_on_nested_values():
     ]
     for value in values:
         assert canonical_dumps(value) == _plain_json(value), value
+
+
+# --- loading: the byte-level table decode against json.loads ----------------------
+
+
+def _text_mode_load(path: str) -> serialize.Model:
+    """The oracle: the whole input read as text (a file with universal
+    newlines, stdin as it comes) and decoded by ``json``, then
+    ``parse_model``, with ``load_model``'s codes and messages."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(serialize.PARSE_ERROR,
+                         f"{path}: invalid JSON: {exc}") from exc
+    return parse_model(data)
+
+
+def _outcome(load, path: str):
+    try:
+        model = load(path)
+    except ModelError as exc:
+        return exc.code, exc.message
+    arrays = _arrays(model.data)
+    assert all(a.dtype == np.int64 for a in arrays.values())
+    return (model.kind, canonical_dumps(model.data),
+            {key: a.tolist() for key, a in arrays.items()})
+
+
+def _load_both(raw: bytes, tmp_path, monkeypatch, stdin: bool = False):
+    """(load_model's outcome, the oracle's, whether load_model decoded the
+    tables from the bytes) for one input, from a file or from stdin.  A
+    decoded input must also equal ``json``'s reading of all of it, the
+    tables the model does not use included."""
+    decoded = []
+
+    def spy(buf):
+        data = real(buf)
+        decoded.append(data is not None)
+        if data is not None:
+            assert _plain_json(data) == _plain_json(json.loads(buf))
+        return data
+    real = serialize._decode_tables
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    name = "-" if stdin else str(path)
+    outcomes = []
+    for load in (serialize.load_model, _text_mode_load):
+        with monkeypatch.context() as m:
+            m.setattr(serialize, "_decode_tables", spy)
+            if stdin:
+                m.setattr("sys.stdin", io.TextIOWrapper(
+                    io.BytesIO(raw), encoding="utf-8", newline="\n"))
+            outcomes.append(_outcome(load, name))
+    return outcomes[0], outcomes[1], decoded[0]
+
+
+def _fixture_texts() -> list[str]:
+    """Every fixture report, and every fixture model on its own."""
+    texts = {}
+    for command in COMMANDS:
+        models = fixture_models(command)
+        texts[canonical_dumps(run_command(command, models))] = None
+        for _, model in models:
+            texts[canonical_dumps(model.data)] = None
+    return list(texts)
+
+
+# bytes of table text read at a time: the default, and small enough that
+# block ends fall all over each table
+BLOCKS = [serialize._BLOCK, 8]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_decode_agrees_with_json_on_fixture_texts(block, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    spans = 0
+    for text in _fixture_texts():
+        raw = text.encode()
+        fast, plain, decoded = _load_both(raw, tmp_path, monkeypatch)
+        assert fast == plain
+        # a canonical table anywhere is decoded from the bytes
+        assert decoded == bool(serialize._TABLE_KEY.search(raw))
+        spans += decoded
+    assert spans >= 15
+
+
+SPAN = re.compile(r'"(?:comp|act)":(\[\[[^"]*?\]\])')
+
+
+def _in_span(text: str, rng: random.Random, pattern: str, repl) -> str:
+    """Replace one seeded match of ``pattern`` inside one table span."""
+    span = rng.choice(list(SPAN.finditer(text)))
+    body = span.group(1)
+    match = rng.choice(list(re.finditer(pattern, body)))
+    body = body[:match.start()] + repl(match) + body[match.end():]
+    return text[:span.start(1)] + body + text[span.end(1):]
+
+
+def _replace_span(text: str, rng: random.Random, table: str) -> str:
+    span = rng.choice(list(SPAN.finditer(text)))
+    return text[:span.start(1)] + table + text[span.end(1):]
+
+
+def _before_key(text: str, rng: random.Random, field: str) -> str:
+    """Put ``field`` in the object of one table, just before its key; a
+    ``{key}`` in it is that key."""
+    span = rng.choice(list(SPAN.finditer(text)))
+    key = span.group()[:-len(span.group(1))]
+    return (text[:span.start()] + field.format(key=key) + ","
+            + text[span.start():])
+
+
+TOKEN = serialize._SPAN_TOKEN.decode() % 0
+
+# mutation -> (edit of the canonical text, whether the decode may run)
+TEXT_MUTATIONS = {
+    "another number": (lambda t, r: _in_span(
+        t, r, r"\d+", lambda m: str(r.randrange(int(m.group()) + 1))), True),
+    "space in a span": (lambda t, r: _in_span(t, r, ",", lambda m: ", "),
+                        False),
+    "leading zero": (lambda t, r: _in_span(
+        t, r, r"\d+", lambda m: "0" + m.group()), False),
+    "minus one": (lambda t, r: _in_span(t, r, r"\d+", lambda m: "-1"), False),
+    "float": (lambda t, r: _in_span(t, r, r"\d+", lambda m: "1.0"), False),
+    "13 digits": (lambda t, r: _in_span(
+        t, r, r"\d+", lambda m: str(10 ** 12)), False),
+    "one row": (lambda t, r: _replace_span(t, r, "[[0,0,0]]"), True),
+    "empty": (lambda t, r: _replace_span(t, r, "[]"), True),
+    "empty row": (lambda t, r: _replace_span(t, r, "[[]]"), False),
+    "key in a string": (lambda t, r: t.replace(
+        "{", '{"\\"comp":[[1,2,3]],', 1), False),
+    "duplicate key": (lambda t, r: _before_key(t, r, "{key}[[0,0,0]]"),
+                      False),
+    "truncated": (lambda t, r: _in_span(t, r, r"\]\]$", lambda m: "]"),
+                  False),
+    "token in a string": (lambda t, r: t.replace(
+        "{", '{"note":"%s",' % TOKEN, 1), False),
+    "token as a number": (lambda t, r: _before_key(t, r, '"x":' + TOKEN),
+                          False),
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("mutation", sorted(TEXT_MUTATIONS))
+def test_decode_agrees_with_json_on_mutated_text(mutation, block, tmp_path,
+                                                  monkeypatch):
+    """Seeded edits of the groupoidify and ambit fixture reports: the load
+    equals the oracle's, model or (code, message), and every edit that
+    leaves a table not canonical, or a table's token anywhere but as the
+    value of a ``comp`` or ``act`` key, is read by ``json`` whole."""
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    edit, may_decode = TEXT_MUTATIONS[mutation]
+    for command in ("groupoidify", "ambit"):
+        report = canonical_dumps(run_command(command,
+                                             fixture_models(command)))
+        rng = random.Random(f"{mutation}:{command}")
+        for _ in range(4):
+            raw = edit(report, rng).encode()
+            fast, plain, decoded = _load_both(raw, tmp_path, monkeypatch)
+            assert fast == plain, (mutation, command)
+            assert may_decode or not decoded, (mutation, command)
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_decode_agrees_with_json_on_crlf_line_ends(stdin, tmp_path,
+                                                   monkeypatch):
+    """CRLF line ends: indented text (no canonical table) and a compact one
+    ending in CRLF agree with the oracle; so do both cut short, where the
+    positions in the JSON error count the line ends as the oracle reads
+    them."""
+    report = run_command("ambit", fixture_models("ambit"))
+    indented = json.dumps(json.loads(canonical_dumps(report)), indent=1)
+    compact = canonical_dumps(report) + "\n"
+    for text, may_decode in ((indented, False), (compact, True)):
+        raw = text.replace("\n", "\r\n").encode()
+        for cut in (len(raw), len(raw) // 2):
+            fast, plain, decoded = _load_both(raw[:cut], tmp_path,
+                                              monkeypatch, stdin)
+            assert fast == plain
+            assert decoded == (may_decode and cut == len(raw))
