@@ -5,26 +5,32 @@ against the plain ``json`` encoding.
 
 The oracle for a load error is the scanner itself: ``_int_table`` swapped
 for a version that runs only the per-element check must give the same code
-and message as the fast path on every seeded single-element mutation.
+and message as the fast path on every seeded single-element mutation.  The
+code and message of every case of a wider seeded corpus are pinned in
+``golden/load_errors.json``.
 """
 import copy
 import io
 import json
+import os
 import random
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpdflow import serialize
+from gpdflow.algebra import preset_group
+from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.cli import COMMANDS, fixture_models, run_command
 from gpdflow.dynamics import build_ambit
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import matrix_bundles, named_bundles
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
-    build_groupoid, bundle_to_json, canonical_dumps, parse_model, \
-    transport_to_json
+    build_groupoid, bundle_to_json, canonical_dumps, group_to_json, \
+    parse_model, transport_to_json
 
 MUTATIONS = (True, 1.0, "1", None, [1], "short row", "long row", -1,
              "upper bound")
@@ -216,6 +222,151 @@ def test_builds_from_arrays_match_builds_from_lists():
             _same_tables(built.gpd, plain.gpd, name)
             flawed += built.flaw is not None
     assert flawed >= 30
+
+
+# --- load errors, pinned ----------------------------------------------------------------
+
+
+LOAD_ERRORS = Path(__file__).parent / "golden" / "load_errors.json"
+FIELD_VALUES = (None, True, 1.0, "1", [], {}, -1, 2 ** 70)
+
+
+def _corpus_models() -> dict[str, dict]:
+    """A group as a table and as a preset, a graph, a bundle with each
+    kind of group, a groupoid with a connection and an ambit (an action
+    with a basepoint and ``u0``), without the fields no validator reads."""
+    bundle = CocycleBundle.from_edge_labels(BaseGraph.path(2),
+                                            preset_group("Z2"), [1])
+    tg = groupoid_of_bundle(bundle)
+    groupoid = {k: v for k, v in _lists(transport_to_json(tg)).items()
+                if k != "coords"}
+    ambit = {k: v for k, v in _lists(ambit_to_json(
+        build_ambit(tg.groupoid, 0))).items() if k != "points"}
+    bundle = bundle_to_json(bundle)
+    return {"group": group_to_json(preset_group("Z3")),
+            "preset": {"kind": "group", "preset": "S3"},
+            "graph": {"kind": "graph", "vertices": 3,
+                      "edges": [[0, 1], [1, 2], [2, 0]]},
+            "bundle": bundle,
+            "bundle-preset": dict(bundle, group={"preset": "Z2"}),
+            "groupoid": groupoid, "ambit": ambit}
+
+
+def _paths(value, path=()):
+    """Every field's path, and the paths of a few seeded entries of every
+    list (all of a short one)."""
+    if isinstance(value, dict):
+        picks = list(value)
+    elif isinstance(value, list):
+        rng = random.Random(repr(path))
+        picks = range(len(value)) if len(value) <= 3 else sorted(
+            {0, len(value) - 1, rng.randrange(len(value))})
+    else:
+        return
+    for key in picks:
+        yield path + (key,)
+        yield from _paths(value[key], path + (key,))
+
+
+def _sizes(value) -> set:
+    """The integers held in fields, and the lengths of the lists there:
+    every upper bound an entry has is among them."""
+    found = set()
+    for item in value.values():
+        if isinstance(item, dict):
+            found |= _sizes(item)
+        elif isinstance(item, list):
+            found.add(len(item))
+        elif type(item) is int:
+            found.add(item)
+    return found
+
+
+def _path_text(path: tuple) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+def _case_edits(model: dict):
+    """(name, edit) for every mutation of the model: a field deleted or set
+    to each of ``FIELD_VALUES``; a list cut short, made longer, reversed;
+    an entry set to -1, ``True`` or 2**70; an integer set to each size in
+    the model."""
+    sizes = sorted(_sizes(model))
+    for path in _paths(model):
+        value = _holder(model, path)[path[-1]]
+        edits = []
+        if isinstance(path[-1], str):
+            edits.append(("del", None))
+            edits += [(f"={v!r}", v) for v in FIELD_VALUES]
+        elif type(value) is int:
+            edits += [(f"={v!r}", v) for v in (-1, True, 2 ** 70)]
+        if isinstance(value, list):
+            edits += [("short", value[:-1]),
+                      ("long", value + [value[-1] if value else 0]),
+                      ("reversed", value[::-1])]
+        if type(value) is int:
+            edits += [(f"={s}", s) for s in sizes]
+        for name, new in edits:
+            yield f"{_path_text(path)} {name}", path, name, new
+
+
+def _array_edits(model: dict):
+    """``comp`` and ``act`` as arrays of several dtypes and shapes: as they
+    are, and with an entry set to -1 or to the groupoid's arrow count."""
+    for path in (("comp",), ("act",), ("groupoid", "comp")):
+        if path[0] not in model:
+            continue
+        arrows = (model["groupoid"] if "groupoid" in model else model)["arrows"]
+        table = np.array(_holder(model, path)[path[-1]], dtype=np.int64)
+        low, high = table.copy(), table.copy()
+        low[0, 0], high[-1, 1] = -1, arrows
+        for variant, arr in (("", table), (" [0][0]=-1", low),
+                             (f" [-1][1]={arrows}", high)):
+            for dtype in (np.int64, np.int32, np.uint8, np.float64, bool):
+                yield (f"{_path_text(path)} {np.dtype(dtype).name}{variant}",
+                       path, arr.astype(dtype))
+        for shape, arr in (("1-d", table.ravel()), ("width 2", table[:, :2]),
+                           ("empty", table[:0])):
+            yield f"{_path_text(path)} int64 {shape}", path, arr
+
+
+def _load_outcomes() -> dict:
+    outcomes = {}
+
+    def record(case, data):
+        assert case not in outcomes, case
+        try:
+            parse_model(data)
+            outcomes[case] = "ok"
+        except ModelError as exc:
+            outcomes[case] = [exc.code, exc.message]
+    for kind, model in _corpus_models().items():
+        for case, path, name, new in _case_edits(model):
+            data = _lists(model)
+            if name == "del":
+                del _holder(data, path)[path[-1]]
+            else:
+                _holder(data, path)[path[-1]] = copy.deepcopy(new)
+            record(f"{kind} {case}", data)
+        for case, path, arr in _array_edits(model):
+            data = _lists(model)
+            _holder(data, path)[path[-1]] = arr
+            record(f"{kind} {case}", data)
+    return outcomes
+
+
+def test_load_errors_match_golden():
+    """Code and message, or ``ok``, of every case of a seeded mutation
+    corpus over one model of each shape, against the golden file;
+    ``GPDFLOW_REGOLD=1`` writes it."""
+    outcomes = _load_outcomes()
+    assert 1000 <= len(outcomes) <= 2000
+    text = "{\n" + ",\n".join(f"{json.dumps(case)}:{json.dumps(outcome)}"
+                              for case, outcome in outcomes.items()) + "\n}\n"
+    if os.environ.get("GPDFLOW_REGOLD") == "1":
+        LOAD_ERRORS.write_text(text)
+    assert text == LOAD_ERRORS.read_text()
 
 
 # --- canonical emission ---------------------------------------------------------------
