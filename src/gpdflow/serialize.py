@@ -24,21 +24,18 @@ UTF-8 -- falls back to ``json`` on the whole text, so a model, or an
 error's code and message, is the same either way.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
-are not UTF-8 included), 11 for a missing or unknown kind, 12 for a shape
-or index-range problem.
+are not UTF-8, or lists and objects nested more than 100 deep, included),
+11 for a missing or unknown kind, 12 for a shape or index-range problem.
 
 Every integer table (``comp``, ``act``, ``src``, ``tgt``, ``unit``,
-``inv``, ``anchor``, ``labels``, ``edges``, the rows of ``mult`` and
-``connection``) is checked by one helper in a few whole-table passes: the
-rows' types and lengths, their entries' types (exactly ``int``, so
-``true`` is refused), one conversion to an int64 array and a min/max
-range check.  Only when that fails does the per-element scanner run, to
-name the first bad entry with the same code, path and message.  ``comp``
-and ``act`` may also be integer arrays, as the ``*_to_json`` functions emit
-them and the byte-level decode gives them, under the same checks.  Their
-validated arrays replace them in :attr:`Model.data`, so a table is
-converted once and stays an array through the build, the input digest and
-the report.
+``inv``, ``anchor``, ``edges``, ``mult``, ``connection``) goes through one
+checker, :func:`_table`: a few whole-table passes (the rows' types and
+lengths, entries of type exactly ``int`` so ``true`` is refused, one int64
+conversion, a min/max range check) and, only when they fail, its scanner,
+which names the first bad row or entry.  ``comp`` and ``act`` may also be
+integer arrays (``_ARRAY_TABLES``); their validated arrays replace them in
+:attr:`Model.data`, so each is converted once and stays an array through
+the build, the input digest and the report.
 """
 from __future__ import annotations
 
@@ -90,6 +87,10 @@ UNKNOWN_KIND = 11
 BAD_INDEX = 12
 
 KNOWN_KINDS = ("group", "graph", "bundle", "groupoid", "action")
+
+# Tables that may be (n, 3) integer arrays, as emitted and as decoded.
+_ARRAY_TABLES = ("comp", "act")
+_MAX_DEPTH = 100  # lists and objects nested in a model read from a file
 
 
 class ModelError(Exception):
@@ -275,16 +276,6 @@ def _int_in(value: Any, low: int, high: int, where: str) -> int:
     return value
 
 
-def _scan(value: Any, length: int, high: int, where: str) -> None:
-    """The per-element check of a list of ``length`` integers in
-    ``[0, high)``: raises for the first bad entry."""
-    if not isinstance(value, list) or len(value) != length:
-        raise ModelError(
-            BAD_INDEX, f"{where}: expected a list of {length} integers")
-    for i, v in enumerate(value):
-        _int_in(v, 0, high, f"{where}[{i}]")
-
-
 def _in_range(arr: np.ndarray, high: Any) -> bool:
     return not arr.size or (
         arr.min() >= 0 and bool((arr.max(axis=0) < high).all()))
@@ -294,15 +285,13 @@ def _int_table(rows: Any, width: int, high: Any,
                scan: Callable[[list], Any]) -> np.ndarray:
     """The rows, each a list of ``width`` integers in ``[0, high)``
     (``high`` may give one bound per column), as one int64 array; an
-    ``(n, width)`` integer array is taken as it is.
-
-    The fast check reads the types and lengths of the rows and the types
-    of their entries (exactly ``int``: numpy would read ``True`` as 1),
-    converts once and compares min and max with the bounds.  Only when it
-    fails does ``scan``, the per-element check, run on the rows to raise
-    the error of the first bad entry; an array that fails is read as its
-    lists, so a bool or float array gets the message of those lists.
-    """
+    ``(n, width)`` integer array is taken as it is.  The fast check reads
+    the types and lengths of the rows and the types of their entries
+    (exactly ``int``: numpy would read ``True`` as 1), converts once and
+    compares min and max with the bounds.  Only when it fails does
+    ``scan``, the per-element check, run to raise the first bad entry's
+    error; an array that fails is read as its lists, so a bool or float
+    array gets the message of those lists."""
     if isinstance(rows, np.ndarray):
         if rows.ndim == 2 and rows.shape[1] == width \
                 and rows.dtype.kind in "iu":
@@ -323,108 +312,93 @@ def _int_table(rows: Any, width: int, high: Any,
     return arr
 
 
-def _int_list(value: Any, length: int, high: int, where: str) -> None:
-    """Check a list of ``length`` integers in ``[0, high)``."""
-    _int_table([value], length, high,
-               lambda rows: _scan(rows[0], length, high, where))
+def _table(data: dict, key: str, where: str, width: int, high: Any,
+           flat: bool = False, row: str = "", column: bool = True
+           ) -> np.ndarray:
+    """:func:`_int_table` of field ``key``: a list of rows (an array too,
+    for a key in ``_ARRAY_TABLES``), or one ``flat`` row.  Its scanner
+    names the first row that is not a list of ``width`` (``row`` is the
+    message, when given), else the first bad entry, at ``where.key[i][j]``,
+    ``where.key[j]`` in a flat row, ``where.key[i]`` with no ``column``."""
+    value, where = _need(data, key, where), f"{where}.{key}"
+    arrays = np.ndarray if key in _ARRAY_TABLES else ()
+    if not flat and not isinstance(value, (list, arrays)):
+        raise ModelError(BAD_INDEX, f"{where}: expected a list")
+
+    def scan(rows: list) -> None:
+        bounds = high if isinstance(high, tuple) else (high,) * width
+        for i, entries in enumerate(rows):
+            at = where if flat else f"{where}[{i}]"
+            if not isinstance(entries, list) or len(entries) != width:
+                raise ModelError(BAD_INDEX, f"{at}: " + (
+                    row or f"expected a list of {width} integers"))
+            for j, v in enumerate(entries):
+                _int_in(v, 0, bounds[j], f"{at}[{j}]" if column else at)
+    return _int_table([value] if flat else value, width, high, scan)
 
 
-def _int_rows(rows: Any, width: int, high: int, where: str) -> np.ndarray:
-    """Rows of ``width`` integers in ``[0, high)``, as an array."""
-    return _int_table(rows, width, high, lambda rows: [
-        _scan(row, width, high, f"{where}[{i}]") for i, row in enumerate(rows)])
-
-
-def _validate_group(data: dict, where: str = "group") -> None:
+def _validate_group(data: dict, where: str = "group") -> int:
+    """Check a group's fields; returns its order."""
     if "preset" in data:
         if data["preset"] not in PRESET_NAMES:
             raise ModelError(BAD_INDEX,
                              f"{where}: unknown preset {data['preset']!r}")
-        return
+        return preset_group(data["preset"]).order
     order = _int_in(_need(data, "order", where), 1, 1 << 30, f"{where}.order")
     _int_in(_need(data, "identity", where), 0, order, f"{where}.identity")
     mult = _need(data, "mult", where)
     if not isinstance(mult, list) or len(mult) != order:
         raise ModelError(BAD_INDEX, f"{where}.mult: expected {order} rows")
-    _int_rows(mult, order, order, f"{where}.mult")
+    _table(data, "mult", where, order, order)
+    return order
 
 
-def _validate_graph(data: dict, where: str = "graph") -> None:
+def _validate_graph(data: dict, where: str = "graph") -> int:
+    """Check a graph's fields; returns its number of edges."""
     vertices = _int_in(_need(data, "vertices", where), 1, 1 << 30,
                        f"{where}.vertices")
-    edges = _need(data, "edges", where)
-    if not isinstance(edges, list):
-        raise ModelError(BAD_INDEX, f"{where}.edges: expected a list")
-    _int_rows(edges, 2, vertices, f"{where}.edges")
-
-
-def _group_order(data: dict) -> int:
-    return preset_group(data["preset"]).order if "preset" in data \
-        else data["order"]
+    return len(_table(data, "edges", where, 2, vertices))
 
 
 def _validate_bundle(data: dict) -> None:
-    graph = _object(data, "graph", "bundle")
-    _validate_graph(graph, "bundle.graph")
-    group = _object(data, "group", "bundle")
-    _validate_group(group, "bundle.group")
-    order = _group_order(group)
+    n_edges = _validate_graph(_object(data, "graph", "bundle"), "bundle.graph")
+    order = _validate_group(_object(data, "group", "bundle"), "bundle.group")
     labels = _need(data, "labels", "bundle")
-    n_edges = len(graph["edges"])
     if not isinstance(labels, list) or len(labels) != n_edges:
         got = len(labels) if isinstance(labels, (list, dict, str)) \
             else repr(labels)
         raise ModelError(BAD_INDEX, f"bundle.labels: expected one label per "
                          f"edge ({n_edges}), got {got}")
-
-    def scan(rows: list) -> None:
-        for e, g in enumerate(rows[0]):
-            if not isinstance(g, int) or isinstance(g, bool) \
-                    or not (0 <= g < order):
-                raise ModelError(BAD_INDEX,
-                                 f"bundle.labels[{e}]: label {g!r} out of "
-                                 f"range for group order {order} (edge {e})")
-    _int_table([labels], n_edges, order, scan)
+    for e, g in enumerate(labels):
+        if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < order:
+            raise ModelError(BAD_INDEX, f"bundle.labels[{e}]: label {g!r} out "
+                             f"of range for group order {order} (edge {e})")
 
 
 def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
     """Check a groupoid's fields; returns a shallow copy of ``data`` with
     ``comp`` as its validated array."""
-    objects = _int_in(_need(data, "objects", where), 0, 1 << 30,
-                      f"{where}.objects")
-    arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
-                     f"{where}.arrows")
-    for key in ("src", "tgt"):
-        _int_list(_need(data, key, where), arrows, objects, f"{where}.{key}")
-    _int_list(_need(data, "unit", where), objects, arrows, f"{where}.unit")
-    _int_list(_need(data, "inv", where), arrows, arrows, f"{where}.inv")
-    comp = _need(data, "comp", where)
-    if not isinstance(comp, (list, np.ndarray)):
-        raise ModelError(BAD_INDEX, f"{where}.comp: expected a list")
-    comp = _int_rows(comp, 3, arrows, f"{where}.comp")
+    objects, arrows = (
+        _int_in(_need(data, key, where), 0, 1 << 30, f"{where}.{key}")
+        for key in ("objects", "arrows"))
+    for key, length, high in (
+            ("src", arrows, objects), ("tgt", arrows, objects),
+            ("unit", objects, arrows), ("inv", arrows, arrows)):
+        _table(data, key, where, length, high, True)
+    comp = _table(data, "comp", where, 3, arrows)
     if "connection" in data:
         pairs = data["connection"]
         if not isinstance(pairs, list) or len(pairs) % 2 != 0:
             raise ModelError(
                 BAD_INDEX, f"{where}.connection: expected an even-length list")
-
-        def scan(rows: list) -> None:
-            for i, pair in enumerate(rows):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ModelError(
-                        BAD_INDEX,
-                        f"{where}.connection[{i}]: expected [dart, arrow]")
-                _int_in(pair[0], 0, len(pairs), f"{where}.connection[{i}]")
-                _int_in(pair[1], 0, arrows, f"{where}.connection[{i}]")
-        darts = _int_table(pairs, 2, (len(pairs), arrows), scan)[:, 0]
+        darts = _table(data, "connection", where, 2, (len(pairs), arrows),
+                       row="expected [dart, arrow]", column=False)[:, 0]
         if bool((np.bincount(darts, minlength=len(pairs)) != 1).any()):
-            raise ModelError(
-                BAD_INDEX, f"{where}.connection: darts must cover "
-                f"0..{len(pairs) - 1} exactly once")
+            raise ModelError(BAD_INDEX, f"{where}.connection: darts must "
+                             f"cover 0..{len(pairs) - 1} exactly once")
         if objects == 0:
-            raise ModelError(
-                BAD_INDEX, f"{where}.connection: a connection needs at least "
-                "one object")
+            raise ModelError(BAD_INDEX, f"{where}.connection: a connection "
+                             "needs at least one object")
     return {**data, "comp": comp}
 
 
@@ -435,25 +409,12 @@ def _validate_action(data: dict) -> dict:
                                   "action.groupoid")
     arrows = groupoid["arrows"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
-    _int_list(_need(data, "anchor", "action"), space, groupoid["objects"],
-              "action.anchor")
-    act = _need(data, "act", "action")
-    if not isinstance(act, (list, np.ndarray)):
-        raise ModelError(BAD_INDEX, "action.act: expected a list")
-
-    def scan(rows: list) -> None:
-        for i, triple in enumerate(rows):
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise ModelError(BAD_INDEX,
-                                 f"action.act[{i}]: expected [y, g, yg]")
-            _int_in(triple[0], 0, space, f"action.act[{i}][0]")
-            _int_in(triple[1], 0, arrows, f"action.act[{i}][1]")
-            _int_in(triple[2], 0, space, f"action.act[{i}][2]")
-    act = _int_table(act, 3, (space, arrows, space), scan)
-    if "basepoint" in data:
-        _int_in(data["basepoint"], 0, groupoid["objects"], "action.basepoint")
-    if "u0" in data:
-        _int_in(data["u0"], 0, arrows, "action.u0")
+    _table(data, "anchor", "action", space, groupoid["objects"], True)
+    act = _table(data, "act", "action", 3, (space, arrows, space),
+                 row="expected [y, g, yg]")
+    for key, high in (("basepoint", groupoid["objects"]), ("u0", arrows)):
+        if key in data:
+            _int_in(data[key], 0, high, f"action.{key}")
     return {**data, "groupoid": groupoid, "act": act}
 
 
@@ -479,20 +440,18 @@ def parse_model(data: Any) -> Model:
         if "model" in data:
             data = data["model"]
         elif isinstance(data.get("runs"), list):
-            for run in data["runs"]:
-                if isinstance(run, dict) and "model" in run:
-                    data = run["model"]
-                    break
+            data = next((run["model"] for run in data["runs"]
+                         if isinstance(run, dict) and "model" in run), data)
     if not isinstance(data, dict):
         raise ModelError(UNKNOWN_KIND, "model must be a JSON object")
     kind = data.get("kind")
     if kind not in KNOWN_KINDS:
         raise ModelError(UNKNOWN_KIND, f"unknown kind {kind!r}")
-    # only the groupoid and action validators return a payload
-    return Model(kind=kind, data=_VALIDATORS[kind](data) or data)
+    checked = _VALIDATORS[kind](data)  # a payload with arrays, or a count
+    return Model(kind, checked if isinstance(checked, dict) else data)
 
 
-_TABLE_KEY = re.compile(rb'"(?:comp|act)":\[\[')
+_TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
 _BLOCK = 1 << 20  # bytes of table text read at a time
 # A decoded table's span becomes the number token ``<i>e-0000000``: numbers
 # cannot be written with escapes, so no other token has that text when
@@ -578,17 +537,16 @@ def _decode_tables(raw: bytes) -> Any:
     placed = 0
 
     def number(literal: str) -> Any:
-        table = tables.get(literal)
-        return float(literal) if table is None else table
+        return tables[literal] if literal in tables else float(literal)
 
     def place(obj: dict) -> dict:
         nonlocal placed
         placed += sum(isinstance(obj.get(key), np.ndarray)
-                      for key in ("comp", "act"))
+                      for key in _ARRAY_TABLES)
         return obj
     try:
         data = json.loads(text, object_hook=place, parse_float=number)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return None
     return data if placed == len(tables) else None
 
@@ -609,16 +567,19 @@ def load_model(path: str) -> Model:
 
     The input is read as bytes.  Its canonical ``comp`` and ``act``
     tables are decoded from them by numpy and ``json`` reads the rest
-    (:func:`_decode_tables`).  An input without such a table, or one that
-    cannot be read that way cleanly, is read by ``json`` whole, as text:
-    strict UTF-8 (code 10 when it is not), a file's line ends as a
-    text-mode read gives them.  The model, and any error's code and
-    message, are the same either way.
+    (:func:`_decode_tables`).  Any other input is read by ``json`` whole,
+    as text: strict UTF-8 (code 10 when it is not), a file's line ends as
+    a text-mode read gives them.  The model, and any error's code and
+    message, are the same either way.  A model nested more than
+    ``_MAX_DEPTH`` deep is refused (code 10): ``json`` could fail to read
+    it, or to write it back.
     """
     try:
         raw = _read(path)
     except OSError as exc:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
+    too_deep = ModelError(PARSE_ERROR, f"{path}: nested too deeply (more "
+                          f"than {_MAX_DEPTH} levels)")
     data = _decode_tables(raw)
     if data is None:
         try:
@@ -633,8 +594,23 @@ def load_model(path: str) -> Model:
         except json.JSONDecodeError as exc:
             raise ModelError(PARSE_ERROR,
                              f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise too_deep from exc
         del text  # not held while the tables are validated
-    return parse_model(data)
+    model = parse_model(data)
+    if _depth(model.data) > _MAX_DEPTH:
+        raise too_deep
+    return model
+
+
+def _depth(value: Any) -> int:
+    """How deep lists and objects nest in a value; an array is a leaf."""
+    level, depth = [value], 0
+    while level := [c for c in level if isinstance(c, (list, dict))]:
+        level = [item for c in level
+                 for item in (c.values() if isinstance(c, dict) else c)]
+        depth += 1
+    return depth
 
 
 # --- emission -----------------------------------------------------------------
@@ -729,9 +705,8 @@ def build_groupoid(model_data: dict
         model_data["unit"], model_data["inv"], model_data["comp"])
     conn = None
     if "connection" in model_data:
-        arrows = [0] * len(model_data["connection"])
-        for dart, arrow in model_data["connection"]:
-            arrows[dart] = arrow
+        # validated: the darts are 0..n-1, each once
+        arrows = [arrow for _, arrow in sorted(model_data["connection"])]
         edges = tuple((int(gpd.src[arrows[2 * e]]), int(gpd.src[arrows[2 * e + 1]]))
                       for e in range(len(arrows) // 2))
         conn = Connection(base=BaseGraph(gpd.n_objects, edges), arrows=arrows)

@@ -537,6 +537,53 @@ def test_text_stdin_with_a_lone_surrogate_is_unreadable_json(capsys,
     assert code == 2
     assert json.loads(out)["error"]["code"] == 10
 
+
+def _nested(depth: int, table: bool) -> str:
+    """A model with a field ``depth`` lists deep: a group table, or a
+    groupoid whose canonical ``comp`` is decoded from the bytes."""
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import transport_to_json
+    model = transport_to_json(groupoid_of_bundle(
+        named_bundles()["point-z2"])) if table else \
+        {"kind": "group", "order": 1, "identity": 0, "mult": [[0]]}
+    return (canonical_dumps(model)[:-1] + ',"name":' + "[" * depth
+            + "]" * depth + "}")
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["group", "groupoid"])
+def test_every_nesting_depth_loads_or_is_unreadable_json(tmp_path, capsys,
+                                                         table):
+    """Through the interpreter's recursion limit and past it: a model
+    nested at most 100 deep runs, a deeper one is code 10."""
+    path = tmp_path / "deep.json"
+    for depth in range(1, 1201):
+        path.write_text(_nested(depth, table))
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == "", depth
+        if depth < 100:
+            assert code == 0, depth
+        else:
+            assert (code, json.loads(captured.out)["error"]) == (2, {
+                "code": 10, "message": f"{path}: nested too deeply "
+                "(more than 100 levels)"}), depth
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_input_nested_100000_deep_is_unreadable_json(tmp_path, stdin):
+    raw = ("[" * 100_000 + "]" * 100_000).encode()
+    path = tmp_path / "deep.json"
+    path.write_bytes(raw)
+    proc = _python("-m", "gpdflow.cli", "verify", "-" if stdin else str(path),
+                   stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE)
+    out, err = proc.communicate(raw if stdin else b"", timeout=120)
+    assert err == b""
+    assert proc.returncode == 2
+    assert json.loads(out)["error"] == {
+        "code": 10, "message": f"{'-' if stdin else path}: nested too deeply "
+        "(more than 100 levels)"}
+
 # --- work done per run ---------------------------------------------------------------
 
 
