@@ -285,13 +285,15 @@ def _int_table(rows: Any, width: int, high: Any,
                scan: Callable[[list], Any]) -> np.ndarray:
     """The rows, each a list of ``width`` integers in ``[0, high)``
     (``high`` may give one bound per column), as one int64 array; an
-    ``(n, width)`` integer array is taken as it is.  The fast check reads
-    the types and lengths of the rows and the types of their entries
-    (exactly ``int``: numpy would read ``True`` as 1), converts once and
-    compares min and max with the bounds.  Only when it fails does
-    ``scan``, the per-element check, run to raise the first bad entry's
-    error; an array that fails is read as its lists, so a bool or float
-    array gets the message of those lists."""
+    ``(n, width)`` integer array is taken as it is.
+
+    The fast check reads the types and lengths of the rows and the types
+    of their entries (exactly ``int``: numpy would read ``True`` as 1),
+    converts once and compares min and max with the bounds.  Only when it
+    fails does ``scan``, the per-element check, run on the rows to raise
+    the error of the first bad entry; an array that fails is read as its
+    lists, so a bool or float array gets the message of those lists.
+    """
     if isinstance(rows, np.ndarray):
         if rows.ndim == 2 and rows.shape[1] == width \
                 and rows.dtype.kind in "iu":
@@ -378,9 +380,10 @@ def _validate_bundle(data: dict) -> None:
 def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
     """Check a groupoid's fields; returns a shallow copy of ``data`` with
     ``comp`` as its validated array."""
-    objects, arrows = (
-        _int_in(_need(data, key, where), 0, 1 << 30, f"{where}.{key}")
-        for key in ("objects", "arrows"))
+    objects = _int_in(_need(data, "objects", where), 0, 1 << 30,
+                      f"{where}.objects")
+    arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
+                     f"{where}.arrows")
     for key, length, high in (
             ("src", arrows, objects), ("tgt", arrows, objects),
             ("unit", objects, arrows), ("inv", arrows, arrows)):
@@ -440,8 +443,10 @@ def parse_model(data: Any) -> Model:
         if "model" in data:
             data = data["model"]
         elif isinstance(data.get("runs"), list):
-            data = next((run["model"] for run in data["runs"]
-                         if isinstance(run, dict) and "model" in run), data)
+            for run in data["runs"]:
+                if isinstance(run, dict) and "model" in run:
+                    data = run["model"]
+                    break
     if not isinstance(data, dict):
         raise ModelError(UNKNOWN_KIND, "model must be a JSON object")
     kind = data.get("kind")
@@ -537,7 +542,8 @@ def _decode_tables(raw: bytes) -> Any:
     placed = 0
 
     def number(literal: str) -> Any:
-        return tables[literal] if literal in tables else float(literal)
+        table = tables.get(literal)
+        return float(literal) if table is None else table
 
     def place(obj: dict) -> dict:
         nonlocal placed
@@ -567,12 +573,13 @@ def load_model(path: str) -> Model:
 
     The input is read as bytes.  Its canonical ``comp`` and ``act``
     tables are decoded from them by numpy and ``json`` reads the rest
-    (:func:`_decode_tables`).  Any other input is read by ``json`` whole,
-    as text: strict UTF-8 (code 10 when it is not), a file's line ends as
-    a text-mode read gives them.  The model, and any error's code and
+    (:func:`_decode_tables`).  An input without such a table, or one that
+    cannot be read that way cleanly, is read by ``json`` whole, as text:
+    strict UTF-8 (code 10 when it is not), a file's line ends as a
+    text-mode read gives them.  The model, and any error's code and
     message, are the same either way.  A model nested more than
-    ``_MAX_DEPTH`` deep is refused (code 10): ``json`` could fail to read
-    it, or to write it back.
+    ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may fail to read
+    it, or to write it back for the input digest.
     """
     try:
         raw = _read(path)
@@ -705,8 +712,9 @@ def build_groupoid(model_data: dict
         model_data["unit"], model_data["inv"], model_data["comp"])
     conn = None
     if "connection" in model_data:
-        # validated: the darts are 0..n-1, each once
-        arrows = [arrow for _, arrow in sorted(model_data["connection"])]
+        arrows = [0] * len(model_data["connection"])
+        for dart, arrow in model_data["connection"]:
+            arrows[dart] = arrow
         edges = tuple((int(gpd.src[arrows[2 * e]]), int(gpd.src[arrows[2 * e + 1]]))
                       for e in range(len(arrows) // 2))
         conn = Connection(base=BaseGraph(gpd.n_objects, edges), arrows=arrows)
