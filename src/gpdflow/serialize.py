@@ -397,11 +397,13 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
         darts = _table(data, "connection", where, 2, (len(pairs), arrows),
                        row="expected [dart, arrow]", column=False)[:, 0]
         if bool((np.bincount(darts, minlength=len(pairs)) != 1).any()):
-            raise ModelError(BAD_INDEX, f"{where}.connection: darts must "
-                             f"cover 0..{len(pairs) - 1} exactly once")
+            raise ModelError(
+                BAD_INDEX, f"{where}.connection: darts must cover "
+                f"0..{len(pairs) - 1} exactly once")
         if objects == 0:
-            raise ModelError(BAD_INDEX, f"{where}.connection: a connection "
-                             "needs at least one object")
+            raise ModelError(
+                BAD_INDEX, f"{where}.connection: a connection needs at least "
+                "one object")
     return {**data, "comp": comp}
 
 
@@ -452,7 +454,7 @@ def parse_model(data: Any) -> Model:
     kind = data.get("kind")
     if kind not in KNOWN_KINDS:
         raise ModelError(UNKNOWN_KIND, f"unknown kind {kind!r}")
-    checked = _VALIDATORS[kind](data)  # a payload with arrays, or a count
+    checked = _VALIDATORS[kind](data)  # groupoid, action: a payload dict
     return Model(kind, checked if isinstance(checked, dict) else data)
 
 
