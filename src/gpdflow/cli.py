@@ -38,8 +38,8 @@ from .groupoid import Groupoid, check_local_triviality, is_transitive, \
     verify_groupoid
 from .serialize import KNOWN_KINDS, Model, ModelError, action_to_json, \
     ambit_to_json, build_action, build_graph, build_group, build_groupoid, \
-    bundle_to_json, canonical_dumps, load_model, model_digest, parse_model, \
-    transport_to_json
+    bundle_to_json, canonical_dumps, canonical_pieces, load_model, \
+    parse_model, transport_to_json
 
 __all__ = ["COMMANDS", "USAGE_ERROR", "run_command", "emit_report", "main"]
 
@@ -377,7 +377,7 @@ def run_command(command: str, models: list[tuple[str, Model]],
     runs = [_run(command, name, model, basepoint) for name, model in models]
     ok = all(v["ok"] for run in runs for v in run["verdicts"])
     return {"command": command,
-            "inputs": [{"name": name, "digest": model_digest(model.data)}
+            "inputs": [{"name": name, "digest": model.digest}
                        for name, model in models],
             "runs": runs,
             "ok": ok}
@@ -522,17 +522,23 @@ def _main(argv) -> int:
     except ModelError as exc:
         report = {"command": ns.command, "ok": False,
                   "error": {"code": exc.code, "message": exc.message}}
-        return _write(emit_report(report, ns.format), 2)
-    return _write(emit_report(report, ns.format), 0 if report["ok"] else 1)
+        return _write(report, ns.format, 2)
+    return _write(report, ns.format, 0 if report["ok"] else 1)
 
 
-def _write(text: str, code: int) -> int:
-    """Print the report and return the run's exit code.  A reader that
-    closed the pipe early (``gpdflow ... | head``) gets no traceback:
-    stdout is pointed at devnull, so the interpreter's final flush cannot
-    raise again, and the code is the one the run had."""
+def _write(report: dict, fmt: str, code: int) -> int:
+    """Print the report, a JSON one piece by piece as it is encoded, and
+    return the run's exit code.  It is called once the run is over, so
+    nothing is printed before the report is known to be the run's.  A
+    reader that closed the pipe early (``gpdflow ... | head``) gets no
+    traceback: stdout is pointed at devnull, so the interpreter's final
+    flush cannot raise again, and the code is the one the run had."""
+    pieces = canonical_pieces(report) if fmt == "json" \
+        else [emit_report(report, fmt)]
     try:
-        print(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CompTable = Union[Mapping[tuple[int, int], int], Iterable[Sequence[int]]]
+_BLOCK = 1 << 16  # table entries read at a time by RowTable.row_blocks
 
 
 class RowTable:
@@ -95,22 +96,42 @@ class RowTable:
     def triple_array(self) -> np.ndarray:
         """Every defined entry as a row ``[y, h, y . h]`` of an ``(n, 3)``
         int64 array, in row order (for a groupoid: every composition
-        ``[g, h, gh]``, lexicographically)."""
-        ys, hs = self.row_pairs()
-        keep = self.val >= 0
-        return np.column_stack((ys[keep], hs[keep], self.val[keep]))
+        ``[g, h, gh]``, lexicographically), filled a block at a time."""
+        out = np.empty((int(np.count_nonzero(self.val >= 0)), 3), np.int64)
+        at = 0
+        for block in self.row_blocks():
+            rows = np.column_stack(block)[block[2] >= 0]
+            out[at:at + len(rows)] = rows
+            at += len(rows)
+        return out
 
     def triples(self) -> list[list[int]]:
         """:meth:`triple_array` as python lists."""
         return self.triple_array().tolist()
 
-    def row_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair ``(y, h)`` behind every entry of ``val``, in row order."""
+    def row_pairs(self, lo: int = 0, hi: Optional[int] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The pair ``(y, h)`` behind every entry of ``val`` in rows ``lo``
+        to ``hi - 1`` (all rows by default), in row order."""
         order, start, _ = self.gpd.out_index
-        ys = np.repeat(np.arange(self.anchor.shape[0]), np.diff(self.row_off))
-        hs = order[start[self.anchor[ys]] + np.arange(ys.shape[0])
-                   - self.row_off[ys]]
+        off = self.row_off
+        hi = self.anchor.shape[0] if hi is None else hi
+        ys = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
+        hs = order[start[self.anchor[ys]] + np.arange(off[lo], off[hi])
+                   - off[ys]]
         return ys, hs
+
+    def row_blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """``(ys, hs, values)``: :meth:`row_pairs` and the entries of
+        ``val`` of a block of rows, block after block in row order.  A
+        block holds about ``_BLOCK`` entries (a longer row is one alone),
+        so no index array spans the whole table."""
+        lo, off = 0, self.row_off
+        while lo < self.anchor.shape[0]:
+            hi = max(lo + 1, int(np.searchsorted(off, off[lo] + _BLOCK,
+                                                 "right")) - 1)
+            yield (*self.row_pairs(lo, hi), self.val[off[lo]:off[hi]])
+            lo = hi
 
     def composable_triples(self) -> int:
         """The number of ``(y, g, h)`` with ``g`` out of ``anchor[y]`` and
@@ -373,12 +394,14 @@ def _structural_scan(g: Groupoid) -> Optional[Diagnostics]:
 
 
 def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:
-    gs, hs = g.row_pairs()
-    bad = (g.src[g.val] != g.src[gs]) | (g.tgt[g.val] != g.tgt[hs])
-    if bool(bad.any()):
-        i = int(np.argmax(bad))
-        return Diagnostics.failed(
-            "composition endpoints", (int(gs[i]), int(hs[i]), int(g.val[i])))
+    """The first product ``gh``, in row order, that does not run from
+    ``src(g)`` to ``tgt(h)``, read a block of rows at a time."""
+    for gs, hs, val in g.row_blocks():
+        bad = (g.src[val] != g.src[gs]) | (g.tgt[val] != g.tgt[hs])
+        if bool(bad.any()):
+            i = int(np.argmax(bad))
+            return Diagnostics.failed(
+                "composition endpoints", (int(gs[i]), int(hs[i]), int(val[i])))
     return None
 
 

@@ -5,11 +5,15 @@ shapes and index ranges only; whether the data satisfies its axioms is the
 verify operations' business, so a malformed table loads fine and then
 fails verification with a witness.  Emission is canonical: sorted keys and
 no whitespace, so equal models produce equal bytes.  A groupoid's ``comp``
-and an action's ``act`` are emitted as ``(n, 3)`` int64 arrays, and
-:func:`canonical_dumps` writes every integer array with one vectorized
-kernel (:func:`_table_text`) in a few whole-array passes, byte-identical to
-the ``json`` encoding of the same lists; the rest of a value goes through
-``json`` in as few calls as there are containers on the way to an array.
+and an action's ``act`` are emitted as ``(n, 3)`` int64 arrays.  The one
+encoder, :func:`canonical_pieces`, yields the text piece by piece: every
+integer array a block of ``_ROWS`` rows at a time through one vectorized
+kernel (:func:`_table_bytes`), byte-identical to the ``json`` encoding of
+the same lists, and the rest of a value through ``json`` in as few calls
+as there are containers on the way to an array.  The command line writes
+a report's pieces as they come and :func:`model_digest` hashes them, so
+neither holds a whole copy of a large table's text; :func:`canonical_dumps`
+joins them.
 
 Loading reads the input as bytes.  Each ``"comp":[[`` or ``"act":[[``
 table written canonically is decoded from them by numpy, a block of rows
@@ -21,7 +25,9 @@ token must land as the value of a ``comp`` or ``act`` key, where its array
 goes in.  Anything else -- a table written another way, a token that lands
 elsewhere or is dropped by a duplicate key, bad JSON, bytes that are not
 UTF-8 -- falls back to ``json`` on the whole text, so a model, or an
-error's code and message, is the same either way.
+error's code and message, is the same either way.  A decoded table's span
+is its canonical text, so the input digest, taken while loading, hashes
+the span as it was read instead of encoding the table again.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
 are not UTF-8, or lists and objects nested more than 100 deep, included),
@@ -47,7 +53,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -66,6 +72,7 @@ __all__ = [
     "BAD_INDEX",
     "KNOWN_KINDS",
     "canonical_dumps",
+    "canonical_pieces",
     "model_digest",
     "load_model",
     "parse_model",
@@ -91,6 +98,7 @@ KNOWN_KINDS = ("group", "graph", "bundle", "groupoid", "action")
 # Tables that may be (n, 3) integer arrays, as emitted and as decoded.
 _ARRAY_TABLES = ("comp", "act")
 _MAX_DEPTH = 100  # lists and objects nested in a model read from a file
+_ROWS = 1 << 16  # rows of an integer array encoded at a time
 
 
 class ModelError(Exception):
@@ -110,11 +118,20 @@ class Model:
     and an action's ``act`` (and its groupoid's ``comp``) are the validated
     ``(n, 3)`` int64 arrays.  They are put in a shallow copy, so the
     caller's object is never changed and the decoded lists can be freed
-    once validated; the builds and :func:`model_digest` read the arrays.
+    once validated; the builds and the report read the arrays.
+
+    :attr:`digest` is :func:`model_digest` of the payload.  :func:`load_model`
+    sets it while it still holds the input, so a table decoded from the
+    input's bytes is hashed from them; otherwise it is computed when first
+    read.
     """
 
     kind: str
     data: dict
+
+    @functools.cached_property
+    def digest(self) -> str:
+        return model_digest(self.data)
 
 
 def _coerce(value: Any) -> Any:
@@ -143,17 +160,6 @@ def _digit_groups() -> np.ndarray:
     table = table.astype(np.uint8).view(np.uint32).ravel()
     table.flags.writeable = False
     return table
-
-
-def _table_text(arr: np.ndarray) -> str:
-    """``json.dumps(arr.tolist(), separators=(",", ":"))``: through
-    :func:`_table_bytes` for a 1-D or 2-D array of integers in
-    ``[0, 10**12)``; any other array (another dtype or shape, a negative or
-    larger value, no entries) takes the ``json`` path."""
-    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "iu"
-            or arr.min() < 0 or arr.max() >= 10 ** 12):
-        return _json(arr.tolist())
-    return _table_bytes(arr).decode("ascii")
 
 
 def _table_bytes(arr: np.ndarray) -> bytes:
@@ -189,6 +195,26 @@ def _table_bytes(arr: np.ndarray) -> bytes:
     return b"[" * arr.ndim + buf.tobytes().translate(None, b"\0")
 
 
+def _table_pieces(arr: np.ndarray) -> Iterator[str]:
+    """``json.dumps(arr.tolist(), separators=(",", ":"))`` in pieces: a 1-D
+    or 2-D array of integers in ``[0, 10**12)`` with entries through
+    :func:`_table_bytes`, ``_ROWS`` rows at a time; any other array (another
+    dtype or shape, a negative or larger value, no entries) in one piece on
+    the ``json`` path.
+
+    The texts of consecutive blocks join on ``,`` once the closing bracket
+    of the one and the opening bracket of the next are dropped."""
+    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "iu"
+            or arr.min() < 0 or arr.max() >= 10 ** 12):
+        yield _json(arr.tolist())
+        return
+    for lo in range(0, len(arr), _ROWS):
+        text = _table_bytes(arr[lo:lo + _ROWS]).decode("ascii")
+        if lo:
+            text = "," + text[1:]
+        yield text if lo + _ROWS >= len(arr) else text[:-1]
+
+
 class _ArrayInside(Exception):
     """The ``json`` encoder met an array."""
 
@@ -199,51 +225,60 @@ def _stop_at_array(value: Any) -> Any:
     return _coerce(value)
 
 
-def _encode(obj: Any, out: list[str]) -> None:
-    """Append the canonical text of ``obj`` to ``out``: an array through
-    :func:`_table_text`, anything without one in one ``json`` call, and a
-    list, tuple or ``str``-keyed dict that holds an array piece by piece.
-    A dict with other keys keeps ``json``'s key rules, with its arrays as
-    lists.  (A container that gets here holds an array, so it has an
-    item.)"""
+def canonical_pieces(obj: Any, spans: Optional[dict] = None
+                     ) -> Iterator[Any]:
+    """The text of :func:`canonical_dumps` in pieces, as it is encoded: an
+    array through :func:`_table_pieces`, anything without one in one
+    ``json`` call, and a list, tuple or ``str``-keyed dict that holds an
+    array piece by piece.  A dict with other keys keeps ``json``'s key
+    rules, with its arrays as lists.  (A container that gets here holds an
+    array, so it has an item.)
+
+    ``spans`` maps the ``id`` of an array to bytes that are its canonical
+    text; such an array is yielded as those bytes (see
+    :func:`model_digest`)."""
     if isinstance(obj, np.ndarray):
-        out.append(_table_text(obj))
+        if spans and id(obj) in spans:
+            yield spans[id(obj)]
+        else:
+            yield from _table_pieces(obj)
         return
     try:
-        out.append(_json(obj, _stop_at_array))
+        yield _json(obj, _stop_at_array)
         return
     except _ArrayInside:
         pass
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         for i, key in enumerate(sorted(obj)):
-            out.append(("," if i else "{") + json.dumps(key) + ":")
-            _encode(obj[key], out)
-        out.append("}")
+            yield ("," if i else "{") + json.dumps(key) + ":"
+            yield from canonical_pieces(obj[key], spans)
+        yield "}"
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            out.append("," if i else "[")
-            _encode(item, out)
-        out.append("]")
+            yield "," if i else "["
+            yield from canonical_pieces(item, spans)
+        yield "]"
     else:
-        out.append(_json(obj))
+        yield _json(obj)
 
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no stray whitespace; numpy integers
     are written as numbers and arrays as nested lists.  The bytes are those
     of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with every
-    array turned into a list, but integer arrays are written by the
-    vectorized kernel :func:`_table_text` (see the module docstring), and
-    the pieces are joined once.  The walk is private, so each encoding is
-    one call of this function."""
-    out: list[str] = []
-    _encode(obj, out)
-    return "".join(out)
+    array turned into a list; they are the pieces of
+    :func:`canonical_pieces`, joined."""
+    return "".join(canonical_pieces(obj))
 
 
-def model_digest(model: dict) -> str:
-    """sha256 of the canonical encoding, for input fingerprints."""
-    return hashlib.sha256(canonical_dumps(model).encode()).hexdigest()
+def model_digest(model: dict, spans: Optional[dict] = None) -> str:
+    """sha256 of the canonical encoding, for input fingerprints, fed piece
+    by piece.  A table in ``spans`` (see :func:`canonical_pieces`) is hashed
+    from those bytes, not encoded again."""
+    digest = hashlib.sha256()
+    for piece in canonical_pieces(model, spans):
+        digest.update(piece.encode() if isinstance(piece, str) else piece)
+    return digest.hexdigest()
 
 
 # --- validation helpers -------------------------------------------------------
@@ -514,19 +549,22 @@ def _span_table(buf: bytes, start: int, end: int) -> Optional[np.ndarray]:
     return table if row == len(table) else None  # not "[[]]"
 
 
-def _decode_tables(raw: bytes) -> Any:
+def _decode_tables(raw: bytes) -> Optional[tuple[Any, dict]]:
     """``json.loads`` of the input with every ``comp`` and ``act`` table
-    that is written canonically decoded by numpy, or None when the input
-    has no such table or cannot be read this way cleanly.
+    that is written canonically decoded by numpy, and the span of each
+    such table by the ``id`` of its array; or None when the input has no
+    such table or cannot be read this way cleanly.
 
     Each table's span becomes a number token that occurs nowhere else;
     ``json`` reads the rest, and each token must land as the value of a
-    ``comp`` or ``act`` key, where its array replaces it.
+    ``comp`` or ``act`` key, where its array replaces it.  A span is
+    :func:`_table_bytes` of its array (:func:`_rows` checked it), so it is
+    the array's canonical text.
     """
     starts = [match.end() - 2 for match in _TABLE_KEY.finditer(raw)]
     if not starts or _SPAN_MARK in raw:
         return None
-    tables, pieces, pos = {}, [], 0
+    tables, spans, pieces, pos = {}, {}, [], 0
     for start in starts:
         end = raw.find(b"]]", start) + 2  # 1 when there is none
         table = _span_table(raw, start, end) if end > start else None
@@ -534,6 +572,7 @@ def _decode_tables(raw: bytes) -> Any:
             return None
         token = _SPAN_TOKEN % len(tables)
         tables[token.decode()] = table
+        spans[id(table)] = memoryview(raw)[start:end]
         pieces += (raw[pos:start], token)
         pos = end
     pieces.append(raw[pos:])
@@ -556,7 +595,7 @@ def _decode_tables(raw: bytes) -> Any:
         data = json.loads(text, object_hook=place, parse_float=number)
     except (json.JSONDecodeError, RecursionError):
         return None
-    return data if placed == len(tables) else None
+    return (data, spans) if placed == len(tables) else None
 
 
 def _read(path: str) -> bytes:
@@ -582,6 +621,10 @@ def load_model(path: str) -> Model:
     message, are the same either way.  A model nested more than
     ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may fail to read
     it, or to write it back for the input digest.
+
+    The model's :attr:`~Model.digest` is taken here, each decoded table
+    hashed from its span of the input, so the input is not held after the
+    load.
     """
     try:
         raw = _read(path)
@@ -589,7 +632,7 @@ def load_model(path: str) -> Model:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
     too_deep = ModelError(PARSE_ERROR, f"{path}: nested too deeply (more "
                           f"than {_MAX_DEPTH} levels)")
-    data = _decode_tables(raw)
+    data, spans = _decode_tables(raw) or (None, {})
     if data is None:
         try:
             text = raw.decode("utf-8")
@@ -609,6 +652,7 @@ def load_model(path: str) -> Model:
     model = parse_model(data)
     if _depth(model.data) > _MAX_DEPTH:
         raise too_deep
+    model.digest = model_digest(model.data, spans)
     return model
 
 

@@ -704,15 +704,24 @@ def _python(*args, unbuffered: bool = False, **kwargs) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
+def _large_bundle_text() -> str:
+    """A bundle whose groupoidify report (about 1 MB, its ``comp`` table
+    two row blocks) is far larger than a pipe's buffer."""
+    from gpdflow.fixtures import large_random_bundle
+    return canonical_dumps(bundle_to_json(large_random_bundle(5, 3, "S4")))
+
+
 @pytest.mark.parametrize("text,code", [
     (canonical_dumps(bundle_to_json(named_bundles()["edge-s3"])), 0),
-    ("{not json", 2)], ids=["valid", "unreadable"])
+    ("{not json", 2), (_large_bundle_text(), 0)],
+    ids=["valid", "unreadable", "large"])
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_quietly_with_the_runs_code(text, code,
                                                         unbuffered):
     """The reader closes the pipe before the command has read its input, so
-    every write fails (with stdout buffered, only when flushed): no
-    traceback, empty stderr, the run's own code."""
+    every write fails (with stdout buffered, only when flushed, or when a
+    piece is larger than the buffer): no traceback, empty stderr, the
+    run's own code."""
     proc = _python("-m", "gpdflow.cli", "groupoidify", "-",
                    unbuffered=unbuffered, stdin=subprocess.PIPE,
                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -726,6 +735,43 @@ def test_closed_stdout_exits_quietly_with_the_runs_code(text, code,
         returncode = proc.wait(timeout=60)
     assert err == b""
     assert returncode == code
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_closing_mid_report_exits_quietly(unbuffered, tmp_path):
+    """The reader takes the first 4 KiB of a report streamed in pieces and
+    closes the pipe: the writes that follow fail, with no traceback, empty
+    stderr and the run's own code."""
+    path = tmp_path / "bundle.json"
+    path.write_text(_large_bundle_text())
+    proc = _python("-m", "gpdflow.cli", "groupoidify", str(path),
+                   unbuffered=unbuffered, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        returncode = proc.wait(timeout=60)
+    assert head.startswith(b'{"command":"groupoidify","inputs":[')
+    assert err == b""
+    assert returncode == 0
+
+
+def test_error_after_a_large_run_prints_only_the_error(tmp_path, capsys):
+    """The second input fails with a usage error after the first run has
+    built a large report: nothing of that run reaches stdout, which holds
+    the error report alone."""
+    first, second = tmp_path / "bundle.json", tmp_path / "group.json"
+    first.write_text(_large_bundle_text())
+    second.write_text('{"kind":"group","preset":"S3"}')
+    code, out = run_cli(capsys, ["groupoidify", str(first), str(second)])
+    assert code == 2
+    assert out == canonical_dumps(
+        {"command": "groupoidify", "ok": False,
+         "error": {"code": 2, "message": "groupoidify needs a bundle model, "
+                                         "got group"}}) + "\n"
 
 
 def test_verify_does_not_import_numpy_ma():

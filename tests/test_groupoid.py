@@ -1,8 +1,12 @@
 """Tests for the groupoid core: verification, transitivity, vertex groups."""
+import random
+
 import numpy as np
 import pytest
 
+from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
+from gpdflow.dynamics import build_ambit
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -118,6 +122,46 @@ def test_duplicate_comp_pair_is_structural():
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
     assert diag.failure == "duplicate comp pair"
+
+
+def _row_order(table) -> list[list[int]]:
+    """``[y, h, y . h]`` for every defined entry, row by row, by a loop."""
+    gpd = table.gpd
+    return [[y, int(h), table.move(y, int(h))]
+            for y in range(table.anchor.shape[0])
+            for h in gpd.arrows_from(int(table.anchor[y]))
+            if table.defined(y, int(h))]
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 100, groupoid_module._BLOCK])
+def test_blockwise_row_reads_agree_with_a_loop(block, monkeypatch):
+    """The triple array and the endpoint scan read the rows ``block``
+    entries at a time (a longer row alone): the triples of a groupoid, of
+    its ambit and of a table with an entry missing come in row order, and
+    a product sent to an arrow with other endpoints is reported at the
+    first such entry in row order."""
+    monkeypatch.setattr(groupoid_module, "_BLOCK", block)
+    gpd, _, _ = product_groupoid(3, preset_group("S3"))
+    triples = _row_order(gpd)
+    for table in (gpd, build_ambit(gpd, 1).action):
+        assert table.triple_array().tolist() == _row_order(table)
+    holed = Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                                 triples[:500] + triples[501:])
+    assert holed.triple_array().tolist() == triples[:500] + triples[501:]
+    rng = random.Random(0)
+    for _ in range(10):
+        broken = [list(t) for t in triples]
+        for i in rng.sample(range(len(broken)), rng.randint(1, 3)):
+            g, h, gh = broken[i]
+            broken[i][2] = rng.choice([
+                c for c in range(gpd.n_arrows)
+                if (gpd.src[c], gpd.tgt[c]) != (gpd.src[g], gpd.tgt[h])])
+        first = next(t for t in broken if (gpd.src[t[2]], gpd.tgt[t[2]])
+                     != (gpd.src[t[0]], gpd.tgt[t[1]]))
+        diag = verify_groupoid(Groupoid.from_tables(
+            3, gpd.src, gpd.tgt, gpd.unit, gpd.inv, broken))
+        assert (diag.failure, diag.witness) == \
+            ("composition endpoints", tuple(first))
 
 
 def test_broken_associativity_detected_by_both_strategies():

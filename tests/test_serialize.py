@@ -10,6 +10,7 @@ code and message of every case of a wider seeded corpus are pinned in
 ``golden/load_errors.json``.
 """
 import copy
+import hashlib
 import io
 import json
 import os
@@ -399,7 +400,7 @@ def _tables():
 
 @pytest.mark.parametrize("arr", list(_tables()), ids=str)
 def test_table_text_matches_json(arr):
-    assert serialize._table_text(arr) == \
+    assert canonical_dumps(arr) == \
         json.dumps(arr.tolist(), separators=(",", ":"))
 
 
@@ -411,7 +412,27 @@ def test_table_text_falls_back_to_json(arr, monkeypatch):
     def unused():
         raise AssertionError("the kernel ran")
     monkeypatch.setattr(serialize, "_digit_groups", unused)
-    assert serialize._table_text(arr) == _plain_json(arr.tolist())
+    assert canonical_dumps(arr) == _plain_json(arr.tolist())
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_pieces_join_to_json_at_every_block_size(rows, monkeypatch):
+    """Integer arrays written ``rows`` rows at a time, 1-D and 2-D, a row
+    count the block does not divide, arrays on the ``json`` path, and every
+    fixture report: the pieces join to the ``json`` text, and an array on
+    the kernel path comes in one piece per block."""
+    monkeypatch.setattr(serialize, "_ROWS", rows)
+    fallback = [np.array([[3, -1, 4]]), np.array([10 ** 12, 0]),
+                np.zeros((0, 3), np.int64), np.zeros(0, np.int64)]
+    for arr in [*_tables(), *fallback]:
+        pieces = list(serialize.canonical_pieces(arr))
+        assert "".join(pieces) == _plain_json(arr.tolist())
+        kernel = arr.size and arr.min() >= 0 and arr.max() < 10 ** 12
+        assert len(pieces) == (-(-len(arr) // rows) if kernel else 1)
+    for command in COMMANDS:
+        report = run_command(command, fixture_models(command))
+        assert "".join(serialize.canonical_pieces(report)) == \
+            _plain_json(report)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -455,14 +476,20 @@ def _text_mode_load(path: str) -> serialize.Model:
 
 
 def _outcome(load, path: str):
+    """(kind, canonical text, arrays, input digest) of a load, or the
+    error's (code, message).  The oracle's digest is the sha256 of its
+    model's canonical text."""
     try:
         model = load(path)
     except ModelError as exc:
         return exc.code, exc.message
     arrays = _arrays(model.data)
     assert all(a.dtype == np.int64 for a in arrays.values())
-    return (model.kind, canonical_dumps(model.data),
-            {key: a.tolist() for key, a in arrays.items()})
+    text = canonical_dumps(model.data)
+    digest = hashlib.sha256(text.encode()).hexdigest() \
+        if load is _text_mode_load else model.digest
+    return (model.kind, text, {key: a.tolist() for key, a in arrays.items()},
+            digest)
 
 
 def _load_both(raw: bytes, tmp_path, monkeypatch, stdin: bool = False):
@@ -473,11 +500,11 @@ def _load_both(raw: bytes, tmp_path, monkeypatch, stdin: bool = False):
     decoded = []
 
     def spy(buf):
-        data = real(buf)
-        decoded.append(data is not None)
-        if data is not None:
-            assert _plain_json(data) == _plain_json(json.loads(buf))
-        return data
+        result = real(buf)
+        decoded.append(result is not None)
+        if result is not None:
+            assert _plain_json(result[0]) == _plain_json(json.loads(buf))
+        return result
     real = serialize._decode_tables
     path = tmp_path / "input.json"
     path.write_bytes(raw)
@@ -599,6 +626,30 @@ def test_decode_agrees_with_json_on_mutated_text(mutation, block, tmp_path,
             fast, plain, decoded = _load_both(raw, tmp_path, monkeypatch)
             assert fast == plain, (mutation, command)
             assert may_decode or not decoded, (mutation, command)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
+                                                      monkeypatch):
+    """Every fixture text and every seeded text mutation read from stdin:
+    the model and its input digest (hashed from the input's bytes where a
+    table was decoded from them) equal the oracle's, with the decode taken
+    on some inputs and not on others."""
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    texts = _fixture_texts()
+    for command in ("groupoidify", "ambit"):
+        report = canonical_dumps(run_command(command,
+                                             fixture_models(command)))
+        for mutation, (edit, _) in sorted(TEXT_MUTATIONS.items()):
+            rng = random.Random(f"{mutation}:{command}")
+            texts += [edit(report, rng) for _ in range(4)]
+    paths = set()
+    for text in texts:
+        fast, plain, decoded = _load_both(text.encode(), tmp_path,
+                                          monkeypatch, stdin=True)
+        assert fast == plain
+        paths.add(decoded)
+    assert paths == {False, True}
 
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
