@@ -112,7 +112,7 @@ def _transitive(model: Model, verdicts: list[dict], basepoint: int
         gpd, _ = build_groupoid(model.data)
         _gate(verdicts, _verdict("groupoid axioms", verify_groupoid(gpd)))
     else:
-        action, _ = build_action(model.data)
+        action = build_action(model.data)
         _gate(verdicts, _verdict("groupoid action axioms",
                                  verify_action(action)))
         gpd = action.gpd
@@ -156,7 +156,7 @@ def _run_verify(model: Model, basepoint: int, verdicts: list[dict]):
                 verdicts.append(_verdict("connection transport",
                                          verify_connection(gpd, conn)))
         return facts, None
-    action, _ = build_action(model.data)
+    action = build_action(model.data)
     verdicts.append(_verdict("groupoid action axioms", verify_action(action)))
     facts = {"space": action.n_points}
     if verdicts[-1]["ok"]:
@@ -243,7 +243,7 @@ def _run_trivial(model: Model, basepoint: int, verdicts: list[dict]):
 
 
 def _run_orbits(model: Model, basepoint: int, verdicts: list[dict]):
-    action, _ = build_action(model.data)
+    action = build_action(model.data)
     _gate(verdicts, _verdict("groupoid action axioms", verify_action(action)))
     parts = orbits(action)
     return {"orbits": parts, "count": len(parts)}, None

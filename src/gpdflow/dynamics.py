@@ -114,7 +114,7 @@ def _act_flaw(a: GroupoidAction, ys, hs, zs, index, off, dup, missing
         return Diagnostics.failed("duplicate act pair", (int(ys[i]), int(hs[i])),
                                   structural=True)
     if missing.size:
-        y, g = (int(c[missing[0]]) for c in a.row_pairs())
+        y, g = (int(c[0]) for c in a.pairs_at(missing[:1]))
         return Diagnostics.failed("composability domain violated", (y, g),
                                   detail="missing entry on a composable pair")
     bad = (zs < 0) | (zs >= a.n_points)
@@ -147,11 +147,9 @@ def verify_action(a: GroupoidAction, groupoid_ok: bool = False
     for diag in (_anchor_scan(a), a.flaw):
         if diag is not None:
             return diag
-    ys, gs = a.row_pairs()
-    bad = a.anchor[a.val] != gpd.tgt[gs]
-    if bool(bad.any()):
-        i = int(np.argmax(bad))
-        return Diagnostics.failed("anchor compatibility", (int(ys[i]), int(gs[i])))
+    hit = a.first_entry(lambda ys, gs, val: a.anchor[val] != gpd.tgt[gs])
+    if hit is not None:
+        return Diagnostics.failed("anchor compatibility", hit[:2])
     points = np.arange(n)
     moved, _ = a.move_many(points, gpd.unit[a.anchor])
     if bool((moved != points).any()):
@@ -309,11 +307,11 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
     # row u0 holds u0 . w for every point w, in point order
     if not np.array_equal(action.row(ambit.u0), np.arange(points.shape[0])):
         raise AssertionError("the unit does not retrieve every point")
-    ys, gs = action.row_pairs()
-    fixed = np.flatnonzero((action.val == ys) & (gs != gpd.unit[action.anchor[ys]]))
-    if fixed.size:
-        raise AssertionError(f"action is not free at point {ys[fixed[0]]}, "
-                             f"arrow {gs[fixed[0]]}")
+    fixed = action.first_entry(lambda ys, gs, val: (val == ys)
+                               & (gs != gpd.unit[action.anchor[ys]]))
+    if fixed is not None:
+        raise AssertionError(f"action is not free at point {fixed[0]}, "
+                             f"arrow {fixed[1]}")
     return ambit
 
 
@@ -343,14 +341,16 @@ def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
                                       structural=True)
         if m.target.anchor[z] != m.source.anchor[y]:
             return Diagnostics.failed("anchor not preserved", (y,))
+    # a missing entry reads -1, which would index the last point
+    for a in (m.source, m.target):
+        if a.flaw is not None:
+            return a.flaw
     values = np.asarray(m.values, dtype=np.int64)
-    ys, gs = m.source.row_pairs()
-    moved, _ = m.target.move_many(values[ys], gs)
-    bad = moved != values[m.source.val]
-    if bool(bad.any()):
-        i = int(np.argmax(bad))
-        return Diagnostics.failed("equivariance", (int(ys[i]), int(gs[i])))
-    return Diagnostics.passed(pairs=int(ys.shape[0]))
+    hit = m.source.first_entry(lambda ys, gs, val: m.target.move_many(
+        values[ys], gs)[0] != values[val])
+    if hit is not None:
+        return Diagnostics.failed("equivariance", hit[:2])
+    return Diagnostics.passed(pairs=int(m.source.row_off[-1]))
 
 
 def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:

@@ -109,29 +109,38 @@ class RowTable:
         """:meth:`triple_array` as python lists."""
         return self.triple_array().tolist()
 
-    def row_pairs(self, lo: int = 0, hi: Optional[int] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """The pair ``(y, h)`` behind every entry of ``val`` in rows ``lo``
-        to ``hi - 1`` (all rows by default), in row order."""
-        order, start, _ = self.gpd.out_index
-        off = self.row_off
-        hi = self.anchor.shape[0] if hi is None else hi
-        ys = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
-        hs = order[start[self.anchor[ys]] + np.arange(off[lo], off[hi])
-                   - off[ys]]
-        return ys, hs
-
     def row_blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """``(ys, hs, values)``: :meth:`row_pairs` and the entries of
-        ``val`` of a block of rows, block after block in row order.  A
-        block holds about ``_BLOCK`` entries (a longer row is one alone),
-        so no index array spans the whole table."""
+        """``(ys, hs, values)`` for a block of rows, block after block in row
+        order: the pair ``(y, h)`` behind each entry of ``val`` and the
+        entry.  A block holds about ``_BLOCK`` entries (a longer row is one
+        alone), so no index array spans the whole table."""
+        order, start, _ = self.gpd.out_index
         lo, off = 0, self.row_off
         while lo < self.anchor.shape[0]:
             hi = max(lo + 1, int(np.searchsorted(off, off[lo] + _BLOCK,
                                                  "right")) - 1)
-            yield (*self.row_pairs(lo, hi), self.val[off[lo]:off[hi]])
+            ys = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
+            hs = order[start[self.anchor[ys]] + np.arange(off[lo], off[hi])
+                       - off[ys]]
+            yield ys, hs, self.val[off[lo]:off[hi]]
             lo = hi
+
+    def first_entry(self, bad) -> Optional[tuple[int, int, int]]:
+        """The first ``(y, h, y . h)`` in row order for which ``bad(ys, hs,
+        values)`` holds on a block from :meth:`row_blocks`, or None."""
+        for block in self.row_blocks():
+            hit = bad(*block)
+            if bool(hit.any()):
+                i = int(np.argmax(hit))
+                return tuple(int(c[i]) for c in block)
+        return None
+
+    def pairs_at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair ``(y, h)`` behind each of the positions ``pos`` of
+        ``val``; each row is found by a binary search of ``row_off``."""
+        order, start, _ = self.gpd.out_index
+        ys = np.searchsorted(self.row_off, pos, "right") - 1
+        return ys, order[start[self.anchor[ys]] + pos - self.row_off[ys]]
 
     def composable_triples(self) -> int:
         """The number of ``(y, g, h)`` with ``g`` out of ``anchor[y]`` and
@@ -341,20 +350,21 @@ def _comp_flaw(g: Groupoid, ys, hs, zs, index, off, dup, missing
     composable domain; then the first composable pair without an entry,
     by middle object, then ``g``, then ``h``."""
     k = g.n_arrows
-    key = ys * k + hs
     if bool(index.any()):
         return Diagnostics.failed("comp pair out of range",
-                                  (int(key[index].min()),), structural=True)
+                                  (int((ys[index] * k + hs[index]).min()),),
+                                  structural=True)
     for mask, label, width in (((zs < 0) | (zs >= k), "comp value out of range", 3),
                                (dup, "duplicate comp pair", 2),
                                (off, "composability domain violated", 2)):
         if bool(mask.any()):
-            i = int(np.argmin(np.where(mask, key, np.iinfo(np.int64).max)))
+            at = np.flatnonzero(mask)
+            i = int(at[np.argmin(ys[at] * k + hs[at])])
             return Diagnostics.failed(
                 label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
                 structural=True)
     if missing.size:
-        gs, hs = (c[missing] for c in g.row_pairs())
+        gs, hs = g.pairs_at(missing)
         i = int(np.argmin(g.tgt[gs] * k + gs))
         return Diagnostics.failed(
             "composability domain violated", (int(gs[i]), int(hs[i])),
@@ -396,13 +406,10 @@ def _structural_scan(g: Groupoid) -> Optional[Diagnostics]:
 def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:
     """The first product ``gh``, in row order, that does not run from
     ``src(g)`` to ``tgt(h)``, read a block of rows at a time."""
-    for gs, hs, val in g.row_blocks():
-        bad = (g.src[val] != g.src[gs]) | (g.tgt[val] != g.tgt[hs])
-        if bool(bad.any()):
-            i = int(np.argmax(bad))
-            return Diagnostics.failed(
-                "composition endpoints", (int(gs[i]), int(hs[i]), int(val[i])))
-    return None
+    hit = g.first_entry(lambda gs, hs, val: (g.src[val] != g.src[gs])
+                        | (g.tgt[val] != g.tgt[hs]))
+    return None if hit is None else \
+        Diagnostics.failed("composition endpoints", hit)
 
 
 def _all_distinct(arr: np.ndarray) -> bool:
@@ -625,14 +632,15 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
     if bool((am[g1.inv] != g2.inv[am]).any()):
         bad = int(np.argmax(am[g1.inv] != g2.inv[am]))
         return Diagnostics.failed("inverse not preserved", (bad,))
-    # with src and tgt preserved, both tables have the same rows; an
-    # undefined product reads -1 and so differs too
-    gs, hs = g1.row_pairs()
-    bad = g2.try_compose_many(am[gs], am[hs])[0] != am[g1.val]
-    if bool(bad.any()):
-        i = int(np.argmax(bad))
-        return Diagnostics.failed("composition not preserved",
-                                  (int(gs[i]), int(hs[i])))
+    # a missing entry reads -1, which would index the last arrow
+    for g in (g1, g2):
+        if g.flaw is not None:
+            return g.flaw
+    # with src and tgt preserved, both tables have the same rows
+    hit = g1.first_entry(lambda gs, hs, val:
+                         g2.try_compose_many(am[gs], am[hs])[0] != am[val])
+    if hit is not None:
+        return Diagnostics.failed("composition not preserved", hit[:2])
     return Diagnostics.passed()
 
 
@@ -652,10 +660,9 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     pm[g.unit] = np.arange(m)
     pm[~is_unit] = np.arange(m, k)
     inv_pm = np.argsort(pm)
-    gs, hs = g.row_pairs()
     out = Groupoid.from_tables(
         m, g.src[inv_pm], g.tgt[inv_pm], np.arange(m), pm[g.inv[inv_pm]],
-        np.column_stack((pm[gs], pm[hs], pm[g.val])))
+        pm[g.triple_array()])
     return out, pm.tolist()
 
 

@@ -767,12 +767,8 @@ def build_groupoid(model_data: dict
     return gpd, conn
 
 
-def build_action(model_data: dict) -> tuple[GroupoidAction, dict]:
-    """Assemble the action plus any ambit extras (basepoint, u0)."""
+def build_action(model_data: dict) -> GroupoidAction:
+    """Assemble the action; an ambit's basepoint and u0 are not read."""
     gpd, _ = build_groupoid(model_data["groupoid"])
-    action = GroupoidAction.from_triples(gpd, model_data["space"],
-                                         model_data["anchor"],
-                                         model_data["act"])
-    extras = {key: model_data[key] for key in ("basepoint", "u0")
-              if key in model_data}
-    return action, extras
+    return GroupoidAction.from_triples(gpd, model_data["space"],
+                                       model_data["anchor"], model_data["act"])

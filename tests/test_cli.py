@@ -416,7 +416,7 @@ def test_verify_rejects_conflicting_duplicate_act_entry(tmp_path, capsys):
     assert verdict["witness"] == [y, g]
     assert verdict["ok"] is False
     # the report has no structural flag; the verdict behind it does
-    action, _ = build_action(model)
+    action = build_action(model)
     assert verify_action(action).structural
 
 

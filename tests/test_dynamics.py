@@ -384,6 +384,17 @@ def test_verify_equivariant_map_failures():
     assert diag.failure == "equivariance"
 
 
+def test_equivariant_map_reports_a_table_flaw_before_the_rows():
+    """A missing entry reads -1, which must not pass for the last point."""
+    base = base_action(pair_groupoid(2))
+    holed = rebuilt(base, [t for t in base.triples() if t != [0, 2, 1]])
+    for source, target in ((holed, base), (base, holed)):
+        diag = verify_equivariant_map(EquivariantMap(source, target, [0, 1]))
+        assert diag is holed.flaw
+        assert (diag.failure, diag.witness) == \
+            ("composability domain violated", (0, 2))
+
+
 # --- the fiber semigroup ---------------------------------------------------------
 
 

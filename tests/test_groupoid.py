@@ -6,7 +6,8 @@ import pytest
 
 from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
-from gpdflow.dynamics import build_ambit
+from gpdflow.dynamics import EquivariantMap, GroupoidAction, build_ambit, \
+    universal_map, verify_action, verify_equivariant_map
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -164,6 +165,94 @@ def test_blockwise_row_reads_agree_with_a_loop(block, monkeypatch):
             ("composition endpoints", tuple(first))
 
 
+@pytest.mark.parametrize("block", [1, 7, 40, 100, groupoid_module._BLOCK])
+def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
+    """Every first-failure scan reads the rows ``block`` entries at a time
+    and reports the witness a plain loop over the rows finds first."""
+    gpd, coords, index = product_groupoid(3, preset_group("S3"))
+    mixed = disjoint_union(gpd, one_object_groupoid(preset_group("Z3")))
+    expected = normalize_groupoid(mixed)
+    monkeypatch.setattr(groupoid_module, "_BLOCK", block)
+    out, perm = normalize_groupoid(mixed)
+    assert perm == expected[1]
+    assert out.comp_triples() == expected[0].comp_triples()
+    assert (out.src.tolist(), out.tgt.tolist(), out.inv.tolist()) == \
+        (expected[0].src.tolist(), expected[0].tgt.tolist(),
+         expected[0].inv.tolist())
+
+    rng = random.Random(1)
+    ambit = build_ambit(gpd, 1)
+    a = ambit.action
+    triples = _row_order(a)
+    group = preset_group("S3")
+    for _ in range(5):
+        # entries sent into the wrong fiber
+        val = a.val.copy()
+        for i in rng.sample(range(val.size), 3):
+            val[i] = rng.choice([z for z in range(a.n_points)
+                                 if a.anchor[z] != a.anchor[val[i]]])
+        bad = GroupoidAction(gpd, a.n_points, a.anchor, a.row_off, val)
+        first = next((y, h) for y, h, z in _row_order(bad)
+                     if bad.anchor[z] != gpd.tgt[h])
+        diag = verify_action(bad, groupoid_ok=True)
+        assert (diag.failure, diag.witness) == ("anchor compatibility", first)
+
+        # a universal map with two values moved within their fibers
+        values = universal_map(a, ambit, ambit.u0).values
+        for y in rng.sample(range(a.n_points), 2):
+            values[y] = rng.choice([z for z in a.fiber(int(a.anchor[y]))
+                                    if z != values[y]])
+        first = next((y, h) for y, h, z in triples
+                     if a.move(values[y], h) != values[z])
+        diag = verify_equivariant_map(EquivariantMap(a, a, values))
+        assert (diag.failure, diag.witness) == ("equivariance", first)
+
+        # two self-inverse loops at one object swapped
+        x = rng.randrange(3)
+        p, q = rng.sample([index[(x, x, e)] for e in range(1, group.order)
+                           if group.inv[e] == e], 2)
+        am = list(range(gpd.n_arrows))
+        am[p], am[q] = q, p
+        first = next((g, h) for g, h, gh in _row_order(gpd)
+                     if am[gh] != gpd.compose(am[g], am[h]))
+        diag = verify_groupoid_iso(gpd, gpd, [0, 1, 2], am)
+        assert (diag.failure, diag.witness) == \
+            ("composition not preserved", first)
+
+        # several composition entries missing
+        comp = _row_order(gpd)
+        gone = rng.sample(range(len(comp)), 4)
+        g, h, _ = min((comp[i] for i in gone),
+                      key=lambda t: (gpd.tgt[t[0]], t[0], t[1]))
+        holed = Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                                     [t for i, t in enumerate(comp)
+                                      if i not in gone])
+        assert holed.flaw.witness == (g, h)
+        assert holed.flaw.notes == {
+            "detail": "missing entry on a composable pair"}
+
+        # several action entries missing
+        gone = rng.sample(range(len(triples)), 4)
+        holed = GroupoidAction.from_triples(
+            gpd, a.n_points, a.anchor,
+            [t for i, t in enumerate(triples) if i not in gone])
+        assert holed.flaw.witness == tuple(triples[min(gone)][:2])
+
+    # a product g . h == g with h not a unit makes the ambit not free
+    broken = [list(t) for t in _row_order(gpd)]
+    points = gpd.arrows_from(1).tolist()
+    for i in rng.sample([i for i, (g, h, _) in enumerate(broken)
+                         if g in points and g != gpd.unit[1]
+                         and h != gpd.unit[gpd.tgt[h]]], 2):
+        broken[i][2] = broken[i][0]
+    first = next((points.index(g), h) for g, h, gh in broken
+                 if g in points and gh == g and h != gpd.unit[gpd.tgt[h]])
+    with pytest.raises(AssertionError, match=f"not free at point {first[0]}, "
+                                             f"arrow {first[1]}$"):
+        build_ambit(Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit,
+                                         gpd.inv, broken), 1)
+
+
 def test_broken_associativity_detected_by_both_strategies():
     """Light's test in the engine and the brute-force triple scan of the
     test oracle both reject the table, and the engine's witness breaks the
@@ -315,6 +404,19 @@ def test_wrong_arrow_map_fails():
     g = pair_groupoid(2)
     diag = verify_groupoid_iso(g, g, [0, 1], [0, 1, 3, 2])
     assert not diag.ok and not diag.structural
+
+
+def test_iso_reports_a_table_flaw_before_the_rows():
+    """A missing entry reads -1, which must not pass for the last arrow."""
+    g = pair_groupoid(2)
+    holed = Groupoid.from_tables(
+        2, g.src, g.tgt, g.unit, g.inv,
+        [t for t in g.comp_triples() if t != [1, 3, 3]])
+    for g1, g2 in ((holed, g), (g, holed)):
+        diag = verify_groupoid_iso(g1, g2, [0, 1], [0, 1, 2, 3])
+        assert diag is holed.flaw
+        assert (diag.failure, diag.witness) == \
+            ("composability domain violated", (1, 3))
 
 
 def test_iso_between_different_sizes_is_structural():

@@ -217,8 +217,8 @@ def test_builds_from_arrays_match_builds_from_lists():
             assert isinstance(model.data["groupoid"]["comp"], np.ndarray)
             assert isinstance(data["act"], list), name
             assert isinstance(data["groupoid"]["comp"], list), name
-            built, _ = build_action(model.data)
-            plain, _ = build_action(data)
+            built = build_action(model.data)
+            plain = build_action(data)
             _same_tables(built, plain, name)
             _same_tables(built.gpd, plain.gpd, name)
             flawed += built.flaw is not None
