@@ -74,9 +74,15 @@ class GroupoidAction(RowTable):
     @staticmethod
     def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
                      triples) -> "GroupoidAction":
-        a = GroupoidAction(gpd, n_points, np.asarray(anchor, dtype=np.int64),
-                           np.zeros(1, np.int64), np.empty(0, np.int64))
-        if _structural_scan(gpd) is None and _anchor_scan(a) is None:
+        anchor = np.asarray(anchor, dtype=np.int64)
+        # until the scans pass: one empty row per anchor entry
+        a = GroupoidAction(gpd, n_points, anchor,
+                           np.zeros(anchor.shape[0] + 1, np.int64),
+                           np.empty(0, np.int64))
+        a.flaw = _structural_scan(gpd)
+        if a.flaw is None:
+            a.flaw = _anchor_scan(a)
+        if a.flaw is None:
             a.flaw = _act_flaw(a, *a._fill(triples))
         return a
 
@@ -97,7 +103,7 @@ def _anchor_scan(a: GroupoidAction) -> Optional[Diagnostics]:
     return None
 
 
-def _act_flaw(a: GroupoidAction, ys, hs, zs, index, off, dup, missing
+def _act_flaw(a: GroupoidAction, ys, hs, zs, index, value, off, dup, seen
               ) -> Optional[Diagnostics]:
     """The first flaw of an action table: in the order of the triples, a
     point or arrow out of range or an entry off the domain, then a repeated
@@ -113,13 +119,12 @@ def _act_flaw(a: GroupoidAction, ys, hs, zs, index, off, dup, missing
         i = int(np.argmax(dup))
         return Diagnostics.failed("duplicate act pair", (int(ys[i]), int(hs[i])),
                                   structural=True)
-    if missing.size:
-        y, g = (int(c[0]) for c in a.pairs_at(missing[:1]))
+    if not bool(seen.all()):
+        y, g = (int(c[0]) for c in a.pairs_at(np.argmin(seen)[None]))
         return Diagnostics.failed("composability domain violated", (y, g),
                                   detail="missing entry on a composable pair")
-    bad = (zs < 0) | (zs >= a.n_points)
-    if bool(bad.any()):
-        i = int(np.argmax(bad))
+    if bool(value.any()):
+        i = int(np.argmax(value))
         return Diagnostics.failed("action value out of range",
                                   (int(ys[i]), int(hs[i]), int(zs[i])),
                                   structural=True)

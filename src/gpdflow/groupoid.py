@@ -153,27 +153,57 @@ class RowTable:
 
     def _fill(self, triples) -> tuple[np.ndarray, ...]:
         """Lay out the rows for the anchor and place ``(y, h, y . h)``
-        triples in them.  Returns the columns ``ys, hs, zs`` of the triples,
-        masks of the entries whose point or arrow is out of range, that lie
-        off the domain (``src(h) != anchor[y]``) and that repeat a pair, and
-        the table positions left without an entry."""
+        triples in them, ``_BLOCK`` triples at a time.  Returns the columns
+        ``ys, hs, zs`` of the triples; masks of the triples whose point or
+        arrow is out of range, whose value is out of range, that lie off the
+        domain (``src(h) != anchor[y]``) and whose pair occurs more than
+        once (every occurrence: when the first pass sees a repeat, two more
+        passes mark the first occurrences too); and the mask of the table
+        positions given an entry.  Besides ``val``, only these one-byte
+        masks span the table: the range and domain checks, the positions
+        and the writes are made a block at a time.
+        """
         gpd, anchor = self.gpd, self.anchor
         t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         ys, hs, zs = t[:, 0], t[:, 1], t[:, 2]
         # row y has one entry per arrow out of anchor[y]
         self.row_off = np.concatenate(
             ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
-        index = (ys < 0) | (ys >= anchor.shape[0]) | (hs < 0) \
-            | (hs >= gpd.n_arrows)
-        on = ~index
-        on[on] = anchor[ys[on]] == gpd.src[hs[on]]
-        pos = self.row_off[ys[on]] + gpd.out_pos[hs[on]]
-        counts = np.bincount(pos, minlength=int(self.row_off[-1]))
-        dup = np.zeros_like(on)
-        dup[on] = counts[pos] > 1
         self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int64)
-        self.val[pos] = zs[on]
-        return ys, hs, zs, index, ~index & ~on, dup, np.flatnonzero(counts == 0)
+        index, value, off, dup = (np.zeros(len(t), dtype=bool)
+                                  for _ in range(4))
+        seen = np.zeros(self.val.shape, dtype=bool)
+
+        def blocks():
+            """Per block: its slice, its triples on the domain and their
+            positions in ``val``."""
+            for lo in range(0, len(t), _BLOCK):
+                at = slice(lo, lo + _BLOCK)
+                y, h, z = ys[at], hs[at], zs[at]
+                bad = index[at] = (y < 0) | (y >= anchor.shape[0]) \
+                    | (h < 0) | (h >= gpd.n_arrows)
+                value[at] = (z < 0) | (z >= anchor.shape[0])
+                on = ~bad
+                on[on] = anchor[y[on]] == gpd.src[h[on]]
+                off[at] = ~(bad | on)
+                yield at, on, self.row_off[y[on]] + gpd.out_pos[h[on]]
+
+        for at, on, pos in blocks():
+            # a pair placed before, in an earlier block or earlier in this one
+            order = np.argsort(pos, kind="stable")
+            ordered = pos[order]
+            again = np.zeros(pos.shape, dtype=bool)
+            again[order[1:]] = ordered[1:] == ordered[:-1]
+            dup[at][on] = again | seen[pos]
+            seen[pos] = True
+            self.val[pos] = zs[at][on]
+        if bool(dup.any()):  # mark the first occurrence of each repeat too
+            twice = np.zeros_like(seen)
+            for at, on, pos in blocks():
+                twice[pos[dup[at][on]]] = True
+            for at, on, pos in blocks():
+                dup[at][on] = twice[pos]
+        return ys, hs, zs, index, value, off, dup, seen
 
     def light_test(self) -> tuple[Optional[tuple[int, int, int]], int]:
         """Light's associativity test (Clifford & Preston, *The Algebraic
@@ -241,8 +271,10 @@ class Groupoid(RowTable):
                     comp: CompTable) -> "Groupoid":
         if isinstance(comp, Mapping):
             comp = [(g, h, gh) for (g, h), gh in comp.items()]
-        g = Groupoid(n_objects, src, tgt, unit, inv, [0], [])
-        if _structural_scan(g) is None:  # the arrays can index rows
+        # until the scan passes: one empty row per arrow
+        g = Groupoid(n_objects, src, tgt, unit, inv, [0] * (len(tgt) + 1), [])
+        g.flaw = _structural_scan(g)
+        if g.flaw is None:  # the arrays can index rows
             g.flaw = _comp_flaw(g, *g._fill(comp))
         return g
 
@@ -343,7 +375,7 @@ class Groupoid(RowTable):
         return bool(np.array_equal(self.unit, np.arange(m)))
 
 
-def _comp_flaw(g: Groupoid, ys, hs, zs, index, off, dup, missing
+def _comp_flaw(g: Groupoid, ys, hs, zs, index, value, off, dup, seen
                ) -> Optional[Diagnostics]:
     """The first flaw of a composition table, in ``(g, h)`` order: a pair
     out of range, a value out of range, a duplicate pair, a pair off the
@@ -354,7 +386,7 @@ def _comp_flaw(g: Groupoid, ys, hs, zs, index, off, dup, missing
         return Diagnostics.failed("comp pair out of range",
                                   (int((ys[index] * k + hs[index]).min()),),
                                   structural=True)
-    for mask, label, width in (((zs < 0) | (zs >= k), "comp value out of range", 3),
+    for mask, label, width in ((value, "comp value out of range", 3),
                                (dup, "duplicate comp pair", 2),
                                (off, "composability domain violated", 2)):
         if bool(mask.any()):
@@ -363,8 +395,8 @@ def _comp_flaw(g: Groupoid, ys, hs, zs, index, off, dup, missing
             return Diagnostics.failed(
                 label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
                 structural=True)
-    if missing.size:
-        gs, hs = g.pairs_at(missing)
+    if not bool(seen.all()):
+        gs, hs = g.pairs_at(np.flatnonzero(~seen))
         i = int(np.argmin(g.tgt[gs] * k + gs))
         return Diagnostics.failed(
             "composability domain violated", (int(gs[i]), int(hs[i])),

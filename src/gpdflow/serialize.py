@@ -494,7 +494,7 @@ def parse_model(data: Any) -> Model:
 
 
 _TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
-_BLOCK = 1 << 20  # bytes of table text read at a time
+_BLOCK = 1 << 18  # bytes of table text read at a time
 # A decoded table's span becomes the number token ``<i>e-0000000``: numbers
 # cannot be written with escapes, so no other token has that text when
 # the input has no ``e-0000000`` in it.

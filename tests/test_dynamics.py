@@ -395,6 +395,33 @@ def test_equivariant_map_reports_a_table_flaw_before_the_rows():
             ("composability domain violated", (0, 2))
 
 
+@pytest.mark.parametrize("case", ["anchor", "groupoid"])
+def test_action_failing_a_scan_keeps_the_failure_as_its_flaw(case):
+    """An action whose anchor or groupoid fails its scan, and a groupoid
+    that fails its own, has no table to fill: the scan's failure is its
+    flaw and its rows are empty, so the readers report the flaw instead
+    of raising."""
+    g = pair_groupoid(2)
+    if case == "anchor":
+        a = GroupoidAction.from_triples(g, 2, [0, 5], [[0, 0, 0]])
+        expected = ("anchor out of range", (1, 5))
+    else:
+        bad = Groupoid.from_tables(2, g.src, g.tgt, g.unit, [0, 1, 9, 2],
+                                   g.comp_triples())
+        a = GroupoidAction.from_triples(bad, 2, [0, 1], [[0, 0, 0]])
+        expected = ("inv index out of range", (2, 9))
+        assert bad.flaw == a.flaw
+        assert bad.row_off.tolist() == [0] * 5
+        assert bad.triples() == []
+    assert (a.flaw.failure, a.flaw.witness) == expected
+    assert a.flaw.structural
+    assert a.row_off.tolist() == [0, 0, 0]
+    assert a.triples() == []
+    assert verify_equivariant_map(EquivariantMap(a, a, [0, 1])) is a.flaw
+    diag = verify_action(a)
+    assert (diag.failure, diag.witness) == expected
+
+
 # --- the fiber semigroup ---------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ import os
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,8 @@ from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.cli import COMMANDS, fixture_models, run_command
 from gpdflow.dynamics import build_ambit
 from gpdflow.ehresmann import groupoid_of_bundle
-from gpdflow.fixtures import matrix_bundles, named_bundles
+from gpdflow.fixtures import large_random_bundle, matrix_bundles, \
+    named_bundles
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
     build_groupoid, bundle_to_json, canonical_dumps, group_to_json, \
     parse_model, transport_to_json
@@ -650,6 +652,23 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
         assert fast == plain
         paths.add(decoded)
     assert paths == {False, True}
+
+
+def test_decode_takes_the_table_and_one_block_of_temporaries():
+    """Decoding a 72,000-row ``comp`` table (about 1 MB of text, four
+    blocks) allocates, over the input bytes, the decoded table and a fixed
+    slack for one block's temporaries: the text slice, its copy without
+    brackets, the parsed values and their re-encoding."""
+    gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
+    raw = canonical_dumps(serialize.groupoid_to_json(gpd)).encode()
+    tracemalloc.start()
+    try:
+        data, _ = serialize._decode_tables(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data["comp"].shape == (72_000, 3)
+    assert peak < data["comp"].nbytes + (3 << 20), peak
 
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
