@@ -533,9 +533,9 @@ def _fixture_texts() -> list[str]:
     return list(texts)
 
 
-# bytes of table text read at a time: the default, and small enough that
-# block ends fall all over each table
-BLOCKS = [serialize._BLOCK, 8]
+# bytes of table text read at a time: the former 1 MB default, the
+# default, and small enough that block ends fall all over each table
+BLOCKS = [1 << 20, serialize._BLOCK, 8]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
