@@ -153,10 +153,12 @@ class RowTable:
 
     def _fill(self, triples) -> tuple[np.ndarray, ...]:
         """Lay out the rows for the anchor and place ``(y, h, y . h)``
-        triples in them, ``_BLOCK`` triples at a time.  Returns the columns
-        ``ys, hs, zs`` of the triples; masks of the triples whose point or
-        arrow is out of range, whose value is out of range, that lie off the
-        domain (``src(h) != anchor[y]``) and whose pair occurs more than
+        triples in them, ``_BLOCK`` triples at a time.  An integer array of
+        triples is read as it is, not widened whole: each block is widened
+        to int64 before any arithmetic.  Returns the columns ``ys, hs, zs``
+        of the triples, in their own dtype; masks of the triples whose point
+        or arrow is out of range, whose value is out of range, that lie off
+        the domain (``src(h) != anchor[y]``) and whose pair occurs more than
         once (every occurrence: when the first pass sees a repeat, two more
         passes mark the first occurrences too); and the mask of the table
         positions given an entry.  Besides ``val``, only these one-byte
@@ -164,7 +166,8 @@ class RowTable:
         and the writes are made a block at a time.
         """
         gpd, anchor = self.gpd, self.anchor
-        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        t = np.asarray(triples)
+        t = (t if t.dtype.kind in "iu" else t.astype(np.int64)).reshape(-1, 3)
         ys, hs, zs = t[:, 0], t[:, 1], t[:, 2]
         # row y has one entry per arrow out of anchor[y]
         self.row_off = np.concatenate(
@@ -179,7 +182,7 @@ class RowTable:
             positions in ``val``."""
             for lo in range(0, len(t), _BLOCK):
                 at = slice(lo, lo + _BLOCK)
-                y, h, z = ys[at], hs[at], zs[at]
+                y, h, z = t[at].astype(np.int64, copy=False).T
                 bad = index[at] = (y < 0) | (y >= anchor.shape[0]) \
                     | (h < 0) | (h >= gpd.n_arrows)
                 value[at] = (z < 0) | (z >= anchor.shape[0])
@@ -381,17 +384,17 @@ def _comp_flaw(g: Groupoid, ys, hs, zs, index, value, off, dup, seen
     out of range, a value out of range, a duplicate pair, a pair off the
     composable domain; then the first composable pair without an entry,
     by middle object, then ``g``, then ``h``."""
-    k = g.n_arrows
+    k = g.n_arrows  # keys g * k + h in int64: int32 columns would wrap
     if bool(index.any()):
-        return Diagnostics.failed("comp pair out of range",
-                                  (int((ys[index] * k + hs[index]).min()),),
+        key = ys[index].astype(np.int64) * k + hs[index]
+        return Diagnostics.failed("comp pair out of range", (int(key.min()),),
                                   structural=True)
     for mask, label, width in ((value, "comp value out of range", 3),
                                (dup, "duplicate comp pair", 2),
                                (off, "composability domain violated", 2)):
         if bool(mask.any()):
             at = np.flatnonzero(mask)
-            i = int(at[np.argmin(ys[at] * k + hs[at])])
+            i = int(at[np.argmin(ys[at].astype(np.int64) * k + hs[at])])
             return Diagnostics.failed(
                 label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
                 structural=True)
@@ -609,25 +612,22 @@ class LocalTriviality:
 
 def check_local_triviality(g: Groupoid) -> LocalTriviality:
     """For each basepoint ``x`` build the target section ``y -> lowest arrow
-    x->y`` when it exists.  At finite discrete size this succeeds exactly
-    when the groupoid is transitive; the traversal here is deliberately
-    independent of :func:`is_transitive` so the two can be cross-checked.
+    x->y`` when it exists; when one does not, the first pair ``(x, y)``
+    without an arrow, in row order, is the witness.  One pass over the
+    arrows keeps the lowest for each ``(src, tgt)``.  At finite discrete
+    size this succeeds exactly when the groupoid is transitive; the pass
+    here is deliberately independent of :func:`is_transitive` so the two
+    can be cross-checked.
     """
-    sections: dict[int, list[int]] = {}
-    src, tgt = g.src.tolist(), g.tgt.tolist()
-    for x in range(g.n_objects):
-        tau: list[int] = []
-        for y in range(g.n_objects):
-            pick = -1
-            for arrow in range(g.n_arrows):
-                if src[arrow] == x and tgt[arrow] == y:
-                    pick = arrow
-                    break
-            if pick < 0:
-                return LocalTriviality(trivial=False, sections=None, witness=(x, y))
-            tau.append(pick)
-        sections[x] = tau
-    return LocalTriviality(trivial=True, sections=sections, witness=None)
+    m, k = g.n_objects, g.n_arrows
+    first = np.full(m * m, k, dtype=np.int64)  # k: no arrow
+    np.minimum.at(first, g.src * m + g.tgt, np.arange(k))
+    if bool((first == k).any()):
+        flat = int(np.argmax(first == k))
+        return LocalTriviality(trivial=False, sections=None,
+                               witness=(flat // m, flat % m))
+    return LocalTriviality(trivial=True, witness=None, sections=dict(
+        enumerate(first.reshape(m, m).tolist())))
 
 
 def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],

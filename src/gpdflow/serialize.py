@@ -5,12 +5,15 @@ shapes and index ranges only; whether the data satisfies its axioms is the
 verify operations' business, so a malformed table loads fine and then
 fails verification with a witness.  Emission is canonical: sorted keys and
 no whitespace, so equal models produce equal bytes.  A groupoid's ``comp``
-and an action's ``act`` are emitted as ``(n, 3)`` int64 arrays.  The one
-encoder, :func:`canonical_pieces`, yields the text piece by piece: every
-integer array a block of ``_ROWS`` rows at a time through one vectorized
-kernel (:func:`_table_bytes`), byte-identical to the ``json`` encoding of
-the same lists, and the rest of a value through ``json`` in as few calls
-as there are containers on the way to an array.  The command line writes
+and an action's ``act`` are emitted as the row table itself, whose defined
+entries are the ``[y, h, y . h]`` triples in row order.  The one encoder,
+:func:`canonical_pieces`, yields the text piece by piece: a row table a
+block of :meth:`~gpdflow.groupoid.RowTable.row_blocks` at a time, so no
+``(n, 3)`` array of its triples is built, and every integer array a block
+of ``_ROWS`` rows at a time, both through one vectorized kernel
+(:func:`_table_bytes`), byte-identical to the ``json`` encoding of the same
+lists; the rest of a value goes through ``json`` in as few calls as there
+are containers on the way to a table.  The command line writes
 a report's pieces as they come and :func:`model_digest` hashes them, so
 neither holds a whole copy of a large table's text; :func:`canonical_dumps`
 joins them.
@@ -39,9 +42,12 @@ checker, :func:`_table`: a few whole-table passes (the rows' types and
 lengths, entries of type exactly ``int`` so ``true`` is refused, one int64
 conversion, a min/max range check) and, only when they fail, its scanner,
 which names the first bad row or entry.  ``comp`` and ``act`` may also be
-integer arrays (``_ARRAY_TABLES``); their validated arrays replace them in
-:attr:`Model.data`, so each is converted once and stays an array through
-the build, the input digest and the report.
+integer arrays or row tables (``_ARRAY_TABLES``); their validated int32
+arrays replace them in :attr:`Model.data`, so each is converted once and
+stays an array through the build and the input digest.  Every model size
+is below ``2**30``, so every valid entry fits int32, and a table decoded
+from the input's bytes is int32 too: a model holds 12 bytes a triple,
+whichever path read it.
 """
 from __future__ import annotations
 
@@ -53,7 +59,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -62,7 +68,7 @@ from .bundle import BaseGraph, CocycleBundle, verify_cocycle
 from .diagnostics import Diagnostics
 from .dynamics import Ambit, GroupoidAction
 from .ehresmann import Connection, TransportGroupoid
-from .groupoid import Groupoid
+from .groupoid import Groupoid, RowTable
 
 __all__ = [
     "ModelError",
@@ -116,7 +122,7 @@ class Model:
 
     The payload is the decoded object, except that a groupoid's ``comp``
     and an action's ``act`` (and its groupoid's ``comp``) are the validated
-    ``(n, 3)`` int64 arrays.  They are put in a shallow copy, so the
+    ``(n, 3)`` int32 arrays.  They are put in a shallow copy, so the
     caller's object is never changed and the decoded lists can be freed
     once validated; the builds and the report read the arrays.
 
@@ -195,53 +201,65 @@ def _table_bytes(arr: np.ndarray) -> bytes:
     return b"[" * arr.ndim + buf.tobytes().translate(None, b"\0")
 
 
-def _table_pieces(arr: np.ndarray) -> Iterator[str]:
-    """``json.dumps(arr.tolist(), separators=(",", ":"))`` in pieces: a 1-D
-    or 2-D array of integers in ``[0, 10**12)`` with entries through
-    :func:`_table_bytes`, ``_ROWS`` rows at a time; any other array (another
-    dtype or shape, a negative or larger value, no entries) in one piece on
-    the ``json`` path.
+def _kernel_fits(arr: np.ndarray) -> bool:
+    """Whether :func:`_table_bytes` can write the array: it has entries,
+    all integers in ``[0, 10**12)``."""
+    return bool(arr.size and arr.dtype.kind in "iu" and arr.min() >= 0
+                and arr.max() < 10 ** 12)
 
-    The texts of consecutive blocks join on ``,`` once the closing bracket
-    of the one and the opening bracket of the next are dropped."""
-    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "iu"
-            or arr.min() < 0 or arr.max() >= 10 ** 12):
-        yield _json(arr.tolist())
-        return
-    for lo in range(0, len(arr), _ROWS):
-        text = _table_bytes(arr[lo:lo + _ROWS]).decode("ascii")
-        if lo:
-            text = "," + text[1:]
-        yield text if lo + _ROWS >= len(arr) else text[:-1]
+
+def _table_pieces(blocks: Iterable[np.ndarray]) -> Iterator[str]:
+    """The ``json`` text of the blocks' lists joined into one list, in one
+    piece per block with rows: each block's text (:func:`_table_bytes`
+    where it fits, else ``json``) with its outer brackets dropped, joined
+    on ``,``; ``[]`` for no rows."""
+    text = None
+    for block in blocks:
+        if len(block):
+            if text is not None:
+                yield text
+            inner = (_table_bytes(block).decode("ascii") if _kernel_fits(block)
+                     else _json(block.tolist()))[1:-1]
+            text = ("[" if text is None else ",") + inner
+    yield "[]" if text is None else text + "]"
 
 
 class _ArrayInside(Exception):
-    """The ``json`` encoder met an array."""
+    """The ``json`` encoder met an array or a row table."""
 
 
 def _stop_at_array(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, RowTable)):
         raise _ArrayInside
     return _coerce(value)
 
 
 def canonical_pieces(obj: Any, spans: Optional[dict] = None
                      ) -> Iterator[Any]:
-    """The text of :func:`canonical_dumps` in pieces, as it is encoded: an
-    array through :func:`_table_pieces`, anything without one in one
-    ``json`` call, and a list, tuple or ``str``-keyed dict that holds an
-    array piece by piece.  A dict with other keys keeps ``json``'s key
-    rules, with its arrays as lists.  (A container that gets here holds an
-    array, so it has an item.)
+    """The text of :func:`canonical_dumps` in pieces, as it is encoded: a
+    1-D or 2-D array ``_ROWS`` rows at a time and a row table (its entries
+    as ``[y, h, y . h]`` rows) a block of rows at a time, through
+    :func:`_table_pieces`; anything without one in one ``json`` call; and a
+    list, tuple or ``str``-keyed dict that holds one piece by piece.  A
+    dict with other keys keeps ``json``'s key rules, with its arrays as
+    lists.  (A container that gets here holds an array or a row table, so
+    it has an item.)
 
     ``spans`` maps the ``id`` of an array to bytes that are its canonical
     text; such an array is yielded as those bytes (see
     :func:`model_digest`)."""
+    if isinstance(obj, RowTable):  # its entries: the holes dropped
+        yield from _table_pieces(np.stack(block, axis=1)[block[2] >= 0]
+                                 for block in obj.row_blocks())
+        return
     if isinstance(obj, np.ndarray):
         if spans and id(obj) in spans:
             yield spans[id(obj)]
+        elif obj.ndim in (1, 2) and _kernel_fits(obj):
+            yield from _table_pieces(obj[lo:lo + _ROWS]
+                                     for lo in range(0, len(obj), _ROWS))
         else:
-            yield from _table_pieces(obj)
+            yield _json(obj.tolist())
         return
     try:
         yield _json(obj, _stop_at_array)
@@ -319,7 +337,9 @@ def _in_range(arr: np.ndarray, high: Any) -> bool:
 def _int_table(rows: Any, width: int, high: Any,
                scan: Callable[[list], Any]) -> np.ndarray:
     """The rows, each a list of ``width`` integers in ``[0, high)``
-    (``high`` may give one bound per column), as one int64 array; an
+    (``high`` may give one bound per column), as one int32 array, narrowed
+    once the range check passes: every bound is below ``2**31`` (model
+    sizes are below ``2**30``), so every entry in range fits.  An
     ``(n, width)`` integer array is taken as it is.
 
     The fast check reads the types and lengths of the rows and the types
@@ -332,9 +352,8 @@ def _int_table(rows: Any, width: int, high: Any,
     if isinstance(rows, np.ndarray):
         if rows.ndim == 2 and rows.shape[1] == width \
                 and rows.dtype.kind in "iu":
-            arr = rows.astype(np.int64, copy=False)
-            if _in_range(arr, high):
-                return arr
+            if _in_range(rows, high):
+                return rows.astype(np.int32, copy=False)
         rows = rows.tolist()
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
@@ -346,7 +365,7 @@ def _int_table(rows: Any, width: int, high: Any,
         arr = None
     if arr is None or not _in_range(arr, high):
         scan(rows)
-    return arr
+    return arr.astype(np.int32)
 
 
 def _table(data: dict, key: str, where: str, width: int, high: Any,
@@ -359,6 +378,8 @@ def _table(data: dict, key: str, where: str, width: int, high: Any,
     ``where.key[j]`` in a flat row, ``where.key[i]`` with no ``column``."""
     value, where = _need(data, key, where), f"{where}.{key}"
     arrays = np.ndarray if key in _ARRAY_TABLES else ()
+    if arrays and isinstance(value, RowTable):  # as a *_to_json dict holds it
+        value = value.triple_array()
     if not flat and not isinstance(value, (list, arrays)):
         raise ModelError(BAD_INDEX, f"{where}: expected a list")
 
@@ -502,14 +523,16 @@ _SPAN_TOKEN, _SPAN_MARK = b"%de-0000000", b"e-0000000"
 
 
 def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
-    """The ``(k, 3)`` int64 rows whose canonical text, its outer brackets
+    """The ``(k, 3)`` rows whose canonical text, its outer brackets
     dropped, is exactly ``buf[first:last]``, or None.
 
     numpy reads the numbers with the brackets dropped, and
     :func:`_table_bytes` of what it read must give back the text byte for
     byte: only then are the separators the ``,`` ``,`` ``],[`` cycle of
-    rows of three, and every number is 1 to 12 digits without a leading
-    zero, read as ``json`` reads it.
+    rows of three, and every number is 1 to 10 digits without a leading
+    zero, read as ``json`` reads it.  A value of ``2**31`` or more, which
+    no int32 table holds and no valid model has, gives None, so the
+    ``json`` path reads the input and raises its error.
     """
     with warnings.catch_warnings():
         # numpy before 2.3 warns on text it cannot read; later ones raise
@@ -520,7 +543,7 @@ def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
         except (ValueError, DeprecationWarning):
             return None
     if (not values.size or values.size % 3 or values.min() < 0
-            or values.max() >= 10 ** 12):
+            or values.max() >= 1 << 31):
         return None
     rows = values.reshape(-1, 3)
     text = _table_bytes(rows)
@@ -529,14 +552,15 @@ def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
 
 
 def _span_table(buf: bytes, start: int, end: int) -> Optional[np.ndarray]:
-    """The ``(n, 3)`` int64 table whose canonical text is exactly
+    """The ``(n, 3)`` int32 table whose canonical text is exactly
     ``buf[start:end]``, or None.
 
     The rows are read a block of about ``_BLOCK`` bytes at a time by
-    :func:`_rows`, each block ending at a row's end, into an array sized by
-    the count of ``],[`` in the span, so the temporaries stay small.
+    :func:`_rows`, each block ending at a row's end, into an int32 array
+    sized by the count of ``],[`` in the span, so the temporaries stay
+    small and the table takes 12 bytes a row.
     """
-    table = np.empty((buf.count(b"],[", start, end) + 1, 3), np.int64)
+    table = np.empty((buf.count(b"],[", start, end) + 1, 3), np.int32)
     row, first = 0, start + 2
     while first < end - 2:
         last = buf.find(b"],[", first + _BLOCK, end)
@@ -694,7 +718,7 @@ def groupoid_to_json(gpd: Groupoid) -> dict:
             "tgt": [int(x) for x in gpd.tgt],
             "unit": [int(x) for x in gpd.unit],
             "inv": [int(x) for x in gpd.inv],
-            "comp": gpd.triple_array()}
+            "comp": gpd}
 
 
 def transport_to_json(tg: TransportGroupoid) -> dict:
@@ -710,7 +734,7 @@ def action_to_json(a: GroupoidAction) -> dict:
             "groupoid": groupoid_to_json(a.gpd),
             "space": a.n_points,
             "anchor": a.anchor.tolist(),
-            "act": a.triple_array()}
+            "act": a}
 
 
 def ambit_to_json(ambit: Ambit) -> dict:

@@ -5,15 +5,24 @@ engines: a brute-force scan of every composable triple (the old full
 associativity scan, kept here as the slow reference), and a check that a
 reported witness really breaks the law it names.  The whole-table fill of
 a row table (the old one, kept here as the reference for the blockwise
-fill) and the flaw it picks.
+fill) and the flaw it picks.  The triple loop of local triviality (the
+old ``check_local_triviality``, kept here as the reference for the
+one-pass version).
 """
 from collections import defaultdict
 
 import numpy as np
 
 
+def _triples(table):
+    """A table's ``[y, h, y . h]`` rows: an emitted model holds its ``comp``
+    or ``act`` as a row table, read through ``triples()``; a decoded one, a
+    list or an array."""
+    return table.triples() if hasattr(table, "triples") else table
+
+
 def _tables(model):
-    comp = {(g, h): gh for g, h, gh in model["comp"]}
+    comp = {(g, h): gh for g, h, gh in _triples(model["comp"])}
     out = defaultdict(list)
     for a, x in enumerate(model["src"]):
         out[x].append(a)
@@ -44,7 +53,7 @@ def brute_action_violation(model):
     ``(label, witness)``, or None when both hold."""
     gpd = model["groupoid"]
     comp, out = _tables(gpd)
-    act = {(y, g): z for y, g, z in model["act"]}
+    act = {(y, g): z for y, g, z in _triples(model["act"])}
     anchor = model["anchor"]
     for y in range(model["space"]):
         if act[(y, gpd["unit"][anchor[y]])] != y:
@@ -80,7 +89,7 @@ def action_law_broken(model, failure, witness):
     """Whether ``witness`` really breaks the action law named ``failure``."""
     gpd = model["groupoid"]
     comp, _ = _tables(gpd)
-    act = {(y, g): z for y, g, z in model["act"]}
+    act = {(y, g): z for y, g, z in _triples(model["act"])}
     if failure == "action associativity":
         y, g, h = witness
         return act[(act[(y, g)], h)] != act[(y, comp[(g, h)])]
@@ -168,3 +177,24 @@ def _act_flaw(n, ys, hs, zs, index, off, dup, miss_y, miss_h, _):
         return ("action value out of range",
                 (int(ys[i]), int(hs[i]), int(zs[i])), True, {})
     return None
+
+
+def brute_local_triviality(g):
+    """``(trivial, sections, witness)`` of ``check_local_triviality`` by the
+    old triple loop: for each object ``x`` and then each ``y``, the lowest
+    arrow ``x -> y``; the first pair without one is the witness."""
+    sections = {}
+    src, tgt = g.src.tolist(), g.tgt.tolist()
+    for x in range(g.n_objects):
+        tau = []
+        for y in range(g.n_objects):
+            pick = -1
+            for arrow in range(g.n_arrows):
+                if src[arrow] == x and tgt[arrow] == y:
+                    pick = arrow
+                    break
+            if pick < 0:
+                return False, None, (x, y)
+            tau.append(pick)
+        sections[x] = tau
+    return True, sections, None

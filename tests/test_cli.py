@@ -11,6 +11,7 @@ from gpdflow.algebra import preset_group
 from gpdflow.cli import COMMANDS, emit_report, fixture_models, main, \
     run_command
 from gpdflow.fixtures import named_bundles
+from gpdflow.groupoid import RowTable
 from gpdflow.serialize import bundle_to_json, canonical_dumps, parse_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,7 +62,7 @@ def _contract_models() -> dict[str, dict]:
     tg = groupoid_of_bundle(named_bundles()["triangle-z2-twisted"])
     with_connection = transport_to_json(tg)
     plain = {k: v for k, v in with_connection.items() if k != "connection"}
-    swapped = dict(with_connection, comp=with_connection["comp"].tolist())
+    swapped = dict(with_connection, comp=with_connection["comp"].triples())
     swapped["comp"][0][2], swapped["comp"][1][2] = \
         swapped["comp"][1][2], swapped["comp"][0][2]
     two_objects = {"kind": "groupoid", "objects": 2, "arrows": 2,
@@ -404,7 +405,7 @@ def test_verify_rejects_conflicting_duplicate_act_entry(tmp_path, capsys):
     ambit = build_ambit(
         groupoid_of_bundle(named_bundles()["point-s3"]).groupoid, 0)
     model = ambit_to_json(ambit)
-    model["act"] = model["act"].tolist()
+    model["act"] = model["act"].triples()
     y, g, z = model["act"][8]
     model["act"].insert(0, [y, g, (z + 1) % model["space"]])
     path = tmp_path / "ambit.json"
@@ -416,7 +417,7 @@ def test_verify_rejects_conflicting_duplicate_act_entry(tmp_path, capsys):
     assert verdict["witness"] == [y, g]
     assert verdict["ok"] is False
     # the report has no structural flag; the verdict behind it does
-    action = build_action(model)
+    action = build_action(parse_model(model).data)
     assert verify_action(action).structural
 
 
@@ -653,9 +654,11 @@ def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch,
 
 
 def _plain_json(obj) -> str:
-    """The reference encoding: ``json`` with every array as a list."""
+    """The reference encoding: ``json`` with every array as a list and
+    every row table (an emitted ``comp`` or ``act``) as its triples."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=lambda value: value.tolist())
+                      default=lambda value: value.triples()
+                      if isinstance(value, RowTable) else value.tolist())
 
 
 def test_medium_pipe_matches_the_plain_json_encoding(tmp_path, capsys,

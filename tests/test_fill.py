@@ -5,8 +5,8 @@ test oracle, and the memory the fill takes.
 size, a groupoid's composition table and an action table built from
 seeded corruptions (indices and values out of range, entries off the
 domain, missing entries, and repeated pairs within a block and across a
-block boundary) must give the oracle's rows, flaw and, on a whole table,
-values.  For the triples A, B, B, A of an action, the first triple that
+block boundary), given to the fill as int32 and to the oracle as int64,
+must give the oracle's rows, flaw and, on a whole table, values.  For the triples A, B, B, A of an action, the first triple that
 repeats a pair is A, not the B that is seen again first.
 """
 import random
@@ -95,8 +95,9 @@ def test_blockwise_fill_agrees_with_the_whole_table_fill(name, block,
     for table, build in _tables(name):
         for case, triples in _corruptions(table, rng, block):
             for seed in range(3):
-                built = build(triples)
-                row_off, val, flaw = whole_table_fill(table, triples)
+                built = build(np.array(triples, np.int32))
+                row_off, val, flaw = whole_table_fill(
+                    table, np.array(triples, np.int64))
                 got = None if built.flaw is None else (
                     built.flaw.failure, built.flaw.witness,
                     built.flaw.structural, built.flaw.notes)
@@ -109,6 +110,22 @@ def test_blockwise_fill_agrees_with_the_whole_table_fill(name, block,
             if case == "whole":
                 assert built.flaw is None
                 assert built.val.tolist() == table.val.tolist()
+
+
+def test_flaw_keys_of_an_int32_table_do_not_wrap():
+    """A discrete groupoid of 50,000 objects (units only) from an int32
+    table with two values out of range, at a high arrow and then at a low
+    one: ``g * k + h`` of the high one is past ``2**31``, and the witness is
+    the low one, as in the oracle's int64 fill."""
+    m = 50_000
+    units = np.arange(m)
+    comp = np.repeat(units.astype(np.int32)[:, None], 3, axis=1)
+    comp[[m - 10, 3], 2] = m
+    gpd = Groupoid.from_tables(m, units, units, units, units, comp)
+    assert gpd.flaw.failure == "comp value out of range"
+    assert gpd.flaw.witness == (3, 3, m)
+    _, _, flaw = whole_table_fill(gpd, comp.astype(np.int64))
+    assert flaw == (gpd.flaw.failure, gpd.flaw.witness, True, {})
 
 
 def test_fill_allocates_only_the_values_and_byte_masks(monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 
 from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
+from gpdflow.ehresmann import groupoid_of_bundle
+from gpdflow.fixtures import matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, build_ambit, \
     universal_map, verify_action, verify_equivariant_map
 from gpdflow.groupoid import (
@@ -24,7 +26,8 @@ from gpdflow.groupoid import (
 )
 from gpdflow.serialize import groupoid_to_json
 
-from law_oracle import brute_groupoid_violation, groupoid_law_broken
+from law_oracle import brute_groupoid_violation, \
+    brute_local_triviality, groupoid_law_broken
 
 
 def product_groupoid(n_objects, group):
@@ -324,6 +327,47 @@ def test_local_triviality_agrees_with_transitivity(build):
             assert len(tau) == g.n_objects
             for y, arrow in enumerate(tau):
                 assert int(g.src[arrow]) == x and int(g.tgt[arrow]) == y
+
+
+def _relabelled(g, rng):
+    """``g`` with its objects and its arrows renumbered at random."""
+    om = np.array(rng.sample(range(g.n_objects), g.n_objects))
+    am = np.array(rng.sample(range(g.n_arrows), g.n_arrows))
+    old = np.argsort(am)  # the old index of each new arrow
+    return Groupoid.from_tables(
+        g.n_objects, om[g.src[old]], om[g.tgt[old]],
+        am[g.unit[np.argsort(om)]], am[g.inv[old]], am[g.triple_array()])
+
+
+def _local_triviality_cases():
+    """The group-by-graph matrix, then seeded relabellings of transitive
+    groupoids and of disjoint unions, which are not transitive."""
+    for name, bundle in sorted(matrix_bundles().items()):
+        yield name, groupoid_of_bundle(bundle).groupoid
+    rng = random.Random("local triviality")
+    parts = [pair_groupoid(1), pair_groupoid(3),
+             one_object_groupoid(preset_group("Z3")),
+             product_groupoid(2, preset_group("Z2"))[0]]
+    for seed in range(12):
+        g = rng.choice(parts)
+        for _ in range(seed % 3):
+            g = disjoint_union(g, rng.choice(parts))
+        yield f"seed {seed}", _relabelled(g, rng)
+
+
+def test_local_triviality_agrees_with_the_triple_loop():
+    """The one-pass sections and witness are those of the old loop (kept in
+    the test oracle), and local triviality is transitivity."""
+    kinds = set()
+    for name, g in _local_triviality_cases():
+        assert verify_groupoid(g).ok, name
+        lt = check_local_triviality(g)
+        assert (lt.trivial, lt.sections, lt.witness) == \
+            brute_local_triviality(g), name
+        ok, witness = is_transitive(g)
+        assert (lt.trivial, lt.witness) == (ok, witness), name
+        kinds.add(ok)
+    assert kinds == {True, False}
 
 
 # --- hom sets and vertex groups ----------------------------------------------

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gpdflow import groupoid as groupoid_module
 from gpdflow import serialize
 from gpdflow.algebra import preset_group
 from gpdflow.bundle import BaseGraph, CocycleBundle
@@ -31,6 +32,7 @@ from gpdflow.dynamics import build_ambit
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles, \
     named_bundles
+from gpdflow.groupoid import RowTable
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
     build_groupoid, bundle_to_json, canonical_dumps, group_to_json, \
     parse_model, transport_to_json
@@ -376,10 +378,14 @@ def test_load_errors_match_golden():
 
 
 def _plain_json(obj) -> str:
-    """The reference encoding: ``json`` with every array as a list."""
+    """The reference encoding: ``json`` with every array as a list and
+    every row table (an emitted ``comp`` or ``act``) as its triples."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        return value.triples() if isinstance(value, RowTable) else int(value)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=lambda value: value.tolist()
-                      if isinstance(value, np.ndarray) else int(value))
+                      default=plain)
 
 
 EDGES = np.array([0, 9, 10, 99, 100, 9999, 10000, 2 ** 30 - 1])
@@ -486,7 +492,7 @@ def _outcome(load, path: str):
     except ModelError as exc:
         return exc.code, exc.message
     arrays = _arrays(model.data)
-    assert all(a.dtype == np.int64 for a in arrays.values())
+    assert all(a.dtype == np.int32 for a in arrays.values())
     text = canonical_dumps(model.data)
     digest = hashlib.sha256(text.encode()).hexdigest() \
         if load is _text_mode_load else model.digest
@@ -593,6 +599,9 @@ TEXT_MUTATIONS = {
     "float": (lambda t, r: _in_span(t, r, r"\d+", lambda m: "1.0"), False),
     "13 digits": (lambda t, r: _in_span(
         t, r, r"\d+", lambda m: str(10 ** 12)), False),
+    # a number that an int32 table would wrap back to the one it replaces
+    "past int32": (lambda t, r: _in_span(
+        t, r, r"\d+", lambda m: str(2 ** 32 + int(m.group()))), False),
     "one row": (lambda t, r: _replace_span(t, r, "[[0,0,0]]"), True),
     "empty": (lambda t, r: _replace_span(t, r, "[]"), True),
     "empty row": (lambda t, r: _replace_span(t, r, "[[]]"), False),
@@ -669,6 +678,49 @@ def test_decode_takes_the_table_and_one_block_of_temporaries():
         tracemalloc.stop()
     assert data["comp"].shape == (72_000, 3)
     assert peak < data["comp"].nbytes + (3 << 20), peak
+
+
+def _medium_transport():
+    """The transport groupoid of a 6-vertex S4 bundle: 124,416 triples."""
+    return groupoid_of_bundle(large_random_bundle(6, 3, "S4"))
+
+
+def test_report_tables_are_written_from_the_rows(monkeypatch):
+    """Writing a transport groupoid's report, its rows read 1,024 entries at
+    a time, allocates less than the values take (8 bytes an entry) plus a
+    fixed slack for one block's temporaries and the rest of the model: no
+    ``(n, 3)`` array of the triples (24 bytes a triple) is built."""
+    monkeypatch.setattr(groupoid_module, "_BLOCK", 1024)
+    tg = _medium_transport()
+    serialize._digit_groups()  # the kernel's table, built once
+    tracemalloc.start()
+    try:
+        size = sum(map(len, serialize.canonical_pieces(transport_to_json(tg))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == len(canonical_dumps(transport_to_json(tg)))
+    assert peak < tg.groupoid.val.nbytes + (256 << 10), peak
+
+
+def test_a_loaded_report_holds_twelve_bytes_a_triple(tmp_path):
+    """A groupoidify report, loaded: its ``comp`` is int32, and the model
+    holds 12 bytes a triple plus a fixed slack for its other fields, where
+    an int64 table would take 24."""
+    bundle = bundle_to_json(large_random_bundle(6, 3, "S4"))
+    path = tmp_path / "groupoidify.json"
+    path.write_text(canonical_dumps(run_command(
+        "groupoidify", [("bundle", parse_model(bundle))])))
+    serialize._digit_groups()  # the kernel's table, built once
+    tracemalloc.start()
+    try:
+        model = serialize.load_model(str(path))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    comp = model.data["comp"]
+    assert comp.shape == (124_416, 3) and comp.dtype == np.int32
+    assert held < 12 * len(comp) + (512 << 10), held
 
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
