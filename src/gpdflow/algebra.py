@@ -20,6 +20,8 @@ __all__ = [
     "preset_group",
     "generated_subgroup",
     "are_conjugate_subgroup_maps",
+    "element_order",
+    "find_group_isomorphism",
 ]
 
 

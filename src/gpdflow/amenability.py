@@ -22,7 +22,8 @@ from typing import Sequence
 from .algebra import FiniteGroup
 from .bundle import CocycleBundle
 from .diagnostics import Diagnostics
-from .dynamics import GroupoidAction, base_action, build_ambit
+from .dynamics import _CROSSCHECK_POINTS, GroupoidAction, base_action, \
+    build_ambit
 from .ehresmann import groupoid_of_bundle
 from .groupoid import is_transitive, vertex_group
 
@@ -108,15 +109,15 @@ def verify_invariant_section(a: GroupoidAction, values: Sequence[int]
     return Diagnostics.passed(objects=gpd.n_objects)
 
 
-def invariant_sections(a: GroupoidAction, x0: int = 0,
-                       crosscheck_limit: int = 12) -> list[InvariantSection]:
+def invariant_sections(a: GroupoidAction, x0: int = 0
+                       ) -> list[InvariantSection]:
     """All invariant sections of the anchor, one per loop-fixed fiber point.
 
     For each point ``z`` over ``x0`` fixed by every loop, the section sends
     ``x'`` to ``z . g`` for the least-index arrow ``g: x0 -> x'``; the value
     is then re-verified against *every* connecting arrow, and the finished
     section against every arrow of the groupoid.  On spaces of at most
-    ``crosscheck_limit`` points the list is additionally compared with a
+    ``_CROSSCHECK_POINTS`` points the list is additionally compared with a
     brute-force enumeration of all anchor-respecting assignments.
     """
     gpd = a.gpd
@@ -145,7 +146,7 @@ def invariant_sections(a: GroupoidAction, x0: int = 0,
         sections.append(InvariantSection(basepoint=x0, fixed_point=z,
                                          values=values))
 
-    if a.n_points <= crosscheck_limit:
+    if a.n_points <= _CROSSCHECK_POINTS:
         brute = [list(values) for values in
                  product(*(a.fiber(x) for x in range(gpd.n_objects)))
                  if verify_invariant_section(a, list(values)).ok]

@@ -42,7 +42,11 @@ __all__ = [
     "is_trivial",
     "bundles_isomorphic",
     "bundles_isomorphic_bruteforce",
+    "bfs_tree",
+    "compose_gauges",
 ]
+
+_BRUTEFORCE_GAUGES = 10 ** 6  # the most gauges the brute-force oracle scans
 
 
 @dataclass(frozen=True)
@@ -455,14 +459,14 @@ def bundles_isomorphic(b1: CocycleBundle, b2: CocycleBundle,
     return BundleIso(gauge=gauge, conjugator=h)
 
 
-def bundles_isomorphic_bruteforce(b1: CocycleBundle, b2: CocycleBundle,
-                                  limit: int = 10 ** 6
+def bundles_isomorphic_bruteforce(b1: CocycleBundle, b2: CocycleBundle
                                   ) -> Optional[GaugeTransformation]:
     """Oracle: scan all ``|G|^|V|`` gauges in lexicographic order."""
     _require_comparable(b1, b2)
     grp, n = b1.group, b1.base.n_vertices
-    if grp.order ** n > limit:
-        raise ValueError(f"search space {grp.order}^{n} exceeds limit {limit}")
+    if grp.order ** n > _BRUTEFORCE_GAUGES:
+        raise ValueError(f"search space {grp.order}^{n} exceeds limit "
+                         f"{_BRUTEFORCE_GAUGES}")
     for assignment in iter_product(range(grp.order), repeat=n):
         gauge = GaugeTransformation(list(assignment))
         if apply_gauge(b1, gauge).labels == b2.labels:

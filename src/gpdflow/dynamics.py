@@ -52,6 +52,8 @@ __all__ = [
     "minimal_flow_uniqueness",
 ]
 
+_CROSSCHECK_POINTS = 12  # the largest space re-checked by exhaustive search
+
 
 @dataclass(eq=False)
 class GroupoidAction(RowTable):
@@ -188,11 +190,18 @@ def disjoint_union_actions(a1: GroupoidAction,
 
 def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
     """Restrict an action, or a groupoid's regular action, to an invariant
-    subset: each kept row is read and renamed, and points keep their
-    relative order."""
+    subset of distinct points: each kept row is read and renamed, and points
+    keep their relative order."""
     _require_whole(a)
     pts = np.asarray(points, dtype=np.int64)
-    index = np.full(a.anchor.shape[0], -1, dtype=np.int64)
+    n = a.anchor.shape[0]
+    outside = (pts < 0) | (pts >= n)
+    if bool(outside.any()):
+        raise ValueError(f"point {pts[np.argmax(outside)]} out of range")
+    twice = np.bincount(pts, minlength=n)[pts] > 1
+    if bool(twice.any()):
+        raise ValueError(f"point {pts[np.argmax(twice)]} given twice")
+    index = np.full(n, -1, dtype=np.int64)
     index[pts] = np.arange(pts.shape[0])
     lens = np.diff(a.row_off)[pts]
     row_off = np.concatenate(([0], np.cumsum(lens)))
@@ -255,17 +264,16 @@ class Subflow:
     action: GroupoidAction
 
 
-def minimal_subflows(a: GroupoidAction, crosscheck_limit: int = 12
-                     ) -> list[Subflow]:
+def minimal_subflows(a: GroupoidAction) -> list[Subflow]:
     """The minimal nonempty invariant subsets with their restricted actions.
 
     These are exactly the orbits: moves are invertible, so any invariant
     set containing a point contains its whole orbit.  On spaces of at most
-    ``crosscheck_limit`` points the identification is re-proved against the
+    ``_CROSSCHECK_POINTS`` points the identification is re-proved against the
     exhaustive invariant-subset search instead of trusted.
     """
     orbs = orbits(a)
-    if a.n_points <= crosscheck_limit:
+    if a.n_points <= _CROSSCHECK_POINTS:
         closed = invariant_subsets(a)
         minimal = [s for s in closed
                    if not any(set(t) < set(s) for t in closed)]
@@ -346,16 +354,10 @@ def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
                                       structural=True)
         if m.target.anchor[z] != m.source.anchor[y]:
             return Diagnostics.failed("anchor not preserved", (y,))
-    # a missing entry reads -1, which would index the last point
-    for a in (m.source, m.target):
-        if a.flaw is not None:
-            return a.flaw
-    values = np.asarray(m.values, dtype=np.int64)
-    hit = m.source.first_entry(lambda ys, gs, val: m.target.move_many(
-        values[ys], gs)[0] != values[val])
-    if hit is not None:
-        return Diagnostics.failed("equivariance", hit[:2])
-    return Diagnostics.passed(pairs=int(m.source.row_off[-1]))
+    diag = m.source.map_flaw(m.target, np.asarray(m.values, dtype=np.int64),
+                             np.arange(m.source.gpd.n_arrows), "equivariance")
+    return Diagnostics.passed(pairs=int(m.source.row_off[-1])) \
+        if diag is None else diag
 
 
 def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:

@@ -67,6 +67,16 @@ class RowTable:
         gpd = self.gpd
         ys = np.asarray(ys, dtype=np.int64)
         hs = np.asarray(hs, dtype=np.int64)
+        n, k = self.anchor.shape[0], gpd.n_arrows
+        # out of range is undefined, as in _lookup; read as unsigned, a
+        # negative index is past every bound, so one max per array decides
+        if ys.size and hs.size and (ys.view(np.uint64).max() >= n
+                                    or hs.view(np.uint64).max() >= k):
+            ys, hs = np.broadcast_arrays(ys, hs)
+            inside = (ys >= 0) & (ys < n) & (hs >= 0) & (hs < k)
+            out = np.full(ys.shape, -1, dtype=np.int64)
+            out[inside] = self.move_many(ys[inside], hs[inside])[0]
+            return out, out >= 0
         ok = self.anchor[ys] == gpd.src[hs]
         at = np.where(ok, self.row_off[ys] + gpd.out_pos[hs], 0)
         out = np.where(ok, self.val[at], -1) if self.val.size \
@@ -134,6 +144,20 @@ class RowTable:
                 i = int(np.argmax(hit))
                 return tuple(int(c[i]) for c in block)
         return None
+
+    def map_flaw(self, target: "RowTable", point_map: np.ndarray,
+                 arrow_map: np.ndarray, failure: str) -> Optional[Diagnostics]:
+        """The first flaw of either table, else a ``failure`` verdict at the
+        first ``(y, h)``, in row order, where ``point_map[y . h]`` is not
+        ``point_map[y] . arrow_map[h]`` in ``target``, else None.  The maps
+        must already carry anchors and sources along."""
+        # a missing entry reads -1, which would index the last entry
+        for t in (self, target):
+            if t.flaw is not None:
+                return t.flaw
+        hit = self.first_entry(lambda ys, hs, val: target.move_many(
+            point_map[ys], arrow_map[hs])[0] != point_map[val])
+        return None if hit is None else Diagnostics.failed(failure, hit[:2])
 
     def pairs_at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pair ``(y, h)`` behind each of the positions ``pos`` of
@@ -652,28 +676,17 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
         if not _all_distinct(arr):
             return Diagnostics.failed(f"{name} map not a bijection", (),
                                       structural=True)
-    if bool((om[g1.src] != g2.src[am]).any()):
-        bad = int(np.argmax(om[g1.src] != g2.src[am]))
-        return Diagnostics.failed("src not preserved", (bad,))
-    if bool((om[g1.tgt] != g2.tgt[am]).any()):
-        bad = int(np.argmax(om[g1.tgt] != g2.tgt[am]))
-        return Diagnostics.failed("tgt not preserved", (bad,))
-    if bool((am[g1.unit] != g2.unit[om]).any()):
-        bad = int(np.argmax(am[g1.unit] != g2.unit[om]))
-        return Diagnostics.failed("unit not preserved", (bad,))
-    if bool((am[g1.inv] != g2.inv[am]).any()):
-        bad = int(np.argmax(am[g1.inv] != g2.inv[am]))
-        return Diagnostics.failed("inverse not preserved", (bad,))
-    # a missing entry reads -1, which would index the last arrow
-    for g in (g1, g2):
-        if g.flaw is not None:
-            return g.flaw
-    # with src and tgt preserved, both tables have the same rows
-    hit = g1.first_entry(lambda gs, hs, val:
-                         g2.try_compose_many(am[gs], am[hs])[0] != am[val])
-    if hit is not None:
-        return Diagnostics.failed("composition not preserved", hit[:2])
-    return Diagnostics.passed()
+    # src, tgt, unit and inv commute with the maps
+    for name, attr, outer, inner in (("src", "src", om, am),
+                                     ("tgt", "tgt", om, am),
+                                     ("unit", "unit", am, om),
+                                     ("inverse", "inv", am, am)):
+        bad = outer[getattr(g1, attr)] != getattr(g2, attr)[inner]
+        if bool(bad.any()):
+            return Diagnostics.failed(f"{name} not preserved",
+                                      (int(np.argmax(bad)),))
+    diag = g1.map_flaw(g2, am, am, "composition not preserved")
+    return Diagnostics.passed() if diag is None else diag
 
 
 # --- normalization and constructions ---------------------------------------

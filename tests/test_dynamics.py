@@ -227,6 +227,18 @@ def test_restrict_action_requires_invariance():
         restrict_action(a, [0, 1])
 
 
+@pytest.mark.parametrize("points, message", [
+    ([0, 0, 1], "point 0 given twice"),
+    ([-1, 0], "point -1 out of range"),
+    ([1, 2], "point 2 out of range"),
+])
+def test_restrict_action_refuses_a_repeated_or_out_of_range_point(
+        points, message):
+    a = base_action(pair_groupoid(2))
+    with pytest.raises(ValueError, match=message):
+        restrict_action(a, points)
+
+
 # --- the ambit -----------------------------------------------------------------
 
 

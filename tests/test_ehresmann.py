@@ -5,6 +5,8 @@ arrow ids, against the package's literal orbit enumeration, and against a
 second orbit enumeration written here from scratch (orbits as frozensets,
 composition by scanning for a matching representative).
 """
+from itertools import product
+
 import pytest
 
 from gpdflow.algebra import preset_group, verify_group
@@ -80,6 +82,22 @@ def test_frozen_arrow_ids():
     assert tg.arrow_of(1, 1, 1) == 10
     assert tg.arrow_of(2, 2, 1) == 17
     assert tg.coord_of(8) == ArrowCoordinate(1, 0, 0)
+
+
+def test_arrow_ids_when_the_identity_is_not_zero():
+    table = [[1, 0], [0, 1]]  # a two-element group whose identity is 1
+    _, grp = verify_group(table, identity=1)
+    tg = groupoid_of_bundle(
+        CocycleBundle.from_edge_labels(BaseGraph.path(3), grp, [0, 1]))
+    units = [(x, x, 1) for x in range(3)]
+    cells = units + [c for c in product(range(3), range(3), range(2))
+                     if c not in units]
+    assert tg.coords == [ArrowCoordinate(*c) for c in cells]
+    assert [tg.arrow_of(*c) for c in cells] == list(range(18))
+    assert tg.arrow_of(0, 0, 0) == 3
+    assert tg.arrow_of(1, 1, 0) == 10
+    assert tg.arrow_of(2, 2, 0) == 17
+    assert verify_groupoid(tg.groupoid).ok
 
 
 def test_coordinate_lookup_roundtrip():

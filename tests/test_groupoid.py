@@ -1,5 +1,6 @@
 """Tests for the groupoid core: verification, transitivity, vertex groups."""
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import matrix_bundles
-from gpdflow.dynamics import EquivariantMap, GroupoidAction, build_ambit, \
-    universal_map, verify_action, verify_equivariant_map
+from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
+    build_ambit, universal_map, verify_action, verify_equivariant_map
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -135,6 +136,20 @@ def _row_order(table) -> list[list[int]]:
             for y in range(table.anchor.shape[0])
             for h in gpd.arrows_from(int(table.anchor[y]))
             if table.defined(y, int(h))]
+
+
+def test_vector_lookup_agrees_with_the_scalar_one_out_of_range():
+    """A point or arrow out of range is undefined for ``move_many`` as for
+    ``move``: -1 and False, not a wrapped index or an IndexError."""
+    gpd = pair_groupoid(2)
+    for table in (gpd, base_action(gpd)):
+        n, k = table.anchor.shape[0], gpd.n_arrows
+        pairs = list(product(range(-n - 1, n + 1), range(-k - 1, k + 1)))
+        values, ok = table.move_many(*np.array(pairs).T)
+        want = [table.move(y, h) if table.defined(y, h) else -1
+                for y, h in pairs]
+        assert values.tolist() == want
+        assert ok.tolist() == [z >= 0 for z in want]
 
 
 @pytest.mark.parametrize("block", [1, 7, 40, 100, groupoid_module._BLOCK])
@@ -448,6 +463,23 @@ def test_wrong_arrow_map_fails():
     g = pair_groupoid(2)
     diag = verify_groupoid_iso(g, g, [0, 1], [0, 1, 3, 2])
     assert not diag.ok and not diag.structural
+
+
+@pytest.mark.parametrize("group, obj_map, arr_map, failure, witness", [
+    (None, [1, 0], [0, 1, 2, 3], "src not preserved", 0),
+    (None, [0, 1], [2, 3, 0, 1], "tgt not preserved", 0),
+    ("Z2", [0], [1, 0], "unit not preserved", 0),
+    ("Z4", [0], [0, 2, 1, 3], "inverse not preserved", 1),
+])
+def test_iso_names_the_first_structure_map_not_preserved(
+        group, obj_map, arr_map, failure, witness):
+    """Bijections that break src, tgt, unit or inverse are reported in that
+    order, at the first arrow or object that breaks it."""
+    g = pair_groupoid(2) if group is None \
+        else one_object_groupoid(preset_group(group))
+    diag = verify_groupoid_iso(g, g, obj_map, arr_map)
+    assert (diag.ok, diag.structural) == (False, False)
+    assert (diag.failure, diag.witness) == (failure, (witness,))
 
 
 def test_iso_reports_a_table_flaw_before_the_rows():
