@@ -252,11 +252,15 @@ def element_order(group: FiniteGroup, g: int) -> int:
 
 def find_group_isomorphism(g1: FiniteGroup,
                            g2: FiniteGroup) -> Optional[list[int]]:
-    """Search for an isomorphism ``g1 -> g2`` by backtracking.
+    """Search for an isomorphism ``g1 -> g2`` one generator at a time.
 
-    Candidates are pruned by element order and partial maps are closed under
-    products as they grow.  Candidates are tried in ascending order, so the
-    result is deterministic; ``None`` means no isomorphism exists.
+    The generators are ``s1 < s2 < ...``, each the least element outside
+    the subgroup the earlier ones generate.  Each ``si`` tries the unused
+    images of its element order in ascending order, and each choice is
+    carried along every product of the subgroup generated so far.  Every
+    element below ``s(i+1)`` lies in the subgroup of ``s1 ... si``, so two
+    maps first differ at a generator and the result is the lexicographically
+    least isomorphism; ``None`` means no isomorphism exists.
     """
     n = g1.order
     if n != g2.order:
@@ -265,58 +269,35 @@ def find_group_isomorphism(g1: FiniteGroup,
     ord2 = [element_order(g2, g) for g in g2.elements]
     if sorted(ord1) != sorted(ord2):
         return None
+    gens: list[int] = []
+    span = [g1.identity]
+    while len(span) < n:
+        gens.append(next(g for g in g1.elements if g not in span))
+        span = generated_subgroup(g1, gens)
 
-    image = [-1] * n
-    used = [False] * n
-    image[g1.identity] = g2.identity
-    used[g2.identity] = True
-
-    def close(pairs: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
-        """Force products of known values; return newly set pairs or None."""
-        added: list[tuple[int, int]] = []
-        queue = list(pairs)
-        while queue:
-            a, _ = queue.pop()
-            for b in g1.elements:
-                if image[b] < 0:
-                    continue
-                for x, y in ((a, b), (b, a)):
-                    prod = g1.mul(x, y)
-                    want = g2.mul(image[x], image[y])
-                    if image[prod] < 0:
-                        if used[want]:
-                            return _undo(added)
-                        image[prod] = want
-                        used[want] = True
-                        added.append((prod, want))
-                        queue.append((prod, want))
-                    elif image[prod] != want:
-                        return _undo(added)
-        return added
-
-    def _undo(added: list[tuple[int, int]]) -> None:
-        for a, b in added:
-            image[a] = -1
-            used[b] = False
+    def search(image: list[int], s: int, t: int,
+               i: int) -> Optional[list[int]]:
+        """A fresh copy of ``image`` with ``s -> t``, carried along every
+        product of a mapped element and one of the first ``i`` generators,
+        then extended over the rest: the first isomorphism found, or None."""
+        image = list(image)
+        image[s] = t
+        mapped = [x for x in g1.elements if image[x] >= 0]
+        for x in mapped:
+            for g in gens[:i]:
+                y, want = g1.mul(x, g), g2.mul(image[x], image[g])
+                if image[y] < 0 and want not in image:
+                    image[y] = want
+                    mapped.append(y)
+                elif image[y] != want:  # a different or a used image
+                    return None
+        if i == len(gens):
+            return image
+        for t in g2.elements:
+            if ord2[t] == ord1[gens[i]] and t not in image:
+                found = search(image, gens[i], t, i + 1)
+                if found is not None:
+                    return found
         return None
 
-    def search() -> bool:
-        try:
-            a = image.index(-1)
-        except ValueError:
-            return True
-        for b in g2.elements:
-            if used[b] or ord2[b] != ord1[a]:
-                continue
-            image[a] = b
-            used[b] = True
-            added = close([(a, b)])
-            if added is not None:
-                if search():
-                    return True
-                _undo(added)
-            image[a] = -1
-            used[b] = False
-        return False
-
-    return list(image) if search() else None
+    return search([-1] * n, g1.identity, g2.identity, 0)

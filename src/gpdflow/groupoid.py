@@ -657,7 +657,8 @@ def check_local_triviality(g: Groupoid) -> LocalTriviality:
 def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
                         arr_map: Sequence[int]) -> Diagnostics:
     """Check that the pair of maps is a groupoid isomorphism: bijections that
-    preserve src, tgt, unit, inverse, and every defined composition."""
+    preserve src, tgt, unit, inverse, and every defined composition.  A
+    structural flaw of either groupoid is reported before the maps meet it."""
     m, k = g1.n_objects, g1.n_arrows
     if len(obj_map) != m or len(arr_map) != k:
         return Diagnostics.failed(
@@ -676,6 +677,10 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
         if not _all_distinct(arr):
             return Diagnostics.failed(f"{name} map not a bijection", (),
                                       structural=True)
+    for g in (g1, g2):  # the structure maps must index the maps below
+        flaw = _structural_scan(g)
+        if flaw is not None:
+            return flaw
     # src, tgt, unit and inv commute with the maps
     for name, attr, outer, inner in (("src", "src", om, am),
                                      ("tgt", "tgt", om, am),

@@ -7,11 +7,15 @@ reported witness really breaks the law it names.  The whole-table fill of
 a row table (the old one, kept here as the reference for the blockwise
 fill) and the flaw it picks.  The triple loop of local triviality (the
 old ``check_local_triviality``, kept here as the reference for the
-one-pass version).
+one-pass version).  The backtracking group isomorphism search (the old
+``find_group_isomorphism``, kept here as the reference for the search one
+generator at a time).
 """
 from collections import defaultdict
 
 import numpy as np
+
+from gpdflow.algebra import element_order
 
 
 def _triples(table):
@@ -198,3 +202,71 @@ def brute_local_triviality(g):
             tau.append(pick)
         sections[x] = tau
     return True, sections, None
+
+
+def backtrack_group_isomorphism(g1, g2):
+    """The old ``find_group_isomorphism``: the least unmapped element tries
+    each unused image of its element order in ascending order, and the
+    partial map is closed under products, undoing the closure on a clash."""
+    n = g1.order
+    if n != g2.order:
+        return None
+    ord1 = [element_order(g1, g) for g in g1.elements]
+    ord2 = [element_order(g2, g) for g in g2.elements]
+    if sorted(ord1) != sorted(ord2):
+        return None
+
+    image = [-1] * n
+    used = [False] * n
+    image[g1.identity] = g2.identity
+    used[g2.identity] = True
+
+    def close(pairs):
+        """Force products of known values; return newly set pairs or None."""
+        added = []
+        queue = list(pairs)
+        while queue:
+            a, _ = queue.pop()
+            for b in g1.elements:
+                if image[b] < 0:
+                    continue
+                for x, y in ((a, b), (b, a)):
+                    prod = g1.mul(x, y)
+                    want = g2.mul(image[x], image[y])
+                    if image[prod] < 0:
+                        if used[want]:
+                            return _undo(added)
+                        image[prod] = want
+                        used[want] = True
+                        added.append((prod, want))
+                        queue.append((prod, want))
+                    elif image[prod] != want:
+                        return _undo(added)
+        return added
+
+    def _undo(added):
+        for a, b in added:
+            image[a] = -1
+            used[b] = False
+        return None
+
+    def search():
+        try:
+            a = image.index(-1)
+        except ValueError:
+            return True
+        for b in g2.elements:
+            if used[b] or ord2[b] != ord1[a]:
+                continue
+            image[a] = b
+            used[b] = True
+            added = close([(a, b)])
+            if added is not None:
+                if search():
+                    return True
+                _undo(added)
+            image[a] = -1
+            used[b] = False
+        return False
+
+    return list(image) if search() else None

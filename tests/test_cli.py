@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gpdflow.algebra import preset_group
+from gpdflow.amenability import fixed_points
 from gpdflow.cli import COMMANDS, emit_report, fixture_models, main, \
     run_command
 from gpdflow.fixtures import named_bundles
@@ -615,6 +616,23 @@ def test_ambit_verifies_the_groupoid_once(tmp_path, capsys, monkeypatch):
     first, second = verdicts.values()
     assert first == second
     assert first["property"] == "groupoid action axioms"
+
+
+def test_sections_computes_the_fixed_points_once(monkeypatch):
+    import gpdflow.amenability
+    import gpdflow.cli
+    calls = []
+
+    def counting(grp, table):
+        calls.append(table)
+        return fixed_points(grp, table)
+    for module in (gpdflow.amenability, gpdflow.cli):  # wherever it is read
+        monkeypatch.setattr(module, "fixed_points", counting, raising=False)
+    models = [m for m in fixture_models("sections") if m[0] == "triangle-z1"]
+    report = run_command("sections", models)
+    assert len(calls) == 1
+    assert report["runs"][0]["facts"]["fixed_fiber_points"] == [0]
+    assert report["ok"]
 
 
 # --- the collector around main -------------------------------------------------------

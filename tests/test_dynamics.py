@@ -374,6 +374,40 @@ def test_enumeration_counts():
         assert m.values == again.values
 
 
+def edge_s3_ambit():
+    return build_ambit(s3_edge_groupoid().groupoid, x0=0)
+
+
+def test_enumeration_verifies_each_map_once(monkeypatch):
+    import gpdflow.dynamics
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return verify_equivariant_map(m)
+    monkeypatch.setattr(gpdflow.dynamics, "verify_equivariant_map", counting)
+    ambit = edge_s3_ambit()
+    maps = enumerate_equivariant_maps(ambit, ambit.action)
+    assert len(maps) == len(calls) == len(ambit.fiber_points()) == 6
+
+
+def test_enumeration_drops_the_maps_into_a_lawless_target():
+    """Two same-fiber values swapped in row 1 break the unit law: no
+    candidate verifies, so the list is empty, where the universal map of
+    any fiber point raises."""
+    ambit = edge_s3_ambit()
+    a = ambit.action
+    triples = a.triples()
+    i, j = triples.index([1, 0, 1]), triples.index([1, 2, 0])
+    triples[i][2], triples[j][2] = triples[j][2], triples[i][2]
+    lawless = rebuilt(a, triples)
+    diag = verify_action(lawless)
+    assert (diag.failure, diag.witness) == ("action unit law", (1,))
+    assert enumerate_equivariant_maps(ambit, lawless) == []
+    with pytest.raises(AssertionError, match="not equivariant"):
+        universal_map(lawless, ambit, ambit.u0)
+
+
 def test_verify_equivariant_map_failures():
     gpd = z2_triangle_groupoid().groupoid
     ambit = build_ambit(gpd, x0=0)

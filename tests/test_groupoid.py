@@ -495,6 +495,23 @@ def test_iso_reports_a_table_flaw_before_the_rows():
             ("composability domain violated", (1, 3))
 
 
+@pytest.mark.parametrize("build", ["from_tables", "direct"])
+def test_iso_reports_a_structure_map_out_of_range(build):
+    """An out-of-range ``src`` is reported, in either argument order,
+    before the maps index with it."""
+    p = pair_groupoid(2)
+    src = [0, 1, 0, 7]
+    if build == "from_tables":
+        bad = Groupoid.from_tables(2, src, p.tgt, p.unit, p.inv, p.triples())
+    else:  # built directly, with no flaw recorded
+        bad = Groupoid(2, src, p.tgt, p.unit, p.inv, p.row_off, p.val)
+        assert bad.flaw is None
+    for g1, g2 in ((bad, p), (p, bad)):
+        diag = verify_groupoid_iso(g1, g2, [0, 1], [0, 1, 2, 3])
+        assert (diag.failure, diag.witness) == ("src index out of range", (3, 7))
+        assert diag.structural
+
+
 def test_iso_between_different_sizes_is_structural():
     diag = verify_groupoid_iso(pair_groupoid(2), pair_groupoid(3),
                                [0, 1], [0, 1, 2, 3])
