@@ -80,7 +80,7 @@ class GroupoidAction(RowTable):
         # until the scans pass: one empty row per anchor entry
         a = GroupoidAction(gpd, n_points, anchor,
                            np.zeros(anchor.shape[0] + 1, np.int64),
-                           np.empty(0, np.int64))
+                           np.empty(0, np.int32))
         a.flaw = _structural_scan(gpd)
         if a.flaw is None:
             a.flaw = _anchor_scan(a)
@@ -105,27 +105,31 @@ def _anchor_scan(a: GroupoidAction) -> Optional[Diagnostics]:
     return None
 
 
-def _act_flaw(a: GroupoidAction, ys, hs, zs, index, value, off, dup, seen
+def _act_flaw(a: GroupoidAction, seen: np.ndarray, triples: Optional[tuple]
               ) -> Optional[Diagnostics]:
-    """The first flaw of an action table: in the order of the triples, a
-    point or arrow out of range or an entry off the domain, then a repeated
-    pair; then, in row order, a composable pair without an entry; then, in
-    the order of the triples, a value out of range."""
-    if bool((index | off).any()):
-        i = int(np.argmax(index | off))
-        label = "action table index out of range" if index[i] \
-            else "composability domain violated"
-        return Diagnostics.failed(label, (int(ys[i]), int(hs[i])),
-                                  structural=True)
-    if bool(dup.any()):
-        i = int(np.argmax(dup))
-        return Diagnostics.failed("duplicate act pair", (int(ys[i]), int(hs[i])),
-                                  structural=True)
+    """The first flaw of an action table, from :meth:`RowTable._fill`: in
+    the order of the triples, a point or arrow out of range or an entry off
+    the domain, then a repeated pair; then, in row order, a composable pair
+    without an entry; then, in the order of the triples, a value out of
+    range."""
+    if triples is not None:
+        ys, hs, zs, index, value, off, dup = triples
+        if bool((index | off).any()):
+            i = int(np.argmax(index | off))
+            label = "action table index out of range" if index[i] \
+                else "composability domain violated"
+            return Diagnostics.failed(label, (int(ys[i]), int(hs[i])),
+                                      structural=True)
+        if bool(dup.any()):
+            i = int(np.argmax(dup))
+            return Diagnostics.failed("duplicate act pair",
+                                      (int(ys[i]), int(hs[i])),
+                                      structural=True)
     if not bool(seen.all()):
         y, g = (int(c[0]) for c in a.pairs_at(np.argmin(seen)[None]))
         return Diagnostics.failed("composability domain violated", (y, g),
                                   detail="missing entry on a composable pair")
-    if bool(value.any()):
+    if triples is not None and bool(value.any()):
         i = int(np.argmax(value))
         return Diagnostics.failed("action value out of range",
                                   (int(ys[i]), int(hs[i]), int(zs[i])),

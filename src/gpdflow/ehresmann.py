@@ -129,7 +129,7 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
 
     # row g holds g . h for the m * n arrows h out of tgt(g)
     row_off = np.arange(k + 1, dtype=np.int64) * (m * n)
-    val = np.empty(k * m * n, dtype=np.int64)
+    val = np.empty(k * m * n, dtype=np.int32)
     for w in range(m):
         ins = np.flatnonzero(w_of == w)
         outs = np.flatnonzero(v_of == w)  # ascending, as rows are laid out

@@ -21,8 +21,9 @@ constructors in this package produce normalized groupoids and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, \
+    Union
 
 import numpy as np
 
@@ -48,8 +49,15 @@ __all__ = [
     "disjoint_union",
 ]
 
-CompTable = Union[Mapping[tuple[int, int], int], Iterable[Sequence[int]]]
-_BLOCK = 1 << 16  # table entries read at a time by RowTable.row_blocks
+# a dict, triples whole, or a block source (see RowTable._fill)
+CompTable = Union[Mapping[tuple[int, int], int], Iterable[Sequence[int]],
+                  Callable[[], Iterator[np.ndarray]]]
+_BLOCK = 1 << 14  # table entries, or rows of an array, read at a time
+
+
+def blocks_of(rows) -> Iterator:
+    """Slices of ``rows`` (an array or a list), ``_BLOCK`` rows at a time."""
+    return (rows[lo:lo + _BLOCK] for lo in range(0, len(rows), _BLOCK))
 
 
 class RowTable:
@@ -79,7 +87,8 @@ class RowTable:
             return out, out >= 0
         ok = self.anchor[ys] == gpd.src[hs]
         at = np.where(ok, self.row_off[ys] + gpd.out_pos[hs], 0)
-        out = np.where(ok, self.val[at], -1) if self.val.size \
+        # int64, as the arguments are, whatever the dtype of val
+        out = np.where(ok, self.val[at], np.int64(-1)) if self.val.size \
             else np.full(at.shape, -1, dtype=np.int64)
         return out, out >= 0
 
@@ -109,11 +118,16 @@ class RowTable:
         ``[g, h, gh]``, lexicographically), filled a block at a time."""
         out = np.empty((int(np.count_nonzero(self.val >= 0)), 3), np.int64)
         at = 0
-        for block in self.row_blocks():
-            rows = np.column_stack(block)[block[2] >= 0]
+        for rows in self.triple_blocks():
             out[at:at + len(rows)] = rows
             at += len(rows)
         return out
+
+    def triple_blocks(self) -> Iterator[np.ndarray]:
+        """The rows of :meth:`triple_array`, a block of :meth:`row_blocks`
+        at a time: a block source for :meth:`_fill`."""
+        for block in self.row_blocks():
+            yield np.stack(block, axis=1)[block[2] >= 0]
 
     def triples(self) -> list[list[int]]:
         """:meth:`triple_array` as python lists."""
@@ -175,62 +189,69 @@ class RowTable:
                                  minlength=gpd.n_objects).astype(np.int64)
         return int(per_object[self.anchor].sum())
 
-    def _fill(self, triples) -> tuple[np.ndarray, ...]:
+    def _fill(self, triples) -> tuple[np.ndarray, Optional[tuple]]:
         """Lay out the rows for the anchor and place ``(y, h, y . h)``
-        triples in them, ``_BLOCK`` triples at a time.  An integer array of
-        triples is read as it is, not widened whole: each block is widened
-        to int64 before any arithmetic.  Returns the columns ``ys, hs, zs``
-        of the triples, in their own dtype; masks of the triples whose point
-        or arrow is out of range, whose value is out of range, that lie off
-        the domain (``src(h) != anchor[y]``) and whose pair occurs more than
-        once (every occurrence: when the first pass sees a repeat, two more
-        passes mark the first occurrences too); and the mask of the table
-        positions given an entry.  Besides ``val``, only these one-byte
-        masks span the table: the range and domain checks, the positions
-        and the writes are made a block at a time.
+        triples in them, a block at a time.  ``triples`` is a block source,
+        a function that gives them as ``(k, 3)`` integer arrays one block
+        after another each time it is called, or the triples whole, read
+        :func:`blocks_of` them.  Each block is widened to int64 before any
+        arithmetic.
+
+        Returns the mask of the positions given an entry, and None when no
+        triple had a point, arrow or value out of range, lay off the domain
+        (``src(h) != anchor[y]``) or repeated a pair.  Such a fill allocates
+        only ``val`` (int32) and that one-byte mask.  Otherwise the blocks
+        are read again for the flaw pickers: the columns ``ys, hs, zs`` of
+        the triples, in their own dtype, and masks of the triples whose
+        point or arrow is out of range, whose value is out of range, that
+        lie off the domain and whose pair occurs more than once (every
+        occurrence) take the place of None.
         """
         gpd, anchor = self.gpd, self.anchor
-        t = np.asarray(triples)
-        t = (t if t.dtype.kind in "iu" else t.astype(np.int64)).reshape(-1, 3)
-        ys, hs, zs = t[:, 0], t[:, 1], t[:, 2]
+        if not callable(triples):
+            t = np.asarray(triples)
+            t = t if t.dtype.kind in "iu" else t.astype(np.int64)
+            triples = partial(blocks_of, t.reshape(-1, 3))
         # row y has one entry per arrow out of anchor[y]
         self.row_off = np.concatenate(
             ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
-        self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int64)
-        index, value, off, dup = (np.zeros(len(t), dtype=bool)
-                                  for _ in range(4))
+        self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int32)
         seen = np.zeros(self.val.shape, dtype=bool)
 
-        def blocks():
-            """Per block: its slice, its triples on the domain and their
-            positions in ``val``."""
-            for lo in range(0, len(t), _BLOCK):
-                at = slice(lo, lo + _BLOCK)
-                y, h, z = t[at].astype(np.int64, copy=False).T
-                bad = index[at] = (y < 0) | (y >= anchor.shape[0]) \
+        def placed():
+            """Per block: its triples, the masks of those out of range by
+            index and by value, off the domain and repeating a pair placed
+            before (earlier in the block or in an earlier block), and the
+            positions of those on the domain, where their values go."""
+            for block in triples():
+                y, h, z = block.astype(np.int64, copy=False).T
+                index = (y < 0) | (y >= anchor.shape[0]) \
                     | (h < 0) | (h >= gpd.n_arrows)
-                value[at] = (z < 0) | (z >= anchor.shape[0])
-                on = ~bad
+                on = ~index
                 on[on] = anchor[y[on]] == gpd.src[h[on]]
-                off[at] = ~(bad | on)
-                yield at, on, self.row_off[y[on]] + gpd.out_pos[h[on]]
+                pos = self.row_off[y[on]] + gpd.out_pos[h[on]]
+                order = np.argsort(pos, kind="stable")
+                again = np.zeros(pos.shape, dtype=bool)
+                again[order[1:]] = pos[order[1:]] == pos[order[:-1]]
+                dup = np.zeros(len(block), dtype=bool)
+                dup[on] = again | seen[pos]
+                seen[pos] = True
+                self.val[pos] = z[on]
+                yield (block, index, (z < 0) | (z >= anchor.shape[0]),
+                       ~(index | on), dup, on, pos)
 
-        for at, on, pos in blocks():
-            # a pair placed before, in an earlier block or earlier in this one
-            order = np.argsort(pos, kind="stable")
-            ordered = pos[order]
-            again = np.zeros(pos.shape, dtype=bool)
-            again[order[1:]] = ordered[1:] == ordered[:-1]
-            dup[at][on] = again | seen[pos]
-            seen[pos] = True
-            self.val[pos] = zs[at][on]
+        # every block is read, whatever the first ones hold
+        if not any([bool((index | value | off | dup).any())
+                    for _, index, value, off, dup, _, _ in placed()]):
+            return seen, None
+        seen[:] = False  # the blocks placed again, for the flaw pickers
+        t, index, value, off, dup, on, pos = map(np.concatenate,
+                                                 zip(*placed()))
         if bool(dup.any()):  # mark the first occurrence of each repeat too
             twice = np.zeros_like(seen)
-            for at, on, pos in blocks():
-                twice[pos[dup[at][on]]] = True
-            for at, on, pos in blocks():
-                dup[at][on] = twice[pos]
-        return ys, hs, zs, index, value, off, dup, seen
+            twice[pos[dup[on]]] = True
+            dup[on] = twice[pos]
+        return seen, (t[:, 0], t[:, 1], t[:, 2], index, value, off, dup)
 
     def light_test(self) -> tuple[Optional[tuple[int, int, int]], int]:
         """Light's associativity test (Clifford & Preston, *The Algebraic
@@ -289,8 +310,10 @@ class Groupoid(RowTable):
     flaw: Optional[Diagnostics] = None
 
     def __post_init__(self) -> None:
-        for name in ("src", "tgt", "unit", "inv", "row_off", "val"):
+        for name in ("src", "tgt", "unit", "inv", "row_off"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        # every value is below 2**30; readers widen before key arithmetic
+        self.val = np.asarray(self.val, dtype=np.int32)
 
     @staticmethod
     def from_tables(n_objects: int, src: Sequence[int], tgt: Sequence[int],
@@ -402,26 +425,29 @@ class Groupoid(RowTable):
         return bool(np.array_equal(self.unit, np.arange(m)))
 
 
-def _comp_flaw(g: Groupoid, ys, hs, zs, index, value, off, dup, seen
+def _comp_flaw(g: Groupoid, seen: np.ndarray, triples: Optional[tuple]
                ) -> Optional[Diagnostics]:
-    """The first flaw of a composition table, in ``(g, h)`` order: a pair
-    out of range, a value out of range, a duplicate pair, a pair off the
-    composable domain; then the first composable pair without an entry,
-    by middle object, then ``g``, then ``h``."""
+    """The first flaw of a composition table, from :meth:`RowTable._fill`,
+    in ``(g, h)`` order: a pair out of range, a value out of range, a
+    duplicate pair, a pair off the composable domain; then the first
+    composable pair without an entry, by middle object, then ``g``, then
+    ``h``."""
     k = g.n_arrows  # keys g * k + h in int64: int32 columns would wrap
-    if bool(index.any()):
-        key = ys[index].astype(np.int64) * k + hs[index]
-        return Diagnostics.failed("comp pair out of range", (int(key.min()),),
-                                  structural=True)
-    for mask, label, width in ((value, "comp value out of range", 3),
-                               (dup, "duplicate comp pair", 2),
-                               (off, "composability domain violated", 2)):
-        if bool(mask.any()):
-            at = np.flatnonzero(mask)
-            i = int(at[np.argmin(ys[at].astype(np.int64) * k + hs[at])])
-            return Diagnostics.failed(
-                label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
-                structural=True)
+    if triples is not None:
+        ys, hs, zs, index, value, off, dup = triples
+        if bool(index.any()):
+            key = ys[index].astype(np.int64) * k + hs[index]
+            return Diagnostics.failed("comp pair out of range",
+                                      (int(key.min()),), structural=True)
+        for mask, label, width in ((value, "comp value out of range", 3),
+                                   (dup, "duplicate comp pair", 2),
+                                   (off, "composability domain violated", 2)):
+            if bool(mask.any()):
+                at = np.flatnonzero(mask)
+                i = int(at[np.argmin(ys[at].astype(np.int64) * k + hs[at])])
+                return Diagnostics.failed(
+                    label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
+                    structural=True)
     if not bool(seen.all()):
         gs, hs = g.pairs_at(np.flatnonzero(~seen))
         i = int(np.argmin(g.tgt[gs] * k + gs))
@@ -712,7 +738,7 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     inv_pm = np.argsort(pm)
     out = Groupoid.from_tables(
         m, g.src[inv_pm], g.tgt[inv_pm], np.arange(m), pm[g.inv[inv_pm]],
-        pm[g.triple_array()])
+        lambda: (pm[rows] for rows in g.triple_blocks()))
     return out, pm.tolist()
 
 

@@ -9,8 +9,8 @@ and an action's ``act`` are emitted as the row table itself, whose defined
 entries are the ``[y, h, y . h]`` triples in row order.  The one encoder,
 :func:`canonical_pieces`, yields the text piece by piece: a row table a
 block of :meth:`~gpdflow.groupoid.RowTable.row_blocks` at a time, so no
-``(n, 3)`` array of its triples is built, and every integer array a block
-of ``_ROWS`` rows at a time, both through one vectorized kernel
+``(n, 3)`` array of its triples is built, and every integer array
+``groupoid._BLOCK`` rows at a time, both through one vectorized kernel
 (:func:`_table_bytes`), byte-identical to the ``json`` encoding of the same
 lists; the rest of a value goes through ``json`` in as few calls as there
 are containers on the way to a table.  The command line writes
@@ -19,38 +19,45 @@ neither holds a whole copy of a large table's text; :func:`canonical_dumps`
 joins them.
 
 Loading reads the input as bytes.  Each ``"comp":[[`` or ``"act":[[``
-table written canonically is decoded from them by numpy, a block of rows
-at a time (:func:`_span_table`): ``np.fromstring`` reads the numbers and
-the span is taken only when :func:`_table_bytes` of them gives back its
-bytes exactly.  Each decoded span is replaced by a number token found
+table, up to its first ``]]``, is replaced by a number token found
 nowhere else in the input, ``json`` reads the small remainder, and every
-token must land as the value of a ``comp`` or ``act`` key, where its array
-goes in.  Anything else -- a table written another way, a token that lands
-elsewhere or is dropped by a duplicate key, bad JSON, bytes that are not
-UTF-8 -- falls back to ``json`` on the whole text, so a model, or an
-error's code and message, is the same either way.  A decoded table's span
-is its canonical text, so the input digest, taken while loading, hashes
-the span as it was read instead of encoding the table again.
+token must land as the value of a ``comp`` or ``act`` key, where its
+:class:`_Span` goes in (:func:`_span_json`).  Validation fills each table
+the model uses straight from its span into its row table, a block of rows
+at a time: ``np.fromstring`` reads the numbers, and a block is taken only
+when :func:`_table_bytes` of them gives back its bytes exactly.  So no
+``(n, 3)`` array is held beside the input: only the row table's int32
+values and a one-byte mask span the table, 5 bytes an entry, and a loaded
+model holds 4.  Every span, those of runs the model does not use
+included, is read before the model is returned or an error raised.
+Anything else -- a table written another way, a token that lands
+elsewhere or is dropped by a duplicate key, a span the model holds other
+than as a table, bad JSON, bytes that are not UTF-8 -- falls back to
+``json`` on the whole text, so a model, or an error's code and message, is
+the same either way.  A span is its table's canonical text, in the
+input's order and with its repeats, so the input digest, taken while
+loading, hashes the span as it was read.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
 are not UTF-8, or lists and objects nested more than 100 deep, included),
 11 for a missing or unknown kind, 12 for a shape or index-range problem.
 
-Every integer table (``comp``, ``act``, ``src``, ``tgt``, ``unit``,
-``inv``, ``anchor``, ``edges``, ``mult``, ``connection``) goes through one
-checker, :func:`_table`: a few whole-table passes (the rows' types and
-lengths, entries of type exactly ``int`` so ``true`` is refused, one int64
+Every integer table (``src``, ``tgt``, ``unit``, ``inv``, ``anchor``,
+``edges``, ``mult``, ``connection``) goes through one checker,
+:func:`_table`: a few whole-table passes (the rows' types and lengths,
+entries of type exactly ``int`` so ``true`` is refused, one int64
 conversion, a min/max range check) and, only when they fail, its scanner,
-which names the first bad row or entry.  ``comp`` and ``act`` may also be
-integer arrays or row tables (``_ARRAY_TABLES``); their validated int32
-arrays replace them in :attr:`Model.data`, so each is converted once and
-stays an array through the build and the input digest.  Every model size
-is below ``2**30``, so every valid entry fits int32, and a table decoded
-from the input's bytes is int32 too: a model holds 12 bytes a triple,
-whichever path read it.
+which names the first bad row or entry.  ``comp`` and ``act``
+(``_ARRAY_TABLES``) may be lists, integer arrays, row tables or spans;
+:func:`_triples` checks them a block at a time with the same checker, so
+the first bad entry gives the same error, and passes the blocks to
+:meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`.  The model holds
+the groupoid or action itself (see :class:`Model`): it is built once, and
+the builds return it.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -58,7 +65,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -68,7 +75,7 @@ from .bundle import BaseGraph, CocycleBundle, verify_cocycle
 from .diagnostics import Diagnostics
 from .dynamics import Ambit, GroupoidAction
 from .ehresmann import Connection, TransportGroupoid
-from .groupoid import Groupoid, RowTable
+from .groupoid import Groupoid, RowTable, blocks_of
 
 __all__ = [
     "ModelError",
@@ -101,10 +108,10 @@ BAD_INDEX = 12
 
 KNOWN_KINDS = ("group", "graph", "bundle", "groupoid", "action")
 
-# Tables that may be (n, 3) integer arrays, as emitted and as decoded.
+# Tables of [y, h, y . h] rows, loaded into row tables: given as lists,
+# integer arrays or row tables, or read from the input's bytes.
 _ARRAY_TABLES = ("comp", "act")
 _MAX_DEPTH = 100  # lists and objects nested in a model read from a file
-_ROWS = 1 << 16  # rows of an integer array encoded at a time
 
 
 class ModelError(Exception):
@@ -121,23 +128,30 @@ class Model:
     """A validated model file: the kind tag and the payload.
 
     The payload is the decoded object, except that a groupoid's ``comp``
-    and an action's ``act`` (and its groupoid's ``comp``) are the validated
-    ``(n, 3)`` int32 arrays.  They are put in a shallow copy, so the
-    caller's object is never changed and the decoded lists can be freed
-    once validated; the builds and the report read the arrays.
+    is the :class:`~gpdflow.groupoid.Groupoid` itself and an action's
+    ``act`` the ``GroupoidAction`` (its groupoid's ``comp`` the groupoid),
+    each filled from its table a block at a time, its flaw included, with
+    an int32 ``val``: 4 bytes an entry.  They are put in a shallow copy, so
+    the caller's object is never changed; the builds return them and the
+    report writes their rows.
 
-    :attr:`digest` is :func:`model_digest` of the payload.  :func:`load_model`
-    sets it while it still holds the input, so a table decoded from the
-    input's bytes is hashed from them; otherwise it is computed when first
-    read.
+    ``spans`` maps the ``id`` of each row table to what it was read from:
+    its text in the input's bytes, or the table as it was given.
+    :attr:`digest` is :func:`model_digest` of the payload with each row
+    table hashed from that, so the triples count in the input's order and
+    with its repeats; ``spans`` is emptied once it is taken.
+    :func:`load_model` takes it while it still holds the input; otherwise
+    it is taken when first read.
     """
 
     kind: str
     data: dict
+    spans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
     def digest(self) -> str:
-        return model_digest(self.data)
+        digest, self.spans = model_digest(self.data, self.spans), {}
+        return digest
 
 
 def _coerce(value: Any) -> Any:
@@ -237,27 +251,30 @@ def _stop_at_array(value: Any) -> Any:
 def canonical_pieces(obj: Any, spans: Optional[dict] = None
                      ) -> Iterator[Any]:
     """The text of :func:`canonical_dumps` in pieces, as it is encoded: a
-    1-D or 2-D array ``_ROWS`` rows at a time and a row table (its entries
-    as ``[y, h, y . h]`` rows) a block of rows at a time, through
-    :func:`_table_pieces`; anything without one in one ``json`` call; and a
-    list, tuple or ``str``-keyed dict that holds one piece by piece.  A
-    dict with other keys keeps ``json``'s key rules, with its arrays as
-    lists.  (A container that gets here holds an array or a row table, so
-    it has an item.)
+    1-D or 2-D array ``groupoid._BLOCK`` rows at a time and a row table
+    (its entries as ``[y, h, y . h]`` rows) a block of rows at a time,
+    through :func:`_table_pieces`; anything without one in one ``json``
+    call; and a list, tuple or ``str``-keyed dict that holds one piece by
+    piece.  A dict with other keys keeps ``json``'s key rules, with its
+    arrays as lists.  (A container that gets here holds an array or a row
+    table, so it has an item.)
 
-    ``spans`` maps the ``id`` of an array to bytes that are its canonical
-    text; such an array is yielded as those bytes (see
-    :func:`model_digest`)."""
+    ``spans`` maps the ``id`` of a row table to what it was read from (see
+    :class:`Model`): its canonical text as bytes, yielded as they are, or
+    a table, encoded in its place."""
+    if spans and id(obj) in spans:
+        source = spans[id(obj)]
+        if isinstance(source, memoryview):
+            yield source
+        else:
+            yield from canonical_pieces(source)
+        return
     if isinstance(obj, RowTable):  # its entries: the holes dropped
-        yield from _table_pieces(np.stack(block, axis=1)[block[2] >= 0]
-                                 for block in obj.row_blocks())
+        yield from _table_pieces(obj.triple_blocks())
         return
     if isinstance(obj, np.ndarray):
-        if spans and id(obj) in spans:
-            yield spans[id(obj)]
-        elif obj.ndim in (1, 2) and _kernel_fits(obj):
-            yield from _table_pieces(obj[lo:lo + _ROWS]
-                                     for lo in range(0, len(obj), _ROWS))
+        if obj.ndim in (1, 2) and _kernel_fits(obj):
+            yield from _table_pieces(blocks_of(obj))
         else:
             yield _json(obj.tolist())
         return
@@ -291,8 +308,8 @@ def canonical_dumps(obj: Any) -> str:
 
 def model_digest(model: dict, spans: Optional[dict] = None) -> str:
     """sha256 of the canonical encoding, for input fingerprints, fed piece
-    by piece.  A table in ``spans`` (see :func:`canonical_pieces`) is hashed
-    from those bytes, not encoded again."""
+    by piece.  A row table in ``spans`` (see :func:`canonical_pieces`) is
+    hashed from what it was read from."""
     digest = hashlib.sha256()
     for piece in canonical_pieces(model, spans):
         digest.update(piece.encode() if isinstance(piece, str) else piece)
@@ -368,31 +385,65 @@ def _int_table(rows: Any, width: int, high: Any,
     return arr.astype(np.int32)
 
 
-def _table(data: dict, key: str, where: str, width: int, high: Any,
-           flat: bool = False, row: str = "", column: bool = True
-           ) -> np.ndarray:
-    """:func:`_int_table` of field ``key``: a list of rows (an array too,
-    for a key in ``_ARRAY_TABLES``), or one ``flat`` row.  Its scanner
-    names the first row that is not a list of ``width`` (``row`` is the
-    message, when given), else the first bad entry, at ``where.key[i][j]``,
-    ``where.key[j]`` in a flat row, ``where.key[i]`` with no ``column``."""
-    value, where = _need(data, key, where), f"{where}.{key}"
-    arrays = np.ndarray if key in _ARRAY_TABLES else ()
-    if arrays and isinstance(value, RowTable):  # as a *_to_json dict holds it
-        value = value.triple_array()
-    if not flat and not isinstance(value, (list, arrays)):
-        raise ModelError(BAD_INDEX, f"{where}: expected a list")
+def _scanner(where: str, width: int, high: Any, flat: bool = False,
+             row: str = "", column: bool = True) -> Callable[..., None]:
+    """The per-element check of a table at ``where``: it raises for the
+    first row that is not a list of ``width`` (``row`` is the message,
+    when given), else the first bad entry, at ``where[i][j]`` for the row
+    ``i`` counted from ``lo``, ``where[j]`` in a ``flat`` row, ``where[i]``
+    with no ``column``."""
+    bounds = high if isinstance(high, tuple) else (high,) * width
 
-    def scan(rows: list) -> None:
-        bounds = high if isinstance(high, tuple) else (high,) * width
-        for i, entries in enumerate(rows):
+    def scan(rows: list, lo: int = 0) -> None:
+        for i, entries in enumerate(rows, lo):
             at = where if flat else f"{where}[{i}]"
             if not isinstance(entries, list) or len(entries) != width:
                 raise ModelError(BAD_INDEX, f"{at}: " + (
                     row or f"expected a list of {width} integers"))
             for j, v in enumerate(entries):
                 _int_in(v, 0, bounds[j], f"{at}[{j}]" if column else at)
-    return _int_table([value] if flat else value, width, high, scan)
+    return scan
+
+
+def _table(data: dict, key: str, where: str, width: int, high: Any,
+           flat: bool = False, row: str = "", column: bool = True
+           ) -> np.ndarray:
+    """:func:`_int_table` of field ``key``: a list of rows, or one ``flat``
+    row, checked by :func:`_scanner`."""
+    value, where = _need(data, key, where), f"{where}.{key}"
+    if not flat and not isinstance(value, list):
+        raise ModelError(BAD_INDEX, f"{where}: expected a list")
+    return _int_table([value] if flat else value, width, high,
+                      _scanner(where, width, high, flat, row, column))
+
+
+def _triples(data: dict, key: str, where: str, high: Any, row: str = ""
+             ) -> tuple[Callable[[], Iterator[np.ndarray]], Any]:
+    """Field ``key``, a table of ``[y, h, y . h]`` rows, as a block source
+    for :meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`: each
+    call reads it a block at a time, and :func:`_int_table` checks each
+    block, so the first bad entry raises the error :func:`_table` gives for
+    the whole table.  The table is a list of rows, an integer array, a row
+    table (as a ``*_to_json`` dict holds it) or a :class:`_Span` of the
+    input.  Returned with what the input digest hashes for it (see
+    :class:`Model`): a span's text, else the table itself."""
+    value, where = _need(data, key, where), f"{where}.{key}"
+    if isinstance(value, _Span):
+        rows, source = value.blocks, value.text()
+    elif isinstance(value, RowTable):
+        rows, source = value.triple_blocks, value
+    elif isinstance(value, (list, np.ndarray)):
+        rows, source = functools.partial(blocks_of, value), value
+    else:
+        raise ModelError(BAD_INDEX, f"{where}: expected a list")
+    scan = _scanner(where, 3, high, row=row)
+
+    def blocks() -> Iterator[np.ndarray]:
+        lo = 0
+        for block in rows():
+            yield _int_table(block, 3, high, functools.partial(scan, lo=lo))
+            lo += len(block)
+    return blocks, source
 
 
 def _validate_group(data: dict, where: str = "group") -> int:
@@ -433,18 +484,23 @@ def _validate_bundle(data: dict) -> None:
                              f"of range for group order {order} (edge {e})")
 
 
-def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
+def _validate_groupoid(data: dict, spans: dict, where: str = "groupoid"
+                       ) -> dict:
     """Check a groupoid's fields; returns a shallow copy of ``data`` with
-    ``comp`` as its validated array."""
+    the groupoid under ``comp``, and puts what its table was read from in
+    ``spans``."""
     objects = _int_in(_need(data, "objects", where), 0, 1 << 30,
                       f"{where}.objects")
     arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
                      f"{where}.arrows")
-    for key, length, high in (
+    src, tgt, unit, inv = (
+        _table(data, key, where, length, high, True)[0]
+        for key, length, high in (
             ("src", arrows, objects), ("tgt", arrows, objects),
-            ("unit", objects, arrows), ("inv", arrows, arrows)):
-        _table(data, key, where, length, high, True)
-    comp = _table(data, "comp", where, 3, arrows)
+            ("unit", objects, arrows), ("inv", arrows, arrows)))
+    blocks, source = _triples(data, "comp", where, arrows)
+    gpd = Groupoid.from_tables(objects, src, tgt, unit, inv, blocks)
+    spans[id(gpd)] = source
     if "connection" in data:
         pairs = data["connection"]
         if not isinstance(pairs, list) or len(pairs) % 2 != 0:
@@ -460,20 +516,26 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
             raise ModelError(
                 BAD_INDEX, f"{where}.connection: a connection needs at least "
                 "one object")
-    return {**data, "comp": comp}
+    return {**data, "comp": gpd}
 
 
-def _validate_action(data: dict) -> dict:
+def _validate_action(data: dict, spans: dict) -> dict:
     """Check an action's fields; returns a shallow copy of ``data`` with
-    ``act`` and the groupoid's ``comp`` as their validated arrays."""
-    groupoid = _validate_groupoid(_object(data, "groupoid", "action"),
+    the action under ``act`` and its groupoid's copy (see
+    :func:`_validate_groupoid`) under ``groupoid``."""
+    groupoid = _validate_groupoid(_object(data, "groupoid", "action"), spans,
                                   "action.groupoid")
-    arrows = groupoid["arrows"]
+    gpd = groupoid["comp"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
-    _table(data, "anchor", "action", space, groupoid["objects"], True)
-    act = _table(data, "act", "action", 3, (space, arrows, space),
-                 row="expected [y, g, yg]")
-    for key, high in (("basepoint", groupoid["objects"]), ("u0", arrows)):
+    anchor = _table(data, "anchor", "action", space, gpd.n_objects, True)[0]
+    blocks, source = _triples(data, "act", "action",
+                              (space, gpd.n_arrows, space),
+                              row="expected [y, g, yg]")
+    if gpd.flaw is not None:  # no entry is placed over a flawed groupoid
+        collections.deque(blocks(), 0)
+    act = GroupoidAction.from_triples(gpd, space, anchor, blocks)
+    spans[id(act)] = source
+    for key, high in (("basepoint", gpd.n_objects), ("u0", gpd.n_arrows)):
         if key in data:
             _int_in(data[key], 0, high, f"action.{key}")
     return {**data, "groupoid": groupoid, "act": act}
@@ -483,8 +545,6 @@ _VALIDATORS = {
     "group": _validate_group,
     "graph": _validate_graph,
     "bundle": _validate_bundle,
-    "groupoid": _validate_groupoid,
-    "action": _validate_action,
 }
 
 
@@ -494,8 +554,8 @@ def parse_model(data: Any) -> Model:
     Report envelopes are unwrapped so command output can be piped straight
     back in: a ``{"model": ...}`` wrapper, or a full report whose first
     run carries a constructed model under ``runs[i].model``.  A groupoid
-    or action payload is returned as a shallow copy holding its validated
-    arrays (see :class:`Model`).
+    or action payload is returned as a shallow copy holding its row
+    tables (see :class:`Model`).
     """
     if isinstance(data, dict) and "kind" not in data:
         if "model" in data:
@@ -510,16 +570,26 @@ def parse_model(data: Any) -> Model:
     kind = data.get("kind")
     if kind not in KNOWN_KINDS:
         raise ModelError(UNKNOWN_KIND, f"unknown kind {kind!r}")
-    checked = _VALIDATORS[kind](data)  # groupoid, action: a payload dict
-    return Model(kind, checked if isinstance(checked, dict) else data)
+    spans: dict = {}
+    if kind == "groupoid":
+        data = _validate_groupoid(data, spans)
+    elif kind == "action":
+        data = _validate_action(data, spans)
+    else:
+        _VALIDATORS[kind](data)
+    return Model(kind, data, spans)
 
 
 _TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
-_BLOCK = 1 << 18  # bytes of table text read at a time
-# A decoded table's span becomes the number token ``<i>e-0000000``: numbers
-# cannot be written with escapes, so no other token has that text when
-# the input has no ``e-0000000`` in it.
+_BLOCK = 1 << 16  # bytes of table text read at a time
+# A table's span becomes the number token ``<i>e-0000000``: numbers cannot
+# be written with escapes, so no other token has that text when the input
+# has no ``e-0000000`` in it.
 _SPAN_TOKEN, _SPAN_MARK = b"%de-0000000", b"e-0000000"
+
+
+class _NotCanonical(Exception):
+    """A table span is not the canonical text of its rows."""
 
 
 def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
@@ -551,52 +621,65 @@ def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
         and buf.startswith(text[2:-2], first) else None
 
 
-def _span_table(buf: bytes, start: int, end: int) -> Optional[np.ndarray]:
-    """The ``(n, 3)`` int32 table whose canonical text is exactly
-    ``buf[start:end]``, or None.
+class _Span:
+    """A ``comp`` or ``act`` table as the input's bytes ``buf[start:end]``
+    give it, from ``[[`` to the first ``]]``, read as canonical text (see
+    :func:`_rows`) a block at a time until a block is not."""
 
-    The rows are read a block of about ``_BLOCK`` bytes at a time by
-    :func:`_rows`, each block ending at a row's end, into an int32 array
-    sized by the count of ``],[`` in the span, so the temporaries stay
-    small and the table takes 12 bytes a row.
-    """
-    table = np.empty((buf.count(b"],[", start, end) + 1, 3), np.int32)
-    row, first = 0, start + 2
-    while first < end - 2:
-        last = buf.find(b"],[", first + _BLOCK, end)
-        last = end - 2 if last < 0 else last
-        rows = _rows(buf, first, last)
-        if rows is None:
-            return None
-        table[row:row + len(rows)] = rows
-        row, first = row + len(rows), last + 3
-    return table if row == len(table) else None  # not "[[]]"
+    def __init__(self, buf: bytes, start: int, end: int):
+        self.buf, self.start, self.end = buf, start, end
+        self.checked = False  # every block read, and canonical
+
+    def text(self) -> memoryview:
+        return memoryview(self.buf)[self.start:self.end]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows as ``(k, 3)`` int64 arrays, a block of about ``_BLOCK``
+        bytes, ending at a row's end, at a time.  Raises
+        :class:`_NotCanonical` at the first block that is not the canonical
+        text of its rows, and for ``[[]]``, whose row is empty."""
+        first, end = self.start + 2, self.end - 2
+        if first >= end:
+            raise _NotCanonical
+        while first < end:
+            last = self.buf.find(b"],[", first + _BLOCK, end)
+            last = end if last < 0 else last
+            rows = _rows(self.buf, first, last)
+            if rows is None:
+                raise _NotCanonical
+            yield rows
+            first = last + 3
+        self.checked = True
+
+    def check(self) -> None:
+        """Read every block, unless that was done; see :meth:`blocks`."""
+        if not self.checked:
+            collections.deque(self.blocks(), 0)
+
+    def __repr__(self) -> str:  # as an error message shows the lists
+        return repr(np.concatenate(list(self.blocks())).tolist())
 
 
-def _decode_tables(raw: bytes) -> Optional[tuple[Any, dict]]:
-    """``json.loads`` of the input with every ``comp`` and ``act`` table
-    that is written canonically decoded by numpy, and the span of each
-    such table by the ``id`` of its array; or None when the input has no
+def _span_json(raw: bytes) -> Optional[tuple[Any, list]]:
+    """``json.loads`` of the input with each ``comp`` and ``act`` table
+    that may be written canonically, from ``[[`` to the first ``]]``, in
+    place as a :class:`_Span`, and the spans; or None when the input has no
     such table or cannot be read this way cleanly.
 
-    Each table's span becomes a number token that occurs nowhere else;
-    ``json`` reads the rest, and each token must land as the value of a
-    ``comp`` or ``act`` key, where its array replaces it.  A span is
-    :func:`_table_bytes` of its array (:func:`_rows` checked it), so it is
-    the array's canonical text.
+    Each span becomes a number token that occurs nowhere else; ``json``
+    reads the rest, and each token must land as the value of a ``comp`` or
+    ``act`` key, where its span goes in.  Nothing of a span is read here.
     """
     starts = [match.end() - 2 for match in _TABLE_KEY.finditer(raw)]
     if not starts or _SPAN_MARK in raw:
         return None
-    tables, spans, pieces, pos = {}, {}, [], 0
+    spans, pieces, pos = {}, [], 0
     for start in starts:
         end = raw.find(b"]]", start) + 2  # 1 when there is none
-        table = _span_table(raw, start, end) if end > start else None
-        if table is None:
+        if end <= start or start < pos:  # no end, or inside the last span
             return None
-        token = _SPAN_TOKEN % len(tables)
-        tables[token.decode()] = table
-        spans[id(table)] = memoryview(raw)[start:end]
+        token = _SPAN_TOKEN % len(spans)
+        spans[token.decode()] = _Span(raw, start, end)
         pieces += (raw[pos:start], token)
         pos = end
     pieces.append(raw[pos:])
@@ -607,19 +690,45 @@ def _decode_tables(raw: bytes) -> Optional[tuple[Any, dict]]:
     placed = 0
 
     def number(literal: str) -> Any:
-        table = tables.get(literal)
-        return float(literal) if table is None else table
+        span = spans.get(literal)
+        return float(literal) if span is None else span
 
     def place(obj: dict) -> dict:
         nonlocal placed
-        placed += sum(isinstance(obj.get(key), np.ndarray)
-                      for key in _ARRAY_TABLES)
+        placed += sum(isinstance(obj.get(key), _Span) for key in _ARRAY_TABLES)
         return obj
     try:
         data = json.loads(text, object_hook=place, parse_float=number)
     except (json.JSONDecodeError, RecursionError):
         return None
-    return (data, spans) if placed == len(tables) else None
+    return (data, list(spans.values())) if placed == len(spans) else None
+
+
+def _span_model(data: Any, spans: list, too_deep: ModelError
+                ) -> Optional[Model]:
+    """:func:`parse_model` of the input read by :func:`_span_json`, each
+    row table filled from its span, or the error it raises; None when the
+    input must be read by ``json`` whole instead: a span is not canonical,
+    or stands in the payload other than as a table.  Every span is read
+    before a model is returned or an error raised, those of runs the model
+    does not use included, so either is the one ``json`` would give."""
+    try:
+        try:
+            model = parse_model(data)
+        except ModelError:
+            for span in spans:
+                span.check()
+            raise
+        depth, stray = _nesting(model.data)
+        if stray:
+            return None
+        for span in spans:
+            span.check()
+    except _NotCanonical:
+        return None
+    if depth > _MAX_DEPTH:
+        raise too_deep
+    return model
 
 
 def _read(path: str) -> bytes:
@@ -636,9 +745,10 @@ def _read(path: str) -> bytes:
 def load_model(path: str) -> Model:
     """Read a model from a file path, or from stdin when path is '-'.
 
-    The input is read as bytes.  Its canonical ``comp`` and ``act``
-    tables are decoded from them by numpy and ``json`` reads the rest
-    (:func:`_decode_tables`).  An input without such a table, or one that
+    The input is read as bytes.  ``json`` reads it around its ``comp`` and
+    ``act`` tables (:func:`_span_json`), and each table the model uses is
+    filled into its row table from its span, a block at a time
+    (:func:`_span_model`).  An input without such a table, or one that
     cannot be read that way cleanly, is read by ``json`` whole, as text:
     strict UTF-8 (code 10 when it is not), a file's line ends as a
     text-mode read gives them.  The model, and any error's code and
@@ -646,9 +756,9 @@ def load_model(path: str) -> Model:
     ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may fail to read
     it, or to write it back for the input digest.
 
-    The model's :attr:`~Model.digest` is taken here, each decoded table
-    hashed from its span of the input, so the input is not held after the
-    load.
+    The model's :attr:`~Model.digest` is taken here, each table read from
+    a span hashed from the input's bytes, so the input is not held after
+    the load.
     """
     try:
         raw = _read(path)
@@ -656,8 +766,10 @@ def load_model(path: str) -> Model:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
     too_deep = ModelError(PARSE_ERROR, f"{path}: nested too deeply (more "
                           f"than {_MAX_DEPTH} levels)")
-    data, spans = _decode_tables(raw) or (None, {})
-    if data is None:
+    found = _span_json(raw)
+    model = None if found is None else _span_model(*found, too_deep)
+    if model is None:
+        del found
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -673,21 +785,23 @@ def load_model(path: str) -> Model:
         except RecursionError as exc:
             raise too_deep from exc
         del text  # not held while the tables are validated
-    model = parse_model(data)
-    if _depth(model.data) > _MAX_DEPTH:
-        raise too_deep
-    model.digest = model_digest(model.data, spans)
+        model = parse_model(data)
+        if _nesting(model.data)[0] > _MAX_DEPTH:
+            raise too_deep
+    model.digest  # taken while the input is held
     return model
 
 
-def _depth(value: Any) -> int:
-    """How deep lists and objects nest in a value; an array is a leaf."""
-    level, depth = [value], 0
+def _nesting(value: Any) -> tuple[int, bool]:
+    """How deep lists and objects nest in a value, an array or a row table
+    being a leaf, and whether a :class:`_Span` is among the leaves."""
+    level, depth, stray = [value], 0, False
     while level := [c for c in level if isinstance(c, (list, dict))]:
         level = [item for c in level
                  for item in (c.values() if isinstance(c, dict) else c)]
+        stray = stray or any(isinstance(item, _Span) for item in level)
         depth += 1
-    return depth
+    return depth, stray
 
 
 # --- emission -----------------------------------------------------------------
@@ -775,11 +889,14 @@ def build_bundle(model_data: dict
 
 def build_groupoid(model_data: dict
                    ) -> tuple[Groupoid, Optional[Connection]]:
-    """Assemble the groupoid; when a connection is present, recover the
-    base graph from it (edge i spans the sources of darts 2i and 2i+1)."""
-    gpd = Groupoid.from_tables(
-        model_data["objects"], model_data["src"], model_data["tgt"],
-        model_data["unit"], model_data["inv"], model_data["comp"])
+    """The groupoid: a validated payload's own, else assembled from the
+    tables; when a connection is present, recover the base graph from it
+    (edge i spans the sources of darts 2i and 2i+1)."""
+    gpd = model_data["comp"]
+    if not isinstance(gpd, Groupoid):
+        gpd = Groupoid.from_tables(
+            model_data["objects"], model_data["src"], model_data["tgt"],
+            model_data["unit"], model_data["inv"], gpd)
     conn = None
     if "connection" in model_data:
         arrows = [0] * len(model_data["connection"])
@@ -792,7 +909,10 @@ def build_groupoid(model_data: dict
 
 
 def build_action(model_data: dict) -> GroupoidAction:
-    """Assemble the action; an ambit's basepoint and u0 are not read."""
+    """The action: a validated payload's own, else assembled from the
+    tables; an ambit's basepoint and u0 are not read."""
+    if isinstance(model_data["act"], GroupoidAction):
+        return model_data["act"]
     gpd, _ = build_groupoid(model_data["groupoid"])
     return GroupoidAction.from_triples(gpd, model_data["space"],
                                        model_data["anchor"], model_data["act"])

@@ -8,7 +8,7 @@ import pytest
 from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
 from gpdflow.ehresmann import groupoid_of_bundle
-from gpdflow.fixtures import matrix_bundles
+from gpdflow.fixtures import large_random_bundle, matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
     build_ambit, universal_map, verify_action, verify_equivariant_map
 from gpdflow.groupoid import (
@@ -29,6 +29,10 @@ from gpdflow.serialize import groupoid_to_json
 
 from law_oracle import brute_groupoid_violation, \
     brute_local_triviality, groupoid_law_broken
+
+# entries read at a time: small enough that block ends fall inside rows,
+# the former default and the default
+BLOCKS = [1, 7, 40, 100, 1 << 16, groupoid_module._BLOCK]
 
 
 def product_groupoid(n_objects, group):
@@ -152,7 +156,30 @@ def test_vector_lookup_agrees_with_the_scalar_one_out_of_range():
         assert ok.tolist() == [z >= 0 for z in want]
 
 
-@pytest.mark.parametrize("block", [1, 7, 40, 100, groupoid_module._BLOCK])
+def test_a_clean_fill_allocates_no_mask_of_the_triples(monkeypatch):
+    """Building a whole, well-formed 197,568-entry table from an int32
+    array, 1,024 triples at a time, allocates ``val`` (4 bytes an entry),
+    the one-byte mask of the entries placed and a fixed slack below the
+    193 KB that one more mask over the triples would take: the masks the
+    flaw pickers read are made only when a triple is bad."""
+    import tracemalloc
+    monkeypatch.setattr(groupoid_module, "_BLOCK", 1024)
+    gpd = groupoid_of_bundle(large_random_bundle(7, 3, "S4")).groupoid
+    comp = gpd.triple_array().astype(np.int32)
+    args = (gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv, comp)
+    tracemalloc.start()
+    try:
+        built = Groupoid.from_tables(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.flaw is None and built.val.dtype == np.int32
+    assert np.array_equal(built.val, gpd.val)
+    assert len(comp) == 197_568
+    assert peak < built.val.nbytes + len(comp) + (128 << 10), peak
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 def test_blockwise_row_reads_agree_with_a_loop(block, monkeypatch):
     """The triple array and the endpoint scan read the rows ``block``
     entries at a time (a longer row alone): the triples of a groupoid, of
@@ -183,7 +210,7 @@ def test_blockwise_row_reads_agree_with_a_loop(block, monkeypatch):
             ("composition endpoints", tuple(first))
 
 
-@pytest.mark.parametrize("block", [1, 7, 40, 100, groupoid_module._BLOCK])
+@pytest.mark.parametrize("block", BLOCKS)
 def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
     """Every first-failure scan reads the rows ``block`` entries at a time
     and reports the witness a plain loop over the rows finds first."""

@@ -28,11 +28,11 @@ from gpdflow import serialize
 from gpdflow.algebra import preset_group
 from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.cli import COMMANDS, fixture_models, run_command
-from gpdflow.dynamics import build_ambit
+from gpdflow.dynamics import GroupoidAction, build_ambit
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles, \
     named_bundles
-from gpdflow.groupoid import RowTable
+from gpdflow.groupoid import Groupoid, RowTable
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
     build_groupoid, bundle_to_json, canonical_dumps, group_to_json, \
     parse_model, transport_to_json
@@ -128,11 +128,15 @@ def test_fast_check_agrees_with_the_scanner(table, monkeypatch):
 
 
 def _arrays(payload: dict, path=()) -> dict:
-    """Every array in a payload, by its path."""
+    """Every array in a payload, by its path; a row table's ``row_off``
+    and ``val`` at its path and the attribute's name."""
     found = {}
     for key, value in payload.items():
         if isinstance(value, np.ndarray):
             found[path + (key,)] = value
+        elif isinstance(value, RowTable):
+            found[path + (key, "row_off")] = value.row_off
+            found[path + (key, "val")] = value.val
         elif isinstance(value, dict):
             found.update(_arrays(value, path + (key,)))
     return found
@@ -207,9 +211,10 @@ def test_builds_from_arrays_match_builds_from_lists():
         broken = dict(transport, comp=_flawed(transport["comp"]))
         for data in (transport, broken):
             model = parse_model(data)
-            assert isinstance(model.data["comp"], np.ndarray), name
+            assert isinstance(model.data["comp"], Groupoid), name
             assert isinstance(data["comp"], list), name  # a copy holds it
             built, _ = build_groupoid(model.data)
+            assert built is model.data["comp"], name  # not built again
             plain, _ = build_groupoid(data)
             _same_tables(built, plain, name)
             flawed += built.flaw is not None
@@ -217,16 +222,32 @@ def test_builds_from_arrays_match_builds_from_lists():
             continue
         for data in (ambit, dict(ambit, act=_flawed(ambit["act"]))):
             model = parse_model(data)
-            assert isinstance(model.data["act"], np.ndarray), name
-            assert isinstance(model.data["groupoid"]["comp"], np.ndarray)
+            assert isinstance(model.data["act"], GroupoidAction), name
+            assert model.data["act"].gpd is model.data["groupoid"]["comp"]
             assert isinstance(data["act"], list), name
             assert isinstance(data["groupoid"]["comp"], list), name
             built = build_action(model.data)
+            assert built is model.data["act"], name
             plain = build_action(data)
             _same_tables(built, plain, name)
             _same_tables(built.gpd, plain.gpd, name)
             flawed += built.flaw is not None
     assert flawed >= 30
+
+
+def test_an_act_table_over_a_flawed_groupoid_is_checked_whole():
+    """No entry of an action table is placed over a groupoid whose table
+    has a flaw, yet each of its entries is checked: a value out of range
+    in its last row is the load error, as a list or an array."""
+    ambit = _models()["ambit"]
+    ambit["groupoid"]["comp"] = _flawed(ambit["groupoid"]["comp"])
+    assert parse_model(ambit).data["groupoid"]["comp"].flaw is not None
+    last, space = len(ambit["act"]) - 1, ambit["space"]
+    ambit["act"][last][2] = space
+    for act in (ambit["act"], np.array(ambit["act"])):
+        assert _load_error(dict(ambit, act=act)) == (
+            serialize.BAD_INDEX, f"action.act[{last}][2]: {space} outside "
+            f"range [0, {space})")
 
 
 # --- load errors, pinned ----------------------------------------------------------------
@@ -378,11 +399,14 @@ def test_load_errors_match_golden():
 
 
 def _plain_json(obj) -> str:
-    """The reference encoding: ``json`` with every array as a list and
-    every row table (an emitted ``comp`` or ``act``) as its triples."""
+    """The reference encoding: ``json`` with every array as a list, every
+    row table (an emitted ``comp`` or ``act``) as its triples and every
+    span of an input as the rows it reads."""
     def plain(value):
         if isinstance(value, np.ndarray):
             return value.tolist()
+        if isinstance(value, serialize._Span):
+            return np.concatenate(list(value.blocks())).tolist()
         return value.triples() if isinstance(value, RowTable) else int(value)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=plain)
@@ -429,7 +453,7 @@ def test_pieces_join_to_json_at_every_block_size(rows, monkeypatch):
     count the block does not divide, arrays on the ``json`` path, and every
     fixture report: the pieces join to the ``json`` text, and an array on
     the kernel path comes in one piece per block."""
-    monkeypatch.setattr(serialize, "_ROWS", rows)
+    monkeypatch.setattr(groupoid_module, "_BLOCK", rows)
     fallback = [np.array([[3, -1, 4]]), np.array([10 ** 12, 0]),
                 np.zeros((0, 3), np.int64), np.zeros(0, np.int64)]
     for arr in [*_tables(), *fallback]:
@@ -466,10 +490,12 @@ def test_canonical_dumps_matches_json_on_nested_values():
 # --- loading: the byte-level table decode against json.loads ----------------------
 
 
-def _text_mode_load(path: str) -> serialize.Model:
+def _text_mode_load(path: str) -> tuple[serialize.Model, str]:
     """The oracle: the whole input read as text (a file with universal
     newlines, stdin as it comes) and decoded by ``json``, then
-    ``parse_model``, with ``load_model``'s codes and messages."""
+    ``parse_model``, with ``load_model``'s codes and messages; and the
+    sha256 of the canonical text of the payload as ``json`` decoded it,
+    its tables' rows in the input's order."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -480,52 +506,67 @@ def _text_mode_load(path: str) -> serialize.Model:
     except json.JSONDecodeError as exc:
         raise ModelError(serialize.PARSE_ERROR,
                          f"{path}: invalid JSON: {exc}") from exc
-    return parse_model(data)
+    model = parse_model(data)
+    if serialize._nesting(model.data)[0] > serialize._MAX_DEPTH:
+        raise ModelError(serialize.PARSE_ERROR, f"{path}: nested too deeply "
+                         f"(more than {serialize._MAX_DEPTH} levels)")
+    if "kind" not in data:  # the envelope parse_model unwrapped
+        data = data["model"] if "model" in data else next(
+            run["model"] for run in data["runs"]
+            if isinstance(run, dict) and "model" in run)
+    return model, hashlib.sha256(canonical_dumps(data).encode()).hexdigest()
 
 
 def _outcome(load, path: str):
-    """(kind, canonical text, arrays, input digest) of a load, or the
-    error's (code, message).  The oracle's digest is the sha256 of its
-    model's canonical text."""
+    """(kind, canonical text, arrays, flaws, input digest) of a load, or
+    the error's (code, message).  Every row table's ``val`` is int32."""
     try:
         model = load(path)
     except ModelError as exc:
         return exc.code, exc.message
+    model, digest = model if load is _text_mode_load else (model,
+                                                           model.digest)
     arrays = _arrays(model.data)
-    assert all(a.dtype == np.int32 for a in arrays.values())
-    text = canonical_dumps(model.data)
-    digest = hashlib.sha256(text.encode()).hexdigest() \
-        if load is _text_mode_load else model.digest
-    return (model.kind, text, {key: a.tolist() for key, a in arrays.items()},
-            digest)
+    assert all(a.dtype == np.int32 for key, a in arrays.items()
+               if key[-1] != "row_off")
+    flaws = {key[:-1]: _holder(model.data, key[:-1])[key[-2]].flaw
+             for key in arrays if key[-1] == "val"}
+    return (model.kind, canonical_dumps(model.data),
+            {key: a.tolist() for key, a in arrays.items()}, flaws, digest)
 
 
 def _load_both(raw: bytes, tmp_path, monkeypatch, stdin: bool = False):
-    """(load_model's outcome, the oracle's, whether load_model decoded the
-    tables from the bytes) for one input, from a file or from stdin.  A
-    decoded input must also equal ``json``'s reading of all of it, the
-    tables the model does not use included."""
+    """(load_model's outcome, the oracle's, whether load_model took it from
+    the tables' spans of the bytes) for one input, from a file or from
+    stdin.  An input taken so must also equal ``json``'s reading of all of
+    it, the tables the model does not use included."""
     decoded = []
 
-    def spy(buf):
-        result = real(buf)
-        decoded.append(result is not None)
-        if result is not None:
-            assert _plain_json(result[0]) == _plain_json(json.loads(buf))
-        return result
-    real = serialize._decode_tables
+    def spy(data, spans, too_deep):
+        try:
+            model = real(data, spans, too_deep)
+        except ModelError:  # the error of an input taken from the spans
+            decoded.append(True)
+            raise
+        else:
+            decoded.append(model is not None)
+            return model
+        finally:
+            if decoded[-1]:
+                assert _plain_json(data) == _plain_json(json.loads(raw))
+    real = serialize._span_model
     path = tmp_path / "input.json"
     path.write_bytes(raw)
     name = "-" if stdin else str(path)
     outcomes = []
     for load in (serialize.load_model, _text_mode_load):
         with monkeypatch.context() as m:
-            m.setattr(serialize, "_decode_tables", spy)
+            m.setattr(serialize, "_span_model", spy)
             if stdin:
                 m.setattr("sys.stdin", io.TextIOWrapper(
                     io.BytesIO(raw), encoding="utf-8", newline="\n"))
             outcomes.append(_outcome(load, name))
-    return outcomes[0], outcomes[1], decoded[0]
+    return outcomes[0], outcomes[1], bool(decoded) and decoded[0]
 
 
 def _fixture_texts() -> list[str]:
@@ -539,9 +580,10 @@ def _fixture_texts() -> list[str]:
     return list(texts)
 
 
-# bytes of table text read at a time: the former 1 MB default, the
-# default, and small enough that block ends fall all over each table
-BLOCKS = [1 << 20, serialize._BLOCK, 8]
+# bytes of table text read at a time: the former 1 MB and 256 KB
+# defaults, the default, and small enough that block ends fall all over
+# each table
+BLOCKS = [1 << 20, 1 << 18, serialize._BLOCK, 8]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -639,6 +681,147 @@ def test_decode_agrees_with_json_on_mutated_text(mutation, block, tmp_path,
             assert may_decode or not decoded, (mutation, command)
 
 
+def test_a_table_inside_another_field_loads_as_json_reads_it(tmp_path,
+                                                               monkeypatch):
+    """A canonical ``comp`` or ``act`` table where the model reads no
+    table: shown in an error message as the lists ``json`` gives, and
+    counted in the nesting depth as the two levels of its rows.  The input
+    is read by ``json`` whole when such a table is in the model."""
+    table = '{"comp":[[1,2,3]]}'
+    graph = '{"edges":[[0,1]],"kind":"graph","vertices":2,"x":%s}'
+    texts = ['{"arrows":1,"kind":"groupoid","objects":%s}' % table,
+             '{"kind":{"act":[[1,2,3]]}}', '{"kind":{"act":[[1,2,03]]}}',
+             '{"group":{"order":1,"identity":0,"mult":[[0]],"x":%s},'
+             '"kind":"bundle"}' % table]
+    texts += [graph % ("[" * depth + table + "]" * depth)
+              for depth in (96, 97, 98, 99)]
+    outcomes = set()
+    for text in texts:
+        fast, plain, decoded = _load_both(text.encode(), tmp_path,
+                                          monkeypatch)
+        assert fast == plain, text
+        outcomes.add(len(fast) == 2)  # an error, or a model
+    assert outcomes == {False, True}
+
+
+# seeded edits of a canonical report's text, each given the text, the
+# random source and the table spans it may edit
+def _rows_of(span: str) -> list[str]:
+    return span[2:-2].split("],[")
+
+
+def _with_rows(rows: list[str]) -> str:
+    return "[[" + "],[".join(rows) + "]]" if rows else "[]"
+
+
+def _edit_rows(edit):
+    def mutate(text, rng, spans):
+        span = rng.choice(spans)
+        rows = _rows_of(span.group(1))
+        edit(rows, rng)
+        return text[:span.start(1)] + _with_rows(rows) + text[span.end(1):]
+    return mutate
+
+
+def _edit_number(new):
+    def mutate(text, rng, spans):
+        span = rng.choice(spans)
+        body = span.group(1)
+        number = rng.choice(list(re.finditer(r"\d+", body)))
+        body = (body[:number.start()] + new(number.group(), rng)
+                + body[number.end():])
+        return text[:span.start(1)] + body + text[span.end(1):]
+    return mutate
+
+
+def _swap(rows, rng):
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _cut(text, rng, spans):
+    """A table's last rows dropped, or the text cut inside a table."""
+    span = rng.choice(spans)
+    if rng.random() < 0.5:
+        return text[:rng.randrange(span.start(1) + 1, span.end(1))]
+    rows = _rows_of(span.group(1))
+    rows = rows[:rng.randrange(len(rows))]
+    return text[:span.start(1)] + _with_rows(rows) + text[span.end(1):]
+
+
+def _space(text, rng, spans):
+    span = rng.choice(spans)
+    at = rng.randrange(span.start(1) + 1, span.end(1))
+    return text[:at] + rng.choice(" \n") + text[at:]
+
+
+def _token(text, rng, spans):
+    """An ``e-0000000`` number or string before a table's key."""
+    span = rng.choice(spans)
+    field = rng.choice(['"x":%de-0000000', '"x":"%de-0000000"'])
+    return (text[:span.start()] + field % rng.randrange(3) + ","
+            + text[span.start():])
+
+
+FUZZ_EDITS = {
+    "digit": _edit_number(lambda n, rng: str(rng.randrange(
+        rng.choice((int(n) + 2, 10 ** rng.randrange(1, 7)))))),
+    "row swap": _edit_rows(_swap),
+    "row repeat": _edit_rows(lambda rows, rng: rows.insert(
+        rng.randrange(len(rows) + 1), rng.choice(rows))),
+    "row drop": _edit_rows(lambda rows, rng: rows.pop(
+        rng.randrange(len(rows)))),
+    "space": _space,
+    "leading zero": _edit_number(lambda n, rng: "0" + n),
+    "cut short": _cut,
+    "token": _token,
+}
+# where the model reads no table: a value it would refuse, or bad JSON
+UNUSED_EDITS = {
+    "bad value": _edit_number(lambda n, rng: rng.choice(
+        ["-1", "1.0", "true", str(2 ** 40), "null"])),
+    "invalid JSON": _edit_number(lambda n, rng: rng.choice(
+        [n + ",", "", "1 2", "[" + n, n + "]"])),
+}
+FUZZ_CASES = 300
+
+
+def test_load_fuzz_agrees_with_json(tmp_path, monkeypatch):
+    """300 seeded edits of the canonical groupoidify and ambit reports of
+    two fixtures each, one or two edits a case, in the tables of any run or
+    in those of the run the model does not use: ``load_model`` gives the
+    model, with its rows, flaws and input digest, or the error's code and
+    message, that ``json`` reading the whole text gives.  Both paths are
+    taken, and both give models and errors."""
+    reports = {}
+    for command in ("groupoidify", "ambit"):
+        report = run_command(command, fixture_models(command)[:2])
+        text = canonical_dumps(report)
+        # the model's tables come first: its run is the first
+        used = len(SPAN.findall(canonical_dumps(report["runs"][0]["model"])))
+        reports[command] = text, used
+    paths = set()
+    for case in range(FUZZ_CASES):
+        rng = random.Random(f"load fuzz {case}")
+        command = rng.choice(sorted(reports))
+        text, used = reports[command]
+        for _ in range(rng.choice((1, 1, 2))):
+            spans = list(SPAN.finditer(text))
+            if rng.random() < 0.2:
+                edit = UNUSED_EDITS[rng.choice(sorted(UNUSED_EDITS))]
+                spans = spans[used:]
+            else:
+                edit = FUZZ_EDITS[rng.choice(sorted(FUZZ_EDITS))]
+            if spans:
+                text = edit(text, rng, spans)
+        fast, plain, decoded = _load_both(text.encode(), tmp_path,
+                                          monkeypatch)
+        assert fast == plain, (case, command)
+        paths.add((decoded, len(fast) == 2))
+    assert paths == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
                                                       monkeypatch):
@@ -664,20 +847,25 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
 
 
 def test_decode_takes_the_table_and_one_block_of_temporaries():
-    """Decoding a 72,000-row ``comp`` table (about 1 MB of text, four
-    blocks) allocates, over the input bytes, the decoded table and a fixed
-    slack for one block's temporaries: the text slice, its copy without
-    brackets, the parsed values and their re-encoding."""
+    """Filling a 72,000-entry ``comp`` table from its span (about 1 MB of
+    text, 15 blocks) allocates, over the input bytes, the row table's
+    values (int32) and mask of the entries placed, 5 bytes an entry, and a
+    fixed slack for one block's temporaries and the rest of the model: no
+    ``(n, 3)`` array of the triples (12 bytes a triple as int32)."""
     gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
     raw = canonical_dumps(serialize.groupoid_to_json(gpd)).encode()
+    data, spans = serialize._span_json(raw)
+    serialize._digit_groups()  # the kernel's table, built once
     tracemalloc.start()
     try:
-        data, _ = serialize._decode_tables(raw)
+        model = serialize._span_model(data, spans, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert data["comp"].shape == (72_000, 3)
-    assert peak < data["comp"].nbytes + (3 << 20), peak
+    comp = model.data["comp"]
+    assert comp.val.size == 72_000 and comp.flaw is None
+    assert np.array_equal(comp.val, gpd.val)
+    assert peak < 5 * comp.val.size + (3 << 19), peak
 
 
 def _medium_transport():
@@ -703,15 +891,21 @@ def test_report_tables_are_written_from_the_rows(monkeypatch):
     assert peak < tg.groupoid.val.nbytes + (256 << 10), peak
 
 
-def test_a_loaded_report_holds_twelve_bytes_a_triple(tmp_path):
-    """A groupoidify report, loaded: its ``comp`` is int32, and the model
-    holds 12 bytes a triple plus a fixed slack for its other fields, where
-    an int64 table would take 24."""
+def _medium_report(tmp_path) -> Path:
+    """A groupoidify report on a 6-vertex S4 bundle: 124,416 entries."""
     bundle = bundle_to_json(large_random_bundle(6, 3, "S4"))
     path = tmp_path / "groupoidify.json"
     path.write_text(canonical_dumps(run_command(
         "groupoidify", [("bundle", parse_model(bundle))])))
     serialize._digit_groups()  # the kernel's table, built once
+    return path
+
+
+def test_a_loaded_report_holds_four_bytes_an_entry(tmp_path):
+    """A groupoidify report, loaded: its ``comp`` is the groupoid, with an
+    int32 ``val``, and the model holds 4 bytes an entry plus a fixed slack
+    for its other fields, where an ``(n, 3)`` int32 table would take 12."""
+    path = _medium_report(tmp_path)
     tracemalloc.start()
     try:
         model = serialize.load_model(str(path))
@@ -719,8 +913,27 @@ def test_a_loaded_report_holds_twelve_bytes_a_triple(tmp_path):
     finally:
         tracemalloc.stop()
     comp = model.data["comp"]
-    assert comp.shape == (124_416, 3) and comp.dtype == np.int32
-    assert held < 12 * len(comp) + (512 << 10), held
+    assert isinstance(comp, Groupoid) and comp.flaw is None
+    assert comp.val.size == 124_416 and comp.val.dtype == np.int32
+    assert held < 4 * comp.val.size + (512 << 10), held
+
+
+def test_loading_a_report_peaks_at_its_bytes_and_five_bytes_an_entry(
+        tmp_path):
+    """Loading that report peaks below the input's bytes, the row table's
+    values and its mask of entries placed (5 bytes an entry), and a fixed
+    slack for one block's temporaries and the rest of the model: neither
+    an ``(n, 3)`` table nor a mask over the triples is made."""
+    path = _medium_report(tmp_path)
+    tracemalloc.start()
+    try:
+        model = serialize.load_model(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = model.data["comp"].val.size
+    assert entries == 124_416
+    assert peak < path.stat().st_size + 5 * entries + (2 << 20), peak
 
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
