@@ -78,9 +78,8 @@ class GroupoidAction(RowTable):
                      triples) -> "GroupoidAction":
         anchor = np.asarray(anchor, dtype=np.int64)
         # until the scans pass: one empty row per anchor entry
-        a = GroupoidAction(gpd, n_points, anchor,
-                           np.zeros(anchor.shape[0] + 1, np.int64),
-                           np.empty(0, np.int32))
+        a = GroupoidAction(gpd, n_points, anchor, [0] * (anchor.shape[0] + 1),
+                           [])
         a.flaw = _structural_scan(gpd)
         if a.flaw is None:
             a.flaw = _anchor_scan(a)

@@ -69,6 +69,11 @@ class RowTable:
     own regular action, ``GroupoidAction`` the general case.
     """
 
+    def __post_init__(self) -> None:
+        self.row_off = np.asarray(self.row_off, dtype=np.int64)
+        # every value is below 2**30; readers widen before key arithmetic
+        self.val = np.asarray(self.val, dtype=np.int32)
+
     def move_many(self, ys, hs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``y . h``; returns ``(values, defined_mask)`` with -1
         where a pair is not defined."""
@@ -310,10 +315,9 @@ class Groupoid(RowTable):
     flaw: Optional[Diagnostics] = None
 
     def __post_init__(self) -> None:
-        for name in ("src", "tgt", "unit", "inv", "row_off"):
+        for name in ("src", "tgt", "unit", "inv"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        # every value is below 2**30; readers widen before key arithmetic
-        self.val = np.asarray(self.val, dtype=np.int32)
+        super().__post_init__()
 
     @staticmethod
     def from_tables(n_objects: int, src: Sequence[int], tgt: Sequence[int],

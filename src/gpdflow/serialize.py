@@ -34,9 +34,13 @@ Anything else -- a table written another way, a token that lands
 elsewhere or is dropped by a duplicate key, a span the model holds other
 than as a table, bad JSON, bytes that are not UTF-8 -- falls back to
 ``json`` on the whole text, so a model, or an error's code and message, is
-the same either way.  A span is its table's canonical text, in the
-input's order and with its repeats, so the input digest, taken while
-loading, hashes the span as it was read.
+the same either way.
+
+The input digest is the sha256 of the canonical text of the payload as it
+was given, envelope unwrapped (see :class:`Model`): :func:`model_digest`
+of it, taken while loading.  A span in it is hashed as its bytes, which
+are its table's canonical text, in the input's order and with its
+repeats, so the digest does not depend on how the input was read.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
 are not UTF-8, or lists and objects nested more than 100 deep, included),
@@ -135,22 +139,21 @@ class Model:
     the caller's object is never changed; the builds return them and the
     report writes their rows.
 
-    ``spans`` maps the ``id`` of each row table to what it was read from:
-    its text in the input's bytes, or the table as it was given.
-    :attr:`digest` is :func:`model_digest` of the payload with each row
-    table hashed from that, so the triples count in the input's order and
-    with its repeats; ``spans`` is emptied once it is taken.
-    :func:`load_model` takes it while it still holds the input; otherwise
-    it is taken when first read.
+    ``given`` is the payload as it was given, a table read from the input
+    still its :class:`_Span`.  :attr:`digest` is :func:`model_digest` of
+    it, so the triples count in the input's order and with its repeats;
+    ``given`` is dropped once the digest is taken.  :func:`load_model`
+    takes it while it still holds the input; otherwise it is taken when
+    first read.
     """
 
     kind: str
     data: dict
-    spans: dict = field(default_factory=dict, repr=False, compare=False)
+    given: Any = field(repr=False, compare=False)
 
     @functools.cached_property
     def digest(self) -> str:
-        digest, self.spans = model_digest(self.data, self.spans), {}
+        digest, self.given = model_digest(self.given), None
         return digest
 
 
@@ -239,35 +242,27 @@ def _table_pieces(blocks: Iterable[np.ndarray]) -> Iterator[str]:
 
 
 class _ArrayInside(Exception):
-    """The ``json`` encoder met an array or a row table."""
+    """The ``json`` encoder met an array, a row table or a span."""
 
 
 def _stop_at_array(value: Any) -> Any:
-    if isinstance(value, (np.ndarray, RowTable)):
+    if isinstance(value, (np.ndarray, RowTable, _Span)):
         raise _ArrayInside
     return _coerce(value)
 
 
-def canonical_pieces(obj: Any, spans: Optional[dict] = None
-                     ) -> Iterator[Any]:
+def canonical_pieces(obj: Any) -> Iterator[Any]:
     """The text of :func:`canonical_dumps` in pieces, as it is encoded: a
     1-D or 2-D array ``groupoid._BLOCK`` rows at a time and a row table
     (its entries as ``[y, h, y . h]`` rows) a block of rows at a time,
-    through :func:`_table_pieces`; anything without one in one ``json``
-    call; and a list, tuple or ``str``-keyed dict that holds one piece by
-    piece.  A dict with other keys keeps ``json``'s key rules, with its
-    arrays as lists.  (A container that gets here holds an array or a row
-    table, so it has an item.)
-
-    ``spans`` maps the ``id`` of a row table to what it was read from (see
-    :class:`Model`): its canonical text as bytes, yielded as they are, or
-    a table, encoded in its place."""
-    if spans and id(obj) in spans:
-        source = spans[id(obj)]
-        if isinstance(source, memoryview):
-            yield source
-        else:
-            yield from canonical_pieces(source)
+    through :func:`_table_pieces`; a :class:`_Span`, a table's canonical
+    text in the input, as those bytes; anything without one of these in
+    one ``json`` call; and a list, tuple or ``str``-keyed dict that holds
+    one piece by piece.  A dict with other keys keeps ``json``'s key rules,
+    with its arrays as lists.  (A container that gets here holds one, so it
+    has an item.)"""
+    if isinstance(obj, _Span):
+        yield obj.text()
         return
     if isinstance(obj, RowTable):  # its entries: the holes dropped
         yield from _table_pieces(obj.triple_blocks())
@@ -286,12 +281,12 @@ def canonical_pieces(obj: Any, spans: Optional[dict] = None
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + json.dumps(key) + ":"
-            yield from canonical_pieces(obj[key], spans)
+            yield from canonical_pieces(obj[key])
         yield "}"
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             yield "," if i else "["
-            yield from canonical_pieces(item, spans)
+            yield from canonical_pieces(item)
         yield "]"
     else:
         yield _json(obj)
@@ -306,12 +301,11 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(canonical_pieces(obj))
 
 
-def model_digest(model: dict, spans: Optional[dict] = None) -> str:
+def model_digest(model: dict) -> str:
     """sha256 of the canonical encoding, for input fingerprints, fed piece
-    by piece.  A row table in ``spans`` (see :func:`canonical_pieces`) is
-    hashed from what it was read from."""
+    by piece: a :class:`_Span` is hashed as the input's bytes give it."""
     digest = hashlib.sha256()
-    for piece in canonical_pieces(model, spans):
+    for piece in canonical_pieces(model):
         digest.update(piece.encode() if isinstance(piece, str) else piece)
     return digest.hexdigest()
 
@@ -418,22 +412,21 @@ def _table(data: dict, key: str, where: str, width: int, high: Any,
 
 
 def _triples(data: dict, key: str, where: str, high: Any, row: str = ""
-             ) -> tuple[Callable[[], Iterator[np.ndarray]], Any]:
+             ) -> Callable[[], Iterator[np.ndarray]]:
     """Field ``key``, a table of ``[y, h, y . h]`` rows, as a block source
     for :meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`: each
     call reads it a block at a time, and :func:`_int_table` checks each
     block, so the first bad entry raises the error :func:`_table` gives for
     the whole table.  The table is a list of rows, an integer array, a row
     table (as a ``*_to_json`` dict holds it) or a :class:`_Span` of the
-    input.  Returned with what the input digest hashes for it (see
-    :class:`Model`): a span's text, else the table itself."""
+    input."""
     value, where = _need(data, key, where), f"{where}.{key}"
     if isinstance(value, _Span):
-        rows, source = value.blocks, value.text()
+        rows = value.blocks
     elif isinstance(value, RowTable):
-        rows, source = value.triple_blocks, value
+        rows = value.triple_blocks
     elif isinstance(value, (list, np.ndarray)):
-        rows, source = functools.partial(blocks_of, value), value
+        rows = functools.partial(blocks_of, value)
     else:
         raise ModelError(BAD_INDEX, f"{where}: expected a list")
     scan = _scanner(where, 3, high, row=row)
@@ -443,7 +436,7 @@ def _triples(data: dict, key: str, where: str, high: Any, row: str = ""
         for block in rows():
             yield _int_table(block, 3, high, functools.partial(scan, lo=lo))
             lo += len(block)
-    return blocks, source
+    return blocks
 
 
 def _validate_group(data: dict, where: str = "group") -> int:
@@ -484,11 +477,9 @@ def _validate_bundle(data: dict) -> None:
                              f"of range for group order {order} (edge {e})")
 
 
-def _validate_groupoid(data: dict, spans: dict, where: str = "groupoid"
-                       ) -> dict:
+def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
     """Check a groupoid's fields; returns a shallow copy of ``data`` with
-    the groupoid under ``comp``, and puts what its table was read from in
-    ``spans``."""
+    the groupoid under ``comp``."""
     objects = _int_in(_need(data, "objects", where), 0, 1 << 30,
                       f"{where}.objects")
     arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
@@ -498,9 +489,8 @@ def _validate_groupoid(data: dict, spans: dict, where: str = "groupoid"
         for key, length, high in (
             ("src", arrows, objects), ("tgt", arrows, objects),
             ("unit", objects, arrows), ("inv", arrows, arrows)))
-    blocks, source = _triples(data, "comp", where, arrows)
-    gpd = Groupoid.from_tables(objects, src, tgt, unit, inv, blocks)
-    spans[id(gpd)] = source
+    gpd = Groupoid.from_tables(objects, src, tgt, unit, inv,
+                               _triples(data, "comp", where, arrows))
     if "connection" in data:
         pairs = data["connection"]
         if not isinstance(pairs, list) or len(pairs) % 2 != 0:
@@ -519,22 +509,20 @@ def _validate_groupoid(data: dict, spans: dict, where: str = "groupoid"
     return {**data, "comp": gpd}
 
 
-def _validate_action(data: dict, spans: dict) -> dict:
+def _validate_action(data: dict) -> dict:
     """Check an action's fields; returns a shallow copy of ``data`` with
     the action under ``act`` and its groupoid's copy (see
     :func:`_validate_groupoid`) under ``groupoid``."""
-    groupoid = _validate_groupoid(_object(data, "groupoid", "action"), spans,
+    groupoid = _validate_groupoid(_object(data, "groupoid", "action"),
                                   "action.groupoid")
     gpd = groupoid["comp"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
     anchor = _table(data, "anchor", "action", space, gpd.n_objects, True)[0]
-    blocks, source = _triples(data, "act", "action",
-                              (space, gpd.n_arrows, space),
-                              row="expected [y, g, yg]")
+    blocks = _triples(data, "act", "action", (space, gpd.n_arrows, space),
+                      row="expected [y, g, yg]")
     if gpd.flaw is not None:  # no entry is placed over a flawed groupoid
         collections.deque(blocks(), 0)
     act = GroupoidAction.from_triples(gpd, space, anchor, blocks)
-    spans[id(act)] = source
     for key, high in (("basepoint", gpd.n_objects), ("u0", gpd.n_arrows)):
         if key in data:
             _int_in(data[key], 0, high, f"action.{key}")
@@ -555,7 +543,8 @@ def parse_model(data: Any) -> Model:
     back in: a ``{"model": ...}`` wrapper, or a full report whose first
     run carries a constructed model under ``runs[i].model``.  A groupoid
     or action payload is returned as a shallow copy holding its row
-    tables (see :class:`Model`).
+    tables; the model keeps the payload as given for its digest (see
+    :class:`Model`).
     """
     if isinstance(data, dict) and "kind" not in data:
         if "model" in data:
@@ -570,14 +559,14 @@ def parse_model(data: Any) -> Model:
     kind = data.get("kind")
     if kind not in KNOWN_KINDS:
         raise ModelError(UNKNOWN_KIND, f"unknown kind {kind!r}")
-    spans: dict = {}
+    given = data
     if kind == "groupoid":
-        data = _validate_groupoid(data, spans)
+        data = _validate_groupoid(data)
     elif kind == "action":
-        data = _validate_action(data, spans)
+        data = _validate_action(data)
     else:
         _VALIDATORS[kind](data)
-    return Model(kind, data, spans)
+    return Model(kind, data, given)
 
 
 _TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
@@ -756,9 +745,8 @@ def load_model(path: str) -> Model:
     ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may fail to read
     it, or to write it back for the input digest.
 
-    The model's :attr:`~Model.digest` is taken here, each table read from
-    a span hashed from the input's bytes, so the input is not held after
-    the load.
+    The model's :attr:`~Model.digest` is taken here, each span hashed as
+    the input's bytes give it, so the input is not held after the load.
     """
     try:
         raw = _read(path)
@@ -889,15 +877,10 @@ def build_bundle(model_data: dict
 
 def build_groupoid(model_data: dict
                    ) -> tuple[Groupoid, Optional[Connection]]:
-    """The groupoid: a validated payload's own, else assembled from the
-    tables; when a connection is present, recover the base graph from it
-    (edge i spans the sources of darts 2i and 2i+1)."""
-    gpd = model_data["comp"]
-    if not isinstance(gpd, Groupoid):
-        gpd = Groupoid.from_tables(
-            model_data["objects"], model_data["src"], model_data["tgt"],
-            model_data["unit"], model_data["inv"], gpd)
-    conn = None
+    """The groupoid a validated payload holds; when a connection is
+    present, recover the base graph from it (edge i spans the sources of
+    darts 2i and 2i+1)."""
+    gpd, conn = model_data["comp"], None
     if "connection" in model_data:
         arrows = [0] * len(model_data["connection"])
         for dart, arrow in model_data["connection"]:
@@ -909,10 +892,6 @@ def build_groupoid(model_data: dict
 
 
 def build_action(model_data: dict) -> GroupoidAction:
-    """The action: a validated payload's own, else assembled from the
-    tables; an ambit's basepoint and u0 are not read."""
-    if isinstance(model_data["act"], GroupoidAction):
-        return model_data["act"]
-    gpd, _ = build_groupoid(model_data["groupoid"])
-    return GroupoidAction.from_triples(gpd, model_data["space"],
-                                       model_data["anchor"], model_data["act"])
+    """The action a validated payload holds; an ambit's basepoint and u0
+    are not read."""
+    return model_data["act"]

@@ -1,19 +1,22 @@
 """Command-line behavior: exit codes, error payloads, piping, goldens."""
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gpdflow import cli
 from gpdflow.algebra import preset_group
 from gpdflow.amenability import fixed_points
 from gpdflow.cli import COMMANDS, emit_report, fixture_models, main, \
     run_command
 from gpdflow.fixtures import named_bundles
 from gpdflow.groupoid import RowTable
-from gpdflow.serialize import bundle_to_json, canonical_dumps, parse_model
+from gpdflow.serialize import bundle_to_json, canonical_dumps, \
+    group_to_json, parse_model
 
 GOLDEN = Path(__file__).parent / "golden"
 REGOLD = os.environ.get("GPDFLOW_REGOLD") == "1"
@@ -810,3 +813,83 @@ def test_verify_does_not_import_numpy_ma():
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    assert main(['verify', '--fixtures']) == 0\n"
                   "print('numpy.ma' in sys.modules)\n") == "False"
+
+
+# --- contract fuzz ----------------------------------------------------------------
+
+# values a mutation puts in place of a field, an entry or a row
+FUZZ_VALUES = (-1, 0, 1, 2, 9, 1 << 31, True, None, 1.5, "x", [], [0], {})
+
+
+def _paths(value, path=()) -> list[tuple]:
+    """Every path into a decoded model: each dict value and list item."""
+    out = [path]
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        out += _paths(item, path + (key,))
+    return out
+
+
+def _mutated(model: dict, rng) -> object:
+    """The model with one to three seeded edits: a value replaced, a key
+    or an item dropped, an item repeated, two items swapped, or an integer
+    moved by one.  An edit at the root replaces the whole model."""
+    model = json.loads(json.dumps(model))
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        path = rng.choice(_paths(model))
+        if not path:
+            return rng.choice(FUZZ_VALUES)
+        holder = model
+        for key in path[:-1]:
+            holder = holder[key]
+        key, edit = path[-1], rng.choice((0, 1, 2, 3, 3, 4, 4, 4))
+        if edit == 1:
+            del holder[key]
+        elif edit == 2 and isinstance(holder, list):
+            holder.append(holder[key])
+        elif edit == 3 and isinstance(holder, list):
+            other = rng.randrange(len(holder))
+            holder[key], holder[other] = holder[other], holder[key]
+        elif edit == 4 and type(holder[key]) is int:
+            holder[key] += rng.choice((-1, 1))
+        else:
+            holder[key] = rng.choice(FUZZ_VALUES)
+        model = json.loads(json.dumps(model))  # no shared items
+    return model
+
+
+def test_contract_fuzz_over_every_command(tmp_path, capsys):
+    """400 seeded cases: a contract model, mutated, written compact or
+    indented, bare or in a ``{"model": ...}`` envelope, run by a random
+    command at a random basepoint.  Every case exits 0, 1 or 2, prints one
+    canonical JSON line and nothing on stderr, and exits 2 exactly when
+    the report carries an error.  Most cases run a command that takes the
+    model's kind; about a quarter get past loading to a verdict."""
+    rng = random.Random(20)
+    models = _contract_models()
+    models["group-table.json"] = group_to_json(preset_group("S3"))
+    bases = [json.loads(canonical_dumps(m)) for m in models.values()]
+    path = tmp_path / "case.json"
+    codes = set()
+    for case in range(400):
+        base = rng.choice(bases)
+        takes = [c for c in COMMANDS if base["kind"] in sum(
+            cli._COMMANDS[c][1:], ())]
+        command = rng.choice(takes if rng.random() < 0.8 else COMMANDS)
+        model = _mutated(base, rng)
+        if rng.random() < 0.2:
+            model = {"model": model}
+        path.write_text(canonical_dumps(model) if rng.random() < 0.8
+                        else json.dumps(model, indent=1))
+        code = main([command, str(path), "--basepoint",
+                     str(rng.choice((0, 1, 9)))])
+        out, err = capsys.readouterr()
+        where = (case, command, path.read_text()[:200])
+        assert code in (0, 1, 2) and err == "", where
+        report = json.loads(out)
+        assert out == json.dumps(report, sort_keys=True,
+                                 separators=(",", ":")) + "\n", where
+        assert (code == 2) == ("error" in report), where
+        codes.add(code)
+    assert codes == {0, 1, 2}

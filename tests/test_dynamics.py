@@ -6,6 +6,7 @@ minimal subflows by the exhaustive bitmask search built into the package.
 """
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gpdflow.algebra import preset_group
@@ -237,6 +238,22 @@ def test_restrict_action_refuses_a_repeated_or_out_of_range_point(
     a = base_action(pair_groupoid(2))
     with pytest.raises(ValueError, match=message):
         restrict_action(a, points)
+
+
+def test_every_constructor_gives_int32_values():
+    """Every row table has an int32 ``val`` and an int64 ``row_off``,
+    whichever constructor built it, as a reloaded one has."""
+    gpd = s3_edge_groupoid().groupoid
+    ambit = build_ambit(gpd, x0=0)
+    base = base_action(gpd)
+    tables = [gpd, union_groupoid(), pair_groupoid(3), ambit.action, base,
+              restrict_action(gpd, gpd.arrows_from(1)),
+              restrict_action(base, [1, 0]),
+              disjoint_union_actions(ambit.action, base),
+              rebuilt(base, base.triples())]
+    tables += [flow.action for flow in minimal_subflows(base)]
+    for t in tables:
+        assert (t.val.dtype, t.row_off.dtype) == (np.int32, np.int64), t
 
 
 # --- the ambit -----------------------------------------------------------------

@@ -202,6 +202,12 @@ def _flawed(table: list) -> list:
     return table
 
 
+def _from_lists(data: dict) -> Groupoid:
+    """The groupoid built straight from a payload's python lists."""
+    return Groupoid.from_tables(data["objects"], data["src"], data["tgt"],
+                                data["unit"], data["inv"], data["comp"])
+
+
 def test_builds_from_arrays_match_builds_from_lists():
     flawed = 0
     for name, bundle in sorted(matrix_bundles().items()):
@@ -215,7 +221,7 @@ def test_builds_from_arrays_match_builds_from_lists():
             assert isinstance(data["comp"], list), name  # a copy holds it
             built, _ = build_groupoid(model.data)
             assert built is model.data["comp"], name  # not built again
-            plain, _ = build_groupoid(data)
+            plain = _from_lists(data)
             _same_tables(built, plain, name)
             flawed += built.flaw is not None
         if len(ambit["act"]) < 2:
@@ -228,7 +234,9 @@ def test_builds_from_arrays_match_builds_from_lists():
             assert isinstance(data["groupoid"]["comp"], list), name
             built = build_action(model.data)
             assert built is model.data["act"], name
-            plain = build_action(data)
+            plain = GroupoidAction.from_triples(
+                _from_lists(data["groupoid"]), data["space"], data["anchor"],
+                data["act"])
             _same_tables(built, plain, name)
             _same_tables(built.gpd, plain.gpd, name)
             flawed += built.flaw is not None
