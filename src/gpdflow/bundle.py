@@ -43,7 +43,6 @@ __all__ = [
     "bundles_isomorphic",
     "bundles_isomorphic_bruteforce",
     "bfs_tree",
-    "compose_gauges",
 ]
 
 _BRUTEFORCE_GAUGES = 10 ** 6  # the most gauges the brute-force oracle scans
@@ -291,13 +290,6 @@ def apply_gauge(b: CocycleBundle, gauge: GaugeTransformation) -> CocycleBundle:
         for d in range(base.n_darts)
     ]
     return CocycleBundle(base=base, group=grp, labels=labels)
-
-
-def compose_gauges(first: GaugeTransformation, second: GaugeTransformation,
-                   grp: FiniteGroup) -> GaugeTransformation:
-    """The gauge equal to applying ``first`` then ``second``."""
-    return GaugeTransformation(
-        [grp.mul(s, f) for f, s in zip(first.elements, second.elements)])
 
 
 def gauge_normalize(b: CocycleBundle, root: int = 0

@@ -366,30 +366,29 @@ class Groupoid(RowTable):
 
     @cached_property
     def generators(self) -> list[int]:
-        """Greedy generating set: lowest missing arrow is adjoined until the
-        right-multiplication closure of the units covers every arrow.  Read
-        it only once the table is whole."""
-        k = self.n_arrows
-        in_span = np.zeros(k, dtype=bool)
-        in_span[self.unit] = True
-        gens: list[int] = []
-        frontier = np.where(in_span)[0]
+        """The least arrow ``x -> x + 1 (mod m)`` out of each object that has
+        one, then, while the closure of the units under right multiplication
+        misses an arrow, the least it misses.  The closure only grows: an
+        arrow it gains is multiplied by every generator, the arrows it holds
+        by each generator adjoined.  Precondition: the table is whole."""
+        k, m = self.n_arrows, self.n_objects
+        cycle = self.tgt == (self.src + 1) % max(m, 2)  # one object: no loop
+        least = np.full(m, k)
+        np.minimum.at(least, self.src[cycle], np.flatnonzero(cycle))
+        gens = least[least < k].tolist()
+        reached = np.zeros(k, dtype=bool)
+        reached[self.unit] = True
+        new, by = np.flatnonzero(reached), gens
         while True:
-            while frontier.size and gens:
-                new_mask = np.zeros(k, dtype=bool)
-                for s in gens:
-                    vals, ok = self.try_compose_many(frontier,
-                                                     np.full(frontier.shape, s))
-                    new_mask[vals[ok]] = True
-                new_mask &= ~in_span
-                in_span |= new_mask
-                frontier = np.where(new_mask)[0]
-            rest = np.where(~in_span)[0]
-            if not rest.size:
-                return gens
-            gens.append(int(rest[0]))
-            in_span[rest[0]] = True
-            frontier = np.where(in_span)[0]
+            vals, ok = self.try_compose_many(new[:, None], by)
+            was = reached.copy()
+            reached[vals[ok]] = True
+            new, by = np.flatnonzero(reached & ~was), gens
+            if not new.size:
+                if reached.all():
+                    return gens
+                gens.append(int(np.argmin(reached)))
+                new, by = np.flatnonzero(reached), gens[-1:]
 
     # --- index helpers -----------------------------------------------------
 
@@ -660,28 +659,24 @@ def vertex_groups_isomorphic(g: Groupoid, x: int, y: int) -> VertexGroupIso:
 @dataclass
 class LocalTriviality:
     trivial: bool
-    sections: Optional[dict[int, list[int]]]
     witness: Optional[tuple[int, int]]
 
 
 def check_local_triviality(g: Groupoid) -> LocalTriviality:
-    """For each basepoint ``x`` build the target section ``y -> lowest arrow
-    x->y`` when it exists; when one does not, the first pair ``(x, y)``
-    without an arrow, in row order, is the witness.  One pass over the
-    arrows keeps the lowest for each ``(src, tgt)``.  At finite discrete
-    size this succeeds exactly when the groupoid is transitive; the pass
-    here is deliberately independent of :func:`is_transitive` so the two
-    can be cross-checked.
+    """Whether there is an arrow ``x -> y`` for every pair of objects; when
+    there is not, the first pair ``(x, y)`` without one, in row order, is
+    the witness.  One pass over the arrows marks each ``(src, tgt)``.  At
+    finite discrete size this succeeds exactly when the groupoid is
+    transitive; the pass here is deliberately independent of
+    :func:`is_transitive` so the two can be cross-checked.
     """
-    m, k = g.n_objects, g.n_arrows
-    first = np.full(m * m, k, dtype=np.int64)  # k: no arrow
-    np.minimum.at(first, g.src * m + g.tgt, np.arange(k))
-    if bool((first == k).any()):
-        flat = int(np.argmax(first == k))
-        return LocalTriviality(trivial=False, sections=None,
-                               witness=(flat // m, flat % m))
-    return LocalTriviality(trivial=True, witness=None, sections=dict(
-        enumerate(first.reshape(m, m).tolist())))
+    m = g.n_objects
+    missing = np.ones(m * m, dtype=bool)
+    missing[g.src * m + g.tgt] = False
+    if bool(missing.any()):
+        flat = int(np.argmax(missing))
+        return LocalTriviality(trivial=False, witness=(flat // m, flat % m))
+    return LocalTriviality(trivial=True, witness=None)
 
 
 def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],

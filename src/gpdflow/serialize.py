@@ -116,6 +116,7 @@ KNOWN_KINDS = ("group", "graph", "bundle", "groupoid", "action")
 # integer arrays or row tables, or read from the input's bytes.
 _ARRAY_TABLES = ("comp", "act")
 _MAX_DEPTH = 100  # lists and objects nested in a model read from a file
+_MAX_DIGITS = 4300  # of an integer literal: the interpreter's default
 
 
 class ModelError(Exception):
@@ -688,7 +689,7 @@ def _span_json(raw: bytes) -> Optional[tuple[Any, list]]:
         return obj
     try:
         data = json.loads(text, object_hook=place, parse_float=number)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # not JSON, or a long integer
         return None
     return (data, list(spans.values())) if placed == len(spans) else None
 
@@ -743,11 +744,21 @@ def load_model(path: str) -> Model:
     text-mode read gives them.  The model, and any error's code and
     message, are the same either way.  A model nested more than
     ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may fail to read
-    it, or to write it back for the input digest.
+    it, or to write it back for the input digest.  So is an integer literal
+    of more than ``_MAX_DIGITS`` digits, whatever limit the interpreter sets.
 
     The model's :attr:`~Model.digest` is taken here, each span hashed as
     the input's bytes give it, so the input is not held after the load.
     """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_MAX_DIGITS)
+    try:
+        return _load(path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _load(path: str) -> Model:
     try:
         raw = _read(path)
     except OSError as exc:
@@ -770,6 +781,9 @@ def load_model(path: str) -> Model:
         except json.JSONDecodeError as exc:
             raise ModelError(PARSE_ERROR,
                              f"{path}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # the only other: an integer too long
+            raise ModelError(PARSE_ERROR, f"{path}: invalid JSON: integer "
+                             f"of more than {_MAX_DIGITS} digits") from exc
         except RecursionError as exc:
             raise too_deep from exc
         del text  # not held while the tables are validated

@@ -9,13 +9,16 @@ fill) and the flaw it picks.  The triple loop of local triviality (the
 old ``check_local_triviality``, kept here as the reference for the
 one-pass version).  The backtracking group isomorphism search (the old
 ``find_group_isomorphism``, kept here as the reference for the search one
-generator at a time).
+generator at a time).  The closure of the units under right multiplication
+by a set of arrows, in python sets, to check that a generating set
+generates; and a seeded renumbering of a groupoid's objects and arrows.
 """
 from collections import defaultdict
 
 import numpy as np
 
 from gpdflow.algebra import element_order
+from gpdflow.groupoid import Groupoid
 
 
 def _triples(table):
@@ -68,6 +71,32 @@ def brute_action_violation(model):
                 if act[(act[(y, g)], h)] != act[(y, comp[(g, h)])]:
                     return "action associativity", (y, g, h)
     return None
+
+
+def brute_closure(model, gens):
+    """The arrows of a groupoid model reached from its units by right
+    multiplication by the arrows ``gens``, one arrow at a time."""
+    comp, _ = _tables(model)
+    reached = set(model["unit"])
+    todo = list(reached)
+    while todo:
+        a = todo.pop()
+        for b in gens:
+            ab = comp.get((a, b))
+            if ab is not None and ab not in reached:
+                reached.add(ab)
+                todo.append(ab)
+    return reached
+
+
+def relabelled(g, rng):
+    """``g`` with its objects and its arrows renumbered at random."""
+    om = np.array(rng.sample(range(g.n_objects), g.n_objects))
+    am = np.array(rng.sample(range(g.n_arrows), g.n_arrows))
+    old = np.argsort(am)  # the old index of each new arrow
+    return Groupoid.from_tables(
+        g.n_objects, om[g.src[old]], om[g.tgt[old]],
+        am[g.unit[np.argsort(om)]], am[g.inv[old]], am[g.triple_array()])
 
 
 def groupoid_law_broken(model, failure, witness):
@@ -184,24 +213,15 @@ def _act_flaw(n, ys, hs, zs, index, off, dup, miss_y, miss_h, _):
 
 
 def brute_local_triviality(g):
-    """``(trivial, sections, witness)`` of ``check_local_triviality`` by the
-    old triple loop: for each object ``x`` and then each ``y``, the lowest
-    arrow ``x -> y``; the first pair without one is the witness."""
-    sections = {}
-    src, tgt = g.src.tolist(), g.tgt.tolist()
+    """``(trivial, witness)`` of ``check_local_triviality`` by the old
+    triple loop: for each object ``x`` and then each ``y``, an arrow
+    ``x -> y``; the first pair without one is the witness."""
+    ends = list(zip(g.src.tolist(), g.tgt.tolist()))
     for x in range(g.n_objects):
-        tau = []
         for y in range(g.n_objects):
-            pick = -1
-            for arrow in range(g.n_arrows):
-                if src[arrow] == x and tgt[arrow] == y:
-                    pick = arrow
-                    break
-            if pick < 0:
-                return False, None, (x, y)
-            tau.append(pick)
-        sections[x] = tau
-    return True, sections, None
+            if (x, y) not in ends:
+                return False, (x, y)
+    return True, None
 
 
 def backtrack_group_isomorphism(g1, g2):

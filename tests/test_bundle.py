@@ -1,5 +1,4 @@
 """Tests for dart cocycles, gauge normalization, holonomy, and triviality."""
-import random
 
 import pytest
 
@@ -12,7 +11,6 @@ from gpdflow.bundle import (
     bfs_tree,
     bundles_isomorphic,
     bundles_isomorphic_bruteforce,
-    compose_gauges,
     gauge_normalize,
     holonomy_along,
     holonomy_group,
@@ -20,7 +18,6 @@ from gpdflow.bundle import (
     total_space,
     verify_cocycle,
 )
-from gpdflow.fixtures import named_bundles
 
 
 def z2_triangle(edge_labels):
@@ -174,25 +171,6 @@ def test_apply_gauge_preserves_cocycle_and_inverts():
     assert verify_cocycle(c).ok
     undo = GaugeTransformation([b.group.inv[g] for g in gauge.elements])
     assert apply_gauge(c, undo).labels == b.labels
-
-
-def test_compose_gauges_is_applying_one_then_the_other():
-    """On every fixture bundle, seeded gauges ``f`` then ``s`` act as their
-    composite, and not as the composite in the other order throughout."""
-    rng = random.Random("compose gauges")
-    swapped = 0
-    for name, b in sorted(named_bundles().items()):
-        grp, n = b.group, b.base.n_vertices
-        for _ in range(4):
-            f, s = (GaugeTransformation([rng.randrange(grp.order)
-                                         for _ in range(n)])
-                    for _ in range(2))
-            both = apply_gauge(apply_gauge(b, f), s)
-            assert both.labels == \
-                apply_gauge(b, compose_gauges(f, s, grp)).labels, name
-            swapped += both.labels != \
-                apply_gauge(b, compose_gauges(s, f, grp)).labels
-    assert swapped  # the order of composition is seen
 
 
 # --- holonomy ----------------------------------------------------------------------

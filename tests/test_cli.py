@@ -589,6 +589,56 @@ def test_input_nested_100000_deep_is_unreadable_json(tmp_path, stdin):
         "code": 10, "message": f"{'-' if stdin else path}: nested too deeply "
         "(more than 100 levels)"}
 
+def _long_integer(where: str, digits: int) -> bytes:
+    """A model with an integer literal of ``digits`` nines: beside a group's
+    fields, in its ``mult`` table, or beside a groupoid's canonical
+    ``comp`` table, which is decoded from the bytes."""
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import transport_to_json
+    number = "9" * digits
+    if where == "mult":
+        return b'{"kind":"group","order":1,"identity":0,"mult":[[' \
+            + number.encode() + b']]}'
+    model = transport_to_json(groupoid_of_bundle(
+        named_bundles()["point-z2"])) if where == "comp" else \
+        {"kind": "group", "order": 1, "identity": 0, "mult": [[0]]}
+    return (canonical_dumps(model)[:-1] + ',"x":' + number + "}").encode()
+
+
+@pytest.mark.parametrize("limit", [None, 0, 640], ids=str)
+@pytest.mark.parametrize("where", ["beside", "mult", "comp"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_integer_literal_too_long_is_unreadable_json(tmp_path, capsys,
+                                                     monkeypatch, limit,
+                                                     where, stdin):
+    """Past 4,300 digits an integer literal is code 10, and up to it a
+    model loads, whatever digit limit the interpreter was started with
+    (``None``: its default); the load leaves that limit as it found it."""
+    import io
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(before if limit is None else limit)
+    try:
+        for digits in (5000, 4301, 4300):
+            raw = _long_integer(where, digits)
+            path = tmp_path / "long.json"
+            path.write_bytes(raw)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+            name = "-" if stdin else str(path)
+            code, out = run_cli(capsys, ["verify", name])
+            assert sys.get_int_max_str_digits() == (
+                before if limit is None else limit)
+            report = json.loads(out)
+            if digits == 4300 and where != "mult":
+                assert code == 0, report
+            elif digits == 4300:  # a load, and then the entry is too large
+                assert (code, report["error"]["code"]) == (2, 12), report
+            else:
+                assert (code, report["error"]) == (2, {
+                    "code": 10, "message": f"{name}: invalid JSON: "
+                    "integer of more than 4300 digits"}), digits
+    finally:
+        sys.set_int_max_str_digits(before)
+
 # --- work done per run ---------------------------------------------------------------
 
 
@@ -819,6 +869,7 @@ def test_verify_does_not_import_numpy_ma():
 
 # values a mutation puts in place of a field, an entry or a row
 FUZZ_VALUES = (-1, 0, 1, 2, 9, 1 << 31, True, None, 1.5, "x", [], [0], {})
+LONG = "a 5,000-digit integer literal"  # put in the text as it is written
 
 
 def _paths(value, path=()) -> list[tuple]:
@@ -833,8 +884,9 @@ def _paths(value, path=()) -> list[tuple]:
 
 def _mutated(model: dict, rng) -> object:
     """The model with one to three seeded edits: a value replaced, a key
-    or an item dropped, an item repeated, two items swapped, or an integer
-    moved by one.  An edit at the root replaces the whole model."""
+    or an item dropped, an item repeated, two items swapped, an integer
+    moved by one, or a value replaced by ``LONG``.  An edit at the root
+    replaces the whole model."""
     model = json.loads(json.dumps(model))
     for _ in range(rng.choice((1, 1, 1, 2, 3))):
         path = rng.choice(_paths(model))
@@ -843,7 +895,7 @@ def _mutated(model: dict, rng) -> object:
         holder = model
         for key in path[:-1]:
             holder = holder[key]
-        key, edit = path[-1], rng.choice((0, 1, 2, 3, 3, 4, 4, 4))
+        key, edit = path[-1], rng.choice((0, 1, 2, 3, 3, 4, 4, 4, 5))
         if edit == 1:
             del holder[key]
         elif edit == 2 and isinstance(holder, list):
@@ -853,6 +905,8 @@ def _mutated(model: dict, rng) -> object:
             holder[key], holder[other] = holder[other], holder[key]
         elif edit == 4 and type(holder[key]) is int:
             holder[key] += rng.choice((-1, 1))
+        elif edit == 5:
+            holder[key] = LONG
         else:
             holder[key] = rng.choice(FUZZ_VALUES)
         model = json.loads(json.dumps(model))  # no shared items
@@ -864,14 +918,15 @@ def test_contract_fuzz_over_every_command(tmp_path, capsys):
     indented, bare or in a ``{"model": ...}`` envelope, run by a random
     command at a random basepoint.  Every case exits 0, 1 or 2, prints one
     canonical JSON line and nothing on stderr, and exits 2 exactly when
-    the report carries an error.  Most cases run a command that takes the
-    model's kind; about a quarter get past loading to a verdict."""
+    the report carries an error, with code 10 wherever ``LONG`` stands.
+    Most cases run a command that takes the model's kind; about a quarter
+    get past loading to a verdict."""
     rng = random.Random(20)
     models = _contract_models()
     models["group-table.json"] = group_to_json(preset_group("S3"))
     bases = [json.loads(canonical_dumps(m)) for m in models.values()]
     path = tmp_path / "case.json"
-    codes = set()
+    codes, long = set(), 0
     for case in range(400):
         base = rng.choice(bases)
         takes = [c for c in COMMANDS if base["kind"] in sum(
@@ -880,8 +935,9 @@ def test_contract_fuzz_over_every_command(tmp_path, capsys):
         model = _mutated(base, rng)
         if rng.random() < 0.2:
             model = {"model": model}
-        path.write_text(canonical_dumps(model) if rng.random() < 0.8
-                        else json.dumps(model, indent=1))
+        text = canonical_dumps(model) if rng.random() < 0.8 \
+            else json.dumps(model, indent=1)
+        path.write_text(text.replace(json.dumps(LONG), "9" * 5000))
         code = main([command, str(path), "--basepoint",
                      str(rng.choice((0, 1, 9)))])
         out, err = capsys.readouterr()
@@ -891,5 +947,8 @@ def test_contract_fuzz_over_every_command(tmp_path, capsys):
         assert out == json.dumps(report, sort_keys=True,
                                  separators=(",", ":")) + "\n", where
         assert (code == 2) == ("error" in report), where
+        if LONG in text:
+            assert report["error"]["code"] == 10, where
+            long += 1
         codes.add(code)
-    assert codes == {0, 1, 2}
+    assert codes == {0, 1, 2} and long
