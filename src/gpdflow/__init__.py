@@ -5,211 +5,25 @@ principal bundles over finite connected graphs and transitive groupoids: both
 directions of the construction, the chart and fiber identifications, the
 induced groupoid dynamics on arrow fibers, and the invariant-section test
 that characterises when every such dynamical system has a fixed point.
-"""
-from .algebra import (
-    FiniteGroup,
-    PRESET_NAMES,
-    are_conjugate_subgroup_maps,
-    element_order,
-    find_group_isomorphism,
-    generated_subgroup,
-    preset_group,
-    verify_group,
-)
-from .amenability import (
-    AmenabilityReport,
-    InvariantSection,
-    extreme_amenability_check,
-    fiber_action,
-    fixed_points,
-    invariant_sections,
-    section_existence_suite,
-    verify_invariant_section,
-)
-from .bundle import (
-    BaseGraph,
-    CocycleBundle,
-    GaugeTransformation,
-    HolonomyData,
-    SpanningTree,
-    TrivialityReport,
-    apply_gauge,
-    bfs_tree,
-    bundles_isomorphic,
-    bundles_isomorphic_bruteforce,
-    gauge_normalize,
-    holonomy_along,
-    holonomy_group,
-    is_trivial,
-    total_space,
-    verify_cocycle,
-)
-from .diagnostics import Diagnostics
-from .dynamics import (
-    Ambit,
-    EquivariantMap,
-    FiberSemigroup,
-    GroupoidAction,
-    base_action,
-    build_ambit,
-    compose_equivariant_maps,
-    disjoint_union_actions,
-    enumerate_equivariant_maps,
-    fiber_semigroup,
-    invariant_subsets,
-    minimal_flow_uniqueness,
-    minimal_left_ideals,
-    minimal_subflows,
-    orbits,
-    restrict_action,
-    semigroup_idempotents,
-    universal_map,
-    verify_action,
-    verify_equivariant_map,
-)
-from .ehresmann import (
-    ArrowCoordinate,
-    Connection,
-    TransportGroupoid,
-    bundle_of_groupoid,
-    closed_form_matches_oracle,
-    fiber_chart_sigma,
-    fiber_chart_tau,
-    groupoid_of_bundle,
-    orbit_quotient_groupoid,
-    point_base_degenerate,
-    roundtrip_bundle,
-    verify_connection,
-    vertex_chart_phi,
-    vertex_chart_psi,
-)
-from .fixtures import (
-    large_random_bundle,
-    matrix_bundle,
-    matrix_bundles,
-    named_bundles,
-    random_connected_graph,
-)
-from .groupoid import (
-    Groupoid,
-    check_local_triviality,
-    disjoint_union,
-    hom_set,
-    is_transitive,
-    normalize_groupoid,
-    one_object_groupoid,
-    pair_groupoid,
-    verify_groupoid,
-    verify_groupoid_iso,
-    vertex_group,
-    vertex_groups_isomorphic,
-)
-from .serialize import (
-    ModelError,
-    canonical_dumps,
-    load_model,
-    model_digest,
-    parse_model,
-)
 
-__all__ = [
-    "Diagnostics",
-    # algebra
-    "FiniteGroup",
-    "PRESET_NAMES",
-    "are_conjugate_subgroup_maps",
-    "element_order",
-    "find_group_isomorphism",
-    "generated_subgroup",
-    "preset_group",
-    "verify_group",
-    # groupoid
-    "Groupoid",
-    "check_local_triviality",
-    "disjoint_union",
-    "hom_set",
-    "is_transitive",
-    "normalize_groupoid",
-    "one_object_groupoid",
-    "pair_groupoid",
-    "verify_groupoid",
-    "verify_groupoid_iso",
-    "vertex_group",
-    "vertex_groups_isomorphic",
-    # bundle
-    "BaseGraph",
-    "CocycleBundle",
-    "GaugeTransformation",
-    "HolonomyData",
-    "SpanningTree",
-    "TrivialityReport",
-    "apply_gauge",
-    "bfs_tree",
-    "bundles_isomorphic",
-    "bundles_isomorphic_bruteforce",
-    "gauge_normalize",
-    "holonomy_along",
-    "holonomy_group",
-    "is_trivial",
-    "total_space",
-    "verify_cocycle",
-    # ehresmann
-    "ArrowCoordinate",
-    "Connection",
-    "TransportGroupoid",
-    "bundle_of_groupoid",
-    "closed_form_matches_oracle",
-    "fiber_chart_sigma",
-    "fiber_chart_tau",
-    "groupoid_of_bundle",
-    "orbit_quotient_groupoid",
-    "point_base_degenerate",
-    "roundtrip_bundle",
-    "verify_connection",
-    "vertex_chart_phi",
-    "vertex_chart_psi",
-    # dynamics
-    "Ambit",
-    "EquivariantMap",
-    "FiberSemigroup",
-    "GroupoidAction",
-    "base_action",
-    "build_ambit",
-    "compose_equivariant_maps",
-    "disjoint_union_actions",
-    "enumerate_equivariant_maps",
-    "fiber_semigroup",
-    "invariant_subsets",
-    "minimal_flow_uniqueness",
-    "minimal_left_ideals",
-    "minimal_subflows",
-    "orbits",
-    "restrict_action",
-    "semigroup_idempotents",
-    "universal_map",
-    "verify_action",
-    "verify_equivariant_map",
-    # amenability
-    "AmenabilityReport",
-    "InvariantSection",
-    "extreme_amenability_check",
-    "fiber_action",
-    "fixed_points",
-    "invariant_sections",
-    "section_existence_suite",
-    "verify_invariant_section",
-    # fixtures
-    "large_random_bundle",
-    "matrix_bundle",
-    "matrix_bundles",
-    "named_bundles",
-    "random_connected_graph",
-    # serialization
-    "ModelError",
-    "canonical_dumps",
-    "load_model",
-    "model_digest",
-    "parse_model",
-]
+Each module's ``__all__`` decides which of its names are public; the package
+republishes every one of them, modules in dependency order.
+"""
+from . import (algebra, amenability, bundle, diagnostics, dynamics, ehresmann,
+               fixtures, groupoid, serialize)
+from .diagnostics import *
+from .algebra import *
+from .groupoid import *
+from .bundle import *
+from .ehresmann import *
+from .dynamics import *
+from .amenability import *
+from .fixtures import *
+from .serialize import *
+
+__all__ = [name for module in (diagnostics, algebra, groupoid, bundle,
+                               ehresmann, dynamics, amenability, fixtures,
+                               serialize)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

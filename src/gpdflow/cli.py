@@ -5,7 +5,9 @@ keys, no whitespace variance) or as plain text carrying the same
 information; identical inputs always produce identical bytes.  Exit codes:
 0 when every checked property holds (questions like ``trivial`` and ``ea``
 count as answered either way), 1 when a checked property fails (the report
-carries a witness), 2 for usage or input errors.
+carries a witness), 2 for usage or input errors.  Every failure, a command
+line that does not parse included, is a canonical report on stdout; only
+``--help`` prints usage instead.
 
 One table, ``_COMMANDS``, maps each command to its runner and the input
 kinds it takes; a model of another kind is a usage error.  A runner appends
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from typing import Optional
 
@@ -46,8 +49,8 @@ USAGE_ERROR = 2
 
 
 class UsageError(ModelError):
-    """A well-formed model that the requested command cannot act on, or a
-    command line that names no input to run on."""
+    """A command line that does not parse or names no input to run on, or a
+    well-formed model that the requested command cannot act on."""
 
     def __init__(self, message: str):
         super().__init__(USAGE_ERROR, message)
@@ -350,8 +353,9 @@ COMMANDS = tuple(_COMMANDS)
 def _run(command: str, name: str, model: Model, basepoint: int) -> dict:
     runner, kinds, others = _COMMANDS[command]
     if model.kind not in kinds + others:
-        raise UsageError(f"{command} needs a {' or '.join(kinds)} model, "
-                         f"got {model.kind}")
+        article = "an" if kinds[0][0] in "aeiou" else "a"
+        raise UsageError(f"{command} needs {article} {' or '.join(kinds)} "
+                         f"model, got {model.kind}")
     verdicts: list[dict] = []
     try:
         facts, emitted = runner(model, basepoint, verdicts)
@@ -464,15 +468,32 @@ def emit_report(report: dict, fmt: str = "json") -> str:
 # --- entry point ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every failure is a usage error, reported like any
+    other instead of as usage text on stderr."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _basepoint(text: str) -> int:
+    """An optional '-' and 1 to 9 digits: read the same whatever the
+    interpreter's digit limit, and never echoed back."""
+    if re.fullmatch(r"-?[0-9]{1,9}", text) is None:
+        raise argparse.ArgumentTypeError("expected an integer of at most "
+                                         "9 digits")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpdflow",
         description="Finite groupoid/bundle toolkit: verify models, "
                     "convert between forms, and report dynamical invariants.")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("files", nargs="*",
+    parser.add_argument("files", nargs="*", default=[],
                         help="JSON model files ('-' reads stdin)")
-    parser.add_argument("--basepoint", type=int, default=0,
+    parser.add_argument("--basepoint", type=_basepoint, default=0,
                         help="object/vertex to base the construction at")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--fixtures", action="store_true",
@@ -500,9 +521,10 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    command, fmt = None, "json"
     try:
+        ns = _build_parser().parse_args(argv)
+        command, fmt = ns.command, ns.format
         if ns.fixtures:
             if ns.files:
                 raise UsageError("give files or --fixtures, not both")
@@ -514,10 +536,10 @@ def _main(argv) -> int:
                       for path in ns.files]
         report = run_command(ns.command, models, basepoint=ns.basepoint)
     except ModelError as exc:
-        report = {"command": ns.command, "ok": False,
+        report = {"command": command, "ok": False,
                   "error": {"code": exc.code, "message": exc.message}}
-        return _write(report, ns.format, 2)
-    return _write(report, ns.format, 0 if report["ok"] else 1)
+        return _write(report, fmt, 2)
+    return _write(report, fmt, 0 if report["ok"] else 1)
 
 
 def _write(report: dict, fmt: str, code: int) -> int:

@@ -12,6 +12,7 @@ one-pass version).  The backtracking group isomorphism search (the old
 generator at a time).  The closure of the units under right multiplication
 by a set of arrows, in python sets, to check that a generating set
 generates; and a seeded renumbering of a groupoid's objects and arrows.
+The endpoint and reversal laws of a connection, read from the JSON lists.
 """
 from collections import defaultdict
 
@@ -71,6 +72,41 @@ def brute_action_violation(model):
                 if act[(act[(y, g)], h)] != act[(y, comp[(g, h)])]:
                     return "action associativity", (y, g, h)
     return None
+
+
+def _connection_arrows(model):
+    arrows = [0] * len(model["connection"])
+    for dart, arrow in model["connection"]:
+        arrows[dart] = arrow
+    return arrows
+
+
+def brute_connection_violation(model):
+    """The first dart of a groupoid model's connection whose arrow misses
+    the dart's endpoints, or whose reverse dart is not on the inverse
+    arrow, as ``(label, witness)``; None when both laws hold.  Edge ``i``
+    spans the sources of the arrows on darts ``2i`` and ``2i + 1``, so a
+    dart's arrow must end where its reverse dart's arrow starts."""
+    arrows = _connection_arrows(model)
+    for d, a in enumerate(arrows):
+        if model["tgt"][a] != model["src"][arrows[d ^ 1]]:
+            return "connection endpoints", (d, a)
+    for d, a in enumerate(arrows):
+        if arrows[d ^ 1] != model["inv"][a]:
+            return "connection reversal", (d,)
+    return None
+
+
+def connection_law_broken(model, failure, witness):
+    """Whether the dart ``witness[0]`` really breaks the connection law
+    named ``failure``."""
+    arrows = _connection_arrows(model)
+    d = witness[0]
+    if failure == "connection endpoints":
+        return model["tgt"][arrows[d]] != model["src"][arrows[d ^ 1]]
+    if failure == "connection reversal":
+        return arrows[d ^ 1] != model["inv"][arrows[d]]
+    return False
 
 
 def brute_closure(model, gens):

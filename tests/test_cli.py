@@ -183,10 +183,77 @@ def test_basepoint_out_of_range_exits_2(tmp_path, capsys):
     assert "out of range" in json.loads(out)["error"]["message"]
 
 
-def test_unknown_command_exits_2():
+def _usage_report(capsys, argv) -> dict:
+    """The one canonical code-2 line, and nothing on stderr, that a command
+    line that does not parse gets."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert captured.err == ""
+    assert captured.out == canonical_dumps(report) + "\n"
+    assert report["ok"] is False and report["error"]["code"] == 2
+    assert len(report["error"]["message"]) <= 200
+    return report
+
+
+def test_unknown_command_exits_2(capsys):
+    report = _usage_report(capsys, ["frobnicate", "x.json"])
+    assert report["command"] is None
+    assert "invalid choice: 'frobnicate'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ambit", "--fixtures", "--basepoint", "abc"],
+    ["ambit", "--fixtures", "--basepoint", "1234567890"],
+    ["ambit", "--fixtures", "--basepoint", "+1"],
+    ["ambit", "--fixtures", "--format", "text", "--basepoint", "abc"],
+    ["ambit", "--fixtures", "--format", "xml"],
+    ["ambit", "--fixtures", "--bogus"],
+    [],
+], ids=["basepoint-abc", "basepoint-10-digits", "basepoint-plus",
+        "basepoint-abc-text", "format-xml", "unknown-flag", "empty"])
+def test_command_line_that_does_not_parse_is_a_json_report(capsys, argv):
+    assert _usage_report(capsys, argv)["command"] is None
+
+
+def test_long_basepoint_reads_the_same_whatever_the_digit_limit(capsys):
+    """A 5,000-digit basepoint gets the same short report with the
+    interpreter's digit limit as it is, switched off and set to 640."""
+    before = sys.get_int_max_str_digits()
+    outs = []
+    try:
+        for limit in (before, 0, 640):
+            sys.set_int_max_str_digits(limit)
+            report = _usage_report(capsys, ["ambit", "--fixtures",
+                                            "--basepoint", "9" * 5000])
+            outs.append(canonical_dumps(report))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["error"]["message"] == \
+        "argument --basepoint: expected an integer of at most 9 digits"
+
+
+@pytest.mark.parametrize("basepoint,code", [
+    ("2", 0), ("-1", 2), ("123456789", 2)])
+def test_basepoint_of_at_most_9_digits_reaches_the_run(tmp_path, capsys,
+                                                        basepoint, code):
+    path = write_bundle(tmp_path, "triangle-z1")
+    assert main(["holonomy", path, "--basepoint", basepoint]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "holonomy"
+    if code == 2:
+        assert report["error"]["message"] == (
+            f"basepoint {basepoint} out of range for 3 vertices")
+
+
+def test_help_prints_usage_on_stdout_and_exits_0(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["frobnicate", "x.json"])
-    assert err.value.code == 2
+        main(["--help"])
+    captured = capsys.readouterr()
+    assert err.value.code == 0
+    assert captured.out.startswith("usage: gpdflow") and captured.err == ""
 
 
 # --- individual commands -----------------------------------------------------------
@@ -712,8 +779,9 @@ def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch,
     try:
         assert main(argv) == exit_code
         assert gc.isenabled() == enabled
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
         assert gc.isenabled() == enabled
     finally:
         gc.enable()

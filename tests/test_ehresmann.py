@@ -3,14 +3,18 @@
 The closed coordinate form is checked three ways: against hand-computed
 arrow ids, against the package's literal orbit enumeration, and against a
 second orbit enumeration written here from scratch (orbits as frozensets,
-composition by scanning for a matching representative).
+composition by scanning for a matching representative).  A seeded fuzz
+moves connection darts within hom-sets and compares ``verify_connection``
+and ``bundleize`` with the test oracle's scan of the JSON lists.
 """
+import random
 from itertools import product
 
 import pytest
 
 from gpdflow.algebra import preset_group, verify_group
 from gpdflow.bundle import BaseGraph, CocycleBundle, gauge_normalize
+from gpdflow.cli import main
 from gpdflow.ehresmann import (
     ArrowCoordinate,
     Connection,
@@ -26,7 +30,12 @@ from gpdflow.ehresmann import (
     vertex_chart_phi,
     vertex_chart_psi,
 )
+from gpdflow.fixtures import matrix_bundle
 from gpdflow.groupoid import verify_groupoid
+from gpdflow.serialize import build_groupoid, canonical_dumps, load_model, \
+    transport_to_json
+
+from law_oracle import brute_connection_violation, connection_law_broken
 
 
 def z2_triangle(edge_labels):
@@ -501,3 +510,40 @@ def test_point_base_composition_is_group_multiplication():
         assert report.transport.coord_of(g) == (0, 0, g)
         for h in grp.elements:
             assert gpd.compose(g, h) == grp.mul(g, h)
+
+
+def test_connection_verdicts_agree_with_the_oracle_on_seeded_dart_moves(
+        tmp_path, capsys):
+    """Transport reports of matrix bundles with one or two darts moved to
+    another arrow of the same hom-set, in about half the moves with the
+    reverse dart moved to the new arrow's inverse: ``verify_connection``
+    fails exactly when the oracle finds a broken law, the oracle confirms
+    the witness dart, and ``bundleize`` exits 1 exactly then."""
+    rng = random.Random("connection fuzz")
+    path = tmp_path / "groupoid.json"
+    verdicts = set()
+    for name in ("Z2/triangle", "Z3/path3", "S3/wedge2", "D4/square"):
+        tg = groupoid_of_bundle(matrix_bundle(*name.split("/")))
+        gpd = tg.groupoid
+        report = transport_to_json(tg)
+        for case in range(12):
+            arrows = list(tg.connection.arrows)
+            for d in rng.sample(range(len(arrows)), rng.randint(1, 2)):
+                a = arrows[d]
+                arrows[d] = rng.choice([b for b in gpd.hom(
+                    int(gpd.src[a]), int(gpd.tgt[a])) if b != a])
+                if rng.random() < 0.5:
+                    arrows[d ^ 1] = int(gpd.inv[arrows[d]])
+            model = dict(report, connection=[list(p) for p in enumerate(arrows)])
+            path.write_text(canonical_dumps(model))
+            diag = verify_connection(*build_groupoid(load_model(str(path)).data))
+            where = (name, case, arrows)
+            assert diag.ok == (brute_connection_violation(model) is None), where
+            if not diag.ok:
+                assert connection_law_broken(model, diag.failure,
+                                             diag.witness), (where, diag)
+            assert main(["bundleize", str(path)]) == (0 if diag.ok else 1), \
+                where
+            capsys.readouterr()
+            verdicts.add(diag.ok)
+    assert verdicts == {True, False}
