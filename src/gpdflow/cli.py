@@ -470,10 +470,12 @@ def emit_report(report: dict, fmt: str = "json") -> str:
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose every failure is a usage error, reported like any
-    other instead of as usage text on stderr."""
+    other instead of as usage text on stderr, its message cut to 200
+    characters however long what was typed."""
 
     def error(self, message: str):
-        raise UsageError(message)
+        raise UsageError(message if len(message) <= 200
+                         else message[:197] + "...")
 
 
 def _basepoint(text: str) -> int:

@@ -516,10 +516,8 @@ def _unit_scan(g: Groupoid) -> Optional[Diagnostics]:
         x = int(np.argmax(misplaced))
         return Diagnostics.failed("unit law", (int(u[x]),),
                                   detail=f"unit of object {x} has wrong endpoints")
-    if not _all_distinct(u):
-        return Diagnostics.failed("unit law", tuple(np.sort(u).tolist()),
-                                  detail="unit arrows not distinct")
-    # every pair looked up from here on is composable, and the table is whole
+    # so src[unit[x]] == x: the units are distinct.  Every pair looked up
+    # from here on is composable, and the table is whole
     arrows = np.arange(g.n_arrows)
     for side, (gs, hs) in (("left", (u[g.src], arrows)),
                            ("right", (arrows, u[g.tgt]))):

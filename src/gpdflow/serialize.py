@@ -7,13 +7,14 @@ fails verification with a witness.  Emission is canonical: sorted keys and
 no whitespace, so equal models produce equal bytes.  A groupoid's ``comp``
 and an action's ``act`` are emitted as the row table itself, whose defined
 entries are the ``[y, h, y . h]`` triples in row order.  The one encoder,
-:func:`canonical_pieces`, yields the text piece by piece: a row table a
-block of :meth:`~gpdflow.groupoid.RowTable.row_blocks` at a time, so no
-``(n, 3)`` array of its triples is built, and every integer array
-``groupoid._BLOCK`` rows at a time, both through one vectorized kernel
-(:func:`_table_bytes`), byte-identical to the ``json`` encoding of the same
-lists; the rest of a value goes through ``json`` in as few calls as there
-are containers on the way to a table.  The command line writes
+:func:`canonical_pieces`, picks a route by type alone and yields the text
+piece by piece: a row table a block of
+:meth:`~gpdflow.groupoid.RowTable.row_blocks` at a time through one
+vectorized kernel (:func:`_table_bytes`), byte-identical to the ``json``
+encoding of the same lists, so no ``(n, 3)`` array of its triples is
+built; a span of the input as its bytes; and the rest of a value, numpy
+arrays and scalars as lists and numbers, through ``json`` in as few calls
+as there are containers on the way to a table.  The command line writes
 a report's pieces as they come and :func:`model_digest` hashes them, so
 neither holds a whole copy of a large table's text; :func:`canonical_dumps`
 joins them.
@@ -187,15 +188,15 @@ def _digit_groups() -> np.ndarray:
 
 
 def _table_bytes(arr: np.ndarray) -> bytes:
-    """The JSON text of a 1-D or 2-D integer array with entries, all in
+    """The JSON text of a 2-D integer array with entries, all in
     ``[0, 10**12)``, as ASCII bytes, in whole-array passes.
 
     Each value gets a fixed-width slot of uint32 words: one per group of
     four decimal digits, gathered from :func:`_digit_groups` (the leading
     group without its leading zeros, an all-zero group as NULs), then one
-    for the separator after it (``,``, ``],[`` at a row's end, ``]`` or
-    ``]]`` at the table's end).  Dropping the NUL padding from the buffer's
-    bytes leaves the text.
+    for the separator after it (``,``, ``],[`` at a row's end, ``]]`` at
+    the table's end).  Dropping the NUL padding from the buffer's bytes
+    leaves the text.
     """
     top = int(arr.max())
     k = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)  # digit groups per slot
@@ -210,69 +211,51 @@ def _table_bytes(arr: np.ndarray) -> bytes:
         if j < k - 1:  # nothing shown yet: NULs
             part[part == 0] = 2 * 10 ** 4
         np.take(groups, part, out=buf[..., j], mode="clip")
-    comma, next_row, end_1d, end_2d = np.frombuffer(
-        b",\0\0\0],[\0]\0\0\0]]\0\0", np.uint32)
+    comma, next_row, end = np.frombuffer(b",\0\0\0],[\0]]\0\0", np.uint32)
     buf[..., k] = comma
-    if arr.ndim == 2:
-        buf[:, -1, k] = next_row
-    buf[(-1,) * arr.ndim + (k,)] = end_2d if arr.ndim == 2 else end_1d
-    return b"[" * arr.ndim + buf.tobytes().translate(None, b"\0")
-
-
-def _kernel_fits(arr: np.ndarray) -> bool:
-    """Whether :func:`_table_bytes` can write the array: it has entries,
-    all integers in ``[0, 10**12)``."""
-    return bool(arr.size and arr.dtype.kind in "iu" and arr.min() >= 0
-                and arr.max() < 10 ** 12)
+    buf[:, -1, k] = next_row
+    buf[-1, -1, k] = end
+    return b"[[" + buf.tobytes().translate(None, b"\0")
 
 
 def _table_pieces(blocks: Iterable[np.ndarray]) -> Iterator[str]:
-    """The ``json`` text of the blocks' lists joined into one list, in one
-    piece per block with rows: each block's text (:func:`_table_bytes`
-    where it fits, else ``json``) with its outer brackets dropped, joined
-    on ``,``; ``[]`` for no rows."""
+    """The ``json`` text of the blocks' rows joined into one list, in one
+    piece per block with rows: each block's :func:`_table_bytes` with its
+    outer brackets dropped, joined on ``,``; ``[]`` for no rows."""
     text = None
     for block in blocks:
         if len(block):
             if text is not None:
                 yield text
-            inner = (_table_bytes(block).decode("ascii") if _kernel_fits(block)
-                     else _json(block.tolist()))[1:-1]
+            inner = _table_bytes(block).decode("ascii")[1:-1]
             text = ("[" if text is None else ",") + inner
     yield "[]" if text is None else text + "]"
 
 
 class _ArrayInside(Exception):
-    """The ``json`` encoder met an array, a row table or a span."""
+    """The ``json`` encoder met a row table or a span."""
 
 
 def _stop_at_array(value: Any) -> Any:
-    if isinstance(value, (np.ndarray, RowTable, _Span)):
+    if isinstance(value, (RowTable, _Span)):
         raise _ArrayInside
     return _coerce(value)
 
 
 def canonical_pieces(obj: Any) -> Iterator[Any]:
     """The text of :func:`canonical_dumps` in pieces, as it is encoded: a
-    1-D or 2-D array ``groupoid._BLOCK`` rows at a time and a row table
-    (its entries as ``[y, h, y . h]`` rows) a block of rows at a time,
-    through :func:`_table_pieces`; a :class:`_Span`, a table's canonical
-    text in the input, as those bytes; anything without one of these in
-    one ``json`` call; and a list, tuple or ``str``-keyed dict that holds
-    one piece by piece.  A dict with other keys keeps ``json``'s key rules,
-    with its arrays as lists.  (A container that gets here holds one, so it
-    has an item.)"""
+    row table (its entries as ``[y, h, y . h]`` rows) a block of rows at a
+    time, through :func:`_table_pieces`; a :class:`_Span`, a table's
+    canonical text in the input, as those bytes; anything without one of
+    these, numpy arrays and scalars included, in one ``json`` call; and a
+    list, tuple or ``str``-keyed dict that holds one piece by piece.  A
+    dict with other keys keeps ``json``'s key rules.  (A container that
+    gets here holds one, so it has an item.)"""
     if isinstance(obj, _Span):
         yield obj.text()
         return
     if isinstance(obj, RowTable):  # its entries: the holes dropped
         yield from _table_pieces(obj.triple_blocks())
-        return
-    if isinstance(obj, np.ndarray):
-        if obj.ndim in (1, 2) and _kernel_fits(obj):
-            yield from _table_pieces(blocks_of(obj))
-        else:
-            yield _json(obj.tolist())
         return
     try:
         yield _json(obj, _stop_at_array)
@@ -295,10 +278,11 @@ def canonical_pieces(obj: Any) -> Iterator[Any]:
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no stray whitespace; numpy integers
-    are written as numbers and arrays as nested lists.  The bytes are those
-    of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with every
-    array turned into a list; they are the pieces of
-    :func:`canonical_pieces`, joined."""
+    are written as numbers, arrays as nested lists and row tables as their
+    ``[y, h, y . h]`` rows.  The bytes are those of ``json.dumps(obj,
+    sort_keys=True, separators=(",", ":"))`` with every array and row table
+    turned into a list; they are the pieces of :func:`canonical_pieces`,
+    joined."""
     return "".join(canonical_pieces(obj))
 
 
@@ -830,10 +814,10 @@ def groupoid_to_json(gpd: Groupoid) -> dict:
     return {"kind": "groupoid",
             "objects": gpd.n_objects,
             "arrows": gpd.n_arrows,
-            "src": [int(x) for x in gpd.src],
-            "tgt": [int(x) for x in gpd.tgt],
-            "unit": [int(x) for x in gpd.unit],
-            "inv": [int(x) for x in gpd.inv],
+            "src": gpd.src.tolist(),
+            "tgt": gpd.tgt.tolist(),
+            "unit": gpd.unit.tolist(),
+            "inv": gpd.inv.tolist(),
             "comp": gpd}
 
 

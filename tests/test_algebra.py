@@ -1,5 +1,6 @@
 """Tests for finite group tables, presets, and conjugacy search."""
 import random
+from itertools import product
 
 import pytest
 
@@ -93,21 +94,25 @@ def test_verify_group_structural_errors_are_flagged():
 
 
 def test_verify_group_catches_broken_associativity():
-    # Latin square with two-sided identity that is not a group (order 5
-    # quasigroup): build from the subtraction table i - j mod 5, then patch
-    # it into a loop with identity 0 by permuting columns.
-    table = [[(i - j) % 5 for j in range(5)] for i in range(5)]
-    cols = [row[:] for row in table]
-    perm = [row[0] for row in table]  # column j=0 is the identity column
-    fixed = [[0] * 5 for _ in range(5)]
-    for i in range(5):
-        for j in range(5):
-            fixed[i][perm[j]] = cols[i][j]
-    diag, group = verify_group(fixed, identity=0)
-    if diag.ok:  # the patching could accidentally build a group; be explicit
-        pytest.fail("expected a non-associative loop")
-    assert diag.failure in ("associativity", "identity law")
-    assert not naive_group_check(fixed, 0)
+    # a Latin square of order 5 with identity 0: a loop that is not a group
+    table = [[0, 1, 2, 3, 4],
+             [1, 0, 3, 4, 2],
+             [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1],
+             [4, 3, 1, 2, 0]]
+    diag, group = verify_group(table, identity=0)
+    first = next((a, b, c) for a, b, c in product(range(5), repeat=3)
+                 if table[table[a][b]][c] != table[a][table[b][c]])
+    assert group is None
+    assert (diag.failure, diag.witness) == ("associativity", first)
+    assert first == (1, 1, 2)
+    assert not naive_group_check(table, 0)
+
+
+def test_verify_group_refuses_an_empty_table():
+    diag, group = verify_group([], identity=0)
+    assert group is None and diag.structural
+    assert (diag.failure, diag.witness) == ("empty table", ())
 
 
 # --- presets -------------------------------------------------------------

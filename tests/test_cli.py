@@ -211,8 +211,12 @@ def test_unknown_command_exits_2(capsys):
     ["ambit", "--fixtures", "--format", "xml"],
     ["ambit", "--fixtures", "--bogus"],
     [],
+    ["x" * 5000, "x.json"],
+    ["ambit", "--fixtures", "--" + "b" * 4998],
+    ["ambit", "--fixtures", "--format", "t" * 5000],
 ], ids=["basepoint-abc", "basepoint-10-digits", "basepoint-plus",
-        "basepoint-abc-text", "format-xml", "unknown-flag", "empty"])
+        "basepoint-abc-text", "format-xml", "unknown-flag", "empty",
+        "long-command", "long-flag", "long-format"])
 def test_command_line_that_does_not_parse_is_a_json_report(capsys, argv):
     assert _usage_report(capsys, argv)["command"] is None
 
@@ -401,6 +405,27 @@ def test_text_report_carries_the_same_verdicts(tmp_path, capsys):
     assert text_out.strip().endswith("result: pass")
     digest = report["inputs"][0]["digest"]
     assert f"sha256:{digest}" in text_out
+
+
+def test_text_report_names_a_failing_verdict(tmp_path, capsys):
+    path = tmp_path / "badgroup.json"
+    path.write_text(json.dumps({"kind": "group", "order": 2, "identity": 0,
+                                "mult": [[0, 1], [1, 1]]}))
+    code, out = run_cli(capsys, ["verify", str(path), "--format", "text"])
+    assert code == 1
+    assert "  [FAIL] group axioms: row 1 not a permutation witness=[1]\n" \
+        in out
+    assert out.strip().endswith("result: fail")
+
+
+def test_text_report_carries_the_emitted_model(tmp_path, capsys):
+    path = write_bundle(tmp_path, "triangle-z2-twisted")
+    _, json_out = run_cli(capsys, ["groupoidify", path])
+    _, text_out = run_cli(capsys, ["groupoidify", path, "--format", "text"])
+    models = [line.removeprefix("  model: ")
+              for line in text_out.splitlines() if line.startswith("  model: ")]
+    assert len(models) == 1
+    assert json.loads(models[0]) == json.loads(json_out)["runs"][0]["model"]
 
 
 def test_text_report_for_errors(tmp_path, capsys):

@@ -377,6 +377,25 @@ def test_broken_inverse_detected():
     assert diag.failure == "inverse law"
 
 
+Z3_SUMS = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+
+
+@pytest.mark.parametrize("tables, failure, witness, detail", [
+    ((-1, [], [], [], [], []), "negative size", (-1, 0), None),
+    ((1, [0], [0, 0], [0], [0], []), "array length mismatch", (1, 2, 1), None),
+    ((1, [0, 0], [0, 0], [0], [0], []), "array length mismatch", (2, 2, 1),
+     None),
+    ((2, [0], [0], [0], [0], []), "array length mismatch", (2, 1), None),
+    ((1, [0] * 3, [0] * 3, [0], [0, 2, 2], Z3_SUMS), "inverse law", (1,),
+     "inverse not involutive"),
+], ids=["negative-size", "tgt-length", "inv-length", "unit-length",
+        "inverse-not-involutive"])
+def test_verify_groupoid_names_each_verdict(tables, failure, witness, detail):
+    diag = verify_groupoid(Groupoid.from_tables(*tables))
+    assert (diag.ok, diag.failure, diag.witness) == (False, failure, witness)
+    assert diag.notes.get("detail") == detail
+
+
 # --- transitivity and local triviality ---------------------------------------
 
 def test_pair_groupoid_is_transitive():
@@ -570,6 +589,19 @@ def test_iso_between_different_sizes_is_structural():
     diag = verify_groupoid_iso(pair_groupoid(2), pair_groupoid(3),
                                [0, 1], [0, 1, 2, 3])
     assert not diag.ok and diag.structural
+
+
+@pytest.mark.parametrize("obj_map, arr_map, failure, witness", [
+    ([0, 0], [0, 1], "map length mismatch", (2, 1, 2, 2)),
+    ([0], [0], "map length mismatch", (1, 1, 1, 2)),
+    ([1], [0, 1], "object map out of range", (1, 1)),
+], ids=["object-map-length", "arrow-map-length", "object-out-of-range"])
+def test_iso_names_each_structural_verdict(obj_map, arr_map, failure,
+                                           witness):
+    g = one_object_groupoid(preset_group("Z2"))
+    diag = verify_groupoid_iso(g, g, obj_map, arr_map)
+    assert (diag.ok, diag.structural) == (False, True)
+    assert (diag.failure, diag.witness) == (failure, witness)
 
 
 # --- normalization ------------------------------------------------------------

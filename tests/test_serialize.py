@@ -464,8 +464,16 @@ def _tables():
 
 @pytest.mark.parametrize("arr", list(_tables()), ids=str)
 def test_table_text_matches_json(arr):
+    """The kernel that writes row tables and checks the rows read from an
+    input gives ``json``'s text for every array as a 2-D table (a 1-D one
+    as one row) with entries; ``canonical_dumps`` writes the array as its
+    list."""
     assert canonical_dumps(arr) == \
         json.dumps(arr.tolist(), separators=(",", ":"))
+    table = np.atleast_2d(arr)
+    if table.size:
+        assert serialize._table_bytes(table) == \
+            json.dumps(table.tolist(), separators=(",", ":")).encode()
 
 
 @pytest.mark.parametrize("arr", [np.array([[3, -1, 4]]), np.array([-10]),
@@ -479,24 +487,40 @@ def test_table_text_falls_back_to_json(arr, monkeypatch):
     assert canonical_dumps(arr) == _plain_json(arr.tolist())
 
 
+def _row_tables(value):
+    """The row tables in a report, depth first."""
+    if isinstance(value, RowTable):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _row_tables(item)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
 def test_pieces_join_to_json_at_every_block_size(rows, monkeypatch):
-    """Integer arrays written ``rows`` rows at a time, 1-D and 2-D, a row
-    count the block does not divide, arrays on the ``json`` path, and every
-    fixture report: the pieces join to the ``json`` text, and an array on
-    the kernel path comes in one piece per block."""
+    """Integer arrays, 1-D and 2-D, out of the kernel's range included,
+    and every fixture report, its row tables read ``rows`` entries at a
+    time: the pieces join to the ``json`` text, and a row table comes in
+    one piece per block of ``row_blocks`` with entries."""
     monkeypatch.setattr(groupoid_module, "_BLOCK", rows)
     fallback = [np.array([[3, -1, 4]]), np.array([10 ** 12, 0]),
                 np.zeros((0, 3), np.int64), np.zeros(0, np.int64)]
     for arr in [*_tables(), *fallback]:
         pieces = list(serialize.canonical_pieces(arr))
         assert "".join(pieces) == _plain_json(arr.tolist())
-        kernel = arr.size and arr.min() >= 0 and arr.max() < 10 ** 12
-        assert len(pieces) == (-(-len(arr) // rows) if kernel else 1)
+    tables = 0
     for command in COMMANDS:
         report = run_command(command, fixture_models(command))
         assert "".join(serialize.canonical_pieces(report)) == \
             _plain_json(report)
+        for table in _row_tables(report):
+            pieces = list(serialize.canonical_pieces(table))
+            assert "".join(pieces) == _plain_json(table)
+            blocks = sum(bool((values >= 0).any())
+                         for _, _, values in table.row_blocks())
+            assert len(pieces) == max(blocks, 1)
+            tables += blocks > 1
+    assert tables
 
 
 @pytest.mark.parametrize("command", COMMANDS)
