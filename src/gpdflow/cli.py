@@ -254,9 +254,7 @@ def _run_orbits(model: Model, basepoint: int, verdicts: list[dict]):
 def _run_ambit(model: Model, basepoint: int, verdicts: list[dict]):
     gpd, _ = _transitive(model, verdicts, basepoint)
     ambit = build_ambit(gpd, basepoint)
-    # a groupoid input had its axioms verified by _transitive already
-    verdicts.append(_verdict("groupoid action axioms", verify_action(
-        ambit.action, groupoid_ok=model.kind == "groupoid")))
+    verdicts.append(_verdict("groupoid action axioms", verify_action(ambit.action)))
     return ({"basepoint": basepoint,
              "space": ambit.action.n_points,
              "u0_arrow": ambit.points[ambit.u0],

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _CROSSCHECK_POINTS = 12  # the largest space re-checked by exhaustive search
+_SUBSET_SEARCH_POINTS = 20  # the most points invariant_subsets scans
 
 
 @dataclass(eq=False)
@@ -136,24 +137,22 @@ def _act_flaw(a: GroupoidAction, seen: np.ndarray, triples: Optional[tuple]
     return None
 
 
-def verify_action(a: GroupoidAction, groupoid_ok: bool = False
-                  ) -> Diagnostics:
+def verify_action(a: GroupoidAction) -> Diagnostics:
     """Scan the action laws in a fixed order.
 
     The groupoid first: a failed :func:`verify_groupoid` verdict is
-    returned as it is (``groupoid_ok``: the caller has seen it pass, so it
-    is not run again).  Structure next: anchor shape and range, then the
-    flaw the table was built with.  Then the pointwise laws: the anchor
-    moves with the arrow, units act trivially, and acting along a
-    composition equals acting twice, by Light's test
+    returned as it is (the groupoid keeps its verdict, so one that was
+    verified before is not scanned again).  Structure next: anchor shape
+    and range, then the flaw the table was built with.  Then the pointwise
+    laws: the anchor moves with the arrow, units act trivially, and acting
+    along a composition equals acting twice, by Light's test
     (:meth:`RowTable.light_test`), which rests on the groupoid's
     associativity.
     """
     gpd, n = a.gpd, a.n_points
-    if not groupoid_ok:
-        diag = verify_groupoid(gpd)
-        if not diag.ok:
-            return diag
+    diag = verify_groupoid(gpd)
+    if not diag.ok:
+        return diag
     for diag in (_anchor_scan(a), a.flaw):
         if diag is not None:
             return diag
@@ -243,11 +242,12 @@ def orbits(a: GroupoidAction) -> list[list[int]]:
     return out
 
 
-def invariant_subsets(a: GroupoidAction, limit: int = 20) -> list[list[int]]:
+def invariant_subsets(a: GroupoidAction) -> list[list[int]]:
     """All nonempty invariant subsets by exhaustive scan over bitmasks."""
     n = a.n_points
-    if n > limit:
-        raise ValueError(f"{n} points exceed the exhaustive-search cap {limit}")
+    if n > _SUBSET_SEARCH_POINTS:
+        raise ValueError(f"{n} points exceed the exhaustive-search cap "
+                         f"{_SUBSET_SEARCH_POINTS}")
     moves = [a.row(y).tolist() for y in range(n)]
     found = []
     for mask in range(1, 1 << n):

@@ -64,6 +64,8 @@ __all__ = [
     "point_base_degenerate",
 ]
 
+_ORACLE_PAIRS = 10_000  # the most point pairs the orbit oracle enumerates
+
 
 class ArrowCoordinate(NamedTuple):
     src_vertex: int
@@ -156,8 +158,7 @@ def _orbit_rep(grp: FiniteGroup, p: tuple[int, int], q: tuple[int, int]
                 for g in grp.elements))
 
 
-def orbit_quotient_groupoid(b: CocycleBundle, max_pairs: int = 10_000
-                            ) -> tuple[Groupoid, list, dict]:
+def orbit_quotient_groupoid(b: CocycleBundle) -> tuple[Groupoid, list, dict]:
     """Enumerate the diagonal orbits of point pairs directly.
 
     Each orbit is named by its lexicographically least member.  Composition
@@ -167,8 +168,8 @@ def orbit_quotient_groupoid(b: CocycleBundle, max_pairs: int = 10_000
     """
     ts = total_space(b)
     grp = b.group
-    if ts.n_points ** 2 > max_pairs:
-        raise ValueError(f"{ts.n_points ** 2} point pairs exceed cap {max_pairs}")
+    if ts.n_points ** 2 > _ORACLE_PAIRS:
+        raise ValueError(f"{ts.n_points ** 2} point pairs exceed cap {_ORACLE_PAIRS}")
     points = [ts.point(p) for p in range(ts.n_points)]
     reps = sorted({_orbit_rep(grp, p, q) for p in points for q in points})
     rep_index = {r: i for i, r in enumerate(reps)}

@@ -363,6 +363,7 @@ class Groupoid(RowTable):
         return int(self.inv[g])
 
     comp_triples = RowTable.triples
+    _verdict = cached_property(lambda self: _axiom_verdict(self))
 
     @cached_property
     def generators(self) -> list[int]:
@@ -557,7 +558,14 @@ def verify_groupoid(g: Groupoid) -> Diagnostics:
     Associativity is Light's test on the regular action
     (:meth:`RowTable.light_test`): every arrow is checked as the middle of a
     triple through a generating set.
+
+    Later calls return the first verdict, kept on the groupoid as
+    :attr:`Groupoid.generators` is; a groupoid is not changed once built.
     """
+    return g._verdict
+
+
+def _axiom_verdict(g: Groupoid) -> Diagnostics:
     for scan in (_structural_scan, _endpoint_scan, _unit_scan, _inverse_scan):
         diag = scan(g)
         if diag is not None:
@@ -663,18 +671,11 @@ class LocalTriviality:
 def check_local_triviality(g: Groupoid) -> LocalTriviality:
     """Whether there is an arrow ``x -> y`` for every pair of objects; when
     there is not, the first pair ``(x, y)`` without one, in row order, is
-    the witness.  One pass over the arrows marks each ``(src, tgt)``.  At
-    finite discrete size this succeeds exactly when the groupoid is
-    transitive; the pass here is deliberately independent of
-    :func:`is_transitive` so the two can be cross-checked.
+    the witness.  At finite discrete size local triviality is transitivity,
+    so this is :func:`is_transitive`'s scan; the independent reference is
+    ``brute_local_triviality`` in ``tests/law_oracle.py``.
     """
-    m = g.n_objects
-    missing = np.ones(m * m, dtype=bool)
-    missing[g.src * m + g.tgt] = False
-    if bool(missing.any()):
-        flat = int(np.argmax(missing))
-        return LocalTriviality(trivial=False, witness=(flat // m, flat % m))
-    return LocalTriviality(trivial=True, witness=None)
+    return LocalTriviality(*is_transitive(g))
 
 
 def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],

@@ -98,6 +98,14 @@ def test_verify_cocycle_flags_bad_label():
     assert diag.structural and diag.failure == "label out of range"
 
 
+def test_verify_cocycle_counts_the_labels_first():
+    from gpdflow.fixtures import named_bundles
+    b = named_bundles()["triangle-z2-twisted"]
+    diag = verify_cocycle(CocycleBundle(b.base, b.group, b.labels[:-1]))
+    assert diag.structural
+    assert (diag.failure, diag.witness) == ("label count mismatch", (5, 6))
+
+
 # --- total space ---------------------------------------------------------------
 
 def test_total_space_counts_and_projection():

@@ -546,6 +546,50 @@ def test_zero_object_connection_in_an_action_is_a_load_error(tmp_path,
     assert error["message"].startswith("action.groupoid.connection: ")
 
 
+def _dart_0_twice() -> dict:
+    """The edge-s3 groupoid with a connection that names dart 0 twice."""
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.serialize import transport_to_json
+    model = transport_to_json(groupoid_of_bundle(named_bundles()["edge-s3"]))
+    model["connection"] = [[0, arrow] for _, arrow in model["connection"]]
+    return model
+
+
+IDENTITY_1 = {"kind": "bundle", "graph": {"vertices": 2, "edges": [[0, 1]]},
+              "group": {"order": 2, "identity": 1, "mult": [[1, 0], [0, 1]]},
+              "labels": [0]}
+
+
+@pytest.mark.parametrize("case", ["missing", "groupoid", "action", "identity"])
+def test_error_path_is_one_canonical_line(tmp_path, capsys, case):
+    """A missing file, a connection that names a dart twice (alone and
+    under an action), and a round trip on a group whose identity is not 0."""
+    path = tmp_path / "model.json"
+    command, code, message = "verify", 12, \
+        "groupoid.connection: darts must cover 0..1 exactly once"
+    if case == "missing":
+        code, message = 10, \
+            f"{path}: [Errno 2] No such file or directory: '{path}'"
+    elif case == "groupoid":
+        path.write_text(canonical_dumps(_dart_0_twice()))
+    elif case == "action":
+        path.write_text(canonical_dumps({
+            "kind": "action", "groupoid": _dart_0_twice(), "space": 0,
+            "anchor": [], "act": []}))
+        message = "action." + message
+    else:
+        path.write_text(canonical_dumps(IDENTITY_1))
+        command, code = "roundtrip", 2
+        message = "round trip needs the group identity at index 0"
+    exit_code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.err == ""
+    assert captured.out == canonical_dumps(json.loads(captured.out)) + "\n"
+    assert json.loads(captured.out)["error"] == {"code": code,
+                                                 "message": message}
+
+
 
 def _models_with_nested_fields() -> dict:
     from gpdflow.dynamics import base_action
@@ -735,18 +779,16 @@ def test_integer_literal_too_long_is_unreadable_json(tmp_path, capsys,
 
 
 def test_ambit_verifies_the_groupoid_once(tmp_path, capsys, monkeypatch):
-    import gpdflow.cli
-    import gpdflow.dynamics
+    import gpdflow.groupoid
     from gpdflow.ehresmann import groupoid_of_bundle
-    from gpdflow.groupoid import verify_groupoid
     from gpdflow.serialize import transport_to_json
     calls = []
+    scan = gpdflow.groupoid._endpoint_scan
 
-    def counting(gpd):
+    def counting(gpd):  # one call per scan of the groupoid's axioms
         calls.append(gpd)
-        return verify_groupoid(gpd)
-    for module in (gpdflow.cli, gpdflow.dynamics):
-        monkeypatch.setattr(module, "verify_groupoid", counting)
+        return scan(gpd)
+    monkeypatch.setattr(gpdflow.groupoid, "_endpoint_scan", counting)
     gpd_path = tmp_path / "groupoid.json"
     gpd_path.write_text(canonical_dumps(transport_to_json(
         groupoid_of_bundle(named_bundles()["edge-s3"]))))

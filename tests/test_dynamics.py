@@ -219,7 +219,7 @@ def test_invariant_subsets_cap():
     ambit = build_ambit(gpd, x0=0)
     doubled = disjoint_union_actions(ambit.action, ambit.action)
     with pytest.raises(ValueError, match="cap"):
-        invariant_subsets(doubled, limit=12)
+        invariant_subsets(doubled)
 
 
 def test_restrict_action_requires_invariance():
@@ -445,6 +445,24 @@ def test_verify_equivariant_map_failures():
     broken = EquivariantMap(source=a, target=a, values=swapped)
     diag = verify_equivariant_map(broken)
     assert diag.failure == "equivariance"
+
+
+@pytest.mark.parametrize("case,failure,witness", [
+    ("separate", "different groupoids", ()),
+    ("out of range", "value out of range", (3, 12))])
+def test_verify_equivariant_map_structural_failures(case, failure, witness):
+    """Maps between the ambits of two separately built groupoids, and the
+    identity of a 12-point ambit with its value at 3 set to 12."""
+    ambit = build_ambit(s3_edge_groupoid().groupoid, x0=0)
+    values = list(range(ambit.action.n_points))
+    target = ambit.action
+    if case == "separate":
+        target = build_ambit(s3_edge_groupoid().groupoid, x0=0).action
+    else:
+        values[3] = 12
+    diag = verify_equivariant_map(EquivariantMap(ambit.action, target, values))
+    assert diag.structural
+    assert (diag.failure, diag.witness) == (failure, witness)
 
 
 def test_equivariant_map_reports_a_table_flaw_before_the_rows():

@@ -217,7 +217,7 @@ def test_oracle_refuses_large_inputs():
     b = CocycleBundle.from_edge_labels(
         BaseGraph.complete(5), preset_group("S4"), [0] * 10)
     with pytest.raises(ValueError, match="exceed"):
-        orbit_quotient_groupoid(b, max_pairs=100)
+        orbit_quotient_groupoid(b)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -277,6 +277,17 @@ def test_verify_connection_failures():
     diag = verify_connection(tg.groupoid, broken_rev)
     assert diag.failure == "connection reversal"
     assert diag.witness == (0,)
+
+
+def test_verify_connection_compares_the_base_with_the_objects():
+    from gpdflow.fixtures import named_bundles
+    tg = groupoid_of_bundle(named_bundles()["edge-s3"])
+    wide = Connection(BaseGraph(3, tg.connection.base.edges),
+                      tg.connection.arrows)
+    diag = verify_connection(tg.groupoid, wide)
+    assert diag.structural
+    assert (diag.failure, diag.witness) == \
+        ("connection base size mismatch", (3, 2))
 
 
 # --- charts ------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
         bad = GroupoidAction(gpd, a.n_points, a.anchor, a.row_off, val)
         first = next((y, h) for y, h, z in _row_order(bad)
                      if bad.anchor[z] != gpd.tgt[h])
-        diag = verify_action(bad, groupoid_ok=True)
+        diag = verify_action(bad)
         assert (diag.failure, diag.witness) == ("anchor compatibility", first)
 
         # a universal map with two values moved within their fibers
@@ -616,6 +616,13 @@ def test_normalize_disjoint_union():
     # the relabelling is an isomorphism from the original
     diag = verify_groupoid_iso(g, normalized, list(range(g.n_objects)), perm)
     assert diag.ok
+
+
+def test_normalize_refuses_repeated_units():
+    import dataclasses
+    g = dataclasses.replace(pair_groupoid(2), unit=[0, 0])
+    with pytest.raises(ValueError, match="unit arrows are not distinct"):
+        normalize_groupoid(g)
 
 
 def test_normalize_is_identity_on_normalized_input():

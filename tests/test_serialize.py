@@ -1009,3 +1009,25 @@ def test_decode_agrees_with_json_on_crlf_line_ends(stdin, tmp_path,
                                               monkeypatch, stdin)
             assert fast == plain
             assert decoded == (may_decode and cut == len(raw))
+
+
+# --- bundles built from a payload ---------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(named_bundles()))
+def test_build_bundle_gives_the_fixture_back(name):
+    bundle = named_bundles()[name]
+    diag, built = serialize.build_bundle(
+        parse_model(bundle_to_json(bundle)).data)
+    assert diag.ok
+    assert built.base == bundle.base
+    assert built.group.mult == bundle.group.mult
+    assert built.labels == bundle.labels
+
+
+def test_build_bundle_refuses_a_group_table_that_is_not_latin():
+    model = bundle_to_json(named_bundles()["edge-s3"])
+    model["group"] = {"order": 2, "identity": 0, "mult": [[0, 1], [1, 1]]}
+    model["labels"] = [0]
+    diag, built = serialize.build_bundle(parse_model(model).data)
+    assert (diag.failure, diag.witness) == ("row 1 not a permutation", (1,))
+    assert built is None
