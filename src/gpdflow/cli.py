@@ -26,7 +26,6 @@ import re
 import sys
 from typing import Optional
 
-from .algebra import verify_group
 from .amenability import extreme_amenability_check, invariant_sections
 from .bundle import CocycleBundle, holonomy_group, is_trivial, \
     verify_cocycle
@@ -294,8 +293,7 @@ def _run_semigroup(model: Model, basepoint: int, verdicts: list[dict]):
     gpd, _ = _transitive(model, verdicts, basepoint)
     ambit = build_ambit(gpd, basepoint)
     fs = fiber_semigroup(ambit)
-    diag, _ = verify_group(fs.table, identity=0)
-    verdicts.append(_verdict("fiber table is a group", diag))
+    verdicts.append(_verdict("fiber table is a group", fs.verdict))
     verdicts.append(_plain("isomorphic to the vertex group", True,
                            witness=fs.vertex_iso))
     verdicts.append(_plain("unit is the only idempotent",

@@ -73,6 +73,8 @@ class GroupoidAction(RowTable):
     row_off: np.ndarray
     val: np.ndarray
     flaw: Optional[Diagnostics] = None
+    _FLAW_LABELS = ("action table index out of range",
+                    "action value out of range", "duplicate act pair")
 
     @staticmethod
     def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
@@ -85,7 +87,7 @@ class GroupoidAction(RowTable):
         if a.flaw is None:
             a.flaw = _anchor_scan(a)
         if a.flaw is None:
-            a.flaw = _act_flaw(a, *a._fill(triples))
+            a.flaw = a._fill(triples)
         return a
 
     def fiber(self, x: int) -> list[int]:
@@ -105,45 +107,14 @@ def _anchor_scan(a: GroupoidAction) -> Optional[Diagnostics]:
     return None
 
 
-def _act_flaw(a: GroupoidAction, seen: np.ndarray, triples: Optional[tuple]
-              ) -> Optional[Diagnostics]:
-    """The first flaw of an action table, from :meth:`RowTable._fill`: in
-    the order of the triples, a point or arrow out of range or an entry off
-    the domain, then a repeated pair; then, in row order, a composable pair
-    without an entry; then, in the order of the triples, a value out of
-    range."""
-    if triples is not None:
-        ys, hs, zs, index, value, off, dup = triples
-        if bool((index | off).any()):
-            i = int(np.argmax(index | off))
-            label = "action table index out of range" if index[i] \
-                else "composability domain violated"
-            return Diagnostics.failed(label, (int(ys[i]), int(hs[i])),
-                                      structural=True)
-        if bool(dup.any()):
-            i = int(np.argmax(dup))
-            return Diagnostics.failed("duplicate act pair",
-                                      (int(ys[i]), int(hs[i])),
-                                      structural=True)
-    if not bool(seen.all()):
-        y, g = (int(c[0]) for c in a.pairs_at(np.argmin(seen)[None]))
-        return Diagnostics.failed("composability domain violated", (y, g),
-                                  detail="missing entry on a composable pair")
-    if triples is not None and bool(value.any()):
-        i = int(np.argmax(value))
-        return Diagnostics.failed("action value out of range",
-                                  (int(ys[i]), int(hs[i]), int(zs[i])),
-                                  structural=True)
-    return None
-
-
 def verify_action(a: GroupoidAction) -> Diagnostics:
     """Scan the action laws in a fixed order.
 
     The groupoid first: a failed :func:`verify_groupoid` verdict is
     returned as it is (the groupoid keeps its verdict, so one that was
     verified before is not scanned again).  Structure next: anchor shape
-    and range, then the flaw the table was built with.  Then the pointwise
+    and range, then the flaw the table was built with, picked by
+    :meth:`RowTable._fill` in the groupoid's order.  Then the pointwise
     laws: the anchor moves with the arrow, units act trivially, and acting
     along a composition equals acting twice, by Light's test
     (:meth:`RowTable.light_test`), which rests on the groupoid's
@@ -437,11 +408,13 @@ def minimal_left_ideals(table: list[list[int]]) -> list[list[int]]:
 @dataclass
 class FiberSemigroup:
     """The basepoint fiber of an ambit under ``y * z = l_y(z)``, which for
-    a groupoid ambit is a group isomorphic to the vertex group."""
+    a groupoid ambit is a group isomorphic to the vertex group; ``verdict``
+    is the group check of ``table``."""
 
     fiber: list[int]
     u0_position: int
     table: list[list[int]]
+    verdict: Diagnostics
     group: FiniteGroup
     idempotents: list[int]
     left_ideals: list[list[int]]
@@ -478,8 +451,8 @@ def fiber_semigroup(ambit: Ambit) -> FiberSemigroup:
     idem = [fiber[i] for i in semigroup_idempotents(table)]
     ideals = [[fiber[i] for i in ideal] for ideal in minimal_left_ideals(table)]
     return FiberSemigroup(fiber=fiber, u0_position=0, table=table,
-                          group=group, idempotents=idem, left_ideals=ideals,
-                          vertex_iso=iso)
+                          verdict=diag, group=group, idempotents=idem,
+                          left_ideals=ideals, vertex_iso=iso)
 
 
 # --- uniqueness of the minimal flow ----------------------------------------------

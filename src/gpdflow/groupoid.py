@@ -12,8 +12,11 @@ the groupoid's right action on its own arrows (the regular action: an arrow
 is anchored at its target).  Every action in this package is a table of
 rows: row ``y`` holds ``y . h`` for each ``h`` in ``arrows_from(anchor[y])``
 in ascending order, so ``y . h`` is ``val[row_off[y] + out_pos[h]]``.  A
-table built from triples carries its first flaw (an entry out of range, off
-the composable domain, duplicated, or missing) for verification to report.
+table built from triples carries its first flaw for verification to
+report, picked by one policy for both kinds of table in the pass that
+fills it: a point or arrow out of range, a value out of range, a pair
+given twice, a pair off the composable domain, each at its least
+``(y, h)``; then the first pair in row order with no entry.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -65,8 +68,10 @@ class RowTable:
     starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
     in ``gpd.arrows_from(anchor[y])`` in ascending order (-1 where a table
     built from triples had no entry).  Subclasses provide ``gpd``,
-    ``anchor``, ``row_off``, ``val`` and ``flaw``: :class:`Groupoid` is its
-    own regular action, ``GroupoidAction`` the general case.
+    ``anchor``, ``row_off``, ``val`` and ``flaw``, and ``_FLAW_LABELS``,
+    their names for an index, a value out of range and a repeated pair:
+    :class:`Groupoid` is its own regular action, ``GroupoidAction`` the
+    general case.
     """
 
     def __post_init__(self) -> None:
@@ -194,25 +199,25 @@ class RowTable:
                                  minlength=gpd.n_objects).astype(np.int64)
         return int(per_object[self.anchor].sum())
 
-    def _fill(self, triples) -> tuple[np.ndarray, Optional[tuple]]:
+    def _fill(self, triples) -> Optional[Diagnostics]:
         """Lay out the rows for the anchor and place ``(y, h, y . h)``
-        triples in them, a block at a time.  ``triples`` is a block source,
-        a function that gives them as ``(k, 3)`` integer arrays one block
-        after another each time it is called, or the triples whole, read
-        :func:`blocks_of` them.  Each block is widened to int64 before any
-        arithmetic.
+        triples in them, a block at a time, in one pass.  ``triples`` is a
+        block source, a function that gives them as ``(k, 3)`` integer
+        arrays one block after another each time it is called, or the
+        triples whole, read :func:`blocks_of` them.  Each block is widened
+        to int64 before any arithmetic.
 
-        Returns the mask of the positions given an entry, and None when no
-        triple had a point, arrow or value out of range, lay off the domain
-        (``src(h) != anchor[y]``) or repeated a pair.  Such a fill allocates
-        only ``val`` (int32) and that one-byte mask.  Otherwise the blocks
-        are read again for the flaw pickers: the columns ``ys, hs, zs`` of
-        the triples, in their own dtype, and masks of the triples whose
-        point or arrow is out of range, whose value is out of range, that
-        lie off the domain and whose pair occurs more than once (every
-        occurrence) take the place of None.
+        Returns the table's first flaw, or None.  The kinds are checked in
+        this order: a point or arrow out of range, a value out of range, a
+        pair given twice, a pair off the domain (``src(h) != anchor[y]``);
+        within a kind the witness is the least ``(y, h)``, the earlier
+        triple on a tie, kept as a running least per kind over the blocks.
+        Then the first pair in row order that has no entry.  Every flaw is
+        structural, labelled by the class's ``_FLAW_LABELS``.  The fill
+        allocates only ``val`` (int32), the one-byte mask of the entries
+        placed, and per-block temporaries.
         """
-        gpd, anchor = self.gpd, self.anchor
+        gpd, anchor, n = self.gpd, self.anchor, self.anchor.shape[0]
         if not callable(triples):
             t = np.asarray(triples)
             t = t if t.dtype.kind in "iu" else t.astype(np.int64)
@@ -222,41 +227,42 @@ class RowTable:
             ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
         self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int32)
         seen = np.zeros(self.val.shape, dtype=bool)
-
-        def placed():
-            """Per block: its triples, the masks of those out of range by
-            index and by value, off the domain and repeating a pair placed
-            before (earlier in the block or in an earlier block), and the
-            positions of those on the domain, where their values go."""
-            for block in triples():
-                y, h, z = block.astype(np.int64, copy=False).T
-                index = (y < 0) | (y >= anchor.shape[0]) \
-                    | (h < 0) | (h >= gpd.n_arrows)
-                on = ~index
-                on[on] = anchor[y[on]] == gpd.src[h[on]]
-                pos = self.row_off[y[on]] + gpd.out_pos[h[on]]
-                order = np.argsort(pos, kind="stable")
-                again = np.zeros(pos.shape, dtype=bool)
-                again[order[1:]] = pos[order[1:]] == pos[order[:-1]]
-                dup = np.zeros(len(block), dtype=bool)
-                dup[on] = again | seen[pos]
-                seen[pos] = True
-                self.val[pos] = z[on]
-                yield (block, index, (z < 0) | (z >= anchor.shape[0]),
-                       ~(index | on), dup, on, pos)
-
-        # every block is read, whatever the first ones hold
-        if not any([bool((index | value | off | dup).any())
-                    for _, index, value, off, dup, _, _ in placed()]):
-            return seen, None
-        seen[:] = False  # the blocks placed again, for the flaw pickers
-        t, index, value, off, dup, on, pos = map(np.concatenate,
-                                                 zip(*placed()))
-        if bool(dup.any()):  # mark the first occurrence of each repeat too
-            twice = np.zeros_like(seen)
-            twice[pos[dup[on]]] = True
-            dup[on] = twice[pos]
-        return seen, (t[:, 0], t[:, 1], t[:, 2], index, value, off, dup)
+        least: list[Optional[tuple[int, int, int]]] = [None] * 4
+        for block in triples():
+            y, h, z = block.astype(np.int64, copy=False).T
+            index = (y < 0) | (y >= n) | (h < 0) | (h >= gpd.n_arrows)
+            on = ~index
+            on[on] = anchor[y[on]] == gpd.src[h[on]]
+            pos = self.row_off[y[on]] + gpd.out_pos[h[on]]
+            # a pair placed before, earlier in the block or in an earlier one
+            order = np.argsort(pos, kind="stable")
+            again = np.zeros(pos.shape, dtype=bool)
+            again[order[1:]] = pos[order[1:]] == pos[order[:-1]]
+            dup = np.zeros(len(block), dtype=bool)
+            dup[on] = again | seen[pos]
+            seen[pos] = True
+            self.val[pos] = z[on]
+            for kind, mask in enumerate((index, (z < 0) | (z >= n), dup,
+                                         ~(index | on))):
+                if bool(mask.any()):
+                    at = np.flatnonzero(mask)
+                    at = at[y[at] == y[at].min()]
+                    i = int(at[np.argmin(h[at])])  # the first on a tie
+                    hit = (int(y[i]), int(h[i]), int(z[i]))
+                    if least[kind] is None or hit[:2] < least[kind][:2]:
+                        least[kind] = hit
+        labels = self._FLAW_LABELS + ("composability domain violated",)
+        for kind, hit in enumerate(least):
+            if hit is not None:
+                return Diagnostics.failed(labels[kind],
+                                          hit[:3 if kind == 1 else 2],
+                                          structural=True)
+        if not bool(seen.all()):
+            ys, hs = self.pairs_at(np.argmin(seen)[None])
+            return Diagnostics.failed(
+                labels[3], (int(ys[0]), int(hs[0])), structural=True,
+                detail="missing entry on a composable pair")
+        return None
 
     def light_test(self) -> tuple[Optional[tuple[int, int, int]], int]:
         """Light's associativity test (Clifford & Preston, *The Algebraic
@@ -313,6 +319,8 @@ class Groupoid(RowTable):
     row_off: np.ndarray
     val: np.ndarray
     flaw: Optional[Diagnostics] = None
+    _FLAW_LABELS = ("comp pair out of range", "comp value out of range",
+                    "duplicate comp pair")
 
     def __post_init__(self) -> None:
         for name in ("src", "tgt", "unit", "inv"):
@@ -329,7 +337,7 @@ class Groupoid(RowTable):
         g = Groupoid(n_objects, src, tgt, unit, inv, [0] * (len(tgt) + 1), [])
         g.flaw = _structural_scan(g)
         if g.flaw is None:  # the arrays can index rows
-            g.flaw = _comp_flaw(g, *g._fill(comp))
+            g.flaw = g._fill(comp)
         return g
 
     # the regular action: arrows anchored at their targets
@@ -429,38 +437,6 @@ class Groupoid(RowTable):
         return bool(np.array_equal(self.unit, np.arange(m)))
 
 
-def _comp_flaw(g: Groupoid, seen: np.ndarray, triples: Optional[tuple]
-               ) -> Optional[Diagnostics]:
-    """The first flaw of a composition table, from :meth:`RowTable._fill`,
-    in ``(g, h)`` order: a pair out of range, a value out of range, a
-    duplicate pair, a pair off the composable domain; then the first
-    composable pair without an entry, by middle object, then ``g``, then
-    ``h``."""
-    k = g.n_arrows  # keys g * k + h in int64: int32 columns would wrap
-    if triples is not None:
-        ys, hs, zs, index, value, off, dup = triples
-        if bool(index.any()):
-            key = ys[index].astype(np.int64) * k + hs[index]
-            return Diagnostics.failed("comp pair out of range",
-                                      (int(key.min()),), structural=True)
-        for mask, label, width in ((value, "comp value out of range", 3),
-                                   (dup, "duplicate comp pair", 2),
-                                   (off, "composability domain violated", 2)):
-            if bool(mask.any()):
-                at = np.flatnonzero(mask)
-                i = int(at[np.argmin(ys[at].astype(np.int64) * k + hs[at])])
-                return Diagnostics.failed(
-                    label, tuple(int(c[i]) for c in (ys, hs, zs)[:width]),
-                    structural=True)
-    if not bool(seen.all()):
-        gs, hs = g.pairs_at(np.flatnonzero(~seen))
-        i = int(np.argmin(g.tgt[gs] * k + gs))
-        return Diagnostics.failed(
-            "composability domain violated", (int(gs[i]), int(hs[i])),
-            structural=True, detail="missing entry on a composable pair")
-    return None
-
-
 # --- verification ---------------------------------------------------------
 
 def _require_whole(*tables: RowTable) -> None:
@@ -552,8 +528,8 @@ def _inverse_scan(g: Groupoid) -> Optional[Diagnostics]:
 def verify_groupoid(g: Groupoid) -> Diagnostics:
     """Check every groupoid axiom, reporting the first violation in a fixed
     scan order: structure (array shapes and index ranges, then the flaw the
-    composition table was built with), endpoints of products, unit laws,
-    inverse laws, associativity.
+    composition table was built with, picked by :meth:`RowTable._fill`),
+    endpoints of products, unit laws, inverse laws, associativity.
 
     Associativity is Light's test on the regular action
     (:meth:`RowTable.light_test`): every arrow is checked as the middle of a

@@ -822,6 +822,33 @@ def test_sections_computes_the_fixed_points_once(monkeypatch):
     assert report["ok"]
 
 
+def test_semigroup_checks_the_fiber_table_once(monkeypatch):
+    """``semigroup --fixtures`` verifies each bundle's group, its vertex
+    group and its fiber table once each: the report reads the verdict
+    ``fiber_semigroup`` found instead of checking the table again."""
+    import gpdflow.algebra
+    import gpdflow.cli
+    import gpdflow.dynamics
+    import gpdflow.groupoid
+    import gpdflow.serialize
+    from gpdflow.algebra import verify_group
+    models = fixture_models("semigroup")  # the preset groups built here
+    calls = []
+
+    def counting(table, *args, **kwargs):
+        calls.append(table)
+        return verify_group(table, *args, **kwargs)
+    for module in (gpdflow.algebra, gpdflow.cli, gpdflow.dynamics,
+                   gpdflow.groupoid, gpdflow.serialize):
+        monkeypatch.setattr(module, "verify_group", counting, raising=False)
+    report = run_command("semigroup", models)
+    assert report["ok"]
+    assert len(models) == 8 and len(calls) == 3 * len(models)
+    for run in report["runs"]:
+        table = run["facts"]["table"]
+        assert sum(t is table for t in calls) == 1, run["input"]
+
+
 # --- the collector around main -------------------------------------------------------
 
 

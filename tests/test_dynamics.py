@@ -128,7 +128,7 @@ def test_verify_action_domain_errors():
     a = ambit.action
     diag = verify_action(rebuilt(a, a.triples()[1:]))
     assert diag.failure == "composability domain violated"
-    assert not diag.structural
+    assert diag.structural
     assert diag.notes["detail"] == "missing entry on a composable pair"
     assert diag.witness == tuple(a.triples()[0][:2])
 

@@ -160,23 +160,36 @@ def test_a_clean_fill_allocates_no_mask_of_the_triples(monkeypatch):
     """Building a whole, well-formed 197,568-entry table from an int32
     array, 1,024 triples at a time, allocates ``val`` (4 bytes an entry),
     the one-byte mask of the entries placed and a fixed slack below the
-    193 KB that one more mask over the triples would take: the masks the
-    flaw pickers read are made only when a triple is bad."""
+    193 KB that one more mask over the triples would take.  A table with
+    its last triple repeated, and one with a triple dropped, stay inside
+    the same bound: the flaw is picked in the same pass, from per-block
+    temporaries."""
     import tracemalloc
     monkeypatch.setattr(groupoid_module, "_BLOCK", 1024)
     gpd = groupoid_of_bundle(large_random_bundle(7, 3, "S4")).groupoid
     comp = gpd.triple_array().astype(np.int32)
-    args = (gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv, comp)
-    tracemalloc.start()
-    try:
-        built = Groupoid.from_tables(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert built.flaw is None and built.val.dtype == np.int32
-    assert np.array_equal(built.val, gpd.val)
     assert len(comp) == 197_568
-    assert peak < built.val.nbytes + len(comp) + (128 << 10), peak
+    g, h, _ = comp[-1].tolist()
+    for table, flaw in ((comp, None),
+                        (np.concatenate([comp, comp[-1:]]),
+                         ("duplicate comp pair", (g, h))),
+                        (np.delete(comp, 1000, axis=0),
+                         ("composability domain violated",
+                          tuple(comp[1000, :2].tolist())))):
+        args = (gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv, table)
+        tracemalloc.start()
+        try:
+            built = Groupoid.from_tables(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.val.dtype == np.int32
+        if flaw is None:
+            assert built.flaw is None
+            assert np.array_equal(built.val, gpd.val)
+        else:
+            assert (built.flaw.failure, built.flaw.witness) == flaw
+        assert peak < built.val.nbytes + len(comp) + (128 << 10), peak
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -267,8 +280,7 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
         # several composition entries missing
         comp = _row_order(gpd)
         gone = rng.sample(range(len(comp)), 4)
-        g, h, _ = min((comp[i] for i in gone),
-                      key=lambda t: (gpd.tgt[t[0]], t[0], t[1]))
+        g, h, _ = comp[min(gone)]  # the first in row order
         holed = Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
                                      [t for i, t in enumerate(comp)
                                       if i not in gone])
