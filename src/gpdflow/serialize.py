@@ -19,29 +19,33 @@ a report's pieces as they come and :func:`model_digest` hashes them, so
 neither holds a whole copy of a large table's text; :func:`canonical_dumps`
 joins them.
 
-Loading reads the input as bytes.  Each ``"comp":[[`` or ``"act":[[``
-table, up to its first ``]]``, is replaced by a number token found
-nowhere else in the input, ``json`` reads the small remainder, and every
-token must land as the value of a ``comp`` or ``act`` key, where its
-:class:`_Span` goes in (:func:`_span_json`).  Validation fills each table
-the model uses straight from its span into its row table, a block of rows
-at a time: ``np.fromstring`` reads the numbers, and a block is taken only
-when :func:`_table_bytes` of them gives back its bytes exactly.  So no
-``(n, 3)`` array is held beside the input: only the row table's int32
-values and a one-byte mask span the table, 5 bytes an entry, and a loaded
-model holds 4.  Every span, those of runs the model does not use
-included, is read before the model is returned or an error raised.
-Anything else -- a table written another way, a token that lands
-elsewhere or is dropped by a duplicate key, a span the model holds other
-than as a table, bad JSON, bytes that are not UTF-8 -- falls back to
-``json`` on the whole text, so a model, or an error's code and message, is
-the same either way.
+Loading scans the input a chunk at a time.  Each ``"comp":[[`` or
+``"act":[[`` table, up to its first ``]]``, is replaced by a number token
+found nowhere else in the input, ``json`` reads the small remainder, and
+every token must land as the value of a ``comp`` or ``act`` key, where its
+:class:`_Span`, the table's byte range, goes in (:func:`_span_json`).  A
+span keeps none of the table's text: it reads it back each time it is
+used, from the file with ``os.pread`` when the input is a regular file (a
+path, or stdin that ``os.fstat`` shows is one), else from the input's bytes,
+read whole.  Validation fills each table the model uses straight from its
+span into its row table, a block of rows at a time: ``np.fromstring`` reads
+the numbers, and a block is taken only when :func:`_table_bytes` of them
+gives back its bytes exactly.  So neither the input nor an ``(n, 3)`` array
+is held: only the row table's int32 values and a one-byte mask span the
+table, 5 bytes an entry, and a loaded model holds 4.  Every span, those of
+runs the model does not use included, is read before the model is returned
+or an error raised.  Anything else -- a table written another way, a token
+that lands elsewhere or is dropped by a duplicate key, a span the model
+holds other than as a table, bad JSON, bytes that are not UTF-8 -- falls
+back to ``json`` on the whole text, so a model, or an error's code and
+message, is the same either way.
 
 The input digest is the sha256 of the canonical text of the payload as it
 was given, envelope unwrapped (see :class:`Model`): :func:`model_digest`
-of it, taken while loading.  A span in it is hashed as its bytes, which
-are its table's canonical text, in the input's order and with its
-repeats, so the digest does not depend on how the input was read.
+of it, taken while loading.  A span in it is hashed as its bytes, read
+back a chunk at a time, which are its table's canonical text, in the
+input's order and with its repeats, so the digest does not depend on how
+the input was read.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
 are not UTF-8, or lists and objects nested more than 100 deep, included),
@@ -56,7 +60,9 @@ which names the first bad row or entry.  ``comp`` and ``act``
 (``_ARRAY_TABLES``) may be lists, integer arrays, row tables or spans;
 :func:`_triples` checks them a block at a time with the same checker, so
 the first bad entry gives the same error, and passes the blocks to
-:meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`.  The model holds
+:meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`; a span's block
+whose largest value, read with its rows, is below every bound needs no
+check.  The model holds
 the groupoid or action itself (see :class:`Model`): it is built once, and
 the builds return it.
 """
@@ -67,7 +73,10 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
+import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -145,8 +154,8 @@ class Model:
     still its :class:`_Span`.  :attr:`digest` is :func:`model_digest` of
     it, so the triples count in the input's order and with its repeats;
     ``given`` is dropped once the digest is taken.  :func:`load_model`
-    takes it while it still holds the input; otherwise it is taken when
-    first read.
+    takes it while its spans can still read the input; otherwise it is
+    taken when first read.
     """
 
     kind: str
@@ -252,7 +261,7 @@ def canonical_pieces(obj: Any) -> Iterator[Any]:
     dict with other keys keeps ``json``'s key rules.  (A container that
     gets here holds one, so it has an item.)"""
     if isinstance(obj, _Span):
-        yield obj.text()
+        yield from obj.text()
         return
     if isinstance(obj, RowTable):  # its entries: the holes dropped
         yield from _table_pieces(obj.triple_blocks())
@@ -404,22 +413,27 @@ def _triples(data: dict, key: str, where: str, high: Any, row: str = ""
     block, so the first bad entry raises the error :func:`_table` gives for
     the whole table.  The table is a list of rows, an integer array, a row
     table (as a ``*_to_json`` dict holds it) or a :class:`_Span` of the
-    input."""
+    input.  A span's block whose largest value, which :func:`_rows` found,
+    is below every bound is in range: it goes to the fill as it is, int64,
+    with no second check."""
     value, where = _need(data, key, where), f"{where}.{key}"
+    low = min(high) if isinstance(high, tuple) else high
     if isinstance(value, _Span):
-        rows = value.blocks
-    elif isinstance(value, RowTable):
-        rows = value.triple_blocks
-    elif isinstance(value, (list, np.ndarray)):
-        rows = functools.partial(blocks_of, value)
+        rows = value.rows
+    elif isinstance(value, (RowTable, list, np.ndarray)):
+        source = value.triple_blocks if isinstance(value, RowTable) \
+            else functools.partial(blocks_of, value)
+        # no largest value known: each block is checked
+        rows = lambda: zip(source(), itertools.repeat(low))
     else:
         raise ModelError(BAD_INDEX, f"{where}: expected a list")
     scan = _scanner(where, 3, high, row=row)
 
     def blocks() -> Iterator[np.ndarray]:
         lo = 0
-        for block in rows():
-            yield _int_table(block, 3, high, functools.partial(scan, lo=lo))
+        for block, top in rows():
+            yield block if top < low else _int_table(
+                block, 3, high, functools.partial(scan, lo=lo))
             lo += len(block)
     return blocks
 
@@ -555,20 +569,25 @@ def parse_model(data: Any) -> Model:
 
 
 _TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
-_BLOCK = 1 << 16  # bytes of table text read at a time
+_CHUNK = 1 << 16  # bytes of input read at a time by the scan and the digest
+_BLOCK = 1 << 16  # bytes of table text read at a time by the fill
 # A table's span becomes the number token ``<i>e-0000000``: numbers cannot
-# be written with escapes, so no other token has that text when the input
-# has no ``e-0000000`` in it.
+# be written with escapes, so no other token has that text when the text
+# around the tables has no ``e-0000000`` in it.  (Inside a table it makes
+# the table's text not canonical.)
 _SPAN_TOKEN, _SPAN_MARK = b"%de-0000000", b"e-0000000"
+_CARRY = 8  # bytes a chunk hands on to the next: a table key is 9 bytes
 
 
 class _NotCanonical(Exception):
     """A table span is not the canonical text of its rows."""
 
 
-def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
+def _rows(buf: bytes, first: int, last: int
+          ) -> Optional[tuple[np.ndarray, int]]:
     """The ``(k, 3)`` rows whose canonical text, its outer brackets
-    dropped, is exactly ``buf[first:last]``, or None.
+    dropped, is exactly ``buf[first:last]``, and their largest value; or
+    None.
 
     numpy reads the numbers with the brackets dropped, and
     :func:`_table_bytes` of what it read must give back the text byte for
@@ -586,81 +605,173 @@ def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
                                    np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
-    if (not values.size or values.size % 3 or values.min() < 0
-            or values.max() >= 1 << 31):
+    if not values.size or values.size % 3 or values.min() < 0:
+        return None
+    top = int(values.max())
+    if top >= 1 << 31:
         return None
     rows = values.reshape(-1, 3)
     text = _table_bytes(rows)
-    return rows if len(text) == last - first + 4 \
+    return (rows, top) if len(text) == last - first + 4 \
         and buf.startswith(text[2:-2], first) else None
 
 
-class _Span:
-    """A ``comp`` or ``act`` table as the input's bytes ``buf[start:end]``
-    give it, from ``[[`` to the first ``]]``, read as canonical text (see
-    :func:`_rows`) a block at a time until a block is not."""
+_stamp = operator.attrgetter("st_size", "st_mtime_ns", "st_ino")
 
-    def __init__(self, buf: bytes, start: int, end: int):
-        self.buf, self.start, self.end = buf, start, end
+
+class _File:
+    """A regular file from byte ``base`` on, read like bytes:
+    ``file[a:b]`` is one ``os.pread`` of its bytes ``base + a`` to ``base +
+    b``, and ``bytes(file)`` all of them.  A read that comes back short, or
+    a :meth:`check` that finds the file's size, modification time or inode
+    changed since ``st``, raises code 10, so a model never mixes two
+    versions of the file."""
+
+    def __init__(self, fd: int, base: int, st: os.stat_result, path: str):
+        self.fd, self.base, self.path = fd, base, path
+        self.stamp, self.size = _stamp(st), max(0, st.st_size - base)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        # a read returns at most about 2 GiB; one piece is joined uncopied
+        return b"".join(self[at:at + (1 << 30)]
+                        for at in range(0, self.size, 1 << 30))
+
+    def __getitem__(self, at: slice) -> bytes:
+        start, stop, _ = at.indices(self.size)
+        size = max(0, stop - start)
+        try:
+            data = os.pread(self.fd, size, self.base + start)
+        except OSError as exc:
+            raise ModelError(PARSE_ERROR, f"{self.path}: {exc}") from exc
+        if len(data) != size:
+            raise self.changed()
+        return data
+
+    def changed(self) -> ModelError:
+        return ModelError(PARSE_ERROR,
+                          f"{self.path}: changed while it was read")
+
+    def check(self) -> None:
+        if _stamp(os.fstat(self.fd)) != self.stamp:
+            raise self.changed()
+
+
+class _Span:
+    """A ``comp`` or ``act`` table as the input's bytes ``reader[start:end]``
+    give it, from ``[[`` to the first ``]]``.  The reader is the input's
+    bytes, or the :class:`_File` they are in; either way a span keeps only
+    its range, and reads the table again each time it is used: as
+    canonical text (see :func:`_rows`) ``_BLOCK`` bytes at a time until a
+    window of it is not, or as its bytes for the input digest ``_CHUNK``
+    bytes at a time."""
+
+    def __init__(self, reader: Any, start: int, end: int):
+        self.reader, self.start, self.end = reader, start, end
         self.checked = False  # every block read, and canonical
 
-    def text(self) -> memoryview:
-        return memoryview(self.buf)[self.start:self.end]
+    def text(self) -> Iterator[bytes]:
+        for at in range(self.start, self.end, _CHUNK):
+            yield self.reader[at:min(at + _CHUNK, self.end)]
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The rows as ``(k, 3)`` int64 arrays, a block of about ``_BLOCK``
-        bytes, ending at a row's end, at a time.  Raises
-        :class:`_NotCanonical` at the first block that is not the canonical
-        text of its rows, and for ``[[]]``, whose row is empty."""
+    def rows(self) -> Iterator[tuple[np.ndarray, int]]:
+        """The rows as ``(k, 3)`` int64 arrays, with their largest value, a
+        window of ``_BLOCK`` bytes at a time: each window is cut after its
+        last full row and the rest carried into the next, so each byte is
+        read once.  Raises :class:`_NotCanonical` at the first block that is
+        not the canonical text of its rows, and for ``[[]]``, whose row is
+        empty."""
         first, end = self.start + 2, self.end - 2
         if first >= end:
             raise _NotCanonical
-        while first < end:
-            last = self.buf.find(b"],[", first + _BLOCK, end)
-            last = end if last < 0 else last
-            rows = _rows(self.buf, first, last)
-            if rows is None:
-                raise _NotCanonical
-            yield rows
-            first = last + 3
+        carry = b""
+        for at in range(first, end, _BLOCK):
+            window = carry + self.reader[at:min(at + _BLOCK, end)]
+            last = window.rfind(b"],[") if at + _BLOCK < end else len(window)
+            if last >= 0:
+                found = _rows(window, 0, last)
+                if found is None:
+                    raise _NotCanonical
+                yield found
+                window = window[last + 3:]
+            carry = window
         self.checked = True
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows of :meth:`rows`, block after block."""
+        return (rows for rows, _ in self.rows())
+
     def check(self) -> None:
-        """Read every block, unless that was done; see :meth:`blocks`."""
+        """Read every block, unless that was done; see :meth:`rows`."""
         if not self.checked:
-            collections.deque(self.blocks(), 0)
+            collections.deque(self.rows(), 0)
 
     def __repr__(self) -> str:  # as an error message shows the lists
         return repr(np.concatenate(list(self.blocks())).tolist())
 
 
-def _span_json(raw: bytes) -> Optional[tuple[Any, list]]:
-    """``json.loads`` of the input with each ``comp`` and ``act`` table
-    that may be written canonically, from ``[[`` to the first ``]]``, in
-    place as a :class:`_Span`, and the spans; or None when the input has no
-    such table or cannot be read this way cleanly.
-
-    Each span becomes a number token that occurs nowhere else; ``json``
-    reads the rest, and each token must land as the value of a ``comp`` or
-    ``act`` key, where its span goes in.  Nothing of a span is read here.
-    """
-    starts = [match.end() - 2 for match in _TABLE_KEY.finditer(raw)]
-    if not starts or _SPAN_MARK in raw:
+def _scan(reader: Any) -> Optional[tuple[bytes, list[tuple[int, int]]]]:
+    """The input, read ``_CHUNK`` bytes at a time, with each ``"comp":[[``
+    or ``"act":[[`` table, from ``[[`` to the first ``]]``, replaced by its
+    number token, and each table's range; or None when the input has no
+    such table, a table without its ``]]``, or ``e-0000000`` around its
+    tables.  A table's bytes are not kept."""
+    out, ranges, carry, start = [], [], b"", None
+    for at in range(0, len(reader), _CHUNK):
+        buf = carry + reader[at:at + _CHUNK]
+        base = at - len(carry)  # the input offset of buf[0]
+        i = 0
+        while True:
+            if start is None:
+                key = _TABLE_KEY.search(buf, i)
+                if key is None:
+                    break
+                out += (buf[i:key.end() - 2], _SPAN_TOKEN % len(ranges))
+                start, i = base + key.end() - 2, key.end()
+            else:
+                close = buf.find(b"]]", i)
+                if close < 0:
+                    break
+                ranges.append((start, base + close + 2))
+                start, i = None, close + 2
+        cut = max(i, len(buf) - _CARRY)
+        if start is None:
+            out.append(buf[i:cut])
+        carry = buf[cut:]
+    out.append(carry)
+    rest = b"".join(out)
+    # each token holds the mark once, and no other mark can form
+    if start is not None or not ranges \
+            or rest.count(_SPAN_MARK) != len(ranges):
         return None
-    spans, pieces, pos = {}, [], 0
-    for start in starts:
-        end = raw.find(b"]]", start) + 2  # 1 when there is none
-        if end <= start or start < pos:  # no end, or inside the last span
-            return None
-        token = _SPAN_TOKEN % len(spans)
-        spans[token.decode()] = _Span(raw, start, end)
-        pieces += (raw[pos:start], token)
-        pos = end
-    pieces.append(raw[pos:])
+    return rest, ranges
+
+
+def _span_json(reader: Any) -> Optional[tuple[Any, list]]:
+    """``json.loads`` of the input, bytes or a :class:`_File`, with each
+    ``comp`` and ``act`` table that may be written canonically, from ``[[``
+    to the first ``]]``, in place as a :class:`_Span`, and the spans; or
+    None when the input has no such table or cannot be read this way
+    cleanly.
+
+    :func:`_scan` puts a number token that occurs nowhere else in place of
+    each span; ``json`` reads the rest, and each token must land as the
+    value of a ``comp`` or ``act`` key, where its span goes in.  A span's
+    bytes are read here only to find its end.
+    """
+    scanned = _scan(reader)
+    if scanned is None:
+        return None
+    rest, ranges = scanned
+    spans = {(_SPAN_TOKEN % i).decode(): _Span(reader, start, end)
+             for i, (start, end) in enumerate(ranges)}
     try:
-        text = b"".join(pieces).decode("utf-8")
+        text = rest.decode("utf-8")
     except UnicodeDecodeError:
         return None
+    del rest
     placed = 0
 
     def number(literal: str) -> Any:
@@ -705,34 +816,54 @@ def _span_model(data: Any, spans: list, too_deep: ModelError
     return model
 
 
-def _read(path: str) -> bytes:
-    """The bytes of a file, or of stdin when path is '-'."""
-    if path != "-":
-        with open(path, "rb") as fh:
-            return fh.read()
-    stream = getattr(sys.stdin, "buffer", None)
-    if stream is None:  # a text stream put in place of stdin
-        return sys.stdin.read().encode("utf-8", "surrogatepass")
-    return stream.read()
+def _reader(stream: Any, path: str) -> Any:
+    """The input from ``stream`` on: a regular file as a :class:`_File`
+    from the stream's position, the stream then moved to the file's end as
+    reading it to the end would leave it; anything else (a pipe, a FIFO, a
+    stream without a file descriptor) read whole, as bytes."""
+    stream = getattr(stream, "buffer", stream)
+    try:
+        try:
+            st = os.fstat(stream.fileno())
+        except (AttributeError, ValueError):  # io.UnsupportedOperation too
+            st = None  # no file descriptor, or a closed one
+        if st is not None and stat.S_ISREG(st.st_mode):
+            file = _File(stream.fileno(), stream.tell(), st, path)
+            stream.seek(file.base + len(file))
+            return file
+        raw = stream.read()
+    except OSError as exc:
+        raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
+    # a text stream put in place of stdin
+    return raw if isinstance(raw, bytes) else raw.encode("utf-8",
+                                                         "surrogatepass")
 
 
 def load_model(path: str) -> Model:
     """Read a model from a file path, or from stdin when path is '-'.
 
-    The input is read as bytes.  ``json`` reads it around its ``comp`` and
-    ``act`` tables (:func:`_span_json`), and each table the model uses is
-    filled into its row table from its span, a block at a time
-    (:func:`_span_model`).  An input without such a table, or one that
-    cannot be read that way cleanly, is read by ``json`` whole, as text:
-    strict UTF-8 (code 10 when it is not), a file's line ends as a
-    text-mode read gives them.  The model, and any error's code and
-    message, are the same either way.  A model nested more than
-    ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may fail to read
-    it, or to write it back for the input digest.  So is an integer literal
-    of more than ``_MAX_DIGITS`` digits, whatever limit the interpreter sets.
+    ``json`` reads the input around its ``comp`` and ``act`` tables
+    (:func:`_span_json`), and each table the model uses is filled into its
+    row table from its span, a block at a time (:func:`_span_model`).  A
+    regular file -- a path, or stdin that ``os.fstat`` shows is one -- is
+    read in passes of ``os.pread`` calls: one over the whole input that
+    keeps only the text around the tables, then one over each table to
+    fill it and one to hash it, so the input is never held.  Any other
+    input (a pipe, a FIFO, a stream without a file descriptor) is read
+    whole as bytes, and the same passes read those.  An input without such
+    a table, or one that cannot be read that way cleanly, is read by
+    ``json`` whole, as text: strict UTF-8 (code 10 when it is not), a
+    file's line ends as a text-mode read gives them.  The model, and any
+    error's code and message, are the same either way.  A model nested
+    more than ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may
+    fail to read it, or to write it back for the input digest.  So is an
+    integer literal of more than ``_MAX_DIGITS`` digits, whatever limit
+    the interpreter sets, and a file that changes while it is read (see
+    :class:`_File`).
 
     The model's :attr:`~Model.digest` is taken here, each span hashed as
-    the input's bytes give it, so the input is not held after the load.
+    the input's bytes give it.  A path's file is closed on every exit;
+    stdin is left at its end, as reading it whole leaves it.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(_MAX_DIGITS)
@@ -744,38 +875,50 @@ def load_model(path: str) -> Model:
 
 def _load(path: str) -> Model:
     try:
-        raw = _read(path)
+        stream = sys.stdin if path == "-" else open(path, "rb")
     except OSError as exc:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
-    too_deep = ModelError(PARSE_ERROR, f"{path}: nested too deeply (more "
-                          f"than {_MAX_DEPTH} levels)")
-    found = _span_json(raw)
-    model = None if found is None else _span_model(*found, too_deep)
-    if model is None:
-        del found
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelError(PARSE_ERROR, f"{path}: not UTF-8: {exc}") from exc
-        del raw  # not held while json decodes the text
-        if path != "-" and "\r" in text:  # universal newlines, as for text
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(PARSE_ERROR,
-                             f"{path}: invalid JSON: {exc}") from exc
-        except ValueError as exc:  # the only other: an integer too long
-            raise ModelError(PARSE_ERROR, f"{path}: invalid JSON: integer "
-                             f"of more than {_MAX_DIGITS} digits") from exc
-        except RecursionError as exc:
-            raise too_deep from exc
-        del text  # not held while the tables are validated
-        model = parse_model(data)
-        if _nesting(model.data)[0] > _MAX_DEPTH:
-            raise too_deep
-    model.digest  # taken while the input is held
-    return model
+    try:
+        reader = _reader(stream, path)
+        file = reader if isinstance(reader, _File) else None
+        too_deep = ModelError(PARSE_ERROR, f"{path}: nested too deeply (more "
+                              f"than {_MAX_DEPTH} levels)")
+        found = _span_json(reader)
+        model = None if found is None else _span_model(*found, too_deep)
+        if model is None:
+            del found
+            raw = bytes(reader)
+            del reader  # the bytes are held as raw only
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ModelError(PARSE_ERROR,
+                                 f"{path}: not UTF-8: {exc}") from exc
+            del raw  # not held while json decodes the text
+            if path != "-" and "\r" in text:  # universal newlines, as for text
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ModelError(PARSE_ERROR,
+                                 f"{path}: invalid JSON: {exc}") from exc
+            except ValueError as exc:  # the only other: an integer too long
+                raise ModelError(PARSE_ERROR, f"{path}: invalid JSON: "
+                                 f"integer of more than {_MAX_DIGITS} "
+                                 "digits") from exc
+            except RecursionError as exc:
+                raise too_deep from exc
+            del text  # not held while the tables are validated
+            model = parse_model(data)
+            if _nesting(model.data)[0] > _MAX_DEPTH:
+                raise too_deep
+        model.digest  # taken while the input can be read
+        if file is not None:
+            file.check()
+        return model
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
 
 
 def _nesting(value: Any) -> tuple[int, bool]:

@@ -456,6 +456,30 @@ def test_stdin_without_envelope(capsys, monkeypatch):
     assert json.loads(out)["inputs"][0]["name"] == "stdin"
 
 
+def test_stdin_twice_from_a_file_reads_as_from_a_stream(tmp_path, capsys,
+                                                       monkeypatch):
+    """``verify - -`` with stdin a regular file, which is read back from the
+    file, gives the report it gives with stdin a stream of the same bytes:
+    the first ``-`` reads the model and leaves stdin at its end, so the
+    second reads nothing, which is unreadable JSON."""
+    import io
+    path = tmp_path / "report.json"
+    path.write_text(canonical_dumps(run_command(
+        "groupoidify", fixture_models("groupoidify")[:1])))
+    runs = []
+    for stream in (io.TextIOWrapper(io.BytesIO(path.read_bytes())),
+                   open(path)):
+        with stream:
+            monkeypatch.setattr("sys.stdin", stream)
+            runs.append(run_cli(capsys, ["verify", "-", "-"]))
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": 10, "message": "-: invalid JSON: Expecting value: line 1 "
+        "column 1 (char 0)"}
+
+
 def test_whole_report_pipes_into_next_command(tmp_path, capsys, monkeypatch):
     """The unmodified output of groupoidify feeds bundleize directly."""
     import io

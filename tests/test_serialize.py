@@ -17,6 +17,7 @@ import os
 import random
 import re
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -591,11 +592,18 @@ def _outcome(load, path: str):
             {key: a.tolist() for key, a in arrays.items()}, flaws, digest)
 
 
-def _load_both(raw: bytes, tmp_path, monkeypatch, stdin: bool = False):
+# what stdin holds before the input where it is a file at an offset: a
+# table key and the token mark, so a load that read it would go wrong
+STDIN_PREFIX = b'{"comp":[[1e-0000000,'
+
+
+def _load_both(raw: bytes, tmp_path, monkeypatch, stdin=False):
     """(load_model's outcome, the oracle's, whether load_model took it from
-    the tables' spans of the bytes) for one input, from a file or from
-    stdin.  An input taken so must also equal ``json``'s reading of all of
-    it, the tables the model does not use included."""
+    the tables' spans of the bytes) for one input, from a file, or from
+    stdin: a stream of the bytes (``stdin=True``) or, for ``stdin="fd"``, a
+    file opened at a nonzero offset, which the load must leave at its end.
+    An input taken so must also equal ``json``'s reading of all of it, the
+    tables the model does not use included."""
     decoded = []
 
     def spy(data, spans, too_deep):
@@ -612,16 +620,22 @@ def _load_both(raw: bytes, tmp_path, monkeypatch, stdin: bool = False):
                 assert _plain_json(data) == _plain_json(json.loads(raw))
     real = serialize._span_model
     path = tmp_path / "input.json"
-    path.write_bytes(raw)
+    prefix = STDIN_PREFIX if stdin == "fd" else b""
+    path.write_bytes(prefix + raw)
     name = "-" if stdin else str(path)
     outcomes = []
     for load in (serialize.load_model, _text_mode_load):
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m, \
+                open(path, encoding="utf-8", newline="\n") as fh:
             m.setattr(serialize, "_span_model", spy)
+            fh.buffer.seek(len(prefix))
             if stdin:
-                m.setattr("sys.stdin", io.TextIOWrapper(
-                    io.BytesIO(raw), encoding="utf-8", newline="\n"))
+                m.setattr("sys.stdin", fh if stdin == "fd" else
+                          io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                           newline="\n"))
             outcomes.append(_outcome(load, name))
+            if stdin == "fd":  # left at its end
+                assert fh.buffer.tell() == len(prefix + raw)
     return outcomes[0], outcomes[1], bool(decoded) and decoded[0]
 
 
@@ -636,9 +650,11 @@ def _fixture_texts() -> list[str]:
     return list(texts)
 
 
-# bytes of table text read at a time: the former 1 MB and 256 KB
-# defaults, the default, and small enough that block ends fall all over
-# each table
+# bytes of table text filled at a time, and in the differentials that read
+# from a path bytes of input scanned and hashed at a time too: the former 1
+# MB and 256 KB defaults, the default, and small enough that block ends
+# fall all over each table, and every table key and token mark (9 bytes)
+# straddles two chunks
 BLOCKS = [1 << 20, 1 << 18, serialize._BLOCK, 8]
 
 
@@ -646,6 +662,7 @@ BLOCKS = [1 << 20, 1 << 18, serialize._BLOCK, 8]
 def test_decode_agrees_with_json_on_fixture_texts(block, tmp_path,
                                                   monkeypatch):
     monkeypatch.setattr(serialize, "_BLOCK", block)
+    monkeypatch.setattr(serialize, "_CHUNK", block)
     spans = 0
     for text in _fixture_texts():
         raw = text.encode()
@@ -725,6 +742,7 @@ def test_decode_agrees_with_json_on_mutated_text(mutation, block, tmp_path,
     leaves a table not canonical, or a table's token anywhere but as the
     value of a ``comp`` or ``act`` key, is read by ``json`` whole."""
     monkeypatch.setattr(serialize, "_BLOCK", block)
+    monkeypatch.setattr(serialize, "_CHUNK", block)
     edit, may_decode = TEXT_MUTATIONS[mutation]
     for command in ("groupoidify", "ambit"):
         report = canonical_dumps(run_command(command,
@@ -758,6 +776,31 @@ def test_a_table_inside_another_field_loads_as_json_reads_it(tmp_path,
         assert fast == plain, text
         outcomes.add(len(fast) == 2)  # an error, or a model
     assert outcomes == {False, True}
+
+
+def test_a_span_value_at_its_bound_loads_as_json_reads_it(tmp_path,
+                                                          monkeypatch):
+    """An entry of a ``comp`` or ``act`` table read from its span set one
+    below, at and one above its column's bound: a span's block skips the
+    second range check only when its largest value is below every bound,
+    so each load gives the model, or the error naming the entry, that
+    ``json`` reading the whole text gives."""
+    gpd = groupoid_of_bundle(named_bundles()["triangle-z2-twisted"]).groupoid
+    ambit = _lists(ambit_to_json(build_ambit(gpd, 0)))
+    arrows, space = gpd.n_arrows, ambit["space"]
+    tables = {("groupoid", "comp"): (arrows,) * 3,
+              ("act",): (space, arrows, space)}
+    outcomes = []
+    for path, bounds in tables.items():
+        for j, bound in enumerate(bounds):
+            for value in (bound - 1, bound, bound + 1):
+                model = copy.deepcopy(ambit)
+                _holder(model, path)[path[-1]][-1][j] = value
+                fast, plain, decoded = _load_both(
+                    canonical_dumps(model).encode(), tmp_path, monkeypatch)
+                assert fast == plain and decoded, (path, j, value)
+                outcomes.append(len(fast))
+    assert outcomes.count(2) == 12  # at the bound and above: errors
 
 
 # seeded edits of a canonical report's text, each given the text, the
@@ -881,10 +924,11 @@ def test_load_fuzz_agrees_with_json(tmp_path, monkeypatch):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
                                                       monkeypatch):
-    """Every fixture text and every seeded text mutation read from stdin:
-    the model and its input digest (hashed from the input's bytes where a
-    table was decoded from them) equal the oracle's, with the decode taken
-    on some inputs and not on others."""
+    """Every fixture text and every seeded text mutation read from stdin,
+    as a stream and as a file at a nonzero offset: the model and its input
+    digest (hashed from the input's bytes where a table was decoded from
+    them) equal the oracle's, with the decode taken on some inputs and not
+    on others."""
     monkeypatch.setattr(serialize, "_BLOCK", block)
     texts = _fixture_texts()
     for command in ("groupoidify", "ambit"):
@@ -895,11 +939,12 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
             texts += [edit(report, rng) for _ in range(4)]
     paths = set()
     for text in texts:
-        fast, plain, decoded = _load_both(text.encode(), tmp_path,
-                                          monkeypatch, stdin=True)
-        assert fast == plain
-        paths.add(decoded)
-    assert paths == {False, True}
+        for stdin in (True, "fd"):
+            fast, plain, decoded = _load_both(text.encode(), tmp_path,
+                                              monkeypatch, stdin)
+            assert fast == plain
+            paths.add((stdin, decoded))
+    assert paths == {(True, False), (True, True), ("fd", False), ("fd", True)}
 
 
 def test_decode_takes_the_table_and_one_block_of_temporaries():
@@ -1009,6 +1054,162 @@ def test_decode_agrees_with_json_on_crlf_line_ends(stdin, tmp_path,
                                               monkeypatch, stdin)
             assert fast == plain
             assert decoded == (may_decode and cut == len(raw))
+
+
+def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
+                                                         monkeypatch):
+    """Loading that report from a path, its table read back from the file,
+    peaks below the row table's values and mask (5 bytes an entry) and a
+    fixed slack smaller than the file: no copy of the input is held.  From
+    a stream of its bytes on stdin, read whole, it peaks below the bound
+    that counts them."""
+    path = _medium_report(tmp_path)
+    size = path.stat().st_size
+    assert size > 3 << 19
+    for stdin, held, slack in ((False, 0, 3 << 19), (True, size, 2 << 20)):
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(path.read_bytes())))
+        tracemalloc.start()
+        try:
+            model = serialize.load_model("-" if stdin else str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = model.data["comp"].val.size
+        assert entries == 124_416
+        assert peak < held + 5 * entries + slack, (stdin, peak)
+
+
+def _report_bytes() -> bytes:
+    return canonical_dumps(run_command(
+        "groupoidify", fixture_models("groupoidify")[:2])).encode()
+
+
+def _file_spy(monkeypatch) -> list:
+    """Every :class:`serialize._File` made from now on."""
+    files = []
+
+    class Spy(serialize._File):
+        def __init__(self, *args):
+            super().__init__(*args)
+            files.append(self)
+    monkeypatch.setattr(serialize, "_File", Spy)
+    return files
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_regular_file_is_read_back_and_anything_else_whole(tmp_path,
+                                                             monkeypatch):
+    """A path and stdin that is a regular file are read back from the file;
+    a FIFO path and a stream of bytes on stdin are read whole.  All four
+    give the same model and input digest."""
+    raw = _report_bytes()
+    path, fifo = tmp_path / "report.json", tmp_path / "fifo"
+    path.write_bytes(raw)
+    os.mkfifo(fifo)
+
+    def from_fifo():
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,),
+                                  daemon=True)
+        writer.start()
+        try:
+            return serialize.load_model(str(fifo))
+        finally:
+            writer.join(30)
+            assert not writer.is_alive()
+
+    def from_stdin(stream):
+        with stream, monkeypatch.context() as m:
+            m.setattr("sys.stdin", stream)
+            return serialize.load_model("-")
+    loads = {
+        "path": (True, lambda: serialize.load_model(str(path))),
+        "file stdin": (True, lambda: from_stdin(open(path))),
+        "fifo": (False, from_fifo),
+        "stream stdin": (False, lambda: from_stdin(
+            io.TextIOWrapper(io.BytesIO(raw)))),
+    }
+    outcomes = set()
+    for name, (read_back, load) in loads.items():
+        with monkeypatch.context() as m:
+            files = _file_spy(m)
+            model = load()
+        assert len(files) == read_back, name
+        outcomes.add((canonical_dumps(model.data), model.digest))
+    assert len(outcomes) == 1
+
+
+@pytest.mark.parametrize("change", ["cut short", "rewritten"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+def test_a_file_changed_while_it_is_read_is_an_error(change, stdin,
+                                                     tmp_path, monkeypatch):
+    """A file changed after the scan and before its tables are filled: cut
+    short inside its first table, the fill's read comes back short; written
+    again in place, with a later modification time, the check of the
+    file's stat at the end of the load finds it.  Either way the load fails
+    with code 10, never with a model of the two versions."""
+    raw = _report_bytes()
+    path = tmp_path / "report.json"
+    path.write_bytes(raw)
+    real = serialize._span_model
+
+    def change_then_fill(data, spans, too_deep):
+        if change == "cut short":
+            os.truncate(path, spans[0].start + 10)
+        else:
+            st = path.stat()
+            path.write_bytes(raw)
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        return real(data, spans, too_deep)
+    monkeypatch.setattr(serialize, "_span_model", change_then_fill)
+    with open(path) as stream:
+        if stdin:
+            monkeypatch.setattr("sys.stdin", stream)
+        name = "-" if stdin else str(path)
+        with pytest.raises(ModelError) as err:
+            serialize.load_model(name)
+    assert (err.value.code, err.value.message) == \
+        (serialize.PARSE_ERROR, f"{name}: changed while it was read")
+
+
+def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
+    """The file of a path is closed after every load: a model, an error in
+    a table read from the file, a table the fill cannot read, text only
+    ``json`` reads, unreadable JSON, and a file changed while it is
+    read."""
+    raw = _report_bytes()
+    bad_value = re.sub(rb'("comp":\[\[)\d+', rb"\g<1>99999", raw, count=1)
+    texts = {"model": raw, "bad value": bad_value,
+             "not canonical": raw.replace(b"],[", b"], [", 1),
+             "indented": json.dumps(json.loads(raw), indent=1).encode(),
+             "invalid": raw[:-1], "changed": raw}
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(serialize, "open", spy_open, raising=False)
+    real = serialize._span_model
+    path = tmp_path / "input.json"
+    outcomes = {}
+    for name, text in texts.items():
+        path.write_bytes(text)
+
+        def fill(data, spans, too_deep):
+            if name == "changed":
+                os.truncate(path, spans[0].start + 10)
+            return real(data, spans, too_deep)
+        monkeypatch.setattr(serialize, "_span_model", fill)
+        try:
+            serialize.load_model(str(path))
+            outcomes[name] = 0
+        except ModelError as exc:
+            outcomes[name] = exc.code
+    assert outcomes == {"model": 0, "bad value": 12, "not canonical": 0,
+                        "indented": 0, "invalid": 10, "changed": 10}
+    assert len(opened) == len(texts)
+    assert all(fh.closed for fh in opened)
 
 
 # --- bundles built from a payload ---------------------------------------------
