@@ -370,11 +370,14 @@ def enumerate_equivariant_maps(ambit: Ambit,
     every point (``w == u0 . w``, checked at construction), equivariance
     forces ``f(w) == f(u0) . w``.  Each candidate is built as
     :func:`universal_map` builds it and verified once against every action
-    pair rather than accepted on that argument; one that fails, as on a
-    target that breaks the action laws, is dropped rather than raised.
+    pair rather than accepted on that argument; one that fails, or that
+    does not send the unit to its point, as on a target that breaks the
+    action laws, is dropped rather than raised, so no map is listed twice.
     """
-    candidates = (_map_from_unit(a, ambit, y) for y in a.fiber(ambit.basepoint))
-    return [m for m in candidates if verify_equivariant_map(m).ok]
+    candidates = ((y, _map_from_unit(a, ambit, y))
+                  for y in a.fiber(ambit.basepoint))
+    return [m for y, m in candidates
+            if m.values[ambit.u0] == y and verify_equivariant_map(m).ok]
 
 
 def compose_equivariant_maps(outer: EquivariantMap,

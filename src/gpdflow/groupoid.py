@@ -125,29 +125,26 @@ class RowTable:
     def triple_array(self) -> np.ndarray:
         """Every defined entry as a row ``[y, h, y . h]`` of an ``(n, 3)``
         int64 array, in row order (for a groupoid: every composition
-        ``[g, h, gh]``, lexicographically), filled a block at a time."""
+        ``[g, h, gh]``, lexicographically), copied from :meth:`row_blocks`
+        a block at a time."""
         out = np.empty((int(np.count_nonzero(self.val >= 0)), 3), np.int64)
         at = 0
-        for rows in self.triple_blocks():
+        for rows in self.row_blocks():
             out[at:at + len(rows)] = rows
             at += len(rows)
         return out
-
-    def triple_blocks(self) -> Iterator[np.ndarray]:
-        """The rows of :meth:`triple_array`, a block of :meth:`row_blocks`
-        at a time: a block source for :meth:`_fill`."""
-        for block in self.row_blocks():
-            yield np.stack(block, axis=1)[block[2] >= 0]
 
     def triples(self) -> list[list[int]]:
         """:meth:`triple_array` as python lists."""
         return self.triple_array().tolist()
 
-    def row_blocks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """``(ys, hs, values)`` for a block of rows, block after block in row
-        order: the pair ``(y, h)`` behind each entry of ``val`` and the
-        entry.  A block holds about ``_BLOCK`` entries (a longer row is one
-        alone), so no index array spans the whole table."""
+    def row_blocks(self) -> Iterator[np.ndarray]:
+        """The defined entries of a block of rows as the ``[y, h, y . h]``
+        rows of a ``(k, 3)`` int64 array, block after block in row order: a
+        block source for :meth:`_fill`.  A block covers about ``_BLOCK``
+        entries of ``val`` (a longer row is one alone), so no index array
+        spans the whole table; it is built as three rows and transposed,
+        and a hole is dropped only in a block that has one."""
         order, start, _ = self.gpd.out_index
         lo, off = 0, self.row_off
         while lo < self.anchor.shape[0]:
@@ -156,17 +153,20 @@ class RowTable:
             ys = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
             hs = order[start[self.anchor[ys]] + np.arange(off[lo], off[hi])
                        - off[ys]]
-            yield ys, hs, self.val[off[lo]:off[hi]]
+            block = np.array((ys, hs, self.val[off[lo]:off[hi]]), np.int64)
+            if not bool((block[2] >= 0).all()):
+                block = block[:, block[2] >= 0]
+            yield block.T
             lo = hi
 
     def first_entry(self, bad) -> Optional[tuple[int, int, int]]:
         """The first ``(y, h, y . h)`` in row order for which ``bad(ys, hs,
-        values)`` holds on a block from :meth:`row_blocks`, or None."""
+        values)`` holds, read as ``bad(*block.T)`` on each block of
+        :meth:`row_blocks`, or None."""
         for block in self.row_blocks():
-            hit = bad(*block)
+            hit = bad(*block.T)
             if bool(hit.any()):
-                i = int(np.argmax(hit))
-                return tuple(int(c[i]) for c in block)
+                return tuple(map(int, block[int(np.argmax(hit))]))
         return None
 
     def map_flaw(self, target: "RowTable", point_map: np.ndarray,
@@ -370,7 +370,6 @@ class Groupoid(RowTable):
     def inverse(self, g: int) -> int:
         return int(self.inv[g])
 
-    comp_triples = RowTable.triples
     _verdict = cached_property(lambda self: _axiom_verdict(self))
 
     @cached_property
@@ -712,7 +711,7 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     inv_pm = np.argsort(pm)
     out = Groupoid.from_tables(
         m, g.src[inv_pm], g.tgt[inv_pm], np.arange(m), pm[g.inv[inv_pm]],
-        lambda: (pm[rows] for rows in g.triple_blocks()))
+        lambda: (pm[rows] for rows in g.row_blocks()))
     return out, pm.tolist()
 
 

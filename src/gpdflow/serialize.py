@@ -28,17 +28,17 @@ span keeps none of the table's text: it reads it back each time it is
 used, from the file with ``os.pread`` when the input is a regular file (a
 path, or stdin that ``os.fstat`` shows is one), else from the input's bytes,
 read whole.  Validation fills each table the model uses straight from its
-span into its row table, a block of rows at a time: ``np.fromstring`` reads
-the numbers, and a block is taken only when :func:`_table_bytes` of them
-gives back its bytes exactly.  So neither the input nor an ``(n, 3)`` array
-is held: only the row table's int32 values and a one-byte mask span the
-table, 5 bytes an entry, and a loaded model holds 4.  Every span, those of
-runs the model does not use included, is read before the model is returned
-or an error raised.  Anything else -- a table written another way, a token
-that lands elsewhere or is dropped by a duplicate key, a span the model
-holds other than as a table, bad JSON, bytes that are not UTF-8 -- falls
-back to ``json`` on the whole text, so a model, or an error's code and
-message, is the same either way.
+span into its row table, ``_CHUNK`` bytes of text at a time:
+``np.fromstring`` reads the numbers, and a block is taken only when
+:func:`_table_bytes` of them gives back its bytes exactly.  So neither the
+input nor an ``(n, 3)`` array is held: only the row table's int32 values
+and a one-byte mask span the table, 5 bytes an entry, and a loaded model
+holds 4.  Every span, those of runs the model does not use included, is
+read before the model is returned or an error raised.  Anything else -- a
+table written another way, a token that lands elsewhere or is dropped by a
+duplicate key, a span the model holds other than as a table, bad JSON,
+bytes that are not UTF-8 -- falls back to ``json`` on the whole text, so a
+model, or an error's code and message, is the same either way.
 
 The input digest is the sha256 of the canonical text of the payload as it
 was given, envelope unwrapped (see :class:`Model`): :func:`model_digest`
@@ -58,13 +58,11 @@ entries of type exactly ``int`` so ``true`` is refused, one int64
 conversion, a min/max range check) and, only when they fail, its scanner,
 which names the first bad row or entry.  ``comp`` and ``act``
 (``_ARRAY_TABLES``) may be lists, integer arrays, row tables or spans;
-:func:`_triples` checks them a block at a time with the same checker, so
-the first bad entry gives the same error, and passes the blocks to
-:meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`; a span's block
-whose largest value, read with its rows, is below every bound needs no
-check.  The model holds
-the groupoid or action itself (see :class:`Model`): it is built once, and
-the builds return it.
+:func:`_triples` checks every block of them, whatever its source, with the
+same checker, so the first bad entry gives the same error, and passes the
+blocks, int64, to :meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`.
+The model holds the groupoid or action itself (see :class:`Model`): it is
+built once, and the builds return it.
 """
 from __future__ import annotations
 
@@ -264,7 +262,7 @@ def canonical_pieces(obj: Any) -> Iterator[Any]:
         yield from obj.text()
         return
     if isinstance(obj, RowTable):  # its entries: the holes dropped
-        yield from _table_pieces(obj.triple_blocks())
+        yield from _table_pieces(obj.row_blocks())
         return
     try:
         yield _json(obj, _stop_at_array)
@@ -335,17 +333,14 @@ def _int_in(value: Any, low: int, high: int, where: str) -> int:
 
 
 def _in_range(arr: np.ndarray, high: Any) -> bool:
-    return not arr.size or (
-        arr.min() >= 0 and bool((arr.max(axis=0) < high).all()))
+    return not arr.size or (arr.min() >= 0 and bool((arr < high).all()))
 
 
 def _int_table(rows: Any, width: int, high: Any,
                scan: Callable[[list], Any]) -> np.ndarray:
     """The rows, each a list of ``width`` integers in ``[0, high)``
-    (``high`` may give one bound per column), as one int32 array, narrowed
-    once the range check passes: every bound is below ``2**31`` (model
-    sizes are below ``2**30``), so every entry in range fits.  An
-    ``(n, width)`` integer array is taken as it is.
+    (``high`` may give one bound per column), as one int64 array.  An
+    ``(n, width)`` integer array in range is returned as it is.
 
     The fast check reads the types and lengths of the rows and the types
     of their entries (exactly ``int``: numpy would read ``True`` as 1),
@@ -358,7 +353,7 @@ def _int_table(rows: Any, width: int, high: Any,
         if rows.ndim == 2 and rows.shape[1] == width \
                 and rows.dtype.kind in "iu":
             if _in_range(rows, high):
-                return rows.astype(np.int32, copy=False)
+                return rows
         rows = rows.tolist()
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
@@ -370,7 +365,7 @@ def _int_table(rows: Any, width: int, high: Any,
         arr = None
     if arr is None or not _in_range(arr, high):
         scan(rows)
-    return arr.astype(np.int32)
+    return arr
 
 
 def _scanner(where: str, width: int, high: Any, flat: bool = False,
@@ -409,31 +404,27 @@ def _triples(data: dict, key: str, where: str, high: Any, row: str = ""
              ) -> Callable[[], Iterator[np.ndarray]]:
     """Field ``key``, a table of ``[y, h, y . h]`` rows, as a block source
     for :meth:`RowTable._fill <gpdflow.groupoid.RowTable._fill>`: each
-    call reads it a block at a time, and :func:`_int_table` checks each
-    block, so the first bad entry raises the error :func:`_table` gives for
-    the whole table.  The table is a list of rows, an integer array, a row
-    table (as a ``*_to_json`` dict holds it) or a :class:`_Span` of the
-    input.  A span's block whose largest value, which :func:`_rows` found,
-    is below every bound is in range: it goes to the fill as it is, int64,
-    with no second check."""
+    call reads it a block at a time, and :func:`_int_table` checks every
+    block, whatever its source, so the first bad entry raises the error
+    :func:`_table` gives for the whole table.  The table is a list of rows,
+    an integer array, a row table (as a ``*_to_json`` dict holds it, read
+    by its :meth:`~gpdflow.groupoid.RowTable.row_blocks`) or a
+    :class:`_Span` of the input (read by its :meth:`~_Span.rows`)."""
     value, where = _need(data, key, where), f"{where}.{key}"
-    low = min(high) if isinstance(high, tuple) else high
     if isinstance(value, _Span):
-        rows = value.rows
-    elif isinstance(value, (RowTable, list, np.ndarray)):
-        source = value.triple_blocks if isinstance(value, RowTable) \
-            else functools.partial(blocks_of, value)
-        # no largest value known: each block is checked
-        rows = lambda: zip(source(), itertools.repeat(low))
+        source = value.rows
+    elif isinstance(value, RowTable):
+        source = value.row_blocks
+    elif isinstance(value, (list, np.ndarray)):
+        source = functools.partial(blocks_of, value)
     else:
         raise ModelError(BAD_INDEX, f"{where}: expected a list")
     scan = _scanner(where, 3, high, row=row)
 
     def blocks() -> Iterator[np.ndarray]:
         lo = 0
-        for block, top in rows():
-            yield block if top < low else _int_table(
-                block, 3, high, functools.partial(scan, lo=lo))
+        for block in source():
+            yield _int_table(block, 3, high, functools.partial(scan, lo=lo))
             lo += len(block)
     return blocks
 
@@ -569,8 +560,7 @@ def parse_model(data: Any) -> Model:
 
 
 _TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
-_CHUNK = 1 << 16  # bytes of input read at a time by the scan and the digest
-_BLOCK = 1 << 16  # bytes of table text read at a time by the fill
+_CHUNK = 1 << 16  # bytes read at a time by the scan, the fill and the digest
 # A table's span becomes the number token ``<i>e-0000000``: numbers cannot
 # be written with escapes, so no other token has that text when the text
 # around the tables has no ``e-0000000`` in it.  (Inside a table it makes
@@ -583,19 +573,18 @@ class _NotCanonical(Exception):
     """A table span is not the canonical text of its rows."""
 
 
-def _rows(buf: bytes, first: int, last: int
-          ) -> Optional[tuple[np.ndarray, int]]:
-    """The ``(k, 3)`` rows whose canonical text, its outer brackets
-    dropped, is exactly ``buf[first:last]``, and their largest value; or
-    None.
+def _rows(buf: bytes, first: int, last: int) -> Optional[np.ndarray]:
+    """The ``(k, 3)`` int64 rows whose canonical text, its outer brackets
+    dropped, is exactly ``buf[first:last]``; or None.
 
     numpy reads the numbers with the brackets dropped, and
     :func:`_table_bytes` of what it read must give back the text byte for
     byte: only then are the separators the ``,`` ``,`` ``],[`` cycle of
     rows of three, and every number is 1 to 10 digits without a leading
     zero, read as ``json`` reads it.  A value of ``2**31`` or more, which
-    no int32 table holds and no valid model has, gives None, so the
-    ``json`` path reads the input and raises its error.
+    no valid model has, gives None, so the ``json`` path reads the input
+    and raises its error.  Whether the rows are in range is not checked
+    here: :func:`_triples` checks them as it checks any other block.
     """
     with warnings.catch_warnings():
         # numpy before 2.3 warns on text it cannot read; later ones raise
@@ -605,14 +594,12 @@ def _rows(buf: bytes, first: int, last: int
                                    np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
-    if not values.size or values.size % 3 or values.min() < 0:
-        return None
-    top = int(values.max())
-    if top >= 1 << 31:
+    if not values.size or values.size % 3 or values.min() < 0 \
+            or values.max() >= 1 << 31:
         return None
     rows = values.reshape(-1, 3)
     text = _table_bytes(rows)
-    return (rows, top) if len(text) == last - first + 4 \
+    return rows if len(text) == last - first + 4 \
         and buf.startswith(text[2:-2], first) else None
 
 
@@ -663,10 +650,9 @@ class _Span:
     """A ``comp`` or ``act`` table as the input's bytes ``reader[start:end]``
     give it, from ``[[`` to the first ``]]``.  The reader is the input's
     bytes, or the :class:`_File` they are in; either way a span keeps only
-    its range, and reads the table again each time it is used: as
-    canonical text (see :func:`_rows`) ``_BLOCK`` bytes at a time until a
-    window of it is not, or as its bytes for the input digest ``_CHUNK``
-    bytes at a time."""
+    its range, and reads the table again, ``_CHUNK`` bytes at a time, each
+    time it is used: as canonical text (see :func:`_rows`) until a window
+    of it is not, or as its bytes for the input digest."""
 
     def __init__(self, reader: Any, start: int, end: int):
         self.reader, self.start, self.end = reader, start, end
@@ -676,20 +662,19 @@ class _Span:
         for at in range(self.start, self.end, _CHUNK):
             yield self.reader[at:min(at + _CHUNK, self.end)]
 
-    def rows(self) -> Iterator[tuple[np.ndarray, int]]:
-        """The rows as ``(k, 3)`` int64 arrays, with their largest value, a
-        window of ``_BLOCK`` bytes at a time: each window is cut after its
-        last full row and the rest carried into the next, so each byte is
-        read once.  Raises :class:`_NotCanonical` at the first block that is
-        not the canonical text of its rows, and for ``[[]]``, whose row is
-        empty."""
+    def rows(self) -> Iterator[np.ndarray]:
+        """The rows as ``(k, 3)`` int64 arrays, a window of ``_CHUNK``
+        bytes at a time: each window is cut after its last full row and the
+        rest carried into the next, so each byte is read once.  Raises
+        :class:`_NotCanonical` at the first block that is not the canonical
+        text of its rows, and for ``[[]]``, whose row is empty."""
         first, end = self.start + 2, self.end - 2
         if first >= end:
             raise _NotCanonical
         carry = b""
-        for at in range(first, end, _BLOCK):
-            window = carry + self.reader[at:min(at + _BLOCK, end)]
-            last = window.rfind(b"],[") if at + _BLOCK < end else len(window)
+        for at in range(first, end, _CHUNK):
+            window = carry + self.reader[at:min(at + _CHUNK, end)]
+            last = window.rfind(b"],[") if at + _CHUNK < end else len(window)
             if last >= 0:
                 found = _rows(window, 0, last)
                 if found is None:
@@ -699,17 +684,13 @@ class _Span:
             carry = window
         self.checked = True
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The rows of :meth:`rows`, block after block."""
-        return (rows for rows, _ in self.rows())
-
     def check(self) -> None:
         """Read every block, unless that was done; see :meth:`rows`."""
         if not self.checked:
             collections.deque(self.rows(), 0)
 
     def __repr__(self) -> str:  # as an error message shows the lists
-        return repr(np.concatenate(list(self.blocks())).tolist())
+        return repr(np.concatenate(list(self.rows())).tolist())
 
 
 def _scan(reader: Any) -> Optional[tuple[bytes, list[tuple[int, int]]]]:

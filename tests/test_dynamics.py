@@ -32,7 +32,7 @@ from gpdflow.dynamics import (
 )
 from gpdflow.ehresmann import fiber_chart_sigma, groupoid_of_bundle
 from gpdflow.groupoid import Groupoid, disjoint_union, normalize_groupoid, \
-    pair_groupoid, verify_groupoid
+    one_object_groupoid, pair_groupoid, verify_groupoid
 
 
 def transport(preset, graph, edge_labels):
@@ -153,7 +153,7 @@ def test_verify_action_duplicate_pair_is_structural():
 
 def test_verify_action_reports_a_broken_groupoid():
     gpd = z2_triangle_groupoid().groupoid
-    comp = gpd.comp_triples()
+    comp = gpd.triples()
     i = next(i for i, (g, h, gh) in enumerate(comp)
              if min(g, h) >= gpd.n_objects and h != gpd.inverse(g))
     g, h, gh = comp[i]
@@ -381,6 +381,20 @@ def test_enumeration_matches_brute_force():
         assert sorted(listed) == sorted(brute_force_equivariant_maps(ambit, target))
 
 
+def test_enumeration_lists_a_map_once_on_a_target_that_moves_by_the_unit():
+    """On a target where the unit moves point 1 to point 2, the candidate
+    built from point 1 is the map built from point 2: it is listed once,
+    for the point the unit goes to, as the brute force finds it."""
+    gpd = one_object_groupoid(preset_group("Z2"))
+    ambit = build_ambit(gpd, x0=0)
+    target = GroupoidAction.from_triples(
+        gpd, 3, [0, 0, 0],
+        [[0, 0, 0], [0, 1, 1], [1, 0, 2], [1, 1, 2], [2, 0, 2], [2, 1, 2]])
+    assert verify_action(target).failure == "action unit law"
+    maps = [m.values for m in enumerate_equivariant_maps(ambit, target)]
+    assert maps == brute_force_equivariant_maps(ambit, target) == [[2, 2]]
+
+
 def test_enumeration_counts():
     gpd = z2_triangle_groupoid().groupoid
     ambit = build_ambit(gpd, x0=0)
@@ -488,7 +502,7 @@ def test_action_failing_a_scan_keeps_the_failure_as_its_flaw(case):
         expected = ("anchor out of range", (1, 5))
     else:
         bad = Groupoid.from_tables(2, g.src, g.tgt, g.unit, [0, 1, 9, 2],
-                                   g.comp_triples())
+                                   g.triples())
         a = GroupoidAction.from_triples(bad, 2, [0, 1], [[0, 0, 0]])
         expected = ("inv index out of range", (2, 9))
         assert bad.flaw == a.flaw

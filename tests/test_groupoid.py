@@ -106,7 +106,7 @@ def test_remapped_unit_fails_unit_law():
 def test_comp_on_non_composable_pair_is_structural():
     g = pair_groupoid(2)
     # arrow 2 is (0, 1) and arrow 0 is (0, 0): tgt(2) = 1 != 0 = src(0)
-    triples = [(gg, hh, vv) for gg, hh, vv in g.comp_triples()] + [(2, 0, 2)]
+    triples = [(gg, hh, vv) for gg, hh, vv in g.triples()] + [(2, 0, 2)]
     broken = Groupoid.from_tables(2, g.src, g.tgt, g.unit, g.inv, triples)
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
@@ -116,7 +116,7 @@ def test_comp_on_non_composable_pair_is_structural():
 
 def test_missing_comp_entry_is_structural():
     g = pair_groupoid(2)
-    triples = g.comp_triples()[:-1]
+    triples = g.triples()[:-1]
     broken = Groupoid.from_tables(2, g.src, g.tgt, g.unit, g.inv, triples)
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
@@ -126,7 +126,7 @@ def test_missing_comp_entry_is_structural():
 
 def test_duplicate_comp_pair_is_structural():
     g = pair_groupoid(2)
-    triples = g.comp_triples() + [g.comp_triples()[0]]
+    triples = g.triples() + [g.triples()[0]]
     broken = Groupoid.from_tables(2, g.src, g.tgt, g.unit, g.inv, triples)
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
@@ -233,7 +233,7 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
     monkeypatch.setattr(groupoid_module, "_BLOCK", block)
     out, perm = normalize_groupoid(mixed)
     assert perm == expected[1]
-    assert out.comp_triples() == expected[0].comp_triples()
+    assert out.triples() == expected[0].triples()
     assert (out.src.tolist(), out.tgt.tolist(), out.inv.tolist()) == \
         (expected[0].src.tolist(), expected[0].tgt.tolist(),
          expected[0].inv.tolist())
@@ -315,7 +315,7 @@ def test_broken_associativity_detected_by_both_strategies():
     test oracle both reject the table, and the engine's witness breaks the
     law."""
     g = one_object_groupoid(preset_group("Z4"))
-    comp = {(a, b): v for a, b, v in g.comp_triples()}
+    comp = {(a, b): v for a, b, v in g.triples()}
     comp[(1, 1)] = 3  # leaves unit and inverse laws intact
     broken = Groupoid.from_tables(1, g.src, g.tgt, g.unit, g.inv, comp)
     diag = verify_groupoid(broken)
@@ -572,7 +572,7 @@ def test_iso_reports_a_table_flaw_before_the_rows():
     g = pair_groupoid(2)
     holed = Groupoid.from_tables(
         2, g.src, g.tgt, g.unit, g.inv,
-        [t for t in g.comp_triples() if t != [1, 3, 3]])
+        [t for t in g.triples() if t != [1, 3, 3]])
     for g1, g2 in ((holed, g), (g, holed)):
         diag = verify_groupoid_iso(g1, g2, [0, 1], [0, 1, 2, 3])
         assert diag is holed.flaw

@@ -7,22 +7,31 @@ swapped for another with the same endpoints, so every structural check
 still passes) must each come back as a law violation whose witness the
 oracle confirms, and the oracle must agree that the table is broken.  A
 seeded fuzz of one to three such edits, on matrix groupoids, relabelled
-copies and a disjoint union, asks for the same verdict as the oracle.
+copies and a disjoint union, asks for the same verdict as the oracle, and
+so does an anchor moved within an orbit.  On small edited actions the
+equivariant maps out of the ambit and the invariant sections are those of
+the brute enumerations.
 """
 import random
 
+import numpy as np
 import pytest
 
+from gpdflow.amenability import invariant_sections
 from gpdflow.dynamics import GroupoidAction, base_action, build_ambit, \
-    verify_action
+    disjoint_union_actions, enumerate_equivariant_maps, verify_action
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import matrix_bundle, matrix_bundles, named_bundles
 from gpdflow.groupoid import Groupoid, disjoint_union, is_transitive, \
     verify_groupoid
 from gpdflow.serialize import action_to_json, groupoid_to_json
 
+from test_amenability import brute_sections
+from test_dynamics import brute_force_equivariant_maps
+
 from law_oracle import action_law_broken, brute_action_violation, \
-    brute_groupoid_violation, groupoid_law_broken, relabelled
+    brute_groupoid_violation, groupoid_law_broken, relabelled, \
+    whole_table_fill
 
 GROUPOID_LAWS = ("unit law", "inverse law", "associativity")
 ACTION_LAWS = ("action unit law", "action associativity")
@@ -46,7 +55,7 @@ def test_seeded_comp_corruptions_are_law_violations(name):
     gpd = groupoid_of_bundle(named_bundles()[name]).groupoid
     rng = random.Random(name)
     for _ in range(25):
-        comp = gpd.comp_triples()
+        comp = gpd.triples()
         i = rng.randrange(len(comp))
         g, h, gh = comp[i]
         others = [c for c in gpd.hom(int(gpd.src[g]), int(gpd.tgt[h]))
@@ -126,9 +135,9 @@ def test_verdicts_agree_with_brute_force_on_seeded_edits():
     for name, gpd in _fuzz_groupoids(rng):
         a = build_ambit(gpd, 0).action if is_transitive(gpd)[0] else \
             GroupoidAction.from_triples(gpd, gpd.n_arrows, gpd.tgt,
-                                        gpd.comp_triples())
+                                        gpd.triples())
         for case in range(16):
-            comp = _edit(gpd.comp_triples(), lambda t: gpd.hom(
+            comp = _edit(gpd.triples(), lambda t: gpd.hom(
                 int(gpd.src[t[0]]), int(gpd.tgt[t[1]])), rng)
             broken = Groupoid.from_tables(gpd.n_objects, gpd.src, gpd.tgt,
                                           gpd.unit, gpd.inv, comp)
@@ -145,3 +154,108 @@ def test_verdicts_agree_with_brute_force_on_seeded_edits():
                           action_law_broken, (name, "act", case))
             verdicts.add(diag.ok)
     assert verdicts == {True, False}
+
+
+def _anchor_moved(a, rng):
+    """``a`` with one seeded point's anchor moved to another object of its
+    orbit, and the triples laid out again for the new anchor: an entry
+    whose value still lies over its arrow's target is kept, any other is
+    drawn from that fiber.  None when the point's orbit has one object, or
+    when a fiber it leaves has no other point."""
+    gpd = a.gpd
+    y = rng.randrange(a.n_points)
+    near = sorted(set(gpd.tgt[gpd.arrows_from(int(a.anchor[y]))].tolist())
+                  - {int(a.anchor[y])})
+    if not near:
+        return None
+    anchor = a.anchor.copy()
+    anchor[y] = rng.choice(near)
+    old = {(w, g): z for w, g, z in a.triples()}
+    triples = []
+    for w in range(a.n_points):
+        for g in gpd.arrows_from(int(anchor[w])).tolist():
+            fiber = np.flatnonzero(anchor == gpd.tgt[g]).tolist()
+            if not fiber:
+                return None
+            z = old.get((w, g))
+            if z is None or anchor[z] != gpd.tgt[g]:
+                z = rng.choice(fiber)
+            triples.append([w, g, z])
+    return GroupoidAction.from_triples(gpd, a.n_points, anchor, triples)
+
+
+def test_verdicts_agree_when_an_anchor_moves_within_an_orbit():
+    """An action's anchor edited at one point, to another object of the
+    point's orbit: kept with the old triples, the table's flaw is the one
+    the whole-table fill picks; laid out again, the verdict is the brute
+    scan's.  The ambit, and the regular action where the groupoid is not
+    transitive, 12 cases each."""
+    rng = random.Random("anchor moves")
+    failures, moved = set(), 0
+    for name, gpd in _fuzz_groupoids(rng):
+        a = build_ambit(gpd, 0).action if is_transitive(gpd)[0] else \
+            GroupoidAction.from_triples(gpd, gpd.n_arrows, gpd.tgt,
+                                        gpd.triples())
+        for case in range(12):
+            edited = _anchor_moved(a, rng)
+            if edited is None:  # a one-object orbit, as on a wedge
+                continue
+            moved += 1
+            stale = GroupoidAction.from_triples(gpd, a.n_points,
+                                                edited.anchor, a.triples())
+            _, _, flaw = whole_table_fill(stale, a.triples())
+            diag = verify_action(stale)
+            assert (diag.failure, diag.witness, diag.structural) == \
+                flaw[:3], (name, case)
+            diag = verify_action(edited)
+            _same_verdict(diag, action_to_json(edited), brute_action_violation,
+                          action_law_broken, (name, "anchor", case))
+            failures.add(diag.failure)
+    assert failures == set(ACTION_LAWS), failures
+
+
+def test_maps_and_sections_agree_with_brute_force_on_edited_actions():
+    """The equivariant maps out of the ambit into an edited action, and the
+    edited action's invariant sections, against the brute enumerations of
+    ``test_dynamics`` and ``test_amenability``.  The action is the ambit,
+    or the ambit beside the base action (which has a section), of a small
+    transitive groupoid, edited at one to three entries within fibers or
+    at one point's anchor: 8 cases each.  An action that breaks its laws
+    may make the sections raise; one that keeps them may not."""
+    rng = random.Random("maps and sections")
+    seen = set()
+    for name in ("Z2/triangle", "Z2/path3", "Z2/wedge2", "Z4/wedge2"):
+        gpd = groupoid_of_bundle(matrix_bundle(*name.split("/"))).groupoid
+        ambit = build_ambit(gpd, 0)
+        for a in (ambit.action,
+                  disjoint_union_actions(ambit.action, base_action(gpd))):
+            for case in range(8):
+                if case % 2:
+                    edited = _anchor_moved(a, rng)
+                    if edited is None:  # a wedge has one object
+                        continue
+                else:
+                    act = _edit(a.triples(),
+                                lambda t: a.fiber(int(a.anchor[t[2]])), rng)
+                    edited = GroupoidAction.from_triples(gpd, a.n_points,
+                                                         a.anchor, act)
+                where = (name, a.n_points, case)
+                maps = [m.values for m in
+                        enumerate_equivariant_maps(ambit, edited)]
+                assert sorted(maps) == \
+                    sorted(brute_force_equivariant_maps(ambit, edited)), where
+                lawful = verify_action(edited).ok
+                assert lawful == \
+                    (brute_action_violation(action_to_json(edited)) is None)
+                try:
+                    sections = [s.values for s in
+                                invariant_sections(edited, 0)]
+                except (ValueError, AssertionError):
+                    assert not lawful, where
+                    sections = "raised"
+                else:
+                    assert sorted(sections) == brute_sections(edited), where
+                    sections = bool(sections)
+                seen.add((lawful, bool(maps), sections))
+    assert {(True, True, True), (True, True, False), (False, True, True),
+            (False, False, False), (False, True, "raised")} <= seen, seen

@@ -10,6 +10,7 @@ code and message of every case of a wider seeded corpus are pinned in
 ``golden/load_errors.json``.
 """
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -247,14 +248,32 @@ def test_builds_from_arrays_match_builds_from_lists():
 def test_an_act_table_over_a_flawed_groupoid_is_checked_whole():
     """No entry of an action table is placed over a groupoid whose table
     has a flaw, yet each of its entries is checked: a value out of range
-    in its last row is the load error, as a list or an array."""
+    in its last row is the load error, with the table given as a list, an
+    array, a span of the canonical text or a row table; the clean table
+    gives the same model from each."""
     ambit = _models()["ambit"]
+    clean = parse_model(ambit).data["act"]
     ambit["groupoid"]["comp"] = _flawed(ambit["groupoid"]["comp"])
     assert parse_model(ambit).data["groupoid"]["comp"].flaw is not None
     last, space = len(ambit["act"]) - 1, ambit["space"]
-    ambit["act"][last][2] = space
-    for act in (ambit["act"], np.array(ambit["act"])):
-        assert _load_error(dict(ambit, act=act)) == (
+
+    def sources(act: list, table: GroupoidAction) -> list[dict]:
+        spanned, _ = serialize._span_json(
+            canonical_dumps(dict(ambit, act=act)).encode())
+        assert isinstance(spanned["act"], serialize._Span)
+        return [dict(ambit, act=act), dict(ambit, act=np.array(act)),
+                spanned, dict(ambit, act=table)]
+
+    models = [parse_model(data) for data in sources(ambit["act"], clean)]
+    assert len({(canonical_dumps(model.data), model.digest,
+                 model.data["act"].val.tobytes(),
+                 repr(model.data["act"].flaw)) for model in models}) == 1
+    act = copy.deepcopy(ambit["act"])
+    act[last][2] = space
+    table = dataclasses.replace(clean, val=clean.val.copy())
+    table.val[-1] = space
+    for data in sources(act, table):
+        assert _load_error(data) == (
             serialize.BAD_INDEX, f"action.act[{last}][2]: {space} outside "
             f"range [0, {space})")
 
@@ -439,7 +458,7 @@ def _plain_json(obj) -> str:
         if isinstance(value, np.ndarray):
             return value.tolist()
         if isinstance(value, serialize._Span):
-            return np.concatenate(list(value.blocks())).tolist()
+            return np.concatenate(list(value.rows())).tolist()
         return value.triples() if isinstance(value, RowTable) else int(value)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=plain)
@@ -517,8 +536,7 @@ def test_pieces_join_to_json_at_every_block_size(rows, monkeypatch):
         for table in _row_tables(report):
             pieces = list(serialize.canonical_pieces(table))
             assert "".join(pieces) == _plain_json(table)
-            blocks = sum(bool((values >= 0).any())
-                         for _, _, values in table.row_blocks())
+            blocks = sum(len(block) > 0 for block in table.row_blocks())
             assert len(pieces) == max(blocks, 1)
             tables += blocks > 1
     assert tables
@@ -650,18 +668,16 @@ def _fixture_texts() -> list[str]:
     return list(texts)
 
 
-# bytes of table text filled at a time, and in the differentials that read
-# from a path bytes of input scanned and hashed at a time too: the former 1
-# MB and 256 KB defaults, the default, and small enough that block ends
-# fall all over each table, and every table key and token mark (9 bytes)
-# straddles two chunks
-BLOCKS = [1 << 20, 1 << 18, serialize._BLOCK, 8]
+# bytes of input scanned, filled and hashed at a time: the former 1 MB and
+# 256 KB defaults, the default, and small enough that block ends fall all
+# over each table, and every table key and token mark (9 bytes) straddles
+# two chunks
+BLOCKS = [1 << 20, 1 << 18, serialize._CHUNK, 8]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_decode_agrees_with_json_on_fixture_texts(block, tmp_path,
                                                   monkeypatch):
-    monkeypatch.setattr(serialize, "_BLOCK", block)
     monkeypatch.setattr(serialize, "_CHUNK", block)
     spans = 0
     for text in _fixture_texts():
@@ -741,7 +757,6 @@ def test_decode_agrees_with_json_on_mutated_text(mutation, block, tmp_path,
     equals the oracle's, model or (code, message), and every edit that
     leaves a table not canonical, or a table's token anywhere but as the
     value of a ``comp`` or ``act`` key, is read by ``json`` whole."""
-    monkeypatch.setattr(serialize, "_BLOCK", block)
     monkeypatch.setattr(serialize, "_CHUNK", block)
     edit, may_decode = TEXT_MUTATIONS[mutation]
     for command in ("groupoidify", "ambit"):
@@ -929,7 +944,7 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
     digest (hashed from the input's bytes where a table was decoded from
     them) equal the oracle's, with the decode taken on some inputs and not
     on others."""
-    monkeypatch.setattr(serialize, "_BLOCK", block)
+    monkeypatch.setattr(serialize, "_CHUNK", block)
     texts = _fixture_texts()
     for command in ("groupoidify", "ambit"):
         report = canonical_dumps(run_command(command,
