@@ -117,9 +117,10 @@ def invariant_sections(a: GroupoidAction, x0: int = 0
     ``x'`` to ``z . g`` for the least-index arrow ``g: x0 -> x'``, and the
     finished section is verified against every arrow of the groupoid, which
     covers every other connecting arrow.  So the list holds exactly one
-    section per fixed point, in fiber order, or this raises.  On spaces of
-    at most ``_CROSSCHECK_POINTS`` points the list is additionally compared
-    with a brute-force enumeration of all anchor-respecting assignments.
+    section per fixed point, in fiber order, or this raises ``ValueError``,
+    as on an action that breaks its laws.  On spaces of at most
+    ``_CROSSCHECK_POINTS`` points the list is additionally compared with a
+    brute-force enumeration of all anchor-respecting assignments.
     """
     gpd = a.gpd
     ok, witness = is_transitive(gpd)
@@ -134,8 +135,9 @@ def invariant_sections(a: GroupoidAction, x0: int = 0
     for z in fixed:
         values = [a.move(z, gpd.hom(x0, x)[0]) for x in range(gpd.n_objects)]
         diag = verify_invariant_section(a, values)
-        if not diag.ok:  # pragma: no cover - forced by the fixed-point law
-            raise AssertionError(f"constructed section fails: {diag.failure}")
+        if not diag.ok:  # the action breaks its laws off the fiber
+            raise ValueError(f"constructed section fails: {diag.failure} "
+                             f"{diag.witness}")
         sections.append(InvariantSection(basepoint=x0, fixed_point=z,
                                          values=values))
 

@@ -131,7 +131,7 @@ def verify_action(a: GroupoidAction) -> Diagnostics:
     if hit is not None:
         return Diagnostics.failed("anchor compatibility", hit[:2])
     points = np.arange(n)
-    moved, _ = a.move_many(points, gpd.unit[a.anchor])
+    moved = a._at(points, gpd.unit[a.anchor])
     if bool((moved != points).any()):
         return Diagnostics.failed("action unit law",
                                   (int(np.argmax(moved != points)),))

@@ -102,12 +102,16 @@ class RowTable:
             else np.full(at.shape, -1, dtype=np.int64)
         return out, out >= 0
 
+    def _at(self, ys, hs) -> np.ndarray:
+        """``y . h`` read from the rows, unchecked: each pair is defined."""
+        return self.val[self.row_off[ys] + self.gpd.out_pos[hs]]
+
     def _lookup(self, y: int, h: int) -> int:
         gpd = self.gpd
         if not (0 <= y < self.anchor.shape[0] and 0 <= h < gpd.n_arrows) \
                 or self.anchor[y] != gpd.src[h]:
             return -1
-        return int(self.val[self.row_off[y] + gpd.out_pos[h]])
+        return int(self._at(y, h))
 
     def move(self, y: int, h: int) -> int:
         z = self._lookup(y, h)
@@ -179,8 +183,8 @@ class RowTable:
         for t in (self, target):
             if t.flaw is not None:
                 return t.flaw
-        hit = self.first_entry(lambda ys, hs, val: target.move_many(
-            point_map[ys], arrow_map[hs])[0] != point_map[val])
+        hit = self.first_entry(lambda ys, hs, val: target._at(
+            point_map[ys], arrow_map[hs]) != point_map[val])
         return None if hit is None else Diagnostics.failed(failure, hit[:2])
 
     def pairs_at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +218,9 @@ class RowTable:
         triple on a tie, kept as a running least per kind over the blocks.
         Then the first pair in row order that has no entry.  Every flaw is
         structural, labelled by the class's ``_FLAW_LABELS``.  The fill
-        allocates only ``val`` (int32), the one-byte mask of the entries
-        placed, and per-block temporaries.
+        allocates only ``val`` (int32), where -1 marks a pair not placed (a
+        value written out of range is a flaw that outranks the others), and
+        per-block temporaries.
         """
         gpd, anchor, n = self.gpd, self.anchor, self.anchor.shape[0]
         if not callable(triples):
@@ -226,7 +231,6 @@ class RowTable:
         self.row_off = np.concatenate(
             ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
         self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int32)
-        seen = np.zeros(self.val.shape, dtype=bool)
         least: list[Optional[tuple[int, int, int]]] = [None] * 4
         for block in triples():
             y, h, z = block.astype(np.int64, copy=False).T
@@ -234,13 +238,12 @@ class RowTable:
             on = ~index
             on[on] = anchor[y[on]] == gpd.src[h[on]]
             pos = self.row_off[y[on]] + gpd.out_pos[h[on]]
-            # a pair placed before, earlier in the block or in an earlier one
-            order = np.argsort(pos, kind="stable")
-            again = np.zeros(pos.shape, dtype=bool)
-            again[order[1:]] = pos[order[1:]] == pos[order[:-1]]
+            # a pair placed in an earlier block, or twice in this one: each
+            # copy writes its index, and all but one read another's back
             dup = np.zeros(len(block), dtype=bool)
-            dup[on] = again | seen[pos]
-            seen[pos] = True
+            dup[on] = self.val[pos] >= 0
+            self.val[pos] = np.arange(pos.size, dtype=np.int32)
+            dup[on] |= self.val[pos] != np.arange(pos.size)
             self.val[pos] = z[on]
             for kind, mask in enumerate((index, (z < 0) | (z >= n), dup,
                                          ~(index | on))):
@@ -257,8 +260,8 @@ class RowTable:
                 return Diagnostics.failed(labels[kind],
                                           hit[:3 if kind == 1 else 2],
                                           structural=True)
-        if not bool(seen.all()):
-            ys, hs = self.pairs_at(np.argmin(seen)[None])
+        if self.val.size and int(self.val.min()) < 0:
+            ys, hs = self.pairs_at(np.argmin(self.val)[None])
             return Diagnostics.failed(
                 labels[3], (int(ys[0]), int(hs[0])), structural=True,
                 detail="missing entry on a composable pair")
@@ -280,24 +283,18 @@ class RowTable:
         every arrow is a product of generators.  On the regular action that
         step is the law itself for ``g2``; any other action needs the
         groupoid verified first.  Unit, domain, endpoint and anchor laws
-        must hold already.
+        must hold already, and the table must have no hole: both sides are
+        read from the rows, ``y . (b . h)`` through row ``b``.
         """
         gpd = self.gpd
         gens = gpd.generators
         for b in gens:
-            ys = np.flatnonzero(self.anchor == gpd.src[b])
+            ys = np.flatnonzero(self.anchor == gpd.src[b])[:, None]
             hs = gpd.arrows_from(int(gpd.tgt[b]))
-            yb, _ = self.move_many(ys, np.full(ys.shape, b))
-            bh, _ = gpd.try_compose_many(np.full(hs.shape, b), hs)
-            left, _ = self.move_many(np.repeat(yb, hs.size),
-                                     np.tile(hs, ys.size))
-            right, _ = self.move_many(np.repeat(ys, hs.size),
-                                      np.tile(bh, ys.size))
-            miss = left != right
+            miss = self._at(self._at(ys, b), hs) != self._at(ys, gpd.row(b))
             if bool(miss.any()):
-                i = int(np.argmax(miss))
-                return (int(ys[i // hs.size]), b, int(hs[i % hs.size])), \
-                    len(gens)
+                y, h = divmod(int(np.argmax(miss)), hs.size)
+                return (int(ys[y, 0]), b, int(hs[h])), len(gens)
         return None, len(gens)
 
 
@@ -378,7 +375,9 @@ class Groupoid(RowTable):
         one, then, while the closure of the units under right multiplication
         misses an arrow, the least it misses.  The closure only grows: an
         arrow it gains is multiplied by every generator, the arrows it holds
-        by each generator adjoined.  Precondition: the table is whole."""
+        by each generator adjoined.  Precondition: the table is whole.  An
+        arrow adjoined and still missed means the units do not absorb it,
+        and raises ``ValueError``."""
         k, m = self.n_arrows, self.n_objects
         cycle = self.tgt == (self.src + 1) % max(m, 2)  # one object: no loop
         least = np.full(m, k)
@@ -395,7 +394,11 @@ class Groupoid(RowTable):
             if not new.size:
                 if reached.all():
                     return gens
-                gens.append(int(np.argmin(reached)))
+                g = int(np.argmin(reached))
+                if g in gens:
+                    raise ValueError(f"generator {g} is not reached: the "
+                                     "units do not absorb it")
+                gens.append(g)
                 new, by = np.flatnonzero(reached), gens[-1:]
 
     # --- index helpers -----------------------------------------------------
@@ -484,6 +487,8 @@ def _all_distinct(arr: np.ndarray) -> bool:
 
 
 def _unit_scan(g: Groupoid) -> Optional[Diagnostics]:
+    """Each unit's endpoints, then left and right absorption, read from
+    the rows unchecked once the endpoints make every pair composable."""
     m = g.n_objects
     xs = np.arange(m)
     u = g.unit
@@ -492,12 +497,11 @@ def _unit_scan(g: Groupoid) -> Optional[Diagnostics]:
         x = int(np.argmax(misplaced))
         return Diagnostics.failed("unit law", (int(u[x]),),
                                   detail=f"unit of object {x} has wrong endpoints")
-    # so src[unit[x]] == x: the units are distinct.  Every pair looked up
-    # from here on is composable, and the table is whole
+    # so src[unit[x]] == x: the units are distinct, and the table is whole
     arrows = np.arange(g.n_arrows)
     for side, (gs, hs) in (("left", (u[g.src], arrows)),
                            ("right", (arrows, u[g.tgt]))):
-        bad = g.try_compose_many(gs, hs)[0] != arrows
+        bad = g._at(gs, hs) != arrows
         if bool(bad.any()):
             return Diagnostics.failed("unit law", (int(np.argmax(bad)),),
                                       detail=f"{side} unit absorption")
@@ -517,7 +521,7 @@ def _inverse_scan(g: Groupoid) -> Optional[Diagnostics]:
     for gs, hs, want, detail in (
             (arrows, g.inv, g.unit[g.src], "g . inv(g) != unit(src(g))"),
             (g.inv, arrows, g.unit[g.tgt], "inv(g) . g != unit(tgt(g))")):
-        bad = g.try_compose_many(gs, hs)[0] != want
+        bad = g._at(gs, hs) != want
         if bool(bad.any()):
             return Diagnostics.failed("inverse law", (int(np.argmax(bad)),),
                                       detail=detail)

@@ -32,9 +32,9 @@ span into its row table, ``_CHUNK`` bytes of text at a time:
 ``np.fromstring`` reads the numbers, and a block is taken only when
 :func:`_table_bytes` of them gives back its bytes exactly.  So neither the
 input nor an ``(n, 3)`` array is held: only the row table's int32 values
-and a one-byte mask span the table, 5 bytes an entry, and a loaded model
-holds 4.  Every span, those of runs the model does not use included, is
-read before the model is returned or an error raised.  Anything else -- a
+span the table, 4 bytes an entry, while it loads as once it is loaded.
+Every span, those of runs the model does not use included, is read
+before the model is returned or an error raised.  Anything else -- a
 table written another way, a token that lands elsewhere or is dropped by a
 duplicate key, a span the model holds other than as a table, bad JSON,
 bytes that are not UTF-8 -- falls back to ``json`` on the whole text, so a

@@ -425,7 +425,8 @@ def test_enumeration_verifies_each_map_once(monkeypatch):
 def test_enumeration_drops_the_maps_into_a_lawless_target():
     """Two same-fiber values swapped in row 1 break the unit law: no
     candidate verifies, so the list is empty, where the universal map of
-    any fiber point raises."""
+    any fiber point raises.  A target whose anchor failed before its rows
+    were filled gives no candidate either, and does not raise."""
     ambit = edge_s3_ambit()
     a = ambit.action
     triples = a.triples()
@@ -437,6 +438,10 @@ def test_enumeration_drops_the_maps_into_a_lawless_target():
     assert enumerate_equivariant_maps(ambit, lawless) == []
     with pytest.raises(AssertionError, match="not equivariant"):
         universal_map(lawless, ambit, ambit.u0)
+    unfilled = GroupoidAction.from_triples(
+        a.gpd, a.n_points, [*a.anchor[:-1], a.gpd.n_objects], triples)
+    assert unfilled.flaw.failure == "anchor out of range"
+    assert enumerate_equivariant_maps(ambit, unfilled) == []
 
 
 def test_verify_equivariant_map_failures():

@@ -965,9 +965,9 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
 def test_decode_takes_the_table_and_one_block_of_temporaries():
     """Filling a 72,000-entry ``comp`` table from its span (about 1 MB of
     text, 15 blocks) allocates, over the input bytes, the row table's
-    values (int32) and mask of the entries placed, 5 bytes an entry, and a
-    fixed slack for one block's temporaries and the rest of the model: no
-    ``(n, 3)`` array of the triples (12 bytes a triple as int32)."""
+    values (int32), 4 bytes an entry, and a fixed slack for one block's
+    temporaries and the rest of the model: no ``(n, 3)`` array of the
+    triples (12 bytes a triple as int32)."""
     gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
     raw = canonical_dumps(serialize.groupoid_to_json(gpd)).encode()
     data, spans = serialize._span_json(raw)
@@ -981,7 +981,7 @@ def test_decode_takes_the_table_and_one_block_of_temporaries():
     comp = model.data["comp"]
     assert comp.val.size == 72_000 and comp.flaw is None
     assert np.array_equal(comp.val, gpd.val)
-    assert peak < 5 * comp.val.size + (3 << 19), peak
+    assert peak < 4 * comp.val.size + (3 << 19), peak
 
 
 def _medium_transport():
@@ -1034,12 +1034,12 @@ def test_a_loaded_report_holds_four_bytes_an_entry(tmp_path):
     assert held < 4 * comp.val.size + (512 << 10), held
 
 
-def test_loading_a_report_peaks_at_its_bytes_and_five_bytes_an_entry(
+def test_loading_a_report_peaks_at_its_bytes_and_four_bytes_an_entry(
         tmp_path):
     """Loading that report peaks below the input's bytes, the row table's
-    values and its mask of entries placed (5 bytes an entry), and a fixed
-    slack for one block's temporaries and the rest of the model: neither
-    an ``(n, 3)`` table nor a mask over the triples is made."""
+    values (4 bytes an entry), and a fixed slack for one block's
+    temporaries and the rest of the model: neither an ``(n, 3)`` table nor
+    a mask over the triples or the entries is made."""
     path = _medium_report(tmp_path)
     tracemalloc.start()
     try:
@@ -1049,7 +1049,7 @@ def test_loading_a_report_peaks_at_its_bytes_and_five_bytes_an_entry(
         tracemalloc.stop()
     entries = model.data["comp"].val.size
     assert entries == 124_416
-    assert peak < path.stat().st_size + 5 * entries + (2 << 20), peak
+    assert peak < path.stat().st_size + 4 * entries + (2 << 20), peak
 
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
@@ -1074,10 +1074,10 @@ def test_decode_agrees_with_json_on_crlf_line_ends(stdin, tmp_path,
 def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
                                                          monkeypatch):
     """Loading that report from a path, its table read back from the file,
-    peaks below the row table's values and mask (5 bytes an entry) and a
-    fixed slack smaller than the file: no copy of the input is held.  From
-    a stream of its bytes on stdin, read whole, it peaks below the bound
-    that counts them."""
+    peaks below the row table's values (4 bytes an entry) and a fixed
+    slack smaller than the file: no copy of the input is held.  From a
+    stream of its bytes on stdin, read whole, it peaks below the bound that
+    counts them."""
     path = _medium_report(tmp_path)
     size = path.stat().st_size
     assert size > 3 << 19
@@ -1093,7 +1093,7 @@ def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
             tracemalloc.stop()
         entries = model.data["comp"].val.size
         assert entries == 124_416
-        assert peak < held + 5 * entries + slack, (stdin, peak)
+        assert peak < held + 4 * entries + slack, (stdin, peak)
 
 
 def _report_bytes() -> bytes:
