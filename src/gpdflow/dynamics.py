@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import FiniteGroup, find_group_isomorphism, verify_group
 from .diagnostics import Diagnostics
 from .groupoid import Groupoid, RowTable, _require_whole, _structural_scan, \
-    is_transitive, verify_groupoid, vertex_group
+    is_transitive, val_width, verify_groupoid, vertex_group
 
 __all__ = [
     "GroupoidAction",
@@ -158,7 +158,8 @@ def disjoint_union_actions(a1: GroupoidAction,
     return GroupoidAction(
         a1.gpd, shift + a2.n_points, np.concatenate([a1.anchor, a2.anchor]),
         np.concatenate([a1.row_off[:-1], a2.row_off + a1.row_off[-1]]),
-        np.concatenate([a1.val, a2.val + shift]))
+        # widened first: an int16 value plus shift would wrap
+        np.concatenate([a1.val, a2.val.astype(np.int32) + shift]))
 
 
 def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
@@ -174,7 +175,7 @@ def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
     twice = np.bincount(pts, minlength=n)[pts] > 1
     if bool(twice.any()):
         raise ValueError(f"point {pts[np.argmax(twice)]} given twice")
-    index = np.full(n, -1, dtype=np.int64)
+    index = np.full(n, -1, dtype=val_width(pts.shape[0], a.gpd.n_arrows))
     index[pts] = np.arange(pts.shape[0])
     lens = np.diff(a.row_off)[pts]
     row_off = np.concatenate(([0], np.cumsum(lens)))
@@ -322,6 +323,9 @@ def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
         return Diagnostics.failed("value count mismatch",
                                   (len(m.values), m.source.n_points),
                                   structural=True)
+    for t in (m.source, m.target):  # the loop below reads their anchors
+        if t.flaw is not None:
+            return t.flaw
     for y, z in enumerate(m.values):
         if not (0 <= z < m.target.n_points):
             return Diagnostics.failed("value out of range", (y, z),

@@ -38,6 +38,7 @@ from .groupoid import (
     Groupoid,
     HomSet,
     one_object_groupoid,
+    val_width,
     verify_groupoid_iso,
     vertex_group,
 )
@@ -131,7 +132,7 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
 
     # row g holds g . h for the m * n arrows h out of tgt(g)
     row_off = np.arange(k + 1, dtype=np.int64) * (m * n)
-    val = np.empty(k * m * n, dtype=np.int32)
+    val = np.empty(k * m * n, dtype=val_width(k, k))
     for w in range(m):
         ins = np.flatnonzero(w_of == w)
         outs = np.flatnonzero(v_of == w)  # ascending, as rows are laid out

@@ -23,6 +23,7 @@ constructors in this package produce normalized groupoids and
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, \
@@ -63,6 +64,13 @@ def blocks_of(rows) -> Iterator:
     return (rows[lo:lo + _BLOCK] for lo in range(0, len(rows), _BLOCK))
 
 
+def val_width(n_points: int, n_arrows: int) -> type:
+    """The dtype of a row table's values: int16 when its points and its
+    groupoid's arrows are both fewer than ``2**15``, so that every value,
+    the hole marker -1 and every row's length fit, else int32."""
+    return np.int16 if max(n_points, n_arrows) < 1 << 15 else np.int32
+
+
 class RowTable:
     """A right action of a groupoid on points, stored as rows: row ``y``
     starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
@@ -76,8 +84,16 @@ class RowTable:
 
     def __post_init__(self) -> None:
         self.row_off = np.asarray(self.row_off, dtype=np.int64)
-        # every value is below 2**30; readers widen before key arithmetic
-        self.val = np.asarray(self.val, dtype=np.int32)
+        # every value is below 2**30; readers widen before key arithmetic.
+        # Values are narrowed to val_width only when they fit, so that one
+        # out of range keeps int32 and reads as itself
+        val = np.asarray(self.val)
+        width = val_width(len(self.anchor), self.gpd.n_arrows)
+        if val.dtype != width and val.size and not (
+                np.iinfo(width).min <= val.min() <= val.max()
+                <= np.iinfo(width).max):
+            width = np.int32
+        self.val = val.astype(width, copy=False)
 
     def move_many(self, ys, hs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``y . h``; returns ``(values, defined_mask)`` with -1
@@ -218,9 +234,12 @@ class RowTable:
         triple on a tie, kept as a running least per kind over the blocks.
         Then the first pair in row order that has no entry.  Every flaw is
         structural, labelled by the class's ``_FLAW_LABELS``.  The fill
-        allocates only ``val`` (int32), where -1 marks a pair not placed (a
-        value written out of range is a flaw that outranks the others), and
-        per-block temporaries.
+        allocates only ``val``, at :func:`val_width`, where -1 marks a pair
+        not placed (a value written out of range, which the width may wrap,
+        is a flaw read from the int64 block that outranks the others), and
+        per-block temporaries.  A block longer than ``_BLOCK`` is read in
+        slices of ``_BLOCK``, so a triple's index in its slice fits the
+        width.
         """
         gpd, anchor, n = self.gpd, self.anchor, self.anchor.shape[0]
         if not callable(triples):
@@ -230,9 +249,10 @@ class RowTable:
         # row y has one entry per arrow out of anchor[y]
         self.row_off = np.concatenate(
             ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
-        self.val = np.full(int(self.row_off[-1]), -1, dtype=np.int32)
+        self.val = np.full(int(self.row_off[-1]), -1,
+                           dtype=val_width(n, gpd.n_arrows))
         least: list[Optional[tuple[int, int, int]]] = [None] * 4
-        for block in triples():
+        for block in itertools.chain.from_iterable(map(blocks_of, triples())):
             y, h, z = block.astype(np.int64, copy=False).T
             index = (y < 0) | (y >= n) | (h < 0) | (h >= gpd.n_arrows)
             on = ~index
@@ -242,8 +262,9 @@ class RowTable:
             # copy writes its index, and all but one read another's back
             dup = np.zeros(len(block), dtype=bool)
             dup[on] = self.val[pos] >= 0
-            self.val[pos] = np.arange(pos.size, dtype=np.int32)
-            dup[on] |= self.val[pos] != np.arange(pos.size)
+            copies = np.arange(pos.size, dtype=self.val.dtype)
+            self.val[pos] = copies
+            dup[on] |= self.val[pos] != copies
             self.val[pos] = z[on]
             for kind, mask in enumerate((index, (z < 0) | (z >= n), dup,
                                          ~(index | on))):
@@ -767,4 +788,5 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
         unit=np.concatenate([g1.unit, g2.unit + k1]),
         inv=np.concatenate([g1.inv, g2.inv + k1]),
         row_off=np.concatenate([g1.row_off[:-1], g2.row_off + g1.row_off[-1]]),
-        val=np.concatenate([g1.val, g2.val + k1]))
+        # widened first: an int16 value plus k1 would wrap
+        val=np.concatenate([g1.val, g2.val.astype(np.int32) + k1]))

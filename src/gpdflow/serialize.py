@@ -31,8 +31,10 @@ read whole.  Validation fills each table the model uses straight from its
 span into its row table, ``_CHUNK`` bytes of text at a time:
 ``np.fromstring`` reads the numbers, and a block is taken only when
 :func:`_table_bytes` of them gives back its bytes exactly.  So neither the
-input nor an ``(n, 3)`` array is held: only the row table's int32 values
-span the table, 4 bytes an entry, while it loads as once it is loaded.
+input nor an ``(n, 3)`` array is held: only the row table's values span
+the table, 2 bytes an entry below ``2**15`` points and arrows and 4 above
+(:func:`~gpdflow.groupoid.val_width`), while it loads as once it is
+loaded.
 Every span, those of runs the model does not use included, is read
 before the model is returned or an error raised.  Anything else -- a
 table written another way, a token that lands elsewhere or is dropped by a
@@ -144,9 +146,10 @@ class Model:
     is the :class:`~gpdflow.groupoid.Groupoid` itself and an action's
     ``act`` the ``GroupoidAction`` (its groupoid's ``comp`` the groupoid),
     each filled from its table a block at a time, its flaw included, with
-    an int32 ``val``: 4 bytes an entry.  They are put in a shallow copy, so
-    the caller's object is never changed; the builds return them and the
-    report writes their rows.
+    its ``val`` at :func:`~gpdflow.groupoid.val_width`: 2 bytes an entry
+    below ``2**15`` points and arrows, else 4.  They are put in a shallow
+    copy, so the caller's object is never changed; the builds return them
+    and the report writes their rows.
 
     ``given`` is the payload as it was given, a table read from the input
     still its :class:`_Span`.  :attr:`digest` is :func:`model_digest` of

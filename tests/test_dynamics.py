@@ -34,6 +34,8 @@ from gpdflow.ehresmann import fiber_chart_sigma, groupoid_of_bundle
 from gpdflow.groupoid import Groupoid, disjoint_union, normalize_groupoid, \
     one_object_groupoid, pair_groupoid, verify_groupoid
 
+from test_groupoid import discrete
+
 
 def transport(preset, graph, edge_labels):
     bundle = CocycleBundle.from_edge_labels(graph, preset_group(preset),
@@ -240,9 +242,13 @@ def test_restrict_action_refuses_a_repeated_or_out_of_range_point(
         restrict_action(a, points)
 
 
-def test_every_constructor_gives_int32_values():
-    """Every row table has an int32 ``val`` and an int64 ``row_off``,
-    whichever constructor built it, as a reloaded one has."""
+def test_every_constructor_gives_values_at_the_width_of_its_size():
+    """Every row table has an int64 ``row_off`` and a ``val`` as wide as
+    its points and its groupoid's arrows ask, whichever constructor built
+    it, as a reloaded one has: int16 for these, and int32 for an action
+    of one point over a groupoid of ``2**15`` arrows, and for a union of
+    two actions of 20,000 points each, whose values are the parts', the
+    second's shifted by 20,000."""
     gpd = s3_edge_groupoid().groupoid
     ambit = build_ambit(gpd, x0=0)
     base = base_action(gpd)
@@ -253,7 +259,22 @@ def test_every_constructor_gives_int32_values():
               rebuilt(base, base.triples())]
     tables += [flow.action for flow in minimal_subflows(base)]
     for t in tables:
-        assert (t.val.dtype, t.row_off.dtype) == (np.int32, np.int64), t
+        assert (t.val.dtype, t.row_off.dtype) == (np.int16, np.int64), t
+    wide = discrete(1 << 15)
+    single = [restrict_action(base_action(wide), [7]),
+              GroupoidAction.from_triples(wide, 1, [7], [[0, 7, 0]])]
+    for t in single:
+        assert t.val.dtype == np.int32 and t.triples() == [[0, 7, 0]]
+        assert verify_action(t).ok
+    half = base_action(discrete(20_000))
+    union = disjoint_union_actions(half, half)
+    assert half.val.dtype == np.int16 and union.val.dtype == np.int32
+    assert union.triples() == half.triples() + [
+        [y + 20_000, h, z + 20_000] for y, h, z in half.triples()]
+    assert verify_action(union).ok
+    for t in tables + single + [half, union]:  # int16 below 2**15 of both
+        small = max(t.anchor.shape[0], t.gpd.n_arrows) < 1 << 15
+        assert t.val.dtype == (np.int16 if small else np.int32), t
 
 
 # --- the ambit -----------------------------------------------------------------
@@ -493,6 +514,17 @@ def test_equivariant_map_reports_a_table_flaw_before_the_rows():
         assert diag is holed.flaw
         assert (diag.failure, diag.witness) == \
             ("composability domain violated", (0, 2))
+
+
+def test_equivariant_map_reports_a_short_anchor_before_reading_it():
+    """A target whose anchor is shorter than its points: its structural
+    flaw is the verdict, before any value's anchor is read."""
+    g = pair_groupoid(2)
+    src = base_action(g)
+    bad = GroupoidAction.from_triples(g, 2, [0], src.triples())
+    diag = verify_equivariant_map(EquivariantMap(src, bad, [0, 1]))
+    assert diag is bad.flaw
+    assert (diag.failure, diag.witness) == ("anchor length mismatch", (1, 2))
 
 
 @pytest.mark.parametrize("case", ["anchor", "groupoid"])

@@ -170,10 +170,11 @@ def test_flaw_keys_of_an_int32_table_do_not_wrap():
 
 def test_fill_allocates_only_the_values(monkeypatch):
     """Building from a 72,000-entry int64 table a block of 1,024 triples at
-    a time takes the values (int32, 4 bytes an entry) and a fixed slack for
-    one block's temporaries (about 64 KB): no whole-table temporary of int64
-    positions or counts, and no whole-table mask of the entries placed,
-    which would take 72 KB more than the slack leaves."""
+    a time takes the values (``val.itemsize`` bytes an entry, 2 for these
+    600 arrows) and a fixed slack for one block's temporaries (about 64
+    KB): no whole-table temporary of int64 positions or counts, and no
+    whole-table mask of the entries placed, which would take 72 KB more
+    than the slack leaves."""
     monkeypatch.setattr(groupoid_module, "_BLOCK", 1024)
     gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
     comp = gpd.triple_array()
@@ -185,6 +186,6 @@ def test_fill_allocates_only_the_values(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert built.flaw is None
+    assert built.flaw is None and built.val.dtype == np.int16
     assert np.array_equal(built.val, gpd.val)
-    assert peak < built.val.nbytes + (96 << 10), peak
+    assert peak < built.val.itemsize * built.val.size + (96 << 10), peak

@@ -158,9 +158,10 @@ def test_vector_lookup_agrees_with_the_scalar_one_out_of_range():
 
 def test_a_clean_fill_allocates_no_mask_of_the_triples(monkeypatch):
     """Building a whole, well-formed 197,568-entry table from an int32
-    array, 1,024 triples at a time, allocates ``val`` (4 bytes an entry)
-    and a fixed slack below the 193 KB that a mask over the triples, or
-    over the entries placed, would take.  A table with its last triple
+    array, 1,024 triples at a time, allocates ``val`` (``val.itemsize``
+    bytes an entry, 2 for these 1,176 arrows) and a fixed slack below the
+    193 KB that a mask over the triples, or over the entries placed, would
+    take.  A table with its last triple
     repeated, and one with a triple dropped, stay inside the same bound:
     the flaw is picked in the same pass, from per-block temporaries."""
     import tracemalloc
@@ -182,7 +183,7 @@ def test_a_clean_fill_allocates_no_mask_of_the_triples(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert built.val.dtype == np.int32
+        assert built.val.dtype == np.int16
         if flaw is None:
             assert built.flaw is None
             assert np.array_equal(built.val, gpd.val)
@@ -423,6 +424,73 @@ def test_verify_groupoid_names_each_verdict(tables, failure, witness, detail):
 def test_pair_groupoid_is_transitive():
     ok, witness = is_transitive(pair_groupoid(3))
     assert ok and witness is None
+
+
+def discrete(m, comp=None):
+    """The discrete groupoid on ``m`` objects (units only), from ``comp``
+    when given, else from its ``m`` triples ``[x, x, x]``."""
+    units = np.arange(m)
+    if comp is None:
+        comp = np.repeat(units[:, None], 3, axis=1)
+    return Groupoid.from_tables(m, units, units, units, units, comp)
+
+
+def test_values_are_int16_below_2_15_arrows_and_int32_from_there():
+    for m, width in ((32_767, np.int16), (32_768, np.int32)):
+        g = discrete(m)
+        assert g.val.dtype == width
+        assert verify_groupoid(g).ok
+
+
+def test_disjoint_union_widens_before_it_shifts():
+    """Two 20,000-arrow parts make a 40,000-arrow union: int32, whose
+    triples are the first part's, then the second's shifted by 20,000,
+    where an int16 shift would wrap."""
+    part = discrete(20_000)
+    union = disjoint_union(part, part)
+    assert part.val.dtype == np.int16 and union.val.dtype == np.int32
+    assert union.triples() == part.triples() + [
+        [g + 20_000, h + 20_000, gh + 20_000] for g, h, gh in part.triples()]
+    assert verify_groupoid(union).ok
+
+
+def test_a_value_past_the_width_is_out_of_range_not_wrapped():
+    """In a 32,767-arrow table, whose values are int16, the value of the
+    pair ``(v, v)`` given as ``2**16 + v``, which int16 reads as ``v``:
+    filled, it is a value out of range with the value as given; built
+    directly, the table keeps int32, reads it as given and never
+    verifies."""
+    m, v = 32_767, 12_345
+    comp = np.repeat(np.arange(m)[:, None], 3, axis=1)
+    comp[v, 2] += 1 << 16
+    g = discrete(m, comp)
+    assert (g.flaw.failure, g.flaw.witness) == \
+        ("comp value out of range", (v, v, (1 << 16) + v))
+    assert verify_groupoid(g) == g.flaw
+    units = np.arange(m)
+    direct = Groupoid(m, units, units, units, units, np.arange(m + 1),
+                      comp[:, 2])
+    assert direct.val.dtype == np.int32
+    assert direct.move(v, v) == (1 << 16) + v
+    try:
+        ok = verify_groupoid(direct).ok
+    except IndexError:  # a value past the arrows indexes past src
+        ok = False
+    assert not ok
+
+
+def test_a_block_of_more_entries_than_int16_counts_is_read_in_slices():
+    """One block of 65,537 triples into a 32,767-entry int16 table: the
+    pair ``(0, 0)`` first and last, 65,536 apart, and each other pair two
+    or three times between.  The repeated pair named is ``(0, 0)``, which
+    an index into the whole block would miss, as int16 reads its two
+    copies' indices as one."""
+    m = 32_767
+    ys = np.concatenate(([0], np.arange(65_535) % (m - 1) + 1, [0]))
+    block = np.repeat(ys[:, None], 3, axis=1)
+    g = discrete(m, lambda: iter([block]))
+    assert g.val.dtype == np.int16
+    assert (g.flaw.failure, g.flaw.witness) == ("duplicate comp pair", (0, 0))
 
 
 def test_disjoint_union_is_not_transitive():

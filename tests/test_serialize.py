@@ -37,7 +37,9 @@ from gpdflow.fixtures import large_random_bundle, matrix_bundles, \
 from gpdflow.groupoid import Groupoid, RowTable
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
     build_groupoid, bundle_to_json, canonical_dumps, group_to_json, \
-    parse_model, transport_to_json
+    groupoid_to_json, parse_model, transport_to_json
+
+from test_groupoid import discrete
 
 MUTATIONS = (True, 1.0, "1", None, [1], "short row", "long row", -1,
              "upper bound")
@@ -594,7 +596,8 @@ def _text_mode_load(path: str) -> tuple[serialize.Model, str]:
 
 def _outcome(load, path: str):
     """(kind, canonical text, arrays, flaws, input digest) of a load, or
-    the error's (code, message).  Every row table's ``val`` is int32."""
+    the error's (code, message).  Every row table's ``val`` is int16 when
+    its points and its groupoid's arrows are below ``2**15``, else int32."""
     try:
         model = load(path)
     except ModelError as exc:
@@ -602,10 +605,12 @@ def _outcome(load, path: str):
     model, digest = model if load is _text_mode_load else (model,
                                                            model.digest)
     arrays = _arrays(model.data)
-    assert all(a.dtype == np.int32 for key, a in arrays.items()
-               if key[-1] != "row_off")
-    flaws = {key[:-1]: _holder(model.data, key[:-1])[key[-2]].flaw
-             for key in arrays if key[-1] == "val"}
+    tables = {key[:-1]: _holder(model.data, key[:-1])[key[-2]]
+              for key in arrays if key[-1] == "val"}
+    for t in tables.values():
+        small = max(len(t.anchor), t.gpd.n_arrows) < 1 << 15
+        assert t.val.dtype == (np.int16 if small else np.int32)
+    flaws = {key: t.flaw for key, t in tables.items()}
     return (model.kind, canonical_dumps(model.data),
             {key: a.tolist() for key, a in arrays.items()}, flaws, digest)
 
@@ -733,6 +738,9 @@ TEXT_MUTATIONS = {
     # a number that an int32 table would wrap back to the one it replaces
     "past int32": (lambda t, r: _in_span(
         t, r, r"\d+", lambda m: str(2 ** 32 + int(m.group()))), False),
+    # and one that an int16 table would
+    "past int16": (lambda t, r: _in_span(
+        t, r, r"\d+", lambda m: str(2 ** 16 + int(m.group()))), True),
     "one row": (lambda t, r: _replace_span(t, r, "[[0,0,0]]"), True),
     "empty": (lambda t, r: _replace_span(t, r, "[]"), True),
     "empty row": (lambda t, r: _replace_span(t, r, "[[]]"), False),
@@ -820,6 +828,27 @@ def test_a_span_value_at_its_bound_loads_as_json_reads_it(tmp_path,
 
 # seeded edits of a canonical report's text, each given the text, the
 # random source and the table spans it may edit
+def test_a_value_past_int16_is_refused_from_a_span_and_from_json(
+        tmp_path, monkeypatch):
+    """The 32,767-arrow discrete groupoid, whose values are int16, with the
+    value of its pair ``(v, v)`` written ``2**16 + v``: read from its span
+    and by ``json`` whole, the load refuses the entry as written, at code
+    12, and never fills a table that reads ``v``.  Unedited, both load it
+    whole, int16."""
+    m, v = 32_767, 12_345
+    text = canonical_dumps(groupoid_to_json(discrete(m)))
+    edited = text.replace(f"[{v},{v},{v}]", f"[{v},{v},{2 ** 16 + v}]")
+    fast, plain, decoded = _load_both(edited.encode(), tmp_path, monkeypatch)
+    assert fast == plain and decoded
+    assert fast == (12, f"groupoid.comp[{v}][2]: {2 ** 16 + v} outside "
+                        f"range [0, {m})")
+    fast, plain, decoded = _load_both(text.encode(), tmp_path, monkeypatch)
+    assert fast == plain and decoded
+    assert fast[3] == {("comp",): None}
+    assert len(fast[2][("comp", "val")]) == m
+
+
+
 def _rows_of(span: str) -> list[str]:
     return span[2:-2].split("],[")
 
@@ -965,9 +994,9 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
 def test_decode_takes_the_table_and_one_block_of_temporaries():
     """Filling a 72,000-entry ``comp`` table from its span (about 1 MB of
     text, 15 blocks) allocates, over the input bytes, the row table's
-    values (int32), 4 bytes an entry, and a fixed slack for one block's
-    temporaries and the rest of the model: no ``(n, 3)`` array of the
-    triples (12 bytes a triple as int32)."""
+    values, ``val.itemsize`` bytes an entry (2 for these 600 arrows), and
+    a fixed slack for one block's temporaries and the rest of the model:
+    no ``(n, 3)`` array of the triples (12 bytes a triple as int32)."""
     gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
     raw = canonical_dumps(serialize.groupoid_to_json(gpd)).encode()
     data, spans = serialize._span_json(raw)
@@ -981,7 +1010,8 @@ def test_decode_takes_the_table_and_one_block_of_temporaries():
     comp = model.data["comp"]
     assert comp.val.size == 72_000 and comp.flaw is None
     assert np.array_equal(comp.val, gpd.val)
-    assert peak < 4 * comp.val.size + (3 << 19), peak
+    assert comp.val.dtype == np.int16
+    assert peak < comp.val.itemsize * comp.val.size + (3 << 19), peak
 
 
 def _medium_transport():
@@ -991,9 +1021,10 @@ def _medium_transport():
 
 def test_report_tables_are_written_from_the_rows(monkeypatch):
     """Writing a transport groupoid's report, its rows read 1,024 entries at
-    a time, allocates less than the values take (8 bytes an entry) plus a
-    fixed slack for one block's temporaries and the rest of the model: no
-    ``(n, 3)`` array of the triples (24 bytes a triple) is built."""
+    a time, allocates less than 4 bytes an entry, whatever the width of
+    the values, plus a fixed slack for one block's temporaries and the rest
+    of the model: no ``(n, 3)`` array of the triples (24 bytes a triple) is
+    built."""
     monkeypatch.setattr(groupoid_module, "_BLOCK", 1024)
     tg = _medium_transport()
     serialize._digit_groups()  # the kernel's table, built once
@@ -1004,7 +1035,7 @@ def test_report_tables_are_written_from_the_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert size == len(canonical_dumps(transport_to_json(tg)))
-    assert peak < tg.groupoid.val.nbytes + (256 << 10), peak
+    assert peak < 4 * tg.groupoid.val.size + (256 << 10), peak
 
 
 def _medium_report(tmp_path) -> Path:
@@ -1017,10 +1048,11 @@ def _medium_report(tmp_path) -> Path:
     return path
 
 
-def test_a_loaded_report_holds_four_bytes_an_entry(tmp_path):
+def test_a_loaded_report_holds_val_itemsize_bytes_an_entry(tmp_path):
     """A groupoidify report, loaded: its ``comp`` is the groupoid, with an
-    int32 ``val``, and the model holds 4 bytes an entry plus a fixed slack
-    for its other fields, where an ``(n, 3)`` int32 table would take 12."""
+    int16 ``val`` for its 864 arrows, and the model holds ``val.itemsize``
+    bytes an entry plus a fixed slack for its other fields, where an
+    ``(n, 3)`` int32 table would take 12."""
     path = _medium_report(tmp_path)
     tracemalloc.start()
     try:
@@ -1030,16 +1062,16 @@ def test_a_loaded_report_holds_four_bytes_an_entry(tmp_path):
         tracemalloc.stop()
     comp = model.data["comp"]
     assert isinstance(comp, Groupoid) and comp.flaw is None
-    assert comp.val.size == 124_416 and comp.val.dtype == np.int32
-    assert held < 4 * comp.val.size + (512 << 10), held
+    assert comp.val.size == 124_416 and comp.val.dtype == np.int16
+    assert held < comp.val.itemsize * comp.val.size + (512 << 10), held
 
 
-def test_loading_a_report_peaks_at_its_bytes_and_four_bytes_an_entry(
+def test_loading_a_report_peaks_at_its_bytes_and_val_itemsize_an_entry(
         tmp_path):
     """Loading that report peaks below the input's bytes, the row table's
-    values (4 bytes an entry), and a fixed slack for one block's
-    temporaries and the rest of the model: neither an ``(n, 3)`` table nor
-    a mask over the triples or the entries is made."""
+    values (``val.itemsize`` bytes an entry), and a fixed slack for one
+    block's temporaries and the rest of the model: neither an ``(n, 3)``
+    table nor a mask over the triples or the entries is made."""
     path = _medium_report(tmp_path)
     tracemalloc.start()
     try:
@@ -1047,9 +1079,10 @@ def test_loading_a_report_peaks_at_its_bytes_and_four_bytes_an_entry(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    entries = model.data["comp"].val.size
-    assert entries == 124_416
-    assert peak < path.stat().st_size + 4 * entries + (2 << 20), peak
+    val = model.data["comp"].val
+    assert val.size == 124_416
+    assert peak < path.stat().st_size + val.itemsize * val.size + (2 << 20), \
+        peak
 
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
@@ -1074,10 +1107,10 @@ def test_decode_agrees_with_json_on_crlf_line_ends(stdin, tmp_path,
 def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
                                                          monkeypatch):
     """Loading that report from a path, its table read back from the file,
-    peaks below the row table's values (4 bytes an entry) and a fixed
-    slack smaller than the file: no copy of the input is held.  From a
-    stream of its bytes on stdin, read whole, it peaks below the bound that
-    counts them."""
+    peaks below the row table's values (``val.itemsize`` bytes an entry)
+    and a fixed slack smaller than the file: no copy of the input is held.
+    From a stream of its bytes on stdin, read whole, it peaks below the
+    bound that counts them."""
     path = _medium_report(tmp_path)
     size = path.stat().st_size
     assert size > 3 << 19
@@ -1091,9 +1124,9 @@ def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        entries = model.data["comp"].val.size
-        assert entries == 124_416
-        assert peak < held + 4 * entries + slack, (stdin, peak)
+        val = model.data["comp"].val
+        assert val.size == 124_416
+        assert peak < held + val.itemsize * val.size + slack, (stdin, peak)
 
 
 def _report_bytes() -> bytes:
