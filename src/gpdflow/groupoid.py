@@ -16,7 +16,9 @@ table built from triples carries its first flaw for verification to
 report, picked by one policy for both kinds of table in the pass that
 fills it: a point or arrow out of range, a value out of range, a pair
 given twice, a pair off the composable domain, each at its least
-``(y, h)``; then the first pair in row order with no entry.
+``(y, h)``; then the first pair in row order with no entry.  A table built
+directly from its rows, with no flaw given, gets the flaw its values show
+by the same policy: the first value out of range, else the first hole.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -64,6 +66,11 @@ def blocks_of(rows) -> Iterator:
     return (rows[lo:lo + _BLOCK] for lo in range(0, len(rows), _BLOCK))
 
 
+def _bounds(val: np.ndarray) -> tuple[int, int]:
+    """The least and greatest of the values, ``(0, 0)`` for none."""
+    return (int(val.min()), int(val.max())) if val.size else (0, 0)
+
+
 def val_width(n_points: int, n_arrows: int) -> type:
     """The dtype of a row table's values: int16 when its points and its
     groupoid's arrows are both fewer than ``2**15``, so that every value,
@@ -88,12 +95,33 @@ class RowTable:
         # Values are narrowed to val_width only when they fit, so that one
         # out of range keeps int32 and reads as itself
         val = np.asarray(self.val)
+        lo, hi = _bounds(val)
         width = val_width(len(self.anchor), self.gpd.n_arrows)
-        if val.dtype != width and val.size and not (
-                np.iinfo(width).min <= val.min() <= val.max()
-                <= np.iinfo(width).max):
+        if not np.iinfo(width).min <= lo <= hi <= np.iinfo(width).max:
             width = np.int32
         self.val = val.astype(width, copy=False)
+        if self.flaw is None:  # a table built directly: its values as given
+            self.flaw = self._value_flaw(val, lo, hi)
+
+    def _value_flaw(self, val: np.ndarray, lo: int, hi: int
+                    ) -> Optional[Diagnostics]:
+        """The fill's flaw for the values ``val``, laid out in rows, whose
+        least and greatest are ``lo`` and ``hi``: a value out of range at
+        the first ``(y, h, value)`` in row order with a value outside ``[-1,
+        n_points)``, else a missing entry at the first ``-1``, else None."""
+        n = len(self.anchor)
+        if not val.size or lo >= 0 and hi < n:
+            return None
+        out = lo < -1 or hi >= n
+        pos = np.argmax((val < -1) | (val >= n)) if out else np.argmin(val)
+        ys, hs = self.pairs_at(pos[None])
+        hit = (int(ys[0]), int(hs[0]), int(val[pos]))
+        if out:
+            return Diagnostics.failed(self._FLAW_LABELS[1], hit,
+                                      structural=True)
+        return Diagnostics.failed(
+            "composability domain violated", hit[:2], structural=True,
+            detail="missing entry on a composable pair")
 
     def move_many(self, ys, hs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``y . h``; returns ``(values, defined_mask)`` with -1
@@ -281,12 +309,8 @@ class RowTable:
                 return Diagnostics.failed(labels[kind],
                                           hit[:3 if kind == 1 else 2],
                                           structural=True)
-        if self.val.size and int(self.val.min()) < 0:
-            ys, hs = self.pairs_at(np.argmin(self.val)[None])
-            return Diagnostics.failed(
-                labels[3], (int(ys[0]), int(hs[0])), structural=True,
-                detail="missing entry on a composable pair")
-        return None
+        # every value placed is in range: the first hole, if any
+        return self._value_flaw(self.val, *_bounds(self.val))
 
     def light_test(self) -> tuple[Optional[tuple[int, int, int]], int]:
         """Light's associativity test (Clifford & Preston, *The Algebraic

@@ -19,22 +19,23 @@ a report's pieces as they come and :func:`model_digest` hashes them, so
 neither holds a whole copy of a large table's text; :func:`canonical_dumps`
 joins them.
 
-Loading scans the input a chunk at a time.  Each ``"comp":[[`` or
-``"act":[[`` table, up to its first ``]]``, is replaced by a number token
-found nowhere else in the input, ``json`` reads the small remainder, and
-every token must land as the value of a ``comp`` or ``act`` key, where its
-:class:`_Span`, the table's byte range, goes in (:func:`_span_json`).  A
-span keeps none of the table's text: it reads it back each time it is
-used, from the file with ``os.pread`` when the input is a regular file (a
-path, or stdin that ``os.fstat`` shows is one), else from the input's bytes,
-read whole.  Validation fills each table the model uses straight from its
-span into its row table, ``_CHUNK`` bytes of text at a time:
+Loading reads every input from a file (:class:`_File`): a regular file
+as it is (a path, or stdin that ``os.fstat`` shows is one), anything else
+(a pipe, a FIFO, a stream) copied to an unlinked temporary file first.  It
+scans the input a chunk at a time.  Each ``"comp":[[`` or ``"act":[[``
+table, up to its first ``]]``, is replaced by a number token found nowhere
+else in the input, ``json`` reads the small remainder, and every token must
+land as the value of a ``comp`` or ``act`` key, where its :class:`_Span`,
+the table's byte range, goes in (:func:`_span_json`).  A span keeps none of
+the table's text: it reads it back from the file with ``os.pread`` each
+time it is used.  Validation fills each table the model uses straight
+from its span into its row table, ``_CHUNK`` bytes of text at a time:
 ``np.fromstring`` reads the numbers, and a block is taken only when
 :func:`_table_bytes` of them gives back its bytes exactly.  So neither the
-input nor an ``(n, 3)`` array is held: only the row table's values span
-the table, 2 bytes an entry below ``2**15`` points and arrows and 4 above
-(:func:`~gpdflow.groupoid.val_width`), while it loads as once it is
-loaded.
+input nor an ``(n, 3)`` array is held, whatever the input is: only the row
+table's values span the table, 2 bytes an entry below ``2**15`` points and
+arrows and 4 above (:func:`~gpdflow.groupoid.val_width`), while it loads
+as once it is loaded.
 Every span, those of runs the model does not use included, is read
 before the model is returned or an error raised.  Anything else -- a
 table written another way, a token that lands elsewhere or is dropped by a
@@ -69,6 +70,7 @@ built once, and the builds return it.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -187,12 +189,15 @@ def _digit_groups() -> np.ndarray:
     """Four ASCII bytes per number ``n`` below 10**4, read as one uint32:
     at ``[n]`` its digits without leading zeros (NUL-padded on the left),
     at ``[10**4 + n]`` all four digits, at ``[2 * 10**4]`` four NULs."""
-    n = np.arange(10 ** 4)
-    digits = n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    shown = n[:, None] >= np.array([1000, 100, 10, 0])
-    table = np.concatenate((np.where(shown, digits, 0), digits,
-                            np.zeros((1, 4), np.int64)))
-    table = table.astype(np.uint8).view(np.uint32).ravel()
+    table = np.zeros((2 * 10 ** 4 + 1, 4), np.uint8)
+    # row 10**4 + n, n = 1000a + 100b + 10c + d, is [a, b, c, d] of full
+    full = table[10 ** 4:-1].reshape(10, 10, 10, 10, 4)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        full[..., j] = digits.reshape((10,) + (1,) * (3 - j))  # on axis j
+        shown = place if place > 1 else 0  # n from here on shows digit j
+        table[shown:10 ** 4, j] = table[10 ** 4 + shown:-1, j]
+    table = table.view(np.uint32).ravel()
     table.flags.writeable = False
     return table
 
@@ -651,13 +656,13 @@ class _File:
 
 class _Span:
     """A ``comp`` or ``act`` table as the input's bytes ``reader[start:end]``
-    give it, from ``[[`` to the first ``]]``.  The reader is the input's
-    bytes, or the :class:`_File` they are in; either way a span keeps only
-    its range, and reads the table again, ``_CHUNK`` bytes at a time, each
-    time it is used: as canonical text (see :func:`_rows`) until a window
-    of it is not, or as its bytes for the input digest."""
+    give it, from ``[[`` to the first ``]]``, the reader the
+    :class:`_File` of the input.  A span keeps only its range, and reads
+    the table again, ``_CHUNK`` bytes at a time, each time it is used: as
+    canonical text (see :func:`_rows`) until a window of it is not, or as
+    its bytes for the input digest."""
 
-    def __init__(self, reader: Any, start: int, end: int):
+    def __init__(self, reader: _File, start: int, end: int):
         self.reader, self.start, self.end = reader, start, end
         self.checked = False  # every block read, and canonical
 
@@ -696,7 +701,7 @@ class _Span:
         return repr(np.concatenate(list(self.rows())).tolist())
 
 
-def _scan(reader: Any) -> Optional[tuple[bytes, list[tuple[int, int]]]]:
+def _scan(reader: _File) -> Optional[tuple[bytes, list[tuple[int, int]]]]:
     """The input, read ``_CHUNK`` bytes at a time, with each ``"comp":[[``
     or ``"act":[[`` table, from ``[[`` to the first ``]]``, replaced by its
     number token, and each table's range; or None when the input has no
@@ -733,8 +738,8 @@ def _scan(reader: Any) -> Optional[tuple[bytes, list[tuple[int, int]]]]:
     return rest, ranges
 
 
-def _span_json(reader: Any) -> Optional[tuple[Any, list]]:
-    """``json.loads`` of the input, bytes or a :class:`_File`, with each
+def _span_json(reader: _File) -> Optional[tuple[Any, list]]:
+    """``json.loads`` of the input, read from its :class:`_File`, with each
     ``comp`` and ``act`` table that may be written canonically, from ``[[``
     to the first ``]]``, in place as a :class:`_Span`, and the spans; or
     None when the input has no such table or cannot be read this way
@@ -800,11 +805,14 @@ def _span_model(data: Any, spans: list, too_deep: ModelError
     return model
 
 
-def _reader(stream: Any, path: str) -> Any:
-    """The input from ``stream`` on: a regular file as a :class:`_File`
+def _reader(stream: Any, path: str, held: contextlib.ExitStack) -> _File:
+    """The input from ``stream`` on, as a :class:`_File`: a regular file
     from the stream's position, the stream then moved to the file's end as
     reading it to the end would leave it; anything else (a pipe, a FIFO, a
-    stream without a file descriptor) read whole, as bytes."""
+    stream without a file descriptor) copied ``_CHUNK`` bytes at a time to
+    an unlinked temporary file, which ``held`` closes, a text stream's
+    pieces encoded as UTF-8 with surrogates passed through.  An ``OSError``,
+    a full disk under the copy included, raises code 10."""
     stream = getattr(stream, "buffer", stream)
     try:
         try:
@@ -815,12 +823,15 @@ def _reader(stream: Any, path: str) -> Any:
             file = _File(stream.fileno(), stream.tell(), st, path)
             stream.seek(file.base + len(file))
             return file
-        raw = stream.read()
+        import tempfile  # here, so that only a load that copies pays for it
+        spool = held.enter_context(tempfile.TemporaryFile())
+        while piece := stream.read(_CHUNK):
+            spool.write(piece if isinstance(piece, bytes)
+                        else piece.encode("utf-8", "surrogatepass"))
+        spool.flush()
+        return _File(spool.fileno(), 0, os.fstat(spool.fileno()), path)
     except OSError as exc:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
-    # a text stream put in place of stdin
-    return raw if isinstance(raw, bytes) else raw.encode("utf-8",
-                                                         "surrogatepass")
 
 
 def load_model(path: str) -> Model:
@@ -828,26 +839,29 @@ def load_model(path: str) -> Model:
 
     ``json`` reads the input around its ``comp`` and ``act`` tables
     (:func:`_span_json`), and each table the model uses is filled into its
-    row table from its span, a block at a time (:func:`_span_model`).  A
-    regular file -- a path, or stdin that ``os.fstat`` shows is one -- is
-    read in passes of ``os.pread`` calls: one over the whole input that
-    keeps only the text around the tables, then one over each table to
-    fill it and one to hash it, so the input is never held.  Any other
-    input (a pipe, a FIFO, a stream without a file descriptor) is read
-    whole as bytes, and the same passes read those.  An input without such
-    a table, or one that cannot be read that way cleanly, is read by
-    ``json`` whole, as text: strict UTF-8 (code 10 when it is not), a
-    file's line ends as a text-mode read gives them.  The model, and any
+    row table from its span, a block at a time (:func:`_span_model`).  The
+    input is read from a file in passes of ``os.pread`` calls: one over
+    the whole input that keeps only the text around the tables, then one
+    over each table to fill it and one to hash it, so the input is never
+    held.  The file is the input itself when it is a regular file (a path,
+    or stdin that ``os.fstat`` shows is one); any other input (a pipe, a
+    FIFO, a stream without a file descriptor) is copied first, ``_CHUNK``
+    bytes at a time, to an unlinked temporary file under ``TMPDIR``, which
+    takes as much space as the input (see :func:`_reader`).  An input
+    without such a table, or one that cannot be read that way cleanly, is
+    read by ``json`` whole, as text: strict UTF-8 (code 10 when it is not),
+    a file's line ends as a text-mode read gives them.  The model, and any
     error's code and message, are the same either way.  A model nested
     more than ``_MAX_DEPTH`` deep is refused with code 10: ``json`` may
     fail to read it, or to write it back for the input digest.  So is an
     integer literal of more than ``_MAX_DIGITS`` digits, whatever limit
-    the interpreter sets, and a file that changes while it is read (see
-    :class:`_File`).
+    the interpreter sets, a file that changes while it is read (see
+    :class:`_File`), and ``-`` when the process has no stdin.
 
     The model's :attr:`~Model.digest` is taken here, each span hashed as
-    the input's bytes give it.  A path's file is closed on every exit;
-    stdin is left at its end, as reading it whole leaves it.
+    the input's bytes give it.  A path's file and the temporary copy are
+    closed on every exit; stdin is left at its end, as reading it whole
+    leaves it.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(_MAX_DIGITS)
@@ -862,23 +876,23 @@ def _load(path: str) -> Model:
         stream = sys.stdin if path == "-" else open(path, "rb")
     except OSError as exc:
         raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
-    try:
-        reader = _reader(stream, path)
-        file = reader if isinstance(reader, _File) else None
+    if stream is None:  # started with its stdin closed
+        raise ModelError(PARSE_ERROR, f"{path}: stdin is closed")
+    with contextlib.ExitStack() as held:
+        if stream is not sys.stdin:
+            held.enter_context(stream)
+        reader = _reader(stream, path, held)
         too_deep = ModelError(PARSE_ERROR, f"{path}: nested too deeply (more "
                               f"than {_MAX_DEPTH} levels)")
         found = _span_json(reader)
         model = None if found is None else _span_model(*found, too_deep)
         if model is None:
             del found
-            raw = bytes(reader)
-            del reader  # the bytes are held as raw only
             try:
-                text = raw.decode("utf-8")
+                text = bytes(reader).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ModelError(PARSE_ERROR,
                                  f"{path}: not UTF-8: {exc}") from exc
-            del raw  # not held while json decodes the text
             if path != "-" and "\r" in text:  # universal newlines, as for text
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
             try:
@@ -897,12 +911,8 @@ def _load(path: str) -> Model:
             if _nesting(model.data)[0] > _MAX_DEPTH:
                 raise too_deep
         model.digest  # taken while the input can be read
-        if file is not None:
-            file.check()
+        reader.check()
         return model
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
 
 
 def _nesting(value: Any) -> tuple[int, bool]:

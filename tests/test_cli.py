@@ -480,6 +480,46 @@ def test_stdin_twice_from_a_file_reads_as_from_a_stream(tmp_path, capsys,
         "column 1 (char 0)"}
 
 
+def test_a_full_disk_under_the_copy_of_stdin_is_unreadable_json(capsys,
+                                                               monkeypatch):
+    """A stream on stdin is copied to a temporary file before it is read;
+    a write that fails there, as on a full disk, is a load error with code
+    10 and the error's message, never a traceback, and the temporary file
+    is closed."""
+    import errno
+    import io
+    import tempfile
+    spools = []
+
+    class Full(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_disk(*args, **kwargs):
+        spools.append(Full())
+        return spools[-1]
+    monkeypatch.setattr(tempfile, "TemporaryFile", full_disk)
+    model = bundle_to_json(named_bundles()["triangle-z1"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(model)))
+    code, out = run_cli(capsys, ["verify", "-"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": 10, "message": f"-: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}"}
+    assert len(spools) == 1 and spools[0].closed
+
+
+def test_a_closed_stdin_is_unreadable_json(capsys, monkeypatch):
+    """A process started with its stdin closed has ``sys.stdin`` None:
+    reading ``-`` from it is a load error with code 10, not a
+    traceback."""
+    monkeypatch.setattr("sys.stdin", None)
+    code, out = run_cli(capsys, ["verify", "-"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": 10,
+                                        "message": "-: stdin is closed"}
+
+
 def test_whole_report_pipes_into_next_command(tmp_path, capsys, monkeypatch):
     """The unmodified output of groupoidify feeds bundleize directly."""
     import io

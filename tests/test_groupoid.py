@@ -458,8 +458,8 @@ def test_a_value_past_the_width_is_out_of_range_not_wrapped():
     """In a 32,767-arrow table, whose values are int16, the value of the
     pair ``(v, v)`` given as ``2**16 + v``, which int16 reads as ``v``:
     filled, it is a value out of range with the value as given; built
-    directly, the table keeps int32, reads it as given and never
-    verifies."""
+    directly, the table keeps int32, reads it as given and gets the same
+    verdict."""
     m, v = 32_767, 12_345
     comp = np.repeat(np.arange(m)[:, None], 3, axis=1)
     comp[v, 2] += 1 << 16
@@ -472,11 +472,45 @@ def test_a_value_past_the_width_is_out_of_range_not_wrapped():
                       comp[:, 2])
     assert direct.val.dtype == np.int32
     assert direct.move(v, v) == (1 << 16) + v
-    try:
-        ok = verify_groupoid(direct).ok
-    except IndexError:  # a value past the arrows indexes past src
-        ok = False
-    assert not ok
+    assert direct.flaw == g.flaw
+    assert verify_groupoid(direct) == g.flaw
+
+
+@pytest.mark.parametrize("value, failure, witness", [
+    (7, "comp value out of range", (2, 2, 7)),
+    (3, "comp value out of range", (2, 2, 3)),
+    (-2, "comp value out of range", (2, 2, -2)),
+    (-1, "composability domain violated", (2, 2)),
+])
+def test_a_table_built_directly_gets_the_fill_verdict_for_its_values(
+        value, failure, witness):
+    """A groupoid built directly, with no flaw given, whose last value is
+    outside ``[0, n_arrows)``: a value outside ``[-1, n_arrows)`` is the
+    fill's value out of range at its ``(g, h, value)``, and -1 a missing
+    entry at its pair, never an ``IndexError`` or a law's verdict.  As in
+    the fill, a value out of range outranks a missing entry before it."""
+    u = np.arange(3)
+    g = Groupoid(3, u, u, u, u, np.arange(4), [0, 1, value])
+    assert (g.flaw.failure, g.flaw.witness) == (failure, witness)
+    assert g.flaw.structural
+    assert verify_groupoid(g) == g.flaw
+    behind_a_hole = Groupoid(3, u, u, u, u, np.arange(4), [0, -1, value])
+    assert (behind_a_hole.flaw.failure, behind_a_hole.flaw.witness) == \
+        (failure, witness if value != -1 else (1, 1))
+
+
+def test_an_action_built_directly_gets_the_fill_verdict_for_its_values():
+    """The base action of a pair groupoid, built directly with one value
+    past its points: the action's value out of range at that entry."""
+    gpd = pair_groupoid(2)
+    a = base_action(gpd)
+    val = a.val.copy()
+    val[3] = 2
+    bad = GroupoidAction(gpd, a.n_points, a.anchor, a.row_off, val)
+    ys, hs = a.pairs_at(np.array([3]))
+    assert (bad.flaw.failure, bad.flaw.witness) == \
+        ("action value out of range", (int(ys[0]), int(hs[0]), 2))
+    assert verify_action(bad) == bad.flaw
 
 
 def test_a_block_of_more_entries_than_int16_counts_is_read_in_slices():

@@ -11,6 +11,7 @@ code and message of every case of a wider seeded corpus are pinned in
 """
 import copy
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import os
 import random
 import re
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -498,6 +500,32 @@ def test_table_text_matches_json(arr):
             json.dumps(table.tolist(), separators=(",", ":")).encode()
 
 
+def test_digit_groups_are_the_digits_as_text():
+    """The kernel's table, against ``str`` formatting: at ``n`` the digits
+    of ``n`` NUL-padded on the left to four bytes, at ``10**4 + n`` all
+    four digits, last four NULs, each read as one uint32."""
+    text = b"".join(b"%4d" % n for n in range(10 ** 4)).replace(b" ", b"\0")
+    text += b"".join(b"%04d" % n for n in range(10 ** 4)) + b"\0" * 4
+    table = serialize._digit_groups()
+    assert table.dtype == np.uint32 and not table.flags.writeable
+    assert table.tobytes() == text
+
+
+def test_digit_groups_are_built_without_int64_temporaries():
+    """Building the 80,004-byte table peaks below four times its size,
+    where ``(10**4, 4)`` int64 temporaries would take 320,000 bytes
+    each."""
+    serialize._digit_groups.cache_clear()
+    tracemalloc.start()
+    try:
+        table = serialize._digit_groups()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 80_004
+    assert peak < 4 * table.nbytes, peak
+
+
 @pytest.mark.parametrize("arr", [np.array([[3, -1, 4]]), np.array([-10]),
                                  np.array([10 ** 12]), np.array([[True]]),
                                  np.array([0.5]), np.zeros((2, 0), int),
@@ -620,14 +648,17 @@ def _outcome(load, path: str):
 STDIN_PREFIX = b'{"comp":[[1e-0000000,'
 
 
-def _load_both(raw: bytes, tmp_path, monkeypatch, stdin=False):
+def _load_routes(raw: bytes, tmp_path, monkeypatch, routes) -> list:
     """(load_model's outcome, the oracle's, whether load_model took it from
-    the tables' spans of the bytes) for one input, from a file, or from
-    stdin: a stream of the bytes (``stdin=True``) or, for ``stdin="fd"``, a
-    file opened at a nonzero offset, which the load must leave at its end.
-    An input taken so must also equal ``json``'s reading of all of it, the
-    tables the model does not use included."""
-    decoded = []
+    the tables' spans of the bytes) for one input read by each route: from
+    a file (``False``), or from stdin: a stream of the bytes (``True``) or,
+    for ``"fd"``, a file opened at a nonzero offset, which the load must
+    leave at its end.  An input taken so must also equal ``json``'s reading
+    of all of it, the tables the model does not use included.  Both stdin
+    routes give the oracle the same text, so it reads it once for them, and
+    ``json`` reads the input once for every route."""
+    # json's reading of the input, as _plain_json gives it
+    whole = functools.cache(lambda: _plain_json(json.loads(raw)))
 
     def spy(data, spans, too_deep):
         try:
@@ -640,14 +671,13 @@ def _load_both(raw: bytes, tmp_path, monkeypatch, stdin=False):
             return model
         finally:
             if decoded[-1]:
-                assert _plain_json(data) == _plain_json(json.loads(raw))
+                assert _plain_json(data) == whole()
     real = serialize._span_model
     path = tmp_path / "input.json"
-    prefix = STDIN_PREFIX if stdin == "fd" else b""
-    path.write_bytes(prefix + raw)
-    name = "-" if stdin else str(path)
-    outcomes = []
-    for load in (serialize.load_model, _text_mode_load):
+
+    def outcome(load, stdin):
+        prefix = STDIN_PREFIX if stdin == "fd" else b""
+        path.write_bytes(prefix + raw)
         with monkeypatch.context() as m, \
                 open(path, encoding="utf-8", newline="\n") as fh:
             m.setattr(serialize, "_span_model", spy)
@@ -656,10 +686,23 @@ def _load_both(raw: bytes, tmp_path, monkeypatch, stdin=False):
                 m.setattr("sys.stdin", fh if stdin == "fd" else
                           io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
                                            newline="\n"))
-            outcomes.append(_outcome(load, name))
+            found = _outcome(load, "-" if stdin else str(path))
             if stdin == "fd":  # left at its end
                 assert fh.buffer.tell() == len(prefix + raw)
-    return outcomes[0], outcomes[1], bool(decoded) and decoded[0]
+        return found
+    plain, loads = {}, []
+    for stdin in routes:
+        decoded = []
+        fast = outcome(serialize.load_model, stdin)
+        if bool(stdin) not in plain:
+            plain[bool(stdin)] = outcome(_text_mode_load, stdin)
+        loads.append((fast, plain[bool(stdin)], bool(decoded) and decoded[0]))
+    return loads
+
+
+def _load_both(raw: bytes, tmp_path, monkeypatch, stdin=False):
+    """:func:`_load_routes` for one route."""
+    return _load_routes(raw, tmp_path, monkeypatch, [stdin])[0]
 
 
 def _fixture_texts() -> list[str]:
@@ -983,9 +1026,9 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
             texts += [edit(report, rng) for _ in range(4)]
     paths = set()
     for text in texts:
-        for stdin in (True, "fd"):
-            fast, plain, decoded = _load_both(text.encode(), tmp_path,
-                                              monkeypatch, stdin)
+        routes = (True, "fd")
+        loads = _load_routes(text.encode(), tmp_path, monkeypatch, routes)
+        for stdin, (fast, plain, decoded) in zip(routes, loads):
             assert fast == plain
             paths.add((stdin, decoded))
     assert paths == {(True, False), (True, True), ("fd", False), ("fd", True)}
@@ -1000,7 +1043,7 @@ def test_decode_takes_the_table_and_one_block_of_temporaries():
     gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
     raw = canonical_dumps(serialize.groupoid_to_json(gpd)).encode()
     data, spans = serialize._span_json(raw)
-    serialize._digit_groups()  # the kernel's table, built once
+    serialize._digit_groups.cache_clear()  # its build counts too
     tracemalloc.start()
     try:
         model = serialize._span_model(data, spans, None)
@@ -1022,12 +1065,12 @@ def _medium_transport():
 def test_report_tables_are_written_from_the_rows(monkeypatch):
     """Writing a transport groupoid's report, its rows read 1,024 entries at
     a time, allocates less than 4 bytes an entry, whatever the width of
-    the values, plus a fixed slack for one block's temporaries and the rest
-    of the model: no ``(n, 3)`` array of the triples (24 bytes a triple) is
-    built."""
+    the values, plus the kernel's table, built here, and a fixed slack for
+    its build, one block's temporaries and the rest of the model: no
+    ``(n, 3)`` array of the triples (24 bytes a triple) is built."""
     monkeypatch.setattr(groupoid_module, "_BLOCK", 1024)
     tg = _medium_transport()
-    serialize._digit_groups()  # the kernel's table, built once
+    serialize._digit_groups.cache_clear()  # its build counts too
     tracemalloc.start()
     try:
         size = sum(map(len, serialize.canonical_pieces(transport_to_json(tg))))
@@ -1035,7 +1078,8 @@ def test_report_tables_are_written_from_the_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert size == len(canonical_dumps(transport_to_json(tg)))
-    assert peak < 4 * tg.groupoid.val.size + (256 << 10), peak
+    assert peak < 4 * tg.groupoid.val.size + serialize._digit_groups().nbytes \
+        + (256 << 10), peak
 
 
 def _medium_report(tmp_path) -> Path:
@@ -1044,7 +1088,7 @@ def _medium_report(tmp_path) -> Path:
     path = tmp_path / "groupoidify.json"
     path.write_text(canonical_dumps(run_command(
         "groupoidify", [("bundle", parse_model(bundle))])))
-    serialize._digit_groups()  # the kernel's table, built once
+    serialize._digit_groups.cache_clear()  # its build counts too
     return path
 
 
@@ -1107,14 +1151,14 @@ def test_decode_agrees_with_json_on_crlf_line_ends(stdin, tmp_path,
 def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
                                                          monkeypatch):
     """Loading that report from a path, its table read back from the file,
-    peaks below the row table's values (``val.itemsize`` bytes an entry)
-    and a fixed slack smaller than the file: no copy of the input is held.
-    From a stream of its bytes on stdin, read whole, it peaks below the
-    bound that counts them."""
+    or from a stream of its bytes on stdin, copied to a temporary file and
+    read back from it, peaks below the row table's values (``val.itemsize``
+    bytes an entry) and a fixed slack smaller than the file: no copy of the
+    input is held."""
     path = _medium_report(tmp_path)
-    size = path.stat().st_size
-    assert size > 3 << 19
-    for stdin, held, slack in ((False, 0, 3 << 19), (True, size, 2 << 20)):
+    assert path.stat().st_size > 3 << 19
+    for stdin in (False, True):
+        serialize._digit_groups.cache_clear()
         if stdin:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
                 io.BytesIO(path.read_bytes())))
@@ -1126,7 +1170,7 @@ def test_a_report_from_a_path_is_not_held_while_it_loads(tmp_path,
             tracemalloc.stop()
         val = model.data["comp"].val
         assert val.size == 124_416
-        assert peak < held + val.itemsize * val.size + slack, (stdin, peak)
+        assert peak < val.itemsize * val.size + (3 << 19), (stdin, peak)
 
 
 def _report_bytes() -> bytes:
@@ -1146,12 +1190,24 @@ def _file_spy(monkeypatch) -> list:
     return files
 
 
+def _spool_spy(monkeypatch) -> list:
+    """Every temporary file an input is copied to from now on."""
+    spools = []
+
+    def spy(*args, **kwargs):
+        spools.append(real(*args, **kwargs))
+        return spools[-1]
+    real = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    return spools
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-def test_a_regular_file_is_read_back_and_anything_else_whole(tmp_path,
-                                                             monkeypatch):
+def test_every_input_is_read_back_from_a_file(tmp_path, monkeypatch):
     """A path and stdin that is a regular file are read back from the file;
-    a FIFO path and a stream of bytes on stdin are read whole.  All four
-    give the same model and input digest."""
+    a FIFO path, a stream of bytes and a stream of text on stdin are
+    copied to a temporary file first and read back from it.  All five give
+    the same model and input digest."""
     raw = _report_bytes()
     path, fifo = tmp_path / "report.json", tmp_path / "fifo"
     path.write_bytes(raw)
@@ -1172,18 +1228,20 @@ def test_a_regular_file_is_read_back_and_anything_else_whole(tmp_path,
             m.setattr("sys.stdin", stream)
             return serialize.load_model("-")
     loads = {
-        "path": (True, lambda: serialize.load_model(str(path))),
-        "file stdin": (True, lambda: from_stdin(open(path))),
-        "fifo": (False, from_fifo),
-        "stream stdin": (False, lambda: from_stdin(
+        "path": (False, lambda: serialize.load_model(str(path))),
+        "file stdin": (False, lambda: from_stdin(open(path))),
+        "fifo": (True, from_fifo),
+        "stream stdin": (True, lambda: from_stdin(
             io.TextIOWrapper(io.BytesIO(raw)))),
+        "text stdin": (True, lambda: from_stdin(io.StringIO(raw.decode()))),
     }
     outcomes = set()
-    for name, (read_back, load) in loads.items():
+    for name, (spooled, load) in loads.items():
         with monkeypatch.context() as m:
-            files = _file_spy(m)
+            files, spools = _file_spy(m), _spool_spy(m)
             model = load()
-        assert len(files) == read_back, name
+        assert (len(files), len(spools)) == (1, spooled), name
+        assert all(spool.closed for spool in spools), name
         outcomes.add((canonical_dumps(model.data), model.digest))
     assert len(outcomes) == 1
 
@@ -1222,10 +1280,10 @@ def test_a_file_changed_while_it_is_read_is_an_error(change, stdin,
 
 
 def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
-    """The file of a path is closed after every load: a model, an error in
-    a table read from the file, a table the fill cannot read, text only
-    ``json`` reads, unreadable JSON, and a file changed while it is
-    read."""
+    """The file of a path, and the temporary file a stream on stdin is
+    copied to, are closed after every load: a model, an error in a table
+    read from the file, a table the fill cannot read, text only ``json``
+    reads, unreadable JSON, and a file changed while it is read."""
     raw = _report_bytes()
     bad_value = re.sub(rb'("comp":\[\[)\d+', rb"\g<1>99999", raw, count=1)
     texts = {"model": raw, "bad value": bad_value,
@@ -1238,26 +1296,35 @@ def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
         opened.append(open(*args, **kwargs))
         return opened[-1]
     monkeypatch.setattr(serialize, "open", spy_open, raising=False)
+    spools = _spool_spy(monkeypatch)
     real = serialize._span_model
     path = tmp_path / "input.json"
     outcomes = {}
-    for name, text in texts.items():
-        path.write_bytes(text)
+    for stdin in (False, True):
+        for name, text in texts.items():
+            path.write_bytes(text)
 
-        def fill(data, spans, too_deep):
-            if name == "changed":
-                os.truncate(path, spans[0].start + 10)
-            return real(data, spans, too_deep)
-        monkeypatch.setattr(serialize, "_span_model", fill)
-        try:
-            serialize.load_model(str(path))
-            outcomes[name] = 0
-        except ModelError as exc:
-            outcomes[name] = exc.code
-    assert outcomes == {"model": 0, "bad value": 12, "not canonical": 0,
-                        "indented": 0, "invalid": 10, "changed": 10}
-    assert len(opened) == len(texts)
-    assert all(fh.closed for fh in opened)
+            def fill(data, spans, too_deep):
+                cut = spans[0].start + 10
+                if name == "changed" and stdin:  # the copy cut short
+                    os.ftruncate(spans[0].reader.fd, cut)
+                elif name == "changed":  # the file cut short
+                    os.truncate(path, cut)
+                return real(data, spans, too_deep)
+            monkeypatch.setattr(serialize, "_span_model", fill)
+            monkeypatch.setattr("sys.stdin",
+                                io.TextIOWrapper(io.BytesIO(text)))
+            try:
+                serialize.load_model("-" if stdin else str(path))
+                outcomes[name, stdin] = 0
+            except ModelError as exc:
+                outcomes[name, stdin] = exc.code
+    codes = {"model": 0, "bad value": 12, "not canonical": 0, "indented": 0,
+             "invalid": 10, "changed": 10}
+    assert outcomes == {(name, stdin): code for name, code in codes.items()
+                        for stdin in (False, True)}
+    assert len(opened) == len(spools) == len(texts)
+    assert all(fh.closed for fh in opened + spools)
 
 
 # --- bundles built from a payload ---------------------------------------------
