@@ -80,15 +80,19 @@ class GroupoidAction(RowTable):
     def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
                      triples) -> "GroupoidAction":
         anchor = np.asarray(anchor, dtype=np.int64)
-        # until the scans pass: one empty row per anchor entry
+        # until the scans pass: one empty row per anchor entry, and the
+        # flaw __post_init__ finds in them replaced
         a = GroupoidAction(gpd, n_points, anchor, [0] * (anchor.shape[0] + 1),
                            [])
-        a.flaw = _structural_scan(gpd)
-        if a.flaw is None:
-            a.flaw = _anchor_scan(a)
+        a.flaw = a._index_flaw()
         if a.flaw is None:
             a.flaw = a._fill(triples)
         return a
+
+    def _index_flaw(self) -> Optional[Diagnostics]:
+        """The groupoid's structural flaw, else the anchor's."""
+        diag = _structural_scan(self.gpd)
+        return _anchor_scan(self) if diag is None else diag
 
     def fiber(self, x: int) -> list[int]:
         return np.flatnonzero(self.anchor == x).tolist()
@@ -324,8 +328,9 @@ def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
                                   (len(m.values), m.source.n_points),
                                   structural=True)
     for t in (m.source, m.target):  # the loop below reads their anchors
-        if t.flaw is not None:
-            return t.flaw
+        diag = t._index_flaw() if t.flaw is None else t.flaw
+        if diag is not None:
+            return diag
     for y, z in enumerate(m.values):
         if not (0 <= z < m.target.n_points):
             return Diagnostics.failed("value out of range", (y, z),

@@ -84,8 +84,14 @@ def random_connected_graph(n_vertices: int, n_extra: int,
     """A connected graph: a random spanning tree plus ``n_extra`` more edges.
 
     Tree edge k attaches vertex k+1 to a uniformly random earlier vertex,
-    then extra edges join distinct random pairs not already joined.
+    then extra edges join distinct random pairs not already joined.  Raises
+    ``ValueError`` when there are fewer such pairs than ``n_extra``.
     """
+    free = n_vertices * (n_vertices - 1) // 2 - (n_vertices - 1)
+    if n_extra > free:
+        raise ValueError(f"{n_extra} extra edges asked for, but only {free} "
+                         f"vertex pairs are free in a tree on {n_vertices} "
+                         "vertices")
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, n_vertices)]
     seen = {tuple(sorted(e)) for e in edges}

@@ -17,8 +17,12 @@ report, picked by one policy for both kinds of table in the pass that
 fills it: a point or arrow out of range, a value out of range, a pair
 given twice, a pair off the composable domain, each at its least
 ``(y, h)``; then the first pair in row order with no entry.  A table built
-directly from its rows, with no flaw given, gets the flaw its values show
-by the same policy: the first value out of range, else the first hole.
+directly from its rows, with no flaw given and index arrays that can index
+rows, gets its first structural flaw as it is built: a ``row_off`` that is
+not the layout its anchor implies (or a ``val`` of another length), else
+the flaw its values show by the fill's policy: the first value out of
+range, else the first hole.  The verifiers name a flaw of the index arrays
+themselves before they read a row.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -83,8 +87,10 @@ class RowTable:
     starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
     in ``gpd.arrows_from(anchor[y])`` in ascending order (-1 where a table
     built from triples had no entry).  Subclasses provide ``gpd``,
-    ``anchor``, ``row_off``, ``val`` and ``flaw``, and ``_FLAW_LABELS``,
-    their names for an index, a value out of range and a repeated pair:
+    ``anchor``, ``row_off``, ``val`` and ``flaw``; ``_index_flaw``, the
+    structural flaw that keeps their arrays from indexing rows, or None; and
+    ``_FLAW_LABELS``, their names for an index, a value out of range and
+    a repeated pair:
     :class:`Groupoid` is its own regular action, ``GroupoidAction`` the
     general case.
     """
@@ -100,8 +106,37 @@ class RowTable:
         if not np.iinfo(width).min <= lo <= hi <= np.iinfo(width).max:
             width = np.int32
         self.val = val.astype(width, copy=False)
-        if self.flaw is None:  # a table built directly: its values as given
-            self.flaw = self._value_flaw(val, lo, hi)
+        # a table built directly, whose arrays can index rows: its rows as
+        # given (the verifiers' own scans name an index flaw)
+        if self.flaw is None and self._index_flaw() is None:
+            self.flaw = self._layout_flaw(len(val))
+            if self.flaw is None:
+                self.flaw = self._value_flaw(val, lo, hi)
+
+    def _layout(self) -> np.ndarray:
+        """The ``row_off`` the anchor implies: row ``y`` has one entry per
+        arrow out of ``anchor[y]``."""
+        return np.concatenate(
+            ([0], np.cumsum(np.diff(self.gpd.out_index[1])[self.anchor])))
+
+    def _layout_flaw(self, n_values: int) -> Optional[Diagnostics]:
+        """A structural flaw at the first ``y`` where ``row_off[y]`` is not
+        the anchor's :meth:`_layout` (or is missing), ``y == n_points``
+        being the table's end, which ``n_values``, the length of ``val``,
+        must also be; else None."""
+        want, have = self._layout(), self.row_off
+        size = min(want.size, have.size)
+        differ = np.flatnonzero(want[:size] != have[:size])
+        if differ.size:
+            y = int(differ[0])
+        elif want.size != have.size:
+            y = size
+        elif n_values != want[-1]:
+            y = size - 1
+        else:
+            return None
+        return Diagnostics.failed("row offsets off the anchor's layout", (y,),
+                                  structural=True)
 
     def _value_flaw(self, val: np.ndarray, lo: int, hi: int
                     ) -> Optional[Diagnostics]:
@@ -274,9 +309,7 @@ class RowTable:
             t = np.asarray(triples)
             t = t if t.dtype.kind in "iu" else t.astype(np.int64)
             triples = partial(blocks_of, t.reshape(-1, 3))
-        # row y has one entry per arrow out of anchor[y]
-        self.row_off = np.concatenate(
-            ([0], np.cumsum(np.diff(gpd.out_index[1])[anchor])))
+        self.row_off = self._layout()
         self.val = np.full(int(self.row_off[-1]), -1,
                            dtype=val_width(n, gpd.n_arrows))
         least: list[Optional[tuple[int, int, int]]] = [None] * 4
@@ -375,12 +408,37 @@ class Groupoid(RowTable):
                     comp: CompTable) -> "Groupoid":
         if isinstance(comp, Mapping):
             comp = [(g, h, gh) for (g, h), gh in comp.items()]
-        # until the scan passes: one empty row per arrow
+        # until the scan passes: one empty row per arrow, and the flaw
+        # __post_init__ finds in them replaced
         g = Groupoid(n_objects, src, tgt, unit, inv, [0] * (len(tgt) + 1), [])
-        g.flaw = _structural_scan(g)
+        g.flaw = g._index_flaw()
         if g.flaw is None:  # the arrays can index rows
             g.flaw = g._fill(comp)
         return g
+
+    def _index_flaw(self) -> Optional[Diagnostics]:
+        """Array shapes and index ranges: None when the arrays can index
+        rows."""
+        m, k = self.n_objects, self.n_arrows
+        if m < 0 or k < 0:
+            return Diagnostics.failed("negative size", (m, k), structural=True)
+        if self.tgt.shape[0] != k or self.inv.shape[0] != k:
+            return Diagnostics.failed(
+                "array length mismatch",
+                (k, int(self.tgt.shape[0]), int(self.inv.shape[0])),
+                structural=True)
+        if self.unit.shape[0] != m:
+            return Diagnostics.failed("array length mismatch",
+                                      (m, int(self.unit.shape[0])),
+                                      structural=True)
+        for name, arr, bound in (("src", self.src, m), ("tgt", self.tgt, m),
+                                 ("unit", self.unit, k), ("inv", self.inv, k)):
+            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+                bad = int(np.argmax((arr < 0) | (arr >= bound)))
+                return Diagnostics.failed(f"{name} index out of range",
+                                          (bad, int(arr[bad])),
+                                          structural=True)
+        return None
 
     # the regular action: arrows anchored at their targets
     @property
@@ -496,23 +554,8 @@ def _require_whole(*tables: RowTable) -> None:
 def _structural_scan(g: Groupoid) -> Optional[Diagnostics]:
     """Array shapes and index ranges, then the flaw the composition table
     was built with."""
-    m, k = g.n_objects, g.n_arrows
-    if m < 0 or k < 0:
-        return Diagnostics.failed("negative size", (m, k), structural=True)
-    if g.tgt.shape[0] != k or g.inv.shape[0] != k:
-        return Diagnostics.failed(
-            "array length mismatch", (k, int(g.tgt.shape[0]), int(g.inv.shape[0])),
-            structural=True)
-    if g.unit.shape[0] != m:
-        return Diagnostics.failed(
-            "array length mismatch", (m, int(g.unit.shape[0])), structural=True)
-    for name, arr, bound in (("src", g.src, m), ("tgt", g.tgt, m),
-                             ("unit", g.unit, k), ("inv", g.inv, k)):
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
-            bad = int(np.argmax((arr < 0) | (arr >= bound)))
-            return Diagnostics.failed(
-                f"{name} index out of range", (bad, int(arr[bad])), structural=True)
-    return g.flaw
+    diag = g._index_flaw()
+    return g.flaw if diag is None else diag
 
 
 def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:

@@ -48,7 +48,16 @@ was given, envelope unwrapped (see :class:`Model`): :func:`model_digest`
 of it, taken while loading.  A span in it is hashed as its bytes, read
 back a chunk at a time, which are its table's canonical text, in the
 input's order and with its repeats, so the digest does not depend on how
-the input was read.
+the input was read.  A payload of up to ``_LEAN_DIGEST`` bytes (1 MiB),
+which is every small model, is hashed by the interpreter's own sha256
+(``_sha2`` from Python 3.12, ``_sha256`` before); a larger one by
+``hashlib``'s, imported only then.  Importing ``hashlib`` loads OpenSSL,
+about 5 ms and 3.5 MB of peak memory in every process, the largest part of
+a small call's start-up above numpy's; CPython's ``random.py`` tries
+``_sha512`` first because "hashlib is pretty heavy to load".  OpenSSL's
+sha256 is 5 to 7 times faster, so at the bound the time the import saves
+is about what the slower hash costs, and a large table is hashed as fast
+as before.  The value is the same either way.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
 are not UTF-8, or lists and objects nested more than 100 deep, included),
@@ -72,7 +81,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import operator
@@ -129,6 +137,15 @@ KNOWN_KINDS = ("group", "graph", "bundle", "groupoid", "action")
 _ARRAY_TABLES = ("comp", "act")
 _MAX_DEPTH = 100  # lists and objects nested in a model read from a file
 _MAX_DIGITS = 4300  # of an integer literal: the interpreter's default
+# bytes of a payload that model_digest hashes with the interpreter's sha256
+_LEAN_DIGEST = 1 << 20
+try:  # the interpreter's own sha256, which loads no OpenSSL
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without it
+        from hashlib import sha256 as _sha256
 
 
 class ModelError(Exception):
@@ -303,11 +320,27 @@ def canonical_dumps(obj: Any) -> str:
 
 def model_digest(model: dict) -> str:
     """sha256 of the canonical encoding, for input fingerprints, fed piece
-    by piece: a :class:`_Span` is hashed as the input's bytes give it."""
-    digest = hashlib.sha256()
-    for piece in canonical_pieces(model):
-        digest.update(piece.encode() if isinstance(piece, str) else piece)
-    return digest.hexdigest()
+    by piece: a :class:`_Span` is hashed as the input's bytes give it.
+
+    The interpreter's own sha256 hashes a payload of up to
+    ``_LEAN_DIGEST`` bytes, so a small model never loads OpenSSL (see the
+    module docstring for why).  Once the bytes fed pass the bound,
+    ``hashlib`` is imported and the pieces are hashed again from the start
+    with its faster sha256, a span read back from the input again, so no
+    piece is held past its hashing."""
+    sha256, limit = _sha256, _LEAN_DIGEST
+    while True:
+        digest, fed = sha256(), 0
+        for piece in canonical_pieces(model):
+            piece = piece.encode() if isinstance(piece, str) else piece
+            fed += len(piece)
+            if fed > limit:
+                break
+            digest.update(piece)
+        else:
+            return digest.hexdigest()
+        import hashlib  # here, so that only a large payload loads OpenSSL
+        sha256, limit = hashlib.sha256, float("inf")
 
 
 # --- validation helpers -------------------------------------------------------

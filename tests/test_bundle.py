@@ -18,6 +18,7 @@ from gpdflow.bundle import (
     total_space,
     verify_cocycle,
 )
+from gpdflow.fixtures import large_random_bundle, random_connected_graph
 
 
 def z2_triangle(edge_labels):
@@ -336,3 +337,22 @@ def test_isomorphism_requires_same_base_and_group():
                                         [0, 0, 0])
     with pytest.raises(ValueError):
         bundles_isomorphic(b1, b3)
+
+
+# --- the seeded random instance ------------------------------------------------
+
+
+def test_a_random_graph_with_every_free_pair_is_complete():
+    """Six vertices have 15 pairs, 5 of them in the spanning tree, so 10
+    extra edges take every free pair and give the complete graph."""
+    g = random_connected_graph(6, 10)
+    assert len(g.edges) == 15
+    assert {tuple(sorted(e)) for e in g.edges} == \
+        {(u, v) for v in range(6) for u in range(v)}
+
+
+def test_more_extra_edges_than_free_pairs_is_refused():
+    """Eleven extra edges on six vertices, where only ten pairs are free:
+    an error naming both counts, not a loop that never ends."""
+    with pytest.raises(ValueError, match="11 extra edges.* only 10 "):
+        large_random_bundle(6, 11, "S4")

@@ -1091,6 +1091,40 @@ def test_verify_does_not_import_numpy_ma():
                   "print('numpy.ma' in sys.modules)\n") == "False"
 
 
+def test_only_a_large_payload_loads_openssl(tmp_path):
+    """``import hashlib`` loads OpenSSL's libcrypto through ``_hashlib``.
+    A small model, by path, from stdin or among the fixtures, is hashed by
+    the interpreter's own sha256 and never loads it; the canonical
+    groupoid of the 6-vertex S4 bundle, 1.7 MB, past ``_LEAN_DIGEST``, is
+    hashed by ``hashlib``'s and does."""
+    from gpdflow.ehresmann import groupoid_of_bundle
+    from gpdflow.fixtures import large_random_bundle
+    from gpdflow.serialize import groupoid_to_json
+
+    def loaded(code: str, *argv: str, stdin=None) -> str:
+        proc = _python("-c", code, *argv, stdin=stdin, stdout=subprocess.PIPE,
+                       text=True)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        return out.split()[-1]
+    if loaded("import sys, numpy; print('_hashlib' in sys.modules)") == "True":
+        pytest.skip("import numpy alone loads _hashlib")
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    small.write_text(canonical_dumps(bundle_to_json(named_bundles()["edge-s3"])))
+    large.write_text(canonical_dumps(groupoid_to_json(groupoid_of_bundle(
+        large_random_bundle(6, 3, "S4")).groupoid)))
+    code = ("import contextlib, io, sys\n"
+            "from gpdflow.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    with open(small) as stdin:
+        assert loaded(code, "verify", "-", stdin=stdin) == "False"
+    assert loaded(code, "verify", str(small)) == "False"
+    assert loaded(code, "verify", "--fixtures") == "False"
+    assert loaded(code, "verify", str(large)) == "True"
+
+
 # --- contract fuzz ----------------------------------------------------------------
 
 # values a mutation puts in place of a field, an entry or a row

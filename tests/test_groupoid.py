@@ -7,6 +7,7 @@ import pytest
 
 from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
+from gpdflow.diagnostics import Diagnostics
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
@@ -511,6 +512,110 @@ def test_an_action_built_directly_gets_the_fill_verdict_for_its_values():
     assert (bad.flaw.failure, bad.flaw.witness) == \
         ("action value out of range", (int(ys[0]), int(hs[0]), 2))
     assert verify_action(bad) == bad.flaw
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda off: np.where(np.arange(off.size) == 2, off[-1] + 1, off), (2,)),
+    (lambda off: off[::-1], (0,)),
+    (lambda off: off[:-1], (9,)),
+    (lambda off: np.append(off, off[-1]), (10,)),
+])
+def test_a_row_offset_off_the_layout_is_a_verdict(edit, witness):
+    """``pair_groupoid(3)`` built directly with its ``row_off`` edited: a
+    row moved past the end, the offsets reversed, the last cut off or one
+    more added.  Each is a structural flaw at the first offset that is not
+    where the anchor puts it, for every verifier, never an ``IndexError``
+    or a ``ValueError`` from the rows."""
+    gpd = pair_groupoid(3)
+    bad = Groupoid(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                   edit(gpd.row_off), gpd.val)
+    assert (bad.flaw.failure, bad.flaw.witness, bad.flaw.structural) == \
+        ("row offsets off the anchor's layout", witness, True)
+    same = (list(range(gpd.n_objects)), list(range(gpd.n_arrows)))
+    assert verify_groupoid(bad) == bad.flaw
+    assert verify_groupoid_iso(gpd, bad, *same) == bad.flaw
+    a = base_action(gpd)
+    moved = GroupoidAction(gpd, a.n_points, a.anchor, edit(a.row_off), a.val)
+    assert moved.flaw.failure == "row offsets off the anchor's layout"
+    assert verify_action(moved) == moved.flaw
+
+
+def test_a_value_missing_from_the_end_is_a_verdict():
+    """Offsets as the anchor lays them out, but ``val`` one short or one
+    long: a structural flaw at the table's end, ``n_points``."""
+    gpd = pair_groupoid(3)
+    for val in (gpd.val[:-1], np.append(gpd.val, 0)):
+        bad = Groupoid(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                       gpd.row_off, val)
+        assert (bad.flaw.failure, bad.flaw.witness) == \
+            ("row offsets off the anchor's layout", (9,))
+
+
+def _corrupt(fields: dict, rng: random.Random) -> tuple[dict, str]:
+    """One field of a table's constructor arguments changed, and its name:
+    a size moved by up to 3, or an array with one entry set to a value from
+    -3 to 3 past its greatest, one entry dropped or added, or reversed."""
+    key = rng.choice(sorted(k for k in fields if k != "gpd"))
+    value = fields[key]
+    if isinstance(value, int):
+        return {**fields, key: value + rng.choice((-3, -2, -1, 1, 2, 3))}, key
+    arr = np.asarray(value, dtype=np.int64).copy()
+    top = int(arr.max(initial=0))
+    how = rng.choice(("set", "set", "drop", "add", "reverse"))
+    if how == "set" and arr.size:
+        arr[rng.randrange(arr.size)] = rng.randrange(-3, top + 4)
+    elif how == "drop" and arr.size:
+        arr = np.delete(arr, rng.randrange(arr.size))
+    elif how == "add":
+        arr = np.insert(arr, rng.randrange(arr.size + 1),
+                        rng.randrange(-1, top + 2))
+    else:
+        arr = arr[::-1].copy()
+    return {**fields, key: arr}, key
+
+
+def test_every_single_field_corruption_of_a_table_gets_a_verdict():
+    """1,000 seeded single-field corruptions of ``pair_groupoid(3)`` and of
+    its ambit's action, each built directly with no flaw given: every
+    verifier that reads the table returns a ``Diagnostics``, none raises.
+    A groupoid goes through ``verify_groupoid`` and, both ways against the
+    clean one when the sizes agree, ``verify_groupoid_iso``; an action
+    through ``verify_action`` and ``verify_equivariant_map`` by the
+    identity, from itself, into the clean action and out of it."""
+    gpd = pair_groupoid(3)
+    act = build_ambit(gpd, 0).action
+    tables = (
+        (Groupoid, {"n_objects": gpd.n_objects, "src": gpd.src,
+                    "tgt": gpd.tgt, "unit": gpd.unit, "inv": gpd.inv,
+                    "row_off": gpd.row_off, "val": gpd.val}),
+        (GroupoidAction, {"gpd": gpd, "n_points": act.n_points,
+                          "anchor": act.anchor, "row_off": act.row_off,
+                          "val": act.val}))
+    edited, failures = set(), set()
+    for case in range(1000):
+        rng = random.Random(f"table fuzz {case}")
+        kind, clean = tables[case % 2]
+        fields, key = _corrupt(clean, rng)
+        table = kind(**fields)
+        if kind is Groupoid:
+            verdicts = [verify_groupoid(table)]
+            if (table.n_objects, table.n_arrows) == \
+                    (gpd.n_objects, gpd.n_arrows):
+                same = (list(range(gpd.n_objects)), list(range(gpd.n_arrows)))
+                verdicts += [verify_groupoid_iso(table, gpd, *same),
+                             verify_groupoid_iso(gpd, table, *same)]
+        else:
+            same = list(range(act.n_points))
+            verdicts = [verify_action(table)] + [
+                verify_equivariant_map(EquivariantMap(s, t, values))
+                for s, t, values in ((act, table, same), (table, act, same),
+                                     (table, table,
+                                      list(range(max(table.n_points, 0)))))]
+        assert all(isinstance(d, Diagnostics) for d in verdicts), (case, key)
+        edited.add((kind, key))
+        failures.update(d.failure for d in verdicts)
+    assert len(edited) == 11  # every field of both
+    assert "row offsets off the anchor's layout" in failures
 
 
 def test_a_block_of_more_entries_than_int16_counts_is_read_in_slices():

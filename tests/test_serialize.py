@@ -972,21 +972,19 @@ UNUSED_EDITS = {
 FUZZ_CASES = 300
 
 
-def test_load_fuzz_agrees_with_json(tmp_path, monkeypatch):
-    """300 seeded edits of the canonical groupoidify and ambit reports of
-    two fixtures each, one or two edits a case, in the tables of any run or
-    in those of the run the model does not use: ``load_model`` gives the
-    model, with its rows, flaws and input digest, or the error's code and
-    message, that ``json`` reading the whole text gives.  Both paths are
-    taken, and both give models and errors."""
-    reports = {}
+@functools.cache
+def _fuzz_texts() -> list[tuple[str, str]]:
+    """``(command, text)`` for 300 seeded edits of the canonical
+    groupoidify and ambit reports of two fixtures each, one or two edits a
+    case, in the tables of any run or in those of the run the model does
+    not use."""
+    reports, texts = {}, []
     for command in ("groupoidify", "ambit"):
         report = run_command(command, fixture_models(command)[:2])
         text = canonical_dumps(report)
         # the model's tables come first: its run is the first
         used = len(SPAN.findall(canonical_dumps(report["runs"][0]["model"])))
         reports[command] = text, used
-    paths = set()
     for case in range(FUZZ_CASES):
         rng = random.Random(f"load fuzz {case}")
         command = rng.choice(sorted(reports))
@@ -1000,6 +998,17 @@ def test_load_fuzz_agrees_with_json(tmp_path, monkeypatch):
                 edit = FUZZ_EDITS[rng.choice(sorted(FUZZ_EDITS))]
             if spans:
                 text = edit(text, rng, spans)
+        texts.append((command, text))
+    return texts
+
+
+def test_load_fuzz_agrees_with_json(tmp_path, monkeypatch):
+    """On each of the :func:`_fuzz_texts`, ``load_model`` gives the model,
+    with its rows, flaws and input digest, or the error's code and
+    message, that ``json`` reading the whole text gives.  Both paths are
+    taken, and both give models and errors."""
+    paths = set()
+    for case, (command, text) in enumerate(_fuzz_texts()):
         fast, plain, decoded = _load_both(text.encode(), tmp_path,
                                           monkeypatch)
         assert fast == plain, (case, command)
@@ -1032,6 +1041,72 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
             assert fast == plain
             paths.add((stdin, decoded))
     assert paths == {(True, False), (True, True), ("fd", False), ("fd", True)}
+
+
+@functools.cache
+def _groupoid_texts() -> list[str]:
+    """The canonical groupoid models of the 5- and 6-vertex S4 bundles,
+    973,186 and 1,701,204 bytes: one on each side of the default
+    ``_LEAN_DIGEST``."""
+    return [canonical_dumps(groupoid_to_json(groupoid_of_bundle(
+        large_random_bundle(n, 3, "S4")).groupoid)) for n in (5, 6)]
+
+
+# bytes hashed by the interpreter's sha256 before hashlib's takes over:
+# none, one, part of a large table, and the default
+DIGEST_BOUNDS = [0, 1, 1 << 16, serialize._LEAN_DIGEST]
+ORACLE_DIGESTS: dict[str, str] = {}  # of each text that loads
+
+
+@pytest.mark.parametrize("bound", DIGEST_BOUNDS)
+def test_both_digest_routes_give_hashlib_sha256(bound, tmp_path,
+                                                monkeypatch):
+    """With the interpreter's sha256 taking payloads of up to ``bound``
+    bytes and ``hashlib``'s the rest, the input digest of every fixture
+    text, load fuzz text and large groupoid model that loads is
+    ``hashlib.sha256`` of its payload's canonical text, and so is
+    :func:`~gpdflow.serialize.model_digest` of each large model as built,
+    its table a row table.  The default bound falls between the two large
+    models."""
+    monkeypatch.setattr(serialize, "_LEAN_DIGEST", bound)
+    path = tmp_path / "input.json"
+    texts = _fixture_texts() + [text for _, text in _fuzz_texts()]
+    digests = 0
+    for text in texts + _groupoid_texts():
+        path.write_text(text)
+        try:
+            digest = serialize.load_model(str(path)).digest
+        except ModelError:
+            continue
+        if text not in ORACLE_DIGESTS:  # the same for every bound
+            ORACLE_DIGESTS[text] = _text_mode_load(str(path))[1]
+        assert digest == ORACLE_DIGESTS[text]
+        digests += 1
+    assert digests > len(texts) // 2
+    sizes = []
+    for text in _groupoid_texts():
+        payload = parse_model(json.loads(text)).data
+        plain = canonical_dumps(payload).encode()
+        assert serialize.model_digest(payload) == \
+            hashlib.sha256(plain).hexdigest()
+        sizes.append(len(plain))
+    assert sizes[0] <= DIGEST_BOUNDS[-1] < sizes[1]
+
+
+def test_a_payload_of_exactly_the_bound_is_hashed_lean(monkeypatch):
+    """A payload of exactly ``_LEAN_DIGEST`` bytes is hashed by the
+    interpreter's sha256 alone; one byte more and it is hashed again by
+    ``hashlib``'s, once.  The digest is the same either way."""
+    payload = groupoid_to_json(discrete(3))
+    plain = canonical_dumps(payload).encode()
+    real, made = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda *data: made.append(data) or real(*data))
+    for bound, restarts in ((len(plain), 0), (len(plain) - 1, 1)):
+        monkeypatch.setattr(serialize, "_LEAN_DIGEST", bound)
+        made.clear()
+        assert serialize.model_digest(payload) == real(plain).hexdigest()
+        assert len(made) == restarts, bound
 
 
 def test_decode_takes_the_table_and_one_block_of_temporaries():
