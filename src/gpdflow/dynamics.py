@@ -24,8 +24,8 @@ import numpy as np
 
 from .algebra import FiniteGroup, find_group_isomorphism, verify_group
 from .diagnostics import Diagnostics
-from .groupoid import Groupoid, RowTable, _require_whole, _structural_scan, \
-    is_transitive, val_width, verify_groupoid, vertex_group
+from .groupoid import Groupoid, RowTable, _require_whole, is_transitive, \
+    val_width, verify_groupoid, vertex_group
 
 __all__ = [
     "GroupoidAction",
@@ -80,35 +80,27 @@ class GroupoidAction(RowTable):
     def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
                      triples) -> "GroupoidAction":
         anchor = np.asarray(anchor, dtype=np.int64)
-        # until the scans pass: one empty row per anchor entry, and the
-        # flaw __post_init__ finds in them replaced
-        a = GroupoidAction(gpd, n_points, anchor, [0] * (anchor.shape[0] + 1),
-                           [])
-        a.flaw = a._index_flaw()
-        if a.flaw is None:
-            a.flaw = a._fill(triples)
-        return a
+        return GroupoidAction(gpd, n_points, anchor,
+                              [0] * (anchor.shape[0] + 1), [])._filled(triples)
 
     def _index_flaw(self) -> Optional[Diagnostics]:
-        """The groupoid's structural flaw, else the anchor's."""
-        diag = _structural_scan(self.gpd)
-        return _anchor_scan(self) if diag is None else diag
+        """The groupoid's flaw, else the anchor's shape and range."""
+        if self.gpd.flaw is not None:
+            return self.gpd.flaw
+        if self.anchor.shape[0] != self.n_points:
+            return Diagnostics.failed("anchor length mismatch",
+                                      (self.anchor.shape[0], self.n_points),
+                                      structural=True)
+        bad = (self.anchor < 0) | (self.anchor >= self.gpd.n_objects)
+        if bool(bad.any()):
+            y = int(np.argmax(bad))
+            return Diagnostics.failed("anchor out of range",
+                                      (y, int(self.anchor[y])),
+                                      structural=True)
+        return None
 
     def fiber(self, x: int) -> list[int]:
         return np.flatnonzero(self.anchor == x).tolist()
-
-
-def _anchor_scan(a: GroupoidAction) -> Optional[Diagnostics]:
-    if a.anchor.shape[0] != a.n_points:
-        return Diagnostics.failed("anchor length mismatch",
-                                  (a.anchor.shape[0], a.n_points),
-                                  structural=True)
-    bad = (a.anchor < 0) | (a.anchor >= a.gpd.n_objects)
-    if bool(bad.any()):
-        y = int(np.argmax(bad))
-        return Diagnostics.failed("anchor out of range", (y, int(a.anchor[y])),
-                                  structural=True)
-    return None
 
 
 def verify_action(a: GroupoidAction) -> Diagnostics:
@@ -116,9 +108,9 @@ def verify_action(a: GroupoidAction) -> Diagnostics:
 
     The groupoid first: a failed :func:`verify_groupoid` verdict is
     returned as it is (the groupoid keeps its verdict, so one that was
-    verified before is not scanned again).  Structure next: anchor shape
-    and range, then the flaw the table was built with, picked by
-    :meth:`RowTable._fill` in the groupoid's order.  Then the pointwise
+    verified before is not scanned again).  Structure next: the action's
+    ``flaw``, set once when it was built: anchor shape and range, then the
+    flaw of its rows, picked in the groupoid's order.  Then the pointwise
     laws: the anchor moves with the arrow, units act trivially, and acting
     along a composition equals acting twice, by Light's test
     (:meth:`RowTable.light_test`), which rests on the groupoid's
@@ -128,9 +120,8 @@ def verify_action(a: GroupoidAction) -> Diagnostics:
     diag = verify_groupoid(gpd)
     if not diag.ok:
         return diag
-    for diag in (_anchor_scan(a), a.flaw):
-        if diag is not None:
-            return diag
+    if a.flaw is not None:
+        return a.flaw
     hit = a.first_entry(lambda ys, gs, val: a.anchor[val] != gpd.tgt[gs])
     if hit is not None:
         return Diagnostics.failed("anchor compatibility", hit[:2])
@@ -283,7 +274,9 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
     """Assemble the ambit at ``x0``, the groupoid's regular action
     restricted to the arrows out of ``x0``, and check its defining properties:
     the unit acts as a retrieval map (``u0 . w == w`` for every point),
-    the action is free, and the anchor is onto (needs transitivity)."""
+    the action is free, and the anchor is onto (needs transitivity).  The
+    table must have no flaw and the unit of ``x0`` must start at ``x0``."""
+    _require_whole(gpd)  # is_transitive indexes with src and tgt
     if not (0 <= x0 < gpd.n_objects):
         raise ValueError(f"object {x0} out of range")
     ok, witness = is_transitive(gpd)
@@ -292,10 +285,13 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
             f"groupoid is not transitive (no arrow {witness[0]} -> {witness[1]}); "
             "the ambit anchor would not be surjective")
     points = gpd.arrows_from(x0)
+    u0 = np.flatnonzero(points == gpd.unit[x0])
+    if not u0.size:
+        raise ValueError(f"unit of object {x0} is not an arrow out of {x0}")
     # arrows out of x0 are closed under composition on the right
     action = restrict_action(gpd, points)
     ambit = Ambit(action=action, basepoint=x0, points=points.tolist(),
-                  u0=int(np.flatnonzero(points == gpd.unit[x0])[0]))
+                  u0=int(u0[0]))
     # row u0 holds u0 . w for every point w, in point order
     if not np.array_equal(action.row(ambit.u0), np.arange(points.shape[0])):
         raise AssertionError("the unit does not retrieve every point")
@@ -320,7 +316,8 @@ class EquivariantMap:
 
 
 def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
-    """Anchor preservation plus ``f(y . g) == f(y) . g`` on every pair."""
+    """Anchor preservation plus ``f(y . g) == f(y) . g`` on every pair,
+    after either action's ``flaw``, set once when it was built."""
     if m.source.gpd is not m.target.gpd:
         return Diagnostics.failed("different groupoids", (), structural=True)
     if len(m.values) != m.source.n_points:
@@ -328,9 +325,8 @@ def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
                                   (len(m.values), m.source.n_points),
                                   structural=True)
     for t in (m.source, m.target):  # the loop below reads their anchors
-        diag = t._index_flaw() if t.flaw is None else t.flaw
-        if diag is not None:
-            return diag
+        if t.flaw is not None:
+            return t.flaw
     for y, z in enumerate(m.values):
         if not (0 <= z < m.target.n_points):
             return Diagnostics.failed("value out of range", (y, z),

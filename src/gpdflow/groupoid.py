@@ -12,17 +12,17 @@ the groupoid's right action on its own arrows (the regular action: an arrow
 is anchored at its target).  Every action in this package is a table of
 rows: row ``y`` holds ``y . h`` for each ``h`` in ``arrows_from(anchor[y])``
 in ascending order, so ``y . h`` is ``val[row_off[y] + out_pos[h]]``.  A
-table built from triples carries its first flaw for verification to
-report, picked by one policy for both kinds of table in the pass that
-fills it: a point or arrow out of range, a value out of range, a pair
-given twice, a pair off the composable domain, each at its least
+table's first structural flaw is set once, as ``flaw``, when it is built
+(a table is not changed once built), and every reader reads that record.
+A flaw of the index arrays, which keeps them from indexing rows, comes
+first (for an action: its groupoid's flaw, else its anchor's).  Then a
+table filled from triples carries the fill's flaw, by one policy for both
+kinds of table: a point or arrow out of range, a value out of range, a
+pair given twice, a pair off the composable domain, each at its least
 ``(y, h)``; then the first pair in row order with no entry.  A table built
-directly from its rows, with no flaw given and index arrays that can index
-rows, gets its first structural flaw as it is built: a ``row_off`` that is
-not the layout its anchor implies (or a ``val`` of another length), else
-the flaw its values show by the fill's policy: the first value out of
-range, else the first hole.  The verifiers name a flaw of the index arrays
-themselves before they read a row.
+directly from its rows carries the flaw it is given, else a ``row_off``
+that is not the layout its anchor implies (or a ``val`` of another
+length), else the first value out of range, else the first hole.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -90,9 +90,9 @@ class RowTable:
     ``anchor``, ``row_off``, ``val`` and ``flaw``; ``_index_flaw``, the
     structural flaw that keeps their arrays from indexing rows, or None; and
     ``_FLAW_LABELS``, their names for an index, a value out of range and
-    a repeated pair:
-    :class:`Groupoid` is its own regular action, ``GroupoidAction`` the
-    general case.
+    a repeated pair.  ``flaw`` is set once, when the table is built, in
+    the order the module docstring gives.  :class:`Groupoid` is its own
+    regular action, ``GroupoidAction`` the general case.
     """
 
     def __post_init__(self) -> None:
@@ -106,9 +106,11 @@ class RowTable:
         if not np.iinfo(width).min <= lo <= hi <= np.iinfo(width).max:
             width = np.int32
         self.val = val.astype(width, copy=False)
-        # a table built directly, whose arrays can index rows: its rows as
-        # given (the verifiers' own scans name an index flaw)
-        if self.flaw is None and self._index_flaw() is None:
+        # each flaw is tested with `is None`: a failed verdict is falsy
+        index = self._index_flaw()
+        if index is not None:
+            self.flaw = index
+        elif self.flaw is None:
             self.flaw = self._layout_flaw(len(val))
             if self.flaw is None:
                 self.flaw = self._value_flaw(val, lo, hi)
@@ -254,17 +256,23 @@ class RowTable:
 
     def map_flaw(self, target: "RowTable", point_map: np.ndarray,
                  arrow_map: np.ndarray, failure: str) -> Optional[Diagnostics]:
-        """The first flaw of either table, else a ``failure`` verdict at the
-        first ``(y, h)``, in row order, where ``point_map[y . h]`` is not
-        ``point_map[y] . arrow_map[h]`` in ``target``, else None.  The maps
-        must already carry anchors and sources along."""
-        # a missing entry reads -1, which would index the last entry
-        for t in (self, target):
-            if t.flaw is not None:
-                return t.flaw
+        """A ``failure`` verdict at the first ``(y, h)``, in row order, where
+        ``point_map[y . h]`` is not ``point_map[y] . arrow_map[h]`` in
+        ``target``, else None.  The callers have read each table's ``flaw``,
+        set when it was built (a hole reads -1, which would index the last
+        entry); the maps must already carry anchors and sources along."""
         hit = self.first_entry(lambda ys, hs, val: target._at(
             point_map[ys], arrow_map[hs]) != point_map[val])
         return None if hit is None else Diagnostics.failed(failure, hit[:2])
+
+    def _filled(self, triples) -> "RowTable":
+        """This table, built with empty rows, filled by :meth:`_fill`
+        unless its index arrays have a flaw; its flaw is theirs, else the
+        fill's."""
+        self.flaw = self._index_flaw()
+        if self.flaw is None:
+            self.flaw = self._fill(triples)
+        return self
 
     def pairs_at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pair ``(y, h)`` behind each of the positions ``pos`` of
@@ -408,13 +416,8 @@ class Groupoid(RowTable):
                     comp: CompTable) -> "Groupoid":
         if isinstance(comp, Mapping):
             comp = [(g, h, gh) for (g, h), gh in comp.items()]
-        # until the scan passes: one empty row per arrow, and the flaw
-        # __post_init__ finds in them replaced
-        g = Groupoid(n_objects, src, tgt, unit, inv, [0] * (len(tgt) + 1), [])
-        g.flaw = g._index_flaw()
-        if g.flaw is None:  # the arrays can index rows
-            g.flaw = g._fill(comp)
-        return g
+        return Groupoid(n_objects, src, tgt, unit, inv, [0] * (len(tgt) + 1),
+                        [])._filled(comp)
 
     def _index_flaw(self) -> Optional[Diagnostics]:
         """Array shapes and index ranges: None when the arrays can index
@@ -551,13 +554,6 @@ def _require_whole(*tables: RowTable) -> None:
             raise ValueError(f"table has a flaw: {t.flaw.failure} {t.flaw.witness}")
 
 
-def _structural_scan(g: Groupoid) -> Optional[Diagnostics]:
-    """Array shapes and index ranges, then the flaw the composition table
-    was built with."""
-    diag = g._index_flaw()
-    return g.flaw if diag is None else diag
-
-
 def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:
     """The first product ``gh``, in row order, that does not run from
     ``src(g)`` to ``tgt(h)``, read a block of rows at a time."""
@@ -618,9 +614,9 @@ def _inverse_scan(g: Groupoid) -> Optional[Diagnostics]:
 
 def verify_groupoid(g: Groupoid) -> Diagnostics:
     """Check every groupoid axiom, reporting the first violation in a fixed
-    scan order: structure (array shapes and index ranges, then the flaw the
-    composition table was built with, picked by :meth:`RowTable._fill`),
-    endpoints of products, unit laws, inverse laws, associativity.
+    scan order: structure (the groupoid's ``flaw``, set once when it was
+    built: array shapes and index ranges, then the flaw of its composition
+    rows), endpoints of products, unit laws, inverse laws, associativity.
 
     Associativity is Light's test on the regular action
     (:meth:`RowTable.light_test`): every arrow is checked as the middle of a
@@ -633,7 +629,9 @@ def verify_groupoid(g: Groupoid) -> Diagnostics:
 
 
 def _axiom_verdict(g: Groupoid) -> Diagnostics:
-    for scan in (_structural_scan, _endpoint_scan, _unit_scan, _inverse_scan):
+    if g.flaw is not None:
+        return g.flaw
+    for scan in (_endpoint_scan, _unit_scan, _inverse_scan):
         diag = scan(g)
         if diag is not None:
             return diag
@@ -749,7 +747,8 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
                         arr_map: Sequence[int]) -> Diagnostics:
     """Check that the pair of maps is a groupoid isomorphism: bijections that
     preserve src, tgt, unit, inverse, and every defined composition.  A
-    structural flaw of either groupoid is reported before the maps meet it."""
+    structural flaw of either groupoid, its ``flaw`` set once when it was
+    built, is reported before the maps meet it."""
     m, k = g1.n_objects, g1.n_arrows
     if len(obj_map) != m or len(arr_map) != k:
         return Diagnostics.failed(
@@ -769,9 +768,8 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
             return Diagnostics.failed(f"{name} map not a bijection", (),
                                       structural=True)
     for g in (g1, g2):  # the structure maps must index the maps below
-        flaw = _structural_scan(g)
-        if flaw is not None:
-            return flaw
+        if g.flaw is not None:
+            return g.flaw
     # src, tgt, unit and inv commute with the maps
     for name, attr, outer, inner in (("src", "src", om, am),
                                      ("tgt", "tgt", om, am),

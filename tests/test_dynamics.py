@@ -4,6 +4,7 @@ Uniqueness claims are cross-checked by honest brute force: equivariant
 maps by filtering the full product of anchor-compatible assignments, and
 minimal subflows by the exhaustive bitmask search built into the package.
 """
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -172,13 +173,14 @@ def test_verify_action_reports_a_broken_groupoid():
 
 
 def test_verify_action_structural_shapes():
+    """A table is not changed once built, so each bad anchor is built
+    into a new action, whose flaw is set as it is built."""
     gpd = z2_triangle_groupoid().groupoid
     a = base_action(gpd)
-    a.anchor = a.anchor[:-1]
-    assert verify_action(a).failure == "anchor length mismatch"
-    b = base_action(gpd)
-    b.anchor[0] = 99
-    assert verify_action(b).failure == "anchor out of range"
+    short = replace(a, anchor=a.anchor[:-1])
+    assert verify_action(short).failure == "anchor length mismatch"
+    off = replace(a, anchor=np.where(np.arange(a.n_points) == 0, 99, a.anchor))
+    assert verify_action(off).failure == "anchor out of range"
 
 
 # --- orbits and subflows -------------------------------------------------------
@@ -330,6 +332,21 @@ def test_ambit_needs_transitive_groupoid():
 def test_ambit_object_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         build_ambit(z2_triangle_groupoid().groupoid, x0=7)
+
+
+def test_ambit_refuses_a_unit_that_does_not_start_at_its_object():
+    """``pair_groupoid(3)`` with the unit of object 0 set to arrow 2, the
+    unit of object 2: a whole table that breaks the unit law, whose unit
+    of 0 is not among the arrows out of 0.  The ambit at 0 is refused by
+    name, not with an ``IndexError``."""
+    p = pair_groupoid(3)
+    g = Groupoid(3, p.src, p.tgt, [2, 1, 2], p.inv, p.row_off, p.val)
+    assert g.flaw is None
+    diag = verify_groupoid(g)
+    assert (diag.failure, diag.witness) == ("unit law", (2,))
+    with pytest.raises(ValueError,
+                       match="unit of object 0 is not an arrow out of 0"):
+        build_ambit(g, 0)
 
 
 # --- universal maps ------------------------------------------------------------

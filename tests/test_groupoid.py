@@ -1,5 +1,6 @@
 """Tests for the groupoid core: verification, transitivity, vertex groups."""
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,8 @@ from gpdflow.diagnostics import Diagnostics
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
-    build_ambit, universal_map, verify_action, verify_equivariant_map
+    build_ambit, disjoint_union_actions, restrict_action, universal_map, \
+    verify_action, verify_equivariant_map
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -574,6 +576,24 @@ def _corrupt(fields: dict, rng: random.Random) -> tuple[dict, str]:
     return {**fields, key: arr}, key
 
 
+def _corrupted_tables(gpd: Groupoid, act: GroupoidAction):
+    """1,000 seeded single-field corruptions, by :func:`_corrupt`, of
+    ``gpd`` and of ``act`` in turn, each built directly with no flaw given,
+    as ``(kind, field name, table)``."""
+    tables = (
+        (Groupoid, {"n_objects": gpd.n_objects, "src": gpd.src,
+                    "tgt": gpd.tgt, "unit": gpd.unit, "inv": gpd.inv,
+                    "row_off": gpd.row_off, "val": gpd.val}),
+        (GroupoidAction, {"gpd": gpd, "n_points": act.n_points,
+                          "anchor": act.anchor, "row_off": act.row_off,
+                          "val": act.val}))
+    for case in range(1000):
+        rng = random.Random(f"table fuzz {case}")
+        kind, clean = tables[case % 2]
+        fields, key = _corrupt(clean, rng)
+        yield kind, key, kind(**fields)
+
+
 def test_every_single_field_corruption_of_a_table_gets_a_verdict():
     """1,000 seeded single-field corruptions of ``pair_groupoid(3)`` and of
     its ambit's action, each built directly with no flaw given: every
@@ -584,19 +604,8 @@ def test_every_single_field_corruption_of_a_table_gets_a_verdict():
     identity, from itself, into the clean action and out of it."""
     gpd = pair_groupoid(3)
     act = build_ambit(gpd, 0).action
-    tables = (
-        (Groupoid, {"n_objects": gpd.n_objects, "src": gpd.src,
-                    "tgt": gpd.tgt, "unit": gpd.unit, "inv": gpd.inv,
-                    "row_off": gpd.row_off, "val": gpd.val}),
-        (GroupoidAction, {"gpd": gpd, "n_points": act.n_points,
-                          "anchor": act.anchor, "row_off": act.row_off,
-                          "val": act.val}))
     edited, failures = set(), set()
-    for case in range(1000):
-        rng = random.Random(f"table fuzz {case}")
-        kind, clean = tables[case % 2]
-        fields, key = _corrupt(clean, rng)
-        table = kind(**fields)
+    for kind, key, table in _corrupted_tables(gpd, act):
         if kind is Groupoid:
             verdicts = [verify_groupoid(table)]
             if (table.n_objects, table.n_arrows) == \
@@ -611,11 +620,62 @@ def test_every_single_field_corruption_of_a_table_gets_a_verdict():
                 for s, t, values in ((act, table, same), (table, act, same),
                                      (table, table,
                                       list(range(max(table.n_points, 0)))))]
-        assert all(isinstance(d, Diagnostics) for d in verdicts), (case, key)
+        assert all(isinstance(d, Diagnostics) for d in verdicts), key
         edited.add((kind, key))
         failures.update(d.failure for d in verdicts)
     assert len(edited) == 11  # every field of both
     assert "row offsets off the anchor's layout" in failures
+
+
+def test_every_construction_refuses_a_flawed_table():
+    """The corruptions above, run through the constructions that read a
+    table's rows: a groupoid through ``normalize_groupoid``,
+    ``disjoint_union`` with the clean one on either side,
+    ``restrict_action`` to all its arrows and ``build_ambit`` at 0; an
+    action through ``restrict_action`` to all its points and
+    ``disjoint_union_actions`` with the clean one on either side.  Every
+    table whose verifier gives a structural verdict is refused with ``table
+    has a flaw``.  None raises ``IndexError``, and an ``AssertionError``
+    comes only from ``build_ambit``'s own retrieval and freeness checks, on
+    a groupoid that breaks a law."""
+    gpd = pair_groupoid(3)
+    act = build_ambit(gpd, 0).action
+    outcomes = Counter()
+    for kind, key, t in _corrupted_tables(gpd, act):
+        own = list(range(t.anchor.shape[0]))
+        if kind is Groupoid:
+            verdict = verify_groupoid(t)
+            calls = {"normalize": lambda: normalize_groupoid(t),
+                     "union": lambda: disjoint_union(t, gpd),
+                     "union after": lambda: disjoint_union(gpd, t),
+                     "restrict": lambda: restrict_action(t, own),
+                     "ambit": lambda: build_ambit(t, 0)}
+        else:
+            verdict = verify_action(t)
+            calls = {"restrict": lambda: restrict_action(t, own),
+                     "union": lambda: disjoint_union_actions(t, act),
+                     "union after": lambda: disjoint_union_actions(act, t)}
+        flawed = not verdict.ok and verdict.structural
+        for name, call in calls.items():
+            try:
+                call()
+            except ValueError as error:
+                outcome = "refused" if str(error).startswith(
+                    "table has a flaw") else "ValueError"
+            except AssertionError as error:
+                if not str(error).startswith(("the unit does not retrieve",
+                                              "action is not free")):
+                    raise
+                assert name == "ambit" and not verdict.ok, (key, error)
+                outcome = "AssertionError"
+            else:
+                outcome = "built"
+            assert outcome == "refused" or not flawed, (key, name, outcome)
+            outcomes[flawed, outcome] += 1
+    # every outcome the corruptions can have is reached
+    assert set(outcomes) == {(True, "refused"), (False, "built"),
+                             (False, "ValueError"),
+                             (False, "AssertionError")}
 
 
 def test_a_block_of_more_entries_than_int16_counts_is_read_in_slices():
@@ -805,9 +865,10 @@ def test_iso_reports_a_structure_map_out_of_range(build):
     src = [0, 1, 0, 7]
     if build == "from_tables":
         bad = Groupoid.from_tables(2, src, p.tgt, p.unit, p.inv, p.triples())
-    else:  # built directly, with no flaw recorded
+    else:  # built directly: its flaw is set as it is built
         bad = Groupoid(2, src, p.tgt, p.unit, p.inv, p.row_off, p.val)
-        assert bad.flaw is None
+        assert (bad.flaw.failure, bad.flaw.witness) == \
+            ("src index out of range", (3, 7))
     for g1, g2 in ((bad, p), (p, bad)):
         diag = verify_groupoid_iso(g1, g2, [0, 1], [0, 1, 2, 3])
         assert (diag.failure, diag.witness) == ("src index out of range", (3, 7))
