@@ -76,12 +76,15 @@ class GroupoidAction(RowTable):
     _FLAW_LABELS = ("action table index out of range",
                     "action value out of range", "duplicate act pair")
 
+    def __post_init__(self) -> None:
+        self.anchor = np.asarray(self.anchor, dtype=np.int64)
+        super().__post_init__()
+
     @staticmethod
     def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
                      triples) -> "GroupoidAction":
-        anchor = np.asarray(anchor, dtype=np.int64)
-        return GroupoidAction(gpd, n_points, anchor,
-                              [0] * (anchor.shape[0] + 1), [])._filled(triples)
+        return GroupoidAction(gpd, n_points, anchor, [0] * (len(anchor) + 1),
+                              [])._filled(triples)
 
     def _index_flaw(self) -> Optional[Diagnostics]:
         """The groupoid's flaw, else the anchor's shape and range."""

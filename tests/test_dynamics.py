@@ -183,6 +183,13 @@ def test_verify_action_structural_shapes():
     assert verify_action(off).failure == "anchor out of range"
 
 
+def test_an_action_built_from_a_list_anchor_verifies():
+    a = base_action(pair_groupoid(2))
+    listed = GroupoidAction(a.gpd, 2, [0, 1], a.row_off, a.val)
+    assert listed.anchor.dtype == np.int64
+    assert verify_action(listed).ok
+
+
 # --- orbits and subflows -------------------------------------------------------
 
 
