@@ -25,7 +25,7 @@ from .diagnostics import Diagnostics
 from .dynamics import _CROSSCHECK_POINTS, GroupoidAction, base_action, \
     build_ambit
 from .ehresmann import groupoid_of_bundle
-from .groupoid import is_transitive, vertex_group
+from .groupoid import _require_whole, is_transitive, vertex_group
 
 __all__ = [
     "InvariantSection",
@@ -80,7 +80,9 @@ def fiber_action(a: GroupoidAction, x0: int) -> tuple[list[list[int]],
                                                       list[int], FiniteGroup]:
     """Restrict the action to the fiber over ``x0`` acted on by the vertex
     group.  Returns (table, fiber points, group); the group's element ``i``
-    is the i-th loop in the vertex-group ordering (unit first)."""
+    is the i-th loop in the vertex-group ordering (unit first).  An action
+    with a flaw is refused."""
+    _require_whole(a)
     vg = vertex_group(a.gpd, x0)
     fiber = a.fiber(x0)
     pos = {y: i for i, y in enumerate(fiber)}
@@ -91,7 +93,10 @@ def fiber_action(a: GroupoidAction, x0: int) -> tuple[list[list[int]],
 def verify_invariant_section(a: GroupoidAction, values: Sequence[int]
                              ) -> Diagnostics:
     """Check the section laws: one point per object, over that object, and
-    stable under transport along every arrow."""
+    stable under transport along every arrow, after the action's ``flaw``,
+    set once when it was built."""
+    if a.flaw is not None:  # the scans below read its anchor and rows
+        return a.flaw
     gpd = a.gpd
     if len(values) != gpd.n_objects:
         return Diagnostics.failed("section length mismatch",
@@ -120,8 +125,10 @@ def invariant_sections(a: GroupoidAction, x0: int = 0
     section per fixed point, in fiber order, or this raises ``ValueError``,
     as on an action that breaks its laws.  On spaces of at most
     ``_CROSSCHECK_POINTS`` points the list is additionally compared with a
-    brute-force enumeration of all anchor-respecting assignments.
+    brute-force enumeration of all anchor-respecting assignments.  An
+    action with a flaw is refused.
     """
+    _require_whole(a)  # is_transitive reads its groupoid's src and tgt
     gpd = a.gpd
     ok, witness = is_transitive(gpd)
     if not ok:

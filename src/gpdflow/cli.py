@@ -20,7 +20,6 @@ them.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import re
 import sys
@@ -500,25 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the command line; returns the exit code.
-
-    The cyclic garbage collector is paused for the run and the caller's
-    setting restored afterwards.  A run is one-shot and its tables are
-    acyclic, so reference counting frees them; left on, the collector
-    re-scans every list ``json.loads`` has made so far each time a batch
-    of new ones arrives, which on a large model costs more than the
-    decoding itself.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _main(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _main(argv) -> int:
+    """Run the command line; returns the exit code."""
     command, fmt = None, "json"
     try:
         ns = _build_parser().parse_args(argv)

@@ -192,8 +192,10 @@ def orbits(a: GroupoidAction) -> list[list[int]]:
     """Partition of the points into orbits, sorted by least element.
 
     Forward moves suffice: each move is undone by the inverse arrow, so
-    forward reachability is already symmetric.
+    forward reachability is already symmetric.  An action with a flaw is
+    refused.
     """
+    _require_whole(a)
     seen = [False] * a.n_points
     out = []
     for start in range(a.n_points):
@@ -213,7 +215,9 @@ def orbits(a: GroupoidAction) -> list[list[int]]:
 
 
 def invariant_subsets(a: GroupoidAction) -> list[list[int]]:
-    """All nonempty invariant subsets by exhaustive scan over bitmasks."""
+    """All nonempty invariant subsets by exhaustive scan over bitmasks.  An
+    action with a flaw is refused."""
+    _require_whole(a)
     n = a.n_points
     if n > _SUBSET_SEARCH_POINTS:
         raise ValueError(f"{n} points exceed the exhaustive-search cap "
@@ -350,7 +354,9 @@ def _map_from_unit(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:
 
 def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:
     """The unique equivariant map from the ambit sending the unit to ``y``:
-    point ``w`` goes to ``y . w``.  Verified before being returned."""
+    point ``w`` goes to ``y . w``.  Verified before being returned; an
+    action with a flaw is refused."""
+    _require_whole(a)
     if a.gpd is not ambit.action.gpd:
         raise ValueError("action and ambit use different groupoids")
     if not (0 <= y < a.n_points):

@@ -81,6 +81,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import operator
@@ -892,26 +893,27 @@ def load_model(path: str) -> Model:
     :class:`_File`), and ``-`` when the process has no stdin.
 
     The model's :attr:`~Model.digest` is taken here, each span hashed as
-    the input's bytes give it.  A path's file and the temporary copy are
-    closed on every exit; stdin is left at its end, as reading it whole
-    leaves it.
+    the input's bytes give it.  On every exit, a path's file and the
+    temporary copy are closed, and the interpreter's int-digit limit and
+    the cyclic garbage collector are put back as the caller set them;
+    stdin is left at its end, as reading it whole leaves it.  The collector
+    is paused for the load: its tables are acyclic, so reference counting
+    frees them, and left on, the collector re-scans every list
+    ``json.loads`` has made so far each time a batch of new ones arrives,
+    which on a large model costs more than the decoding itself.
     """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(_MAX_DIGITS)
-    try:
-        return _load(path)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _load(path: str) -> Model:
-    try:
-        stream = sys.stdin if path == "-" else open(path, "rb")
-    except OSError as exc:
-        raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
-    if stream is None:  # started with its stdin closed
-        raise ModelError(PARSE_ERROR, f"{path}: stdin is closed")
     with contextlib.ExitStack() as held:
+        held.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
+        sys.set_int_max_str_digits(_MAX_DIGITS)
+        if gc.isenabled():
+            gc.disable()
+            held.callback(gc.enable)
+        try:
+            stream = sys.stdin if path == "-" else open(path, "rb")
+        except OSError as exc:
+            raise ModelError(PARSE_ERROR, f"{path}: {exc}") from exc
+        if stream is None:  # started with its stdin closed
+            raise ModelError(PARSE_ERROR, f"{path}: stdin is closed")
         if stream is not sys.stdin:
             held.enter_context(stream)
         reader = _reader(stream, path, held)
@@ -941,6 +943,7 @@ def _load(path: str) -> Model:
                 raise too_deep from exc
             del text  # not held while the tables are validated
             model = parse_model(data)
+            del data  # nor when the collector is back on, to scan its lists
             if _nesting(model.data)[0] > _MAX_DEPTH:
                 raise too_deep
         model.digest  # taken while the input can be read

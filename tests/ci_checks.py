@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gpdflow.cli import run_command
+from gpdflow.cli import COMMANDS, run_command
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, named_bundles
 from gpdflow.serialize import bundle_to_json, canonical_dumps, \
@@ -38,10 +38,6 @@ from gpdflow.serialize import bundle_to_json, canonical_dumps, \
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = ROOT / "tests" / "golden"
-
-COMMANDS = ("verify", "groupoidify", "bundleize", "roundtrip", "holonomy",
-            "trivial", "orbits", "ambit", "universal", "sections",
-            "semigroup", "ea")
 
 # the 12-vertex S4 bundle b12.json, its groupoidify and ambit reports, and
 # bundleize on the groupoidify report

@@ -916,35 +916,29 @@ def test_semigroup_checks_the_fiber_table_once(monkeypatch):
 # --- the collector around main -------------------------------------------------------
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("exit_code", [0, 1, 2])
-def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch,
-                                             enabled, exit_code):
+def test_main_restores_the_callers_collector(tmp_path, capsys):
+    """``main`` leaves the cyclic collector as the caller set it, on or off,
+    after a verdict, a load error, a usage error and ``--help``; the load
+    pauses it in between (see ``tests/test_serialize.py``)."""
     import gc
-    import gpdflow.cli
     path = tmp_path / "badgroup.json"
     path.write_text(json.dumps({"kind": "group", "order": 2, "identity": 0,
                                 "mult": [[0, 1], [1, 1]]}))
-    argv = {0: ["ea", "--fixtures"], 1: ["verify", str(path)],
-            2: ["verify"]}[exit_code]
-    during = []
-
-    def recording(*args, **kwargs):
-        during.append(gc.isenabled())
-        return run_command(*args, **kwargs)
-    monkeypatch.setattr(gpdflow.cli, "run_command", recording)
-    (gc.enable if enabled else gc.disable)()
+    runs = [(["ea", "--fixtures"], 0), (["verify", str(path)], 1),
+            (["verify", str(tmp_path / "missing.json")], 2), (["verify"], 2)]
     try:
-        assert main(argv) == exit_code
-        assert gc.isenabled() == enabled
-        with pytest.raises(SystemExit) as err:
-            main(["--help"])
-        assert err.value.code == 0
-        assert gc.isenabled() == enabled
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() == enabled, argv
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            assert err.value.code == 0
+            assert gc.isenabled() == enabled
     finally:
         gc.enable()
     capsys.readouterr()
-    assert during == ([] if exit_code == 2 else [False])
 
 
 # --- the pipe at medium size, against the plain json encoding ---------------------

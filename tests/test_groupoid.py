@@ -8,12 +8,15 @@ import pytest
 
 from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
+from gpdflow.amenability import fiber_action, invariant_sections, \
+    verify_invariant_section
 from gpdflow.diagnostics import Diagnostics
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
-    build_ambit, disjoint_union_actions, restrict_action, universal_map, \
-    verify_action, verify_equivariant_map
+    build_ambit, disjoint_union_actions, invariant_subsets, minimal_subflows, \
+    orbits, restrict_action, universal_map, verify_action, \
+    verify_equivariant_map
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -676,6 +679,35 @@ def test_every_construction_refuses_a_flawed_table():
     assert set(outcomes) == {(True, "refused"), (False, "built"),
                              (False, "ValueError"),
                              (False, "AssertionError")}
+
+
+def test_every_reader_refuses_a_flawed_action():
+    """The action corruptions above with a structural verdict, 419 of them,
+    run through the readers of an action's rows: ``orbits``,
+    ``invariant_subsets``, ``minimal_subflows``, ``fiber_action``,
+    ``invariant_sections`` and ``universal_map`` each refuse it with
+    ``table has a flaw``, and ``verify_invariant_section`` on the clean
+    action's section gives the action's flaw as its verdict.  None raises
+    ``IndexError`` or ``AssertionError``, or returns a result."""
+    gpd = pair_groupoid(3)
+    ambit = build_ambit(gpd, 0)
+    section = invariant_sections(ambit.action, 0)[0].values
+    flawed = 0
+    for kind, key, t in _corrupted_tables(gpd, ambit.action):
+        if kind is Groupoid:
+            continue
+        verdict = verify_action(t)
+        if verdict.ok or not verdict.structural:
+            continue
+        flawed += 1
+        for call in (orbits, invariant_subsets, minimal_subflows,
+                     lambda t: fiber_action(t, 0),
+                     lambda t: invariant_sections(t, 0),
+                     lambda t: universal_map(t, ambit, 0)):
+            with pytest.raises(ValueError, match="^table has a flaw"):
+                call(t)
+        assert verify_invariant_section(t, section) is t.flaw, key
+    assert flawed == 419
 
 
 def test_a_block_of_more_entries_than_int16_counts_is_read_in_slices():

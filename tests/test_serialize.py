@@ -12,6 +12,7 @@ code and message of every case of a wider seeded corpus are pinned in
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from gpdflow.dynamics import GroupoidAction, build_ambit
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles, \
     named_bundles
-from gpdflow.groupoid import Groupoid, RowTable
+from gpdflow.groupoid import Groupoid, RowTable, pair_groupoid
 from gpdflow.serialize import ModelError, ambit_to_json, build_action, \
     build_groupoid, bundle_to_json, canonical_dumps, group_to_json, \
     groupoid_to_json, parse_model, transport_to_json
@@ -1400,6 +1402,82 @@ def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
                         for stdin in (False, True)}
     assert len(opened) == len(spools) == len(texts)
     assert all(fh.closed for fh in opened + spools)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_load_pauses_the_collector_and_puts_back_the_callers(
+        tmp_path, monkeypatch, enabled):
+    """The cyclic collector is off while ``json.loads`` and ``parse_model``
+    run inside ``load_model``, and the caller's setting, on or off, is back
+    after a load that gives a model, whether its tables are read from
+    their spans or by ``json`` whole, and after a load error with each
+    code: 10 (a missing file and bad JSON), 11 and 12."""
+    during = set()
+
+    def recording(real):
+        def call(*args, **kwargs):
+            during.add((real.__name__, gc.isenabled()))
+            return real(*args, **kwargs)
+        return call
+    monkeypatch.setattr(json, "loads", recording(json.loads))
+    monkeypatch.setattr(serialize, "parse_model",
+                        recording(serialize.parse_model))
+    raw = _report_bytes()
+    group = {"kind": "group", "order": 2, "identity": 0,
+             "mult": [[0, 1], [1, 0]]}
+    texts = {"spans": raw, "json": raw.replace(b"],[", b"], [", 1),
+             "invalid": raw[:-1],
+             "unknown kind": json.dumps({**group, "kind": "ring"}).encode(),
+             "bad index": json.dumps({**group, "identity": 2}).encode()}
+    codes = {"spans": 0, "json": 0, "missing": 10, "invalid": 10,
+             "unknown kind": 11, "bad index": 12}
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name, code in codes.items():
+            path = tmp_path / f"{name}.json"
+            if name in texts:
+                path.write_bytes(texts[name])
+            during.clear()
+            try:
+                serialize.load_model(str(path))
+                assert code == 0, name
+            except ModelError as exc:
+                assert exc.code == code, (name, exc.message)
+            assert gc.isenabled() == enabled, name
+            called = {"missing": (), "invalid": ("loads",)}.get(
+                name, ("loads", "parse_model"))
+            assert during == {(f, False) for f in called}, name
+    finally:
+        gc.enable()
+
+
+def test_a_table_json_reads_is_freed_before_the_collector_is_back_on(
+        tmp_path, monkeypatch):
+    """A ``comp`` table that ``json`` reads whole is no longer held when
+    ``load_model`` puts the collector back on, so the collector's first
+    pass does not scan its rows."""
+    class Rows(list):  # a list that a weak reference can follow
+        pass
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(json.loads(canonical_dumps(
+        groupoid_to_json(pair_groupoid(3)))), indent=1))
+    tables, held = [], []
+    real_loads, real_enable = json.loads, gc.enable
+
+    def loads(*args, **kwargs):
+        data = real_loads(*args, **kwargs)
+        data["comp"] = Rows(data["comp"])
+        tables.append(weakref.ref(data["comp"]))
+        return data
+
+    def enable():
+        held.append([ref() is not None for ref in tables])
+        real_enable()
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(gc, "enable", enable)
+    assert gc.isenabled()
+    serialize.load_model(str(path))
+    assert held == [[False]]
 
 
 # --- bundles built from a payload ---------------------------------------------
