@@ -916,29 +916,45 @@ def test_semigroup_checks_the_fiber_table_once(monkeypatch):
 # --- the collector around main -------------------------------------------------------
 
 
-def test_main_restores_the_callers_collector(tmp_path, capsys):
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit_code", [0, 1, 2])
+def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch,
+                                             enabled, exit_code):
     """``main`` leaves the cyclic collector as the caller set it, on or off,
-    after a verdict, a load error, a usage error and ``--help``; the load
-    pauses it in between (see ``tests/test_serialize.py``)."""
+    after a verdict (exit 0 or 1), a load or usage error (exit 2) and
+    ``--help``; the model is parsed with the collector paused, by
+    ``load_model`` itself (see ``tests/test_serialize.py``)."""
     import gc
-    path = tmp_path / "badgroup.json"
-    path.write_text(json.dumps({"kind": "group", "order": 2, "identity": 0,
-                                "mult": [[0, 1], [1, 1]]}))
-    runs = [(["ea", "--fixtures"], 0), (["verify", str(path)], 1),
-            (["verify", str(tmp_path / "missing.json")], 2), (["verify"], 2)]
+    import gpdflow.serialize
+    good = tmp_path / "group.json"
+    good.write_text(json.dumps({"kind": "group", "order": 2, "identity": 0,
+                                "mult": [[0, 1], [1, 0]]}))
+    bad = tmp_path / "badgroup.json"
+    bad.write_text(json.dumps({"kind": "group", "order": 2, "identity": 0,
+                               "mult": [[0, 1], [1, 1]]}))
+    argvs = {0: [["ea", "--fixtures"], ["verify", str(good)]],
+             1: [["verify", str(bad)]],
+             2: [["verify", str(tmp_path / "missing.json")], ["verify"]]
+             }[exit_code]
+    during = []
+
+    def recording(*args, **kwargs):
+        during.append(gc.isenabled())
+        return parse_model(*args, **kwargs)
+    monkeypatch.setattr(gpdflow.serialize, "parse_model", recording)
+    (gc.enable if enabled else gc.disable)()
     try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            for argv, code in runs:
-                assert main(argv) == code
-                assert gc.isenabled() == enabled, argv
-            with pytest.raises(SystemExit) as err:
-                main(["--help"])
-            assert err.value.code == 0
-            assert gc.isenabled() == enabled
+        for argv in argvs:
+            assert main(argv) == exit_code, argv
+            assert gc.isenabled() == enabled, argv
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert gc.isenabled() == enabled
     finally:
         gc.enable()
     capsys.readouterr()
+    assert during == ([] if exit_code == 2 else [False])
 
 
 # --- the pipe at medium size, against the plain json encoding ---------------------
