@@ -128,7 +128,6 @@ def invariant_sections(a: GroupoidAction, x0: int = 0
     brute-force enumeration of all anchor-respecting assignments.  An
     action with a flaw is refused.
     """
-    _require_whole(a)  # is_transitive reads its groupoid's src and tgt
     gpd = a.gpd
     ok, witness = is_transitive(gpd)
     if not ok:

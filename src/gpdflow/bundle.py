@@ -268,6 +268,9 @@ class TotalSpace:
 
 
 def total_space(b: CocycleBundle) -> TotalSpace:
+    diag = verify_cocycle(b)
+    if not diag.ok:
+        raise ValueError(f"not a cocycle bundle: {diag.failure}")
     return TotalSpace(bundle=b)
 
 

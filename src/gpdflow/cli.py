@@ -69,9 +69,8 @@ def _verdict(prop: str, diag: Diagnostics) -> dict:
 
 def _plain(prop: str, ok: bool, witness=None,
            failure: Optional[str] = None) -> dict:
-    return {"property": prop, "ok": bool(ok),
-            "failure": None if ok else (failure or prop),
-            "witness": witness, "notes": {}}
+    failure = None if ok else failure or prop
+    return _verdict(prop, Diagnostics(ok, failure, witness))
 
 
 def _gate(verdicts: list[dict], verdict: dict) -> None:

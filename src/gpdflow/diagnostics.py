@@ -12,7 +12,8 @@ class Diagnostics:
     ``failure`` names the first violated law in scan order, ``witness`` is a
     tuple of indices exhibiting the violation.  ``structural`` is set when the
     input is malformed (wrong shape, index out of range, operation defined on
-    the wrong domain) as opposed to well-formed data breaking an axiom.
+    the wrong domain) as opposed to well-formed data breaking an axiom.  A
+    verdict has no truth value, as a numpy array has none: read ``ok``.
     """
 
     ok: bool
@@ -21,8 +22,9 @@ class Diagnostics:
     structural: bool = False
     notes: dict[str, Any] = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return self.ok
+    def __bool__(self) -> bool:  # without it, a failed verdict is true
+        raise TypeError("the truth value of a Diagnostics is ambiguous: "
+                        "use .ok")
 
     @staticmethod
     def passed(**notes: Any) -> "Diagnostics":
@@ -33,16 +35,6 @@ class Diagnostics:
                **notes: Any) -> "Diagnostics":
         return Diagnostics(ok=False, failure=failure, witness=witness,
                            structural=structural, notes=dict(notes))
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"ok": self.ok}
-        if not self.ok:
-            out["failure"] = self.failure
-            out["witness"] = list(self.witness) if self.witness is not None else None
-            out["structural"] = self.structural
-        if self.notes:
-            out["notes"] = self.notes
-        return out
 
 
 __all__ = ["Diagnostics"]

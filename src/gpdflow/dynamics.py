@@ -72,7 +72,7 @@ class GroupoidAction(RowTable):
     anchor: np.ndarray
     row_off: np.ndarray
     val: np.ndarray
-    flaw: Optional[Diagnostics] = None
+    flaw: Optional[Diagnostics] = field(default=None, init=False)
     _FLAW_LABELS = ("action table index out of range",
                     "action value out of range", "duplicate act pair")
 
@@ -142,6 +142,7 @@ def verify_action(a: GroupoidAction) -> Diagnostics:
 
 def base_action(gpd: Groupoid) -> GroupoidAction:
     """The groupoid acting on its own objects: ``x . g = tgt(g)``."""
+    _require_whole(gpd)
     order, start, _ = gpd.out_index
     return GroupoidAction(gpd, gpd.n_objects, np.arange(gpd.n_objects), start,
                           gpd.tgt[order])
@@ -283,7 +284,7 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
     the unit acts as a retrieval map (``u0 . w == w`` for every point),
     the action is free, and the anchor is onto (needs transitivity).  The
     table must have no flaw and the unit of ``x0`` must start at ``x0``."""
-    _require_whole(gpd)  # is_transitive indexes with src and tgt
+    _require_whole(gpd)  # before x0 is checked against n_objects
     if not (0 <= x0 < gpd.n_objects):
         raise ValueError(f"object {x0} out of range")
     ok, witness = is_transitive(gpd)
@@ -384,10 +385,12 @@ def enumerate_equivariant_maps(ambit: Ambit,
     every point (``w == u0 . w``, checked at construction), equivariance
     forces ``f(w) == f(u0) . w``.  Each candidate is built as
     :func:`universal_map` builds it and verified once against every action
-    pair rather than accepted on that argument; one that fails, or that
-    does not send the unit to its point, as on a target that breaks the
-    action laws, is dropped rather than raised, so no map is listed twice.
+    pair rather than accepted on that argument; one that fails or that does
+    not send the unit to its point (on a target with a flaw, or that breaks
+    the action laws) is dropped, not raised, so no map is listed twice.
     """
+    if a.flaw is not None:
+        return []
     candidates = ((y, _map_from_unit(a, ambit, y))
                   for y in a.fiber(ambit.basepoint))
     return [m for y, m in candidates

@@ -12,17 +12,18 @@ the groupoid's right action on its own arrows (the regular action: an arrow
 is anchored at its target).  Every action in this package is a table of
 rows: row ``y`` holds ``y . h`` for each ``h`` in ``arrows_from(anchor[y])``
 in ascending order, so ``y . h`` is ``val[row_off[y] + out_pos[h]]``.  A
-table's first structural flaw is set once, as ``flaw``, when it is built
-(a table is not changed once built), and every reader reads that record.
+table's first structural flaw is found from its arrays alone, once, as
+``flaw``, when it is built (a table is not changed once built).  A verifier
+reports it, and a reader of the rows or the index arrays refuses the table.
 A flaw of the index arrays, which keeps them from indexing rows, comes
 first (for an action: its groupoid's flaw, else its anchor's).  Then a
 table filled from triples carries the fill's flaw, by one policy for both
 kinds of table: a point or arrow out of range, a value out of range, a
 pair given twice, a pair off the composable domain, each at its least
 ``(y, h)``; then the first pair in row order with no entry.  A table built
-directly from its rows carries the flaw it is given, else a ``row_off``
-that is not the layout its anchor implies (or a ``val`` of another
-length), else the first value out of range, else the first hole.
+directly from its rows carries a ``row_off`` that is not the layout its
+anchor implies (or a ``val`` of another length), else the first value out
+of range, else the first hole.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -30,7 +31,7 @@ constructors in this package produce normalized groupoids and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, \
     Union
@@ -87,8 +88,8 @@ class RowTable:
     starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
     in ``gpd.arrows_from(anchor[y])`` in ascending order (-1 where a table
     built from triples had no entry).  Subclasses provide ``gpd``,
-    ``anchor``, ``row_off``, ``val`` and ``flaw``; ``_index_flaw``, the
-    structural flaw that keeps their arrays from indexing rows, or None; and
+    ``anchor``, ``row_off`` and ``val``; ``_index_flaw``, the structural
+    flaw that keeps their arrays from indexing rows, or None; and
     ``_FLAW_LABELS``, their names for an index, a value out of range and
     a repeated pair.  ``flaw`` is set once, when the table is built, in
     the order the module docstring gives.  :class:`Groupoid` is its own
@@ -106,14 +107,11 @@ class RowTable:
         if not np.iinfo(width).min <= lo <= hi <= np.iinfo(width).max:
             width = np.int32
         self.val = val.astype(width, copy=False)
-        # each flaw is tested with `is None`: a failed verdict is falsy
-        index = self._index_flaw()
-        if index is not None:
-            self.flaw = index
-        elif self.flaw is None:
+        self.flaw = self._index_flaw()
+        if self.flaw is None:
             self.flaw = self._layout_flaw(len(val))
-            if self.flaw is None:
-                self.flaw = self._value_flaw(val, lo, hi)
+        if self.flaw is None:
+            self.flaw = self._value_flaw(val, lo, hi)
 
     def _layout(self) -> np.ndarray:
         """The ``row_off`` the anchor implies: row ``y`` has one entry per
@@ -401,7 +399,7 @@ class Groupoid(RowTable):
     inv: np.ndarray
     row_off: np.ndarray
     val: np.ndarray
-    flaw: Optional[Diagnostics] = None
+    flaw: Optional[Diagnostics] = field(default=None, init=False)
     _FLAW_LABELS = ("comp pair out of range", "comp value out of range",
                     "duplicate comp pair")
 
@@ -481,9 +479,10 @@ class Groupoid(RowTable):
         one, then, while the closure of the units under right multiplication
         misses an arrow, the least it misses.  The closure only grows: an
         arrow it gains is multiplied by every generator, the arrows it holds
-        by each generator adjoined.  Precondition: the table is whole.  An
+        by each generator adjoined.  A table with a flaw is refused.  An
         arrow adjoined and still missed means the units do not absorb it,
         and raises ``ValueError``."""
+        _require_whole(self)
         k, m = self.n_arrows, self.n_objects
         cycle = self.tgt == (self.src + 1) % max(m, 2)  # one object: no loop
         least = np.full(m, k)
@@ -648,6 +647,7 @@ def _axiom_verdict(g: Groupoid) -> Diagnostics:
 def is_transitive(g: Groupoid) -> tuple[bool, Optional[tuple[int, int]]]:
     """Whether every ordered pair of objects is joined by an arrow; when not,
     the lexicographically first unjoined pair is the witness."""
+    _require_whole(g)
     m = g.n_objects
     seen = np.zeros((m, m), dtype=bool)
     seen[g.src, g.tgt] = True
@@ -678,6 +678,7 @@ def hom_set(g: Groupoid, x: int, y: int) -> HomSet:
 def vertex_group(g: Groupoid, x: int) -> HomSet:
     """The loops at ``x`` as a verified group; the unit becomes element 0 and
     the remaining loops keep their ascending arrow order."""
+    _require_whole(g)
     loops = g.loops(x)
     u = int(g.unit[x])
     if u not in loops:
@@ -707,6 +708,7 @@ def vertex_groups_isomorphic(g: Groupoid, x: int, y: int) -> VertexGroupIso:
     """Conjugate ``G[x]`` onto ``G[y]`` by the lowest-index arrow ``a: x->y``
     (loop ``l`` maps to ``inv(a) . l . a``), verifying the result is a group
     isomorphism on the relabelled tables."""
+    _require_whole(g)
     joining = g.hom(x, y)
     if not joining:
         raise ValueError(f"no arrow from {x} to {y}")

@@ -723,6 +723,8 @@ class _Span:
                     raise _NotCanonical
                 yield found
                 window = window[last + 3:]
+            elif len(window) > 34:  # a row of 3 values below 2**31, and "],"
+                raise _NotCanonical
             carry = window
         self.checked = True
 

@@ -199,12 +199,20 @@ def readme_pipe():
 def indented_input_reads_like_compact_input():
     """Indented input reads like compact input: json.tool indents the
     tables, so bundleize and orbits read the whole input with json instead
-    of decoding its tables as bytes."""
+    of decoding its tables as bytes.  So does the canonical groupoid of the
+    5-vertex S4 bundle written with ", " separators, its comp table many
+    read windows long, through verify."""
     for make, command in (("groupoidify", "bundleize"), ("ambit", "orbits")):
         write(f"{make}.json", output([make, "--fixtures"]))
         compact = output([command, "-"], f"{make}.json")
         assert output([command, "-"], indented(f"{make}.json")) == compact, \
             command
+    write("m5.json", canonical_dumps(groupoid_to_json(groupoid_of_bundle(
+        large_random_bundle(5, 3, "S4")).groupoid)))
+    spaced = json.dumps(json.loads(Path("m5.json").read_text()),
+                        sort_keys=True, separators=(", ", ":")).encode()
+    assert output(["verify", "-"], spaced) == \
+        output(["verify", "-"], "m5.json"), "verify"
 
 
 def input_digest_is_the_payload_sha256():

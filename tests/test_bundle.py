@@ -1,5 +1,8 @@
 """Tests for dart cocycles, gauge normalization, holonomy, and triviality."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from gpdflow.algebra import preset_group
@@ -18,7 +21,8 @@ from gpdflow.bundle import (
     total_space,
     verify_cocycle,
 )
-from gpdflow.fixtures import large_random_bundle, random_connected_graph
+from gpdflow.fixtures import large_random_bundle, named_bundles, \
+    random_connected_graph
 
 
 def z2_triangle(edge_labels):
@@ -149,6 +153,45 @@ def test_transport_requires_matching_fiber():
     ts = total_space(b)
     with pytest.raises(ValueError):
         ts.transport(0, ts.point_index(2, 0))
+
+
+def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
+    """600 seeded single-label edits of the fixture bundles with a dart: a
+    dart's label set to -1, to the group's order, or to another element,
+    which the reverse dart's label follows half the time, so that the
+    involution law holds.  ``total_space`` raises ``ValueError`` exactly
+    when ``verify_cocycle`` fails (a label of -1 was read as the group's
+    last element); on any other bundle every dart carries each point over
+    its source into the fiber over its target."""
+    bundles = [b for b in named_bundles().values() if b.base.n_darts]
+    outcomes = Counter()
+    for case in range(600):
+        rng = random.Random(f"label edit {case}")
+        b = rng.choice(bundles)
+        base, labels = b.base, list(b.labels)
+        d = rng.randrange(base.n_darts)
+        others = [g for g in b.group.elements if g != labels[d]]
+        how = rng.choice(["-1", "order"] + ["element"] * bool(others))
+        if how == "element":
+            labels[d] = rng.choice(others)
+            if rng.random() < 0.5:
+                labels[base.rev(d)] = b.group.inv[labels[d]]
+        else:
+            labels[d] = -1 if how == "-1" else b.group.order
+        edited = CocycleBundle(base, b.group, labels)
+        lawful = verify_cocycle(edited).ok
+        if lawful:
+            ts = total_space(edited)
+            for dart in range(base.n_darts):
+                over = ts.fiber(base.dtgt(dart))
+                assert all(ts.transport(dart, p) in over
+                           for p in ts.fiber(base.dsrc(dart))), case
+        else:
+            with pytest.raises(ValueError, match="^not a cocycle bundle"):
+                total_space(edited)
+        outcomes[how, lawful] += 1
+    assert set(outcomes) == {("-1", False), ("order", False),
+                             ("element", False), ("element", True)}
 
 
 # --- gauge normalization ----------------------------------------------------------

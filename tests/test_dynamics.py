@@ -70,7 +70,7 @@ def test_base_action_verifies():
     gpd = z2_triangle_groupoid().groupoid
     a = base_action(gpd)
     diag = verify_action(a)
-    assert diag.ok, diag.as_dict()
+    assert diag.ok, diag
     assert diag.notes["entries"] == gpd.n_arrows
     assert orbits(a) == [[0, 1, 2]]
 

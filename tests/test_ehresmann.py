@@ -147,7 +147,7 @@ def test_composition_is_componentwise():
 def test_transport_groupoid_verifies(name):
     tg = groupoid_of_bundle(FIXTURES[name]())
     diag = verify_groupoid(tg.groupoid)
-    assert diag.ok, diag.as_dict()
+    assert diag.ok, diag
     assert tg.groupoid.is_normalized()
 
 
@@ -224,7 +224,7 @@ def test_oracle_refuses_large_inputs():
 def test_closed_form_matches_oracle(name):
     tg = groupoid_of_bundle(FIXTURES[name]())
     diag = closed_form_matches_oracle(tg)
-    assert diag.ok, diag.as_dict()
+    assert diag.ok, diag
 
 
 # --- connections -------------------------------------------------------------
@@ -509,7 +509,7 @@ def test_bundle_of_groupoid_rejects_bad_connection():
 @pytest.mark.parametrize("preset", ["Z1", "Z2", "S3", "S4"])
 def test_point_base_collapses_to_group(preset):
     report = point_base_degenerate(preset_group(preset))
-    assert report.iso.ok, report.iso.as_dict()
+    assert report.iso.ok, report.iso
     assert report.arrow_map == list(range(preset_group(preset).order))
 
 

@@ -1,4 +1,5 @@
 """Tests for the groupoid core: verification, transitivity, vertex groups."""
+import dataclasses
 import random
 from collections import Counter
 from itertools import product
@@ -14,9 +15,9 @@ from gpdflow.diagnostics import Diagnostics
 from gpdflow.ehresmann import groupoid_of_bundle
 from gpdflow.fixtures import large_random_bundle, matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
-    build_ambit, disjoint_union_actions, invariant_subsets, minimal_subflows, \
-    orbits, restrict_action, universal_map, verify_action, \
-    verify_equivariant_map
+    build_ambit, disjoint_union_actions, enumerate_equivariant_maps, \
+    invariant_subsets, minimal_subflows, orbits, restrict_action, \
+    universal_map, verify_action, verify_equivariant_map
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -682,32 +683,90 @@ def test_every_construction_refuses_a_flawed_table():
 
 
 def test_every_reader_refuses_a_flawed_action():
-    """The action corruptions above with a structural verdict, 419 of them,
-    run through the readers of an action's rows: ``orbits``,
+    """The corruptions above with a structural verdict, 347 groupoids and
+    419 actions, run through the readers of a table's rows or index
+    arrays.  A groupoid: ``is_transitive``, ``check_local_triviality``,
+    ``Groupoid.generators``, ``base_action``, ``vertex_group`` and
+    ``vertex_groups_isomorphic``; an action: ``orbits``,
     ``invariant_subsets``, ``minimal_subflows``, ``fiber_action``,
-    ``invariant_sections`` and ``universal_map`` each refuse it with
-    ``table has a flaw``, and ``verify_invariant_section`` on the clean
-    action's section gives the action's flaw as its verdict.  None raises
-    ``IndexError`` or ``AssertionError``, or returns a result."""
+    ``invariant_sections`` and ``universal_map``.  Each refuses it with
+    ``table has a flaw``; ``verify_invariant_section`` on the clean
+    action's section gives the action's flaw as its verdict, and
+    ``enumerate_equivariant_maps`` from the ambit finds no map into it.
+    None raises ``IndexError``, ``KeyError`` or ``AssertionError``, or
+    returns a result."""
     gpd = pair_groupoid(3)
     ambit = build_ambit(gpd, 0)
     section = invariant_sections(ambit.action, 0)[0].values
-    flawed = 0
+    readers = {
+        Groupoid: (is_transitive, check_local_triviality,
+                   lambda t: t.generators, base_action,
+                   lambda t: vertex_group(t, 0),
+                   lambda t: vertex_groups_isomorphic(t, 0, 1)),
+        GroupoidAction: (orbits, invariant_subsets, minimal_subflows,
+                         lambda t: fiber_action(t, 0),
+                         lambda t: invariant_sections(t, 0),
+                         lambda t: universal_map(t, ambit, 0))}
+    flawed = Counter()
     for kind, key, t in _corrupted_tables(gpd, ambit.action):
-        if kind is Groupoid:
-            continue
-        verdict = verify_action(t)
+        verdict = verify_groupoid(t) if kind is Groupoid else verify_action(t)
         if verdict.ok or not verdict.structural:
             continue
-        flawed += 1
-        for call in (orbits, invariant_subsets, minimal_subflows,
-                     lambda t: fiber_action(t, 0),
-                     lambda t: invariant_sections(t, 0),
-                     lambda t: universal_map(t, ambit, 0)):
+        flawed[kind] += 1
+        for call in readers[kind]:
             with pytest.raises(ValueError, match="^table has a flaw"):
                 call(t)
-        assert verify_invariant_section(t, section) is t.flaw, key
-    assert flawed == 419
+        if kind is GroupoidAction:
+            assert verify_invariant_section(t, section) is t.flaw, key
+            assert enumerate_equivariant_maps(ambit, t) == [], key
+    assert flawed == {Groupoid: 347, GroupoidAction: 419}
+
+
+def test_a_copy_made_whole_by_replace_verifies_clean():
+    """A table's flaw is found from its own arrays: a groupoid and an
+    action with one value broken by ``dataclasses.replace``, then put back
+    the same way, verify clean, and ``build_ambit`` and ``orbits`` accept
+    them, where the broken copy's flaw once stayed on the whole one."""
+    gpd = pair_groupoid(3)
+    val = gpd.val.copy()
+    val[5] = -1
+    broken = dataclasses.replace(gpd, val=val)
+    assert (broken.flaw.failure, broken.flaw.witness) == \
+        ("composability domain violated", (1, 6))
+    whole = dataclasses.replace(broken, val=gpd.val.copy())
+    assert whole.flaw is None and verify_groupoid(whole).ok
+    assert build_ambit(whole, 0).action.n_points == 3
+    act = base_action(gpd)
+    val = act.val.copy()
+    val[3] = 99
+    broken = dataclasses.replace(act, val=val)
+    assert (broken.flaw.failure, broken.flaw.witness) == \
+        ("action value out of range", (1, 1, 99))
+    whole = dataclasses.replace(broken, val=act.val.copy())
+    assert whole.flaw is None and verify_action(whole).ok
+    assert orbits(whole) == [[0, 1, 2]]
+
+
+def test_a_flaw_cannot_be_given():
+    """``flaw`` is no constructor argument of either kind of table."""
+    gpd = pair_groupoid(2)
+    act = base_action(gpd)
+    with pytest.raises(TypeError, match="flaw"):
+        Groupoid(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                 gpd.row_off, gpd.val, flaw=None)
+    with pytest.raises(TypeError, match="flaw"):
+        GroupoidAction(gpd, act.n_points, act.anchor, act.row_off, act.val,
+                       flaw=None)
+
+
+def test_a_verdict_has_no_truth_value():
+    """``bool`` of a passed and of a failed verdict raises, pointing to
+    ``ok``: a truthy verdict would let ``if verify_groupoid(g):`` pass a
+    failed one, and a falsy one would let ``if t.flaw:`` miss a flaw."""
+    for diag in (verify_groupoid(pair_groupoid(2)),
+                 Diagnostics.failed("unit law", (0,))):
+        with pytest.raises(TypeError, match=r"use \.ok"):
+            bool(diag)
 
 
 def test_a_block_of_more_entries_than_int16_counts_is_read_in_slices():

@@ -871,6 +871,43 @@ def test_a_span_value_at_its_bound_loads_as_json_reads_it(tmp_path,
     assert outcomes.count(2) == 12  # at the bound and above: errors
 
 
+def test_a_span_without_row_separators_is_refused_in_two_windows(
+        tmp_path, monkeypatch):
+    """A groupoid model written with ``", "`` separators, whose ``comp``
+    span has no ``],[`` and spans over 20 ``_CHUNK`` windows: the span
+    refuses it as not canonical after reading at most two windows, where
+    once each window was carried into the next to the table's end.  The
+    load, then by ``json``, gives the model and the digest of the compact
+    text."""
+    monkeypatch.setattr(serialize, "_CHUNK", 128)
+    payload = json.loads(canonical_dumps(groupoid_to_json(
+        groupoid_of_bundle(named_bundles()["edge-s3"]).groupoid)))
+    reads, outcomes = [], []
+
+    class Reader(bytes):  # the input's bytes, each read recorded
+        def __getitem__(self, at: slice) -> bytes:
+            reads.append(at)
+            return bytes.__getitem__(self, at)
+    for sep in (",", ", "):
+        raw = json.dumps(payload, sort_keys=True,
+                         separators=(sep, ":")).encode()
+        start = serialize._TABLE_KEY.search(raw).end() - 2
+        end = raw.index(b"]]", start) + 2
+        assert end - start > 20 * serialize._CHUNK
+        reads.clear()
+        rows = serialize._Span(Reader(raw), start, end).rows()
+        if sep == ",":
+            assert len(np.concatenate(list(rows))) == len(payload["comp"])
+        else:
+            with pytest.raises(serialize._NotCanonical):
+                list(rows)
+            assert len(reads) <= 2
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        outcomes.append(_outcome(serialize.load_model, str(path)))
+    assert len(outcomes[0]) == 5 and outcomes[0] == outcomes[1]
+
+
 # seeded edits of a canonical report's text, each given the text, the
 # random source and the table spans it may edit
 def test_a_value_past_int16_is_refused_from_a_span_and_from_json(
