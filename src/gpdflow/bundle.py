@@ -233,9 +233,15 @@ def verify_cocycle(b: CocycleBundle) -> Diagnostics:
 @dataclass
 class TotalSpace:
     """Points ``(v, h)`` indexed ``v * |G| + h`` with projection, fiberwise
-    right translation, and dart transport by left multiplication."""
+    right translation, and dart transport by left multiplication.  A bundle
+    that fails :func:`verify_cocycle` is refused when it is built."""
 
     bundle: CocycleBundle
+
+    def __post_init__(self) -> None:
+        diag = verify_cocycle(self.bundle)
+        if not diag.ok:
+            raise ValueError(f"not a cocycle bundle: {diag.failure}")
 
     @property
     def n_points(self) -> int:
@@ -267,11 +273,7 @@ class TotalSpace:
         return [self.point_index(v, h) for h in self.bundle.group.elements]
 
 
-def total_space(b: CocycleBundle) -> TotalSpace:
-    diag = verify_cocycle(b)
-    if not diag.ok:
-        raise ValueError(f"not a cocycle bundle: {diag.failure}")
-    return TotalSpace(bundle=b)
+total_space = TotalSpace
 
 
 # --- gauge action -------------------------------------------------------------

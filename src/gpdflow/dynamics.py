@@ -68,9 +68,7 @@ class GroupoidAction(RowTable):
     """
 
     gpd: Groupoid
-    n_points: int
     anchor: np.ndarray
-    row_off: np.ndarray
     val: np.ndarray
     flaw: Optional[Diagnostics] = field(default=None, init=False)
     _FLAW_LABELS = ("action table index out of range",
@@ -81,19 +79,18 @@ class GroupoidAction(RowTable):
         super().__post_init__()
 
     @staticmethod
-    def from_triples(gpd: Groupoid, n_points: int, anchor: Sequence[int],
+    def from_triples(gpd: Groupoid, anchor: Sequence[int],
                      triples) -> "GroupoidAction":
-        return GroupoidAction(gpd, n_points, anchor, [0] * (len(anchor) + 1),
-                              [])._filled(triples)
+        return GroupoidAction(gpd, anchor, [])._filled(triples)
+
+    @property
+    def n_points(self) -> int:
+        return int(self.anchor.shape[0])
 
     def _index_flaw(self) -> Optional[Diagnostics]:
         """The groupoid's flaw, else the anchor's shape and range."""
         if self.gpd.flaw is not None:
             return self.gpd.flaw
-        if self.anchor.shape[0] != self.n_points:
-            return Diagnostics.failed("anchor length mismatch",
-                                      (self.anchor.shape[0], self.n_points),
-                                      structural=True)
         bad = (self.anchor < 0) | (self.anchor >= self.gpd.n_objects)
         if bool(bad.any()):
             y = int(np.argmax(bad))
@@ -143,9 +140,8 @@ def verify_action(a: GroupoidAction) -> Diagnostics:
 def base_action(gpd: Groupoid) -> GroupoidAction:
     """The groupoid acting on its own objects: ``x . g = tgt(g)``."""
     _require_whole(gpd)
-    order, start, _ = gpd.out_index
-    return GroupoidAction(gpd, gpd.n_objects, np.arange(gpd.n_objects), start,
-                          gpd.tgt[order])
+    return GroupoidAction(gpd, np.arange(gpd.n_objects),
+                          gpd.tgt[gpd.out_index[0]])
 
 
 def disjoint_union_actions(a1: GroupoidAction,
@@ -155,8 +151,7 @@ def disjoint_union_actions(a1: GroupoidAction,
     _require_whole(a1, a2)
     shift = a1.n_points
     return GroupoidAction(
-        a1.gpd, shift + a2.n_points, np.concatenate([a1.anchor, a2.anchor]),
-        np.concatenate([a1.row_off[:-1], a2.row_off + a1.row_off[-1]]),
+        a1.gpd, np.concatenate([a1.anchor, a2.anchor]),
         # widened first: an int16 value plus shift would wrap
         np.concatenate([a1.val, a2.val.astype(np.int32) + shift]))
 
@@ -184,7 +179,7 @@ def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
         i = int(np.argmax(val < 0))
         raise ValueError(f"subset is not invariant: {np.repeat(pts, lens)[i]} "
                          f"moves to {a.val[at[i]]}")
-    return GroupoidAction(a.gpd, pts.shape[0], a.anchor[pts], row_off, val)
+    return GroupoidAction(a.gpd, a.anchor[pts], val)
 
 
 # --- orbits and minimal subflows ---------------------------------------------

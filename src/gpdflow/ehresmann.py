@@ -131,15 +131,13 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
     inv_arr = index[w_of, v_of, ginv[a_of]]
 
     # row g holds g . h for the m * n arrows h out of tgt(g)
-    row_off = np.arange(k + 1, dtype=np.int64) * (m * n)
     val = np.empty(k * m * n, dtype=val_width(k, k))
     for w in range(m):
         ins = np.flatnonzero(w_of == w)
         outs = np.flatnonzero(v_of == w)  # ascending, as rows are laid out
-        val[row_off[ins][:, None] + np.arange(outs.size)] = index[
+        val[ins[:, None] * (m * n) + np.arange(outs.size)] = index[
             v_of[ins][:, None], w_of[outs], mult[a_of[ins][:, None], a_of[outs]]]
-    gpd = Groupoid(m, v_of, w_of, np.arange(m, dtype=np.int64), inv_arr,
-                   row_off, val)
+    gpd = Groupoid(v_of, w_of, np.arange(m, dtype=np.int64), inv_arr, val)
     conn = Connection(base=base, arrows=[
         int(index[base.dsrc(d), base.dtgt(d), grp.inv[b.labels[d]]])
         for d in range(base.n_darts)
@@ -187,7 +185,7 @@ def orbit_quotient_groupoid(b: CocycleBundle) -> tuple[Groupoid, list, dict]:
                 continue
             g = grp.mul(grp.inv[v[1]], p2[1])  # translate: p2 = v . g
             comp[(i, j)] = rep_index[_orbit_rep(grp, (u[0], grp.mul(u[1], g)), q2)]
-    gpd = Groupoid.from_tables(b.base.n_vertices, src, tgt, unit, inv, comp)
+    gpd = Groupoid.from_tables(src, tgt, unit, inv, comp)
     return gpd, reps, rep_index
 
 

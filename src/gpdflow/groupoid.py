@@ -12,18 +12,19 @@ the groupoid's right action on its own arrows (the regular action: an arrow
 is anchored at its target).  Every action in this package is a table of
 rows: row ``y`` holds ``y . h`` for each ``h`` in ``arrows_from(anchor[y])``
 in ascending order, so ``y . h`` is ``val[row_off[y] + out_pos[h]]``.  A
-table's first structural flaw is found from its arrays alone, once, as
-``flaw``, when it is built (a table is not changed once built).  A verifier
-reports it, and a reader of the rows or the index arrays refuses the table.
-A flaw of the index arrays, which keeps them from indexing rows, comes
-first (for an action: its groupoid's flaw, else its anchor's).  Then a
-table filled from triples carries the fill's flaw, by one policy for both
-kinds of table: a point or arrow out of range, a value out of range, a
-pair given twice, a pair off the composable domain, each at its least
-``(y, h)``; then the first pair in row order with no entry.  A table built
-directly from its rows carries a ``row_off`` that is not the layout its
-anchor implies (or a ``val`` of another length), else the first value out
-of range, else the first hole.
+table takes only its arrays: its sizes are their lengths, and ``row_off``
+is the layout its anchor implies.  Its first structural flaw is found from
+its arrays alone, once, as ``flaw``, when it is built (a table is not
+changed once built).  A verifier reports it, and a reader of the rows or
+the index arrays refuses the table.  A flaw of the index arrays, which
+keeps them from indexing rows, comes first (for an action: its groupoid's
+flaw, else its anchor's).  Then a table filled from triples carries the
+fill's flaw, by one policy for both kinds of table: a point or arrow out
+of range, a value out of range, a pair given twice, a pair off the
+composable domain, each at its least ``(y, h)``; then the first pair in
+row order with no entry.  A table built directly from its rows carries a
+``val`` whose length is not the layout's end, else the first value out of
+range, else the first hole.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -88,16 +89,16 @@ class RowTable:
     starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
     in ``gpd.arrows_from(anchor[y])`` in ascending order (-1 where a table
     built from triples had no entry).  Subclasses provide ``gpd``,
-    ``anchor``, ``row_off`` and ``val``; ``_index_flaw``, the structural
-    flaw that keeps their arrays from indexing rows, or None; and
-    ``_FLAW_LABELS``, their names for an index, a value out of range and
-    a repeated pair.  ``flaw`` is set once, when the table is built, in
+    ``anchor`` and ``val``; ``_index_flaw``, the structural flaw that keeps
+    their arrays from indexing rows, or None; and ``_FLAW_LABELS``, their
+    names for an index, a value out of range and a repeated pair.
+    ``row_off``, the anchor's layout (all zeros under an index flaw, when
+    no row is read), and ``flaw`` are set once, when the table is built, in
     the order the module docstring gives.  :class:`Groupoid` is its own
     regular action, ``GroupoidAction`` the general case.
     """
 
     def __post_init__(self) -> None:
-        self.row_off = np.asarray(self.row_off, dtype=np.int64)
         # every value is below 2**30; readers widen before key arithmetic.
         # Values are narrowed to val_width only when they fit, so that one
         # out of range keeps int32 and reads as itself
@@ -108,35 +109,17 @@ class RowTable:
             width = np.int32
         self.val = val.astype(width, copy=False)
         self.flaw = self._index_flaw()
+        # the anchor's layout: row y has one entry per arrow out of anchor[y]
+        self.row_off = np.zeros(len(self.anchor) + 1, dtype=np.int64)
         if self.flaw is None:
-            self.flaw = self._layout_flaw(len(val))
+            self.row_off[1:] = np.cumsum(
+                np.diff(self.gpd.out_index[1])[self.anchor])
+            if len(val) != self.row_off[-1]:
+                self.flaw = Diagnostics.failed(
+                    "row offsets off the anchor's layout", (len(self.anchor),),
+                    structural=True)
         if self.flaw is None:
             self.flaw = self._value_flaw(val, lo, hi)
-
-    def _layout(self) -> np.ndarray:
-        """The ``row_off`` the anchor implies: row ``y`` has one entry per
-        arrow out of ``anchor[y]``."""
-        return np.concatenate(
-            ([0], np.cumsum(np.diff(self.gpd.out_index[1])[self.anchor])))
-
-    def _layout_flaw(self, n_values: int) -> Optional[Diagnostics]:
-        """A structural flaw at the first ``y`` where ``row_off[y]`` is not
-        the anchor's :meth:`_layout` (or is missing), ``y == n_points``
-        being the table's end, which ``n_values``, the length of ``val``,
-        must also be; else None."""
-        want, have = self._layout(), self.row_off
-        size = min(want.size, have.size)
-        differ = np.flatnonzero(want[:size] != have[:size])
-        if differ.size:
-            y = int(differ[0])
-        elif want.size != have.size:
-            y = size
-        elif n_values != want[-1]:
-            y = size - 1
-        else:
-            return None
-        return Diagnostics.failed("row offsets off the anchor's layout", (y,),
-                                  structural=True)
 
     def _value_flaw(self, val: np.ndarray, lo: int, hi: int
                     ) -> Optional[Diagnostics]:
@@ -315,7 +298,6 @@ class RowTable:
             t = np.asarray(triples)
             t = t if t.dtype.kind in "iu" else t.astype(np.int64)
             triples = partial(blocks_of, t.reshape(-1, 3))
-        self.row_off = self._layout()
         self.val = np.full(int(self.row_off[-1]), -1,
                            dtype=val_width(n, gpd.n_arrows))
         least: list[Optional[tuple[int, int, int]]] = [None] * 4
@@ -392,12 +374,10 @@ class Groupoid(RowTable):
     :func:`Groupoid.from_tables` to build from python dicts or triple lists.
     """
 
-    n_objects: int
     src: np.ndarray
     tgt: np.ndarray
     unit: np.ndarray
     inv: np.ndarray
-    row_off: np.ndarray
     val: np.ndarray
     flaw: Optional[Diagnostics] = field(default=None, init=False)
     _FLAW_LABELS = ("comp pair out of range", "comp value out of range",
@@ -409,29 +389,22 @@ class Groupoid(RowTable):
         super().__post_init__()
 
     @staticmethod
-    def from_tables(n_objects: int, src: Sequence[int], tgt: Sequence[int],
+    def from_tables(src: Sequence[int], tgt: Sequence[int],
                     unit: Sequence[int], inv: Sequence[int],
                     comp: CompTable) -> "Groupoid":
         if isinstance(comp, Mapping):
             comp = [(g, h, gh) for (g, h), gh in comp.items()]
-        return Groupoid(n_objects, src, tgt, unit, inv, [0] * (len(tgt) + 1),
-                        [])._filled(comp)
+        return Groupoid(src, tgt, unit, inv, [])._filled(comp)
 
     def _index_flaw(self) -> Optional[Diagnostics]:
         """Array shapes and index ranges: None when the arrays can index
         rows."""
         m, k = self.n_objects, self.n_arrows
-        if m < 0 or k < 0:
-            return Diagnostics.failed("negative size", (m, k), structural=True)
         if self.tgt.shape[0] != k or self.inv.shape[0] != k:
             return Diagnostics.failed(
                 "array length mismatch",
                 (k, int(self.tgt.shape[0]), int(self.inv.shape[0])),
                 structural=True)
-        if self.unit.shape[0] != m:
-            return Diagnostics.failed("array length mismatch",
-                                      (m, int(self.unit.shape[0])),
-                                      structural=True)
         for name, arr, bound in (("src", self.src, m), ("tgt", self.tgt, m),
                                  ("unit", self.unit, k), ("inv", self.inv, k)):
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
@@ -449,6 +422,10 @@ class Groupoid(RowTable):
     @property
     def anchor(self) -> np.ndarray:
         return self.tgt
+
+    @property
+    def n_objects(self) -> int:
+        return int(self.unit.shape[0])
 
     @property
     def n_arrows(self) -> int:
@@ -802,7 +779,7 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     pm[~is_unit] = np.arange(m, k)
     inv_pm = np.argsort(pm)
     out = Groupoid.from_tables(
-        m, g.src[inv_pm], g.tgt[inv_pm], np.arange(m), pm[g.inv[inv_pm]],
+        g.src[inv_pm], g.tgt[inv_pm], np.arange(m), pm[g.inv[inv_pm]],
         lambda: (pm[rows] for rows in g.row_blocks()))
     return out, pm.tolist()
 
@@ -816,7 +793,6 @@ def one_object_groupoid(group: FiniteGroup) -> Groupoid:
     comp = {(local[a], local[b]): local[group.mul(a, b)]
             for a in range(n) for b in range(n)}
     return Groupoid.from_tables(
-        n_objects=1,
         src=[0] * n, tgt=[0] * n, unit=[0],
         inv=[local[group.inv[ordering[i]]] for i in range(n)],
         comp=comp)
@@ -835,7 +811,6 @@ def pair_groupoid(n: int) -> Groupoid:
             if b == c:
                 comp[(index[(a, b)], index[(c, d)])] = index[(a, d)]
     return Groupoid.from_tables(
-        n_objects=n,
         src=[p[0] for p in pairs], tgt=[p[1] for p in pairs],
         unit=list(range(n)),
         inv=[index[(b, a)] for (a, b) in pairs],
@@ -849,11 +824,9 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     _require_whole(g1, g2)
     m1, k1 = g1.n_objects, g1.n_arrows
     return Groupoid(
-        n_objects=m1 + g2.n_objects,
         src=np.concatenate([g1.src, g2.src + m1]),
         tgt=np.concatenate([g1.tgt, g2.tgt + m1]),
         unit=np.concatenate([g1.unit, g2.unit + k1]),
         inv=np.concatenate([g1.inv, g2.inv + k1]),
-        row_off=np.concatenate([g1.row_off[:-1], g2.row_off + g1.row_off[-1]]),
         # widened first: an int16 value plus k1 would wrap
         val=np.concatenate([g1.val, g2.val.astype(np.int32) + k1]))

@@ -521,7 +521,7 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
         for key, length, high in (
             ("src", arrows, objects), ("tgt", arrows, objects),
             ("unit", objects, arrows), ("inv", arrows, arrows)))
-    gpd = Groupoid.from_tables(objects, src, tgt, unit, inv,
+    gpd = Groupoid.from_tables(src, tgt, unit, inv,
                                _triples(data, "comp", where, arrows))
     if "connection" in data:
         pairs = data["connection"]
@@ -554,7 +554,7 @@ def _validate_action(data: dict) -> dict:
                       row="expected [y, g, yg]")
     if gpd.flaw is not None:  # no entry is placed over a flawed groupoid
         collections.deque(blocks(), 0)
-    act = GroupoidAction.from_triples(gpd, space, anchor, blocks)
+    act = GroupoidAction.from_triples(gpd, anchor, blocks)
     for key, high in (("basepoint", gpd.n_objects), ("u0", gpd.n_arrows)):
         if key in data:
             _int_in(data[key], 0, high, f"action.{key}")

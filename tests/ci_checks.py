@@ -83,6 +83,11 @@ FLAW_VERDICTS = {
     "comp": ("composability domain violated", [1, 3]),
     "act": ("duplicate act pair", [1, 1]),
 }
+# every command that takes each flawed model's kind
+FLAW_COMMANDS = {
+    "comp": ("verify", "ambit", "universal", "sections", "semigroup"),
+    "act": ("verify", "orbits", "universal", "sections"),
+}
 ERROR_CODES = {"missing": 10, "dart": 12, "identity": 2}
 WIDTH_ERROR = {"code": 12, "message": "groupoid.comp[12345][2]: 77881 "
                                       "outside range [0, 32767)"}
@@ -300,13 +305,15 @@ def missing_file_dart_named_twice_identity_off_0():
 
 
 def one_flaw_order():
-    """One flaw order for a comp table and an act table."""
+    """One flaw order for a comp table and an act table, as the first
+    verdict of every command that reads the table."""
     for name, text in FLAW_INPUTS.items():
         write(f"flaw-{name}.json", text + "\n")
-        verdict = report(run(["verify", "-"], f"flaw-{name}.json"),
-                         1)["runs"][0]["verdicts"][0]
-        assert (verdict["failure"], verdict["witness"]) == \
-            FLAW_VERDICTS[name], (name, verdict)
+        for command in FLAW_COMMANDS[name]:
+            verdict = report(run([command, "-"], f"flaw-{name}.json"),
+                             1)["runs"][0]["verdicts"][0]
+            assert (verdict["failure"], verdict["witness"]) == \
+                FLAW_VERDICTS[name], (name, command, verdict)
 
 
 def streamed_report_early_reader_and_pipe():

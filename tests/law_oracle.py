@@ -131,7 +131,7 @@ def relabelled(g, rng):
     am = np.array(rng.sample(range(g.n_arrows), g.n_arrows))
     old = np.argsort(am)  # the old index of each new arrow
     return Groupoid.from_tables(
-        g.n_objects, om[g.src[old]], om[g.tgt[old]],
+        om[g.src[old]], om[g.tgt[old]],
         am[g.unit[np.argsort(om)]], am[g.inv[old]], am[g.triple_array()])
 
 

@@ -10,6 +10,7 @@ from gpdflow.bundle import (
     BaseGraph,
     CocycleBundle,
     GaugeTransformation,
+    TotalSpace,
     apply_gauge,
     bfs_tree,
     bundles_isomorphic,
@@ -159,10 +160,11 @@ def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
     """600 seeded single-label edits of the fixture bundles with a dart: a
     dart's label set to -1, to the group's order, or to another element,
     which the reverse dart's label follows half the time, so that the
-    involution law holds.  ``total_space`` raises ``ValueError`` exactly
-    when ``verify_cocycle`` fails (a label of -1 was read as the group's
-    last element); on any other bundle every dart carries each point over
-    its source into the fiber over its target."""
+    involution law holds.  ``total_space`` and the ``TotalSpace``
+    constructor each raise ``ValueError`` exactly when ``verify_cocycle``
+    fails (a label of -1 was read as the group's last element); on any
+    other bundle every dart carries each point over its source into the
+    fiber over its target."""
     bundles = [b for b in named_bundles().values() if b.base.n_darts]
     outcomes = Counter()
     for case in range(600):
@@ -180,15 +182,16 @@ def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
             labels[d] = -1 if how == "-1" else b.group.order
         edited = CocycleBundle(base, b.group, labels)
         lawful = verify_cocycle(edited).ok
-        if lawful:
-            ts = total_space(edited)
-            for dart in range(base.n_darts):
-                over = ts.fiber(base.dtgt(dart))
-                assert all(ts.transport(dart, p) in over
-                           for p in ts.fiber(base.dsrc(dart))), case
-        else:
-            with pytest.raises(ValueError, match="^not a cocycle bundle"):
-                total_space(edited)
+        for build in (total_space, TotalSpace):
+            if lawful:
+                ts = build(edited)
+                for dart in range(base.n_darts):
+                    over = ts.fiber(base.dtgt(dart))
+                    assert all(ts.transport(dart, p) in over
+                               for p in ts.fiber(base.dsrc(dart))), case
+            else:
+                with pytest.raises(ValueError, match="^not a cocycle bundle"):
+                    build(edited)
         outcomes[how, lawful] += 1
     assert set(outcomes) == {("-1", False), ("order", False),
                              ("element", False), ("element", True)}

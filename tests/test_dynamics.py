@@ -5,7 +5,7 @@ maps by filtering the full product of anchor-compatible assignments, and
 minimal subflows by the exhaustive bitmask search built into the package.
 """
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -60,7 +60,7 @@ def union_groupoid():
 
 def rebuilt(a, triples):
     """The action ``a`` rebuilt from an edited list of its triples."""
-    return GroupoidAction.from_triples(a.gpd, a.n_points, a.anchor, triples)
+    return GroupoidAction.from_triples(a.gpd, a.anchor, triples)
 
 
 # --- verify_action -----------------------------------------------------------
@@ -162,12 +162,11 @@ def test_verify_action_reports_a_broken_groupoid():
     g, h, gh = comp[i]
     comp[i][2] = next(c for c in gpd.hom(int(gpd.src[g]), int(gpd.tgt[h]))
                       if c != gh)
-    broken = Groupoid.from_tables(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit,
-                                  gpd.inv, comp)
+    broken = Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit, gpd.inv, comp)
     expected = verify_groupoid(broken)
     assert not expected.ok
     for a in (base_action(broken),
-              GroupoidAction.from_triples(broken, 3, [0, 1, 2],
+              GroupoidAction.from_triples(broken, [0, 1, 2],
                                           base_action(gpd).triples())):
         assert verify_action(a) == expected
 
@@ -178,14 +177,15 @@ def test_verify_action_structural_shapes():
     gpd = z2_triangle_groupoid().groupoid
     a = base_action(gpd)
     short = replace(a, anchor=a.anchor[:-1])
-    assert verify_action(short).failure == "anchor length mismatch"
+    assert (verify_action(short).failure, verify_action(short).witness) == \
+        ("row offsets off the anchor's layout", (a.n_points - 1,))
     off = replace(a, anchor=np.where(np.arange(a.n_points) == 0, 99, a.anchor))
     assert verify_action(off).failure == "anchor out of range"
 
 
 def test_an_action_built_from_a_list_anchor_verifies():
     a = base_action(pair_groupoid(2))
-    listed = GroupoidAction(a.gpd, 2, [0, 1], a.row_off, a.val)
+    listed = GroupoidAction(a.gpd, [0, 1], a.val)
     assert listed.anchor.dtype == np.int64
     assert verify_action(listed).ok
 
@@ -252,12 +252,12 @@ def test_restrict_action_refuses_a_repeated_or_out_of_range_point(
 
 
 def test_every_constructor_gives_values_at_the_width_of_its_size():
-    """Every row table has an int64 ``row_off`` and a ``val`` as wide as
-    its points and its groupoid's arrows ask, whichever constructor built
-    it, as a reloaded one has: int16 for these, and int32 for an action
-    of one point over a groupoid of ``2**15`` arrows, and for a union of
-    two actions of 20,000 points each, whose values are the parts', the
-    second's shifted by 20,000."""
+    """Every row table has an int64 ``row_off``, the layout its anchor
+    implies, and a ``val`` as wide as its points and its groupoid's arrows
+    ask, whichever constructor built it, as a reloaded one has: int16 for
+    these, and int32 for an action of one point over a groupoid of
+    ``2**15`` arrows, and for a union of two actions of 20,000 points each,
+    whose values are the parts', the second's shifted by 20,000."""
     gpd = s3_edge_groupoid().groupoid
     ambit = build_ambit(gpd, x0=0)
     base = base_action(gpd)
@@ -269,9 +269,12 @@ def test_every_constructor_gives_values_at_the_width_of_its_size():
     tables += [flow.action for flow in minimal_subflows(base)]
     for t in tables:
         assert (t.val.dtype, t.row_off.dtype) == (np.int16, np.int64), t
+        # laid out as its anchor implies: a row per point, an entry per arrow
+        lens = [t.gpd.arrows_from(int(x)).size for x in t.anchor]
+        assert t.row_off.tolist() == [0, *accumulate(lens)], t
     wide = discrete(1 << 15)
     single = [restrict_action(base_action(wide), [7]),
-              GroupoidAction.from_triples(wide, 1, [7], [[0, 7, 0]])]
+              GroupoidAction.from_triples(wide, [7], [[0, 7, 0]])]
     for t in single:
         assert t.val.dtype == np.int32 and t.triples() == [[0, 7, 0]]
         assert verify_action(t).ok
@@ -347,7 +350,7 @@ def test_ambit_refuses_a_unit_that_does_not_start_at_its_object():
     of 0 is not among the arrows out of 0.  The ambit at 0 is refused by
     name, not with an ``IndexError``."""
     p = pair_groupoid(3)
-    g = Groupoid(3, p.src, p.tgt, [2, 1, 2], p.inv, p.row_off, p.val)
+    g = Groupoid(p.src, p.tgt, [2, 1, 2], p.inv, p.val)
     assert g.flaw is None
     diag = verify_groupoid(g)
     assert (diag.failure, diag.witness) == ("unit law", (2,))
@@ -433,7 +436,7 @@ def test_enumeration_lists_a_map_once_on_a_target_that_moves_by_the_unit():
     gpd = one_object_groupoid(preset_group("Z2"))
     ambit = build_ambit(gpd, x0=0)
     target = GroupoidAction.from_triples(
-        gpd, 3, [0, 0, 0],
+        gpd, [0, 0, 0],
         [[0, 0, 0], [0, 1, 1], [1, 0, 2], [1, 1, 2], [2, 0, 2], [2, 1, 2]])
     assert verify_action(target).failure == "action unit law"
     maps = [m.values for m in enumerate_equivariant_maps(ambit, target)]
@@ -484,7 +487,7 @@ def test_enumeration_drops_the_maps_into_a_lawless_target():
     with pytest.raises(AssertionError, match="not equivariant"):
         universal_map(lawless, ambit, ambit.u0)
     unfilled = GroupoidAction.from_triples(
-        a.gpd, a.n_points, [*a.anchor[:-1], a.gpd.n_objects], triples)
+        a.gpd, [*a.anchor[:-1], a.gpd.n_objects], triples)
     assert unfilled.flaw.failure == "anchor out of range"
     assert enumerate_equivariant_maps(ambit, unfilled) == []
 
@@ -541,14 +544,16 @@ def test_equivariant_map_reports_a_table_flaw_before_the_rows():
 
 
 def test_equivariant_map_reports_a_short_anchor_before_reading_it():
-    """A target whose anchor is shorter than its points: its structural
-    flaw is the verdict, before any value's anchor is read."""
+    """A target whose anchor is shorter than the points of its triples:
+    its structural flaw is the verdict, before any value's anchor is
+    read."""
     g = pair_groupoid(2)
     src = base_action(g)
-    bad = GroupoidAction.from_triples(g, 2, [0], src.triples())
+    bad = GroupoidAction.from_triples(g, [0], src.triples())
     diag = verify_equivariant_map(EquivariantMap(src, bad, [0, 1]))
     assert diag is bad.flaw
-    assert (diag.failure, diag.witness) == ("anchor length mismatch", (1, 2))
+    assert (diag.failure, diag.witness) == \
+        ("action table index out of range", (1, 1))
 
 
 @pytest.mark.parametrize("case", ["anchor", "groupoid"])
@@ -559,12 +564,12 @@ def test_action_failing_a_scan_keeps_the_failure_as_its_flaw(case):
     of raising."""
     g = pair_groupoid(2)
     if case == "anchor":
-        a = GroupoidAction.from_triples(g, 2, [0, 5], [[0, 0, 0]])
+        a = GroupoidAction.from_triples(g, [0, 5], [[0, 0, 0]])
         expected = ("anchor out of range", (1, 5))
     else:
-        bad = Groupoid.from_tables(2, g.src, g.tgt, g.unit, [0, 1, 9, 2],
+        bad = Groupoid.from_tables(g.src, g.tgt, g.unit, [0, 1, 9, 2],
                                    g.triples())
-        a = GroupoidAction.from_triples(bad, 2, [0, 1], [[0, 0, 0]])
+        a = GroupoidAction.from_triples(bad, [0, 1], [[0, 0, 0]])
         expected = ("inv index out of range", (2, 9))
         assert bad.flaw == a.flaw
         assert bad.row_off.tolist() == [0] * 5

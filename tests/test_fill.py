@@ -40,9 +40,9 @@ def _tables(name):
     gpd = groupoid_of_bundle(named_bundles()[name]).groupoid
     a = build_ambit(gpd, 0).action
     return ((gpd, lambda triples: Groupoid.from_tables(
-                gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv, triples)),
+                gpd.src, gpd.tgt, gpd.unit, gpd.inv, triples)),
             (a, lambda triples: GroupoidAction.from_triples(
-                gpd, a.n_points, a.anchor, triples)))
+                gpd, a.anchor, triples)))
 
 
 def _corruptions(table, rng, block):
@@ -141,7 +141,7 @@ def test_blockwise_fill_agrees_with_the_whole_table_fill(name, block,
                         return groupoid_module.blocks_of(
                             np.array(triples, np.int32))
                     regular = GroupoidAction.from_triples(
-                        table, table.n_arrows, table.tgt, blocks)
+                        table, table.tgt, blocks)
                     assert _kind(regular) == _kind(built), (case, seed)
                     assert len(calls) == 1, (case, seed)  # one pass
                 triples = [list(t) for t in triples]
@@ -161,7 +161,7 @@ def test_flaw_keys_of_an_int32_table_do_not_wrap():
     units = np.arange(m)
     comp = np.repeat(units.astype(np.int32)[:, None], 3, axis=1)
     comp[[m - 10, 3], 2] = m
-    gpd = Groupoid.from_tables(m, units, units, units, units, comp)
+    gpd = Groupoid.from_tables(units, units, units, units, comp)
     assert gpd.flaw.failure == "comp value out of range"
     assert gpd.flaw.witness == (3, 3, m)
     _, _, flaw = whole_table_fill(gpd, comp.astype(np.int64))
@@ -179,7 +179,7 @@ def test_fill_allocates_only_the_values(monkeypatch):
     gpd = groupoid_of_bundle(large_random_bundle(5, 3, "S4")).groupoid
     comp = gpd.triple_array()
     assert len(comp) == 72_000
-    args = (gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv, comp)
+    args = (gpd.src, gpd.tgt, gpd.unit, gpd.inv, comp)
     tracemalloc.start()
     try:
         built = Groupoid.from_tables(*args)

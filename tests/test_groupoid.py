@@ -36,6 +36,7 @@ from gpdflow.serialize import groupoid_to_json
 
 from law_oracle import brute_closure, brute_groupoid_violation, \
     brute_local_triviality, groupoid_law_broken, relabelled
+from table_corpus import corrupted_tables
 
 # entries read at a time: small enough that block ends fall inside rows,
 # the former default and the default
@@ -62,7 +63,6 @@ def product_groupoid(n_objects, group):
                 comp[(index[(v, w, a)], index[(w2, z, b)])] = \
                     index[(v, z, group.mul(a, b))]
     return Groupoid.from_tables(
-        n_objects=n_objects,
         src=[c[0] for c in coords],
         tgt=[c[1] for c in coords],
         unit=list(range(n_objects)),
@@ -99,10 +99,8 @@ def test_remapped_unit_fails_unit_law():
     # pair groupoid on two objects; arrows are (0,0), (1,1), (0,1), (1,0),
     # and the unit of object 0 is remapped to the arrow (0, 1)
     g = pair_groupoid(2)
-    broken = Groupoid(
-        n_objects=2, src=g.src, tgt=g.tgt,
-        unit=np.array([2, 1]), inv=g.inv,
-        row_off=g.row_off, val=g.val)
+    broken = Groupoid(src=g.src, tgt=g.tgt, unit=np.array([2, 1]), inv=g.inv,
+                      val=g.val)
     diag = verify_groupoid(broken)
     assert not diag.ok
     assert diag.failure == "unit law"
@@ -114,7 +112,7 @@ def test_comp_on_non_composable_pair_is_structural():
     g = pair_groupoid(2)
     # arrow 2 is (0, 1) and arrow 0 is (0, 0): tgt(2) = 1 != 0 = src(0)
     triples = [(gg, hh, vv) for gg, hh, vv in g.triples()] + [(2, 0, 2)]
-    broken = Groupoid.from_tables(2, g.src, g.tgt, g.unit, g.inv, triples)
+    broken = Groupoid.from_tables(g.src, g.tgt, g.unit, g.inv, triples)
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
     assert diag.failure == "composability domain violated"
@@ -124,7 +122,7 @@ def test_comp_on_non_composable_pair_is_structural():
 def test_missing_comp_entry_is_structural():
     g = pair_groupoid(2)
     triples = g.triples()[:-1]
-    broken = Groupoid.from_tables(2, g.src, g.tgt, g.unit, g.inv, triples)
+    broken = Groupoid.from_tables(g.src, g.tgt, g.unit, g.inv, triples)
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
     assert diag.failure == "composability domain violated"
@@ -134,7 +132,7 @@ def test_missing_comp_entry_is_structural():
 def test_duplicate_comp_pair_is_structural():
     g = pair_groupoid(2)
     triples = g.triples() + [g.triples()[0]]
-    broken = Groupoid.from_tables(2, g.src, g.tgt, g.unit, g.inv, triples)
+    broken = Groupoid.from_tables(g.src, g.tgt, g.unit, g.inv, triples)
     diag = verify_groupoid(broken)
     assert not diag.ok and diag.structural
     assert diag.failure == "duplicate comp pair"
@@ -183,7 +181,7 @@ def test_a_clean_fill_allocates_no_mask_of_the_triples(monkeypatch):
                         (np.delete(comp, 1000, axis=0),
                          ("composability domain violated",
                           tuple(comp[1000, :2].tolist())))):
-        args = (gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv, table)
+        args = (gpd.src, gpd.tgt, gpd.unit, gpd.inv, table)
         tracemalloc.start()
         try:
             built = Groupoid.from_tables(*args)
@@ -211,7 +209,7 @@ def test_blockwise_row_reads_agree_with_a_loop(block, monkeypatch):
     triples = _row_order(gpd)
     for table in (gpd, build_ambit(gpd, 1).action):
         assert table.triple_array().tolist() == _row_order(table)
-    holed = Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+    holed = Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit, gpd.inv,
                                  triples[:500] + triples[501:])
     assert holed.triple_array().tolist() == triples[:500] + triples[501:]
     rng = random.Random(0)
@@ -225,7 +223,7 @@ def test_blockwise_row_reads_agree_with_a_loop(block, monkeypatch):
         first = next(t for t in broken if (gpd.src[t[2]], gpd.tgt[t[2]])
                      != (gpd.src[t[0]], gpd.tgt[t[1]]))
         diag = verify_groupoid(Groupoid.from_tables(
-            3, gpd.src, gpd.tgt, gpd.unit, gpd.inv, broken))
+            gpd.src, gpd.tgt, gpd.unit, gpd.inv, broken))
         assert (diag.failure, diag.witness) == \
             ("composition endpoints", tuple(first))
 
@@ -256,7 +254,7 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
         for i in rng.sample(range(val.size), 3):
             val[i] = rng.choice([z for z in range(a.n_points)
                                  if a.anchor[z] != a.anchor[val[i]]])
-        bad = GroupoidAction(gpd, a.n_points, a.anchor, a.row_off, val)
+        bad = GroupoidAction(gpd, a.anchor, val)
         first = next((y, h) for y, h, z in _row_order(bad)
                      if bad.anchor[z] != gpd.tgt[h])
         diag = verify_action(bad)
@@ -288,7 +286,7 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
         comp = _row_order(gpd)
         gone = rng.sample(range(len(comp)), 4)
         g, h, _ = comp[min(gone)]  # the first in row order
-        holed = Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+        holed = Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit, gpd.inv,
                                      [t for i, t in enumerate(comp)
                                       if i not in gone])
         assert holed.flaw.witness == (g, h)
@@ -298,8 +296,7 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
         # several action entries missing
         gone = rng.sample(range(len(triples)), 4)
         holed = GroupoidAction.from_triples(
-            gpd, a.n_points, a.anchor,
-            [t for i, t in enumerate(triples) if i not in gone])
+            gpd, a.anchor, [t for i, t in enumerate(triples) if i not in gone])
         assert holed.flaw.witness == tuple(triples[min(gone)][:2])
 
     # a product g . h == g with h not a unit makes the ambit not free
@@ -313,8 +310,8 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
                  if g in points and gh == g and h != gpd.unit[gpd.tgt[h]])
     with pytest.raises(AssertionError, match=f"not free at point {first[0]}, "
                                              f"arrow {first[1]}$"):
-        build_ambit(Groupoid.from_tables(3, gpd.src, gpd.tgt, gpd.unit,
-                                         gpd.inv, broken), 1)
+        build_ambit(Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                                         broken), 1)
 
 
 def test_broken_associativity_detected_by_both_strategies():
@@ -324,7 +321,7 @@ def test_broken_associativity_detected_by_both_strategies():
     g = one_object_groupoid(preset_group("Z4"))
     comp = {(a, b): v for a, b, v in g.triples()}
     comp[(1, 1)] = 3  # leaves unit and inverse laws intact
-    broken = Groupoid.from_tables(1, g.src, g.tgt, g.unit, g.inv, comp)
+    broken = Groupoid.from_tables(g.src, g.tgt, g.unit, g.inv, comp)
     diag = verify_groupoid(broken)
     assert not diag.ok
     assert diag.failure == "associativity"
@@ -390,7 +387,7 @@ def test_generators_of_a_20_vertex_bundle():
 def test_generators_raise_when_the_units_do_not_absorb():
     """``0 . 1 == 0``: the closure of the unit never reaches arrow 1, so
     adjoining it again would never end; the verdict is the unit law."""
-    g = Groupoid.from_tables(1, [0, 0], [0, 0], [0], [0, 1],
+    g = Groupoid.from_tables([0, 0], [0, 0], [0], [0, 1],
                              [[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 0]])
     with pytest.raises(ValueError, match="generator 1 is not reached"):
         g.generators
@@ -400,8 +397,7 @@ def test_generators_raise_when_the_units_do_not_absorb():
 
 def test_broken_inverse_detected():
     g = one_object_groupoid(preset_group("Z3"))
-    broken = Groupoid(1, g.src, g.tgt, g.unit, np.array([0, 1, 2]),
-                      g.row_off, g.val)
+    broken = Groupoid(g.src, g.tgt, g.unit, np.array([0, 1, 2]), g.val)
     diag = verify_groupoid(broken)
     assert not diag.ok
     assert diag.failure == "inverse law"
@@ -411,15 +407,12 @@ Z3_SUMS = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
 
 
 @pytest.mark.parametrize("tables, failure, witness, detail", [
-    ((-1, [], [], [], [], []), "negative size", (-1, 0), None),
-    ((1, [0], [0, 0], [0], [0], []), "array length mismatch", (1, 2, 1), None),
-    ((1, [0, 0], [0, 0], [0], [0], []), "array length mismatch", (2, 2, 1),
+    (([0], [0, 0], [0], [0], []), "array length mismatch", (1, 2, 1), None),
+    (([0, 0], [0, 0], [0], [0], []), "array length mismatch", (2, 2, 1),
      None),
-    ((2, [0], [0], [0], [0], []), "array length mismatch", (2, 1), None),
-    ((1, [0] * 3, [0] * 3, [0], [0, 2, 2], Z3_SUMS), "inverse law", (1,),
+    (([0] * 3, [0] * 3, [0], [0, 2, 2], Z3_SUMS), "inverse law", (1,),
      "inverse not involutive"),
-], ids=["negative-size", "tgt-length", "inv-length", "unit-length",
-        "inverse-not-involutive"])
+], ids=["tgt-length", "inv-length", "inverse-not-involutive"])
 def test_verify_groupoid_names_each_verdict(tables, failure, witness, detail):
     diag = verify_groupoid(Groupoid.from_tables(*tables))
     assert (diag.ok, diag.failure, diag.witness) == (False, failure, witness)
@@ -439,7 +432,7 @@ def discrete(m, comp=None):
     units = np.arange(m)
     if comp is None:
         comp = np.repeat(units[:, None], 3, axis=1)
-    return Groupoid.from_tables(m, units, units, units, units, comp)
+    return Groupoid.from_tables(units, units, units, units, comp)
 
 
 def test_values_are_int16_below_2_15_arrows_and_int32_from_there():
@@ -475,8 +468,7 @@ def test_a_value_past_the_width_is_out_of_range_not_wrapped():
         ("comp value out of range", (v, v, (1 << 16) + v))
     assert verify_groupoid(g) == g.flaw
     units = np.arange(m)
-    direct = Groupoid(m, units, units, units, units, np.arange(m + 1),
-                      comp[:, 2])
+    direct = Groupoid(units, units, units, units, comp[:, 2])
     assert direct.val.dtype == np.int32
     assert direct.move(v, v) == (1 << 16) + v
     assert direct.flaw == g.flaw
@@ -497,11 +489,11 @@ def test_a_table_built_directly_gets_the_fill_verdict_for_its_values(
     entry at its pair, never an ``IndexError`` or a law's verdict.  As in
     the fill, a value out of range outranks a missing entry before it."""
     u = np.arange(3)
-    g = Groupoid(3, u, u, u, u, np.arange(4), [0, 1, value])
+    g = Groupoid(u, u, u, u, [0, 1, value])
     assert (g.flaw.failure, g.flaw.witness) == (failure, witness)
     assert g.flaw.structural
     assert verify_groupoid(g) == g.flaw
-    behind_a_hole = Groupoid(3, u, u, u, u, np.arange(4), [0, -1, value])
+    behind_a_hole = Groupoid(u, u, u, u, [0, -1, value])
     assert (behind_a_hole.flaw.failure, behind_a_hole.flaw.witness) == \
         (failure, witness if value != -1 else (1, 1))
 
@@ -513,95 +505,42 @@ def test_an_action_built_directly_gets_the_fill_verdict_for_its_values():
     a = base_action(gpd)
     val = a.val.copy()
     val[3] = 2
-    bad = GroupoidAction(gpd, a.n_points, a.anchor, a.row_off, val)
+    bad = GroupoidAction(gpd, a.anchor, val)
     ys, hs = a.pairs_at(np.array([3]))
     assert (bad.flaw.failure, bad.flaw.witness) == \
         ("action value out of range", (int(ys[0]), int(hs[0]), 2))
     assert verify_action(bad) == bad.flaw
 
 
-@pytest.mark.parametrize("edit, witness", [
-    (lambda off: np.where(np.arange(off.size) == 2, off[-1] + 1, off), (2,)),
-    (lambda off: off[::-1], (0,)),
-    (lambda off: off[:-1], (9,)),
-    (lambda off: np.append(off, off[-1]), (10,)),
-])
-def test_a_row_offset_off_the_layout_is_a_verdict(edit, witness):
-    """``pair_groupoid(3)`` built directly with its ``row_off`` edited: a
-    row moved past the end, the offsets reversed, the last cut off or one
-    more added.  Each is a structural flaw at the first offset that is not
-    where the anchor puts it, for every verifier, never an ``IndexError``
-    or a ``ValueError`` from the rows."""
-    gpd = pair_groupoid(3)
-    bad = Groupoid(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
-                   edit(gpd.row_off), gpd.val)
-    assert (bad.flaw.failure, bad.flaw.witness, bad.flaw.structural) == \
-        ("row offsets off the anchor's layout", witness, True)
-    same = (list(range(gpd.n_objects)), list(range(gpd.n_arrows)))
-    assert verify_groupoid(bad) == bad.flaw
-    assert verify_groupoid_iso(gpd, bad, *same) == bad.flaw
-    a = base_action(gpd)
-    moved = GroupoidAction(gpd, a.n_points, a.anchor, edit(a.row_off), a.val)
-    assert moved.flaw.failure == "row offsets off the anchor's layout"
-    assert verify_action(moved) == moved.flaw
-
-
 def test_a_value_missing_from_the_end_is_a_verdict():
-    """Offsets as the anchor lays them out, but ``val`` one short or one
-    long: a structural flaw at the table's end, ``n_points``."""
+    """A groupoid and an action built directly with ``val`` one short or
+    one long of the layout their anchor implies, and an action whose anchor
+    ``dataclasses.replace`` cut one short: a structural flaw at the table's
+    end, ``n_points``, for every verifier, never an ``IndexError`` or a
+    ``ValueError`` from the rows."""
     gpd = pair_groupoid(3)
+    same = (list(range(gpd.n_objects)), list(range(gpd.n_arrows)))
+    a = base_action(gpd)
     for val in (gpd.val[:-1], np.append(gpd.val, 0)):
-        bad = Groupoid(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
-                       gpd.row_off, val)
-        assert (bad.flaw.failure, bad.flaw.witness) == \
-            ("row offsets off the anchor's layout", (9,))
-
-
-def _corrupt(fields: dict, rng: random.Random) -> tuple[dict, str]:
-    """One field of a table's constructor arguments changed, and its name:
-    a size moved by up to 3, or an array with one entry set to a value from
-    -3 to 3 past its greatest, one entry dropped or added, or reversed."""
-    key = rng.choice(sorted(k for k in fields if k != "gpd"))
-    value = fields[key]
-    if isinstance(value, int):
-        return {**fields, key: value + rng.choice((-3, -2, -1, 1, 2, 3))}, key
-    arr = np.asarray(value, dtype=np.int64).copy()
-    top = int(arr.max(initial=0))
-    how = rng.choice(("set", "set", "drop", "add", "reverse"))
-    if how == "set" and arr.size:
-        arr[rng.randrange(arr.size)] = rng.randrange(-3, top + 4)
-    elif how == "drop" and arr.size:
-        arr = np.delete(arr, rng.randrange(arr.size))
-    elif how == "add":
-        arr = np.insert(arr, rng.randrange(arr.size + 1),
-                        rng.randrange(-1, top + 2))
-    else:
-        arr = arr[::-1].copy()
-    return {**fields, key: arr}, key
-
-
-def _corrupted_tables(gpd: Groupoid, act: GroupoidAction):
-    """1,000 seeded single-field corruptions, by :func:`_corrupt`, of
-    ``gpd`` and of ``act`` in turn, each built directly with no flaw given,
-    as ``(kind, field name, table)``."""
-    tables = (
-        (Groupoid, {"n_objects": gpd.n_objects, "src": gpd.src,
-                    "tgt": gpd.tgt, "unit": gpd.unit, "inv": gpd.inv,
-                    "row_off": gpd.row_off, "val": gpd.val}),
-        (GroupoidAction, {"gpd": gpd, "n_points": act.n_points,
-                          "anchor": act.anchor, "row_off": act.row_off,
-                          "val": act.val}))
-    for case in range(1000):
-        rng = random.Random(f"table fuzz {case}")
-        kind, clean = tables[case % 2]
-        fields, key = _corrupt(clean, rng)
-        yield kind, key, kind(**fields)
+        bad = Groupoid(gpd.src, gpd.tgt, gpd.unit, gpd.inv, val)
+        assert (bad.flaw.failure, bad.flaw.witness, bad.flaw.structural) == \
+            ("row offsets off the anchor's layout", (9,), True)
+        assert verify_groupoid(bad) == bad.flaw
+        assert verify_groupoid_iso(gpd, bad, *same) == bad.flaw
+    for bad, end in ((GroupoidAction(gpd, a.anchor, a.val[:-1]), 3),
+                     (GroupoidAction(gpd, a.anchor, np.append(a.val, 0)), 3),
+                     (dataclasses.replace(a, anchor=a.anchor[:-1]), 2)):
+        assert (bad.flaw.failure, bad.flaw.witness, bad.flaw.structural) == \
+            ("row offsets off the anchor's layout", (end,), True)
+        assert verify_action(bad) == bad.flaw
+        # the offsets are those of the table's own anchor
+        assert bad.row_off.tolist() == [3 * y for y in range(end + 1)]
 
 
 def test_every_single_field_corruption_of_a_table_gets_a_verdict():
     """1,000 seeded single-field corruptions of ``pair_groupoid(3)`` and of
-    its ambit's action, each built directly with no flaw given: every
-    verifier that reads the table returns a ``Diagnostics``, none raises.
+    its ambit's action, each built directly from its arrays (the corpus of
+    ``table_corpus``): every verifier that reads the table returns a ``Diagnostics``, none raises.
     A groupoid goes through ``verify_groupoid`` and, both ways against the
     clean one when the sizes agree, ``verify_groupoid_iso``; an action
     through ``verify_action`` and ``verify_equivariant_map`` by the
@@ -609,7 +548,7 @@ def test_every_single_field_corruption_of_a_table_gets_a_verdict():
     gpd = pair_groupoid(3)
     act = build_ambit(gpd, 0).action
     edited, failures = set(), set()
-    for kind, key, table in _corrupted_tables(gpd, act):
+    for kind, key, table in corrupted_tables(gpd, act):
         if kind is Groupoid:
             verdicts = [verify_groupoid(table)]
             if (table.n_objects, table.n_arrows) == \
@@ -623,11 +562,11 @@ def test_every_single_field_corruption_of_a_table_gets_a_verdict():
                 verify_equivariant_map(EquivariantMap(s, t, values))
                 for s, t, values in ((act, table, same), (table, act, same),
                                      (table, table,
-                                      list(range(max(table.n_points, 0)))))]
+                                      list(range(table.n_points))))]
         assert all(isinstance(d, Diagnostics) for d in verdicts), key
         edited.add((kind, key))
         failures.update(d.failure for d in verdicts)
-    assert len(edited) == 11  # every field of both
+    assert len(edited) == 7  # every field of both
     assert "row offsets off the anchor's layout" in failures
 
 
@@ -645,7 +584,7 @@ def test_every_construction_refuses_a_flawed_table():
     gpd = pair_groupoid(3)
     act = build_ambit(gpd, 0).action
     outcomes = Counter()
-    for kind, key, t in _corrupted_tables(gpd, act):
+    for kind, key, t in corrupted_tables(gpd, act):
         own = list(range(t.anchor.shape[0]))
         if kind is Groupoid:
             verdict = verify_groupoid(t)
@@ -683,8 +622,8 @@ def test_every_construction_refuses_a_flawed_table():
 
 
 def test_every_reader_refuses_a_flawed_action():
-    """The corruptions above with a structural verdict, 347 groupoids and
-    419 actions, run through the readers of a table's rows or index
+    """The corruptions above with a structural verdict, 295 groupoids and
+    339 actions, run through the readers of a table's rows or index
     arrays.  A groupoid: ``is_transitive``, ``check_local_triviality``,
     ``Groupoid.generators``, ``base_action``, ``vertex_group`` and
     ``vertex_groups_isomorphic``; an action: ``orbits``,
@@ -708,7 +647,7 @@ def test_every_reader_refuses_a_flawed_action():
                          lambda t: invariant_sections(t, 0),
                          lambda t: universal_map(t, ambit, 0))}
     flawed = Counter()
-    for kind, key, t in _corrupted_tables(gpd, ambit.action):
+    for kind, key, t in corrupted_tables(gpd, ambit.action):
         verdict = verify_groupoid(t) if kind is Groupoid else verify_action(t)
         if verdict.ok or not verdict.structural:
             continue
@@ -719,7 +658,7 @@ def test_every_reader_refuses_a_flawed_action():
         if kind is GroupoidAction:
             assert verify_invariant_section(t, section) is t.flaw, key
             assert enumerate_equivariant_maps(ambit, t) == [], key
-    assert flawed == {Groupoid: 347, GroupoidAction: 419}
+    assert flawed == {Groupoid: 295, GroupoidAction: 339}
 
 
 def test_a_copy_made_whole_by_replace_verifies_clean():
@@ -752,11 +691,42 @@ def test_a_flaw_cannot_be_given():
     gpd = pair_groupoid(2)
     act = base_action(gpd)
     with pytest.raises(TypeError, match="flaw"):
-        Groupoid(gpd.n_objects, gpd.src, gpd.tgt, gpd.unit, gpd.inv,
-                 gpd.row_off, gpd.val, flaw=None)
+        Groupoid(gpd.src, gpd.tgt, gpd.unit, gpd.inv, gpd.val, flaw=None)
     with pytest.raises(TypeError, match="flaw"):
-        GroupoidAction(gpd, act.n_points, act.anchor, act.row_off, act.val,
-                       flaw=None)
+        GroupoidAction(gpd, act.anchor, act.val, flaw=None)
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (lambda g, a, **extra: Groupoid(src=g.src, tgt=g.tgt, unit=g.unit,
+                                    inv=g.inv, val=g.val, **extra),
+     "n_objects"),
+    (lambda g, a, **extra: Groupoid.from_tables(
+        src=g.src, tgt=g.tgt, unit=g.unit, inv=g.inv, comp=g.triples(),
+        **extra), "n_objects"),
+    (lambda g, a, **extra: GroupoidAction(gpd=g, anchor=a.anchor, val=a.val,
+                                          **extra), "n_points"),
+    (lambda g, a, **extra: GroupoidAction.from_triples(
+        gpd=g, anchor=a.anchor, triples=a.triples(), **extra), "n_points"),
+], ids=["Groupoid", "from_tables", "GroupoidAction", "from_triples"])
+def test_sizes_and_row_offsets_cannot_be_given(build, sizes):
+    """A table takes only its arrays: its size (``n_objects`` or
+    ``n_points``) and ``row_off`` are no argument of either kind of table
+    or of its builder from triples.  Its fields are its arrays and its
+    flaw, its size is the length of ``unit`` or ``anchor``, and
+    ``row_off`` is its anchor's layout: two entries a row, one for each
+    arrow out of the row's object."""
+    gpd = pair_groupoid(2)
+    act = base_action(gpd)
+    table = build(gpd, act)
+    fields = {Groupoid: ["src", "tgt", "unit", "inv", "val", "flaw"],
+              GroupoidAction: ["gpd", "anchor", "val", "flaw"]}
+    assert [f.name for f in dataclasses.fields(table)] == fields[type(table)]
+    assert getattr(table, sizes) == 2 and table.flaw is None
+    assert table.row_off.tolist() == list(range(0, 2 * len(table.anchor) + 1,
+                                                2))
+    for name in (sizes, "row_off"):
+        with pytest.raises(TypeError, match=f"keyword argument '{name}'"):
+            build(gpd, act, **{name: 2})
 
 
 def test_a_verdict_has_no_truth_value():
@@ -939,7 +909,7 @@ def test_iso_reports_a_table_flaw_before_the_rows():
     """A missing entry reads -1, which must not pass for the last arrow."""
     g = pair_groupoid(2)
     holed = Groupoid.from_tables(
-        2, g.src, g.tgt, g.unit, g.inv,
+        g.src, g.tgt, g.unit, g.inv,
         [t for t in g.triples() if t != [1, 3, 3]])
     for g1, g2 in ((holed, g), (g, holed)):
         diag = verify_groupoid_iso(g1, g2, [0, 1], [0, 1, 2, 3])
@@ -955,9 +925,9 @@ def test_iso_reports_a_structure_map_out_of_range(build):
     p = pair_groupoid(2)
     src = [0, 1, 0, 7]
     if build == "from_tables":
-        bad = Groupoid.from_tables(2, src, p.tgt, p.unit, p.inv, p.triples())
+        bad = Groupoid.from_tables(src, p.tgt, p.unit, p.inv, p.triples())
     else:  # built directly: its flaw is set as it is built
-        bad = Groupoid(2, src, p.tgt, p.unit, p.inv, p.row_off, p.val)
+        bad = Groupoid(src, p.tgt, p.unit, p.inv, p.val)
         assert (bad.flaw.failure, bad.flaw.witness) == \
             ("src index out of range", (3, 7))
     for g1, g2 in ((bad, p), (p, bad)):

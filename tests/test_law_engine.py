@@ -61,8 +61,8 @@ def test_seeded_comp_corruptions_are_law_violations(name):
         others = [c for c in gpd.hom(int(gpd.src[g]), int(gpd.tgt[h]))
                   if c != gh]
         comp[i][2] = rng.choice(others)
-        broken = Groupoid.from_tables(gpd.n_objects, gpd.src, gpd.tgt,
-                                      gpd.unit, gpd.inv, comp)
+        broken = Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit, gpd.inv,
+                                      comp)
         diag = verify_groupoid(broken)
         model = groupoid_to_json(broken)
         assert not diag.ok and not diag.structural, (name, comp[i])
@@ -85,7 +85,7 @@ def test_seeded_act_corruptions_are_law_violations(name):
         if not others:  # a one-point fiber leaves nothing to swap in
             continue
         triples[i][2] = rng.choice(others)
-        broken = GroupoidAction.from_triples(gpd, a.n_points, a.anchor, triples)
+        broken = GroupoidAction.from_triples(gpd, a.anchor, triples)
         diag = verify_action(broken)
         model = action_to_json(broken)
         assert not diag.ok and not diag.structural, (name, triples[i])
@@ -134,13 +134,12 @@ def test_verdicts_agree_with_brute_force_on_seeded_edits():
     verdicts = set()
     for name, gpd in _fuzz_groupoids(rng):
         a = build_ambit(gpd, 0).action if is_transitive(gpd)[0] else \
-            GroupoidAction.from_triples(gpd, gpd.n_arrows, gpd.tgt,
-                                        gpd.triples())
+            GroupoidAction.from_triples(gpd, gpd.tgt, gpd.triples())
         for case in range(16):
             comp = _edit(gpd.triples(), lambda t: gpd.hom(
                 int(gpd.src[t[0]]), int(gpd.tgt[t[1]])), rng)
-            broken = Groupoid.from_tables(gpd.n_objects, gpd.src, gpd.tgt,
-                                          gpd.unit, gpd.inv, comp)
+            broken = Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit,
+                                          gpd.inv, comp)
             diag = verify_groupoid(broken)
             _same_verdict(diag, groupoid_to_json(broken),
                           brute_groupoid_violation, groupoid_law_broken,
@@ -148,7 +147,7 @@ def test_verdicts_agree_with_brute_force_on_seeded_edits():
             verdicts.add(diag.ok)
             act = _edit(a.triples(), lambda t: a.fiber(int(a.anchor[t[2]])),
                         rng)
-            broken = GroupoidAction.from_triples(gpd, a.n_points, a.anchor, act)
+            broken = GroupoidAction.from_triples(gpd, a.anchor, act)
             diag = verify_action(broken)
             _same_verdict(diag, action_to_json(broken), brute_action_violation,
                           action_law_broken, (name, "act", case))
@@ -181,7 +180,7 @@ def _anchor_moved(a, rng):
             if z is None or anchor[z] != gpd.tgt[g]:
                 z = rng.choice(fiber)
             triples.append([w, g, z])
-    return GroupoidAction.from_triples(gpd, a.n_points, anchor, triples)
+    return GroupoidAction.from_triples(gpd, anchor, triples)
 
 
 def test_verdicts_agree_when_an_anchor_moves_within_an_orbit():
@@ -194,15 +193,14 @@ def test_verdicts_agree_when_an_anchor_moves_within_an_orbit():
     failures, moved = set(), 0
     for name, gpd in _fuzz_groupoids(rng):
         a = build_ambit(gpd, 0).action if is_transitive(gpd)[0] else \
-            GroupoidAction.from_triples(gpd, gpd.n_arrows, gpd.tgt,
-                                        gpd.triples())
+            GroupoidAction.from_triples(gpd, gpd.tgt, gpd.triples())
         for case in range(12):
             edited = _anchor_moved(a, rng)
             if edited is None:  # a one-object orbit, as on a wedge
                 continue
             moved += 1
-            stale = GroupoidAction.from_triples(gpd, a.n_points,
-                                                edited.anchor, a.triples())
+            stale = GroupoidAction.from_triples(gpd, edited.anchor,
+                                                a.triples())
             _, _, flaw = whole_table_fill(stale, a.triples())
             diag = verify_action(stale)
             assert (diag.failure, diag.witness, diag.structural) == \
@@ -237,8 +235,7 @@ def test_maps_and_sections_agree_with_brute_force_on_edited_actions():
                 else:
                     act = _edit(a.triples(),
                                 lambda t: a.fiber(int(a.anchor[t[2]])), rng)
-                    edited = GroupoidAction.from_triples(gpd, a.n_points,
-                                                         a.anchor, act)
+                    edited = GroupoidAction.from_triples(gpd, a.anchor, act)
                 where = (name, a.n_points, case)
                 maps = [m.values for m in
                         enumerate_equivariant_maps(ambit, edited)]

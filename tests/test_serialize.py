@@ -212,8 +212,8 @@ def _flawed(table: list) -> list:
 
 def _from_lists(data: dict) -> Groupoid:
     """The groupoid built straight from a payload's python lists."""
-    return Groupoid.from_tables(data["objects"], data["src"], data["tgt"],
-                                data["unit"], data["inv"], data["comp"])
+    return Groupoid.from_tables(data["src"], data["tgt"], data["unit"],
+                                data["inv"], data["comp"])
 
 
 def test_builds_from_arrays_match_builds_from_lists():
@@ -243,8 +243,7 @@ def test_builds_from_arrays_match_builds_from_lists():
             built = build_action(model.data)
             assert built is model.data["act"], name
             plain = GroupoidAction.from_triples(
-                _from_lists(data["groupoid"]), data["space"], data["anchor"],
-                data["act"])
+                _from_lists(data["groupoid"]), data["anchor"], data["act"])
             _same_tables(built, plain, name)
             _same_tables(built.gpd, plain.gpd, name)
             flawed += built.flaw is not None
