@@ -187,8 +187,7 @@ def preset_group(name: str) -> FiniteGroup:
     if name not in _PRESET_BUILDERS:
         raise ValueError(f"unknown preset group {name!r}; choices: {', '.join(PRESET_NAMES)}")
     diag, group = verify_group(_PRESET_BUILDERS[name](), identity=0, name=name)
-    if group is None:  # pragma: no cover - preset tables are fixed
-        raise AssertionError(f"preset {name} failed verification: {diag.failure}")
+    diag.require(f"preset {name} failed verification")
     return group
 
 

@@ -239,9 +239,7 @@ class TotalSpace:
     bundle: CocycleBundle
 
     def __post_init__(self) -> None:
-        diag = verify_cocycle(self.bundle)
-        if not diag.ok:
-            raise ValueError(f"not a cocycle bundle: {diag.failure}")
+        verify_cocycle(self.bundle).require("not a cocycle bundle")
 
     @property
     def n_points(self) -> int:
@@ -306,9 +304,7 @@ def gauge_normalize(b: CocycleBundle, root: int = 0
     dart of the result carries the identity.  Renormalizing a normalized
     bundle yields the identity gauge.
     """
-    diag = verify_cocycle(b)
-    if not diag.ok:
-        raise ValueError(f"not a cocycle bundle: {diag.failure}")
+    verify_cocycle(b).require("not a cocycle bundle")
     grp = b.group
     tree = bfs_tree(b.base, root)
     h = [grp.identity] * b.base.n_vertices
@@ -405,8 +401,8 @@ def is_trivial(b: CocycleBundle, v0: int = 0) -> TrivialityReport:
             section = s
             break
     by_section = section is not None
-    if by_labels != by_section:  # pragma: no cover - the criteria provably agree
-        raise AssertionError("triviality criteria disagree")
+    if by_labels != by_section:  # they agree when the group obeys its laws
+        raise ValueError("triviality criteria disagree")
     return TrivialityReport(trivial=by_labels, by_labels=by_labels,
                             by_section=by_section, section=section,
                             holonomy=hol.subgroup, cycles=hol.cycles)
@@ -451,8 +447,8 @@ def bundles_isomorphic(b1: CocycleBundle, b2: CocycleBundle,
         grp.mul(grp.inv[g2.elements[v]], grp.mul(h_inv, g1.elements[v]))
         for v in range(b1.base.n_vertices)
     ])
-    if apply_gauge(b1, gauge).labels != b2.labels:  # pragma: no cover
-        raise AssertionError("assembled gauge fails to carry b1 to b2")
+    if apply_gauge(b1, gauge).labels != b2.labels:  # only over a lawless group
+        raise ValueError("assembled gauge fails to carry b1 to b2")
     return BundleIso(gauge=gauge, conjugator=h)
 
 

@@ -13,7 +13,8 @@ class Diagnostics:
     tuple of indices exhibiting the violation.  ``structural`` is set when the
     input is malformed (wrong shape, index out of range, operation defined on
     the wrong domain) as opposed to well-formed data breaking an axiom.  A
-    verdict has no truth value, as a numpy array has none: read ``ok``.
+    verdict has no truth value, as a numpy array has none: read ``ok``, or
+    let :meth:`require` refuse a failed one.
     """
 
     ok: bool
@@ -25,6 +26,12 @@ class Diagnostics:
     def __bool__(self) -> bool:  # without it, a failed verdict is true
         raise TypeError("the truth value of a Diagnostics is ambiguous: "
                         "use .ok")
+
+    def require(self, refusal: str) -> None:
+        """The one way a failed verdict becomes an exception: ``ValueError``
+        with ``refusal``, the failure and its witness."""
+        if not self.ok:
+            raise ValueError(f"{refusal}: {self.failure} {self.witness}")
 
     @staticmethod
     def passed(**notes: Any) -> "Diagnostics":

@@ -297,12 +297,12 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
                   u0=int(u0[0]))
     # row u0 holds u0 . w for every point w, in point order
     if not np.array_equal(action.row(ambit.u0), np.arange(points.shape[0])):
-        raise AssertionError("the unit does not retrieve every point")
+        raise ValueError("the unit does not retrieve every point")
     fixed = action.first_entry(lambda ys, gs, val: (val == ys)
                                & (gs != gpd.unit[action.anchor[ys]]))
     if fixed is not None:
-        raise AssertionError(f"action is not free at point {fixed[0]}, "
-                             f"arrow {fixed[1]}")
+        raise ValueError(f"action is not free at point {fixed[0]}, "
+                         f"arrow {fixed[1]}")
     return ambit
 
 
@@ -362,11 +362,10 @@ def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:
             f"point {y} is anchored at {a.anchor[y]}, not at the "
             f"basepoint {ambit.basepoint}")
     m = _map_from_unit(a, ambit, y)
-    diag = verify_equivariant_map(m)
-    if not diag.ok:  # pragma: no cover - the action laws force this
-        raise AssertionError(f"universal map is not equivariant: {diag.failure}")
-    if m.values[ambit.u0] != y:  # pragma: no cover - unit law forces this
-        raise AssertionError("universal map misses its defining value")
+    verify_equivariant_map(m).require("universal map is not equivariant")
+    if m.values[ambit.u0] != y:  # the unit law of ``a`` fails at y
+        raise ValueError(f"universal map sends the unit to "
+                         f"{m.values[ambit.u0]}, not to {y}")
     return m
 
 
@@ -457,8 +456,7 @@ def fiber_semigroup(ambit: Ambit) -> FiberSemigroup:
                 raise AssertionError(
                     f"universal maps do not compose at fiber pair ({y}, {z})")
     diag, group = verify_group(table, identity=0)
-    if group is None:
-        raise AssertionError(f"fiber table is not a group: {diag.failure}")
+    diag.require("fiber table is not a group")
     vgroup = vertex_group(ambit.action.gpd, ambit.basepoint).group
     iso = find_group_isomorphism(group, vgroup)
     if iso is None:

@@ -108,9 +108,7 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
     assigns to each dart the class of ``(point, transported point)``, which
     in coordinates is ``(dsrc(d), dtgt(d), label(d)^-1)``.
     """
-    diag = verify_cocycle(b)
-    if not diag.ok:
-        raise ValueError(f"not a cocycle bundle: {diag.failure}")
+    verify_cocycle(b).require("not a cocycle bundle")
     grp, base = b.group, b.base
     m, n = base.n_vertices, grp.order
     e_id = grp.identity
@@ -213,7 +211,8 @@ def verify_connection(gpd: Groupoid, conn: Connection) -> Diagnostics:
     """A connection must join each dart's endpoints and respect reversal,
     and its base graph must be connected (which makes the groupoid
     transitive); the witness of a disconnected base is its lowest vertex
-    out of reach of vertex 0."""
+    out of reach of vertex 0.  The groupoid's ``flaw`` comes before any
+    scan that reads its arrays."""
     base = conn.base
     if len(conn.arrows) != base.n_darts:
         return Diagnostics.failed(
@@ -223,6 +222,8 @@ def verify_connection(gpd: Groupoid, conn: Connection) -> Diagnostics:
         return Diagnostics.failed(
             "connection base size mismatch", (base.n_vertices, gpd.n_objects),
             structural=True)
+    if gpd.flaw is not None:  # the scans below read its src, tgt and inv
+        return gpd.flaw
     for d, a in enumerate(conn.arrows):
         if not (0 <= a < gpd.n_arrows):
             return Diagnostics.failed("connection arrow out of range", (d, a),
@@ -391,9 +392,7 @@ def bundle_of_groupoid(gpd: Groupoid, conn: Connection,
     and the label of dart ``d`` is the unique vertex-group element carrying
     the transported source reference to the target reference.
     """
-    diag = verify_connection(gpd, conn)
-    if not diag.ok:
-        raise ValueError(f"invalid connection: {diag.failure} {diag.witness}")
+    verify_connection(gpd, conn).require("invalid connection")
     base = conn.base
     vg = vertex_group(gpd, x0)
     grp = vg.group
@@ -413,16 +412,11 @@ def bundle_of_groupoid(gpd: Groupoid, conn: Connection,
     for d in range(base.n_darts):
         carried = transport(d, refs[base.dsrc(d)])
         loop = gpd.compose(gpd.inverse(refs[base.dtgt(d)]), carried)
-        if gpd.compose(refs[base.dtgt(d)], loop) != carried:  # pragma: no cover
-            raise AssertionError("reference transport is not free")
+        if gpd.compose(refs[base.dtgt(d)], loop) != carried:
+            raise ValueError(f"reference transport is not free at dart {d}")
         labels[d] = vg.local_index(loop)
-    for d in range(base.n_darts):
-        if labels[base.rev(d)] != grp.inv[labels[d]]:  # pragma: no cover
-            raise AssertionError("extracted labels break the involution")
     bundle = CocycleBundle(base=base, group=grp, labels=labels)
-    check = verify_cocycle(bundle)
-    if not check.ok:  # pragma: no cover - implied by the assertions above
-        raise AssertionError(f"reconstructed labels fail: {check.failure}")
+    verify_cocycle(bundle).require("reconstructed labels fail")
     return ReconstructedBundle(bundle=bundle, vgroup=vg, references=refs,
                                basepoint=x0)
 

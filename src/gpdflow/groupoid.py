@@ -527,7 +527,7 @@ def _require_whole(*tables: RowTable) -> None:
     """Constructions read every row, so a table with a flaw is refused."""
     for t in tables:
         if t.flaw is not None:
-            raise ValueError(f"table has a flaw: {t.flaw.failure} {t.flaw.witness}")
+            t.flaw.require("table has a flaw")
 
 
 def _endpoint_scan(g: Groupoid) -> Optional[Diagnostics]:
@@ -661,11 +661,10 @@ def vertex_group(g: Groupoid, x: int) -> HomSet:
     if u not in loops:
         raise ValueError(f"unit of object {x} is not a loop at {x}")
     ordering = [u] + [a for a in loops if a != u]
-    local = {a: i for i, a in enumerate(ordering)}
-    table = [[local[g.compose(a, b)] for b in ordering] for a in ordering]
+    local = {a: i for i, a in enumerate(ordering)}  # -1: not a loop at x
+    table = [[local.get(g.compose(a, b), -1) for b in ordering] for a in ordering]
     diag, group = verify_group(table, identity=0)
-    if group is None:
-        raise ValueError(f"loops at object {x} do not form a group: {diag.failure}")
+    diag.require(f"loops at object {x} do not form a group")
     return HomSet(source=x, target=x, arrows=ordering, group=group)
 
 

@@ -67,7 +67,9 @@ EDITED = {
 # pair_groupoid(2) without the comp entries [1,3,3] and [3,0,3]: the first
 # missing pair in row order is [1,3].  Its ambit at 0 with [0,1,0] (off the
 # domain) first and [1,1,1] given twice: a repeated pair comes before a pair
-# off the domain
+# off the domain.  The lawless twins have no flaw and break a law:
+# pair_groupoid(2) with [2,3,0] made [2,3,2], and its ambit at 0 with
+# [1,3,0] made [1,3,1]
 FLAW_INPUTS = {
     "comp": '{"arrows":4,"comp":[[0,0,0],[0,2,2],[1,1,1],[2,1,2],[2,3,0],'
             '[3,2,1]],"inv":[0,1,3,2],"kind":"groupoid","objects":2,'
@@ -78,16 +80,30 @@ FLAW_INPUTS = {
            '[3,2,1]],"inv":[0,1,3,2],"kind":"groupoid","objects":2,'
            '"src":[0,1,0,1],"tgt":[0,1,1,0],"unit":[0,1]},"kind":"action",'
            '"points":[0,2],"space":2,"u0":0}',
+    "comp-lawless": '{"arrows":4,"comp":[[0,0,0],[0,2,2],[1,1,1],[1,3,3],'
+                    '[2,1,2],[2,3,2],[3,0,3],[3,2,1]],"inv":[0,1,3,2],'
+                    '"kind":"groupoid","objects":2,"src":[0,1,0,1],'
+                    '"tgt":[0,1,1,0],"unit":[0,1]}',
+    "act-lawless": '{"act":[[0,0,0],[0,2,1],[1,1,1],[1,3,1]],"anchor":[0,1],'
+                   '"basepoint":0,"groupoid":{"arrows":4,"comp":[[0,0,0],'
+                   '[0,2,2],[1,1,1],[1,3,3],[2,1,2],[2,3,0],[3,0,3],'
+                   '[3,2,1]],"inv":[0,1,3,2],"kind":"groupoid","objects":2,'
+                   '"src":[0,1,0,1],"tgt":[0,1,1,0],"unit":[0,1]},'
+                   '"kind":"action","points":[0,2],"space":2,"u0":0}',
 }
 FLAW_VERDICTS = {
     "comp": ("composability domain violated", [1, 3]),
     "act": ("duplicate act pair", [1, 1]),
+    "comp-lawless": ("composition endpoints", [2, 3, 2]),
+    "act-lawless": ("anchor compatibility", [1, 3]),
 }
-# every command that takes each flawed model's kind
+# every command that takes each model's kind
 FLAW_COMMANDS = {
     "comp": ("verify", "ambit", "universal", "sections", "semigroup"),
     "act": ("verify", "orbits", "universal", "sections"),
 }
+FLAW_COMMANDS.update({f"{name}-lawless": commands
+                      for name, commands in FLAW_COMMANDS.items()})
 ERROR_CODES = {"missing": 10, "dart": 12, "identity": 2}
 WIDTH_ERROR = {"code": 12, "message": "groupoid.comp[12345][2]: 77881 "
                                       "outside range [0, 32767)"}
@@ -306,7 +322,8 @@ def missing_file_dart_named_twice_identity_off_0():
 
 def one_flaw_order():
     """One flaw order for a comp table and an act table, as the first
-    verdict of every command that reads the table."""
+    verdict of every command that reads the table; and for their lawless
+    twins, the broken law, with no refusal from any command on the way."""
     for name, text in FLAW_INPUTS.items():
         write(f"flaw-{name}.json", text + "\n")
         for command in FLAW_COMMANDS[name]:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from gpdflow.algebra import preset_group
+from gpdflow.algebra import FiniteGroup, preset_group
 from gpdflow.amenability import (
     extreme_amenability_check,
     fiber_action,
@@ -187,6 +187,16 @@ def test_nontrivial_groups_are_not(preset, order):
     assert report.certificate.fixed == []
     assert report.certificate.free
     assert report.certificate.table == [list(row) for row in grp.mult]
+
+
+def test_a_monoid_built_as_a_group_is_refused():
+    """A two-element monoid passed off as a ``FiniteGroup``, unverified:
+    its translation action fixes point 1, which contradicts the order
+    verdict, and the check refuses it with ``ValueError``."""
+    monoid = FiniteGroup(order=2, identity=0, mult=((0, 1), (1, 1)),
+                         inv=(0, 1))
+    with pytest.raises(ValueError, match="contradict the order verdict$"):
+        extreme_amenability_check(monoid)
 
 
 # --- the existence suite ---------------------------------------------------------

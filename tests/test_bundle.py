@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gpdflow.algebra import preset_group
+from gpdflow.algebra import FiniteGroup, preset_group
 from gpdflow.bundle import (
     BaseGraph,
     CocycleBundle,
@@ -304,6 +304,35 @@ def test_twisted_triangle_is_not_trivial():
     assert not report.trivial
     assert report.section is None
     assert report.holonomy == [0, 1]
+
+
+def test_a_lawless_group_is_refused_when_the_criteria_disagree():
+    """One loop labelled 2 over a three-element table whose rows are not
+    permutations, passed off as a ``FiniteGroup``: the label is its own
+    inverse, so the bundle is a cocycle, but its holonomy is not the
+    identity while a section exists, and ``is_trivial`` refuses it with
+    ``ValueError``."""
+    table = FiniteGroup(order=3, identity=0,
+                        mult=((0, 1, 2), (1, 0, 0), (2, 1, 0)), inv=(0, 1, 2))
+    b = CocycleBundle.from_edge_labels(BaseGraph.wedge_of_loops(1), table, [2])
+    assert verify_cocycle(b).ok
+    with pytest.raises(ValueError, match="^triviality criteria disagree$"):
+        is_trivial(b)
+
+
+def test_a_lawless_group_is_refused_when_the_gauge_fails():
+    """An edge labelled 1 and one labelled 0, over a two-element monoid
+    whose element 1 is given as its own inverse: both are cocycles, the
+    conjugacy test pairs them, and the assembled gauge does not carry the
+    first onto the second, so ``bundles_isomorphic`` refuses them with
+    ``ValueError``."""
+    monoid = FiniteGroup(order=2, identity=0, mult=((0, 1), (1, 1)),
+                         inv=(0, 1))
+    b1, b2 = (CocycleBundle.from_edge_labels(BaseGraph.path(2), monoid, [g])
+              for g in (1, 0))
+    assert verify_cocycle(b1).ok and verify_cocycle(b2).ok
+    with pytest.raises(ValueError, match="^assembled gauge fails to carry"):
+        bundles_isomorphic(b1, b2)
 
 
 def test_gauged_trivial_bundle_stays_trivial():

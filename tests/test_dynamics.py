@@ -484,12 +484,28 @@ def test_enumeration_drops_the_maps_into_a_lawless_target():
     diag = verify_action(lawless)
     assert (diag.failure, diag.witness) == ("action unit law", (1,))
     assert enumerate_equivariant_maps(ambit, lawless) == []
-    with pytest.raises(AssertionError, match="not equivariant"):
+    with pytest.raises(ValueError, match="not equivariant"):
         universal_map(lawless, ambit, ambit.u0)
     unfilled = GroupoidAction.from_triples(
         a.gpd, [*a.anchor[:-1], a.gpd.n_objects], triples)
     assert unfilled.flaw.failure == "anchor out of range"
     assert enumerate_equivariant_maps(ambit, unfilled) == []
+
+
+def test_universal_map_refuses_a_target_whose_unit_moves_its_point():
+    """A target whose unit sends point 0 to point 1, which it fixes, breaks
+    only the unit law: the map from the ambit of ``pair_groupoid(1)``
+    passes the equivariance check, yet does not send the unit to 0, so
+    ``universal_map`` refuses it with ``ValueError``."""
+    gpd = pair_groupoid(1)
+    ambit = build_ambit(gpd, 0)
+    target = GroupoidAction.from_triples(gpd, [0, 0], [[0, 0, 1], [1, 0, 1]])
+    assert (verify_action(target).failure,
+            verify_action(target).witness) == ("action unit law", (0,))
+    with pytest.raises(ValueError,
+                       match="^universal map sends the unit to 1, not to 0$"):
+        universal_map(target, ambit, 0)
+    assert universal_map(target, ambit, 1).values == [1]
 
 
 def test_verify_equivariant_map_failures():

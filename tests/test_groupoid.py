@@ -11,13 +11,16 @@ from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import preset_group
 from gpdflow.amenability import fiber_action, invariant_sections, \
     verify_invariant_section
+from gpdflow.bundle import BaseGraph
 from gpdflow.diagnostics import Diagnostics
-from gpdflow.ehresmann import groupoid_of_bundle
+from gpdflow.ehresmann import Connection, bundle_of_groupoid, \
+    groupoid_of_bundle, verify_connection
 from gpdflow.fixtures import large_random_bundle, matrix_bundles
 from gpdflow.dynamics import EquivariantMap, GroupoidAction, base_action, \
     build_ambit, disjoint_union_actions, enumerate_equivariant_maps, \
-    invariant_subsets, minimal_subflows, orbits, restrict_action, \
-    universal_map, verify_action, verify_equivariant_map
+    fiber_semigroup, invariant_subsets, minimal_flow_uniqueness, \
+    minimal_subflows, orbits, restrict_action, universal_map, verify_action, \
+    verify_equivariant_map
 from gpdflow.groupoid import (
     Groupoid,
     check_local_triviality,
@@ -32,7 +35,8 @@ from gpdflow.groupoid import (
     vertex_group,
     vertex_groups_isomorphic,
 )
-from gpdflow.serialize import groupoid_to_json
+from gpdflow.serialize import action_to_json, canonical_dumps, \
+    groupoid_to_json
 
 from law_oracle import brute_closure, brute_groupoid_violation, \
     brute_local_triviality, groupoid_law_broken, relabelled
@@ -308,8 +312,8 @@ def test_blockwise_witnesses_agree_with_a_loop(block, monkeypatch):
         broken[i][2] = broken[i][0]
     first = next((points.index(g), h) for g, h, gh in broken
                  if g in points and gh == g and h != gpd.unit[gpd.tgt[h]])
-    with pytest.raises(AssertionError, match=f"not free at point {first[0]}, "
-                                             f"arrow {first[1]}$"):
+    with pytest.raises(ValueError, match=f"not free at point {first[0]}, "
+                                         f"arrow {first[1]}$"):
         build_ambit(Groupoid.from_tables(gpd.src, gpd.tgt, gpd.unit, gpd.inv,
                                          broken), 1)
 
@@ -578,9 +582,9 @@ def test_every_construction_refuses_a_flawed_table():
     action through ``restrict_action`` to all its points and
     ``disjoint_union_actions`` with the clean one on either side.  Every
     table whose verifier gives a structural verdict is refused with ``table
-    has a flaw``.  None raises ``IndexError``, and an ``AssertionError``
-    comes only from ``build_ambit``'s own retrieval and freeness checks, on
-    a groupoid that breaks a law."""
+    has a flaw``.  None raises ``IndexError``, and a ``ValueError`` from
+    ``build_ambit``'s own retrieval and freeness checks comes only on a
+    groupoid that breaks a law."""
     gpd = pair_groupoid(3)
     act = build_ambit(gpd, 0).action
     outcomes = Counter()
@@ -605,12 +609,10 @@ def test_every_construction_refuses_a_flawed_table():
             except ValueError as error:
                 outcome = "refused" if str(error).startswith(
                     "table has a flaw") else "ValueError"
-            except AssertionError as error:
-                if not str(error).startswith(("the unit does not retrieve",
-                                              "action is not free")):
-                    raise
-                assert name == "ambit" and not verdict.ok, (key, error)
-                outcome = "AssertionError"
+                if str(error).startswith(("the unit does not retrieve",
+                                          "action is not free")):
+                    assert name == "ambit" and not verdict.ok, (key, error)
+                    outcome = "own check"
             else:
                 outcome = "built"
             assert outcome == "refused" or not flawed, (key, name, outcome)
@@ -618,7 +620,7 @@ def test_every_construction_refuses_a_flawed_table():
     # every outcome the corruptions can have is reached
     assert set(outcomes) == {(True, "refused"), (False, "built"),
                              (False, "ValueError"),
-                             (False, "AssertionError")}
+                             (False, "own check")}
 
 
 def test_every_reader_refuses_a_flawed_action():
@@ -659,6 +661,116 @@ def test_every_reader_refuses_a_flawed_action():
             assert verify_invariant_section(t, section) is t.flaw, key
             assert enumerate_equivariant_maps(ambit, t) == [], key
     assert flawed == {Groupoid: 295, GroupoidAction: 339}
+
+
+def test_every_public_function_refuses_a_broken_table():
+    """Every public function that takes a groupoid or an action, on every
+    table of the corpus above: the verifiers, the readers, the
+    constructions, ``hom_set``, ``verify_groupoid_iso`` and
+    ``verify_equivariant_map`` against the clean table either way,
+    ``verify_connection`` and ``bundle_of_groupoid`` with a connection of
+    the clean groupoid, ``fiber_semigroup`` and ``minimal_flow_uniqueness``
+    on the ambit the table builds, and its emitted JSON.  An action is also
+    the second argument of ``universal_map`` and
+    ``enumerate_equivariant_maps``, from ``pair_groupoid(3)``'s ambit.
+    Each call gives a result, a verdict or a ``ValueError``, on a table
+    with a flaw and on a lawless one alike; any other exception fails the
+    test, with its count per function.  A verifier gives a verdict on
+    every table, a clean table is refused by nothing, and each function
+    whose result rests on the laws refuses some lawless table."""
+    gpd = pair_groupoid(3)
+    ambit = build_ambit(gpd, 0)
+    act = ambit.action
+    section = invariant_sections(act, 0)[0].values
+    base = BaseGraph(3, ((0, 1), (1, 2)))
+    conn = Connection(base, [gpd.hom(base.dsrc(d), base.dtgt(d))[0]
+                             for d in range(base.n_darts)])
+    objects, arrows = list(range(gpd.n_objects)), list(range(gpd.n_arrows))
+    points = list(range(act.n_points))
+    calls = {
+        Groupoid: {
+            "verify_groupoid": verify_groupoid,
+            "verify_groupoid_iso": lambda t: verify_groupoid_iso(
+                t, gpd, objects, arrows),
+            "verify_groupoid_iso from": lambda t: verify_groupoid_iso(
+                gpd, t, objects, arrows),
+            "verify_connection": lambda t: verify_connection(t, conn),
+            "is_transitive": is_transitive,
+            "check_local_triviality": check_local_triviality,
+            "generators": lambda t: t.generators,
+            "hom_set": lambda t: hom_set(t, 0, 1),
+            "vertex_group": lambda t: vertex_group(t, 0),
+            "vertex_groups_isomorphic": lambda t: vertex_groups_isomorphic(
+                t, 0, 1),
+            "normalize_groupoid": normalize_groupoid,
+            "disjoint_union": lambda t: disjoint_union(t, gpd),
+            "disjoint_union after": lambda t: disjoint_union(gpd, t),
+            "restrict_action": lambda t: restrict_action(
+                t, list(range(t.anchor.shape[0]))),
+            "base_action": base_action,
+            "build_ambit": lambda t: build_ambit(t, 0),
+            "fiber_semigroup": lambda t: fiber_semigroup(build_ambit(t, 0)),
+            "minimal_flow_uniqueness": lambda t: minimal_flow_uniqueness(
+                build_ambit(t, 0)),
+            "bundle_of_groupoid": lambda t: bundle_of_groupoid(t, conn),
+            "groupoid_to_json": lambda t: canonical_dumps(
+                groupoid_to_json(t))},
+        GroupoidAction: {
+            "verify_action": verify_action,
+            "verify_equivariant_map into": lambda t: verify_equivariant_map(
+                EquivariantMap(act, t, points)),
+            "verify_equivariant_map from": lambda t: verify_equivariant_map(
+                EquivariantMap(t, act, points)),
+            "verify_equivariant_map self": lambda t: verify_equivariant_map(
+                EquivariantMap(t, t, list(range(t.n_points)))),
+            "verify_invariant_section": lambda t: verify_invariant_section(
+                t, section),
+            "orbits": orbits,
+            "invariant_subsets": invariant_subsets,
+            "minimal_subflows": minimal_subflows,
+            "restrict_action": lambda t: restrict_action(
+                t, list(range(t.n_points))),
+            "disjoint_union_actions": lambda t: disjoint_union_actions(t, act),
+            "disjoint_union_actions after": lambda t: disjoint_union_actions(
+                act, t),
+            "fiber_action": lambda t: fiber_action(t, 0),
+            "invariant_sections": lambda t: invariant_sections(t, 0),
+            "universal_map": lambda t: universal_map(t, ambit, 0),
+            "enumerate_equivariant_maps": lambda t: enumerate_equivariant_maps(
+                ambit, t),
+            "action_to_json": lambda t: canonical_dumps(action_to_json(t))}}
+    outcomes, states = Counter(), Counter()
+    for kind, key, t in corrupted_tables(gpd, act):
+        verdict = verify_groupoid(t) if kind is Groupoid else verify_action(t)
+        state = "clean" if verdict.ok else \
+            "flawed" if verdict.structural else "lawless"
+        states[kind, state] += 1
+        for name, call in calls[kind].items():
+            try:
+                out = call(t)
+            except ValueError:
+                outcome = "ValueError"
+            except Exception as error:  # the gate: counted, then failed
+                outcome = type(error).__name__
+            else:
+                outcome = "verdict" if isinstance(out, Diagnostics) \
+                    else "result"
+            outcomes[state, name, outcome] += 1
+    stray = {k: n for k, n in outcomes.items()
+             if k[2] not in ("result", "verdict", "ValueError")}
+    assert not stray, stray
+    assert states == {(Groupoid, "flawed"): 295, (Groupoid, "lawless"): 189,
+                      (Groupoid, "clean"): 16,
+                      (GroupoidAction, "flawed"): 339,
+                      (GroupoidAction, "lawless"): 141,
+                      (GroupoidAction, "clean"): 20}
+    for (state, name, outcome), n in outcomes.items():
+        assert (outcome == "verdict") == name.startswith("verify"), name
+        assert state != "clean" or outcome != "ValueError", name
+    for name in ("vertex_group", "vertex_groups_isomorphic", "build_ambit",
+                 "fiber_semigroup", "bundle_of_groupoid", "universal_map",
+                 "invariant_sections"):
+        assert outcomes["lawless", name, "ValueError"], name
 
 
 def test_a_copy_made_whole_by_replace_verifies_clean():
