@@ -284,6 +284,14 @@ class GaugeTransformation:
 
 
 def apply_gauge(b: CocycleBundle, gauge: GaugeTransformation) -> CocycleBundle:
+    """The gauged bundle; a bundle that fails :func:`verify_cocycle` is
+    refused."""
+    verify_cocycle(b).require("not a cocycle bundle")
+    return _gauged(b, gauge)
+
+
+def _gauged(b: CocycleBundle, gauge: GaugeTransformation) -> CocycleBundle:
+    """:func:`apply_gauge` of a bundle already verified."""
     base, grp = b.base, b.group
     if len(gauge.elements) != base.n_vertices:
         raise ValueError("gauge must assign one element per vertex")
@@ -313,12 +321,14 @@ def gauge_normalize(b: CocycleBundle, root: int = 0
         if d >= 0:
             h[v] = grp.mul(h[b.base.dsrc(d)], grp.inv[b.labels[d]])
     gauge = GaugeTransformation(h)
-    return apply_gauge(b, gauge), gauge, tree
+    return _gauged(b, gauge), gauge, tree
 
 
 def holonomy_along(b: CocycleBundle, darts: Sequence[int]) -> int:
     """Compose labels along a dart walk; later darts multiply on the left,
-    matching transport order."""
+    matching transport order.  A bundle that fails :func:`verify_cocycle`
+    is refused."""
+    verify_cocycle(b).require("not a cocycle bundle")
     acc = b.group.identity
     at = None
     for d in darts:
@@ -447,21 +457,25 @@ def bundles_isomorphic(b1: CocycleBundle, b2: CocycleBundle,
         grp.mul(grp.inv[g2.elements[v]], grp.mul(h_inv, g1.elements[v]))
         for v in range(b1.base.n_vertices)
     ])
-    if apply_gauge(b1, gauge).labels != b2.labels:  # only over a lawless group
+    if _gauged(b1, gauge).labels != b2.labels:  # only over a lawless group
         raise ValueError("assembled gauge fails to carry b1 to b2")
     return BundleIso(gauge=gauge, conjugator=h)
 
 
 def bundles_isomorphic_bruteforce(b1: CocycleBundle, b2: CocycleBundle
                                   ) -> Optional[GaugeTransformation]:
-    """Oracle: scan all ``|G|^|V|`` gauges in lexicographic order."""
+    """Oracle: scan all ``|G|^|V|`` gauges in lexicographic order.  Both
+    bundles are verified once, before the scan: a bundle that fails
+    :func:`verify_cocycle` is refused."""
     _require_comparable(b1, b2)
+    for b in (b1, b2):
+        verify_cocycle(b).require("not a cocycle bundle")
     grp, n = b1.group, b1.base.n_vertices
     if grp.order ** n > _BRUTEFORCE_GAUGES:
         raise ValueError(f"search space {grp.order}^{n} exceeds limit "
                          f"{_BRUTEFORCE_GAUGES}")
     for assignment in iter_product(range(grp.order), repeat=n):
         gauge = GaugeTransformation(list(assignment))
-        if apply_gauge(b1, gauge).labels == b2.labels:
+        if _gauged(b1, gauge).labels == b2.labels:
             return gauge
     return None

@@ -39,6 +39,7 @@ from .groupoid import (
     HomSet,
     one_object_groupoid,
     val_width,
+    verify_groupoid,
     verify_groupoid_iso,
     vertex_group,
 )
@@ -390,7 +391,10 @@ def bundle_of_groupoid(gpd: Groupoid, conn: Connection,
     pre-composition with the reversed dart's connection arrow.  Reference
     arrows are transported along the BFS spanning tree rooted at ``x0``,
     and the label of dart ``d`` is the unique vertex-group element carrying
-    the transported source reference to the target reference.
+    the transported source reference to the target reference.  An arrow
+    read as a label that is not a loop at ``x0``, which only a groupoid
+    that breaks a law gives, is refused with the dart, the arrow and the
+    first law :func:`verify_groupoid` finds broken.
     """
     verify_connection(gpd, conn).require("invalid connection")
     base = conn.base
@@ -414,6 +418,9 @@ def bundle_of_groupoid(gpd: Groupoid, conn: Connection,
         loop = gpd.compose(gpd.inverse(refs[base.dtgt(d)]), carried)
         if gpd.compose(refs[base.dtgt(d)], loop) != carried:
             raise ValueError(f"reference transport is not free at dart {d}")
+        if loop not in vg.arrows:  # only a groupoid that breaks a law
+            verify_groupoid(gpd).require(
+                f"label of dart {d}: arrow {loop} is not a loop at {x0}")
         labels[d] = vg.local_index(loop)
     bundle = CocycleBundle(base=base, group=grp, labels=labels)
     verify_cocycle(bundle).require("reconstructed labels fail")

@@ -64,7 +64,10 @@ __all__ = [
 # a dict, triples whole, or a block source (see RowTable._fill)
 CompTable = Union[Mapping[tuple[int, int], int], Iterable[Sequence[int]],
                   Callable[[], Iterator[np.ndarray]]]
-_BLOCK = 1 << 14  # table entries, or rows of an array, read at a time
+# table entries, or rows of an array, read at a time: about the rows of
+# canonical text one serialize._CHUNK (64 KB) load window holds, so that
+# reading, checking and writing a table hold the temporaries the fill does
+_BLOCK = 1 << 12
 
 
 def blocks_of(rows) -> Iterator:
@@ -350,17 +353,21 @@ class RowTable:
         step is the law itself for ``g2``; any other action needs the
         groupoid verified first.  Unit, domain, endpoint and anchor laws
         must hold already, and the table must have no hole: both sides are
-        read from the rows, ``y . (b . h)`` through row ``b``.
+        read from the rows, ``y . (b . h)`` through row ``b``, for about
+        ``_BLOCK`` pairs ``(y, h)`` at a time.
         """
         gpd = self.gpd
         gens = gpd.generators
         for b in gens:
             ys = np.flatnonzero(self.anchor == gpd.src[b])[:, None]
-            hs = gpd.arrows_from(int(gpd.tgt[b]))
-            miss = self._at(self._at(ys, b), hs) != self._at(ys, gpd.row(b))
-            if bool(miss.any()):
-                y, h = divmod(int(np.argmax(miss)), hs.size)
-                return (int(ys[y, 0]), b, int(hs[h])), len(gens)
+            hs, bh = gpd.arrows_from(int(gpd.tgt[b])), gpd.row(b)
+            step = max(1, _BLOCK // max(1, hs.size))
+            for lo in range(0, len(ys), step):
+                y = ys[lo:lo + step]
+                miss = self._at(self._at(y, b), hs) != self._at(y, bh)
+                if bool(miss.any()):
+                    i, j = divmod(int(np.argmax(miss)), hs.size)
+                    return (int(y[i, 0]), b, int(hs[j])), len(gens)
         return None, len(gens)
 
 

@@ -12,12 +12,15 @@ piece by piece: a row table a block of
 :meth:`~gpdflow.groupoid.RowTable.row_blocks` at a time through one
 vectorized kernel (:func:`_table_bytes`), byte-identical to the ``json``
 encoding of the same lists, so no ``(n, 3)`` array of its triples is
-built; a span of the input as its bytes; and the rest of a value, numpy
+built; a span of the input as its bytes; a long list, such as a transport
+report's ``coords``, one slice of ``_SLICE`` items at a time, since
+``json`` holds a token string for each number, key and bracket until it
+joins them, about 15 times the text; and the rest of a value, numpy
 arrays and scalars as lists and numbers, through ``json`` in as few calls
 as there are containers on the way to a table.  The command line writes
 a report's pieces as they come and :func:`model_digest` hashes them, so
-neither holds a whole copy of a large table's text; :func:`canonical_dumps`
-joins them.
+neither holds a whole copy of a large table's text, nor more than one
+block's or one slice's temporaries; :func:`canonical_dumps` joins them.
 
 Loading reads every input from a file (:class:`_File`): a regular file
 as it is (a path, or stdin that ``os.fstat`` shows is one), anything else
@@ -100,7 +103,7 @@ from .bundle import BaseGraph, CocycleBundle, verify_cocycle
 from .diagnostics import Diagnostics
 from .dynamics import Ambit, GroupoidAction
 from .ehresmann import Connection, TransportGroupoid
-from .groupoid import Groupoid, RowTable, blocks_of
+from .groupoid import _BLOCK, Groupoid, RowTable, blocks_of
 
 __all__ = [
     "ModelError",
@@ -197,6 +200,12 @@ def _coerce(value: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
+# list items json writes in one call: it holds a token string of some 50
+# bytes for each number, key and bracket until it joins them, so a slice of
+# a transport report's coords holds about 120 KB, less than a block of rows
+_SLICE = _BLOCK // 16
+
+
 def _json(obj: Any, default: Callable[[Any], Any] = _coerce) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=default)
@@ -275,12 +284,23 @@ def _stop_at_array(value: Any) -> Any:
     return _coerce(value)
 
 
+def _unbracketed(pieces: Iterator[Any]) -> Iterator[Any]:
+    """The pieces of a list's text, its outer brackets dropped."""
+    last = next(pieces)[1:]
+    for piece in pieces:
+        yield last
+        last = piece
+    yield last[:-1]
+
+
 def canonical_pieces(obj: Any) -> Iterator[Any]:
     """The text of :func:`canonical_dumps` in pieces, as it is encoded: a
     row table (its entries as ``[y, h, y . h]`` rows) a block of rows at a
     time, through :func:`_table_pieces`; a :class:`_Span`, a table's
-    canonical text in the input, as those bytes; anything without one of
-    these, numpy arrays and scalars included, in one ``json`` call; and a
+    canonical text in the input, as those bytes; a list or tuple of more
+    than ``_SLICE`` items a slice at a time, each slice as a list of its
+    own with its brackets dropped; anything else without a table or a
+    span, numpy arrays and scalars included, in one ``json`` call; and a
     list, tuple or ``str``-keyed dict that holds one piece by piece.  A
     dict with other keys keeps ``json``'s key rules.  (A container that
     gets here holds one, so it has an item.)"""
@@ -289,6 +309,12 @@ def canonical_pieces(obj: Any) -> Iterator[Any]:
         return
     if isinstance(obj, RowTable):  # its entries: the holes dropped
         yield from _table_pieces(obj.row_blocks())
+        return
+    if isinstance(obj, (list, tuple)) and len(obj) > _SLICE:
+        for lo in range(0, len(obj), _SLICE):
+            yield "," if lo else "["
+            yield from _unbracketed(canonical_pieces(obj[lo:lo + _SLICE]))
+        yield "]"
         return
     try:
         yield _json(obj, _stop_at_array)

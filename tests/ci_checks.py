@@ -435,12 +435,18 @@ def file_and_pipe_loaded_without_holding_them():
     by ``wait4``.  A file is read back table by table, and a pipe is copied
     to a temporary file and read back from it: the pipe peaks with the
     path.  The report is saved as a file named stdin, so that a run given
-    its path names its input as a run reading - does."""
+    its path names its input as a run reading - does.  The peaks of
+    ``--help`` and of the groupoidify run that writes the report are
+    printed too: the writer holds the table and one block of temporaries,
+    so it peaks no higher than the path's bundleize."""
     write("bundle12.json", canonical_dumps(bundle_to_json(
         large_random_bundle(12, 11, "S4"))))
     Path("load12").mkdir()
-    write("load12/stdin", output(["groupoidify", "bundle12.json"]))
-    runs = {"path": run(["bundleize", "stdin"], cwd="load12"),
+    writer = run(["groupoidify", "bundle12.json"])
+    assert writer.code == 0, (writer.code, writer.err[-2000:])
+    write("load12/stdin", writer.out)
+    runs = {"--help": run(["--help"]), "groupoidify": writer,
+            "path": run(["bundleize", "stdin"], cwd="load12"),
             "redirect": run(["bundleize", "-"], "load12/stdin")}
     cat = subprocess.Popen(["cat", "load12/stdin"], stdout=subprocess.PIPE)
     with cat.stdout:
@@ -450,9 +456,10 @@ def file_and_pipe_loaded_without_holding_them():
         assert r.code == 0 and r.err == b"", (name, r.code, r.err[-2000:])
     peaks = {name: r.peak_mb for name, r in runs.items()}
     print({name: round(mb, 1) for name, mb in peaks.items()})
-    assert len({r.out for r in runs.values()}) == 1, \
-        "the three reports differ"
+    assert len({runs[name].out for name in ("path", "redirect", "pipe")}) \
+        == 1, "the three reports differ"
     assert peaks["pipe"] <= peaks["path"] + 2, peaks
+    assert peaks["groupoidify"] <= peaks["path"], peaks
 
 
 def tables_at_the_int16_boundary():

@@ -22,8 +22,12 @@ from gpdflow.bundle import (
     total_space,
     verify_cocycle,
 )
+from gpdflow.amenability import section_existence_suite
+from gpdflow.ehresmann import groupoid_of_bundle, orbit_quotient_groupoid, \
+    roundtrip_bundle
 from gpdflow.fixtures import large_random_bundle, named_bundles, \
     random_connected_graph
+from gpdflow.serialize import bundle_to_json, canonical_dumps
 
 
 def z2_triangle(edge_labels):
@@ -195,6 +199,101 @@ def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
         outcomes[how, lawful] += 1
     assert set(outcomes) == {("-1", False), ("order", False),
                              ("element", False), ("element", True)}
+
+
+def edited_bundles():
+    """600 seeded single-label edits of the fixture bundles, as ``(clean,
+    edited)``: one label set to a value from -3 to the group's order + 2,
+    dropped or added.  Case ``case`` is seeded by ``"bundle fuzz
+    {case}"``."""
+    bundles = list(named_bundles().values())
+    for case in range(600):
+        rng = random.Random(f"bundle fuzz {case}")
+        b = rng.choice(bundles)
+        labels, order = list(b.labels), b.group.order
+        how = rng.choice(("set", "drop", "add"))
+        if how == "set" and labels:
+            labels[rng.randrange(len(labels))] = rng.randrange(-3, order + 3)
+        elif how == "drop" and labels:
+            del labels[rng.randrange(len(labels))]
+        else:
+            labels.insert(rng.randrange(len(labels) + 1),
+                          rng.randrange(-3, order + 3))
+        yield b, CocycleBundle(b.base, b.group, labels)
+
+
+def test_every_public_function_refuses_a_broken_bundle():
+    """The bundle twin of the table gate: every public function that takes
+    a bundle, on each of :func:`edited_bundles`, gives a result, a verdict
+    or a ``ValueError``; any other exception fails the test, with its
+    count per function.  The functions of ``bundle``, ``TotalSpace``'s
+    methods on the space a bundle builds, the clean bundle as the other
+    argument of the isomorphism tests either way, and the bundle functions
+    of ``ehresmann``, ``amenability`` and ``serialize``.  A bundle that
+    fails ``verify_cocycle`` is refused by every function that reads its
+    labels as a cocycle; a clean one by none."""
+    def space(b):
+        ts = TotalSpace(b)
+        darts = [d for d in range(b.base.n_darts) if b.base.dsrc(d) == 0]
+        return (ts.n_points, ts.point(0), ts.point_index(0, 0), ts.proj(0),
+                ts.raction(0, b.group.identity), ts.fiber(0),
+                [ts.transport(d, 0) for d in darts])
+
+    identity = lambda b: GaugeTransformation(  # noqa: E731
+        [b.group.identity] * b.base.n_vertices)
+    walk = lambda b: list(range(min(2, b.base.n_darts)))  # noqa: E731
+    calls = {
+        "verify_cocycle": verify_cocycle,
+        "total_space": total_space,
+        "TotalSpace methods": space,
+        "edge_labels": lambda b: b.edge_labels(),
+        "apply_gauge": lambda b: apply_gauge(b, identity(b)),
+        "gauge_normalize": gauge_normalize,
+        "holonomy_along": lambda b: holonomy_along(b, walk(b)),
+        "holonomy_group": holonomy_group,
+        "is_trivial": is_trivial,
+        "bundles_isomorphic": lambda b: bundles_isomorphic(b, clean),
+        "bundles_isomorphic from": lambda b: bundles_isomorphic(clean, b),
+        "bundles_isomorphic_bruteforce": lambda b:
+            bundles_isomorphic_bruteforce(b, clean),
+        "bundles_isomorphic_bruteforce from": lambda b:
+            bundles_isomorphic_bruteforce(clean, b),
+        "groupoid_of_bundle": groupoid_of_bundle,
+        "orbit_quotient_groupoid": orbit_quotient_groupoid,
+        "roundtrip_bundle": roundtrip_bundle,
+        "section_existence_suite": lambda b: section_existence_suite(
+            [("edited", b)]),
+        "bundle_to_json": lambda b: canonical_dumps(bundle_to_json(b))}
+    # a verdict on every bundle; and the label list read as a list
+    never_refuse = {"verify_cocycle", "edge_labels", "bundle_to_json"}
+    # refuse a clean bundle by their own rules: a group of order above 1,
+    # too many point pairs, too many gauges
+    own_limits = ("section", "orbit", "bundles_isomorphic_b")
+    outcomes, states = Counter(), Counter()
+    for clean, b in edited_bundles():
+        ok = verify_cocycle(b).ok
+        states[ok] += 1
+        for name, call in calls.items():
+            try:
+                call(b)
+            except ValueError:
+                outcome = "ValueError"
+            except Exception as error:  # the gate: counted, then failed
+                outcome = type(error).__name__
+            else:
+                outcome = "result"
+            outcomes[name, ok, outcome] += 1
+    others = {key: n for key, n in outcomes.items()
+              if key[2] not in ("result", "ValueError")}
+    assert others == {}, others
+    assert states[False] and states[True], states
+    for name in calls:
+        if name in never_refuse:
+            assert outcomes[name, False, "ValueError"] == 0, name
+            continue
+        assert outcomes[name, False, "result"] == 0, name
+        if not name.startswith(own_limits):
+            assert outcomes[name, True, "ValueError"] == 0, name
 
 
 # --- gauge normalization ----------------------------------------------------------

@@ -165,6 +165,24 @@ def test_vector_lookup_agrees_with_the_scalar_one_out_of_range():
         assert ok.tolist() == [z >= 0 for z in want]
 
 
+def test_verify_groupoid_holds_one_block_of_temporaries():
+    """``verify_groupoid`` on the transport groupoid of a 12-vertex S4
+    bundle (3,456 arrows, 995,328 entries, and a 288 x 288 grid for each
+    generator in Light's test) allocates less than 384 KB above what it
+    keeps: the temporaries of one 4,096-entry block of rows in the endpoint
+    scan, or of one block of a generator's grid, and arrays over the
+    arrows.  A whole grid's int64 index array alone takes 648 KB."""
+    import tracemalloc
+    gpd = groupoid_of_bundle(large_random_bundle(12, 3, "S4")).groupoid
+    tracemalloc.start()
+    try:
+        assert verify_groupoid(gpd).ok
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 384 << 10, peak - held
+
+
 def test_a_clean_fill_allocates_no_mask_of_the_triples(monkeypatch):
     """Building a whole, well-formed 197,568-entry table from an int32
     array, 1,024 triples at a time, allocates ``val`` (``val.itemsize``
@@ -771,6 +789,32 @@ def test_every_public_function_refuses_a_broken_table():
                  "fiber_semigroup", "bundle_of_groupoid", "universal_map",
                  "invariant_sections"):
         assert outcomes["lawless", name, "ValueError"], name
+
+
+def test_bundle_of_groupoid_names_the_law_a_label_breaks():
+    """The lawless groupoids of the corpus whose transported loop, read as
+    a label, is not a loop at the basepoint (with the path connection of
+    ``pair_groupoid(3)``): the refusal names the dart, the arrow and the
+    first law ``verify_groupoid`` finds broken, where ``list.index`` once
+    said only "5 is not in list"."""
+    gpd = pair_groupoid(3)
+    base = BaseGraph(3, ((0, 1), (1, 2)))
+    conn = Connection(base, [gpd.hom(base.dsrc(d), base.dtgt(d))[0]
+                             for d in range(base.n_darts)])
+    refused = {}
+    for case, (kind, key, t) in enumerate(
+            corrupted_tables(gpd, build_ambit(gpd, 0).action)):
+        if kind is Groupoid and t.flaw is None:
+            try:
+                bundle_of_groupoid(t, conn)
+            except ValueError as error:
+                if str(error).startswith("label of dart"):
+                    refused[case, key] = str(error)
+    law = "is not a loop at 0: composition endpoints"
+    assert refused == {
+        (0, "src"): f"label of dart 2: arrow 5 {law} (1, 7, 2)",
+        (80, "src"): f"label of dart 2: arrow 5 {law} (1, 7, 2)",
+        (90, "val"): f"label of dart 2: arrow 2 {law} (8, 5, 2)"}
 
 
 def test_a_copy_made_whole_by_replace_verifies_clean():

@@ -579,18 +579,38 @@ def test_canonical_dumps_matches_json_on_fixture_reports(command):
     assert canonical_dumps(report) == _plain_json(report)
 
 
+NESTED = [
+    {"b": [np.arange(3), {2: np.arange(2), 1: "\u0000"},
+           (np.zeros((0, 3), np.int64), "x")],
+     "\u0000": "\u0000é", "a": {"y": [[WIDE]], "x": np.int64(7)},
+     "c": {0.5: [np.arange(1)], -1.0: None}, "": ()},
+    [EDGES, [], {}, "\u0000", [np.array([[5, -5]])]],
+    (np.arange(4).reshape(2, 2), {"k": np.array([1.5, 2.0])}),
+    np.arange(3), np.int64(3), {"z": 1, "é": [np.arange(2)]},
+]
+
+
 def test_canonical_dumps_matches_json_on_nested_values():
-    values = [
-        {"b": [np.arange(3), {2: np.arange(2), 1: "\u0000"},
-               (np.zeros((0, 3), np.int64), "x")],
-         "\u0000": "\u0000é", "a": {"y": [[WIDE]], "x": np.int64(7)},
-         "c": {0.5: [np.arange(1)], -1.0: None}, "": ()},
-        [EDGES, [], {}, "\u0000", [np.array([[5, -5]])]],
-        (np.arange(4).reshape(2, 2), {"k": np.array([1.5, 2.0])}),
-        np.arange(3), np.int64(3), {"z": 1, "é": [np.arange(2)]},
-    ]
-    for value in values:
+    for value in NESTED:
         assert canonical_dumps(value) == _plain_json(value), value
+
+
+@pytest.mark.parametrize("items", [1, 2, 3])
+def test_long_lists_are_written_a_slice_at_a_time(items, monkeypatch):
+    """With ``_SLICE`` set to ``items``, a list or tuple of more items is
+    written a slice at a time, and the text is still ``json``'s: the
+    nested values above, lists of them, and every fixture report, whose
+    runs, coords and points are long lists and some of whose lists hold a
+    row table.  ``model_digest`` hashes that text."""
+    monkeypatch.setattr(serialize, "_SLICE", items)
+    for value in [*NESTED, NESTED, tuple(NESTED[:4]), [[], [[]], ()]]:
+        assert canonical_dumps(value) == _plain_json(value), value
+    for command in COMMANDS:
+        report = run_command(command, fixture_models(command))
+        text = _plain_json(report)
+        assert canonical_dumps(report) == text, command
+        assert serialize.model_digest(report) == \
+            hashlib.sha256(text.encode()).hexdigest(), command
 
 
 # --- loading: the byte-level table decode against json.loads ----------------------
@@ -1193,6 +1213,31 @@ def test_report_tables_are_written_from_the_rows(monkeypatch):
     assert size == len(canonical_dumps(transport_to_json(tg)))
     assert peak < 4 * tg.groupoid.val.size + serialize._digit_groups().nbytes \
         + (256 << 10), peak
+
+
+@pytest.mark.parametrize("vertices", [6, 12])
+def test_a_report_is_written_and_hashed_in_one_block_of_temporaries(
+        vertices):
+    """Writing a transport report with ``canonical_pieces`` and hashing it
+    with ``model_digest``, at 6 vertices (124,416 entries, 144 coords)
+    and at 12 (995,328 entries, 3,456 coords), allocates less than 768 KB
+    above what the report holds, a bound that does not grow with the
+    table: the temporaries of one 4,096-entry block of rows, about 190
+    bytes an entry from ``row_blocks`` to the text, or of one slice of a
+    long list such as ``coords``, which ``json`` would encode whole in
+    about 15 times its text."""
+    report = transport_to_json(groupoid_of_bundle(
+        large_random_bundle(vertices, 3, "S4")))
+    serialize._digit_groups()  # built once a process, and kept
+    for write in (lambda: sum(map(len, serialize.canonical_pieces(report))),
+                  lambda: serialize.model_digest(report)):
+        tracemalloc.start()
+        try:
+            write()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 768 << 10, (vertices, peak - held)
 
 
 def _medium_report(tmp_path) -> Path:
