@@ -30,7 +30,8 @@ from gpdflow.groupoid import Groupoid
 
 from law_oracle import whole_table_fill
 
-BLOCKS = [1, 7, 40, 100, groupoid_module._BLOCK]
+# entries read at a time: small ones, the former default and the default
+BLOCKS = [1, 7, 40, 100, 1 << 14, groupoid_module._BLOCK]
 BUNDLES = ("edge-s3", "triangle-z2-twisted")
 
 

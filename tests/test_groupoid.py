@@ -43,8 +43,8 @@ from law_oracle import brute_closure, brute_groupoid_violation, \
 from table_corpus import corrupted_tables
 
 # entries read at a time: small enough that block ends fall inside rows,
-# the former default and the default
-BLOCKS = [1, 7, 40, 100, 1 << 16, groupoid_module._BLOCK]
+# two former defaults and the default
+BLOCKS = [1, 7, 40, 100, 1 << 14, 1 << 16, groupoid_module._BLOCK]
 
 
 def product_groupoid(n_objects, group):
