@@ -8,7 +8,24 @@ that characterises when every such dynamical system has a fixed point.
 
 Each module's ``__all__`` decides which of its names are public; the package
 republishes every one of them, modules in dependency order.
+
+The package never calls BLAS, so it loads numpy with a one-thread OpenBLAS
+pool: otherwise OpenBLAS starts a worker per core, and each one spins for
+a while before it sleeps, which costs every process CPU time for no work.
+A caller's own ``OPENBLAS_NUM_THREADS`` wins, numpy imported before the
+package is left as it is, and the environment is left as it was found.
 """
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+del _os, _sys
+
 from . import (algebra, amenability, bundle, diagnostics, dynamics, ehresmann,
                fixtures, groupoid, serialize)
 from .diagnostics import *

@@ -234,7 +234,8 @@ def verify_cocycle(b: CocycleBundle) -> Diagnostics:
 class TotalSpace:
     """Points ``(v, h)`` indexed ``v * |G| + h`` with projection, fiberwise
     right translation, and dart transport by left multiplication.  A bundle
-    that fails :func:`verify_cocycle` is refused when it is built."""
+    that fails :func:`verify_cocycle` is refused when it is built, and a
+    point, vertex, element or dart outside its range when it is given."""
 
     bundle: CocycleBundle
 
@@ -246,19 +247,23 @@ class TotalSpace:
         return self.bundle.base.n_vertices * self.bundle.group.order
 
     def point_index(self, v: int, h: int) -> int:
-        return v * self.bundle.group.order + h
+        order = self.bundle.group.order
+        return (_index("v", v, self.bundle.base.n_vertices) * order
+                + _index("h", h, order))
 
     def point(self, p: int) -> tuple[int, int]:
-        return divmod(p, self.bundle.group.order)
+        return divmod(_index("p", p, self.n_points), self.bundle.group.order)
 
     def proj(self, p: int) -> int:
-        return p // self.bundle.group.order
+        return self.point(p)[0]
 
     def raction(self, p: int, k: int) -> int:
         v, h = self.point(p)
+        _index("k", k, self.bundle.group.order)
         return self.point_index(v, self.bundle.group.mul(h, k))
 
     def transport(self, d: int, p: int) -> int:
+        _index("d", d, self.bundle.base.n_darts)
         v, h = self.point(p)
         if v != self.bundle.base.dsrc(d):
             raise ValueError(
@@ -268,7 +273,16 @@ class TotalSpace:
                                 self.bundle.group.mul(self.bundle.labels[d], h))
 
     def fiber(self, v: int) -> list[int]:
-        return [self.point_index(v, h) for h in self.bundle.group.elements]
+        start = self.point_index(v, 0)
+        return list(range(start, start + self.bundle.group.order))
+
+
+def _index(name: str, i: int, n: int) -> int:
+    """``i``, refused with a ``ValueError`` naming the argument unless it
+    lies in ``range(n)``."""
+    if not 0 <= i < n:
+        raise ValueError(f"{name} = {i} outside range({n})")
+    return i
 
 
 total_space = TotalSpace
@@ -327,11 +341,12 @@ def gauge_normalize(b: CocycleBundle, root: int = 0
 def holonomy_along(b: CocycleBundle, darts: Sequence[int]) -> int:
     """Compose labels along a dart walk; later darts multiply on the left,
     matching transport order.  A bundle that fails :func:`verify_cocycle`
-    is refused."""
+    is refused, and so is a dart outside its range."""
     verify_cocycle(b).require("not a cocycle bundle")
     acc = b.group.identity
     at = None
-    for d in darts:
+    for i, d in enumerate(darts):
+        _index(f"darts[{i}]", d, b.base.n_darts)
         if at is not None and b.base.dsrc(d) != at:
             raise ValueError(f"dart {d} does not continue the walk at {at}")
         acc = b.group.mul(b.labels[d], acc)

@@ -112,25 +112,30 @@ WIDTH_ERROR = {"code": 12, "message": "groupoid.comp[12345][2]: 77881 "
 # it (Linux carries the old address space's peak across exec), and this
 # script grows with the models it builds.  So each run is started by a
 # small interpreter, which ignores the PYTHON* variables (-E), spawns
-# gpdflow, reaps it with wait4, writes its peak RSS in KiB to the file named
-# first, and exits with its code.
-WAIT4 = ("import os, sys; "
+# gpdflow, reaps it with wait4, writes its peak RSS in KiB, its CPU time
+# (user and system) and its wall time from spawn to reaping, in seconds, to
+# the file named first, and exits with its code.
+WAIT4 = ("import os, sys, time; "
+         "t = time.monotonic(); "
          "pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ); "
          "_, status, usage = os.wait4(pid, 0); "
-         "open(sys.argv[1], 'w').write(str(usage.ru_maxrss)); "
+         "wall = time.monotonic() - t; "
+         "open(sys.argv[1], 'w').write(f'{usage.ru_maxrss} "
+         "{usage.ru_utime + usage.ru_stime} {wall}'); "
          "sys.exit(os.waitstatus_to_exitcode(status))")
 
-Run = namedtuple("Run", "code out err peak_mb")
+Run = namedtuple("Run", "code out err peak_mb cpu_s wall_s")
 
 
-def start(argv, peak, env=None, **popen):
+def start(argv, usage, env=None, **popen):
     """Start ``python -m gpdflow.cli argv`` on this checkout's ``src``, its
-    peak RSS to be written to the file ``peak``.  The child never sees
-    ``PYTHONINTMAXSTRDIGITS`` unless ``env`` sets it."""
+    peak RSS, CPU and wall time to be written to the file ``usage``.  The
+    child never sees ``PYTHONINTMAXSTRDIGITS`` or ``OPENBLAS_NUM_THREADS``
+    unless ``env`` sets it."""
     base = {k: v for k, v in os.environ.items()
-            if k != "PYTHONINTMAXSTRDIGITS"}
+            if k not in ("PYTHONINTMAXSTRDIGITS", "OPENBLAS_NUM_THREADS")}
     return subprocess.Popen(
-        [sys.executable, "-E", "-S", "-c", WAIT4, peak,
+        [sys.executable, "-E", "-S", "-c", WAIT4, usage,
          sys.executable, "-m", "gpdflow.cli", *argv],
         env={**base, "PYTHONPATH": str(SRC), **(env or {})}, **popen)
 
@@ -140,11 +145,11 @@ def run(argv, stdin=None, env=None, cwd=None):
     (written through a pipe), a file name (opened as ``< name``) or an open
     file, such as a pipe's read end."""
     with ExitStack() as stack:
-        out, err, peak = (stack.enter_context(tempfile.NamedTemporaryFile())
-                          for _ in range(3))
+        out, err, usage = (stack.enter_context(tempfile.NamedTemporaryFile())
+                           for _ in range(3))
         if isinstance(stdin, str):
             stdin = stack.enter_context(open(stdin, "rb"))
-        proc = start(argv, peak.name, env, cwd=cwd, stdout=out, stderr=err,
+        proc = start(argv, usage.name, env, cwd=cwd, stdout=out, stderr=err,
                      stdin=subprocess.PIPE if isinstance(stdin, bytes)
                      else stdin or subprocess.DEVNULL)
         if isinstance(stdin, bytes):
@@ -153,7 +158,9 @@ def run(argv, stdin=None, env=None, cwd=None):
         code = proc.wait()
         out.seek(0)
         err.seek(0)
-        return Run(code, out.read(), err.read(), int(peak.read()) / 1024)
+        peak, cpu, wall = usage.read().split()
+        return Run(code, out.read(), err.read(), int(peak) / 1024,
+                   float(cpu), float(wall))
 
 
 def output(argv, stdin=None):
@@ -510,6 +517,21 @@ def small_input_hashed_without_openssl():
             f"{name} {'did not load' if n == 6 else 'loaded'} _hashlib"
 
 
+def cli_runs_on_one_thread():
+    """The CLI runs on one thread: gpdflow never calls BLAS, and loads
+    numpy with a one-thread OpenBLAS pool, so ``--help`` and ``verify
+    --fixtures`` each take no more CPU time than wall time, give or take
+    10 ms, however busy the host.  An idle OpenBLAS worker, spinning on
+    another core before it sleeps, puts the CPU time above the wall time:
+    by about 0.13 s on an idle 2-core host, less when the other cores are
+    busy."""
+    for argv in (["--help"], ["verify", "--fixtures"]):
+        r = run(argv)
+        assert r.code == 0 and r.err == b"", (argv, r.code, r.err[-2000:])
+        print(f"{' '.join(argv)}: CPU {r.cpu_s:.3f} s, wall {r.wall_s:.3f} s")
+        assert r.cpu_s <= r.wall_s + 0.01, (argv, r.cpu_s, r.wall_s)
+
+
 CHECKS = (
     fixture_goldens,
     fixture_text_reports,
@@ -527,6 +549,7 @@ CHECKS = (
     file_and_pipe_loaded_without_holding_them,
     tables_at_the_int16_boundary,
     small_input_hashed_without_openssl,
+    cli_runs_on_one_thread,
 )
 
 

@@ -160,6 +160,39 @@ def test_transport_requires_matching_fiber():
         ts.transport(0, ts.point_index(2, 0))
 
 
+def test_an_index_outside_its_range_is_refused_by_its_name():
+    """On the edge-s3 fixture, each index argument of ``TotalSpace``'s
+    methods and of ``holonomy_along``, at -1 and at the first value past
+    its range, is refused with a ``ValueError`` that names the argument:
+    not an ``IndexError``, not a point over a vertex the base does not
+    have, and not ``seq[-1]``."""
+    b = named_bundles()["edge-s3"]
+    ts = total_space(b)
+    vertices, order, darts = b.base.n_vertices, b.group.order, b.base.n_darts
+    calls = [  # (method, argument, its range, the call with it set to i)
+        ("point_index", "v", vertices, lambda i: ts.point_index(i, 0)),
+        ("point_index", "h", order, lambda i: ts.point_index(0, i)),
+        ("point", "p", ts.n_points, ts.point),
+        ("proj", "p", ts.n_points, ts.proj),
+        ("raction", "p", ts.n_points, lambda i: ts.raction(i, 0)),
+        ("raction", "k", order, lambda i: ts.raction(0, i)),
+        ("transport", "d", darts, lambda i: ts.transport(i, 0)),
+        ("transport", "p", ts.n_points, lambda i: ts.transport(0, i)),
+        ("fiber", "v", vertices, ts.fiber),
+        ("holonomy_along", "darts[0]", darts,
+         lambda i: holonomy_along(b, [i])),
+        ("holonomy_along", "darts[1]", darts,
+         lambda i: holonomy_along(b, [0, i])),
+    ]
+    assert (vertices, order, darts) == (2, 6, 2)
+    for method, name, n, call in calls:
+        for i in (-1, n):
+            with pytest.raises(ValueError) as refused:
+                call(i)
+            assert str(refused.value) == f"{name} = {i} outside range({n})", \
+                (method, i)
+
+
 def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
     """600 seeded single-label edits of the fixture bundles with a dart: a
     dart's label set to -1, to the group's order, or to another element,
