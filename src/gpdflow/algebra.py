@@ -6,12 +6,12 @@ return the lowest-index solution so that results are reproducible run to run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, Refused
 
 __all__ = [
     "FiniteGroup",
@@ -27,19 +27,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A verified group on elements ``0..order-1`` with an explicit table."""
+    """A group on ``0..order-1``: its table ``mult``, kept as a tuple of
+    tuples, and ``identity``, from which ``order`` and the inverses ``inv``
+    are read.  A table that fails :func:`verify_group` is refused when it
+    is built, and an element outside ``range(order)`` given to a method."""
 
-    order: int
-    identity: int
     mult: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
+    identity: int
     name: str = ""
+    order: int = field(init=False)
+    inv: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        mult = tuple(tuple(row) for row in self.mult)
+        _law_scan(mult, self.identity).require("not a group")
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "order", len(mult))
+        object.__setattr__(self, "inv",
+                           tuple(row.index(self.identity) for row in mult))
 
     def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
+        return self.mult[_index("a", a, self.order)][_index("b", b, self.order)]
 
     def inverse(self, a: int) -> int:
-        return self.inv[a]
+        return self.inv[_index("a", a, self.order)]
 
     @property
     def elements(self) -> range:
@@ -47,11 +58,30 @@ class FiniteGroup:
 
     def conjugate(self, g: int, h: int) -> int:
         """Return ``h^-1 * g * h``."""
-        return self.mul(self.mul(self.inv[h], g), h)
+        g, h = _index("g", g, self.order), _index("h", h, self.order)
+        return self.mult[self.mult[self.inv[h]][g]][h]
+
+
+def _index(name: str, i: int, n: int) -> int:
+    """``i``, refused with a ``ValueError`` naming the argument unless it
+    lies in ``range(n)``."""
+    if not 0 <= i < n:
+        raise ValueError(f"{name} = {i} outside range({n})")
+    return i
 
 
 def verify_group(table: Sequence[Sequence[int]], identity: int,
                  name: str = "") -> tuple[Diagnostics, Optional[FiniteGroup]]:
+    """The verdict of building ``FiniteGroup(table, identity, name)``, and
+    the group when it is built: the one law scan runs once."""
+    try:
+        group = FiniteGroup(table, identity, name)
+    except Refused as refused:
+        return refused.verdict, None
+    return Diagnostics.passed(order=group.order), group
+
+
+def _law_scan(table: tuple[tuple[int, ...], ...], e: int) -> Diagnostics:
     """Check the group axioms on ``table`` by exhaustive scan.
 
     Checks run in a fixed order and stop at the first violation: shape and
@@ -59,54 +89,43 @@ def verify_group(table: Sequence[Sequence[int]], identity: int,
     permutation, and associativity over all triples.  A table that passes
     is a monoid whose rows are permutations, where the right inverse of
     ``a``, read off row ``a``, is two-sided, so no inverse check is left.
-    On success the verified :class:`FiniteGroup` is returned alongside the
-    diagnostics, with the inverse table read off the rows.
     """
     n = len(table)
     if n == 0:
-        return Diagnostics.failed("empty table", (), structural=True), None
+        return Diagnostics.failed("empty table", (), structural=True)
     for i, row in enumerate(table):
         if len(row) != n:
             return Diagnostics.failed(
-                "table not square", (i, len(row), n), structural=True), None
+                "table not square", (i, len(row), n), structural=True)
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 return Diagnostics.failed(
-                    "entry out of range", (i, j, v), structural=True), None
-    if not (0 <= identity < n):
+                    "entry out of range", (i, j, v), structural=True)
+    if not (0 <= e < n):
         return Diagnostics.failed(
-            "identity out of range", (identity,), structural=True), None
+            "identity out of range", (e,), structural=True)
 
-    e = identity
     for a in range(n):
         if table[e][a] != a:
-            return Diagnostics.failed("identity law", (e, a, table[e][a])), None
+            return Diagnostics.failed("identity law", (e, a, table[e][a]))
         if table[a][e] != a:
-            return Diagnostics.failed("identity law", (a, e, table[a][e])), None
+            return Diagnostics.failed("identity law", (a, e, table[a][e]))
 
     full = list(range(n))
     for i in range(n):
         if sorted(table[i]) != full:
-            return Diagnostics.failed("row %d not a permutation" % i, (i,)), None
+            return Diagnostics.failed("row %d not a permutation" % i, (i,))
     for j in range(n):
         if sorted(table[i][j] for i in range(n)) != full:
-            return Diagnostics.failed("column %d not a permutation" % j, (j,)), None
+            return Diagnostics.failed("column %d not a permutation" % j, (j,))
 
     for a in range(n):
         for b in range(n):
             ab = table[a][b]
             for c in range(n):
                 if table[ab][c] != table[a][table[b][c]]:
-                    return Diagnostics.failed("associativity", (a, b, c)), None
-
-    group = FiniteGroup(
-        order=n,
-        identity=e,
-        mult=tuple(tuple(row) for row in table),
-        inv=tuple(row.index(e) for row in table),
-        name=name,
-    )
-    return Diagnostics.passed(order=n), group
+                    return Diagnostics.failed("associativity", (a, b, c))
+    return Diagnostics.passed(order=n)
 
 
 # --- preset tables ------------------------------------------------------
@@ -234,14 +253,15 @@ def are_conjugate_subgroup_maps(group: FiniteGroup, f1: Sequence[int],
 
 
 def element_order(group: FiniteGroup, g: int) -> int:
-    """Smallest k >= 1 with g^k = identity."""
+    """Smallest k >= 1 with g^k = identity, sought up to k = ``order``."""
     if not (0 <= g < group.order):
         raise ValueError(f"element {g} out of range for order {group.order}")
-    power, k = g, 1
-    while power != group.identity:
+    power = g
+    for k in group.elements:
+        if power == group.identity:
+            return k + 1
         power = group.mul(power, g)
-        k += 1
-    return k
+    raise ValueError(f"element {g} has no order up to {group.order}")
 
 
 def find_group_isomorphism(g1: FiniteGroup,

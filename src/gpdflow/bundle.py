@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .algebra import FiniteGroup, are_conjugate_subgroup_maps, generated_subgroup
+from .algebra import FiniteGroup, _index, are_conjugate_subgroup_maps, \
+    generated_subgroup
 from .diagnostics import Diagnostics
 
 __all__ = [
@@ -51,7 +52,7 @@ _BRUTEFORCE_GAUGES = 10 ** 6  # the most gauges the brute-force oracle scans
 @dataclass(frozen=True)
 class BaseGraph:
     """Undirected multigraph on vertices ``0..n-1``; loops and parallel
-    edges are allowed."""
+    edges are allowed.  A dart or vertex outside its range is refused."""
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -74,18 +75,17 @@ class BaseGraph:
         return 2 * len(self.edges)
 
     def dsrc(self, d: int) -> int:
-        u, v = self.edges[d // 2]
-        return u if d % 2 == 0 else v
+        return self.edges[_index("d", d, self.n_darts) // 2][d % 2]
 
     def dtgt(self, d: int) -> int:
-        u, v = self.edges[d // 2]
-        return v if d % 2 == 0 else u
+        return self.edges[_index("d", d, self.n_darts) // 2][1 - d % 2]
 
     @staticmethod
     def rev(d: int) -> int:
         return d ^ 1
 
     def out_darts(self, v: int) -> list[int]:
+        _index("v", v, self.n_vertices)
         return [d for d in range(self.n_darts) if self.dsrc(d) == v]
 
     def is_connected(self) -> bool:
@@ -263,7 +263,6 @@ class TotalSpace:
         return self.point_index(v, self.bundle.group.mul(h, k))
 
     def transport(self, d: int, p: int) -> int:
-        _index("d", d, self.bundle.base.n_darts)
         v, h = self.point(p)
         if v != self.bundle.base.dsrc(d):
             raise ValueError(
@@ -275,14 +274,6 @@ class TotalSpace:
     def fiber(self, v: int) -> list[int]:
         start = self.point_index(v, 0)
         return list(range(start, start + self.bundle.group.order))
-
-
-def _index(name: str, i: int, n: int) -> int:
-    """``i``, refused with a ``ValueError`` naming the argument unless it
-    lies in ``range(n)``."""
-    if not 0 <= i < n:
-        raise ValueError(f"{name} = {i} outside range({n})")
-    return i
 
 
 total_space = TotalSpace

@@ -28,10 +28,10 @@ class Diagnostics:
                         "use .ok")
 
     def require(self, refusal: str) -> None:
-        """The one way a failed verdict becomes an exception: ``ValueError``
-        with ``refusal``, the failure and its witness."""
+        """The one way a failed verdict becomes an exception: :class:`Refused`,
+        a ``ValueError``, with ``refusal``, the failure and its witness."""
         if not self.ok:
-            raise ValueError(f"{refusal}: {self.failure} {self.witness}")
+            raise Refused(f"{refusal}: {self.failure} {self.witness}", self)
 
     @staticmethod
     def passed(**notes: Any) -> "Diagnostics":
@@ -44,4 +44,12 @@ class Diagnostics:
                            structural=structural, notes=dict(notes))
 
 
-__all__ = ["Diagnostics"]
+class Refused(ValueError):
+    """Raised by :meth:`Diagnostics.require`, with the failed ``verdict``."""
+
+    def __init__(self, message: str, verdict: Diagnostics) -> None:
+        super().__init__(message)
+        self.verdict = verdict
+
+
+__all__ = ["Diagnostics", "Refused"]

@@ -132,12 +132,19 @@ def start(argv, usage, env=None, **popen):
     peak RSS, CPU and wall time to be written to the file ``usage``.  The
     child never sees ``PYTHONINTMAXSTRDIGITS`` or ``OPENBLAS_NUM_THREADS``
     unless ``env`` sets it."""
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("PYTHONINTMAXSTRDIGITS", "OPENBLAS_NUM_THREADS")}
     return subprocess.Popen(
         [sys.executable, "-E", "-S", "-c", WAIT4, usage,
          sys.executable, "-m", "gpdflow.cli", *argv],
-        env={**base, "PYTHONPATH": str(SRC), **(env or {})}, **popen)
+        env=child_env(env), **popen)
+
+
+def child_env(env=None):
+    """This environment without ``PYTHONINTMAXSTRDIGITS`` and
+    ``OPENBLAS_NUM_THREADS``, with this checkout's ``src`` on
+    ``PYTHONPATH`` and ``env`` on top."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONINTMAXSTRDIGITS", "OPENBLAS_NUM_THREADS")}
+    return {**base, "PYTHONPATH": str(SRC), **(env or {})}
 
 
 def run(argv, stdin=None, env=None, cwd=None):
@@ -519,12 +526,21 @@ def small_input_hashed_without_openssl():
 
 def cli_runs_on_one_thread():
     """The CLI runs on one thread: gpdflow never calls BLAS, and loads
-    numpy with a one-thread OpenBLAS pool, so ``--help`` and ``verify
-    --fixtures`` each take no more CPU time than wall time, give or take
-    10 ms, however busy the host.  An idle OpenBLAS worker, spinning on
-    another core before it sleeps, puts the CPU time above the wall time:
-    by about 0.13 s on an idle 2-core host, less when the other cores are
-    busy."""
+    numpy with a one-thread OpenBLAS pool.  So a process that has imported
+    ``gpdflow.cli`` lists one thread in ``/proc/self/task``, where there is
+    one, however busy the host; and ``--help`` and ``verify --fixtures``
+    each take no more CPU time than wall time, give or take 10 ms.  An idle
+    OpenBLAS worker, spinning on another core before it sleeps, puts the
+    CPU time above the wall time: by about 0.13 s on an idle 2-core host,
+    less when the other cores are busy, so only the thread count sees it
+    on a busy host."""
+    if os.path.isdir("/proc/self/task"):
+        threads = subprocess.run(
+            [sys.executable, "-c", "import os, gpdflow.cli; "
+             "print(len(os.listdir('/proc/self/task')))"],
+            env=child_env(), capture_output=True, check=True).stdout
+        print(f"threads after import gpdflow.cli: {threads.decode().strip()}")
+        assert threads == b"1\n", threads
     for argv in (["--help"], ["verify", "--fixtures"]):
         r = run(argv)
         assert r.code == 0 and r.err == b"", (argv, r.code, r.err[-2000:])

@@ -1,11 +1,16 @@
 """Tests for finite group tables, presets, and conjugacy search."""
 import random
+import signal
+from collections import Counter
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
 
+from gpdflow import algebra
 from gpdflow.algebra import (
     PRESET_NAMES,
+    FiniteGroup,
     are_conjugate_subgroup_maps,
     element_order,
     find_group_isomorphism,
@@ -13,8 +18,14 @@ from gpdflow.algebra import (
     preset_group,
     verify_group,
 )
+from gpdflow.amenability import extreme_amenability_check, fixed_points
+from gpdflow.bundle import BaseGraph, CocycleBundle, is_trivial
+from gpdflow.ehresmann import point_base_degenerate
+from gpdflow.groupoid import one_object_groupoid, pair_groupoid, vertex_group
+from gpdflow.serialize import build_group, group_to_json
 
 from law_oracle import backtrack_group_isomorphism
+from table_corpus import edited_group_tables
 
 
 # --- independent oracles -------------------------------------------------
@@ -113,6 +124,132 @@ def test_verify_group_refuses_an_empty_table():
     diag, group = verify_group([], identity=0)
     assert group is None and diag.structural
     assert (diag.failure, diag.witness) == ("empty table", ())
+
+
+class OverTime(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise :class:`OverTime` in the block once ``seconds`` have passed."""
+    def over(signum, frame):
+        raise OverTime
+
+    previous = signal.signal(signal.SIGALRM, over)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_public_function_refuses_a_broken_group():
+    """The group twin of the table and bundle gates, on each table of
+    :func:`edited_group_tables`.  ``FiniteGroup`` builds a group that
+    ``verify_group`` passes, or refuses the table with a ``ValueError``
+    that carries ``verify_group``'s failure and witness.  Every public
+    function that takes a group, given the group built from the table,
+    gives a result or a ``ValueError`` within 2 s a call: any other
+    exception fails the test, with its count per function.  On the clean
+    tables, every function gives a result."""
+    def elementwise(method):
+        return lambda g: [method(g, a, b) for a in g.elements
+                          for b in g.elements]
+
+    calls = {
+        "mul": elementwise(FiniteGroup.mul),
+        "inverse": lambda g: [g.inverse(a) for a in g.elements],
+        "conjugate": elementwise(FiniteGroup.conjugate),
+        "generated_subgroup": lambda g: generated_subgroup(g, [1, 2]),
+        "are_conjugate_subgroup_maps": lambda g: are_conjugate_subgroup_maps(
+            g, [1, 2], [2, 1]),
+        "element_order": lambda g: [element_order(g, a) for a in g.elements],
+        "find_group_isomorphism": lambda g: find_group_isomorphism(g, clean),
+        "find_group_isomorphism from": lambda g: find_group_isomorphism(
+            clean, g),
+        "fixed_points": lambda g: fixed_points(g, [list(row) for row in
+                                                   g.mult]),
+        "extreme_amenability_check": extreme_amenability_check,
+        "is_trivial": lambda g: is_trivial(CocycleBundle.from_edge_labels(
+            BaseGraph.wedge_of_loops(2), g, [1, 2])),
+        "point_base_degenerate": point_base_degenerate,
+        "one_object_groupoid": one_object_groupoid,
+        "group_to_json": group_to_json}
+    outcomes, verdicts = Counter(), Counter()
+    for name, edit, table in edited_group_tables():
+        clean = preset_group(name)
+        diag, group = verify_group(table, 0)
+        assert build_group({"mult": table, "identity": 0}) == (diag, group)
+        verdicts[diag.ok, diag.failure and diag.failure.split()[0]] += 1
+        try:
+            built = FiniteGroup(table, 0)
+        except ValueError as refused:
+            assert not diag.ok, (name, edit, table)
+            assert str(refused) == (
+                f"not a group: {diag.failure} {diag.witness}")
+        else:
+            assert diag.ok and built == group, (name, edit, table)
+        for fname, call in calls.items():
+            try:
+                with time_limit(2.0):
+                    call(FiniteGroup(table, 0))
+            except ValueError:
+                outcome = "ValueError"
+            except Exception as error:  # the gate: counted, then failed
+                outcome = type(error).__name__
+            else:
+                outcome = "result"
+            outcomes[fname, diag.ok, outcome] += 1
+    others = {key: n for key, n in outcomes.items()
+              if key[2] not in ("result", "ValueError")}
+    assert others == {}, others
+    for name in ("S3", "Z4", "D4", "Q8", "Z6"):  # a clean group: a result
+        clean = preset_group(name)
+        for call in calls.values():
+            call(clean)
+    # every edit breaks a group table, each kind of law somewhere
+    assert {key[1] for key in verdicts} == {
+        "entry", "table", "identity", "row"}, verdicts
+    assert sum(verdicts.values()) == 150 and not any(
+        ok for ok, _ in verdicts), verdicts
+
+
+def test_the_law_scan_runs_once_per_group_built(monkeypatch):
+    """``verify_group`` and each of its callers build one group, passed or
+    refused, and the law scan runs once for it."""
+    scans = []
+
+    def counted(table, identity):
+        scans.append(len(table))
+        return law_scan(table, identity)
+
+    law_scan = algebra._law_scan
+    monkeypatch.setattr(algebra, "_law_scan", counted)
+    builds = [
+        lambda: verify_group([[0, 1], [1, 0]], 0),
+        lambda: verify_group([[0, 1], [1, 1]], 0),
+        lambda: FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0),
+        lambda: preset_group.__wrapped__("S3"),
+        lambda: build_group({"mult": [[0, 1], [1, 0]], "identity": 0}),
+        lambda: vertex_group(pair_groupoid(3), 0)]
+    for build in builds:
+        build()
+    assert scans == [2, 2, 3, 6, 2, 1]
+
+
+def test_a_constructed_group_derives_its_order_and_inverses():
+    """The table is kept as a tuple of tuples, and ``order`` and ``inv``
+    are read off it, never given."""
+    group = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, "Z3")
+    assert group.mult == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert (group.order, group.inv, group.name) == (3, (0, 2, 1), "Z3")
+    with pytest.raises(TypeError):
+        FiniteGroup(((0,),), 0, order=1)
+    with pytest.raises(ValueError, match=r"^not a group: entry out of range"
+                                         r" \(0, 1, True\)$"):
+        FiniteGroup([[0, True], [1, 0]], 0)
 
 
 # --- presets -------------------------------------------------------------
@@ -256,6 +393,16 @@ def test_element_orders(preset, orders):
 def test_element_order_range():
     with pytest.raises(ValueError, match="out of range"):
         element_order(preset_group("Z2"), 5)
+
+
+def test_element_order_stops_at_the_order():
+    """A monoid written into a verified Z2: the powers of 1 never reach
+    the identity, and the search stops after ``order`` steps."""
+    monoid = FiniteGroup(((0, 1), (1, 0)), 0)
+    object.__setattr__(monoid, "mult", ((0, 1), (1, 1)))
+    with time_limit(2.0), pytest.raises(
+            ValueError, match="^element 1 has no order up to 2$"):
+        element_order(monoid, 1)
 
 
 def test_isomorphism_to_itself_is_found():

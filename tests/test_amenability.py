@@ -190,11 +190,15 @@ def test_nontrivial_groups_are_not(preset, order):
 
 
 def test_a_monoid_built_as_a_group_is_refused():
-    """A two-element monoid passed off as a ``FiniteGroup``, unverified:
-    its translation action fixes point 1, which contradicts the order
-    verdict, and the check refuses it with ``ValueError``."""
-    monoid = FiniteGroup(order=2, identity=0, mult=((0, 1), (1, 1)),
-                         inv=(0, 1))
+    """A two-element monoid: ``FiniteGroup`` refuses it, so it is passed
+    off as one by writing its table into a verified Z2.  Its translation
+    action fixes point 1, which contradicts the order verdict, and the
+    check refuses it with ``ValueError``."""
+    with pytest.raises(ValueError,
+                       match=r"^not a group: row 1 not a permutation \(1,\)$"):
+        FiniteGroup(((0, 1), (1, 1)), 0)
+    monoid = FiniteGroup(((0, 1), (1, 0)), 0)
+    object.__setattr__(monoid, "mult", ((0, 1), (1, 1)))
     with pytest.raises(ValueError, match="contradict the order verdict$"):
         extreme_amenability_check(monoid)
 

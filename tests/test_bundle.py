@@ -162,12 +162,14 @@ def test_transport_requires_matching_fiber():
 
 def test_an_index_outside_its_range_is_refused_by_its_name():
     """On the edge-s3 fixture, each index argument of ``TotalSpace``'s
-    methods and of ``holonomy_along``, at -1 and at the first value past
-    its range, is refused with a ``ValueError`` that names the argument:
-    not an ``IndexError``, not a point over a vertex the base does not
-    have, and not ``seq[-1]``."""
+    methods, of ``holonomy_along``, of its group's ``mul``, ``inverse`` and
+    ``conjugate`` and of its base's ``dsrc``, ``dtgt`` and ``out_darts``,
+    at -1 and at the first value past its range, is refused with a
+    ``ValueError`` that names the argument: not an ``IndexError``, not a
+    point over a vertex the base does not have, not an empty list, and not
+    ``seq[-1]``."""
     b = named_bundles()["edge-s3"]
-    ts = total_space(b)
+    ts, grp, base = total_space(b), b.group, b.base
     vertices, order, darts = b.base.n_vertices, b.group.order, b.base.n_darts
     calls = [  # (method, argument, its range, the call with it set to i)
         ("point_index", "v", vertices, lambda i: ts.point_index(i, 0)),
@@ -183,6 +185,14 @@ def test_an_index_outside_its_range_is_refused_by_its_name():
          lambda i: holonomy_along(b, [i])),
         ("holonomy_along", "darts[1]", darts,
          lambda i: holonomy_along(b, [0, i])),
+        ("mul", "a", order, lambda i: grp.mul(i, 0)),
+        ("mul", "b", order, lambda i: grp.mul(0, i)),
+        ("inverse", "a", order, grp.inverse),
+        ("conjugate", "g", order, lambda i: grp.conjugate(i, 0)),
+        ("conjugate", "h", order, lambda i: grp.conjugate(0, i)),
+        ("dsrc", "d", darts, base.dsrc),
+        ("dtgt", "d", darts, base.dtgt),
+        ("out_darts", "v", vertices, base.out_darts),
     ]
     assert (vertices, order, darts) == (2, 6, 2)
     for method, name, n, call in calls:
@@ -440,12 +450,18 @@ def test_twisted_triangle_is_not_trivial():
 
 def test_a_lawless_group_is_refused_when_the_criteria_disagree():
     """One loop labelled 2 over a three-element table whose rows are not
-    permutations, passed off as a ``FiniteGroup``: the label is its own
-    inverse, so the bundle is a cocycle, but its holonomy is not the
-    identity while a section exists, and ``is_trivial`` refuses it with
-    ``ValueError``."""
-    table = FiniteGroup(order=3, identity=0,
-                        mult=((0, 1, 2), (1, 0, 0), (2, 1, 0)), inv=(0, 1, 2))
+    permutations: ``FiniteGroup`` refuses the table, so it is passed off as
+    one by writing it, and an inverse table that makes each element its own
+    inverse, into a verified Z3.  The bundle is a cocycle, but its holonomy
+    is not the identity while a section exists, and ``is_trivial`` refuses
+    it with ``ValueError``."""
+    mult = ((0, 1, 2), (1, 0, 0), (2, 1, 0))
+    with pytest.raises(ValueError,
+                       match=r"^not a group: row 1 not a permutation \(1,\)$"):
+        FiniteGroup(mult, 0)
+    table = FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
+    object.__setattr__(table, "mult", mult)
+    object.__setattr__(table, "inv", (0, 1, 2))
     b = CocycleBundle.from_edge_labels(BaseGraph.wedge_of_loops(1), table, [2])
     assert verify_cocycle(b).ok
     with pytest.raises(ValueError, match="^triviality criteria disagree$"):
@@ -454,12 +470,16 @@ def test_a_lawless_group_is_refused_when_the_criteria_disagree():
 
 def test_a_lawless_group_is_refused_when_the_gauge_fails():
     """An edge labelled 1 and one labelled 0, over a two-element monoid
-    whose element 1 is given as its own inverse: both are cocycles, the
-    conjugacy test pairs them, and the assembled gauge does not carry the
-    first onto the second, so ``bundles_isomorphic`` refuses them with
-    ``ValueError``."""
-    monoid = FiniteGroup(order=2, identity=0, mult=((0, 1), (1, 1)),
-                         inv=(0, 1))
+    whose element 1 is its own inverse: ``FiniteGroup`` refuses the monoid,
+    so it is passed off as one by writing its table into a verified Z2.
+    Both bundles are cocycles, the conjugacy test pairs them, and the
+    assembled gauge does not carry the first onto the second, so
+    ``bundles_isomorphic`` refuses them with ``ValueError``."""
+    with pytest.raises(ValueError,
+                       match=r"^not a group: row 1 not a permutation \(1,\)$"):
+        FiniteGroup(((0, 1), (1, 1)), 0)
+    monoid = FiniteGroup(((0, 1), (1, 0)), 0)
+    object.__setattr__(monoid, "mult", ((0, 1), (1, 1)))
     b1, b2 = (CocycleBundle.from_edge_labels(BaseGraph.path(2), monoid, [g])
               for g in (1, 0))
     assert verify_cocycle(b1).ok and verify_cocycle(b2).ok
