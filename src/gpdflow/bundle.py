@@ -3,9 +3,9 @@
 The base is an undirected multigraph: edge ``i`` contributes dart ``2i``
 running ``u -> v`` and dart ``2i + 1`` running ``v -> u``, with ``rev(d) =
 d ^ 1``.  A bundle labels every dart with a group element subject to
-``label(rev(d)) == label(d)^-1``; the total space is the set of pairs
-``(vertex, group element)`` and dart ``d`` transports ``(dsrc(d), h)`` to
-``(dtgt(d), label(d) * h)``.
+``label(rev(d)) == label(d)^-1`` over a connected base, checked when it
+is built; the total space is the set of pairs ``(vertex, group element)``
+and dart ``d`` transports ``(dsrc(d), h)`` to ``(dtgt(d), label(d) * h)``.
 
 A gauge is a vertex-indexed family of group elements acting by
 ``label'(d) = h[dtgt(d)] * label(d) * h[dsrc(d)]^-1``; normalization picks
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteGroup, _index, are_conjugate_subgroup_maps, \
     generated_subgroup
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, Refused
 
 __all__ = [
     "BaseGraph",
@@ -34,6 +34,7 @@ __all__ = [
     "CycleHolonomy",
     "HolonomyData",
     "TrivialityReport",
+    "dart_labels",
     "verify_cocycle",
     "total_space",
     "apply_gauge",
@@ -182,50 +183,62 @@ def bfs_tree(graph: BaseGraph, root: int = 0) -> SpanningTree:
                         dart_src=[graph.dsrc(d) for d in range(graph.n_darts)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CocycleBundle:
-    """Dart-labelled graph; ``labels[d]`` lives in ``group``."""
+    """A dart cocycle: ``labels[d]``, kept as a tuple, lives in ``group``.
+    A labelling that fails the cocycle scan is refused when it is built."""
 
     base: BaseGraph
     group: FiniteGroup
-    labels: list[int]
+    labels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        _cocycle_scan(self.base, self.group, self.labels).require(
+            "not a cocycle bundle")
 
     @staticmethod
     def from_edge_labels(base: BaseGraph, group: FiniteGroup,
                          edge_labels: Sequence[int]) -> "CocycleBundle":
-        if len(edge_labels) != base.n_edges:
-            raise ValueError(
-                f"need {base.n_edges} edge labels, got {len(edge_labels)}")
-        labels: list[int] = []
-        for g in edge_labels:
-            if not (0 <= g < group.order):
-                raise ValueError(f"label {g} out of range for order {group.order}")
-            labels.extend((g, group.inv[g]))
-        return CocycleBundle(base=base, group=group, labels=labels)
+        return CocycleBundle(base, group, dart_labels(group, edge_labels))
 
     def edge_labels(self) -> list[int]:
-        return [self.labels[2 * e] for e in range(self.base.n_edges)]
-
-    def label(self, d: int) -> int:
-        return self.labels[d]
+        return list(self.labels[::2])
 
 
-def verify_cocycle(b: CocycleBundle) -> Diagnostics:
+def dart_labels(group: FiniteGroup, edge_labels: Sequence[int]) -> list[int]:
+    """Edge ``e``'s label on dart ``2e``, its inverse on ``2e + 1``; an edge
+    label outside the group is refused by its name."""
+    return [x for e, g in enumerate(edge_labels) for x in
+            (g, group.inv[_index(f"edge_labels[{e}]", g, group.order)])]
+
+
+def verify_cocycle(base: BaseGraph, group: FiniteGroup, labels: Sequence[int]
+                   ) -> tuple[Diagnostics, Optional[CocycleBundle]]:
+    """The verdict of building the bundle, and the bundle when it is built."""
+    try:
+        bundle = CocycleBundle(base, group, labels)
+    except Refused as refused:
+        return refused.verdict, None
+    return Diagnostics.passed(vertices=base.n_vertices, edges=base.n_edges), bundle
+
+
+def _cocycle_scan(base: BaseGraph, group: FiniteGroup,
+                  labels: tuple[int, ...]) -> Diagnostics:
     """Structure first (label count and range, connectivity), then the
     involution law ``label(rev(d)) == label(d)^-1``."""
-    base = b.base
-    if len(b.labels) != base.n_darts:
+    if len(labels) != base.n_darts:
         return Diagnostics.failed(
-            "label count mismatch", (len(b.labels), base.n_darts), structural=True)
-    for d, g in enumerate(b.labels):
-        if not (0 <= g < b.group.order):
+            "label count mismatch", (len(labels), base.n_darts), structural=True)
+    for d, g in enumerate(labels):
+        if not (0 <= g < group.order):
             return Diagnostics.failed("label out of range", (d, g), structural=True)
     if not base.is_connected():
         return Diagnostics.failed("base not connected", (), structural=True)
     for d in range(base.n_darts):
-        if b.labels[base.rev(d)] != b.group.inv[b.labels[d]]:
+        if labels[base.rev(d)] != group.inv[labels[d]]:
             return Diagnostics.failed("label involution", (d,))
-    return Diagnostics.passed(vertices=base.n_vertices, edges=base.n_edges)
+    return Diagnostics.passed()
 
 
 # --- total space ------------------------------------------------------------
@@ -233,14 +246,10 @@ def verify_cocycle(b: CocycleBundle) -> Diagnostics:
 @dataclass
 class TotalSpace:
     """Points ``(v, h)`` indexed ``v * |G| + h`` with projection, fiberwise
-    right translation, and dart transport by left multiplication.  A bundle
-    that fails :func:`verify_cocycle` is refused when it is built, and a
-    point, vertex, element or dart outside its range when it is given."""
+    right translation, and dart transport by left multiplication; a point,
+    vertex, element or dart outside its range is refused."""
 
     bundle: CocycleBundle
-
-    def __post_init__(self) -> None:
-        verify_cocycle(self.bundle).require("not a cocycle bundle")
 
     @property
     def n_points(self) -> int:
@@ -289,23 +298,21 @@ class GaugeTransformation:
 
 
 def apply_gauge(b: CocycleBundle, gauge: GaugeTransformation) -> CocycleBundle:
-    """The gauged bundle; a bundle that fails :func:`verify_cocycle` is
-    refused."""
-    verify_cocycle(b).require("not a cocycle bundle")
-    return _gauged(b, gauge)
+    """The gauged bundle."""
+    return CocycleBundle(b.base, b.group, _gauge_labels(b, gauge))
 
 
-def _gauged(b: CocycleBundle, gauge: GaugeTransformation) -> CocycleBundle:
-    """:func:`apply_gauge` of a bundle already verified."""
-    base, grp = b.base, b.group
-    if len(gauge.elements) != base.n_vertices:
+def _gauge_labels(b: CocycleBundle, gauge: GaugeTransformation) -> tuple[int, ...]:
+    """The labels ``h[dtgt(d)] * label(d) * h[dsrc(d)]^-1``, read off the
+    tables; a gauge element outside the group is refused by its name."""
+    if len(gauge.elements) != b.base.n_vertices:
         raise ValueError("gauge must assign one element per vertex")
-    labels = [
-        grp.mul(gauge.elements[base.dtgt(d)],
-                grp.mul(b.labels[d], grp.inv[gauge.elements[base.dsrc(d)]]))
-        for d in range(base.n_darts)
-    ]
-    return CocycleBundle(base=base, group=grp, labels=labels)
+    mult, inv, order = b.group.mult, b.group.inv, b.group.order
+    h = [_index(f"gauge.elements[{v}]", g, order)
+         for v, g in enumerate(gauge.elements)]
+    ends = [e for u, v in b.base.edges for e in ((u, v), (v, u))]
+    return tuple(mult[h[w]][mult[g][inv[h[v]]]]
+                 for (v, w), g in zip(ends, b.labels))
 
 
 def gauge_normalize(b: CocycleBundle, root: int = 0
@@ -317,7 +324,6 @@ def gauge_normalize(b: CocycleBundle, root: int = 0
     dart of the result carries the identity.  Renormalizing a normalized
     bundle yields the identity gauge.
     """
-    verify_cocycle(b).require("not a cocycle bundle")
     grp = b.group
     tree = bfs_tree(b.base, root)
     h = [grp.identity] * b.base.n_vertices
@@ -326,14 +332,12 @@ def gauge_normalize(b: CocycleBundle, root: int = 0
         if d >= 0:
             h[v] = grp.mul(h[b.base.dsrc(d)], grp.inv[b.labels[d]])
     gauge = GaugeTransformation(h)
-    return _gauged(b, gauge), gauge, tree
+    return apply_gauge(b, gauge), gauge, tree
 
 
 def holonomy_along(b: CocycleBundle, darts: Sequence[int]) -> int:
     """Compose labels along a dart walk; later darts multiply on the left,
-    matching transport order.  A bundle that fails :func:`verify_cocycle`
-    is refused, and so is a dart outside its range."""
-    verify_cocycle(b).require("not a cocycle bundle")
+    matching transport order.  A dart outside its range is refused."""
     acc = b.group.identity
     at = None
     for i, d in enumerate(darts):
@@ -463,25 +467,22 @@ def bundles_isomorphic(b1: CocycleBundle, b2: CocycleBundle,
         grp.mul(grp.inv[g2.elements[v]], grp.mul(h_inv, g1.elements[v]))
         for v in range(b1.base.n_vertices)
     ])
-    if _gauged(b1, gauge).labels != b2.labels:  # only over a lawless group
+    if _gauge_labels(b1, gauge) != b2.labels:  # only over a lawless group
         raise ValueError("assembled gauge fails to carry b1 to b2")
     return BundleIso(gauge=gauge, conjugator=h)
 
 
 def bundles_isomorphic_bruteforce(b1: CocycleBundle, b2: CocycleBundle
                                   ) -> Optional[GaugeTransformation]:
-    """Oracle: scan all ``|G|^|V|`` gauges in lexicographic order.  Both
-    bundles are verified once, before the scan: a bundle that fails
-    :func:`verify_cocycle` is refused."""
+    """Oracle: scan all ``|G|^|V|`` gauges in lexicographic order,
+    comparing gauged labels, with no bundle built per gauge."""
     _require_comparable(b1, b2)
-    for b in (b1, b2):
-        verify_cocycle(b).require("not a cocycle bundle")
     grp, n = b1.group, b1.base.n_vertices
     if grp.order ** n > _BRUTEFORCE_GAUGES:
         raise ValueError(f"search space {grp.order}^{n} exceeds limit "
                          f"{_BRUTEFORCE_GAUGES}")
     for assignment in iter_product(range(grp.order), repeat=n):
         gauge = GaugeTransformation(list(assignment))
-        if _gauged(b1, gauge).labels == b2.labels:
+        if _gauge_labels(b1, gauge) == b2.labels:
             return gauge
     return None

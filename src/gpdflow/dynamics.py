@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteGroup, find_group_isomorphism, verify_group
+from .algebra import FiniteGroup, _index, find_group_isomorphism, verify_group
 from .diagnostics import Diagnostics
 from .groupoid import Groupoid, RowTable, _require_whole, is_transitive, \
     val_width, verify_groupoid, vertex_group
@@ -100,6 +100,7 @@ class GroupoidAction(RowTable):
         return None
 
     def fiber(self, x: int) -> list[int]:
+        _index("x", x, self.gpd.n_objects)
         return np.flatnonzero(self.anchor == x).tolist()
 
 

@@ -31,7 +31,6 @@ from .bundle import (
     bfs_tree,
     bundles_isomorphic,
     total_space,
-    verify_cocycle,
 )
 from .diagnostics import Diagnostics
 from .groupoid import (
@@ -109,7 +108,6 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
     assigns to each dart the class of ``(point, transported point)``, which
     in coordinates is ``(dsrc(d), dtgt(d), label(d)^-1)``.
     """
-    verify_cocycle(b).require("not a cocycle bundle")
     grp, base = b.group, b.base
     m, n = base.n_vertices, grp.order
     e_id = grp.identity
@@ -422,10 +420,8 @@ def bundle_of_groupoid(gpd: Groupoid, conn: Connection,
             verify_groupoid(gpd).require(
                 f"label of dart {d}: arrow {loop} is not a loop at {x0}")
         labels[d] = vg.local_index(loop)
-    bundle = CocycleBundle(base=base, group=grp, labels=labels)
-    verify_cocycle(bundle).require("reconstructed labels fail")
-    return ReconstructedBundle(bundle=bundle, vgroup=vg, references=refs,
-                               basepoint=x0)
+    return ReconstructedBundle(bundle=CocycleBundle(base, grp, labels),
+                               vgroup=vg, references=refs, basepoint=x0)
 
 
 @dataclass
@@ -468,7 +464,7 @@ def point_base_degenerate(grp: FiniteGroup) -> PointBaseReport:
     the class of ``(g, identity)`` maps to ``g`` and composition matches the
     group product.  Verified as a groupoid isomorphism onto the one-object
     groupoid of ``grp``."""
-    bundle = CocycleBundle(base=BaseGraph.point(), group=grp, labels=[])
+    bundle = CocycleBundle(base=BaseGraph.point(), group=grp, labels=())
     tg = groupoid_of_bundle(bundle)
     target = one_object_groupoid(grp)
     ordering = [grp.identity] + [a for a in range(grp.order) if a != grp.identity]

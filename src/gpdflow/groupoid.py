@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, \
 
 import numpy as np
 
-from .algebra import FiniteGroup, verify_group
+from .algebra import FiniteGroup, _index, verify_group
 from .diagnostics import Diagnostics
 
 __all__ = [
@@ -189,6 +189,7 @@ class RowTable:
 
     def row(self, y: int) -> np.ndarray:
         """``y . h`` for each ``h`` out of ``anchor[y]``, ascending in ``h``."""
+        y = _index("y", y, self.anchor.shape[0])
         return self.val[self.row_off[y]:self.row_off[y + 1]]
 
     def triple_array(self) -> np.ndarray:
@@ -453,7 +454,7 @@ class Groupoid(RowTable):
         return gh
 
     def inverse(self, g: int) -> int:
-        return int(self.inv[g])
+        return int(self.inv[_index("g", g, self.n_arrows)])
 
     _verdict = cached_property(lambda self: _axiom_verdict(self))
 
@@ -511,6 +512,7 @@ class Groupoid(RowTable):
 
     def arrows_from(self, x: int) -> np.ndarray:
         order, start, _ = self.out_index
+        x = _index("x", x, self.n_objects)
         return order[start[x]:start[x + 1]]
 
     def arrows_into(self, x: int) -> np.ndarray:
@@ -663,7 +665,7 @@ def vertex_group(g: Groupoid, x: int) -> HomSet:
     """The loops at ``x`` as a verified group; the unit becomes element 0 and
     the remaining loops keep their ascending arrow order."""
     _require_whole(g)
-    loops = g.loops(x)
+    loops = g.loops(_index("x", x, g.n_objects))
     u = int(g.unit[x])
     if u not in loops:
         raise ValueError(f"unit of object {x} is not a loop at {x}")

@@ -99,7 +99,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .algebra import FiniteGroup, PRESET_NAMES, preset_group, verify_group
-from .bundle import BaseGraph, CocycleBundle, verify_cocycle
+from .bundle import BaseGraph, CocycleBundle, dart_labels, verify_cocycle
 from .diagnostics import Diagnostics
 from .dynamics import Ambit, GroupoidAction
 from .ehresmann import Connection, TransportGroupoid
@@ -1069,9 +1069,8 @@ def build_bundle(model_data: dict
     diag, grp = build_group(model_data["group"])
     if grp is None:
         return diag, None
-    bundle = CocycleBundle.from_edge_labels(build_graph(model_data["graph"]),
-                                            grp, model_data["labels"])
-    return verify_cocycle(bundle), bundle
+    return verify_cocycle(build_graph(model_data["graph"]), grp,
+                          dart_labels(grp, model_data["labels"]))
 
 
 def build_groupoid(model_data: dict

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from gpdflow import bundle, serialize
 from gpdflow.algebra import FiniteGroup, preset_group
 from gpdflow.bundle import (
     BaseGraph,
@@ -22,12 +23,15 @@ from gpdflow.bundle import (
     total_space,
     verify_cocycle,
 )
-from gpdflow.amenability import section_existence_suite
+from gpdflow.amenability import fiber_action, invariant_sections, \
+    section_existence_suite
+from gpdflow.dynamics import base_action
 from gpdflow.ehresmann import groupoid_of_bundle, orbit_quotient_groupoid, \
     roundtrip_bundle
 from gpdflow.fixtures import large_random_bundle, named_bundles, \
     random_connected_graph
-from gpdflow.serialize import bundle_to_json, canonical_dumps
+from gpdflow.groupoid import vertex_group
+from gpdflow.serialize import bundle_to_json, canonical_dumps, parse_model
 
 
 def z2_triangle(edge_labels):
@@ -80,38 +84,37 @@ def test_bfs_tree_rejects_disconnected():
 def test_verify_cocycle_passes_on_edge_built_labels():
     b = CocycleBundle.from_edge_labels(
         BaseGraph.cycle(3), preset_group("S3"), [2, 3, 0])
-    assert verify_cocycle(b).ok
+    diag, built = verify_cocycle(b.base, b.group, list(b.labels))
+    assert diag.ok and diag.notes == {"vertices": 3, "edges": 3}
+    assert built == b
     # dart labels: even darts carry the edge label, odd darts its inverse
-    assert b.labels == [2, 2, 3, 4, 0, 0]
+    assert b.labels == (2, 2, 3, 4, 0, 0)
 
 
 def test_verify_cocycle_catches_involution_break():
     grp = preset_group("S3")
-    b = CocycleBundle(BaseGraph.path(2), grp, [3, 3])  # inv(3) = 4
-    diag = verify_cocycle(b)
-    assert not diag.ok and not diag.structural
+    diag, b = verify_cocycle(BaseGraph.path(2), grp, [3, 3])  # inv(3) = 4
+    assert not diag.ok and not diag.structural and b is None
     assert diag.failure == "label involution"
     assert diag.witness == (0,)
 
 
 def test_verify_cocycle_flags_disconnected_base():
     grp = preset_group("Z2")
-    b = CocycleBundle(BaseGraph(2, ()), grp, [])
-    diag = verify_cocycle(b)
-    assert not diag.ok and diag.structural
+    diag, b = verify_cocycle(BaseGraph(2, ()), grp, [])
+    assert not diag.ok and diag.structural and b is None
     assert diag.failure == "base not connected"
 
 
 def test_verify_cocycle_flags_bad_label():
-    b = CocycleBundle(BaseGraph.path(2), preset_group("Z2"), [5, 1])
-    diag = verify_cocycle(b)
-    assert diag.structural and diag.failure == "label out of range"
+    diag, b = verify_cocycle(BaseGraph.path(2), preset_group("Z2"), [5, 1])
+    assert diag.structural and b is None and diag.failure == "label out of range"
 
 
 def test_verify_cocycle_counts_the_labels_first():
     from gpdflow.fixtures import named_bundles
     b = named_bundles()["triangle-z2-twisted"]
-    diag = verify_cocycle(CocycleBundle(b.base, b.group, b.labels[:-1]))
+    diag, _ = verify_cocycle(b.base, b.group, b.labels[:-1])
     assert diag.structural
     assert (diag.failure, diag.witness) == ("label count mismatch", (5, 6))
 
@@ -162,14 +165,17 @@ def test_transport_requires_matching_fiber():
 
 def test_an_index_outside_its_range_is_refused_by_its_name():
     """On the edge-s3 fixture, each index argument of ``TotalSpace``'s
-    methods, of ``holonomy_along``, of its group's ``mul``, ``inverse`` and
-    ``conjugate`` and of its base's ``dsrc``, ``dtgt`` and ``out_darts``,
-    at -1 and at the first value past its range, is refused with a
-    ``ValueError`` that names the argument: not an ``IndexError``, not a
-    point over a vertex the base does not have, not an empty list, and not
-    ``seq[-1]``."""
+    methods, of ``holonomy_along``, of ``apply_gauge``'s gauge, of its
+    group's ``mul``, ``inverse`` and ``conjugate``, of its base's ``dsrc``,
+    ``dtgt`` and ``out_darts``, and of the object, arrow and point readers
+    of its transport groupoid and their base action, at -1 and at the first
+    value past its range, is refused with a ``ValueError`` that names the
+    argument: not an ``IndexError``, not a point over a vertex the base
+    does not have, not an empty list, and not ``seq[-1]``."""
     b = named_bundles()["edge-s3"]
     ts, grp, base = total_space(b), b.group, b.base
+    gpd = groupoid_of_bundle(b).groupoid
+    act = base_action(gpd)
     vertices, order, darts = b.base.n_vertices, b.group.order, b.base.n_darts
     calls = [  # (method, argument, its range, the call with it set to i)
         ("point_index", "v", vertices, lambda i: ts.point_index(i, 0)),
@@ -193,8 +199,20 @@ def test_an_index_outside_its_range_is_refused_by_its_name():
         ("dsrc", "d", darts, base.dsrc),
         ("dtgt", "d", darts, base.dtgt),
         ("out_darts", "v", vertices, base.out_darts),
+        ("apply_gauge", "gauge.elements[0]", order,
+         lambda i: apply_gauge(b, GaugeTransformation([i, 0]))),
+        ("apply_gauge", "gauge.elements[1]", order,
+         lambda i: apply_gauge(b, GaugeTransformation([0, i]))),
+        ("vertex_group", "x", vertices, lambda i: vertex_group(gpd, i)),
+        ("fiber_action", "x", vertices, lambda i: fiber_action(act, i)),
+        ("invariant_sections", "x", vertices,
+         lambda i: invariant_sections(act, i)),
+        ("Groupoid.inverse", "g", gpd.n_arrows, gpd.inverse),
+        ("row", "y", gpd.n_arrows, gpd.row),
+        ("arrows_from", "x", vertices, gpd.arrows_from),
+        ("GroupoidAction.fiber", "x", vertices, act.fiber),
     ]
-    assert (vertices, order, darts) == (2, 6, 2)
+    assert (vertices, order, darts, gpd.n_arrows) == (2, 6, 2, 24)
     for method, name, n, call in calls:
         for i in (-1, n):
             with pytest.raises(ValueError) as refused:
@@ -207,11 +225,13 @@ def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
     """600 seeded single-label edits of the fixture bundles with a dart: a
     dart's label set to -1, to the group's order, or to another element,
     which the reverse dart's label follows half the time, so that the
-    involution law holds.  ``total_space`` and the ``TotalSpace``
-    constructor each raise ``ValueError`` exactly when ``verify_cocycle``
-    fails (a label of -1 was read as the group's last element); on any
-    other bundle every dart carries each point over its source into the
-    fiber over its target."""
+    involution law holds.  Building each edited labelling gives a bundle
+    exactly when ``verify_cocycle`` passes it, and gives the same bundle;
+    otherwise it is refused with ``not a cocycle bundle: <failure>
+    <witness>``, the failure and witness of ``verify_cocycle`` (a label of
+    -1 was read as the group's last element).  On each bundle built,
+    ``total_space`` and the ``TotalSpace`` constructor carry every point
+    over a dart's source into the fiber over its target."""
     bundles = [b for b in named_bundles().values() if b.base.n_darts]
     outcomes = Counter()
     for case in range(600):
@@ -227,27 +247,30 @@ def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
                 labels[base.rev(d)] = b.group.inv[labels[d]]
         else:
             labels[d] = -1 if how == "-1" else b.group.order
-        edited = CocycleBundle(base, b.group, labels)
-        lawful = verify_cocycle(edited).ok
-        for build in (total_space, TotalSpace):
-            if lawful:
+        diag, verified = verify_cocycle(base, b.group, labels)
+        try:
+            edited = CocycleBundle(base, b.group, labels)
+        except ValueError as refused:
+            assert not diag.ok and verified is None, case
+            assert str(refused) == \
+                f"not a cocycle bundle: {diag.failure} {diag.witness}", case
+        else:
+            assert diag.ok and verified == edited, case
+            for build in (total_space, TotalSpace):
                 ts = build(edited)
                 for dart in range(base.n_darts):
                     over = ts.fiber(base.dtgt(dart))
                     assert all(ts.transport(dart, p) in over
                                for p in ts.fiber(base.dsrc(dart))), case
-            else:
-                with pytest.raises(ValueError, match="^not a cocycle bundle"):
-                    build(edited)
-        outcomes[how, lawful] += 1
+        outcomes[how, diag.ok] += 1
     assert set(outcomes) == {("-1", False), ("order", False),
                              ("element", False), ("element", True)}
 
 
 def edited_bundles():
-    """600 seeded single-label edits of the fixture bundles, as ``(clean,
-    edited)``: one label set to a value from -3 to the group's order + 2,
-    dropped or added.  Case ``case`` is seeded by ``"bundle fuzz
+    """600 seeded single-label edits of the fixture bundles' dart labels,
+    as ``(clean, labels)``: one label set to a value from -3 to the group's
+    order + 2, dropped or added.  Case ``case`` is seeded by ``"bundle fuzz
     {case}"``."""
     bundles = list(named_bundles().values())
     for case in range(600):
@@ -262,19 +285,21 @@ def edited_bundles():
         else:
             labels.insert(rng.randrange(len(labels) + 1),
                           rng.randrange(-3, order + 3))
-        yield b, CocycleBundle(b.base, b.group, labels)
+        yield b, labels
 
 
 def test_every_public_function_refuses_a_broken_bundle():
-    """The bundle twin of the table gate: every public function that takes
-    a bundle, on each of :func:`edited_bundles`, gives a result, a verdict
-    or a ``ValueError``; any other exception fails the test, with its
-    count per function.  The functions of ``bundle``, ``TotalSpace``'s
-    methods on the space a bundle builds, the clean bundle as the other
-    argument of the isomorphism tests either way, and the bundle functions
-    of ``ehresmann``, ``amenability`` and ``serialize``.  A bundle that
-    fails ``verify_cocycle`` is refused by every function that reads its
-    labels as a cocycle; a clean one by none."""
+    """The bundle twin of the table gate.  Each of :func:`edited_bundles`
+    is built, or refused when built with ``not a cocycle bundle: <failure>
+    <witness>``, the failure and witness of ``verify_cocycle``, so no
+    function is given a broken bundle.  Every public function that takes a
+    bundle, on each bundle built, gives a result, a verdict or a
+    ``ValueError``; any other exception fails the test, with its count per
+    function.  The functions of ``bundle``, ``TotalSpace``'s methods on the
+    space a bundle builds, the clean bundle as the other argument of the
+    isomorphism tests either way, and the bundle functions of
+    ``ehresmann``, ``amenability`` and ``serialize``.  None refuses a
+    bundle built, but by its own limits."""
     def space(b):
         ts = TotalSpace(b)
         darts = [d for d in range(b.base.n_darts) if b.base.dsrc(d) == 0]
@@ -286,7 +311,7 @@ def test_every_public_function_refuses_a_broken_bundle():
         [b.group.identity] * b.base.n_vertices)
     walk = lambda b: list(range(min(2, b.base.n_darts)))  # noqa: E731
     calls = {
-        "verify_cocycle": verify_cocycle,
+        "verify_cocycle": lambda b: verify_cocycle(b.base, b.group, b.labels),
         "total_space": total_space,
         "TotalSpace methods": space,
         "edge_labels": lambda b: b.edge_labels(),
@@ -307,15 +332,21 @@ def test_every_public_function_refuses_a_broken_bundle():
         "section_existence_suite": lambda b: section_existence_suite(
             [("edited", b)]),
         "bundle_to_json": lambda b: canonical_dumps(bundle_to_json(b))}
-    # a verdict on every bundle; and the label list read as a list
-    never_refuse = {"verify_cocycle", "edge_labels", "bundle_to_json"}
-    # refuse a clean bundle by their own rules: a group of order above 1,
-    # too many point pairs, too many gauges
+    # refuse a bundle by their own rules: a group of order above 1, too
+    # many point pairs, too many gauges
     own_limits = ("section", "orbit", "bundles_isomorphic_b")
     outcomes, states = Counter(), Counter()
-    for clean, b in edited_bundles():
-        ok = verify_cocycle(b).ok
-        states[ok] += 1
+    for clean, labels in edited_bundles():
+        diag, _ = verify_cocycle(clean.base, clean.group, labels)
+        try:
+            b = CocycleBundle(clean.base, clean.group, labels)
+        except ValueError as refused:
+            assert str(refused) == \
+                f"not a cocycle bundle: {diag.failure} {diag.witness}"
+            states["refused"] += 1
+            continue
+        assert diag.ok
+        states["built"] += 1
         for name, call in calls.items():
             try:
                 call(b)
@@ -325,18 +356,45 @@ def test_every_public_function_refuses_a_broken_bundle():
                 outcome = type(error).__name__
             else:
                 outcome = "result"
-            outcomes[name, ok, outcome] += 1
+            outcomes[name, outcome] += 1
     others = {key: n for key, n in outcomes.items()
-              if key[2] not in ("result", "ValueError")}
+              if key[1] not in ("result", "ValueError")}
     assert others == {}, others
-    assert states[False] and states[True], states
+    assert states["refused"] and states["built"], states
     for name in calls:
-        if name in never_refuse:
-            assert outcomes[name, False, "ValueError"] == 0, name
-            continue
-        assert outcomes[name, False, "result"] == 0, name
+        assert outcomes[name, "result"], name
         if not name.startswith(own_limits):
-            assert outcomes[name, True, "ValueError"] == 0, name
+            assert outcomes[name, "ValueError"] == 0, name
+
+
+def test_the_cocycle_scan_runs_once_per_bundle_built(monkeypatch):
+    """``verify_cocycle`` and each of its callers build one bundle, passed
+    or refused, and the cocycle scan runs once for it: ``gauge_normalize``
+    builds its one gauged bundle, and ``bundles_isomorphic_bruteforce``
+    compares gauged labels over its 8 gauges and builds none."""
+    grp = preset_group("Z2")
+    twisted, flat = z2_triangle([1, 0, 0]), z2_triangle([0, 0, 0])
+    data = parse_model(bundle_to_json(
+        CocycleBundle.from_edge_labels(BaseGraph.path(4), grp, [1, 0, 1]))).data
+    scans = []
+
+    def counted(base, group, labels):
+        scans.append(len(labels))
+        return cocycle_scan(base, group, labels)
+
+    cocycle_scan = bundle._cocycle_scan
+    monkeypatch.setattr(bundle, "_cocycle_scan", counted)
+    builds = [
+        lambda: verify_cocycle(BaseGraph.path(2), grp, [1, 1]),
+        lambda: verify_cocycle(BaseGraph.path(2), grp, [1, 0]),
+        lambda: CocycleBundle(BaseGraph.wedge_of_loops(2), grp, [1] * 4),
+        lambda: CocycleBundle.from_edge_labels(BaseGraph.point(), grp, []),
+        lambda: serialize.build_bundle(data),
+        lambda: gauge_normalize(twisted),
+        lambda: bundles_isomorphic_bruteforce(twisted, flat)]
+    for build in builds:
+        build()
+    assert scans == [2, 2, 4, 0, 6, 6]
 
 
 # --- gauge normalization ----------------------------------------------------------
@@ -348,7 +406,7 @@ def test_gauge_normalize_twisted_triangle_frozen_values():
     assert normalized.edge_labels() == [0, 1, 0]
     assert tree.tree_darts == frozenset({0, 5})
     assert all(normalized.labels[d] == 0 for d in tree.tree_darts)
-    assert verify_cocycle(normalized).ok
+    assert verify_cocycle(normalized.base, b.group, normalized.labels)[0].ok
 
 
 def test_gauge_normalize_is_idempotent():
@@ -365,7 +423,7 @@ def test_apply_gauge_preserves_cocycle_and_inverts():
         BaseGraph.cycle(3), preset_group("S3"), [2, 3, 4])
     gauge = GaugeTransformation([1, 3, 5])
     c = apply_gauge(b, gauge)
-    assert verify_cocycle(c).ok
+    assert verify_cocycle(c.base, c.group, c.labels)[0].ok
     undo = GaugeTransformation([b.group.inv[g] for g in gauge.elements])
     assert apply_gauge(c, undo).labels == b.labels
 
@@ -463,7 +521,7 @@ def test_a_lawless_group_is_refused_when_the_criteria_disagree():
     object.__setattr__(table, "mult", mult)
     object.__setattr__(table, "inv", (0, 1, 2))
     b = CocycleBundle.from_edge_labels(BaseGraph.wedge_of_loops(1), table, [2])
-    assert verify_cocycle(b).ok
+    assert verify_cocycle(b.base, table, b.labels)[0].ok
     with pytest.raises(ValueError, match="^triviality criteria disagree$"):
         is_trivial(b)
 
@@ -482,7 +540,8 @@ def test_a_lawless_group_is_refused_when_the_gauge_fails():
     object.__setattr__(monoid, "mult", ((0, 1), (1, 1)))
     b1, b2 = (CocycleBundle.from_edge_labels(BaseGraph.path(2), monoid, [g])
               for g in (1, 0))
-    assert verify_cocycle(b1).ok and verify_cocycle(b2).ok
+    assert all(verify_cocycle(b.base, monoid, b.labels)[0].ok
+               for b in (b1, b2))
     with pytest.raises(ValueError, match="^assembled gauge fails to carry"):
         bundles_isomorphic(b1, b2)
 
