@@ -63,8 +63,10 @@ class FiniteGroup:
 
 
 def _index(name: str, i: int, n: int) -> int:
-    """``i``, refused with a ``ValueError`` naming the argument unless it
-    lies in ``range(n)``."""
+    """``i``, refused unless it lies in ``range(n)`` with the package's one
+    index refusal, ``ValueError("<name> = <i> outside range(<n>)")``.  Every
+    public index argument is checked here, under its own name (an entry of
+    a list argument as ``name[k]``), by the function its caller called."""
     if not 0 <= i < n:
         raise ValueError(f"{name} = {i} outside range({n})")
     return i
@@ -217,9 +219,8 @@ def generated_subgroup(group: FiniteGroup, generators: Sequence[int]) -> list[in
 
     The empty generating set yields the trivial subgroup.
     """
-    for g in generators:
-        if not (0 <= g < group.order):
-            raise ValueError(f"generator {g} out of range for order {group.order}")
+    for i, g in enumerate(generators):
+        _index(f"generators[{i}]", g, group.order)
     members = {group.identity}
     work = [group.identity]
     gens = sorted(set(generators) | {group.inv[g] for g in generators})
@@ -242,10 +243,9 @@ def are_conjugate_subgroup_maps(group: FiniteGroup, f1: Sequence[int],
     """
     if len(f1) != len(f2):
         raise ValueError(f"length mismatch: {len(f1)} vs {len(f2)}")
-    for seq in (f1, f2):
-        for g in seq:
-            if not (0 <= g < group.order):
-                raise ValueError(f"element {g} out of range for order {group.order}")
+    for name, seq in (("f1", f1), ("f2", f2)):
+        for i, g in enumerate(seq):
+            _index(f"{name}[{i}]", g, group.order)
     for h in group.elements:
         if all(group.conjugate(g1, h) == g2 for g1, g2 in zip(f1, f2)):
             return h
@@ -254,9 +254,7 @@ def are_conjugate_subgroup_maps(group: FiniteGroup, f1: Sequence[int],
 
 def element_order(group: FiniteGroup, g: int) -> int:
     """Smallest k >= 1 with g^k = identity, sought up to k = ``order``."""
-    if not (0 <= g < group.order):
-        raise ValueError(f"element {g} out of range for order {group.order}")
-    power = g
+    power = _index("g", g, group.order)
     for k in group.elements:
         if power == group.identity:
             return k + 1

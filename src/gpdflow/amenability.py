@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .algebra import FiniteGroup
+from .algebra import FiniteGroup, _index
 from .bundle import CocycleBundle
 from .diagnostics import Diagnostics
 from .dynamics import _CROSSCHECK_POINTS, GroupoidAction, base_action, \
@@ -83,7 +83,7 @@ def fiber_action(a: GroupoidAction, x0: int) -> tuple[list[list[int]],
     is the i-th loop in the vertex-group ordering (unit first).  An action
     with a flaw is refused."""
     _require_whole(a)
-    vg = vertex_group(a.gpd, x0)
+    vg = vertex_group(a.gpd, _index("x0", x0, a.gpd.n_objects))
     fiber = a.fiber(x0)
     pos = {y: i for i, y in enumerate(fiber)}  # -1: off the fiber
     table = [[pos.get(a.move(y, l), -1) for l in vg.arrows] for y in fiber]

@@ -53,7 +53,8 @@ _BRUTEFORCE_GAUGES = 10 ** 6  # the most gauges the brute-force oracle scans
 @dataclass(frozen=True)
 class BaseGraph:
     """Undirected multigraph on vertices ``0..n-1``; loops and parallel
-    edges are allowed.  A dart or vertex outside its range is refused."""
+    edges are allowed.  A dart or vertex outside its range, an edge's
+    endpoint included, is refused by its name."""
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -63,9 +64,9 @@ class BaseGraph:
             raise ValueError("graph needs at least one vertex")
         object.__setattr__(self, "edges",
                            tuple((int(u), int(v)) for u, v in self.edges))
-        for i, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
+        for i, edge in enumerate(self.edges):
+            for j, u in enumerate(edge):
+                _index(f"edges[{i}][{j}]", u, self.n_vertices)
 
     @property
     def n_edges(self) -> int:
@@ -81,9 +82,9 @@ class BaseGraph:
     def dtgt(self, d: int) -> int:
         return self.edges[_index("d", d, self.n_darts) // 2][1 - d % 2]
 
-    @staticmethod
-    def rev(d: int) -> int:
-        return d ^ 1
+    def rev(self, d: int) -> int:
+        """The other dart of ``d``'s edge, ``d ^ 1``, run the other way."""
+        return _index("d", d, self.n_darts) ^ 1
 
     def out_darts(self, v: int) -> list[int]:
         _index("v", v, self.n_vertices)
@@ -135,6 +136,7 @@ class SpanningTree:
 
     def path_from_root(self, v: int) -> list[int]:
         """Darts along the unique tree path root -> v."""
+        _index("v", v, len(self.parent_dart))
         path = []
         while self.parent_dart[v] >= 0:
             d = self.parent_dart[v]
@@ -170,8 +172,7 @@ def _bfs(graph: BaseGraph, root: int
 def bfs_tree(graph: BaseGraph, root: int = 0) -> SpanningTree:
     """Deterministic BFS spanning tree: lowest-index neighbour first, ties on
     the lowest dart index."""
-    if not (0 <= root < graph.n_vertices):
-        raise ValueError(f"root {root} out of range")
+    _index("root", root, graph.n_vertices)
     seen, parent, order, tree = _bfs(graph, root)
     if not all(seen):
         missing = seen.index(False)
@@ -372,6 +373,7 @@ def holonomy_group(b: CocycleBundle, v0: int = 0) -> HolonomyData:
     edge (canonically oriented along its even dart), and close under the
     group operations.  Each element is also the label product around the
     fundamental cycle of its edge, based at ``v0``."""
+    _index("v0", v0, b.base.n_vertices)
     normalized, gauge, tree = gauge_normalize(b, v0)
     cycles = []
     for e in tree.non_tree_edges:

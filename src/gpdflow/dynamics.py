@@ -166,7 +166,8 @@ def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
     n = a.anchor.shape[0]
     outside = (pts < 0) | (pts >= n)
     if bool(outside.any()):
-        raise ValueError(f"point {pts[np.argmax(outside)]} out of range")
+        i = int(np.argmax(outside))
+        _index(f"points[{i}]", int(pts[i]), n)
     twice = np.bincount(pts, minlength=n)[pts] > 1
     if bool(twice.any()):
         raise ValueError(f"point {pts[np.argmax(twice)]} given twice")
@@ -281,8 +282,7 @@ def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
     the action is free, and the anchor is onto (needs transitivity).  The
     table must have no flaw and the unit of ``x0`` must start at ``x0``."""
     _require_whole(gpd)  # before x0 is checked against n_objects
-    if not (0 <= x0 < gpd.n_objects):
-        raise ValueError(f"object {x0} out of range")
+    _index("x0", x0, gpd.n_objects)
     ok, witness = is_transitive(gpd)
     if not ok:
         raise ValueError(
@@ -314,9 +314,6 @@ class EquivariantMap:
     source: GroupoidAction
     target: GroupoidAction
     values: list[int]
-
-    def __call__(self, y: int) -> int:
-        return self.values[y]
 
 
 def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
@@ -356,9 +353,7 @@ def universal_map(a: GroupoidAction, ambit: Ambit, y: int) -> EquivariantMap:
     _require_whole(a)
     if a.gpd is not ambit.action.gpd:
         raise ValueError("action and ambit use different groupoids")
-    if not (0 <= y < a.n_points):
-        raise ValueError(f"point {y} out of range")
-    if a.anchor[y] != ambit.basepoint:
+    if a.anchor[_index("y", y, a.n_points)] != ambit.basepoint:
         raise ValueError(
             f"point {y} is anchored at {a.anchor[y]}, not at the "
             f"basepoint {ambit.basepoint}")

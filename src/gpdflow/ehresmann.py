@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import FiniteGroup
+from .algebra import FiniteGroup, _index
 from .bundle import (
     BaseGraph,
     CocycleBundle,
@@ -84,7 +84,8 @@ class Connection:
 
 @dataclass
 class TransportGroupoid:
-    """The quotient groupoid of a bundle in arrow coordinates."""
+    """The quotient groupoid of a bundle in arrow coordinates: a vertex,
+    twist or arrow outside its range is refused by its name."""
 
     bundle: CocycleBundle
     groupoid: Groupoid
@@ -93,10 +94,12 @@ class TransportGroupoid:
     index: np.ndarray
 
     def arrow_of(self, v: int, w: int, a: int) -> int:
-        return int(self.index[v, w, a])
+        m, _, n = self.index.shape
+        return int(self.index[_index("v", v, m), _index("w", w, m),
+                              _index("a", a, n)])
 
     def coord_of(self, arrow: int) -> ArrowCoordinate:
-        return self.coords[arrow]
+        return self.coords[_index("arrow", arrow, len(self.coords))]
 
 
 def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
@@ -244,17 +247,16 @@ def _resolve_u0(tg: TransportGroupoid,
                 u0: Optional[tuple[int, int]]) -> tuple[int, int]:
     if u0 is None:
         return 0, tg.bundle.group.identity
-    v, h = u0
-    grp = tg.bundle.group
-    if not (0 <= v < tg.bundle.base.n_vertices) or not (0 <= h < grp.order):
-        raise ValueError(f"basepoint {u0} outside the total space")
-    return v, h
+    return (_index("u0[0]", u0[0], tg.bundle.base.n_vertices),
+            _index("u0[1]", u0[1], tg.bundle.group.order))
 
 
 @dataclass
 class VertexChart:
     """Isomorphism from the loops at the basepoint's vertex onto the group,
-    written as a pair of mutually inverse dictionaries."""
+    written as a pair of mutually inverse dictionaries.  ``of`` reads the
+    first, keyed by the loops, which are not a ``range``: an arrow off
+    them raises ``KeyError``."""
 
     kind: str
     u0: tuple[int, int]
@@ -263,9 +265,6 @@ class VertexChart:
 
     def of(self, arrow: int) -> int:
         return self.arrow_to_group[arrow]
-
-    def arrow_of(self, g: int) -> int:
-        return self.group_to_arrow[g]
 
 
 def _build_vertex_chart(tg: TransportGroupoid, u0, kind: str) -> VertexChart:
@@ -317,7 +316,9 @@ def vertex_chart_psi(tg: TransportGroupoid,
 class FiberChart:
     """Bijection between an arrow fiber at the basepoint and the total
     space: ``tau`` trivializes the target fiber (projection = src), ``sigma``
-    the source fiber (projection = tgt)."""
+    the source fiber (projection = tgt).  ``of`` reads ``arrow_to_point``,
+    keyed by the fiber's arrows, which are not a ``range``: an arrow off
+    them raises ``KeyError``."""
 
     kind: str
     u0: tuple[int, int]
@@ -326,9 +327,6 @@ class FiberChart:
 
     def of(self, arrow: int) -> tuple[int, int]:
         return self.arrow_to_point[arrow]
-
-    def arrow_of(self, point: tuple[int, int]) -> int:
-        return self.point_to_arrow[point]
 
 
 def _build_fiber_chart(tg: TransportGroupoid, u0, kind: str) -> FiberChart:
@@ -394,6 +392,7 @@ def bundle_of_groupoid(gpd: Groupoid, conn: Connection,
     that breaks a law gives, is refused with the dart, the arrow and the
     first law :func:`verify_groupoid` finds broken.
     """
+    _index("x0", x0, gpd.n_objects)
     verify_connection(gpd, conn).require("invalid connection")
     base = conn.base
     vg = vertex_group(gpd, x0)

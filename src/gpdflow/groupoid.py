@@ -516,10 +516,11 @@ class Groupoid(RowTable):
         return order[start[x]:start[x + 1]]
 
     def arrows_into(self, x: int) -> np.ndarray:
-        return np.flatnonzero(self.tgt == x)
+        return np.flatnonzero(self.tgt == _index("x", x, self.n_objects))
 
     def hom(self, x: int, y: int) -> list[int]:
         """Arrows from ``x`` to ``y`` in ascending index order."""
+        x, y = _index("x", x, self.n_objects), _index("y", y, self.n_objects)
         return np.where((self.src == x) & (self.tgt == y))[0].tolist()
 
     def loops(self, x: int) -> list[int]:
@@ -665,7 +666,7 @@ def vertex_group(g: Groupoid, x: int) -> HomSet:
     """The loops at ``x`` as a verified group; the unit becomes element 0 and
     the remaining loops keep their ascending arrow order."""
     _require_whole(g)
-    loops = g.loops(_index("x", x, g.n_objects))
+    loops = g.loops(x)
     u = int(g.unit[x])
     if u not in loops:
         raise ValueError(f"unit of object {x} is not a loop at {x}")

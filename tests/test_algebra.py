@@ -391,7 +391,7 @@ def test_element_orders(preset, orders):
 
 
 def test_element_order_range():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^g = 5 outside range\(2\)$"):
         element_order(preset_group("Z2"), 5)
 
 

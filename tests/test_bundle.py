@@ -23,14 +23,11 @@ from gpdflow.bundle import (
     total_space,
     verify_cocycle,
 )
-from gpdflow.amenability import fiber_action, invariant_sections, \
-    section_existence_suite
-from gpdflow.dynamics import base_action
+from gpdflow.amenability import section_existence_suite
 from gpdflow.ehresmann import groupoid_of_bundle, orbit_quotient_groupoid, \
     roundtrip_bundle
 from gpdflow.fixtures import large_random_bundle, named_bundles, \
     random_connected_graph
-from gpdflow.groupoid import vertex_group
 from gpdflow.serialize import bundle_to_json, canonical_dumps, parse_model
 
 
@@ -161,64 +158,6 @@ def test_transport_requires_matching_fiber():
     ts = total_space(b)
     with pytest.raises(ValueError):
         ts.transport(0, ts.point_index(2, 0))
-
-
-def test_an_index_outside_its_range_is_refused_by_its_name():
-    """On the edge-s3 fixture, each index argument of ``TotalSpace``'s
-    methods, of ``holonomy_along``, of ``apply_gauge``'s gauge, of its
-    group's ``mul``, ``inverse`` and ``conjugate``, of its base's ``dsrc``,
-    ``dtgt`` and ``out_darts``, and of the object, arrow and point readers
-    of its transport groupoid and their base action, at -1 and at the first
-    value past its range, is refused with a ``ValueError`` that names the
-    argument: not an ``IndexError``, not a point over a vertex the base
-    does not have, not an empty list, and not ``seq[-1]``."""
-    b = named_bundles()["edge-s3"]
-    ts, grp, base = total_space(b), b.group, b.base
-    gpd = groupoid_of_bundle(b).groupoid
-    act = base_action(gpd)
-    vertices, order, darts = b.base.n_vertices, b.group.order, b.base.n_darts
-    calls = [  # (method, argument, its range, the call with it set to i)
-        ("point_index", "v", vertices, lambda i: ts.point_index(i, 0)),
-        ("point_index", "h", order, lambda i: ts.point_index(0, i)),
-        ("point", "p", ts.n_points, ts.point),
-        ("proj", "p", ts.n_points, ts.proj),
-        ("raction", "p", ts.n_points, lambda i: ts.raction(i, 0)),
-        ("raction", "k", order, lambda i: ts.raction(0, i)),
-        ("transport", "d", darts, lambda i: ts.transport(i, 0)),
-        ("transport", "p", ts.n_points, lambda i: ts.transport(0, i)),
-        ("fiber", "v", vertices, ts.fiber),
-        ("holonomy_along", "darts[0]", darts,
-         lambda i: holonomy_along(b, [i])),
-        ("holonomy_along", "darts[1]", darts,
-         lambda i: holonomy_along(b, [0, i])),
-        ("mul", "a", order, lambda i: grp.mul(i, 0)),
-        ("mul", "b", order, lambda i: grp.mul(0, i)),
-        ("inverse", "a", order, grp.inverse),
-        ("conjugate", "g", order, lambda i: grp.conjugate(i, 0)),
-        ("conjugate", "h", order, lambda i: grp.conjugate(0, i)),
-        ("dsrc", "d", darts, base.dsrc),
-        ("dtgt", "d", darts, base.dtgt),
-        ("out_darts", "v", vertices, base.out_darts),
-        ("apply_gauge", "gauge.elements[0]", order,
-         lambda i: apply_gauge(b, GaugeTransformation([i, 0]))),
-        ("apply_gauge", "gauge.elements[1]", order,
-         lambda i: apply_gauge(b, GaugeTransformation([0, i]))),
-        ("vertex_group", "x", vertices, lambda i: vertex_group(gpd, i)),
-        ("fiber_action", "x", vertices, lambda i: fiber_action(act, i)),
-        ("invariant_sections", "x", vertices,
-         lambda i: invariant_sections(act, i)),
-        ("Groupoid.inverse", "g", gpd.n_arrows, gpd.inverse),
-        ("row", "y", gpd.n_arrows, gpd.row),
-        ("arrows_from", "x", vertices, gpd.arrows_from),
-        ("GroupoidAction.fiber", "x", vertices, act.fiber),
-    ]
-    assert (vertices, order, darts, gpd.n_arrows) == (2, 6, 2, 24)
-    for method, name, n, call in calls:
-        for i in (-1, n):
-            with pytest.raises(ValueError) as refused:
-                call(i)
-            assert str(refused.value) == f"{name} = {i} outside range({n})", \
-                (method, i)
 
 
 def test_total_space_refuses_exactly_the_bundles_that_fail_verify_cocycle():
