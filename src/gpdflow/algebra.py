@@ -155,16 +155,10 @@ def _dihedral4_table() -> list[list[int]]:
     # symmetries of the square as vertex permutations; elements are
     # r^0..r^3 then r^0 s..r^3 s with r the rotation i -> i+1, s the
     # reflection i -> -i
-    r = tuple((i + 1) % 4 for i in range(4))
     s = tuple((-i) % 4 for i in range(4))
-    elems: list[tuple[int, ...]] = []
-    power = tuple(range(4))
-    for _ in range(4):
-        elems.append(power)
-        power = _perm_compose(r, power)
-    for i in range(4):
-        elems.append(_perm_compose(elems[i], s))
-    return _table_from_perms(elems)
+    rotations = [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
+    return _table_from_perms(rotations
+                             + [_perm_compose(r, s) for r in rotations])
 
 
 def _quaternion_table() -> list[list[int]]:
@@ -175,16 +169,11 @@ def _quaternion_table() -> list[list[int]]:
         [(2, 0), (3, 1), (0, 1), (1, 0)],
         [(3, 0), (2, 0), (1, 1), (0, 1)],
     ]
-    table = []
-    for a in range(8):
-        sa, la = divmod(a, 4)
-        row = []
-        for b in range(8):
-            sb, lb = divmod(b, 4)
-            lc, flip = letter[la][lb]
-            row.append(4 * (sa ^ sb ^ flip) + lc)
-        table.append(row)
-    return table
+    def product(a: int, b: int) -> int:
+        (sa, la), (sb, lb) = divmod(a, 4), divmod(b, 4)
+        lc, flip = letter[la][lb]
+        return 4 * (sa ^ sb ^ flip) + lc
+    return [[product(a, b) for b in range(8)] for a in range(8)]
 
 
 _PRESET_BUILDERS = {

@@ -207,9 +207,8 @@ def section_existence_suite(named_bundles: Sequence[tuple[str, CocycleBundle]]
         entry = {"fixture": name, "actions": []}
         for kind, action in (("ambit", build_ambit(tg.groupoid, 0).action),
                              ("base", base_action(tg.groupoid))):
-            per_basepoint = []
-            for x0 in range(tg.groupoid.n_objects):
-                per_basepoint.append(len(invariant_sections(action, x0)))
+            per_basepoint = [len(invariant_sections(action, x0))
+                             for x0 in range(tg.groupoid.n_objects)]
             # a trivial vertex group fixes every point of each fiber
             if not all(c >= 1 for c in per_basepoint):  # pragma: no cover
                 raise AssertionError("trivial group admits no section")

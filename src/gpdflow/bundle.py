@@ -138,45 +138,38 @@ class SpanningTree:
         """Darts along the unique tree path root -> v."""
         _index("v", v, len(self.parent_dart))
         path = []
-        while self.parent_dart[v] >= 0:
-            d = self.parent_dart[v]
+        while (d := self.parent_dart[v]) >= 0:
             path.append(d)
             v = self.dart_src[d]
-        path.reverse()
-        return path
+        return path[::-1]
 
 
 def _bfs(graph: BaseGraph, root: int
-         ) -> tuple[list[bool], list[int], list[int], set[int]]:
+         ) -> tuple[list[bool], list[int], list[int]]:
     """Breadth-first search from ``root``, lowest-index neighbour first, ties
-    on the lowest dart index: (reached, parent dart, visit order, tree
-    darts)."""
+    on the lowest dart index: (reached, parent dart, visit order)."""
     parent = [-1] * graph.n_vertices
     seen = [False] * graph.n_vertices
     seen[root] = True
     order = [root]
-    tree: set[int] = set()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in order:  # the queue: read as it grows
         for w, d in sorted((graph.dtgt(d), d) for d in graph.out_darts(v)):
             if not seen[w]:
                 seen[w] = True
                 parent[w] = d
-                tree.add(d)
                 order.append(w)
-                queue.append(w)
-    return seen, parent, order, tree
+    return seen, parent, order
 
 
 def bfs_tree(graph: BaseGraph, root: int = 0) -> SpanningTree:
     """Deterministic BFS spanning tree: lowest-index neighbour first, ties on
     the lowest dart index."""
     _index("root", root, graph.n_vertices)
-    seen, parent, order, tree = _bfs(graph, root)
+    seen, parent, order = _bfs(graph, root)
     if not all(seen):
         missing = seen.index(False)
         raise ValueError(f"graph is not connected: vertex {missing} unreachable")
+    tree = {d for d in parent if d >= 0}
     non_tree = [e for e in range(graph.n_edges)
                 if 2 * e not in tree and 2 * e + 1 not in tree]
     return SpanningTree(root=root, parent_dart=parent, order=order,

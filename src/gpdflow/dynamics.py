@@ -221,16 +221,10 @@ def invariant_subsets(a: GroupoidAction) -> list[list[int]]:
         raise ValueError(f"{n} points exceed the exhaustive-search cap "
                          f"{_SUBSET_SEARCH_POINTS}")
     moves = [a.row(y).tolist() for y in range(n)]
-    found = []
-    for mask in range(1, 1 << n):
-        closed = True
-        for y in range(n):
-            if mask >> y & 1 and any(not mask >> z & 1 for z in moves[y]):
-                closed = False
-                break
-        if closed:
-            found.append([y for y in range(n) if mask >> y & 1])
-    return found
+    return [[y for y in range(n) if mask >> y & 1]
+            for mask in range(1, 1 << n)
+            if all(mask >> z & 1 for y in range(n) if mask >> y & 1
+                   for z in moves[y])]
 
 
 @dataclass

@@ -255,8 +255,8 @@ def _resolve_u0(tg: TransportGroupoid,
 class VertexChart:
     """Isomorphism from the loops at the basepoint's vertex onto the group,
     written as a pair of mutually inverse dictionaries.  ``of`` reads the
-    first, keyed by the loops, which are not a ``range``: an arrow off
-    them raises ``KeyError``."""
+    first, keyed by the loops, which are not a ``range``: it refuses an
+    arrow off them as ``arrow = <a> not among the loops at <x0>``."""
 
     kind: str
     u0: tuple[int, int]
@@ -264,6 +264,9 @@ class VertexChart:
     group_to_arrow: dict[int, int]
 
     def of(self, arrow: int) -> int:
+        if arrow not in self.arrow_to_group:
+            raise ValueError(f"arrow = {arrow} not among the loops at "
+                             f"{self.u0[0]}")
         return self.arrow_to_group[arrow]
 
 
@@ -317,8 +320,8 @@ class FiberChart:
     """Bijection between an arrow fiber at the basepoint and the total
     space: ``tau`` trivializes the target fiber (projection = src), ``sigma``
     the source fiber (projection = tgt).  ``of`` reads ``arrow_to_point``,
-    keyed by the fiber's arrows, which are not a ``range``: an arrow off
-    them raises ``KeyError``."""
+    keyed by the fiber, not a ``range``, and refuses an arrow off it as
+    ``arrow = <a> not among the arrows into <x0>`` (``out of`` for sigma)."""
 
     kind: str
     u0: tuple[int, int]
@@ -326,6 +329,10 @@ class FiberChart:
     point_to_arrow: dict[tuple[int, int], int]
 
     def of(self, arrow: int) -> tuple[int, int]:
+        if arrow not in self.arrow_to_point:
+            way = "into" if self.kind == "tau" else "out of"
+            raise ValueError(f"arrow = {arrow} not among the arrows {way} "
+                             f"{self.u0[0]}")
         return self.arrow_to_point[arrow]
 
 

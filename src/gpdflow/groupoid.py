@@ -647,7 +647,9 @@ def is_transitive(g: Groupoid) -> tuple[bool, Optional[tuple[int, int]]]:
 @dataclass
 class HomSet:
     """The arrows from ``source`` to ``target``; for a vertex group the
-    induced multiplication table with the unit relabelled to 0."""
+    induced multiplication table with the unit relabelled to 0.
+    ``local_index`` refuses an arrow off them as ``arrow = <a> not among
+    the arrows from <source> to <target>``."""
 
     source: int
     target: int
@@ -655,6 +657,9 @@ class HomSet:
     group: Optional[FiniteGroup] = None
 
     def local_index(self, arrow: int) -> int:
+        if arrow not in self.arrows:
+            raise ValueError(f"arrow = {arrow} not among the arrows from "
+                             f"{self.source} to {self.target}")
         return self.arrows.index(arrow)
 
 

@@ -51,16 +51,16 @@ was given, envelope unwrapped (see :class:`Model`): :func:`model_digest`
 of it, taken while loading.  A span in it is hashed as its bytes, read
 back a chunk at a time, which are its table's canonical text, in the
 input's order and with its repeats, so the digest does not depend on how
-the input was read.  A payload of up to ``_LEAN_DIGEST`` bytes (1 MiB),
-which is every small model, is hashed by the interpreter's own sha256
-(``_sha2`` from Python 3.12, ``_sha256`` before); a larger one by
-``hashlib``'s, imported only then.  Importing ``hashlib`` loads OpenSSL,
-about 5 ms and 3.5 MB of peak memory in every process, the largest part of
-a small call's start-up above numpy's; CPython's ``random.py`` tries
-``_sha512`` first because "hashlib is pretty heavy to load".  OpenSSL's
-sha256 is 5 to 7 times faster, so at the bound the time the import saves
-is about what the slower hash costs, and a large table is hashed as fast
-as before.  The value is the same either way.
+the input was read.  The hash is picked once, from the input's length,
+before its first byte is hashed, so no input is hashed twice: up to
+``_LEAN_DIGEST`` bytes (4 MiB), every 7-vertex S4 model among them, by the
+interpreter's own sha256 (``_sha2`` from Python 3.12, ``_sha256`` before),
+a longer one by ``hashlib``'s, imported only then.  That import loads
+OpenSSL: about 5 ms, and 3.4 MB of peak memory, a tenth of a call's peak
+(CPython's ``random.py`` tries ``_sha512`` first: "hashlib is pretty heavy
+to load").  OpenSSL's sha256 runs at about 1,190 MB/s, the interpreter's
+at 200, so at the bound the lean hash costs at most about 12 ms more, and
+a large table is hashed as fast as before.  The value is the same either way.
 
 Load failures carry one of three codes: 10 for unreadable JSON (bytes that
 are not UTF-8, or lists and objects nested more than 100 deep, included),
@@ -141,8 +141,8 @@ KNOWN_KINDS = ("group", "graph", "bundle", "groupoid", "action")
 _ARRAY_TABLES = ("comp", "act")
 _MAX_DEPTH = 100  # lists and objects nested in a model read from a file
 _MAX_DIGITS = 4300  # of an integer literal: the interpreter's default
-# bytes of a payload that model_digest hashes with the interpreter's sha256
-_LEAN_DIGEST = 1 << 20
+# bytes of an input that model_digest hashes with the interpreter's sha256
+_LEAN_DIGEST = 1 << 22
 try:  # the interpreter's own sha256, which loads no OpenSSL
     from _sha2 import sha256 as _sha256  # Python 3.12 on
 except ImportError:
@@ -150,6 +150,14 @@ except ImportError:
         from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
     except ImportError:  # a build without it
         from hashlib import sha256 as _sha256
+
+
+class _Read(dict):
+    """A payload as it was given in an input of ``size`` bytes."""
+
+    def __init__(self, payload: dict, size: int):
+        super().__init__(payload)
+        self.size = size
 
 
 class ModelError(Exception):
@@ -178,8 +186,8 @@ class Model:
     still its :class:`_Span`.  :attr:`digest` is :func:`model_digest` of
     it, so the triples count in the input's order and with its repeats;
     ``given`` is dropped once the digest is taken.  :func:`load_model`
-    takes it while its spans can still read the input; otherwise it is
-    taken when first read.
+    takes it while its spans can still read the input, with the hash the
+    input's length picks; otherwise it is taken when first read.
     """
 
     kind: str
@@ -349,14 +357,19 @@ def model_digest(model: dict) -> str:
     """sha256 of the canonical encoding, for input fingerprints, fed piece
     by piece: a :class:`_Span` is hashed as the input's bytes give it.
 
-    The interpreter's own sha256 hashes a payload of up to
-    ``_LEAN_DIGEST`` bytes, so a small model never loads OpenSSL (see the
-    module docstring for why).  Once the bytes fed pass the bound,
-    ``hashlib`` is imported and the pieces are hashed again from the start
-    with its faster sha256, a span read back from the input again, so no
-    piece is held past its hashing."""
-    sha256, limit = _sha256, _LEAN_DIGEST
+    The interpreter's own sha256 hashes up to ``_LEAN_DIGEST`` bytes, so a
+    small model never loads OpenSSL, and ``hashlib``'s more (see the module
+    docstring).  A :class:`_Read` payload, as :func:`load_model` reads it,
+    picks one from its input's length.  With no length to go by, once the
+    bytes fed pass the bound, ``hashlib`` is imported and the pieces are
+    hashed again from the start, a span read back again, so no piece is
+    held past its hashing."""
+    lean = model.size <= _LEAN_DIGEST if isinstance(model, _Read) else None
+    sha256, limit = _sha256, float("inf") if lean else _LEAN_DIGEST
     while True:
+        if lean is False:
+            import hashlib  # here, so only a large payload loads OpenSSL
+            sha256, limit = hashlib.sha256, float("inf")
         digest, fed = sha256(), 0
         for piece in canonical_pieces(model):
             piece = piece.encode() if isinstance(piece, str) else piece
@@ -366,8 +379,7 @@ def model_digest(model: dict) -> str:
             digest.update(piece)
         else:
             return digest.hexdigest()
-        import hashlib  # here, so that only a large payload loads OpenSSL
-        sha256, limit = hashlib.sha256, float("inf")
+        lean = False
 
 
 # --- validation helpers -------------------------------------------------------
@@ -974,6 +986,7 @@ def load_model(path: str) -> Model:
             del data  # nor when the collector is back on, to scan its lists
             if _nesting(model.data)[0] > _MAX_DEPTH:
                 raise too_deep
+        model.given = _Read(model.given, len(reader))  # size picks the hash
         model.digest  # taken while the input can be read
         reader.check()
         return model

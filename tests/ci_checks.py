@@ -503,12 +503,12 @@ def tables_at_the_int16_boundary():
 
 def small_input_hashed_without_openssl():
     """A small input is hashed without OpenSSL, a large one with it: the
-    canonical groupoids of the 5- and 6-vertex S4 bundles, 973,186 and
-    1,701,204 bytes, lie either side of the 1 MiB that the interpreter's
+    canonical groupoids of the 7- and 8-vertex S4 bundles, 2,808,791 and
+    4,386,961 bytes, lie either side of the 4 MiB that the interpreter's
     own sha256 hashes; the larger is hashed by hashlib's, whose import
     loads OpenSSL through _hashlib.  The input digest, by path and through
     a pipe, is the file's."""
-    for n in (5, 6):
+    for n in (7, 8):
         name = f"m{n}.json"
         write(name, canonical_dumps(groupoid_to_json(groupoid_of_bundle(
             large_random_bundle(n, 3, "S4")).groupoid)))
@@ -520,8 +520,8 @@ def small_input_hashed_without_openssl():
         r = run(["verify", name], env={"PYTHONPROFILEIMPORTTIME": "1"})
         assert r.code == 0, (name, r.code)
         loaded = re.search(r"\| *_hashlib$", r.err.decode(), re.M) is not None
-        assert loaded == (n == 6), \
-            f"{name} {'did not load' if n == 6 else 'loaded'} _hashlib"
+        assert loaded == (n == 8), \
+            f"{name} {'did not load' if n == 8 else 'loaded'} _hashlib"
 
 
 def cli_runs_on_one_thread():

@@ -447,6 +447,18 @@ def test_run_command_over_parsed_models():
     assert json.loads(emitted)["command"] == "ea"
 
 
+@pytest.mark.parametrize("call", [lambda: run_command("nope", []),
+                                  lambda: fixture_models("nope")],
+                         ids=["run_command", "fixture_models"])
+def test_a_library_caller_naming_no_command_is_refused(call):
+    """The parser refuses a command it does not know; a library caller that
+    names one gets the same usage error, code 2, not a ``KeyError``."""
+    with pytest.raises(cli.UsageError) as refused:
+        call()
+    assert (refused.value.code, refused.value.message) == \
+        (cli.USAGE_ERROR, "unknown command 'nope'")
+
+
 def test_stdin_without_envelope(capsys, monkeypatch):
     import io
     model = bundle_to_json(named_bundles()["triangle-z1"])
@@ -1103,26 +1115,35 @@ def test_verify_does_not_import_numpy_ma():
 
 def test_only_a_large_payload_loads_openssl(tmp_path):
     """``import hashlib`` loads OpenSSL's libcrypto through ``_hashlib``.
-    A small model, by path, from stdin or among the fixtures, is hashed by
-    the interpreter's own sha256 and never loads it; the canonical
-    groupoid of the 6-vertex S4 bundle, 1.7 MB, past ``_LEAN_DIGEST``, is
-    hashed by ``hashlib``'s and does."""
+    A model of up to ``_LEAN_DIGEST`` bytes (4 MiB), by path, from stdin
+    or among the fixtures, is hashed by the interpreter's own sha256 and
+    never loads it: a small bundle, the canonical groupoid of the 7-vertex
+    S4 bundle (2.8 MB), and that bundle's ambit report (3.2 MB) read back
+    by ``orbits -`` from a regular file and through a pipe.  The groupoid
+    of the 8-vertex S4 bundle, 4.4 MB, is hashed by ``hashlib``'s and
+    loads it."""
     from gpdflow.ehresmann import groupoid_of_bundle
     from gpdflow.fixtures import large_random_bundle
     from gpdflow.serialize import groupoid_to_json
 
-    def loaded(code: str, *argv: str, stdin=None) -> str:
+    def loaded(code: str, *argv: str, stdin=None, text=None) -> str:
         proc = _python("-c", code, *argv, stdin=stdin, stdout=subprocess.PIPE,
                        text=True)
-        out, _ = proc.communicate(timeout=120)
+        out, _ = proc.communicate(text, timeout=120)
         assert proc.returncode == 0
         return out.split()[-1]
     if loaded("import sys, numpy; print('_hashlib' in sys.modules)") == "True":
         pytest.skip("import numpy alone loads _hashlib")
-    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    small, ambit = tmp_path / "small.json", tmp_path / "ambit.json"
+    medium, large = tmp_path / "medium.json", tmp_path / "large.json"
     small.write_text(canonical_dumps(bundle_to_json(named_bundles()["edge-s3"])))
-    large.write_text(canonical_dumps(groupoid_to_json(groupoid_of_bundle(
-        large_random_bundle(6, 3, "S4")).groupoid)))
+    for n, path in ((7, medium), (8, large)):
+        path.write_text(canonical_dumps(groupoid_to_json(groupoid_of_bundle(
+            large_random_bundle(n, 3, "S4")).groupoid)))
+    bundle = parse_model(bundle_to_json(large_random_bundle(7, 3, "S4")))
+    ambit.write_text(canonical_dumps(run_command("ambit", [("b", bundle)])))
+    assert 2 << 20 < medium.stat().st_size < ambit.stat().st_size \
+        <= 4 << 20 < large.stat().st_size
     code = ("import contextlib, io, sys\n"
             "from gpdflow.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1132,6 +1153,11 @@ def test_only_a_large_payload_loads_openssl(tmp_path):
         assert loaded(code, "verify", "-", stdin=stdin) == "False"
     assert loaded(code, "verify", str(small)) == "False"
     assert loaded(code, "verify", "--fixtures") == "False"
+    assert loaded(code, "verify", str(medium)) == "False"
+    with open(ambit) as stdin:
+        assert loaded(code, "orbits", "-", stdin=stdin) == "False"
+    assert loaded(code, "orbits", "-", stdin=subprocess.PIPE,
+                  text=ambit.read_text()) == "False"
     assert loaded(code, "verify", str(large)) == "True"
 
 

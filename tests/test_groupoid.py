@@ -165,6 +165,19 @@ def test_vector_lookup_agrees_with_the_scalar_one_out_of_range():
         assert ok.tolist() == [z >= 0 for z in want]
 
 
+def test_a_table_without_entries_defines_no_move():
+    """One arrow, from object 0 to object 1, composes with none, so every
+    row is empty and ``val`` has no entry: ``move_many`` answers -1 and
+    False for a pair in range, and for one out of it, as ``move`` refuses
+    them."""
+    gpd = Groupoid.from_tables([0], [1], [0, 0], [0], [])
+    assert gpd.flaw is None and gpd.val.size == 0
+    values, ok = gpd.move_many([0, 0], [0, 1])
+    assert values.tolist() == [-1, -1] and ok.tolist() == [False, False]
+    with pytest.raises(ValueError, match=r"^move \(0, 0\) is not defined$"):
+        gpd.move(0, 0)
+
+
 def test_verify_groupoid_holds_one_block_of_temporaries():
     """``verify_groupoid`` on the transport groupoid of a 12-vertex S4
     bundle (3,456 arrows, 995,328 entries, and a 288 x 288 grid for each

@@ -125,9 +125,9 @@ EXEMPT = {
     ("RowTable.move", "h"): "the refusal names the pair: not defined",
     ("RowTable.defined", "y"): "answers False",
     ("RowTable.defined", "h"): "answers False",
-    ("HomSet.local_index", "arrow"): "list membership: not in the hom-set",
-    ("VertexChart.of", "arrow"): "a dict keyed by the loops, not a range",
-    ("FiberChart.of", "arrow"): "a dict keyed by the fiber, not a range",
+    ("HomSet.local_index", "arrow"): "the hom-set, not a range: not among it",
+    ("VertexChart.of", "arrow"): "the loops, not a range: not among them",
+    ("FiberChart.of", "arrow"): "the fiber, not a range: not among its arrows",
     ("pair_groupoid", "n"): "a size",
     ("BaseGraph.path", "n"): "a size",
     ("BaseGraph.cycle", "n"): "a size",
@@ -293,6 +293,32 @@ def test_every_index_argument_is_refused_by_its_name():
                 out = error
             wrong.append((function, name, i, repr(out)[:60]))
     assert not wrong, wrong
+
+
+def test_an_arrow_off_a_chart_is_refused_by_name():
+    """The readers keyed by a set of arrows that is not a ``range``, the
+    charts' ``of`` and ``HomSet.local_index``, refuse an arrow off that
+    set, whether -1, an arrow of the groupoid elsewhere or the first past
+    them all, as ``arrow = <a> not among <the set>``."""
+    tg = groupoid_of_bundle(named_bundles()["edge-s3"])
+    gpd = tg.groupoid
+    cases = [  # (the reader, an arrow elsewhere, its domain)
+        (vertex_chart_phi(tg).of, tg.arrow_of(1, 1, 0), "the loops at 0"),
+        (vertex_chart_psi(tg, (1, 2)).of, tg.arrow_of(0, 0, 0),
+         "the loops at 1"),
+        (fiber_chart_tau(tg).of, tg.arrow_of(0, 1, 0), "the arrows into 0"),
+        (fiber_chart_sigma(tg).of, tg.arrow_of(1, 0, 0),
+         "the arrows out of 0"),
+        (hom_set(gpd, 0, 1).local_index, tg.arrow_of(1, 0, 0),
+         "the arrows from 0 to 1"),
+        (vertex_group(gpd, 1).local_index, tg.arrow_of(0, 0, 0),
+         "the arrows from 1 to 1"),
+    ]
+    for read, elsewhere, domain in cases:
+        for arrow in (-1, elsewhere, gpd.n_arrows):
+            with pytest.raises(ValueError) as refused:
+                read(arrow)
+            assert str(refused.value) == f"arrow = {arrow} not among {domain}"
 
 
 @pytest.mark.parametrize("call, message", [

@@ -11,6 +11,7 @@ code and message of every case of a wider seeded corpus are pinned in
 """
 import copy
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
@@ -1103,15 +1104,16 @@ def test_decode_and_digest_agree_with_json_from_stdin(block, tmp_path,
 
 @functools.cache
 def _groupoid_texts() -> list[str]:
-    """The canonical groupoid models of the 5- and 6-vertex S4 bundles,
-    973,186 and 1,701,204 bytes: one on each side of the default
+    """The canonical groupoid models of the 7- and 8-vertex S4 bundles,
+    2,808,791 and 4,386,961 bytes: one on each side of the default
     ``_LEAN_DIGEST``."""
     return [canonical_dumps(groupoid_to_json(groupoid_of_bundle(
-        large_random_bundle(n, 3, "S4")).groupoid)) for n in (5, 6)]
+        large_random_bundle(n, 3, "S4")).groupoid)) for n in (7, 8)]
 
 
-# bytes hashed by the interpreter's sha256 before hashlib's takes over:
-# none, one, part of a large table, and the default
+# the longest input hashed by the interpreter's sha256, and the most bytes
+# of a payload built in memory before hashlib's takes over: none, one,
+# part of a large table, and the default
 DIGEST_BOUNDS = [0, 1, 1 << 16, serialize._LEAN_DIGEST]
 ORACLE_DIGESTS: dict[str, str] = {}  # of each text that loads
 
@@ -1119,7 +1121,7 @@ ORACLE_DIGESTS: dict[str, str] = {}  # of each text that loads
 @pytest.mark.parametrize("bound", DIGEST_BOUNDS)
 def test_both_digest_routes_give_hashlib_sha256(bound, tmp_path,
                                                 monkeypatch):
-    """With the interpreter's sha256 taking payloads of up to ``bound``
+    """With the interpreter's sha256 taking inputs of up to ``bound``
     bytes and ``hashlib``'s the rest, the input digest of every fixture
     text, load fuzz text and large groupoid model that loads is
     ``hashlib.sha256`` of its payload's canonical text, and so is
@@ -1151,20 +1153,49 @@ def test_both_digest_routes_give_hashlib_sha256(bound, tmp_path,
     assert sizes[0] <= DIGEST_BOUNDS[-1] < sizes[1]
 
 
-def test_a_payload_of_exactly_the_bound_is_hashed_lean(monkeypatch):
-    """A payload of exactly ``_LEAN_DIGEST`` bytes is hashed by the
-    interpreter's sha256 alone; one byte more and it is hashed again by
-    ``hashlib``'s, once.  The digest is the same either way."""
+def test_each_input_is_hashed_once(tmp_path, monkeypatch):
+    """An input read from a file is hashed by one sha256, picked from its
+    length: of exactly ``_LEAN_DIGEST`` bytes by the interpreter's alone,
+    to the end; one byte longer by ``hashlib``'s alone, made once, with no
+    byte fed to the interpreter's.  A payload built in memory, with no
+    length to go by, is hashed by the interpreter's up to the bound and,
+    past it, again by ``hashlib``'s, once.  The digest is the same every
+    way."""
     payload = groupoid_to_json(discrete(3))
     plain = canonical_dumps(payload).encode()
-    real, made = hashlib.sha256, []
+    path = tmp_path / "input.json"
+    path.write_bytes(plain)
+    lean, real, fed, made = serialize._sha256, hashlib.sha256, [], []
+
+    class Lean:  # the interpreter's sha256, counting the bytes fed to it
+        def __init__(self):
+            self.hash = lean()
+            fed.append(0)
+
+        def update(self, data):
+            fed[-1] += len(data)
+            self.hash.update(data)
+
+        def hexdigest(self):
+            return self.hash.hexdigest()
+    monkeypatch.setattr(serialize, "_sha256", Lean)
     monkeypatch.setattr(hashlib, "sha256",
                         lambda *data: made.append(data) or real(*data))
-    for bound, restarts in ((len(plain), 0), (len(plain) - 1, 1)):
+    expected = real(plain).hexdigest()
+    for bound, lean_fed, hashlib_made in ((len(plain), [len(plain)], 0),
+                                          (len(plain) - 1, [], 1)):
         monkeypatch.setattr(serialize, "_LEAN_DIGEST", bound)
+        fed.clear()
         made.clear()
-        assert serialize.model_digest(payload) == real(plain).hexdigest()
-        assert len(made) == restarts, bound
+        assert serialize.load_model(str(path)).digest == expected
+        assert (fed, len(made)) == (lean_fed, hashlib_made), bound
+    for bound, hashlib_made in ((len(plain), 0), (len(plain) - 1, 1)):
+        monkeypatch.setattr(serialize, "_LEAN_DIGEST", bound)
+        fed.clear()
+        made.clear()
+        assert serialize.model_digest(payload) == expected
+        assert len(fed) == 1 and 0 < fed[0] <= bound, (bound, fed)
+        assert len(made) == hashlib_made, bound
 
 
 def test_decode_takes_the_table_and_one_block_of_temporaries():
@@ -1435,6 +1466,41 @@ def test_a_file_changed_while_it_is_read_is_an_error(change, stdin,
             serialize.load_model(name)
     assert (err.value.code, err.value.message) == \
         (serialize.PARSE_ERROR, f"{name}: changed while it was read")
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+def test_a_failed_read_is_an_error(stdin, tmp_path, monkeypatch):
+    """An ``os.pread`` that fails, as a disk error would, fails the load
+    with code 10 and the error's own words, never with a traceback."""
+    path = tmp_path / "report.json"
+    path.write_bytes(_report_bytes())
+
+    def fail(fd, size, offset):
+        raise OSError(errno.EIO, "Input/output error")
+    with open(path) as stream:
+        if stdin:
+            monkeypatch.setattr("sys.stdin", stream)
+        monkeypatch.setattr(os, "pread", fail)
+        name = "-" if stdin else str(path)
+        with pytest.raises(ModelError) as err:
+            serialize.load_model(name)
+    assert (err.value.code, err.value.message) == \
+        (serialize.PARSE_ERROR, f"{name}: [Errno 5] Input/output error")
+
+
+@pytest.mark.parametrize("value, name", [
+    ({"x": [object()]}, "object"), ({1: [0], 2: [pair_groupoid(1)]},
+                                    "Groupoid"),
+], ids=["object", "table under an int key"])
+def test_a_value_json_cannot_write_is_refused(value, name):
+    """A value that is neither JSON, a numpy array or scalar, a row table
+    nor a span is refused with ``TypeError``, naming its type: one met by
+    ``json``, and a row table in a dict whose keys are not all strings,
+    which keeps ``json``'s key rules and so cannot be written a piece at a
+    time."""
+    with pytest.raises(TypeError) as refused:
+        canonical_dumps(value)
+    assert str(refused.value) == f"not JSON serializable: {name}"
 
 
 def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
