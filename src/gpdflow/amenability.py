@@ -5,7 +5,8 @@ rides along with every arrow.  Over a transitive groupoid such a section
 exists exactly when the basepoint fiber has a point fixed by every loop:
 the section is then forced (transport the fixed point along any connecting
 arrow, the result being independent of which arrow), and each fixed point
-yields exactly one section.
+yields exactly one section.  A group's action is checked as an action of
+its one-object groupoid, by the law engine every action goes through.
 
 At finite scale only the trivial group fixes a point in every action: any
 nontrivial group already moves every point of its own translation action.
@@ -25,7 +26,7 @@ from .diagnostics import Diagnostics
 from .dynamics import _CROSSCHECK_POINTS, GroupoidAction, base_action, \
     build_ambit
 from .ehresmann import groupoid_of_bundle
-from .groupoid import _require_whole, is_transitive, vertex_group
+from .groupoid import _one_object, _require_whole, is_transitive, vertex_group
 
 __all__ = [
     "InvariantSection",
@@ -52,26 +53,27 @@ class InvariantSection:
 def fixed_points(grp: FiniteGroup, table: Sequence[Sequence[int]]) -> list[int]:
     """Points fixed by every element of a right action given as a table.
 
-    ``table[y][g]`` is ``y . g``.  The identity and compatibility laws are
-    checked before anything is reported; a bad table raises ``ValueError``.
+    ``table[y][g]`` is ``y . g``, each row a list or tuple.  The identity and
+    compatibility laws, on the group's one-object groupoid, are checked
+    before anything is reported; a bad table raises ``ValueError``.
     """
     n = len(table)
     for y, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"row {y} = {row!r} is not a list or tuple")
         if len(row) != grp.order:
             raise ValueError(
                 f"row {y} has {len(row)} entries, expected {grp.order}")
         for g, z in enumerate(row):
-            if not (0 <= z < n):
-                raise ValueError(f"entry ({y}, {g}) = {z} out of range")
+            if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < n:
+                raise ValueError(f"entry ({y}, {g}) = {z!r} out of range")
     for y in range(n):
         if table[y][grp.identity] != y:
             raise ValueError(f"identity law fails at point {y}")
-    for y in range(n):
-        for g in grp.elements:
-            for h in grp.elements:
-                if table[table[y][g]][h] != table[y][grp.mul(g, h)]:
-                    raise ValueError(
-                        f"compatibility fails at ({y}, {g}, {h})")
+    witness, _ = GroupoidAction(_one_object(grp.mult, grp.identity), [0] * n,
+                                [z for row in table for z in row]).light_test()
+    if witness is not None:
+        raise ValueError(f"compatibility fails at {witness}")
     return sorted(y for y in range(n)
                   if all(table[y][g] == y for g in grp.elements))
 
@@ -178,9 +180,8 @@ def extreme_amenability_check(grp: FiniteGroup) -> AmenabilityReport:
     and with no fixed point as soon as the order exceeds one."""
     table = [[grp.mul(y, g) for g in grp.elements] for y in grp.elements]
     fixed = fixed_points(grp, table)
-    free = all(table[y][g] != y
-               for y in grp.elements for g in grp.elements
-               if g != grp.identity)
+    free = _one_object(grp.mult, grp.identity).first_entry(
+        lambda ys, hs, val: (val == ys) & (hs != grp.identity)) is None
     cert = TranslationCertificate(order=grp.order, table=table,
                                   fixed=fixed, free=free)
     verdict = grp.order == 1

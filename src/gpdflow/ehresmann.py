@@ -36,7 +36,8 @@ from .diagnostics import Diagnostics
 from .groupoid import (
     Groupoid,
     HomSet,
-    one_object_groupoid,
+    _one_object,
+    normalize_groupoid,
     val_width,
     verify_groupoid,
     verify_groupoid_iso,
@@ -292,11 +293,11 @@ def _build_vertex_chart(tg: TransportGroupoid, u0, kind: str) -> VertexChart:
     loops = vertex_group(tg.groupoid, x0)
     if sorted(a2g) != sorted(loops.arrows) or len(g2a) != grp.order:
         raise ValueError(f"{kind} chart at {(x0, h0)} is not a bijection")
-    for a in loops.arrows:
-        for c in loops.arrows:
-            if a2g[tg.groupoid.compose(a, c)] != grp.mul(a2g[a], a2g[c]):
-                raise ValueError(
-                    f"{kind} chart at {(x0, h0)} does not preserve products")
+    chart = np.array([a2g[a] for a in loops.arrows])
+    if _one_object(loops.group.mult, 0).map_flaw(
+            _one_object(grp.mult, grp.identity), chart, chart,
+            "products") is not None:
+        raise ValueError(f"{kind} chart at {(x0, h0)} does not preserve products")
     return VertexChart(kind=kind, u0=(x0, h0), arrow_to_group=a2g,
                        group_to_arrow=g2a)
 
@@ -472,10 +473,8 @@ def point_base_degenerate(grp: FiniteGroup) -> PointBaseReport:
     groupoid of ``grp``."""
     bundle = CocycleBundle(base=BaseGraph.point(), group=grp, labels=())
     tg = groupoid_of_bundle(bundle)
-    target = one_object_groupoid(grp)
-    ordering = [grp.identity] + [a for a in range(grp.order) if a != grp.identity]
-    local = {a: i for i, a in enumerate(ordering)}
-    arrow_map = [local[tg.coord_of(i).twist] for i in range(tg.groupoid.n_arrows)]
+    target, local = normalize_groupoid(_one_object(grp.mult, grp.identity))
+    arrow_map = [local[c.twist] for c in tg.coords]
     iso = verify_groupoid_iso(tg.groupoid, target, [0], arrow_map)
     return PointBaseReport(bundle=bundle, transport=tg, one_object=target,
                            arrow_map=arrow_map, iso=iso)

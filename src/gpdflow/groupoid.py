@@ -709,13 +709,13 @@ def vertex_groups_isomorphic(g: Groupoid, x: int, y: int) -> VertexGroupIso:
     arrow_map = {l: g.compose(g.compose(a_inv, l), a) for l in gx.arrows}
     if sorted(arrow_map.values()) != sorted(gy.arrows):
         raise ValueError(f"conjugation by {a} is not a bijection G[{x}] -> G[{y}]")
-    local_map = [gy.local_index(arrow_map[gx.arrows[i]])
-                 for i in range(len(gx.arrows))]
-    for i in range(gx.group.order):
-        for j in range(gx.group.order):
-            if local_map[gx.group.mul(i, j)] != gy.group.mul(local_map[i], local_map[j]):
-                raise ValueError(
-                    f"conjugation by {a} does not preserve products at ({i}, {j})")
+    local_map = [gy.local_index(arrow_map[l]) for l in gx.arrows]
+    lm = np.array(local_map)
+    diag = _one_object(gx.group.mult, 0).map_flaw(
+        _one_object(gy.group.mult, 0), lm, lm, "products")
+    if diag is not None:
+        raise ValueError(f"conjugation by {a} does not preserve products at "
+                         f"{diag.witness}")
     return VertexGroupIso(source=x, target=y, via=a, arrow_map=arrow_map,
                           local_map=local_map)
 
@@ -798,18 +798,20 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
     return out, pm.tolist()
 
 
+def _one_object(mult: Sequence[Sequence[int]], e: int) -> Groupoid:
+    """The one-object groupoid of the square table ``mult`` with unit ``e``,
+    arrows in element order, ``inv[a]`` the first ``b`` with ``ab == e`` (0
+    if none); it takes no group, as :func:`verify_group` builds it."""
+    table = np.asarray(mult)
+    n = len(table)
+    return Groupoid([0] * n, [0] * n, [e], np.argmax(table == e, axis=1),
+                    table.ravel())
+
+
 def one_object_groupoid(group: FiniteGroup) -> Groupoid:
     """The group as a groupoid with a single object; the identity element
     becomes the unit arrow 0."""
-    n = group.order
-    ordering = [group.identity] + [a for a in range(n) if a != group.identity]
-    local = {a: i for i, a in enumerate(ordering)}
-    comp = {(local[a], local[b]): local[group.mul(a, b)]
-            for a in range(n) for b in range(n)}
-    return Groupoid.from_tables(
-        src=[0] * n, tgt=[0] * n, unit=[0],
-        inv=[local[group.inv[ordering[i]]] for i in range(n)],
-        comp=comp)
+    return normalize_groupoid(_one_object(group.mult, group.identity))[0]
 
 
 def pair_groupoid(n: int) -> Groupoid:
@@ -819,16 +821,12 @@ def pair_groupoid(n: int) -> Groupoid:
     pairs = [(x, x) for x in range(n)]
     pairs += [(a, b) for a in range(n) for b in range(n) if a != b]
     index = {p: i for i, p in enumerate(pairs)}
-    comp = {}
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            if b == c:
-                comp[(index[(a, b)], index[(c, d)])] = index[(a, d)]
     return Groupoid.from_tables(
         src=[p[0] for p in pairs], tgt=[p[1] for p in pairs],
         unit=list(range(n)),
         inv=[index[(b, a)] for (a, b) in pairs],
-        comp=comp)
+        comp=[(index[(a, b)], index[(b, d)], index[(a, d)])
+              for (a, b) in pairs for d in range(n)])
 
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:

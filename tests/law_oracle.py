@@ -3,7 +3,9 @@
 Plain python over the JSON model tables, independent of the package's
 engines: a brute-force scan of every composable triple (the old full
 associativity scan, kept here as the slow reference), and a check that a
-reported witness really breaks the law it names.  The whole-table fill of
+reported witness really breaks the law it names.  The old law scan of a
+group table, whose associativity is the triple loop (kept here as the
+reference for Light's test on the table's one-object groupoid).  The whole-table fill of
 a row table (the old one, kept here as the reference for the blockwise
 fill) and the flaw it picks.  The triple loop of local triviality (the
 old ``check_local_triviality``, kept here as the reference for the
@@ -53,6 +55,42 @@ def brute_groupoid_violation(model):
         for z in out[tgt[y]]:
             if comp[(xy, z)] != comp[(x, comp[(y, z)])]:
                 return "associativity", (x, y, z)
+    return None
+
+
+def brute_group_violation(table, e):
+    """The first broken group axiom of the square table ``table`` with
+    identity ``e`` as ``(label, witness)``, or None, by the old scan in its
+    order: shape and range, the identity laws, each row and column a
+    permutation, then associativity over every triple."""
+    n = len(table)
+    if n == 0:
+        return "empty table", ()
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return "table not square", (i, len(row), n)
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                return "entry out of range", (i, j, v)
+    if not 0 <= e < n:
+        return "identity out of range", (e,)
+    for a in range(n):
+        if table[e][a] != a:
+            return "identity law", (e, a, table[e][a])
+        if table[a][e] != a:
+            return "identity law", (a, e, table[a][e])
+    full = list(range(n))
+    for i in range(n):
+        if sorted(table[i]) != full:
+            return "row %d not a permutation" % i, (i,)
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != full:
+            return "column %d not a permutation" % j, (j,)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return "associativity", (a, b, c)
     return None
 
 

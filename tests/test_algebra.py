@@ -24,7 +24,7 @@ from gpdflow.ehresmann import point_base_degenerate
 from gpdflow.groupoid import one_object_groupoid, pair_groupoid, vertex_group
 from gpdflow.serialize import build_group, group_to_json
 
-from law_oracle import backtrack_group_isomorphism
+from law_oracle import backtrack_group_isomorphism, brute_group_violation
 from table_corpus import edited_group_tables
 
 
@@ -48,6 +48,30 @@ def naive_group_check(table, e):
         if not any(table[a][b] == e and table[b][a] == e for b in range(n)):
             return False
     return True
+
+
+def reduced_latin_squares(n):
+    """Every reduced Latin square of order ``n`` (its first row and first
+    column are ``0..n-1`` in order), filled cell by cell in row order, so
+    the squares come in lexicographic order."""
+    square = [[max(i, j) if 0 in (i, j) else -1 for j in range(n)]
+              for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            out.append([list(row) for row in square])
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in square[i] and all(square[r][j] != v for r in range(i)):
+                square[i][j] = v
+                fill(k + 1)
+                square[i][j] = -1
+
+    fill(0)
+    return out
 
 
 def naive_closure(table, e, gens):
@@ -118,6 +142,43 @@ def test_verify_group_catches_broken_associativity():
     assert (diag.failure, diag.witness) == ("associativity", first)
     assert first == (1, 1, 2)
     assert not naive_group_check(table, 0)
+
+
+def test_verify_group_agrees_with_the_triple_loop():
+    """Light's test on the one-object groupoid against the old law scan,
+    ``brute_group_violation``: every reduced Latin square of order at most
+    5 with each identity, a seeded sample of 600 of the 9,408 of order 6,
+    and the edited group tables.  The verdict and the failure label agree;
+    every other law's witness is the old one, and every associativity
+    witness breaks the law."""
+    six = reduced_latin_squares(6)
+    assert [len(reduced_latin_squares(n)) for n in range(1, 6)] + [
+        len(six)] == [1, 1, 1, 4, 56, 9408]
+    squares = [(square, e) for n in range(1, 6)
+               for square in reduced_latin_squares(n) for e in range(n)]
+    squares += [(square, 0) for square in random.Random("latin 6").sample(
+        six, 600)]
+    edited = [(table, 0) for _, _, table in edited_group_tables()]
+    failures = []
+    for table, e in squares + edited:
+        diag, group = verify_group(table, e)
+        want = brute_group_violation(table, e)
+        assert diag.ok == (want is None) == (group is not None), (table, e)
+        failures.append(diag.failure)
+        if diag.ok:
+            continue
+        assert diag.failure == want[0], (table, e, diag)
+        if diag.failure == "associativity":
+            a, b, c = diag.witness
+            assert table[table[a][b]][c] != table[a][table[b][c]], (table, e)
+        else:
+            assert diag.witness == want[1], (table, e, diag)
+    # a reduced square's identity can only be 0; of order at most 5, all
+    # but 50 of order 5 are groups, and 4 of the 80 groups of order 6 fall
+    # in the sample
+    verdicts = Counter(failures[:len(squares)])
+    assert verdicts == {None: 1 + 1 + 1 + 4 + 6 + 4, "identity law": 239,
+                        "associativity": 50 + 596}, verdicts
 
 
 def test_verify_group_refuses_an_empty_table():

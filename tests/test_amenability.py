@@ -62,6 +62,35 @@ def test_fixed_points_validates_the_table():
         fixed_points(grp, [[0, 1], [1, 2], [2, 0]])
 
 
+def test_fixed_points_refuses_a_row_or_entry_of_another_type():
+    """By the group law scan's rule, an entry in range is an ``int`` and
+    not a ``bool``, refused before the table is read as an array, which
+    would read ``True`` as 1; a row is a list or a tuple."""
+    grp = preset_group("Z2")
+    for table, refusal in (
+            ([[0, 1], [1, True]], "entry (1, 1) = True out of range"),
+            ([[0, 1], [1, 0.0]], "entry (1, 1) = 0.0 out of range"),
+            ([[0, 1], ["1", 0]], "entry (1, 0) = '1' out of range"),
+            ([[0, 1], [1, 2]], "entry (1, 1) = 2 out of range"),
+            ([[0, 1], 5], "row 1 = 5 is not a list or tuple"),
+            ([[0, 1], {1: 0}], "row 1 = {1: 0} is not a list or tuple")):
+        with pytest.raises(ValueError) as refused:
+            fixed_points(grp, table)
+        assert str(refused.value) == refusal
+    assert fixed_points(grp, ((0, 1), (1, 0), (2, 2))) == [2]
+
+
+def test_fixed_points_names_the_first_broken_law():
+    grp = preset_group("Z2")
+    for table, refusal in (
+            ([[1, 0], [0, 1]], "identity law fails at point 0"),
+            ([[0, 1], [1, 0], [1, 2]], "identity law fails at point 2"),
+            ([[0, 1], [1, 2], [2, 0]], "compatibility fails at (0, 1, 1)")):
+        with pytest.raises(ValueError) as refused:
+            fixed_points(grp, table)
+        assert str(refused.value) == refusal
+
+
 def test_fiber_action_of_ambit_is_translation():
     grp = preset_group("S3")
     a = ambit_action("S3", BaseGraph.path(2), [2])

@@ -458,6 +458,29 @@ def edge_s3_ambit():
     return build_ambit(s3_edge_groupoid().groupoid, x0=0)
 
 
+def test_uniqueness_reports_the_first_self_map_that_is_not_a_bijection(
+        monkeypatch):
+    """An equivariant self-map of the ambit is a bijection, so a collapsed
+    map reaches the report only through a patched enumeration, here one
+    that collapses each map onto one point: the report names the first,
+    and denies both facts."""
+    import gpdflow.dynamics
+    enumerate_maps = enumerate_equivariant_maps
+
+    def collapsing(source, target):
+        maps = enumerate_maps(source, target)
+        return [EquivariantMap(source, target, [v] * target.n_points)
+                for v in range(len(maps))]
+    monkeypatch.setattr(gpdflow.dynamics, "enumerate_equivariant_maps",
+                        collapsing)
+    ambit = build_ambit(z2_triangle_groupoid().groupoid, x0=0)
+    report = minimal_flow_uniqueness(ambit)
+    assert report.self_map_counts == [2]
+    assert report.witness == (0, (0,) * ambit.action.n_points)
+    assert not report.all_self_maps_bijective
+    assert not report.pairwise_isomorphic
+
+
 def test_enumeration_verifies_each_map_once(monkeypatch):
     import gpdflow.dynamics
     calls = []

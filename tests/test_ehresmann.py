@@ -7,9 +7,11 @@ composition by scanning for a matching representative).  A seeded fuzz
 moves connection darts within hom-sets and compares ``verify_connection``
 and ``bundleize`` with the test oracle's scan of the JSON lists.
 """
+import dataclasses
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gpdflow.algebra import preset_group, verify_group
@@ -434,6 +436,59 @@ def test_sigma_rebasing():
         moved = fiber_chart_sigma(tg, pact(grp, u0, h))
         for y in sigma.arrow_to_point:
             assert moved.of(y) == pact(grp, sigma.of(y), h)
+
+
+def index_edited(tg, cell, source, swap):
+    """``tg`` with ``index[cell]`` read from ``source``: swapped with it, or
+    a repeat of it, as ``dataclasses.replace`` builds it."""
+    index = tg.index.copy()
+    index[cell], index[source] = tg.index[source], \
+        tg.index[cell if swap else source]
+    return dataclasses.replace(tg, index=index)
+
+
+@pytest.mark.parametrize("chart,cell,source,swap,refusal", [
+    # phi over (0, 0) reads the loop of twist g for each g
+    (vertex_chart_phi, (0, 0, 2), (0, 0, 1), False, "is not well defined"),
+    (vertex_chart_psi, (0, 0, 1), (0, 1, 1), True, "is not a bijection"),
+    (vertex_chart_phi, (0, 0, 1), (0, 0, 2), True,
+     "does not preserve products"),
+    # tau reads the arrows (v, 0, h), sigma the arrows (0, v, h)
+    (fiber_chart_tau, (1, 0, 2), (1, 0, 1), False, "is not injective"),
+    (fiber_chart_sigma, (0, 1, 1), (1, 1, 1), True,
+     "misses part of the fiber"),
+])
+def test_a_chart_read_through_an_edited_index_is_refused(chart, cell, source,
+                                                         swap, refusal):
+    """On edge-S3 at u0 = (0, 0), where phi's twist is g: two twists on
+    one loop, a loop swapped for an arrow to 1, two loops swapped (S3's
+    transpositions 1 and 2, which no automorphism swaps alone), one arrow
+    into 0 read twice, and an arrow out of 0 swapped for one out of 1."""
+    tg = groupoid_of_bundle(s3_edge())
+    kind = chart.__name__.rsplit("_", 1)[1]
+    edited = index_edited(tg, cell, source, swap)
+    assert np.array_equal(np.sort(edited.index, None), np.sort(tg.index, None)) \
+        == swap
+    with pytest.raises(ValueError,
+                       match=rf"^{kind} chart at \(0, 0\) {refusal}$"):
+        chart(edited)
+    chart(tg)
+
+
+def test_closed_form_against_the_oracle_refuses_an_edited_transport():
+    """Another bundle's groupoid has another orbit count, and a repeated
+    coordinate maps two arrows onto one orbit."""
+    tg = groupoid_of_bundle(s3_edge())
+    other = dataclasses.replace(tg, groupoid=groupoid_of_bundle(
+        z3_wedge()).groupoid)
+    diag = closed_form_matches_oracle(other)
+    assert (diag.ok, diag.failure, diag.witness) == (
+        False, "orbit count mismatch", (24, 3))
+    coords = list(tg.coords)
+    coords[5] = coords[4]
+    diag = closed_form_matches_oracle(dataclasses.replace(tg, coords=coords))
+    assert (diag.ok, diag.failure, diag.witness) == (
+        False, "coordinate map not injective", ())
 
 
 def test_chart_basepoint_out_of_range():

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from gpdflow import groupoid as groupoid_module
-from gpdflow.algebra import preset_group
+from gpdflow.algebra import PRESET_NAMES, FiniteGroup, preset_group
 from gpdflow.amenability import fiber_action, invariant_sections, \
     verify_invariant_section
-from gpdflow.bundle import BaseGraph
+from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.diagnostics import Diagnostics
 from gpdflow.ehresmann import Connection, bundle_of_groupoid, \
     groupoid_of_bundle, verify_connection
@@ -76,6 +76,38 @@ def product_groupoid(n_objects, group):
 
 
 # --- verify_groupoid -------------------------------------------------------
+
+def dict_one_object_groupoid(group):
+    """The former ``one_object_groupoid``, kept as the reference: every
+    product in a dict, with the identity relabelled first, through
+    ``Groupoid.from_tables``."""
+    n = group.order
+    ordering = [group.identity] + [a for a in range(n) if a != group.identity]
+    local = {a: i for i, a in enumerate(ordering)}
+    comp = {(local[a], local[b]): local[group.mul(a, b)]
+            for a in range(n) for b in range(n)}
+    return Groupoid.from_tables(
+        src=[0] * n, tgt=[0] * n, unit=[0],
+        inv=[local[group.inv[ordering[i]]] for i in range(n)], comp=comp)
+
+
+def test_one_object_groupoid_is_the_former_construction():
+    """Field by field, dtype and flaw too, on every preset and on S3
+    relabelled so that its identity is element 4."""
+    s3 = preset_group("S3")
+    p = [4, 0, 5, 1, 3, 2]  # element a of S3 is element p[a] here
+    table = [[0] * 6 for _ in range(6)]
+    for a, b in product(range(6), repeat=2):
+        table[p[a]][p[b]] = p[s3.mul(a, b)]
+    groups = [preset_group(name) for name in PRESET_NAMES]
+    for group in groups + [FiniteGroup(table, p[0])]:
+        new, old = one_object_groupoid(group), dict_one_object_groupoid(group)
+        for name in ("src", "tgt", "unit", "inv", "val"):
+            assert getattr(new, name).dtype == getattr(old, name).dtype
+            assert np.array_equal(getattr(new, name), getattr(old, name)), \
+                (group.name, name)
+        assert new.flaw is None and old.flaw is None
+
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "S3", "D4"])
 def test_one_object_groupoid_verifies(name):
@@ -1018,6 +1050,33 @@ def test_vertex_groups_isomorphic_on_product_fixture():
     assert iso.local_map == [0, 1]
     assert {coords[a]: coords[b] for a, b in iso.arrow_map.items()} == \
         {(0, 0, 0): (1, 1, 0), (0, 0, 1): (1, 1, 1)}
+
+
+def test_conjugation_that_breaks_products_is_refused_at_the_first_pair():
+    """On the edge-S3 groupoid, two products ``inv(a) . l`` of loops ``l``
+    at 0 are swapped, so the groupoid breaks associativity while both vertex
+    groups stay groups and conjugation by ``a`` stays a bijection.  The
+    refusal names the first ``(i, j)`` of the double loop over the local
+    elements, read here from the relabelled tables."""
+    g = groupoid_of_bundle(CocycleBundle.from_edge_labels(
+        BaseGraph.path(2), preset_group("S3"), [2])).groupoid
+    a, loops = g.hom(0, 1)[0], g.loops(0)
+    comp = g.triples()
+    at = [i for i, (y, h, _) in enumerate(comp)
+          if y == g.inverse(a) and h in loops[1:3]]
+    comp[at[0]][2], comp[at[1]][2] = comp[at[1]][2], comp[at[0]][2]
+    broken = Groupoid.from_tables(g.src, g.tgt, g.unit, g.inv, comp)
+    assert verify_groupoid(broken).failure == "associativity"
+    gx, gy = vertex_group(broken, 0), vertex_group(broken, 1)
+    local = [gy.local_index(broken.compose(broken.compose(g.inverse(a), l), a))
+             for l in gx.arrows]
+    first = next((i, j) for i, j in product(gx.group.elements, repeat=2)
+                 if local[gx.group.mul(i, j)]
+                 != gy.group.mul(local[i], local[j]))
+    assert first == (1, 2)
+    with pytest.raises(ValueError, match=rf"^conjugation by {a} does not "
+                                         r"preserve products at \(1, 2\)$"):
+        vertex_groups_isomorphic(broken, 0, 1)
 
 
 def test_vertex_groups_isomorphic_requires_joining_arrow():
