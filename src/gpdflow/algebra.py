@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .diagnostics import Diagnostics, Refused
 
@@ -31,21 +31,26 @@ class FiniteGroup:
     """A group on ``0..order-1``: its table ``mult``, kept as a tuple of
     tuples, and ``identity``, from which ``order`` and the inverses ``inv``
     are read.  A table that fails :func:`verify_group` is refused when it
-    is built, and an element outside ``range(order)`` given to a method."""
+    is built, and an element outside ``range(order)`` given to a method.
+    ``groupoid`` is its one-object groupoid, built once by the law scan and
+    read by every later law check of the group or of its actions."""
 
     mult: tuple[tuple[int, ...], ...]
     identity: int
     name: str = ""
     order: int = field(init=False)
     inv: tuple[int, ...] = field(init=False)
+    # a gpdflow.groupoid.Groupoid: that module imports this one
+    groupoid: "Groupoid" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        mult = tuple(tuple(row) for row in self.mult)
-        _law_scan(mult, self.identity).require("not a group")
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "order", len(mult))
-        object.__setattr__(self, "inv",
-                           tuple(row.index(self.identity) for row in mult))
+        verdict = _law_scan(self.mult, self.identity)
+        verdict.require("not a group")
+        mult, groupoid = tuple(map(tuple, self.mult)), verdict.notes["groupoid"]
+        for name, value in (
+                ("mult", mult), ("order", len(mult)), ("groupoid", groupoid),
+                ("inv", tuple(groupoid.inv.tolist()))):
+            object.__setattr__(self, name, value)
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[_index("a", a, self.order)][_index("b", b, self.order)]
@@ -84,27 +89,50 @@ def verify_group(table: Sequence[Sequence[int]], identity: int,
     return Diagnostics.passed(order=group.order), group
 
 
-def _law_scan(table: tuple[tuple[int, ...], ...], e: int) -> Diagnostics:
-    """Check the group axioms on ``table``.
+def _require_table(table: Any, width: Optional[int] = None) -> None:
+    """Refuse a table unless it and its rows are lists or tuples, each row
+    ``width`` long (the table's length if None), each entry exactly an
+    ``int`` in ``range(len(table))``: :class:`Refused` names the table, row
+    or entry, and carries the group law scan's structural verdict."""
+    def refuse(message: str, failure: str, witness: tuple) -> None:
+        raise Refused(message, Diagnostics.failed(failure, witness,
+                                                  structural=True))
+    if not isinstance(table, (list, tuple)):
+        refuse(f"table = {table!r} is not a list or tuple",
+               "table not a list or tuple", (table,))
+    n = len(table)
+    width = n if width is None else width
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            refuse(f"row {i} = {row!r} is not a list or tuple",
+                   "row not a list or tuple", (i, row))
+        if len(row) != width:
+            refuse(f"row {i} has {len(row)} entries, expected {width}",
+                   "table not square", (i, len(row), width))
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:  # a bool is no int
+                refuse(f"entry ({i}, {j}) = {v!r} out of range",
+                       "entry out of range", (i, j, v))
+
+
+def _law_scan(table: Any, e: int) -> Diagnostics:
+    """Check the group axioms on ``table``; a passed verdict holds its
+    one-object groupoid as the note ``groupoid``.
 
     Checks run in a fixed order and stop at the first violation: shape and
-    index range (structural), identity laws, each row and column being a
-    permutation, and associativity by Light's test on its one-object
-    groupoid, at ``(a, b, c)`` with ``b`` a generator.  A table that passes
-    is a monoid whose rows are permutations, where the right inverse of
-    ``a``, read off row ``a``, is two-sided, so no inverse check is left.
+    index range by :func:`_require_table` (structural), identity laws, each
+    row and column being a permutation, and associativity by Light's test
+    on that groupoid, at ``(a, b, c)`` with ``b`` a generator.  A table that
+    passes is a monoid whose rows are permutations, where the right inverse
+    of ``a``, read off row ``a``, is two-sided, so no inverse check is left.
     """
+    try:
+        _require_table(table)
+    except Refused as refused:
+        return refused.verdict
     n = len(table)
     if n == 0:
         return Diagnostics.failed("empty table", (), structural=True)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            return Diagnostics.failed(
-                "table not square", (i, len(row), n), structural=True)
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                return Diagnostics.failed(
-                    "entry out of range", (i, j, v), structural=True)
     if not (0 <= e < n):
         return Diagnostics.failed(
             "identity out of range", (e,), structural=True)
@@ -118,16 +146,17 @@ def _law_scan(table: tuple[tuple[int, ...], ...], e: int) -> Diagnostics:
     full = list(range(n))
     for i in range(n):
         if sorted(table[i]) != full:
-            return Diagnostics.failed("row %d not a permutation" % i, (i,))
-    for j in range(n):
-        if sorted(table[i][j] for i in range(n)) != full:
-            return Diagnostics.failed("column %d not a permutation" % j, (j,))
+            return Diagnostics.failed(f"row {i} not a permutation", (i,))
+    for j, column in enumerate(zip(*table)):
+        if sorted(column) != full:
+            return Diagnostics.failed(f"column {j} not a permutation", (j,))
 
     from .groupoid import _one_object  # groupoid imports this module
-    witness, _ = _one_object(table, e).light_test()
+    groupoid = _one_object(table, e)
+    witness, _ = groupoid.light_test()
     if witness is not None:
         return Diagnostics.failed("associativity", witness)
-    return Diagnostics.passed(order=n)
+    return Diagnostics.passed(groupoid=groupoid)
 
 
 # --- preset tables ------------------------------------------------------

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .algebra import FiniteGroup, _index
+from .algebra import FiniteGroup, _index, _require_table
 from .bundle import CocycleBundle
 from .diagnostics import Diagnostics
 from .dynamics import _CROSSCHECK_POINTS, GroupoidAction, base_action, \
     build_ambit
 from .ehresmann import groupoid_of_bundle
-from .groupoid import _one_object, _require_whole, is_transitive, vertex_group
+from .groupoid import _require_whole, is_transitive, vertex_group
 
 __all__ = [
     "InvariantSection",
@@ -53,24 +53,16 @@ class InvariantSection:
 def fixed_points(grp: FiniteGroup, table: Sequence[Sequence[int]]) -> list[int]:
     """Points fixed by every element of a right action given as a table.
 
-    ``table[y][g]`` is ``y . g``, each row a list or tuple.  The identity and
+    ``table[y][g]`` is ``y . g``, in lists or tuples.  The identity and
     compatibility laws, on the group's one-object groupoid, are checked
     before anything is reported; a bad table raises ``ValueError``.
     """
+    _require_table(table, grp.order)
     n = len(table)
-    for y, row in enumerate(table):
-        if not isinstance(row, (list, tuple)):
-            raise ValueError(f"row {y} = {row!r} is not a list or tuple")
-        if len(row) != grp.order:
-            raise ValueError(
-                f"row {y} has {len(row)} entries, expected {grp.order}")
-        for g, z in enumerate(row):
-            if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < n:
-                raise ValueError(f"entry ({y}, {g}) = {z!r} out of range")
     for y in range(n):
         if table[y][grp.identity] != y:
             raise ValueError(f"identity law fails at point {y}")
-    witness, _ = GroupoidAction(_one_object(grp.mult, grp.identity), [0] * n,
+    witness, _ = GroupoidAction(grp.groupoid, [0] * n,
                                 [z for row in table for z in row]).light_test()
     if witness is not None:
         raise ValueError(f"compatibility fails at {witness}")
@@ -178,9 +170,9 @@ def extreme_amenability_check(grp: FiniteGroup) -> AmenabilityReport:
     """A finite group fixes a point in each of its actions exactly when it
     is trivial.  The verdict is evidenced by the translation action: free,
     and with no fixed point as soon as the order exceeds one."""
-    table = [[grp.mul(y, g) for g in grp.elements] for y in grp.elements]
+    table = [list(row) for row in grp.mult]
     fixed = fixed_points(grp, table)
-    free = _one_object(grp.mult, grp.identity).first_entry(
+    free = grp.groupoid.first_entry(
         lambda ys, hs, val: (val == ys) & (hs != grp.identity)) is None
     cert = TranslationCertificate(order=grp.order, table=table,
                                   fixed=fixed, free=free)

@@ -22,10 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteGroup, _index, find_group_isomorphism, verify_group
+from .algebra import FiniteGroup, _index, _require_table, \
+    find_group_isomorphism, verify_group
 from .diagnostics import Diagnostics
-from .groupoid import Groupoid, RowTable, _require_whole, is_transitive, \
-    val_width, verify_groupoid, vertex_group
+from .groupoid import Groupoid, RowTable, _frozen, _require_whole, \
+    is_transitive, val_width, verify_groupoid, vertex_group
 
 __all__ = [
     "GroupoidAction",
@@ -56,7 +57,7 @@ _CROSSCHECK_POINTS = 12  # the largest space re-checked by exhaustive search
 _SUBSET_SEARCH_POINTS = 20  # the most points invariant_subsets scans
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GroupoidAction(RowTable):
     """A right action of a groupoid on points ``0..n_points-1``.
 
@@ -71,12 +72,9 @@ class GroupoidAction(RowTable):
     anchor: np.ndarray
     val: np.ndarray
     flaw: Optional[Diagnostics] = field(default=None, init=False)
+    _INDEX = ("anchor",)
     _FLAW_LABELS = ("action table index out of range",
                     "action value out of range", "duplicate act pair")
-
-    def __post_init__(self) -> None:
-        self.anchor = np.asarray(self.anchor, dtype=np.int64)
-        super().__post_init__()
 
     @staticmethod
     def from_triples(gpd: Groupoid, anchor: Sequence[int],
@@ -181,7 +179,7 @@ def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
         i = int(np.argmax(val < 0))
         raise ValueError(f"subset is not invariant: {np.repeat(pts, lens)[i]} "
                          f"moves to {a.val[at[i]]}")
-    return GroupoidAction(a.gpd, a.anchor[pts], val)
+    return GroupoidAction(a.gpd, _frozen(a.anchor[pts]), _frozen(val))
 
 
 # --- orbits and minimal subflows ---------------------------------------------
@@ -393,7 +391,8 @@ def compose_equivariant_maps(outer: EquivariantMap,
 # --- the fiber semigroup --------------------------------------------------------
 
 def semigroup_idempotents(table: list[list[int]]) -> list[int]:
-    """Elements with ``y * y == y`` in an arbitrary multiplication table."""
+    """Elements with ``y * y == y`` in an arbitrary square table of them."""
+    _require_table(table)
     return [y for y in range(len(table)) if table[y][y] == y]
 
 
@@ -401,6 +400,7 @@ def minimal_left_ideals(table: list[list[int]]) -> list[list[int]]:
     """Inclusion-minimal principal left ideals ``S^1 * y`` of a finite
     semigroup table; every minimal left ideal is of this shape.  Sorted by
     (size, elements) with duplicates removed."""
+    _require_table(table)
     n = len(table)
     ideals = {tuple(sorted({y} | {table[s][y] for s in range(n)}))
               for y in range(n)}

@@ -36,7 +36,7 @@ from .diagnostics import Diagnostics
 from .groupoid import (
     Groupoid,
     HomSet,
-    _one_object,
+    _frozen,
     normalize_groupoid,
     val_width,
     verify_groupoid,
@@ -138,7 +138,9 @@ def groupoid_of_bundle(b: CocycleBundle) -> TransportGroupoid:
         outs = np.flatnonzero(v_of == w)  # ascending, as rows are laid out
         val[ins[:, None] * (m * n) + np.arange(outs.size)] = index[
             v_of[ins][:, None], w_of[outs], mult[a_of[ins][:, None], a_of[outs]]]
-    gpd = Groupoid(v_of, w_of, np.arange(m, dtype=np.int64), inv_arr, val)
+    # fresh arrays, read-only first so that the groupoid takes them uncopied
+    gpd = Groupoid(*map(_frozen, (v_of, w_of, np.arange(m, dtype=np.int64),
+                                  inv_arr, val)))
     conn = Connection(base=base, arrows=[
         int(index[base.dsrc(d), base.dtgt(d), grp.inv[b.labels[d]]])
         for d in range(base.n_darts)
@@ -294,9 +296,8 @@ def _build_vertex_chart(tg: TransportGroupoid, u0, kind: str) -> VertexChart:
     if sorted(a2g) != sorted(loops.arrows) or len(g2a) != grp.order:
         raise ValueError(f"{kind} chart at {(x0, h0)} is not a bijection")
     chart = np.array([a2g[a] for a in loops.arrows])
-    if _one_object(loops.group.mult, 0).map_flaw(
-            _one_object(grp.mult, grp.identity), chart, chart,
-            "products") is not None:
+    if loops.group.groupoid.map_flaw(grp.groupoid, chart, chart,
+                                     "products") is not None:
         raise ValueError(f"{kind} chart at {(x0, h0)} does not preserve products")
     return VertexChart(kind=kind, u0=(x0, h0), arrow_to_group=a2g,
                        group_to_arrow=g2a)
@@ -473,7 +474,7 @@ def point_base_degenerate(grp: FiniteGroup) -> PointBaseReport:
     groupoid of ``grp``."""
     bundle = CocycleBundle(base=BaseGraph.point(), group=grp, labels=())
     tg = groupoid_of_bundle(bundle)
-    target, local = normalize_groupoid(_one_object(grp.mult, grp.identity))
+    target, local = normalize_groupoid(grp.groupoid)
     arrow_map = [local[c.twist] for c in tg.coords]
     iso = verify_groupoid_iso(tg.groupoid, target, [0], arrow_map)
     return PointBaseReport(bundle=bundle, transport=tg, one_object=target,

@@ -13,18 +13,20 @@ is anchored at its target).  Every action in this package is a table of
 rows: row ``y`` holds ``y . h`` for each ``h`` in ``arrows_from(anchor[y])``
 in ascending order, so ``y . h`` is ``val[row_off[y] + out_pos[h]]``.  A
 table takes only its arrays: its sizes are their lengths, and ``row_off``
-is the layout its anchor implies.  Its first structural flaw is found from
-its arrays alone, once, as ``flaw``, when it is built (a table is not
-changed once built).  A verifier reports it, and a reader of the rows or
-the index arrays refuses the table.  A flaw of the index arrays, which
-keeps them from indexing rows, comes first (for an action: its groupoid's
-flaw, else its anchor's).  Then a table filled from triples carries the
-fill's flaw, by one policy for both kinds of table: a point or arrow out
-of range, a value out of range, a pair given twice, a pair off the
-composable domain, each at its least ``(y, h)``; then the first pair in
-row order with no entry.  A table built directly from its rows carries a
-``val`` whose length is not the layout's end, else the first value out of
-range, else the first hole.
+is the layout its anchor implies.  A built table cannot change: its arrays
+are read-only (an array argument the caller can still write is copied
+first) and its fields cannot be assigned, so what it caches stays true.
+Its first structural flaw is found from its arrays alone, once, as
+``flaw``, when it is built.  A verifier reports it, and a reader of the
+rows or the index arrays refuses the table.  A flaw of the index arrays,
+which keeps them from indexing rows, comes first (for an action: its
+groupoid's flaw, else its anchor's).  Then a table filled from triples
+carries the fill's flaw, by one policy for both kinds of table: a point or
+arrow out of range, a value out of range, a pair given twice, a pair off
+the composable domain, each at its least ``(y, h)``; then the first pair
+in row order with no entry.  A table built directly from its rows carries
+a ``val`` whose length is not the layout's end, else the first value out
+of range, else the first hole.
 A groupoid is *normalized* when ``unit(x) == x`` for every object;
 constructors in this package produce normalized groupoids and
 ``normalize_groupoid`` reindexes arbitrary input.
@@ -32,7 +34,7 @@ constructors in this package produce normalized groupoids and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, \
     Union
@@ -80,6 +82,20 @@ def _bounds(val: np.ndarray) -> tuple[int, int]:
     return (int(val.min()), int(val.max())) if val.size else (0, 0)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array, made read-only: a table takes it uncopied."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _read_only(value, dtype: type) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array: a writeable array is
+    copied first, as its caller can still write it; a list, or an array
+    that is read-only already, such as another table's, is not."""
+    return _frozen(np.asarray(value).astype(
+        dtype, copy=isinstance(value, np.ndarray) and value.flags.writeable))
+
+
 def val_width(n_points: int, n_arrows: int) -> type:
     """The dtype of a row table's values: int16 when its points and its
     groupoid's arrows are both fewer than ``2**15``, so that every value,
@@ -92,37 +108,52 @@ class RowTable:
     starts at ``row_off[y]`` in ``val`` and holds ``y . h`` for each ``h``
     in ``gpd.arrows_from(anchor[y])`` in ascending order (-1 where a table
     built from triples had no entry).  Subclasses provide ``gpd``,
-    ``anchor`` and ``val``; ``_index_flaw``, the structural flaw that keeps
-    their arrays from indexing rows, or None; and ``_FLAW_LABELS``, their
-    names for an index, a value out of range and a repeated pair.
+    ``anchor`` and ``val``; ``_INDEX``, the fields of their int64 index
+    arrays; ``_index_flaw``, the structural flaw that keeps those from
+    indexing rows, or None; and ``_FLAW_LABELS``, their names for an index,
+    a value out of range and a repeated pair.
     ``row_off``, the anchor's layout (all zeros under an index flaw, when
     no row is read), and ``flaw`` are set once, when the table is built, in
-    the order the module docstring gives.  :class:`Groupoid` is its own
-    regular action, ``GroupoidAction`` the general case.
+    the order the module docstring gives; then the table is frozen (the
+    subclasses are frozen dataclasses, so only :meth:`_set` sets a field
+    while it is built).  :class:`Groupoid` is its own regular action,
+    ``GroupoidAction`` the general case.
     """
 
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        """A copy or an unpickled table is built again from its arrays, so
+        it is frozen too and caches nothing of this table's."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                                 if f.init)
+
     def __post_init__(self) -> None:
+        self._set(**{name: _read_only(getattr(self, name), np.int64)
+                     for name in self._INDEX})
         # every value is below 2**30; readers widen before key arithmetic.
         # Values are narrowed to val_width only when they fit, so that one
         # out of range keeps int32 and reads as itself
         val = np.asarray(self.val)
         lo, hi = _bounds(val)
         width = val_width(len(self.anchor), self.gpd.n_arrows)
-        if not np.iinfo(width).min <= lo <= hi <= np.iinfo(width).max:
+        if not -1 << 15 <= lo <= hi < 1 << 15:
             width = np.int32
-        self.val = val.astype(width, copy=False)
-        self.flaw = self._index_flaw()
         # the anchor's layout: row y has one entry per arrow out of anchor[y]
-        self.row_off = np.zeros(len(self.anchor) + 1, dtype=np.int64)
+        self._set(val=_read_only(self.val, width), flaw=self._index_flaw(),
+                  row_off=np.zeros(len(self.anchor) + 1, dtype=np.int64))
         if self.flaw is None:
             self.row_off[1:] = np.cumsum(
                 np.diff(self.gpd.out_index[1])[self.anchor])
             if len(val) != self.row_off[-1]:
-                self.flaw = Diagnostics.failed(
+                self._set(flaw=Diagnostics.failed(
                     "row offsets off the anchor's layout", (len(self.anchor),),
-                    structural=True)
+                    structural=True))
+        _frozen(self.row_off)
         if self.flaw is None:
-            self.flaw = self._value_flaw(val, lo, hi)
+            self._set(flaw=self._value_flaw(val, lo, hi))
 
     def _value_flaw(self, val: np.ndarray, lo: int, hi: int
                     ) -> Optional[Diagnostics]:
@@ -254,9 +285,10 @@ class RowTable:
         """This table, built with empty rows, filled by :meth:`_fill`
         unless its index arrays have a flaw; its flaw is theirs, else the
         fill's."""
-        self.flaw = self._index_flaw()
+        self._set(flaw=self._index_flaw())
         if self.flaw is None:
-            self.flaw = self._fill(triples)
+            self._set(flaw=self._fill(triples))
+        _frozen(self.val)
         return self
 
     def pairs_at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +334,8 @@ class RowTable:
             t = np.asarray(triples)
             t = t if t.dtype.kind in "iu" else t.astype(np.int64)
             triples = partial(blocks_of, t.reshape(-1, 3))
-        self.val = np.full(int(self.row_off[-1]), -1,
-                           dtype=val_width(n, gpd.n_arrows))
+        self._set(val=np.full(int(self.row_off[-1]), -1,
+                              dtype=val_width(n, gpd.n_arrows)))
         least: list[Optional[tuple[int, int, int]]] = [None] * 4
         for block in itertools.chain.from_iterable(map(blocks_of, triples())):
             y, h, z = block.astype(np.int64, copy=False).T
@@ -372,7 +404,7 @@ class RowTable:
         return None, len(gens)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Groupoid(RowTable):
     """A finite groupoid given by index arrays and its composition rows.
 
@@ -388,13 +420,9 @@ class Groupoid(RowTable):
     inv: np.ndarray
     val: np.ndarray
     flaw: Optional[Diagnostics] = field(default=None, init=False)
+    _INDEX = ("src", "tgt", "unit", "inv")
     _FLAW_LABELS = ("comp pair out of range", "comp value out of range",
                     "duplicate comp pair")
-
-    def __post_init__(self) -> None:
-        for name in ("src", "tgt", "unit", "inv"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        super().__post_init__()
 
     @staticmethod
     def from_tables(src: Sequence[int], tgt: Sequence[int],
@@ -415,7 +443,8 @@ class Groupoid(RowTable):
                 structural=True)
         for name, arr, bound in (("src", self.src, m), ("tgt", self.tgt, m),
                                  ("unit", self.unit, k), ("inv", self.inv, k)):
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+            # read as unsigned, a negative index is past every bound
+            if arr.size and arr.view(np.uint64).max() >= bound:
                 bad = int(np.argmax((arr < 0) | (arr >= bound)))
                 return Diagnostics.failed(f"{name} index out of range",
                                           (bad, int(arr[bad])),
@@ -477,9 +506,10 @@ class Groupoid(RowTable):
         reached[self.unit] = True
         new, by = np.flatnonzero(reached), gens
         while True:
-            vals, ok = self.try_compose_many(new[:, None], by)
             was = reached.copy()
-            reached[vals[ok]] = True
+            if by:  # none at first on one object, which has no cycle arrow
+                vals, ok = self.try_compose_many(new[:, None], by)
+                reached[vals[ok]] = True
             new, by = np.flatnonzero(reached & ~was), gens
             if not new.size:
                 if reached.all():
@@ -503,7 +533,7 @@ class Groupoid(RowTable):
             ([0], np.cumsum(np.bincount(self.src, minlength=self.n_objects))))
         pos = np.empty(self.n_arrows, dtype=np.int64)
         pos[order] = np.arange(self.n_arrows) - start[self.src[order]]
-        return order, start, pos
+        return _frozen(order), _frozen(start), _frozen(pos)
 
     @property
     def out_pos(self) -> np.ndarray:
@@ -609,7 +639,7 @@ def verify_groupoid(g: Groupoid) -> Diagnostics:
     triple through a generating set.
 
     Later calls return the first verdict, kept on the groupoid as
-    :attr:`Groupoid.generators` is; a groupoid is not changed once built.
+    :attr:`Groupoid.generators` is: a built groupoid cannot change.
     """
     return g._verdict
 
@@ -675,12 +705,13 @@ def vertex_group(g: Groupoid, x: int) -> HomSet:
     u = int(g.unit[x])
     if u not in loops:
         raise ValueError(f"unit of object {x} is not a loop at {x}")
-    ordering = [u] + [a for a in loops if a != u]
-    local = {a: i for i, a in enumerate(ordering)}  # -1: not a loop at x
-    table = [[local.get(g.compose(a, b), -1) for b in ordering] for a in ordering]
+    ordering = np.array([u] + [a for a in loops if a != u])
+    local = np.full(g.n_arrows, -1)  # -1: not a loop at x
+    local[ordering] = np.arange(len(ordering))
+    table = local[g._at(ordering[:, None], ordering)].tolist()
     diag, group = verify_group(table, identity=0)
     diag.require(f"loops at object {x} do not form a group")
-    return HomSet(source=x, target=x, arrows=ordering, group=group)
+    return HomSet(source=x, target=x, arrows=ordering.tolist(), group=group)
 
 
 @dataclass
@@ -711,8 +742,7 @@ def vertex_groups_isomorphic(g: Groupoid, x: int, y: int) -> VertexGroupIso:
         raise ValueError(f"conjugation by {a} is not a bijection G[{x}] -> G[{y}]")
     local_map = [gy.local_index(arrow_map[l]) for l in gx.arrows]
     lm = np.array(local_map)
-    diag = _one_object(gx.group.mult, 0).map_flaw(
-        _one_object(gy.group.mult, 0), lm, lm, "products")
+    diag = gx.group.groupoid.map_flaw(gy.group.groupoid, lm, lm, "products")
     if diag is not None:
         raise ValueError(f"conjugation by {a} does not preserve products at "
                          f"{diag.witness}")
@@ -801,7 +831,7 @@ def normalize_groupoid(g: Groupoid) -> tuple[Groupoid, list[int]]:
 def _one_object(mult: Sequence[Sequence[int]], e: int) -> Groupoid:
     """The one-object groupoid of the square table ``mult`` with unit ``e``,
     arrows in element order, ``inv[a]`` the first ``b`` with ``ab == e`` (0
-    if none); it takes no group, as :func:`verify_group` builds it."""
+    if none); a :class:`FiniteGroup` builds it once, in its law scan."""
     table = np.asarray(mult)
     n = len(table)
     return Groupoid([0] * n, [0] * n, [e], np.argmax(table == e, axis=1),
@@ -811,7 +841,7 @@ def _one_object(mult: Sequence[Sequence[int]], e: int) -> Groupoid:
 def one_object_groupoid(group: FiniteGroup) -> Groupoid:
     """The group as a groupoid with a single object; the identity element
     becomes the unit arrow 0."""
-    return normalize_groupoid(_one_object(group.mult, group.identity))[0]
+    return normalize_groupoid(group.groupoid)[0]
 
 
 def pair_groupoid(n: int) -> Groupoid:

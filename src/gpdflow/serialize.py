@@ -103,7 +103,7 @@ from .bundle import BaseGraph, CocycleBundle, dart_labels, verify_cocycle
 from .diagnostics import Diagnostics
 from .dynamics import Ambit, GroupoidAction
 from .ehresmann import Connection, TransportGroupoid
-from .groupoid import _BLOCK, Groupoid, RowTable, blocks_of
+from .groupoid import _BLOCK, Groupoid, RowTable, _frozen, blocks_of
 
 __all__ = [
     "ModelError",
@@ -232,9 +232,7 @@ def _digit_groups() -> np.ndarray:
         full[..., j] = digits.reshape((10,) + (1,) * (3 - j))  # on axis j
         shown = place if place > 1 else 0  # n from here on shows digit j
         table[shown:10 ** 4, j] = table[10 ** 4 + shown:-1, j]
-    table = table.view(np.uint32).ravel()
-    table.flags.writeable = False
-    return table
+    return _frozen(table.view(np.uint32).ravel())
 
 
 def _table_bytes(arr: np.ndarray) -> bytes:
@@ -554,8 +552,8 @@ def _validate_groupoid(data: dict, where: str = "groupoid") -> dict:
                       f"{where}.objects")
     arrows = _int_in(_need(data, "arrows", where), 0, 1 << 30,
                      f"{where}.arrows")
-    src, tgt, unit, inv = (
-        _table(data, key, where, length, high, True)[0]
+    src, tgt, unit, inv = (  # fresh: the groupoid takes them uncopied
+        _frozen(_table(data, key, where, length, high, True)[0])
         for key, length, high in (
             ("src", arrows, objects), ("tgt", arrows, objects),
             ("unit", objects, arrows), ("inv", arrows, arrows)))
@@ -587,7 +585,8 @@ def _validate_action(data: dict) -> dict:
                                   "action.groupoid")
     gpd = groupoid["comp"]
     space = _int_in(_need(data, "space", "action"), 0, 1 << 30, "action.space")
-    anchor = _table(data, "anchor", "action", space, gpd.n_objects, True)[0]
+    anchor = _frozen(_table(data, "anchor", "action", space, gpd.n_objects,
+                            True)[0])
     blocks = _triples(data, "act", "action", (space, gpd.n_arrows, space),
                       row="expected [y, g, yg]")
     if gpd.flaw is not None:  # no entry is placed over a flawed groupoid

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from gpdflow import algebra
+from gpdflow import groupoid as groupoid_module
 from gpdflow.algebra import (
     PRESET_NAMES,
     FiniteGroup,
@@ -20,8 +21,10 @@ from gpdflow.algebra import (
 )
 from gpdflow.amenability import extreme_amenability_check, fixed_points
 from gpdflow.bundle import BaseGraph, CocycleBundle, is_trivial
-from gpdflow.ehresmann import point_base_degenerate
-from gpdflow.groupoid import one_object_groupoid, pair_groupoid, vertex_group
+from gpdflow.ehresmann import groupoid_of_bundle, point_base_degenerate, \
+    vertex_chart_phi
+from gpdflow.groupoid import Groupoid, one_object_groupoid, pair_groupoid, \
+    vertex_group, vertex_groups_isomorphic
 from gpdflow.serialize import build_group, group_to_json
 
 from law_oracle import backtrack_group_isomorphism, brute_group_violation
@@ -298,6 +301,56 @@ def test_the_law_scan_runs_once_per_group_built(monkeypatch):
     for build in builds:
         build()
     assert scans == [2, 2, 3, 6, 2, 1]
+
+
+def test_a_group_builds_its_one_object_groupoid_once(monkeypatch):
+    """``_one_object`` runs once for each ``FiniteGroup`` built, in its law
+    scan, and for nothing else: every later check of a built group reads
+    the groupoid the group holds, and a chart or a conjugation check builds
+    only the vertex groups it reads.  ``vertex_group`` reads its table off
+    the groupoid's rows, with no ``compose`` call."""
+    mult = preset_group("S3").mult
+    built, one_objects, composed = [], [], []
+    post_init, one_object = FiniteGroup.__post_init__, \
+        groupoid_module._one_object
+    compose = Groupoid.compose
+
+    def counted_build(group):
+        post_init(group)
+        built.append(group.order)
+
+    def counted_one_object(mult, e):
+        one_objects.append(len(mult))
+        return one_object(mult, e)
+
+    def counted_compose(g, a, b):
+        composed.append((a, b))
+        return compose(g, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", counted_build)
+    monkeypatch.setattr(groupoid_module, "_one_object", counted_one_object)
+    monkeypatch.setattr(Groupoid, "compose", counted_compose)
+    s3 = FiniteGroup(mult, 0, "S3")
+    assert built == one_objects == [6]
+    tg = groupoid_of_bundle(CocycleBundle.from_edge_labels(
+        BaseGraph.cycle(3), s3, [1, 2, 3]))
+    for name, call, groups in (
+            ("fixed_points", lambda: fixed_points(
+                s3, [list(row) for row in s3.mult]), 0),
+            ("extreme_amenability_check",
+             lambda: extreme_amenability_check(s3), 0),
+            ("one_object_groupoid", lambda: one_object_groupoid(s3), 0),
+            ("point_base_degenerate", lambda: point_base_degenerate(s3), 0),
+            ("vertex_chart_phi", lambda: vertex_chart_phi(tg), 1),
+            ("vertex_groups_isomorphic",
+             lambda: vertex_groups_isomorphic(tg.groupoid, 0, 2), 2)):
+        built.clear()
+        one_objects.clear()
+        call()
+        assert built == one_objects == [6] * groups, name
+    composed.clear()
+    assert vertex_group(tg.groupoid, 1).group.order == 6
+    assert composed == []
 
 
 def test_a_constructed_group_derives_its_order_and_inverses():

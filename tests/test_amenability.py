@@ -15,7 +15,7 @@ from gpdflow.amenability import (
 from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.dynamics import base_action, build_ambit, disjoint_union_actions
 from gpdflow.ehresmann import groupoid_of_bundle
-from gpdflow.groupoid import disjoint_union, normalize_groupoid
+from gpdflow.groupoid import _one_object, disjoint_union, normalize_groupoid
 
 
 def transport(preset, graph, edge_labels):
@@ -65,7 +65,8 @@ def test_fixed_points_validates_the_table():
 def test_fixed_points_refuses_a_row_or_entry_of_another_type():
     """By the group law scan's rule, an entry in range is an ``int`` and
     not a ``bool``, refused before the table is read as an array, which
-    would read ``True`` as 1; a row is a list or a tuple."""
+    would read ``True`` as 1; the table and each row are a list or a
+    tuple."""
     grp = preset_group("Z2")
     for table, refusal in (
             ([[0, 1], [1, True]], "entry (1, 1) = True out of range"),
@@ -73,7 +74,9 @@ def test_fixed_points_refuses_a_row_or_entry_of_another_type():
             ([[0, 1], ["1", 0]], "entry (1, 0) = '1' out of range"),
             ([[0, 1], [1, 2]], "entry (1, 1) = 2 out of range"),
             ([[0, 1], 5], "row 1 = 5 is not a list or tuple"),
-            ([[0, 1], {1: 0}], "row 1 = {1: 0} is not a list or tuple")):
+            ([[0, 1], {1: 0}], "row 1 = {1: 0} is not a list or tuple"),
+            (5, "table = 5 is not a list or tuple"),
+            (None, "table = None is not a list or tuple")):
         with pytest.raises(ValueError) as refused:
             fixed_points(grp, table)
         assert str(refused.value) == refusal
@@ -220,7 +223,8 @@ def test_nontrivial_groups_are_not(preset, order):
 
 def test_a_monoid_built_as_a_group_is_refused():
     """A two-element monoid: ``FiniteGroup`` refuses it, so it is passed
-    off as one by writing its table into a verified Z2.  Its translation
+    off as one by writing its table, and the one-object groupoid of that
+    table that the checks read, into a verified Z2.  Its translation
     action fixes point 1, which contradicts the order verdict, and the
     check refuses it with ``ValueError``."""
     with pytest.raises(ValueError,
@@ -228,6 +232,7 @@ def test_a_monoid_built_as_a_group_is_refused():
         FiniteGroup(((0, 1), (1, 1)), 0)
     monoid = FiniteGroup(((0, 1), (1, 0)), 0)
     object.__setattr__(monoid, "mult", ((0, 1), (1, 1)))
+    object.__setattr__(monoid, "groupoid", _one_object(monoid.mult, 0))
     with pytest.raises(ValueError, match="contradict the order verdict$"):
         extreme_amenability_check(monoid)
 

@@ -1081,6 +1081,33 @@ def test_reader_closing_mid_report_exits_quietly(unbuffered, tmp_path):
     assert returncode == 0
 
 
+@pytest.mark.parametrize("argv, code", [(["verify", "--fixtures"], 0),
+                                        (["verify"], 2)])
+def test_a_closed_pipe_points_stdout_at_the_null_device(monkeypatch, argv,
+                                                        code):
+    """In process: ``sys.stdout`` writes raise ``BrokenPipeError``, as a
+    pipe whose reader has gone does, on a file descriptor that is a pipe
+    end this test owns.  The run returns its own code, and the descriptor
+    then refers to the null device, so the interpreter's last flush at
+    exit has nowhere to fail."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_end
+
+    read_end, write_end = os.pipe()
+    try:
+        assert not os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(argv) == code
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
 def test_error_after_a_large_run_prints_only_the_error(tmp_path, capsys):
     """The second input fails with a usage error after the first run has
     built a large report: nothing of that run reaches stdout, which holds

@@ -654,6 +654,26 @@ def test_semigroup_helpers_on_non_groups():
     meet = [[0, 0], [0, 1]]  # the two-element semilattice
     assert semigroup_idempotents(meet) == [0, 1]
     assert minimal_left_ideals(meet) == [[0]]
+    assert semigroup_idempotents(()) == minimal_left_ideals([]) == []
+
+
+def test_semigroup_helpers_refuse_a_table_by_its_row_or_entry():
+    """The group law scan's rule for a table given as lists: an entry is
+    an ``int`` in range and not a ``bool`` (-1 is not read as the last
+    row), each row is a list or tuple as long as the table, and so is the
+    table."""
+    for table, refusal in (
+            ([[-1, 0], [0, 1]], "entry (0, 0) = -1 out of range"),
+            ([[0, 5], [1, 0]], "entry (0, 1) = 5 out of range"),
+            ([[0, 1], [1, True]], "entry (1, 1) = True out of range"),
+            ([[0, 1], [1, 0.0]], "entry (1, 1) = 0.0 out of range"),
+            ([[0, 1], [1]], "row 1 has 1 entries, expected 2"),
+            ([[0, 1], 5], "row 1 = 5 is not a list or tuple"),
+            (5, "table = 5 is not a list or tuple")):
+        for helper in (semigroup_idempotents, minimal_left_ideals):
+            with pytest.raises(ValueError) as refused:
+                helper(table)
+            assert str(refused.value) == refusal, helper.__name__
 
 
 # --- uniqueness of the minimal flow ----------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the groupoid core: verification, transitivity, vertex groups."""
+import copy
 import dataclasses
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -36,7 +38,7 @@ from gpdflow.groupoid import (
     vertex_groups_isomorphic,
 )
 from gpdflow.serialize import action_to_json, canonical_dumps, \
-    groupoid_to_json
+    groupoid_to_json, load_model
 
 from law_oracle import brute_closure, brute_groupoid_violation, \
     brute_local_triviality, groupoid_law_broken, relabelled
@@ -438,7 +440,7 @@ def test_generators_multiply_each_arrow_by_a_generator_once():
             ys, bs = np.broadcast_arrays(ys, bs)
             pairs.extend(zip(ys.ravel().tolist(), bs.ravel().tolist()))
             return Groupoid.try_compose_many(h, ys, bs)
-        h.try_compose_many = spy
+        object.__setattr__(h, "try_compose_many", spy)  # h is frozen
         gens = h.generators
         assert len(pairs) == len(set(pairs))
         assert {b for _, b in pairs} == set(gens)
@@ -928,6 +930,84 @@ def test_sizes_and_row_offsets_cannot_be_given(build, sizes):
     for name in (sizes, "row_off"):
         with pytest.raises(TypeError, match=f"keyword argument '{name}'"):
             build(gpd, act, **{name: 2})
+
+
+def _built_tables(tmp_path):
+    """``(path, table)`` for a table built by each constructor path (a copy
+    and an unpickled table among them), and ``held``, by path, the arrays a
+    caller passed in and still holds: writeable copies of another table's,
+    of the dtype the table keeps, so that nothing but the constructor can
+    copy them."""
+    tg = groupoid_of_bundle(CocycleBundle.from_edge_labels(
+        BaseGraph.cycle(3), preset_group("S3"), [1, 2, 3]))
+    g = tg.groupoid
+    ambit = build_ambit(g, 0).action
+    path = tmp_path / "ambit.json"
+    path.write_text(canonical_dumps(action_to_json(ambit)))
+    loaded = load_model(str(path)).data
+
+    def arrays(*arrs):
+        return [a.copy() for a in arrs]
+
+    held = {"Groupoid": arrays(g.src, g.tgt, g.unit, g.inv, g.val),
+            "from_tables": arrays(g.src, g.tgt, g.unit, g.inv) + [
+                g.triple_array()],
+            "GroupoidAction": arrays(ambit.anchor, ambit.val),
+            "from_triples": arrays(ambit.anchor) + [ambit.triple_array()]}
+    return [
+        ("Groupoid", Groupoid(*held["Groupoid"])),
+        ("from_tables", Groupoid.from_tables(*held["from_tables"])),
+        ("GroupoidAction", GroupoidAction(g, *held["GroupoidAction"])),
+        ("from_triples", GroupoidAction.from_triples(g,
+                                                     *held["from_triples"])),
+        ("span loader", loaded["groupoid"]["comp"]),
+        ("span loader, action", loaded["act"]),
+        ("groupoid_of_bundle", g),
+        ("build_ambit", ambit),
+        ("base_action", base_action(g)),
+        ("restrict_action", restrict_action(ambit,
+                                            list(range(ambit.n_points)))),
+        ("disjoint_union_actions", disjoint_union_actions(ambit, ambit)),
+        ("normalize_groupoid", normalize_groupoid(g)[0]),
+        ("disjoint_union", disjoint_union(g, pair_groupoid(2))),
+        ("pair_groupoid", pair_groupoid(3)),
+        ("_one_object", groupoid_module._one_object(
+            preset_group("S3").mult, 0)),
+        ("FiniteGroup.groupoid", FiniteGroup(preset_group("Q8").mult,
+                                             0).groupoid),
+        ("one_object_groupoid", one_object_groupoid(preset_group("S3"))),
+        ("copy.deepcopy", copy.deepcopy(ambit)),
+        ("pickle", pickle.loads(pickle.dumps(g)))], held
+
+
+def test_a_built_table_cannot_change(tmp_path):
+    """On a table from each constructor path: writing to any array it
+    holds raises numpy's read-only ``ValueError``, assigning a field raises
+    ``FrozenInstanceError``, and writing into an array the caller passed
+    in leaves the table's rows, its verdict and its groupoid's generators
+    as they were, as a table built again from its arrays shows."""
+    tables, held = _built_tables(tmp_path)
+    for path, t in tables:
+        is_gpd = isinstance(t, Groupoid)
+        verify = verify_groupoid if is_gpd else verify_action
+        arrays = [t.val, t.row_off, t.anchor, *t.gpd.out_index]
+        if is_gpd:
+            arrays += [t.src, t.unit, t.inv]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        for name in [f.name for f in dataclasses.fields(t)] + ["row_off"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+        verdict, gens, rows = verify(t), t.gpd.generators, t.triples()
+        assert verdict.ok, path
+        for arr in held.get(path, []):
+            arr[...] = 0
+        again = dataclasses.replace(t)
+        assert again.triples() == t.triples() == rows, path
+        assert verify(again) == verdict, path
+        assert again.gpd.generators == gens, path
+    assert len(tables) == 19
 
 
 def test_a_verdict_has_no_truth_value():

@@ -276,8 +276,9 @@ def test_an_act_table_over_a_flawed_groupoid_is_checked_whole():
                  repr(model.data["act"].flaw)) for model in models}) == 1
     act = copy.deepcopy(ambit["act"])
     act[last][2] = space
-    table = dataclasses.replace(clean, val=clean.val.copy())
-    table.val[-1] = space
+    val = clean.val.copy()
+    val[-1] = space
+    table = dataclasses.replace(clean, val=val)
     for data in sources(act, table):
         assert _load_error(data) == (
             serialize.BAD_INDEX, f"action.act[{last}][2]: {space} outside "
