@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from numbers import Integral
 from typing import Any, Optional, Sequence
 
 from .diagnostics import Diagnostics, Refused
@@ -68,14 +69,44 @@ class FiniteGroup:
         return self.mult[self.mult[self.inv[h]][g]][h]
 
 
+def _integer(v: Any) -> bool:
+    """Whether ``v`` is an ``int`` or a numpy integer, not a ``bool``."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def _index(name: str, i: int, n: int) -> int:
-    """``i``, refused unless it lies in ``range(n)`` with the package's one
-    index refusal, ``ValueError("<name> = <i> outside range(<n>)")``.  Every
-    public index argument is checked here, under its own name (an entry of
-    a list argument as ``name[k]``), by the function its caller called."""
+    """``i``, refused unless it is an integer (:func:`_integer`) in
+    ``range(n)``, with the package's index refusals, ``ValueError("<name> =
+    <i!r> is not an integer")`` and ``ValueError("<name> = <i> outside
+    range(<n>)")``.  Every public index argument is checked here, under its
+    own name (an entry of a list argument as ``name[k]``), by the function
+    its caller called."""
+    if type(i) is not int and not _integer(i):
+        raise ValueError(f"{name} = {i!r} is not an integer")
     if not 0 <= i < n:
         raise ValueError(f"{name} = {i} outside range({n})")
     return i
+
+
+def _integers(name: str, seq: Any) -> list[int]:
+    """A fresh list of the ints in ``seq``, refused unless ``seq`` is a
+    list or tuple of integers: the refusal names ``seq`` or its entry
+    ``name[k]``.  Ranges are left to the caller's verdicts."""
+    if not isinstance(seq, (list, tuple)):
+        raise ValueError(f"{name} = {seq!r} is not a list or tuple")
+    if set(map(type, seq)) <= {int}:
+        return list(seq)
+    for k, v in enumerate(seq):
+        if not _integer(v):
+            raise ValueError(f"{name}[{k}] = {v!r} is not an integer")
+    return [int(v) for v in seq]
+
+
+def _require_type(name: str, value: Any, kind: type) -> None:
+    """Refuse ``value`` unless it is a ``kind``, naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} is a {type(value).__name__}, not a "
+                         f"{kind.__name__}")
 
 
 def verify_group(table: Sequence[Sequence[int]], identity: int,

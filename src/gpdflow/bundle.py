@@ -62,11 +62,11 @@ class BaseGraph:
     def __post_init__(self) -> None:
         if self.n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges",
-                           tuple((int(u), int(v)) for u, v in self.edges))
-        for i, edge in enumerate(self.edges):
-            for j, u in enumerate(edge):
-                _index(f"edges[{i}][{j}]", u, self.n_vertices)
+        n = self.n_vertices
+        object.__setattr__(self, "edges", tuple(
+            (int(_index(f"edges[{i}][0]", u, n)),
+             int(_index(f"edges[{i}][1]", v, n)))
+            for i, (u, v) in enumerate(self.edges)))
 
     @property
     def n_edges(self) -> int:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteGroup, _index, _require_table, \
-    find_group_isomorphism, verify_group
+from .algebra import FiniteGroup, _index, _integers, _require_table, \
+    _require_type, find_group_isomorphism, verify_group
 from .diagnostics import Diagnostics
 from .groupoid import Groupoid, RowTable, _frozen, _require_whole, \
     is_transitive, val_width, verify_groupoid, vertex_group
@@ -160,12 +160,10 @@ def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
     subset of distinct points: each kept row is read and renamed, and points
     keep their relative order."""
     _require_whole(a)
-    pts = np.asarray(points, dtype=np.int64)
     n = a.anchor.shape[0]
-    outside = (pts < 0) | (pts >= n)
-    if bool(outside.any()):
-        i = int(np.argmax(outside))
-        _index(f"points[{i}]", int(pts[i]), n)
+    for i, p in enumerate(points):
+        _index(f"points[{i}]", p, n)
+    pts = np.asarray(points, dtype=np.int64)
     twice = np.bincount(pts, minlength=n)[pts] > 1
     if bool(twice.any()):
         raise ValueError(f"point {pts[np.argmax(twice)]} given twice")
@@ -252,60 +250,71 @@ def minimal_subflows(a: GroupoidAction) -> list[Subflow]:
 
 # --- the universal pointed flow ------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Ambit:
     """The arrows out of ``basepoint`` under right composition, with the
-    unit as distinguished point.  ``points[i]`` is the arrow behind point
-    ``i``; the action's anchor is the target map."""
+    unit as distinguished point: ``gpd`` and the basepoint fix it.  Built,
+    it holds ``points[i]``, the arrow behind point ``i``; ``u0``, the unit's
+    point; and ``action``, the regular action on the points, anchored by
+    the target map; each is checked below and cannot be given."""
 
-    action: GroupoidAction
-    basepoint: int
-    points: list[int]
-    u0: int
+    gpd: Groupoid
+    basepoint: int = 0
+    action: GroupoidAction = field(init=False, compare=False, repr=False)
+    points: tuple[int, ...] = field(init=False)
+    u0: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        gpd, x0 = self.gpd, self.basepoint
+        _require_type("gpd", gpd, Groupoid)
+        ok, witness = is_transitive(gpd)  # which refuses a flaw first
+        _index("basepoint", x0, gpd.n_objects)
+        if not ok:  # the anchor would not be onto
+            raise ValueError(f"groupoid is not transitive (no arrow {witness[0]} -> "
+                             f"{witness[1]}); the ambit anchor would not be surjective")
+        points = tuple(gpd.arrows_from(x0).tolist())
+        if gpd.unit[x0] not in points:
+            raise ValueError(f"unit of object {x0} is not an arrow out of {x0}")
+        # arrows out of x0 are closed under composition on the right
+        action, u0 = restrict_action(gpd, points), points.index(gpd.unit[x0])
+        # the unit retrieves: row u0 holds u0 . w for every point w, in order
+        if not np.array_equal(action.row(u0), np.arange(len(points))):
+            raise ValueError("the unit does not retrieve every point")
+        fixed = action.first_entry(lambda ys, gs, val: (val == ys)
+                                   & (gs != gpd.unit[action.anchor[ys]]))
+        if fixed is not None:
+            raise ValueError(f"action is not free at point {fixed[0]}, "
+                             f"arrow {fixed[1]}")
+        vars(self).update(action=action, points=points, u0=u0)
 
     def fiber_points(self) -> list[int]:
         return self.action.fiber(self.basepoint)
 
 
 def build_ambit(gpd: Groupoid, x0: int = 0) -> Ambit:
-    """Assemble the ambit at ``x0``, the groupoid's regular action
-    restricted to the arrows out of ``x0``, and check its defining properties:
-    the unit acts as a retrieval map (``u0 . w == w`` for every point),
-    the action is free, and the anchor is onto (needs transitivity).  The
-    table must have no flaw and the unit of ``x0`` must start at ``x0``."""
+    """``Ambit(gpd, x0)``, with ``x0`` refused by its own name."""
     _require_whole(gpd)  # before x0 is checked against n_objects
-    _index("x0", x0, gpd.n_objects)
-    ok, witness = is_transitive(gpd)
-    if not ok:
-        raise ValueError(
-            f"groupoid is not transitive (no arrow {witness[0]} -> {witness[1]}); "
-            "the ambit anchor would not be surjective")
-    points = gpd.arrows_from(x0)
-    u0 = np.flatnonzero(points == gpd.unit[x0])
-    if not u0.size:
-        raise ValueError(f"unit of object {x0} is not an arrow out of {x0}")
-    # arrows out of x0 are closed under composition on the right
-    action = restrict_action(gpd, points)
-    ambit = Ambit(action=action, basepoint=x0, points=points.tolist(),
-                  u0=int(u0[0]))
-    # row u0 holds u0 . w for every point w, in point order
-    if not np.array_equal(action.row(ambit.u0), np.arange(points.shape[0])):
-        raise ValueError("the unit does not retrieve every point")
-    fixed = action.first_entry(lambda ys, gs, val: (val == ys)
-                               & (gs != gpd.unit[action.anchor[ys]]))
-    if fixed is not None:
-        raise ValueError(f"action is not free at point {fixed[0]}, "
-                         f"arrow {fixed[1]}")
-    return ambit
+    return Ambit(gpd, _index("x0", x0, gpd.n_objects))
 
 
 # --- equivariant maps ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EquivariantMap:
+    """The map sending point ``y`` of ``source`` to ``values[y]`` of
+    ``target``.  Its fields are checked once, when it is built: two
+    :class:`GroupoidAction` and a list or tuple of integers, kept as a list
+    of ints; a refusal names the field or entry.  The values' range is
+    :func:`verify_equivariant_map`'s verdict."""
+
     source: GroupoidAction
     target: GroupoidAction
     values: list[int]
+
+    def __post_init__(self) -> None:
+        _require_type("source", self.source, GroupoidAction)
+        _require_type("target", self.target, GroupoidAction)
+        object.__setattr__(self, "values", _integers("values", self.values))
 
 
 def verify_equivariant_map(m: EquivariantMap) -> Diagnostics:
@@ -381,11 +390,16 @@ def enumerate_equivariant_maps(ambit: Ambit,
 
 def compose_equivariant_maps(outer: EquivariantMap,
                              inner: EquivariantMap) -> EquivariantMap:
-    """The map ``y -> outer(inner(y))``; targets must chain."""
+    """The map ``y -> outer(inner(y))``; targets must chain, and a value
+    of ``inner`` outside ``outer``'s values is refused by its name."""
     if inner.target is not outer.source:
         raise ValueError("maps do not chain")
+    values, n = inner.values, len(outer.values)
+    if values and not 0 <= min(values) <= max(values) < n:
+        y = next(y for y, z in enumerate(values) if not 0 <= z < n)
+        _index(f"inner.values[{y}]", values[y], n)
     return EquivariantMap(source=inner.source, target=outer.target,
-                          values=[outer.values[z] for z in inner.values])
+                          values=[outer.values[z] for z in values])
 
 
 # --- the fiber semigroup --------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import FiniteGroup, _index
+from .algebra import FiniteGroup, _index, _integers, _require_type
 from .bundle import (
     BaseGraph,
     CocycleBundle,
@@ -75,18 +75,27 @@ class ArrowCoordinate(NamedTuple):
     twist: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Connection:
-    """One groupoid arrow per dart, realizing dart transport."""
+    """One groupoid arrow per dart, realizing dart transport.  Its fields
+    are checked once, when it is built: a :class:`BaseGraph` and a list or
+    tuple of integers, kept as a list of ints; a refusal names the field or
+    entry.  The arrows' range is :func:`verify_connection`'s verdict."""
 
     base: BaseGraph
     arrows: list[int]
+
+    def __post_init__(self) -> None:
+        _require_type("base", self.base, BaseGraph)
+        object.__setattr__(self, "arrows", _integers("arrows", self.arrows))
 
 
 @dataclass
 class TransportGroupoid:
     """The quotient groupoid of a bundle in arrow coordinates: a vertex,
-    twist or arrow outside its range is refused by its name."""
+    twist or arrow outside its range is refused by its name.  A plain
+    record, not checked when built: :func:`closed_form_matches_oracle`
+    judges one whose fields disagree."""
 
     bundle: CocycleBundle
     groupoid: Groupoid
@@ -201,9 +210,12 @@ def closed_form_matches_oracle(tg: TransportGroupoid) -> Diagnostics:
     if oracle.n_arrows != tg.groupoid.n_arrows:
         return Diagnostics.failed(
             "orbit count mismatch", (oracle.n_arrows, tg.groupoid.n_arrows))
-    arr_map = [rep_index[_orbit_rep(grp, (c.src_vertex, c.twist),
-                                    (c.tgt_vertex, grp.identity))]
+    arr_map = [rep_index.get(_orbit_rep(grp, (c.src_vertex, c.twist),
+                                        (c.tgt_vertex, grp.identity)))
                for c in tg.coords]
+    if None in arr_map:  # a vertex off the base
+        return Diagnostics.failed("coordinate off the orbits",
+                                  (arr_map.index(None),))
     if len(set(arr_map)) != len(arr_map):
         return Diagnostics.failed("coordinate map not injective", ())
     return verify_groupoid_iso(tg.groupoid, oracle,

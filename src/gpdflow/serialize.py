@@ -639,6 +639,8 @@ def parse_model(data: Any) -> Model:
 
 
 _TABLE_KEY = re.compile(rb'"(?:%s)":\[\[' % "|".join(_ARRAY_TABLES).encode())
+# a table's end: a search, unlike bytes.find, does not stop at each row's "]"
+_TABLE_END = re.compile(rb"\]\]")
 _CHUNK = 1 << 16  # bytes read at a time by the scan, the fill and the digest
 # A table's span becomes the number token ``<i>e-0000000``: numbers cannot
 # be written with escapes, so no other token has that text when the text
@@ -793,11 +795,11 @@ def _scan(reader: _File) -> Optional[tuple[bytes, list[tuple[int, int]]]]:
                 out += (buf[i:key.end() - 2], _SPAN_TOKEN % len(ranges))
                 start, i = base + key.end() - 2, key.end()
             else:
-                close = buf.find(b"]]", i)
-                if close < 0:
+                close = _TABLE_END.search(buf, i)
+                if close is None:
                     break
-                ranges.append((start, base + close + 2))
-                start, i = None, close + 2
+                ranges.append((start, base + close.end()))
+                start, i = None, close.end()
         cut = max(i, len(buf) - _CARRY)
         if start is None:
             out.append(buf[i:cut])

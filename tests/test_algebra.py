@@ -1,8 +1,6 @@
 """Tests for finite group tables, presets, and conjugacy search."""
 import random
-import signal
 from collections import Counter
-from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -20,15 +18,15 @@ from gpdflow.algebra import (
     verify_group,
 )
 from gpdflow.amenability import extreme_amenability_check, fixed_points
-from gpdflow.bundle import BaseGraph, CocycleBundle, is_trivial
+from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.ehresmann import groupoid_of_bundle, point_base_degenerate, \
     vertex_chart_phi
 from gpdflow.groupoid import Groupoid, one_object_groupoid, pair_groupoid, \
     vertex_group, vertex_groups_isomorphic
-from gpdflow.serialize import build_group, group_to_json
+from gpdflow.serialize import build_group
 
 from law_oracle import backtrack_group_isomorphism, brute_group_violation
-from table_corpus import edited_group_tables
+from table_corpus import edited_group_tables, time_limit
 
 
 # --- independent oracles -------------------------------------------------
@@ -188,96 +186,6 @@ def test_verify_group_refuses_an_empty_table():
     diag, group = verify_group([], identity=0)
     assert group is None and diag.structural
     assert (diag.failure, diag.witness) == ("empty table", ())
-
-
-class OverTime(Exception):
-    pass
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise :class:`OverTime` in the block once ``seconds`` have passed."""
-    def over(signum, frame):
-        raise OverTime
-
-    previous = signal.signal(signal.SIGALRM, over)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_every_public_function_refuses_a_broken_group():
-    """The group twin of the table and bundle gates, on each table of
-    :func:`edited_group_tables`.  ``FiniteGroup`` builds a group that
-    ``verify_group`` passes, or refuses the table with a ``ValueError``
-    that carries ``verify_group``'s failure and witness.  Every public
-    function that takes a group, given the group built from the table,
-    gives a result or a ``ValueError`` within 2 s a call: any other
-    exception fails the test, with its count per function.  On the clean
-    tables, every function gives a result."""
-    def elementwise(method):
-        return lambda g: [method(g, a, b) for a in g.elements
-                          for b in g.elements]
-
-    calls = {
-        "mul": elementwise(FiniteGroup.mul),
-        "inverse": lambda g: [g.inverse(a) for a in g.elements],
-        "conjugate": elementwise(FiniteGroup.conjugate),
-        "generated_subgroup": lambda g: generated_subgroup(g, [1, 2]),
-        "are_conjugate_subgroup_maps": lambda g: are_conjugate_subgroup_maps(
-            g, [1, 2], [2, 1]),
-        "element_order": lambda g: [element_order(g, a) for a in g.elements],
-        "find_group_isomorphism": lambda g: find_group_isomorphism(g, clean),
-        "find_group_isomorphism from": lambda g: find_group_isomorphism(
-            clean, g),
-        "fixed_points": lambda g: fixed_points(g, [list(row) for row in
-                                                   g.mult]),
-        "extreme_amenability_check": extreme_amenability_check,
-        "is_trivial": lambda g: is_trivial(CocycleBundle.from_edge_labels(
-            BaseGraph.wedge_of_loops(2), g, [1, 2])),
-        "point_base_degenerate": point_base_degenerate,
-        "one_object_groupoid": one_object_groupoid,
-        "group_to_json": group_to_json}
-    outcomes, verdicts = Counter(), Counter()
-    for name, edit, table in edited_group_tables():
-        clean = preset_group(name)
-        diag, group = verify_group(table, 0)
-        assert build_group({"mult": table, "identity": 0}) == (diag, group)
-        verdicts[diag.ok, diag.failure and diag.failure.split()[0]] += 1
-        try:
-            built = FiniteGroup(table, 0)
-        except ValueError as refused:
-            assert not diag.ok, (name, edit, table)
-            assert str(refused) == (
-                f"not a group: {diag.failure} {diag.witness}")
-        else:
-            assert diag.ok and built == group, (name, edit, table)
-        for fname, call in calls.items():
-            try:
-                with time_limit(2.0):
-                    call(FiniteGroup(table, 0))
-            except ValueError:
-                outcome = "ValueError"
-            except Exception as error:  # the gate: counted, then failed
-                outcome = type(error).__name__
-            else:
-                outcome = "result"
-            outcomes[fname, diag.ok, outcome] += 1
-    others = {key: n for key, n in outcomes.items()
-              if key[2] not in ("result", "ValueError")}
-    assert others == {}, others
-    for name in ("S3", "Z4", "D4", "Q8", "Z6"):  # a clean group: a result
-        clean = preset_group(name)
-        for call in calls.values():
-            call(clean)
-    # every edit breaks a group table, each kind of law somewhere
-    assert {key[1] for key in verdicts} == {
-        "entry", "table", "identity", "row"}, verdicts
-    assert sum(verdicts.values()) == 150 and not any(
-        ok for ok, _ in verdicts), verdicts
 
 
 def test_the_law_scan_runs_once_per_group_built(monkeypatch):

@@ -4,7 +4,7 @@ Uniqueness claims are cross-checked by honest brute force: equivariant
 maps by filtering the full product of anchor-compatible assignments, and
 minimal subflows by the exhaustive bitmask search built into the package.
 """
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import accumulate, product
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from gpdflow.algebra import preset_group
 from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.dynamics import (
+    Ambit,
     EquivariantMap,
     GroupoidAction,
     base_action,
@@ -295,10 +296,34 @@ def test_every_constructor_gives_values_at_the_width_of_its_size():
 
 def test_ambit_frozen_layout():
     ambit = build_ambit(z2_triangle_groupoid().groupoid, x0=0)
-    assert ambit.points == [0, 3, 4, 5, 6, 7]
+    assert ambit.points == (0, 3, 4, 5, 6, 7)
     assert ambit.u0 == 0
     assert ambit.action.anchor.tolist() == [0, 0, 1, 1, 2, 2]
     assert ambit.fiber_points() == [0, 1]
+
+
+def test_an_ambit_is_its_groupoid_and_basepoint():
+    """The groupoid and the basepoint fix the ambit: its points, unit and
+    action are set when it is built, and neither the constructor nor
+    ``replace`` takes them, so no ambit disagrees with itself.  ``replace``
+    with no change builds the same ambit again, and one to another
+    basepoint builds that basepoint's ambit."""
+    gpd = z2_triangle_groupoid().groupoid
+    ambit = build_ambit(gpd, 0)
+    assert ambit == Ambit(gpd) == replace(ambit)
+    assert replace(ambit).action is not ambit.action
+    assert replace(ambit, basepoint=1) == build_ambit(gpd, 1) != ambit
+    for name in ("action", "points", "u0"):
+        with pytest.raises(ValueError, match=f"^field {name} is declared "
+                                             "with init=False"):
+            replace(ambit, **{name: getattr(ambit, name)})
+        with pytest.raises(TypeError):
+            Ambit(gpd, 0, **{name: getattr(ambit, name)})
+        with pytest.raises(FrozenInstanceError):
+            setattr(ambit, name, getattr(ambit, name))
+    with pytest.raises(ValueError, match="^gpd is a GroupoidAction, not a "
+                                         "Groupoid$"):
+        Ambit(ambit.action)
 
 
 def test_ambit_size_is_vertices_times_group():
@@ -467,9 +492,9 @@ def test_uniqueness_reports_the_first_self_map_that_is_not_a_bijection(
     import gpdflow.dynamics
     enumerate_maps = enumerate_equivariant_maps
 
-    def collapsing(source, target):
-        maps = enumerate_maps(source, target)
-        return [EquivariantMap(source, target, [v] * target.n_points)
+    def collapsing(ambit, target):
+        maps = enumerate_maps(ambit, target)
+        return [EquivariantMap(ambit.action, target, [v] * target.n_points)
                 for v in range(len(maps))]
     monkeypatch.setattr(gpdflow.dynamics, "enumerate_equivariant_maps",
                         collapsing)

@@ -7,8 +7,10 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,8 @@ from gpdflow import (BaseGraph, CocycleBundle, EquivariantMap,
                      restrict_action, roundtrip_bundle, total_space,
                      universal_map, vertex_chart_phi, vertex_chart_psi,
                      vertex_group, vertex_groups_isomorphic)
+
+from test_refusal import CALLS
 
 # dependency order: a module comes after every module it imports
 MODULES = ("diagnostics", "algebra", "groupoid", "bundle", "ehresmann",
@@ -142,11 +146,11 @@ EXEMPT = {
 }
 
 
-def index_parameters() -> set[tuple[str, str]]:
-    """``(function, parameter)`` for each parameter annotated as an index
-    of each function in ``gpdflow.__all__``, and of each public method and
+def public_parameters():
+    """``(function, parameter, annotation)`` for each parameter of each
+    function in ``gpdflow.__all__``, and of each public method and
     ``__call__`` of each class there (a class under two names once)."""
-    found, classes = set(), set()
+    classes = set()
     for name in gpdflow.__all__:
         obj = getattr(gpdflow, name)
         if inspect.isfunction(obj):
@@ -160,19 +164,26 @@ def index_parameters() -> set[tuple[str, str]]:
             continue
         for qualified, function in functions:
             if inspect.isfunction(function) or inspect.ismethod(function):
-                found |= {(qualified, p.name) for p in
-                          inspect.signature(function).parameters.values()
-                          if p.annotation in INDEX_ANNOTATIONS}
-    return found
+                for p in inspect.signature(function).parameters.values():
+                    yield qualified, p.name, p.annotation
+
+
+def index_parameters() -> set[tuple[str, str]]:
+    """``(function, parameter)`` for each public parameter annotated as an
+    index."""
+    return {(function, name) for function, name, annotation
+            in public_parameters() if annotation in INDEX_ANNOTATIONS}
 
 
 def test_every_index_argument_is_refused_by_its_name():
     """On the edge-s3 fixture, each index parameter of the package's public
     functions and methods, found from their signatures, at -1 and at the
     first value past its range, is refused with ``<argument> = <value>
-    outside range(<n>)``, by its own name and by the function called: not
-    an ``IndexError``, not an empty list, not ``seq[-1]``.  The entries of
-    list arguments, which no signature shows, are refused as ``name[k]``.
+    outside range(<n>)``, and at None, 1.0 and True with ``<argument> =
+    <value> is not an integer``, by its own name and by the function
+    called: not an ``IndexError`` or a ``TypeError``, not an empty list,
+    not ``seq[-1]``, not 1 for True.  The entries of list arguments, which
+    no signature shows, are refused as ``name[k]``.
     Each parameter found is exercised here or exempt, never both, so a new
     index parameter fails this test until it is given a row."""
     b = named_bundles()["edge-s3"]
@@ -282,17 +293,87 @@ def test_every_index_argument_is_refused_by_its_name():
     assert index_parameters() == exercised | EXEMPT.keys()
     wrong = []
     for function, name, n, call in rows + entries:
-        for i in (-1, n):
+        for i in (-1, n, None, 1.0, True):
             try:
                 out = call(i)
             except ValueError as error:
-                if str(error) == f"{name} = {i} outside range({n})":
+                if str(error) == (f"{name} = {i} outside range({n})"
+                                  if type(i) is int else
+                                  f"{name} = {i!r} is not an integer"):
                     continue
                 out = error
             except Exception as error:  # the gate: listed, then failed
                 out = error
             wrong.append((function, name, i, repr(out)[:60]))
     assert not wrong, wrong
+
+
+# the annotations of a table of ints
+TABLE_ANNOTATIONS = {"Sequence[Sequence[int]]", "list[list[int]]"}
+PACKAGE_TYPES = {name for name in gpdflow.__all__
+                 if inspect.isclass(getattr(gpdflow, name))}
+
+# the structured parameters no call table names: (function, parameter)
+STRUCTURED_EXEMPT = {
+    ("RowTable.map_flaw", "target"):
+        "a helper of the verifiers, which read both tables' flaws first",
+    ("apply_gauge", "gauge"):
+        "a list of elements, each refused by its name (the index gate)",
+}
+
+# the structured types that are not checked when built
+PLAIN_RECORDS = {
+    "TransportGroupoid": "tests build tampered ones by dataclasses.replace "
+                         "to reach closed_form_matches_oracle's failures",
+    "GaugeTransformation": "read only by apply_gauge, which refuses each "
+                           "entry by its name",
+}
+
+
+def structured_parameters() -> dict[tuple[str, str], str]:
+    """``(function, parameter)`` -> ``"table"`` for each public parameter
+    annotated as a table of ints, else the package type its annotation
+    names, if any."""
+    found = {}
+    for function, name, annotation in public_parameters():
+        types = set(re.findall(r"\w+", str(annotation))) & PACKAGE_TYPES
+        if annotation in TABLE_ANNOTATIONS or types:
+            assert len(types) <= 1, (function, name, annotation)
+            found[function, name] = types.pop() if types else "table"
+    return found
+
+
+def test_every_structured_argument_is_gated():
+    """Each parameter of the package's public functions and methods, found
+    from their signatures, that is annotated with a package type or as a
+    table of ints, is named in exactly one call table of the refusal gate
+    (``test_refusal``), that of its type, or exempt with its reason, never
+    both; so a new one fails this test until it is given a call.  Each key
+    of a call table names a parameter of its function.  Each type the gate
+    runs is checked once, when built (a ``__post_init__``), or is a plain
+    record listed with its reason."""
+    found = structured_parameters()
+    tables = {}
+    for kind, calls in CALLS.items():
+        for key in calls:
+            tables.setdefault(key, set()).add(kind)
+    for function, parameter in tables:
+        obj = gpdflow
+        for part in function.split("."):
+            obj = getattr(obj, part)
+        names = {"self"} if isinstance(obj, (property, cached_property)) else \
+            set(inspect.signature(obj).parameters)
+        assert parameter in names, (function, parameter)
+    gated = {key: kinds for key, kinds in tables.items() if key in found}
+    assert not gated.keys() & STRUCTURED_EXEMPT.keys()
+    assert found.keys() == gated.keys() | STRUCTURED_EXEMPT.keys(), \
+        sorted(found.keys() - gated.keys() - STRUCTURED_EXEMPT.keys())
+    wrong = {key: kinds for key, kinds in gated.items()
+             if kinds != {found[key]}}
+    assert not wrong, wrong
+    for kind in set(found.values()) - {"table"}:
+        assert hasattr(getattr(gpdflow, kind), "__post_init__") != (
+            kind in PLAIN_RECORDS), kind
 
 
 def test_an_arrow_off_a_chart_is_refused_by_name():
