@@ -12,19 +12,24 @@ republishes every one of them, modules in dependency order.
 The package never calls BLAS, so it loads numpy with a one-thread OpenBLAS
 pool: otherwise OpenBLAS starts a worker per core, and each one spins for
 a while before it sleeps, which costs every process CPU time for no work.
-A caller's own ``OPENBLAS_NUM_THREADS`` wins, numpy imported before the
-package is left as it is, and the environment is left as it was found.
+A caller's own ``OPENBLAS_NUM_THREADS`` wins (an empty one counts as
+unset, as OpenBLAS reads it), numpy imported before the package is left as
+it is, and the environment is left as it was found.
 """
 import os as _os
 import sys as _sys
 
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+_blas = _os.environ.get("OPENBLAS_NUM_THREADS")
+if "numpy" not in _sys.modules and not _blas:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         __import__("numpy")
     finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
-del _os, _sys
+        if _blas is None:
+            del _os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            _os.environ["OPENBLAS_NUM_THREADS"] = _blas
+del _os, _sys, _blas
 
 from . import (algebra, amenability, bundle, diagnostics, dynamics, ehresmann,
                fixtures, groupoid, serialize)

@@ -88,17 +88,23 @@ def _index(name: str, i: int, n: int) -> int:
     return i
 
 
-def _integers(name: str, seq: Any) -> list[int]:
+def _integers(name: str, seq: Any, bound: Any = None) -> list[int]:
     """A fresh list of the ints in ``seq``, refused unless ``seq`` is a
     list or tuple of integers: the refusal names ``seq`` or its entry
-    ``name[k]``.  Ranges are left to the caller's verdicts."""
+    ``name[k]``.  Ranges are left to the caller's verdicts, unless given:
+    an int ``bound`` is each entry's range, by :func:`_index`, and a tuple
+    one each position's, with its length the only one ``seq`` may have."""
     if not isinstance(seq, (list, tuple)):
         raise ValueError(f"{name} = {seq!r} is not a list or tuple")
-    if set(map(type, seq)) <= {int}:
+    if isinstance(bound, tuple) and len(seq) != len(bound):
+        raise ValueError(f"{name} = {seq!r} has {len(seq)} entries, "
+                         f"expected {len(bound)}")
+    if bound is None and set(map(type, seq)) <= {int}:
         return list(seq)
-    for k, v in enumerate(seq):
-        if not _integer(v):
-            raise ValueError(f"{name}[{k}] = {v!r} is not an integer")
+    bounds = bound if isinstance(bound, tuple) else (bound,) * len(seq)
+    for k, (v, n) in enumerate(zip(seq, bounds)):
+        if n is not None or not _integer(v):  # refused before n is read
+            _index(f"{name}[{k}]", v, n)
     return [int(v) for v in seq]
 
 
@@ -164,7 +170,7 @@ def _law_scan(table: Any, e: int) -> Diagnostics:
     n = len(table)
     if n == 0:
         return Diagnostics.failed("empty table", (), structural=True)
-    if not (0 <= e < n):
+    if type(e) is not int and not _integer(e) or not 0 <= e < n:
         return Diagnostics.failed(
             "identity out of range", (e,), structural=True)
 
@@ -268,8 +274,7 @@ def generated_subgroup(group: FiniteGroup, generators: Sequence[int]) -> list[in
 
     The empty generating set yields the trivial subgroup.
     """
-    for i, g in enumerate(generators):
-        _index(f"generators[{i}]", g, group.order)
+    generators = _integers("generators", generators, group.order)
     members = {group.identity}
     work = [group.identity]
     gens = sorted(set(generators) | {group.inv[g] for g in generators})
@@ -290,11 +295,10 @@ def are_conjugate_subgroup_maps(group: FiniteGroup, f1: Sequence[int],
     The search is exhaustive over the whole group and returns the lowest such
     ``h``, or ``None`` when the tuples are not simultaneously conjugate.
     """
+    f1, f2 = (_integers(name, f, group.order)
+              for name, f in (("f1", f1), ("f2", f2)))
     if len(f1) != len(f2):
         raise ValueError(f"length mismatch: {len(f1)} vs {len(f2)}")
-    for name, seq in (("f1", f1), ("f2", f2)):
-        for i, g in enumerate(seq):
-            _index(f"{name}[{i}]", g, group.order)
     for h in group.elements:
         if all(group.conjugate(g1, h) == g2 for g1, g2 in zip(f1, f2)):
             return h

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .algebra import FiniteGroup, _index, _require_table
+from .algebra import FiniteGroup, _index, _integers, _require_table
 from .bundle import CocycleBundle
 from .diagnostics import Diagnostics
 from .dynamics import _CROSSCHECK_POINTS, GroupoidAction, base_action, \
@@ -88,10 +88,11 @@ def verify_invariant_section(a: GroupoidAction, values: Sequence[int]
                              ) -> Diagnostics:
     """Check the section laws: one point per object, over that object, and
     stable under transport along every arrow, after the action's ``flaw``,
-    set once when it was built."""
+    set once when it was built.  ``values`` is a list or tuple of integers,
+    refused by name; their range is a verdict."""
     if a.flaw is not None:  # the scans below read its anchor and rows
         return a.flaw
-    gpd = a.gpd
+    gpd, values = a.gpd, _integers("values", values)
     if len(values) != gpd.n_objects:
         return Diagnostics.failed("section length mismatch",
                                   (len(values), gpd.n_objects),

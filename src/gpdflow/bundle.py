@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .algebra import FiniteGroup, _index, are_conjugate_subgroup_maps, \
-    generated_subgroup
+from .algebra import FiniteGroup, _index, _integers, \
+    are_conjugate_subgroup_maps, generated_subgroup
 from .diagnostics import Diagnostics, Refused
 
 __all__ = [
@@ -62,11 +62,12 @@ class BaseGraph:
     def __post_init__(self) -> None:
         if self.n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        n = self.n_vertices
+        n, edges = self.n_vertices, self.edges
+        if not isinstance(edges, (list, tuple)):
+            raise ValueError(f"edges = {edges!r} is not a list or tuple")
         object.__setattr__(self, "edges", tuple(
-            (int(_index(f"edges[{i}][0]", u, n)),
-             int(_index(f"edges[{i}][1]", v, n)))
-            for i, (u, v) in enumerate(self.edges)))
+            tuple(_integers(f"edges[{i}]", e, (n, n)))
+            for i, e in enumerate(edges)))
 
     @property
     def n_edges(self) -> int:
@@ -187,7 +188,8 @@ class CocycleBundle:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels",
+                           tuple(_integers("labels", self.labels)))
         _cocycle_scan(self.base, self.group, self.labels).require(
             "not a cocycle bundle")
 
@@ -203,8 +205,8 @@ class CocycleBundle:
 def dart_labels(group: FiniteGroup, edge_labels: Sequence[int]) -> list[int]:
     """Edge ``e``'s label on dart ``2e``, its inverse on ``2e + 1``; an edge
     label outside the group is refused by its name."""
-    return [x for e, g in enumerate(edge_labels) for x in
-            (g, group.inv[_index(f"edge_labels[{e}]", g, group.order)])]
+    return [x for g in _integers("edge_labels", edge_labels, group.order)
+            for x in (g, group.inv[g])]
 
 
 def verify_cocycle(base: BaseGraph, group: FiniteGroup, labels: Sequence[int]
@@ -299,11 +301,10 @@ def apply_gauge(b: CocycleBundle, gauge: GaugeTransformation) -> CocycleBundle:
 def _gauge_labels(b: CocycleBundle, gauge: GaugeTransformation) -> tuple[int, ...]:
     """The labels ``h[dtgt(d)] * label(d) * h[dsrc(d)]^-1``, read off the
     tables; a gauge element outside the group is refused by its name."""
-    if len(gauge.elements) != b.base.n_vertices:
+    mult, inv = b.group.mult, b.group.inv
+    h = _integers("gauge.elements", gauge.elements, b.group.order)
+    if len(h) != b.base.n_vertices:
         raise ValueError("gauge must assign one element per vertex")
-    mult, inv, order = b.group.mult, b.group.inv, b.group.order
-    h = [_index(f"gauge.elements[{v}]", g, order)
-         for v, g in enumerate(gauge.elements)]
     ends = [e for u, v in b.base.edges for e in ((u, v), (v, u))]
     return tuple(mult[h[w]][mult[g][inv[h[v]]]]
                  for (v, w), g in zip(ends, b.labels))
@@ -334,8 +335,7 @@ def holonomy_along(b: CocycleBundle, darts: Sequence[int]) -> int:
     matching transport order.  A dart outside its range is refused."""
     acc = b.group.identity
     at = None
-    for i, d in enumerate(darts):
-        _index(f"darts[{i}]", d, b.base.n_darts)
+    for d in _integers("darts", darts, b.base.n_darts):
         if at is not None and b.base.dsrc(d) != at:
             raise ValueError(f"dart {d} does not continue the walk at {at}")
         acc = b.group.mul(b.labels[d], acc)

@@ -140,7 +140,7 @@ def base_action(gpd: Groupoid) -> GroupoidAction:
     """The groupoid acting on its own objects: ``x . g = tgt(g)``."""
     _require_whole(gpd)
     return GroupoidAction(gpd, np.arange(gpd.n_objects),
-                          gpd.tgt[gpd.out_index[0]])
+                          _frozen(gpd.tgt[gpd.out_index[0]]))
 
 
 def disjoint_union_actions(a1: GroupoidAction,
@@ -152,7 +152,7 @@ def disjoint_union_actions(a1: GroupoidAction,
     return GroupoidAction(
         a1.gpd, np.concatenate([a1.anchor, a2.anchor]),
         # widened first: an int16 value plus shift would wrap
-        np.concatenate([a1.val, a2.val.astype(np.int32) + shift]))
+        _frozen(np.concatenate([a1.val, a2.val.astype(np.int32) + shift])))
 
 
 def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
@@ -161,9 +161,7 @@ def restrict_action(a: RowTable, points: list[int]) -> GroupoidAction:
     keep their relative order."""
     _require_whole(a)
     n = a.anchor.shape[0]
-    for i, p in enumerate(points):
-        _index(f"points[{i}]", p, n)
-    pts = np.asarray(points, dtype=np.int64)
+    pts = np.array(_integers("points", points, n), dtype=np.int64)
     twice = np.bincount(pts, minlength=n)[pts] > 1
     if bool(twice.any()):
         raise ValueError(f"point {pts[np.argmax(twice)]} given twice")
@@ -394,10 +392,7 @@ def compose_equivariant_maps(outer: EquivariantMap,
     of ``inner`` outside ``outer``'s values is refused by its name."""
     if inner.target is not outer.source:
         raise ValueError("maps do not chain")
-    values, n = inner.values, len(outer.values)
-    if values and not 0 <= min(values) <= max(values) < n:
-        y = next(y for y, z in enumerate(values) if not 0 <= z < n)
-        _index(f"inner.values[{y}]", values[y], n)
+    values = _integers("inner.values", inner.values, len(outer.values))
     return EquivariantMap(source=inner.source, target=outer.target,
                           values=[outer.values[z] for z in values])
 
@@ -443,22 +438,23 @@ def fiber_semigroup(ambit: Ambit) -> FiberSemigroup:
     """Multiply fiber points by applying one universal map after another.
 
     The product table is computed as ``y * z = l_y(z)``, the semigroup law
-    ``l_y . l_z == l_{y*z}`` is asserted as equality of whole maps, and the
-    table must verify as a group (the unit is placed first, so it sits at
-    index 0).  The isomorphism onto the vertex group is found by exhaustive
-    search rather than read off the construction.
+    ``l_y . l_z == l_{y*z}`` is asserted as equality of whole maps, one
+    array of their values, and the table must verify as a group (the unit
+    is placed first, so it sits at index 0).  The isomorphism onto the
+    vertex group is found by exhaustive search rather than read off the
+    construction.
     """
     a = ambit.action
     fiber = [ambit.u0] + [y for y in ambit.fiber_points() if y != ambit.u0]
     pos = {y: i for i, y in enumerate(fiber)}
-    lmaps = {y: universal_map(a, ambit, y) for y in fiber}
-    table = [[pos[lmaps[y].values[z]] for z in fiber] for y in fiber]
-    for y in fiber:
-        for z in fiber:
-            composed = compose_equivariant_maps(lmaps[y], lmaps[z])
-            if composed.values != lmaps[lmaps[y].values[z]].values:
-                raise AssertionError(
-                    f"universal maps do not compose at fiber pair ({y}, {z})")
+    maps = np.array([universal_map(a, ambit, y).values for y in fiber])
+    table = [[pos[z] for z in row] for row in maps[:, fiber].tolist()]
+    for y, l_y, row in zip(fiber, maps, table):
+        # l_y . l_z, for each z, against l_{y*z}
+        bad = (l_y[maps] != maps[row]).any(axis=1)
+        if bool(bad.any()):
+            raise AssertionError("universal maps do not compose at fiber "
+                                 f"pair ({y}, {fiber[int(np.argmax(bad))]})")
     diag, group = verify_group(table, identity=0)
     diag.require("fiber table is not a group")
     vgroup = vertex_group(ambit.action.gpd, ambit.basepoint).group

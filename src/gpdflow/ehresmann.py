@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import FiniteGroup, _index, _integers, _require_type
+from .algebra import FiniteGroup, _index, _integer, _integers, _require_type
 from .bundle import (
     BaseGraph,
     CocycleBundle,
@@ -210,10 +210,10 @@ def closed_form_matches_oracle(tg: TransportGroupoid) -> Diagnostics:
     if oracle.n_arrows != tg.groupoid.n_arrows:
         return Diagnostics.failed(
             "orbit count mismatch", (oracle.n_arrows, tg.groupoid.n_arrows))
-    arr_map = [rep_index.get(_orbit_rep(grp, (c.src_vertex, c.twist),
-                                        (c.tgt_vertex, grp.identity)))
-               for c in tg.coords]
-    if None in arr_map:  # a vertex off the base
+    arr_map = [rep_index.get(_orbit_rep(grp, (v, a), (w, grp.identity)))
+               if _integer(a) and 0 <= a < grp.order else None
+               for v, w, a in tg.coords]
+    if None in arr_map:  # a vertex off the base, or a twist off the group
         return Diagnostics.failed("coordinate off the orbits",
                                   (arr_map.index(None),))
     if len(set(arr_map)) != len(arr_map):
@@ -262,8 +262,8 @@ def _resolve_u0(tg: TransportGroupoid,
                 u0: Optional[tuple[int, int]]) -> tuple[int, int]:
     if u0 is None:
         return 0, tg.bundle.group.identity
-    return (_index("u0[0]", u0[0], tg.bundle.base.n_vertices),
-            _index("u0[1]", u0[1], tg.bundle.group.order))
+    return tuple(_integers("u0", u0, (tg.bundle.base.n_vertices,
+                                      tg.bundle.group.order)))
 
 
 @dataclass

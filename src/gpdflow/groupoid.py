@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, \
 
 import numpy as np
 
-from .algebra import FiniteGroup, _index, verify_group
+from .algebra import FiniteGroup, _index, _integers, verify_group
 from .diagnostics import Diagnostics
 
 __all__ = [
@@ -88,12 +88,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_only(value, dtype: type) -> np.ndarray:
-    """``value`` as a read-only ``dtype`` array: a writeable array is
-    copied first, as its caller can still write it; a list, or an array
-    that is read-only already, such as another table's, is not."""
-    return _frozen(np.asarray(value).astype(
-        dtype, copy=isinstance(value, np.ndarray) and value.flags.writeable))
+def _read_only(name: str, value, dtype: Optional[type] = None) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype`` (None: its own, int64
+    for a list), refused by the field's ``name`` unless a list or tuple of
+    integers (:func:`_integers`) or an array of an integer dtype, or empty.
+    A writeable array is copied first, as its caller can still write it;
+    one that is read-only already, such as another table's, is not."""
+    if not isinstance(value, np.ndarray):
+        return _frozen(np.array(_integers(name, value), dtype or np.int64))
+    if value.dtype.kind not in "iu" and value.size:
+        raise ValueError(f"{name} = {value!r} is not an integer array")
+    if value.flags.writeable or dtype is not None and value.dtype != dtype:
+        value = _frozen(value.astype(dtype or value.dtype))
+    return value
 
 
 def val_width(n_points: int, n_arrows: int) -> type:
@@ -131,18 +138,19 @@ class RowTable:
                                  if f.init)
 
     def __post_init__(self) -> None:
-        self._set(**{name: _read_only(getattr(self, name), np.int64)
+        self._set(**{name: _read_only(name, getattr(self, name), np.int64)
                      for name in self._INDEX})
         # every value is below 2**30; readers widen before key arithmetic.
         # Values are narrowed to val_width only when they fit, so that one
         # out of range keeps int32 and reads as itself
-        val = np.asarray(self.val)
+        val = _read_only("val", self.val)
         lo, hi = _bounds(val)
         width = val_width(len(self.anchor), self.gpd.n_arrows)
         if not -1 << 15 <= lo <= hi < 1 << 15:
             width = np.int32
         # the anchor's layout: row y has one entry per arrow out of anchor[y]
-        self._set(val=_read_only(self.val, width), flaw=self._index_flaw(),
+        self._set(val=_frozen(val.astype(width, copy=False)),
+                  flaw=self._index_flaw(),
                   row_off=np.zeros(len(self.anchor) + 1, dtype=np.int64))
         if self.flaw is None:
             self.row_off[1:] = np.cumsum(
@@ -771,7 +779,10 @@ def verify_groupoid_iso(g1: Groupoid, g2: Groupoid, obj_map: Sequence[int],
     """Check that the pair of maps is a groupoid isomorphism: bijections that
     preserve src, tgt, unit, inverse, and every defined composition.  A
     structural flaw of either groupoid, its ``flaw`` set once when it was
-    built, is reported before the maps meet it."""
+    built, is reported before the maps meet it.  Each map is a list or
+    tuple of integers, refused by name; their ranges are verdicts."""
+    obj_map = _integers("obj_map", obj_map)
+    arr_map = _integers("arr_map", arr_map)
     m, k = g1.n_objects, g1.n_arrows
     if len(obj_map) != m or len(arr_map) != k:
         return Diagnostics.failed(
@@ -833,9 +844,9 @@ def _one_object(mult: Sequence[Sequence[int]], e: int) -> Groupoid:
     arrows in element order, ``inv[a]`` the first ``b`` with ``ab == e`` (0
     if none); a :class:`FiniteGroup` builds it once, in its law scan."""
     table = np.asarray(mult)
-    n = len(table)
-    return Groupoid([0] * n, [0] * n, [e], np.argmax(table == e, axis=1),
-                    table.ravel())
+    zeros = _frozen(np.zeros(len(table), dtype=np.int64))
+    return Groupoid(zeros, zeros, np.array([e]), np.argmax(table == e, axis=1),
+                    _frozen(table.ravel()))
 
 
 def one_object_groupoid(group: FiniteGroup) -> Groupoid:
@@ -871,4 +882,5 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
         unit=np.concatenate([g1.unit, g2.unit + k1]),
         inv=np.concatenate([g1.inv, g2.inv + k1]),
         # widened first: an int16 value plus k1 would wrap
-        val=np.concatenate([g1.val, g2.val.astype(np.int32) + k1]))
+        val=_frozen(np.concatenate([g1.val,
+                                    g2.val.astype(np.int32) + k1])))

@@ -528,19 +528,23 @@ def cli_runs_on_one_thread():
     """The CLI runs on one thread: gpdflow never calls BLAS, and loads
     numpy with a one-thread OpenBLAS pool.  So a process that has imported
     ``gpdflow.cli`` lists one thread in ``/proc/self/task``, where there is
-    one, however busy the host; and ``--help`` and ``verify --fixtures``
-    each take no more CPU time than wall time, give or take 10 ms.  An idle
+    one, however busy the host, with ``OPENBLAS_NUM_THREADS`` unset or
+    empty, which OpenBLAS reads as unset; and ``--help`` and ``verify
+    --fixtures`` each take no more CPU time than wall time, give or take 10
+    ms.  An idle
     OpenBLAS worker, spinning on another core before it sleeps, puts the
     CPU time above the wall time: by about 0.13 s on an idle 2-core host,
     less when the other cores are busy, so only the thread count sees it
     on a busy host."""
     if os.path.isdir("/proc/self/task"):
-        threads = subprocess.run(
-            [sys.executable, "-c", "import os, gpdflow.cli; "
-             "print(len(os.listdir('/proc/self/task')))"],
-            env=child_env(), capture_output=True, check=True).stdout
-        print(f"threads after import gpdflow.cli: {threads.decode().strip()}")
-        assert threads == b"1\n", threads
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": ""}):
+            threads = subprocess.run(
+                [sys.executable, "-c", "import os, gpdflow.cli; "
+                 "print(len(os.listdir('/proc/self/task')))"],
+                env=child_env(blas), capture_output=True, check=True).stdout
+            print(f"threads after import gpdflow.cli, {blas or 'unset'}: "
+                  f"{threads.decode().strip()}")
+            assert threads == b"1\n", (blas, threads)
     for argv in (["--help"], ["verify", "--fixtures"]):
         r = run(argv)
         assert r.code == 0 and r.err == b"", (argv, r.code, r.err[-2000:])

@@ -41,6 +41,9 @@ CROSS_CHECK = ("a cross-check that a construction is what it claims: "
                "a result is verified before it is returned keeps it")
 MAIN = ("runs only in a subprocess, python -m gpdflow.cli: "
         "tests/test_cli.py::test_stdin_not_utf8_is_unreadable_json")
+EMPTY_BLAS = ("runs only in a subprocess that imports gpdflow with "
+              "OPENBLAS_NUM_THREADS set empty: tests/test_package.py::"
+              "test_an_empty_openblas_num_threads_counts_as_unset")
 NO_SHA256 = ("runs only on an interpreter built without _sha256; "
              "tests/test_serialize.py checks both digest routes")
 COMP_PAIRS = ("Groupoid.n_comp_pairs, read only by perfbench/ladder.py, "
@@ -48,6 +51,8 @@ COMP_PAIRS = ("Groupoid.n_comp_pairs, read only by perfbench/ladder.py, "
 
 # (file under src/gpdflow, line text stripped, why it may stay unrun)
 MAY_STAY_UNRUN = (
+    ("__init__.py", '_os.environ["OPENBLAS_NUM_THREADS"] = _blas',
+     EMPTY_BLAS),
     ("amenability.py", "raise AssertionError(", CROSS_CHECK),
     ("amenability.py", '"section construction disagrees with brute-force '
      'enumeration")', CROSS_CHECK),
@@ -57,9 +62,6 @@ MAY_STAY_UNRUN = (
     ("dynamics.py", "raise AssertionError(", CROSS_CHECK),
     ("dynamics.py", '"orbit partition disagrees with exhaustive minimal '
      'subsets")', CROSS_CHECK),
-    ("dynamics.py", "raise AssertionError(", CROSS_CHECK),
-    ("dynamics.py", 'f"universal maps do not compose at fiber pair ({y}, '
-     '{z})")', CROSS_CHECK),
     ("dynamics.py", 'raise AssertionError("fiber semigroup is not the '
      'vertex group")', CROSS_CHECK),
     ("dynamics.py", 'raise AssertionError("ambit must have exactly one '

@@ -129,6 +129,18 @@ def test_verify_group_structural_errors_are_flagged():
     assert not diag.ok and diag.structural
 
 
+
+def test_an_identity_that_is_no_integer_is_out_of_range():
+    """Like one past the table, an identity that is no integer (a ``bool``
+    included, which is not read as 1) is the structural verdict
+    ``identity out of range``."""
+    z3 = [list(row) for row in preset_group("Z3").mult]
+    for e in (None, 1.0, True, "0"):
+        diag, group = verify_group(z3, e)
+        assert (diag.ok, diag.structural, diag.failure, diag.witness,
+                group) == (False, True, "identity out of range", (e,), None)
+
+
 def test_verify_group_catches_broken_associativity():
     # a Latin square of order 5 with identity 0: a loop that is not a group
     table = [[0, 1, 2, 3, 4],

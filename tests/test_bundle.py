@@ -113,6 +113,16 @@ def test_verify_cocycle_counts_the_labels_first():
     assert (diag.failure, diag.witness) == ("label count mismatch", (5, 6))
 
 
+def test_verify_cocycle_reads_no_bool_as_a_label():
+    """Labels are a list or tuple of integers, refused by name: ``[True,
+    True]`` is not read as the involutive labelling ``[1, 1]`` of S3."""
+    with pytest.raises(ValueError) as refused:
+        verify_cocycle(BaseGraph.path(2), preset_group("S3"), [True, True])
+    assert str(refused.value) == "labels[0] = True is not an integer"
+    diag, _ = verify_cocycle(BaseGraph.path(2), preset_group("S3"), [1, 1])
+    assert diag.ok
+
+
 # --- total space ---------------------------------------------------------------
 
 def test_total_space_counts_and_projection():

@@ -10,6 +10,7 @@ from itertools import accumulate, product
 import numpy as np
 import pytest
 
+from gpdflow import dynamics
 from gpdflow.algebra import preset_group
 from gpdflow.bundle import BaseGraph, CocycleBundle
 from gpdflow.dynamics import (
@@ -33,6 +34,7 @@ from gpdflow.dynamics import (
     verify_equivariant_map,
 )
 from gpdflow.ehresmann import fiber_chart_sigma, groupoid_of_bundle
+from gpdflow.fixtures import large_random_bundle
 from gpdflow.groupoid import Groupoid, disjoint_union, normalize_groupoid, \
     one_object_groupoid, pair_groupoid, verify_groupoid
 
@@ -264,7 +266,7 @@ def test_every_constructor_gives_values_at_the_width_of_its_size():
     ambit = build_ambit(gpd, x0=0)
     base = base_action(gpd)
     tables = [gpd, union_groupoid(), pair_groupoid(3), ambit.action, base,
-              restrict_action(gpd, gpd.arrows_from(1)),
+              restrict_action(gpd, gpd.arrows_from(1).tolist()),
               restrict_action(base, [1, 0]),
               disjoint_union_actions(ambit.action, base),
               rebuilt(base, base.triples())]
@@ -669,6 +671,46 @@ def test_fiber_semigroup_s3_table_is_the_group():
     assert fs.idempotents == [ambit.u0]
     assert fs.left_ideals == [sorted(fs.fiber)]
     assert fs.vertex_iso is not None
+
+
+def test_fiber_semigroup_checks_composition_on_one_value_array(monkeypatch):
+    """The cross-check ``l_y . l_z == l_{y*z}`` reads the values of the
+    fiber's universal maps as one array: on the 7-vertex S4 ambit it builds
+    one map per fiber point, 24, and composes none through
+    ``compose_equivariant_maps``.  A map whose values break the law is
+    named at the first failing fiber pair ``(y, z)``, in the order of the
+    pairwise composition of whole maps."""
+    ambit = build_ambit(groupoid_of_bundle(
+        large_random_bundle(7, 3, "S4")).groupoid, x0=0)
+    built, composed = [], []
+    post_init = EquivariantMap.__post_init__
+    monkeypatch.setattr(EquivariantMap, "__post_init__",
+                        lambda m: built.append(m) or post_init(m))
+    monkeypatch.setattr(dynamics, "compose_equivariant_maps",
+                        lambda *maps: composed.append(maps))
+    fs = fiber_semigroup(ambit)
+    assert (len(built), composed, len(fs.fiber)) == (24, [], 24)
+
+    # one map's values off the fiber swapped: its table row is kept
+    fiber, off = fs.fiber, sorted(set(range(ambit.action.n_points))
+                                  - set(fs.fiber))
+    universal = dynamics.universal_map
+
+    def swapped(a, am, y):
+        m = universal(a, am, y)
+        if y == fiber[3]:
+            values = list(m.values)
+            values[off[0]], values[off[1]] = values[off[1]], values[off[0]]
+            m = EquivariantMap(m.source, m.target, values)
+        return m
+    monkeypatch.setattr(dynamics, "universal_map", swapped)
+    maps = {y: swapped(ambit.action, ambit, y).values for y in fiber}
+    first = next((y, z) for y in fiber for z in fiber
+                 if [maps[y][w] for w in maps[z]] != maps[maps[y][z]])
+    with pytest.raises(AssertionError) as failed:
+        fiber_semigroup(ambit)
+    assert str(failed.value) == \
+        f"universal maps do not compose at fiber pair {first}"
 
 
 def test_semigroup_helpers_on_non_groups():

@@ -491,6 +491,22 @@ def test_closed_form_against_the_oracle_refuses_an_edited_transport():
         False, "coordinate map not injective", ())
 
 
+def test_a_coordinate_off_the_group_or_the_base_is_off_the_orbits():
+    """A coordinate whose twist lies outside the group, or whose vertex
+    lies off the base, names no orbit: the verdict names its index."""
+    tg = groupoid_of_bundle(s3_edge())
+    for k, coord in ((5, ArrowCoordinate(0, 1, 7)),
+                     (9, ArrowCoordinate(1, 1, -1)),
+                     (3, ArrowCoordinate(0, 0, True)),
+                     (2, ArrowCoordinate(2, 0, 0))):
+        coords = list(tg.coords)
+        coords[k] = coord
+        diag = closed_form_matches_oracle(dataclasses.replace(tg,
+                                                              coords=coords))
+        assert (diag.ok, diag.failure, diag.witness) == (
+            False, "coordinate off the orbits", (k,)), coord
+
+
 def test_chart_basepoint_out_of_range():
     tg = groupoid_of_bundle(z3_wedge())
     with pytest.raises(ValueError, match=r"^u0\[1\] = 3 outside range\(3\)$"):

@@ -869,6 +869,56 @@ def _built_tables(tmp_path):
         ("pickle", pickle.loads(pickle.dumps(g)))], held
 
 
+def test_a_row_table_takes_a_read_only_array_uncopied():
+    """A read-only array of the field's dtype is taken as it is, such as
+    another table's; a writeable one is copied, as its caller can still
+    write it, and a list is read into a fresh array.  Each ends read-only."""
+    p2 = pair_groupoid(2)
+    fields = {f: getattr(p2, f) for f in ("src", "tgt", "unit", "inv", "val")}
+    for f, held in fields.items():
+        writeable = held.copy()
+        for given, shared in ((held, True), (writeable, False),
+                              (held.tolist(), False)):
+            g = Groupoid(**{**fields, f: given})
+            got = getattr(g, f)
+            assert (np.shares_memory(got, held) or np.shares_memory(
+                got, writeable)) == shared, (f, type(given))
+            assert not got.flags.writeable and got.tolist() == held.tolist()
+        assert writeable.flags.writeable
+    act = base_action(p2)
+    for given, shared in ((act.anchor, True), (act.anchor.copy(), False)):
+        a = GroupoidAction(p2, given, act.val)
+        assert np.shares_memory(a.anchor, given) == shared
+        assert np.shares_memory(a.val, act.val)
+
+
+def test_a_row_table_reads_no_float_or_bool_as_an_index():
+    """An index array given as a list is read through the package's rule
+    for a sequence of integers, and an array of another dtype is refused,
+    each by its field's name: nothing is truncated or read as 1 for True.
+    An empty array of any dtype is the empty field."""
+    p2 = pair_groupoid(2)
+    fields = {f: getattr(p2, f) for f in ("src", "tgt", "unit", "inv", "val")}
+    for call, message in (
+            (lambda: Groupoid.from_tables([0.5], [0.0], [0], [0], [(0, 0, 0)]),
+             "src[0] = 0.5 is not an integer"),
+            (lambda: GroupoidAction.from_triples(p2, [0.9, 1.2], []),
+             "anchor[0] = 0.9 is not an integer"),
+            (lambda: Groupoid(**{**fields, "src": np.array([0.5, 1, 0, 1])}),
+             "src = array([0.5, 1. , 0. , 1. ]) is not an integer array"),
+            (lambda: Groupoid(**{**fields, "inv": p2.inv.astype(bool)}),
+             "inv = array([False,  True,  True,  True]) is not an integer "
+             "array"),
+            (lambda: GroupoidAction(p2, [0, 1], [True, 1, 0, 1]),
+             "val[0] = True is not an integer")):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    empty = Groupoid(*[np.array([])] * 5)
+    assert (empty.n_objects, empty.n_arrows, verify_groupoid(empty).ok) == \
+        (0, 0, True)
+
+
 def test_a_built_table_cannot_change(tmp_path):
     """On a table from each constructor path: writing to any array it
     holds raises numpy's read-only ``ValueError``, assigning a field raises

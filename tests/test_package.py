@@ -3,6 +3,7 @@ public, and ``gpdflow`` republishes all of it; importing it loads numpy
 with a one-thread OpenBLAS pool and leaves the environment as it was.
 Across that public surface, every index argument is refused by its name
 with one message, and the plain refusals say what is wrong."""
+import dataclasses
 import importlib
 import inspect
 import json
@@ -13,22 +14,26 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpdflow
-from gpdflow import (BaseGraph, CocycleBundle, EquivariantMap,
-                     GaugeTransformation, apply_gauge,
-                     are_conjugate_subgroup_maps, base_action, bfs_tree,
-                     build_ambit, bundle_of_groupoid, bundles_isomorphic,
-                     bundles_isomorphic_bruteforce, compose_equivariant_maps,
-                     dart_labels, element_order, fiber_action,
-                     fiber_chart_sigma, fiber_chart_tau, gauge_normalize,
-                     generated_subgroup, groupoid_of_bundle, holonomy_along,
-                     holonomy_group, hom_set, invariant_sections, is_trivial,
-                     named_bundles, pair_groupoid, preset_group,
-                     restrict_action, roundtrip_bundle, total_space,
-                     universal_map, vertex_chart_phi, vertex_chart_psi,
-                     vertex_group, vertex_groups_isomorphic)
+from gpdflow import (BaseGraph, CocycleBundle, Connection, Diagnostics,
+                     EquivariantMap, GaugeTransformation, Groupoid,
+                     GroupoidAction, apply_gauge, are_conjugate_subgroup_maps,
+                     base_action, bfs_tree, build_ambit, bundle_of_groupoid,
+                     bundles_isomorphic, bundles_isomorphic_bruteforce,
+                     compose_equivariant_maps, dart_labels, element_order,
+                     fiber_action, fiber_chart_sigma, fiber_chart_tau,
+                     gauge_normalize, generated_subgroup, groupoid_of_bundle,
+                     holonomy_along, holonomy_group, hom_set,
+                     invariant_sections, is_trivial, named_bundles,
+                     pair_groupoid, preset_group, restrict_action,
+                     roundtrip_bundle, total_space, universal_map,
+                     verify_cocycle, verify_groupoid_iso,
+                     verify_invariant_section, vertex_chart_phi,
+                     vertex_chart_psi, vertex_group,
+                     vertex_groups_isomorphic)
 
 from test_refusal import CALLS
 
@@ -111,14 +116,25 @@ def test_a_callers_openblas_num_threads_wins():
     assert probe["written"] == [], probe
 
 
+def test_an_empty_openblas_num_threads_counts_as_unset():
+    """OpenBLAS reads an empty value as unset and starts a worker per CPU,
+    so the package sets one thread, then puts the empty value back."""
+    probe = _import_gpdflow(blas="")
+    assert probe["unchanged"] and probe["blas"] == "", probe
+    assert probe["written"] == ["putenv", "putenv"], probe
+    if probe["threads"] is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("no /proc/self/task, or one CPU: one thread either way")
+    assert probe["threads"] == 1, probe
+
+
 def test_numpy_imported_first_is_left_as_it_is():
     probe = _import_gpdflow(numpy_first=True)
     assert probe["unchanged"] and probe["blas"] is None, probe
     assert probe["written"] == [], probe
 
 
-# an annotation that marks a parameter as an index, or a pair of them
-INDEX_ANNOTATIONS = {"int", "tuple[int, int]", "Optional[tuple[int, int]]"}
+# an annotation that marks a parameter as an index
+INDEX_ANNOTATIONS = {"int"}
 
 # the index parameters that are not refused by _index: (function, parameter)
 EXEMPT = {
@@ -182,8 +198,9 @@ def test_every_index_argument_is_refused_by_its_name():
     outside range(<n>)``, and at None, 1.0 and True with ``<argument> =
     <value> is not an integer``, by its own name and by the function
     called: not an ``IndexError`` or a ``TypeError``, not an empty list,
-    not ``seq[-1]``, not 1 for True.  The entries of list arguments, which
-    no signature shows, are refused as ``name[k]``.
+    not ``seq[-1]``, not 1 for True.  The entries of sequence arguments,
+    refused as ``name[k]``, are derived by
+    :func:`test_every_integer_sequence_is_refused_by_its_name`.
     Each parameter found is exercised here or exempt, never both, so a new
     index parameter fails this test until it is given a row."""
     b = named_bundles()["edge-s3"]
@@ -247,11 +264,6 @@ def test_every_index_argument_is_refused_by_its_name():
         ("TransportGroupoid.arrow_of", "a", order,
          lambda i: tg.arrow_of(0, 0, i)),
         ("TransportGroupoid.coord_of", "arrow", arrows, tg.coord_of),
-        *[(chart.__name__, f"u0[{k}]", n,
-           lambda i, chart=chart, k=k: chart(tg, (i, 0) if k == 0 else (0, i)))
-          for chart in (vertex_chart_phi, vertex_chart_psi, fiber_chart_tau,
-                        fiber_chart_sigma)
-          for k, n in enumerate((vertices, order))],
         ("bundle_of_groupoid", "x0", vertices,
          lambda i: bundle_of_groupoid(gpd, tg.connection, i)),
         ("roundtrip_bundle", "x0", vertices, lambda i: roundtrip_bundle(b, i)),
@@ -263,36 +275,11 @@ def test_every_index_argument_is_refused_by_its_name():
         ("invariant_sections", "x0", vertices,
          lambda i: invariant_sections(act, i)),
     ]
-    entries = [  # entries of list arguments, and a constructor's
-        ("holonomy_along", "darts[0]", darts,
-         lambda i: holonomy_along(b, [i])),
-        ("holonomy_along", "darts[1]", darts,
-         lambda i: holonomy_along(b, [0, i])),
-        ("apply_gauge", "gauge.elements[0]", order,
-         lambda i: apply_gauge(b, GaugeTransformation([i, 0]))),
-        ("apply_gauge", "gauge.elements[1]", order,
-         lambda i: apply_gauge(b, GaugeTransformation([0, i]))),
-        ("dart_labels", "edge_labels[0]", order,
-         lambda i: dart_labels(grp, [i])),
-        ("generated_subgroup", "generators[1]", order,
-         lambda i: generated_subgroup(grp, [0, i])),
-        ("are_conjugate_subgroup_maps", "f1[0]", order,
-         lambda i: are_conjugate_subgroup_maps(grp, [i], [0])),
-        ("are_conjugate_subgroup_maps", "f2[0]", order,
-         lambda i: are_conjugate_subgroup_maps(grp, [0], [i])),
-        ("restrict_action", "points[1]", act.n_points,
-         lambda i: restrict_action(act, [0, i])),
-        ("BaseGraph", "edges[0][0]", vertices,
-         lambda i: BaseGraph(2, ((i, 0),))),
-        ("BaseGraph", "edges[1][1]", vertices,
-         lambda i: BaseGraph(2, ((0, 1), (0, i)))),
-    ]
-    exercised = {(function, name.split("[")[0])
-                 for function, name, _, _ in rows}
+    exercised = {(function, name) for function, name, _, _ in rows}
     assert not exercised & EXEMPT.keys()
     assert index_parameters() == exercised | EXEMPT.keys()
     wrong = []
-    for function, name, n, call in rows + entries:
+    for function, name, n, call in rows:
         for i in (-1, n, None, 1.0, True):
             try:
                 out = call(i)
@@ -305,6 +292,212 @@ def test_every_index_argument_is_refused_by_its_name():
             except Exception as error:  # the gate: listed, then failed
                 out = error
             wrong.append((function, name, i, repr(out)[:60]))
+    assert not wrong, wrong
+
+
+# the annotations of a sequence of integers, and of pairs of them
+SEQUENCE_ANNOTATIONS = {"Sequence[int]", "list[int]", "tuple[int, ...]"}
+PAIR_ANNOTATIONS = {"tuple[int, int]", "Optional[tuple[int, int]]",
+                    "tuple[tuple[int, int], ...]"}
+
+# the types whose sequence fields are not read by the gate: results the
+# package builds and fills, each a plain record, not checked when built
+RESULT_RECORDS = {
+    "HomSet", "VertexGroupIso", "LocalTriviality", "SpanningTree",
+    "CycleHolonomy", "HolonomyData", "TrivialityReport", "VertexChart",
+    "FiberChart", "ReconstructedBundle", "RoundTrip", "PointBaseReport",
+    "Subflow", "FiberSemigroup", "MinimalFlowReport", "InvariantSection",
+    "TranslationCertificate"}
+
+# a whole argument that is no sequence of integers; and, for a pair, one
+# of the wrong length, and for an array field, an array of another dtype
+ODD_SEQUENCES = (None, 5, 1.0, "01", [None], [1.0], [True])
+ODD_PAIRS = ((0,), (0, 1, 1))
+ODD_ARRAYS = (np.array([0.5]), np.array([True]))
+
+
+def sequence_parameters() -> dict[tuple[str, str], str]:
+    """``(function, parameter)`` -> annotation for each public parameter
+    annotated as a sequence of integers or a pair of them, and ``(class,
+    field)`` -> annotation for each such init field of a dataclass in
+    ``gpdflow.__all__``, and for each array field of a row table."""
+    found = {(function, name): annotation
+             for function, name, annotation in public_parameters()
+             if annotation in SEQUENCE_ANNOTATIONS | PAIR_ANNOTATIONS}
+    for name in gpdflow.__all__:
+        cls = getattr(gpdflow, name)
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls):
+            for f in dataclasses.fields(cls):
+                if f.init and (f.type in SEQUENCE_ANNOTATIONS | PAIR_ANNOTATIONS
+                               or f.type == "np.ndarray"
+                               and issubclass(cls, gpdflow.RowTable)):
+                    found[cls.__name__, f.name] = f.type
+    return found
+
+
+def leaf_paths(value, path=()):
+    """The index path of each integer in a nested list or tuple."""
+    if not isinstance(value, (list, tuple)):
+        yield path
+    for k, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
+        yield from leaf_paths(v, path + (k,))
+
+
+def replaced(value, path, new):
+    """``value`` with the entry at ``path`` set to ``new``."""
+    if not path:
+        return new
+    seq = list(value)
+    seq[path[0]] = replaced(seq[path[0]], path[1:], new)
+    return type(value)(seq)
+
+
+def verdict_of(out):
+    """The verdict a verifier gave, alone or first in a pair, or None."""
+    if isinstance(out, tuple) and out and isinstance(out[0], Diagnostics):
+        out = out[0]
+    return out if isinstance(out, Diagnostics) else None
+
+
+def test_every_integer_sequence_is_refused_by_its_name():
+    """Each sequence of integers the package takes, found from the
+    signatures of ``gpdflow.__all__`` and the init fields of its
+    dataclasses and row tables, is read by one rule.  Given None, 5, 1.0,
+    ``"01"``, ``[None]``, ``[1.0]`` and ``[True]`` (a pair also ``(0,)``
+    and ``(0, 1, 1)``, in each pair's place; an array field also a float
+    and a bool array), each call gives a ``ValueError`` whose message
+    starts with the argument's name, or a failed structural verdict; only
+    None for an optional pair gives a result.  So nothing is met with a
+    ``TypeError`` or an ``IndexError``, truncated or read as 1 for True.
+    Each entry of a valid argument, set to None, 1.0 and True (and, where
+    the entries have a range, to -1 and the first value past it), is
+    refused with ``<name>[k] = <value> is not an integer`` or
+    ``<name>[k] = <value> outside range(<n>)``.  Each parameter found is
+    in the call table or exempt, never both, so a new one fails this test
+    until it is given a row."""
+    b = named_bundles()["edge-s3"]
+    grp, base = b.group, b.base
+    tg = groupoid_of_bundle(b)
+    act = base_action(tg.groupoid)
+    p2 = pair_groupoid(2)
+    p2_act = base_action(p2)
+    arrays = {f: getattr(p2, f).tolist()
+              for f in ("src", "tgt", "unit", "inv", "val")}
+    index, comp = {f: arrays[f] for f in ("src", "tgt", "unit", "inv")}, \
+        p2.triples()
+    order, vertices = grp.order, base.n_vertices
+    assert (order, vertices, base.n_darts, act.n_points) == (6, 2, 2, 2)
+    calls = {  # key -> (a valid value, the entries' range, the call)
+        ("generated_subgroup", "generators"): (
+            [0, 1], order, lambda v: generated_subgroup(grp, v)),
+        ("are_conjugate_subgroup_maps", "f1"): (
+            [0], order, lambda v: are_conjugate_subgroup_maps(grp, v, [0])),
+        ("are_conjugate_subgroup_maps", "f2"): (
+            [0], order, lambda v: are_conjugate_subgroup_maps(grp, [0], v)),
+        **{("Groupoid.from_tables", f): (
+            arrays[f], None, lambda v, f=f: Groupoid.from_tables(
+                **{**index, f: v}, comp=comp)) for f in index},
+        **{("Groupoid", f): (
+            arrays[f], None, lambda v, f=f: Groupoid(**{**arrays, f: v}))
+            for f in arrays},
+        ("GroupoidAction.from_triples", "anchor"): (
+            p2_act.anchor.tolist(), None, lambda v:
+            GroupoidAction.from_triples(p2, v, p2_act.triples())),
+        **{("GroupoidAction", f): (
+            getattr(p2_act, f).tolist(), None, lambda v, f=f: GroupoidAction(
+                **{"gpd": p2, "anchor": p2_act.anchor, "val": p2_act.val,
+                   f: v})) for f in ("anchor", "val")},
+        ("verify_groupoid_iso", "obj_map"): (
+            [0, 1], None, lambda v: verify_groupoid_iso(p2, p2, v,
+                                                        [0, 1, 2, 3])),
+        ("verify_groupoid_iso", "arr_map"): (
+            [0, 1, 2, 3], None, lambda v: verify_groupoid_iso(p2, p2, [0, 1],
+                                                              v)),
+        ("BaseGraph", "edges"): (
+            ((0, 1), (0, 1)), vertices, lambda v: BaseGraph(2, v)),
+        ("CocycleBundle", "labels"): (
+            [0, 0], None, lambda v: CocycleBundle(base, grp, v)),
+        ("verify_cocycle", "labels"): (
+            [0, 0], None, lambda v: verify_cocycle(base, grp, v)),
+        ("CocycleBundle.from_edge_labels", "edge_labels"): (
+            [0], order, lambda v: CocycleBundle.from_edge_labels(base, grp,
+                                                                 v)),
+        ("dart_labels", "edge_labels"): (
+            [0], order, lambda v: dart_labels(grp, v)),
+        ("GaugeTransformation", "elements"): (
+            [0, 0], order, lambda v: apply_gauge(b, GaugeTransformation(v))),
+        ("holonomy_along", "darts"): (
+            [0, 1], base.n_darts, lambda v: holonomy_along(b, v)),
+        ("Connection", "arrows"): (
+            list(tg.connection.arrows), None,
+            lambda v: Connection(base, v)),
+        ("restrict_action", "points"): (
+            [0, 1], act.n_points, lambda v: restrict_action(act, v)),
+        ("EquivariantMap", "values"): (
+            [0, 1], None, lambda v: EquivariantMap(act, act, v)),
+        ("verify_invariant_section", "values"): (
+            invariant_sections(act, 0)[0].values, None,
+            lambda v: verify_invariant_section(act, v)),
+        **{(chart.__name__, "u0"): (
+            (0, 0), (vertices, order), lambda v, chart=chart: chart(tg, v))
+            for chart in (vertex_chart_phi, vertex_chart_psi,
+                          fiber_chart_tau, fiber_chart_sigma)},
+    }
+    # the name a refusal gives where it is not the parameter's own
+    names = {("GaugeTransformation", "elements"): "gauge.elements"}
+    found = sequence_parameters()
+    exempt = {key for key in found if key[0] in RESULT_RECORDS}
+    for kind in {kind for kind, _ in exempt}:
+        assert not hasattr(getattr(gpdflow, kind), "__post_init__"), kind
+    assert not exempt & calls.keys()
+    assert found.keys() == calls.keys() | exempt, \
+        sorted(found.keys() ^ (calls.keys() | exempt))
+    wrong, cases = [], 0
+    for key, (valid, bound, call) in calls.items():
+        name, annotation = names.get(key, key[1]), found[key]
+        verdict = verdict_of(call(valid))
+        assert verdict is None or verdict.ok, (key, verdict)
+        odd = [((), v) for v in ODD_SEQUENCES]
+        if annotation in PAIR_ANNOTATIONS:
+            odd += [(path[:-1], v) for path in leaf_paths(valid)
+                    if path[-1] == 0 for v in ODD_PAIRS]
+        if annotation == "np.ndarray":
+            odd += [((), v) for v in ODD_ARRAYS]
+        for path, v in odd:
+            cases += 1
+            try:
+                out = call(replaced(valid, path, v))
+            except ValueError as error:
+                if re.match(rf"{re.escape(name)}(\[\d+\])* = ", str(error)):
+                    continue
+                out = error
+            except Exception as error:  # the gate: listed, then failed
+                out = error
+            else:
+                verdict = verdict_of(out)
+                if verdict is not None and not verdict.ok \
+                        and verdict.structural or v is None \
+                        and annotation.startswith("Optional"):
+                    continue
+            wrong.append((key, path, v, repr(out)[:60]))
+        for path in leaf_paths(valid):
+            n = bound[path[-1]] if isinstance(bound, tuple) else bound
+            entry = name + "".join(f"[{k}]" for k in path)
+            for i in (None, 1.0, True) if n is None else (-1, n, None, 1.0,
+                                                          True):
+                cases += 1
+                try:
+                    out = call(replaced(valid, path, i))
+                except ValueError as error:
+                    if str(error) == (f"{entry} = {i} outside range({n})"
+                                      if type(i) is int else
+                                      f"{entry} = {i!r} is not an integer"):
+                        continue
+                    out = error
+                except Exception as error:  # the gate: listed, then failed
+                    out = error
+                wrong.append((key, entry, i, repr(out)[:60]))
+    print(f"{len(calls)} parameters, {cases} cases")
     assert not wrong, wrong
 
 
